@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-substrate bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
+.PHONY: build test race bench bench-substrate bench-module bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,12 @@ bench:
 # FAILS above its committed ceiling (~0). CI runs this on every push.
 bench-substrate:
 	$(GO) test -bench=BenchmarkSubstrate -benchtime=1x -run='^$$' .
+
+# The frozen benchmark (BENCHMARK.json, benchmark/) is its own Go module, so
+# the root ./... patterns skip it; this keeps an API change in the main
+# module from breaking it unnoticed.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The canonical perf-trajectory record. Each performance-relevant PR runs
 # this and commits the output as BENCH_<pr>.json (see README "Performance").
@@ -49,8 +55,8 @@ bench-json:
 		-record-suffix @group-commit -out $(BENCH_OUT)
 
 # Re-run the canonical configuration and print per-experiment wall-clock
-# ratios against the latest committed trajectory record.
-BENCH_BASE ?= BENCH_8.json
+# ratios against the latest (highest-numbered) committed trajectory record.
+BENCH_BASE ?= $(shell git ls-files 'BENCH_*.json' | sort -t_ -k2n | tail -1)
 bench-compare:
 	$(GO) run ./cmd/seabench -scale 0.25 -queries 4 -compare $(BENCH_BASE)
 
@@ -65,9 +71,8 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-# staticcheck flags, among other things, uses of the deprecated pre-Request
-# entry points inside the repo itself. CI installs it; locally the target
-# skips with a note when the binary is absent (the module adds no deps).
+# CI installs staticcheck; locally the target skips with a note when the
+# binary is absent (the module adds no deps).
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck -checks 'SA*' ./...; \
@@ -158,4 +163,4 @@ write-smoke:
 	/tmp/sea-write-smoke/seacli pack -load /tmp/sea-write-smoke/fb.txt -out /tmp/sea-write-smoke/fb.snap
 	SMOKE_DIR=/tmp/sea-write-smoke sh scripts/write-smoke.sh
 
-ci: fmt-check vet staticcheck build race bench bench-substrate smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke
+ci: fmt-check vet staticcheck build race bench bench-substrate bench-module smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke

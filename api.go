@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/attr"
-	"repro/internal/baselines"
 	"repro/internal/catalog"
 	"repro/internal/clique"
 	"repro/internal/cluster"
@@ -151,7 +150,7 @@ var (
 	// ErrBudgetExhausted reports that a state budget cut an exact search
 	// short; the accompanying result carries the best community found.
 	ErrBudgetExhausted = cserr.ErrBudgetExhausted
-	// ErrInvalidRequest reports a malformed Request or Options value: bad
+	// ErrInvalidRequest reports a malformed Request: bad
 	// parameters, an unknown method, or an unsupported method/model pair.
 	ErrInvalidRequest = cserr.ErrInvalidRequest
 	// ErrSnapshotVersion reports a snapshot whose magic or format version
@@ -169,102 +168,14 @@ var (
 	ErrOverloaded = cserr.ErrOverloaded
 )
 
-// Options configures a SEA search; start from DefaultOptions.
-//
-// Deprecated: Options survives as the advanced-knob form of a SEA Request;
-// new code should build a Request (every Options field has a Request
-// counterpart) and call Execute.
-type Options = sea.Options
-
-// DefaultOptions returns the paper's default parameters (§VII-A).
-func DefaultOptions() Options { return sea.DefaultOptions() }
-
 // Result is the outcome of a SEA search: the community, its attribute
 // distance δ*, the confidence interval, the per-round trace and step times.
 // Execute returns it as Outcome.SEA.
 type Result = sea.Result
 
-// Search runs the SEA approximate community search (the paper's primary
-// contribution) on g for query node q.
-//
-// Deprecated: use Execute (or ExecuteWithMetric to keep the shared Metric)
-// with a Request naming MethodSEA; the full trace is Outcome.SEA.
-func Search(g *Graph, m *Metric, q NodeID, opts Options) (*Result, error) {
-	return sea.Search(g, m, q, opts)
-}
-
-// SearchWithDist is Search with a precomputed f(·,q) vector, letting callers
-// amortize the distance computation across runs.
-//
-// Deprecated: use Execute with a Request naming MethodSEA, or NewEngine
-// which caches distance vectors across calls.
-func SearchWithDist(g *Graph, dist []float64, q NodeID, opts Options) (*Result, error) {
-	return sea.SearchWithDist(g, dist, q, opts)
-}
-
-// ExactConfig selects the exact baseline's pruning strategies and bounds its
-// search-tree exploration.
-type ExactConfig = exact.Config
-
 // ExactResult is the outcome of an exact search; Execute returns it as
 // Outcome.Exact.
 type ExactResult = exact.Result
-
-// DefaultExactConfig enables all three pruning strategies of §IV.
-func DefaultExactConfig() ExactConfig { return exact.DefaultConfig() }
-
-// ExactSearch solves CS-AG exactly: the connected k-core containing q with
-// the smallest δ. dist must be Metric.QueryDist(q).
-//
-// Deprecated: use Execute with a Request naming MethodExact (Request.
-// MaxStates bounds the search tree; all three prunings stay enabled).
-func ExactSearch(g *Graph, q NodeID, k int, dist []float64, cfg ExactConfig) (ExactResult, error) {
-	return exact.Search(g, q, k, dist, cfg)
-}
-
-// BaselineModel selects the structural model for the baseline methods.
-//
-// Deprecated: Requests use Model (KCore/KTruss) for every method.
-type BaselineModel = baselines.Model
-
-// Structural models for the baselines.
-//
-// Deprecated: use KCore and KTruss with a Request.
-const (
-	BaselineKCore  = baselines.KCore
-	BaselineKTruss = baselines.KTruss
-)
-
-// ACQ runs the shared-attribute baseline (Fang et al., PVLDB'16).
-//
-// Deprecated: use Execute with a Request naming MethodACQ.
-func ACQ(g *Graph, q NodeID, k int, model BaselineModel) ([]NodeID, error) {
-	return baselines.ACQ(g, q, k, model)
-}
-
-// LocATC runs the attribute-coverage local search baseline (Huang &
-// Lakshmanan, PVLDB'17).
-//
-// Deprecated: use Execute with a Request naming MethodLocATC.
-func LocATC(g *Graph, q NodeID, k int, model BaselineModel) ([]NodeID, error) {
-	return baselines.LocATC(g, q, k, model)
-}
-
-// VAC runs the approximate min-max attribute-distance baseline (Liu et al.,
-// ICDE'20).
-//
-// Deprecated: use ExecuteWithMetric with a Request naming MethodVAC.
-func VAC(g *Graph, m *Metric, q NodeID, k int, model BaselineModel) ([]NodeID, error) {
-	return baselines.VAC(g, m, q, k, model)
-}
-
-// EVAC runs the exact min-max baseline with a state budget.
-//
-// Deprecated: use ExecuteWithMetric with a Request naming MethodEVAC and
-// setting Request.MaxStates.
-func EVAC(g *Graph, m *Metric, q NodeID, k int, model BaselineModel, maxStates int) ([]NodeID, error) {
-	return baselines.EVAC(g, m, q, k, model, maxStates)
-}
 
 // CoreDecompose returns the coreness of every node (Batagelj–Zaversnik).
 func CoreDecompose(g *Graph) []int32 { return kcore.Decompose(g) }
@@ -306,14 +217,12 @@ type EngineConfig = engine.Config
 // graphs: γ=0.5, 256 cached distance vectors, 4096 cached results.
 func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 
-// NewEngine builds a serving engine over g, precomputing the shared
-// per-graph state (attribute metric, core decomposition; the truss index is
-// built lazily unless cfg.EagerTruss is set).
-func NewEngine(g *Graph, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
-
-// NewEngineFromStore is NewEngine over any GraphStore backing — most
-// importantly a zero-copy mapped or compressed snapshot.
-func NewEngineFromStore(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
+// NewEngine builds a serving engine over g — a *Graph or any other
+// GraphStore backing, most importantly a zero-copy mapped or compressed
+// snapshot — precomputing the shared per-graph state (attribute metric, core
+// decomposition; the truss index is built lazily unless cfg.EagerTruss is
+// set).
+func NewEngine(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
 
 // NewHTTPHandler returns the JSON serving surface of an Engine: /search
 // (one Request, any method), /batch (one Request spec over many query
@@ -331,9 +240,9 @@ type Snapshot = store.Snapshot
 // indexes and the attribute-metric normalization table.
 type SnapshotIndex = store.Index
 
-// PackOptions selects the on-disk snapshot layout: the zero value writes the
-// legacy v1 stream, Align the mmap-ready aligned v2 section-table layout,
-// Compress the v2 layout with delta+varint compressed adjacency.
+// PackOptions selects the variant of the one written snapshot layout (aligned
+// v2): Compress stores the adjacency delta+varint compressed. Align is inert
+// — every written snapshot is aligned.
 type PackOptions = store.PackOptions
 
 // SnapshotInfo describes an on-disk snapshot without opening it: format
@@ -348,24 +257,21 @@ type MountedSnapshot = store.Mounted
 
 // WriteSnapshot serializes g and idx (which may be nil for a graph-only
 // snapshot) to w in the versioned, checksummed binary snapshot format of
-// internal/store. Engine.WriteSnapshot packs a serving engine's full state.
-// WriteSnapshotOpts selects the v2 aligned/compressed layouts.
-func WriteSnapshot(w io.Writer, g *Graph, idx *SnapshotIndex) error { return store.Write(w, g, idx) }
-
-// WriteSnapshotOpts is WriteSnapshot with an explicit layout choice.
-func WriteSnapshotOpts(w io.Writer, g *Graph, idx *SnapshotIndex, opt PackOptions) error {
+// internal/store: the mmap-ready aligned v2 layout, with delta+varint
+// adjacency when opt.Compress is set. Engine.WriteSnapshot and
+// Engine.WriteSnapshotFile pack a serving engine's full state.
+func WriteSnapshot(w io.Writer, g *Graph, idx *SnapshotIndex, opt PackOptions) error {
 	return store.WriteSnapshot(w, g, idx, opt)
 }
 
-// OpenMappedSnapshot opens the snapshot at path for zero-copy serving: a v2
-// aligned snapshot maps read-only and serves straight from the page cache —
-// O(1) boot in the graph size — while a v1 snapshot or an mmap-less
-// platform falls back to a fully verified heap open (Mapped() reports
-// which).
+// OpenMappedSnapshot opens the snapshot at path for zero-copy serving: it
+// maps read-only and serves straight from the page cache — O(1) boot in the
+// graph size — while a legacy v1 file or an mmap-less platform falls back
+// to a fully verified heap open (Mapped() reports which).
 func OpenMappedSnapshot(path string) (*MountedSnapshot, error) { return store.OpenMapped(path) }
 
-// MountGraphFile is OpenGraphFile's zero-copy sibling: a v2 snapshot maps
-// read-only, a v1 snapshot heap-opens, anything else parses as the text
+// MountGraphFile is OpenGraphFile's zero-copy sibling: a snapshot maps
+// read-only (a legacy v1 file heap-opens), anything else parses as the text
 // exchange format.
 func MountGraphFile(path string) (*MountedSnapshot, error) { return store.MountGraphFile(path) }
 
@@ -397,35 +303,13 @@ func NewEngineFromSnapshot(snap *Snapshot, cfg EngineConfig) (*Engine, error) {
 	return engine.NewFromSnapshot(snap, cfg)
 }
 
-// WriteSnapshotFile writes eng's full serving state to a snapshot at path
-// and returns the file size. The truss index is built first if it was not
-// already, so packed snapshots always carry the complete admission state.
-// The write is atomic: the stream goes to a temp file in the destination
-// directory and renames into place only on success, so repacking over an
-// existing good snapshot can never destroy it.
-func WriteSnapshotFile(eng *Engine, path string) (int64, error) {
-	return store.AtomicWriteFile(path, eng.WriteSnapshot)
-}
-
-// WriteSnapshotFileOpts is WriteSnapshotFile with an explicit on-disk layout
-// (PackOptions{Align: true} for the mmap-ready v2 format, Compress for
-// delta+varint adjacency).
-func WriteSnapshotFileOpts(eng *Engine, path string, opt PackOptions) (int64, error) {
-	return store.AtomicWriteFile(path, func(w io.Writer) error {
-		return eng.WriteSnapshotOpts(w, opt)
-	})
-}
-
-// PackSnapshotFile builds the complete serving index over g (core, truss,
-// metric table) and writes the snapshot to path, returning the file size.
-// It is the one pack pipeline behind cmd/datagen -pack and cmd/seacli pack.
+// PackSnapshotFileOpts builds the complete serving index over g (core, truss,
+// metric table) and writes the snapshot to path — atomically, through
+// Engine.WriteSnapshotFile — returning the file size. It is the one pack
+// pipeline behind cmd/datagen -pack and cmd/seacli pack.
 // Snapshots are gamma-agnostic — the packed normalizer table does not
-// depend on the balance factor, which is chosen at serving time.
-func PackSnapshotFile(g *Graph, path string) (int64, error) {
-	return PackSnapshotFileOpts(g, path, PackOptions{})
-}
-
-// PackSnapshotFileOpts is PackSnapshotFile with an explicit on-disk layout.
+// depend on the balance factor, which is chosen at serving time. (The Opts
+// suffix is historical; the frozen benchmark module calls it by this name.)
 func PackSnapshotFileOpts(g *Graph, path string, opt PackOptions) (int64, error) {
 	cfg := DefaultEngineConfig()
 	cfg.EagerTruss = true
@@ -433,7 +317,7 @@ func PackSnapshotFileOpts(g *Graph, path string, opt PackOptions) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	return WriteSnapshotFileOpts(eng, path, opt)
+	return eng.WriteSnapshotFile(path, opt)
 }
 
 // Mutation is one live graph delta — add_edge, remove_edge, add_node or
@@ -607,37 +491,10 @@ type RouterSpan = cluster.RouterSpan
 // per-stage metrics.
 type EngineBatchItem = engine.BatchItem
 
-// EngineSEABatchItem pairs one query of the legacy Engine.BatchSearch with
-// its outcome.
-//
-// Deprecated: use Engine.Batch, whose EngineBatchItem carries the full
-// Request/Outcome pair.
-type EngineSEABatchItem = engine.SEABatchItem
-
-// WriteMetricsCSV writes one CSV row per batch item in the QueryMetrics
-// format, header included. It accepts the items of both Engine.Batch and
-// the legacy Engine.BatchSearch.
-func WriteMetricsCSV[T interface {
-	EngineBatchItem | EngineSEABatchItem
-}](w io.Writer, items []T) error {
-	switch items := any(items).(type) {
-	case []EngineBatchItem:
-		return engine.WriteMetricsCSV(w, items)
-	default:
-		return engine.WriteMetricsCSV(w, any(items).([]EngineSEABatchItem))
-	}
-}
-
-// BatchResult pairs one query of BatchSearch with its outcome.
-type BatchResult = sea.BatchResult
-
-// BatchSearch runs SEA for every query concurrently with up to workers
-// goroutines (0 = GOMAXPROCS); results are deterministic and in query order.
-//
-// Deprecated: use Engine.Batch, which shares the metric, the admission
-// index and the caches across queries and honors per-request deadlines.
-func BatchSearch(g *Graph, m *Metric, queries []NodeID, opts Options, workers int) ([]BatchResult, error) {
-	return sea.BatchSearch(g, m, queries, opts, workers)
+// WriteMetricsCSV writes one CSV row per Engine.Batch item in the
+// QueryMetrics format, header included.
+func WriteMetricsCSV(w io.Writer, items []EngineBatchItem) error {
+	return engine.WriteMetricsCSV(w, items)
 }
 
 // InfluentialResult is the outcome of InfluentialSearch.
@@ -667,7 +524,7 @@ type MetaPath = hetgraph.MetaPath
 // nodes, with mappings to and from heterogeneous node IDs.
 type Projection = hetgraph.Projection
 
-// Project builds the P-neighbor projection of h along p; run Search on
+// Project builds the P-neighbor projection of h along p; run Execute on
 // Projection.Graph to obtain a (k,P)-core community.
 func Project(h *HetGraph, p MetaPath) (*Projection, error) { return h.Project(p) }
 

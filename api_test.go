@@ -130,32 +130,6 @@ func TestAllMethodsThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillAnswer keeps the migration promise: the legacy
-// free functions compile and agree with the unified API they wrap.
-func TestDeprecatedWrappersStillAnswer(t *testing.T) {
-	g, m := buildFigure1(t)
-	req := DefaultRequest(0)
-	req.K = 3
-
-	//lint:ignore SA1019 the wrapper contract itself is under test
-	legacy, err := Search(g, m, 0, req.Options())
-	if err != nil {
-		t.Fatal(err)
-	}
-	unified, err := ExecuteWithMetric(context.Background(), g, m, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(legacy.Community) != fmt.Sprint(unified.Community) || legacy.Delta != unified.Delta {
-		t.Fatalf("wrapper diverged: %v δ=%v vs %v δ=%v",
-			legacy.Community, legacy.Delta, unified.Community, unified.Delta)
-	}
-	//lint:ignore SA1019 the wrapper contract itself is under test
-	if _, err := VAC(g, m, 0, 3, BaselineKCore); err != nil {
-		t.Errorf("VAC wrapper: %v", err)
-	}
-}
-
 // TestRequestRoundTripsEverywhere is the acceptance criterion end to end:
 // one Request answered by the library (Searcher.Search), the Engine, and
 // the HTTP server returns the identical community and δ on every path.

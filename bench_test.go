@@ -393,9 +393,10 @@ func BenchmarkAblationModelRanking(b *testing.B) {
 // cached ≥ 5× faster than cold (in practice orders of magnitude).
 func BenchmarkEngineColdVsCached(b *testing.B) {
 	benchSetup(b)
-	opts := internalsea.DefaultOptions()
-	opts.K = 6
-	opts.MaxRounds = 2
+	req := query.DefaultRequest(benchQ)
+	req.K = 6
+	req.MaxRounds = 2
+	opts := req.Options()
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
@@ -414,7 +415,7 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req := query.FromOptions(benchQ, opts)
+		req := req
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			req.Seed = int64(i + 1) // distinct key: result cache misses, dist cache hits
@@ -428,7 +429,6 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		req := query.FromOptions(benchQ, opts)
 		if _, err := e.Query(ctx, req); err != nil { // warm
 			b.Fatal(err)
 		}
@@ -450,13 +450,12 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := internalsea.DefaultOptions()
-	opts.K = 2
-	opts.MaxRounds = 2
 	distinct := benchData.QueryNodes(8, 2, 21)
 	reqs := make([]query.Request, 64)
 	for i := range reqs {
-		reqs[i] = query.FromOptions(distinct[i%len(distinct)], opts)
+		reqs[i] = query.DefaultRequest(distinct[i%len(distinct)])
+		reqs[i].K = 2
+		reqs[i].MaxRounds = 2
 	}
 	ctx := context.Background()
 	b.ResetTimer()

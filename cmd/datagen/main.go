@@ -50,7 +50,7 @@ func main() {
 			*out, d.Graph.NumNodes(), d.Graph.NumEdges(), len(d.Communities))
 	}
 	if *pack != "" {
-		size, err := sealib.PackSnapshotFile(d.Graph, *pack)
+		size, err := sealib.PackSnapshotFileOpts(d.Graph, *pack, sealib.PackOptions{})
 		if err != nil {
 			fail(err)
 		}

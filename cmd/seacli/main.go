@@ -260,12 +260,11 @@ func loadGraphFile(path string) (*sealib.Graph, error) {
 func runPack(args []string) error {
 	fs := flag.NewFlagSet("seacli pack", flag.ExitOnError)
 	var (
-		load     = fs.String("load", "", "input graph file (text exchange format or snapshot)")
+		load     = fs.String("load", "", "input graph file (text exchange format, or a snapshot of any version to repack)")
 		dsName   = fs.String("dataset", "", "generate this dataset analog instead of reading -load")
 		scale    = fs.Float64("scale", 0.5, "dataset scale factor (with -dataset)")
 		out      = fs.String("out", "", "output snapshot path (required)")
-		align    = fs.Bool("mmap-align", false, "write the v2 aligned layout seaserve maps zero-copy")
-		compress = fs.Bool("compress", false, "delta+varint compress the adjacency (implies -mmap-align)")
+		compress = fs.Bool("compress", false, "delta+varint compress the adjacency")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -273,7 +272,7 @@ func runPack(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("pack: -out is required")
 	}
-	opt := sealib.PackOptions{Align: *align || *compress, Compress: *compress}
+	opt := sealib.PackOptions{Compress: *compress}
 	t0 := time.Now()
 	var (
 		size int64
@@ -300,7 +299,7 @@ func runPack(args []string) error {
 			if err != nil {
 				return err
 			}
-			if size, err = sealib.WriteSnapshotFileOpts(eng, *out, opt); err != nil {
+			if size, err = eng.WriteSnapshotFile(*out, opt); err != nil {
 				return err
 			}
 			break

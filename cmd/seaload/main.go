@@ -245,7 +245,7 @@ func bootSelfServe(name string, scale float64, journal bool, ccfg sealib.CommitC
 		}
 		cleanup = func() { os.RemoveAll(dir) }
 		snap := filepath.Join(dir, name+".snap")
-		if _, err := sealib.WriteSnapshotFile(eng, snap); err != nil {
+		if _, err := eng.WriteSnapshotFile(snap, sealib.PackOptions{}); err != nil {
 			cleanup()
 			return "", nil, nil, err
 		}

@@ -85,25 +85,28 @@
 //
 // The format guarantees: a deterministic byte stream for a given state; a
 // version check (ErrSnapshotVersion when the magic or version is not this
-// build's); CRC-32C plus structural validation of every array on open
-// (ErrSnapshotCorrupt); and semantic identity — the same Request answered
+// build's); CRC-32C plus structural validation of every array on every
+// heap open (ErrSnapshotCorrupt; the zero-copy mapped open checks the header
+// and section table only); and semantic identity — the same Request answered
 // by the written and the reopened engine yields a byte-identical Outcome.
 //
 // Snapshots are produced by cmd/datagen -pack, cmd/seacli pack (text →
 // snapshot), or any engine at runtime.
 //
-// Two on-disk layouts exist. Version 1 is the sequential heap-loadable
-// stream. Version 2 (seacli pack -mmap-align, or PackOptions.Align) lays
-// every array out at an 8-byte-aligned file offset behind a section table,
-// so OpenMappedSnapshot serves the snapshot zero-copy from a read-only
-// memory mapping — boot cost is O(header + dictionary), independent of
-// graph size. PackOptions.Compress additionally stores the adjacency as
-// per-node delta+uvarint runs (decoded into caller scratch at query time)
+// Every writer emits one layout, version 2: each array sits at an
+// 8-byte-aligned file offset behind a section table, so OpenMappedSnapshot
+// serves the snapshot zero-copy from a read-only memory mapping — boot cost
+// is O(header + dictionary), independent of graph size. Its one variant,
+// PackOptions.Compress, additionally stores the adjacency as per-node
+// delta+uvarint runs (decoded into caller scratch at query time)
 // while keeping Degree and positional edge IDs O(1). Every consumer reaches
 // the graph through the Adjacency/GraphStore interfaces, so heap, mapped
 // and compressed backings answer byte-identically — including live
 // mutation, which overlays heap deltas over the read-only mapped base.
-// DetectSnapshotFile describes any file's layout without opening it.
+// DetectSnapshotFile describes any file's layout without opening it. The
+// version-1 stream of earlier builds is read-only legacy: every open path
+// still reads it (heap only), nothing writes it, and
+// `seacli pack -load old.snap -out new.snap` repacks one as v2.
 //
 // # Multi-graph serving
 //
@@ -258,24 +261,19 @@
 // `make bench-json` and compared with `make bench-compare` (or
 // `seabench -compare BENCH_4.json`).
 //
-// # Migrating from the method-specific entry points
+// # Removed in PR 12: the pre-Request entry points
 //
-// The pre-Request free functions remain as thin deprecated wrappers:
+//	Search, SearchWithDist, Options     → Execute/ExecuteWithMetric, MethodSEA (trace in Outcome.SEA)
+//	ExactSearch, ExactConfig            → Execute with MethodExact and Request.MaxStates
+//	ACQ, LocATC, VAC, EVAC              → Execute with the matching Method and Model (+ MaxStates)
+//	BatchSearch, Engine.BatchSearch     → Engine.Batch(ctx, []Request)
+//	Engine.Search[WithMetrics]          → Engine.Query[WithMetrics](ctx, Request)
+//	NewEngineFromStore, Catalog.Engine  → NewEngine (any GraphStore), Catalog.Resolve
+//	WriteSnapshotOpts                   → WriteSnapshot(w, g, idx, opt)
+//	WriteSnapshotFile[Opts]             → Engine.WriteSnapshotFile(path, opt)
 //
-//	Search(g, m, q, opts)            → Execute/ExecuteWithMetric, MethodSEA (trace in Outcome.SEA)
-//	SearchWithDist(g, dist, q, opts) → Execute with MethodSEA, or NewEngine (cached dist vectors)
-//	ExactSearch(g, q, k, dist, cfg)  → Execute with MethodExact and Request.MaxStates
-//	ACQ(g, q, k, model)              → Execute with MethodACQ
-//	LocATC(g, q, k, model)           → Execute with MethodLocATC
-//	VAC(g, m, q, k, model)           → ExecuteWithMetric with MethodVAC
-//	EVAC(g, m, q, k, model, states)  → ExecuteWithMetric with MethodEVAC and Request.MaxStates
-//	BatchSearch(g, m, qs, opts, w)   → Engine.Batch over []Request
-//	Engine.Search(ctx, q, opts)      → Engine.Query(ctx, Request)
-//	Engine.BatchSearch(ctx, qs, o)   → Engine.Batch(ctx, []Request)
-//
-// Every sea.Options field has a Request counterpart (FromOptions/Options
-// convert losslessly), and the old per-package error values now alias the
-// shared sentinels, so errors.Is checks keep working unchanged.
+// The per-package error values alias the shared sentinels, so errors.Is
+// checks keep working unchanged.
 //
 // # Quickstart
 //

@@ -52,7 +52,15 @@ type Dataset struct {
 	source  string
 	swaps   uint64
 	live    *liveState     // journaling state; nil when mounted without a journal
-	mounted *store.Mounted // backing mapping; nil for heap/text mounts
+	mounted *store.Mounted // backing mapping (heap mounts: only the source's Info); nil for a bare engine
+}
+
+// packOptions is the layout compaction and replication write the dataset
+// in: the variant its source snapshot was packed as, so a compressed dataset
+// stays compressed (and a mapped one mappable) across both. Text sources and
+// bare engines write plain aligned v2. The caller holds d.mu.
+func (d *Dataset) packOptions() store.PackOptions {
+	return store.PackOptions{Compress: d.mounted != nil && d.mounted.Info.Compressed}
 }
 
 // Engine returns the dataset's current engine. The pointer stays valid for
@@ -315,9 +323,6 @@ func (c *Catalog) Resolve(name string) (*engine.Engine, error) {
 	return d.Engine(), nil
 }
 
-// Engine is Resolve under its natural name for direct (non-HTTP) callers.
-func (c *Catalog) Engine(name string) (*engine.Engine, error) { return c.Resolve(name) }
-
 // Names returns the mounted dataset names, sorted.
 func (c *Catalog) Names() []string {
 	c.mu.RLock()
@@ -414,7 +419,9 @@ func (d *Dataset) info(def string) Info {
 // with zero recomputation — zero-copy mapped when the format and platform
 // allow and mmap is enabled — anything else is parsed as the text exchange
 // format and indexed from scratch. The returned Mounted handle owns the
-// mapping backing the engine (nil for heap-resident opens).
+// mapping backing the engine; for a heap-resident open it carries only the
+// source's SnapshotInfo, so it never pins the base graph once mutations
+// have replaced it.
 func (c *Catalog) openPath(path string, cfg engine.Config) (*engine.Engine, *store.Mounted, error) {
 	c.mu.RLock()
 	useMmap := !c.mmapOff
@@ -425,7 +432,7 @@ func (c *Catalog) openPath(path string, cfg engine.Config) (*engine.Engine, *sto
 			return nil, nil, err
 		}
 		eng, err := engine.NewFromSnapshot(snap, cfg)
-		return eng, nil, err
+		return eng, &store.Mounted{Info: snap.Info}, err
 	}
 	m, err := store.MountGraphFile(path)
 	if err != nil {
@@ -437,7 +444,7 @@ func (c *Catalog) openPath(path string, cfg engine.Config) (*engine.Engine, *sto
 		return nil, nil, err
 	}
 	if !m.Mapped() {
-		return eng, nil, nil
+		m = &store.Mounted{Info: m.Info}
 	}
 	return eng, m, nil
 }

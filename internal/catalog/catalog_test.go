@@ -14,6 +14,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/query"
+	"repro/internal/store"
 )
 
 // makeEngine builds an engine over a generated analog.
@@ -33,12 +34,8 @@ func makeEngine(t testing.TB, name string, scale float64) *engine.Engine {
 // packFile writes an engine's snapshot to a temp file and returns the path.
 func packFile(t testing.TB, eng *engine.Engine, name string) string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if _, err := eng.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -251,14 +248,14 @@ func TestMountPathAndManifest(t *testing.T) {
 	if c.Default() != "gh" {
 		t.Fatalf("manifest default: %q", c.Default())
 	}
-	fb, err := c.Engine("fb")
+	fb, err := c.Resolve("fb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fb.Graph().NumNodes() != e1.Graph().NumNodes() {
 		t.Fatal("snapshot mount has the wrong shape")
 	}
-	gh, err := c.Engine("gh")
+	gh, err := c.Resolve("gh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,18 +264,30 @@ func TestMountPathAndManifest(t *testing.T) {
 	}
 
 	// SwapPath with a corrupt file must leave the running engine in place.
-	corrupt := filepath.Join(t.TempDir(), "bad.snap")
+	// The snapshot mounts mapped, whose O(1) open validates the header and
+	// section table — a torn file — while a payload bit flip is the fully
+	// checksummed heap open's to catch.
 	data, _ := os.ReadFile(snapPath)
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+	torn := filepath.Join(t.TempDir(), "torn.snap")
+	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SwapPath("fb", corrupt, engine.DefaultConfig()); !errors.Is(err, cserr.ErrSnapshotCorrupt) {
+	if _, err := c.SwapPath("fb", torn, engine.DefaultConfig()); !errors.Is(err, cserr.ErrSnapshotCorrupt) {
 		t.Fatalf("corrupt swap: %v", err)
 	}
-	still, _ := c.Engine("fb")
+	still, _ := c.Resolve("fb")
 	if still != fb {
 		t.Fatal("corrupt swap disturbed the running engine")
+	}
+	flipped := filepath.Join(t.TempDir(), "flipped.snap")
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(flipped, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	heap := New()
+	heap.SetMmap(false)
+	if _, err := heap.MountPath("fb", flipped, engine.DefaultConfig()); !errors.Is(err, cserr.ErrSnapshotCorrupt) {
+		t.Fatalf("bit-flipped heap mount: %v", err)
 	}
 }
 

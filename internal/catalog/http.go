@@ -26,7 +26,7 @@ package catalog
 //
 // /admin/replicate and /admin/journal make any journaled seaserve a
 // replication primary: internal/cluster's follower bootstraps from the
-// first and tails the second, folding batches through Engine.Apply.
+// first and tails the second, folding each batch through Catalog.Fold.
 //
 // Reload never disturbs the running engine on failure: a corrupt or
 // missing file reports 422/500 and the old engine keeps serving. Mutate is

@@ -360,7 +360,7 @@ func (d *Dataset) compactLocked() (*CompactResult, error) {
 	}
 	eng := d.eng.Load()
 	folded := d.live.journal.Batches()
-	size, err := store.AtomicWriteFile(d.live.snapPath, eng.WriteSnapshot)
+	size, err := eng.WriteSnapshotFile(d.live.snapPath, d.packOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -401,6 +401,7 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 	eng := d.eng.Load()
 	ver := eng.Version()
 	snapPath := live.snapPath
+	opt := d.packOptions()
 	d.mu.Unlock()
 
 	dir, base := filepath.Split(snapPath)
@@ -414,7 +415,7 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := eng.WriteSnapshot(f); err != nil {
+	if _, err := eng.WriteSnapshot(f, opt); err != nil {
 		return discard(err)
 	}
 	if err := f.Sync(); err != nil {

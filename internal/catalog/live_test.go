@@ -48,7 +48,7 @@ func liveFixture(t *testing.T) (snapPath, journalPath string) {
 		t.Fatal(err)
 	}
 	snapPath = filepath.Join(dir, "g.snap")
-	if _, err := store.AtomicWriteFile(snapPath, eng.WriteSnapshot); err != nil {
+	if _, err := eng.WriteSnapshotFile(snapPath, store.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g.journal")

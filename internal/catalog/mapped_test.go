@@ -1,14 +1,13 @@
 package catalog
 
-// Mapped-serving catalog tests: a v2 aligned snapshot mounts zero-copy, the
-// journal replays its deltas as a heap overlay over the read-only mapped
-// base, and the served answers are byte-identical to a heap-resident mount
-// of the same state. Under -race these pin the mapped pages as read-only in
-// practice, not just by contract.
+// Mapped-serving catalog tests: a snapshot mounts zero-copy, the journal
+// replays its deltas as a heap overlay over the read-only mapped base, the
+// served answers are byte-identical to a heap-resident mount of the same
+// state, and compaction writes back the layout it mounted. Under -race
+// these pin the mapped pages as read-only in practice, not just by contract.
 
 import (
 	"context"
-	"io"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -20,11 +19,11 @@ import (
 	"repro/internal/store"
 )
 
-// mappedFixture packs the liveFixture graph in the layout opt selects.
+// mappedFixture repacks the liveFixture graph in the layout opt selects.
 func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath string) {
 	t.Helper()
-	v1Path, _ := liveFixture(t)
-	snap, err := store.OpenFile(v1Path)
+	basePath, _ := liveFixture(t)
+	snap, err := store.OpenFile(basePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,9 +33,7 @@ func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath s
 	}
 	dir := t.TempDir()
 	snapPath = filepath.Join(dir, "g2.snap")
-	if _, err := store.AtomicWriteFile(snapPath, func(w io.Writer) error {
-		return eng.WriteSnapshotOpts(w, opt)
-	}); err != nil {
+	if _, err := eng.WriteSnapshotFile(snapPath, opt); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g2.journal")
@@ -57,7 +54,7 @@ func TestMappedMountJournalReplay(t *testing.T) {
 		name string
 		opt  store.PackOptions
 	}{
-		{"aligned", store.PackOptions{Align: true}},
+		{"aligned", store.PackOptions{}},
 		{"compressed", store.PackOptions{Compress: true}},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
@@ -137,6 +134,40 @@ func TestMappedMountJournalReplay(t *testing.T) {
 				t.Fatalf("replay over mapped base diverges:\nheap   %v δ=%v\nreboot %v δ=%v",
 					want.Community, want.Delta, reboot.Community, reboot.Delta)
 			}
+
+			// Compaction keeps the layout the dataset was mounted with: the
+			// folded snapshot is still aligned v2 (and still compressed), so
+			// the next boot is still zero-copy and answers the same.
+			if _, err := c2.Compact("g"); err != nil {
+				t.Fatal(err)
+			}
+			info, err := store.DetectFile(snapPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Version != store.Version2 || !info.Aligned || info.Compressed != layout.opt.Compress {
+				t.Fatalf("compaction changed the layout: %+v", info)
+			}
+			c3 := New()
+			d3, replayed, err := c3.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c3.Close()
+			if replayed != 0 {
+				t.Fatalf("replayed %d batches after compaction, want 0", replayed)
+			}
+			if got := c3.Infos()[0].Mapped; got != mmapExpected() {
+				t.Fatalf("compacted dataset remounts mapped = %v, platform expects %v", got, mmapExpected())
+			}
+			compacted, err := d3.Engine().Query(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Community, compacted.Community) || want.Delta != compacted.Delta {
+				t.Fatalf("compacted remount diverges:\nheap      %v δ=%v\ncompacted %v δ=%v",
+					want.Community, want.Delta, compacted.Community, compacted.Delta)
+			}
 		})
 	}
 }
@@ -144,7 +175,7 @@ func TestMappedMountJournalReplay(t *testing.T) {
 // TestMappedSwapRetiresMapping hot-swaps a mapped dataset and proves the
 // displaced mapping stays valid for in-flight readers until Catalog.Close.
 func TestMappedSwapRetiresMapping(t *testing.T) {
-	snapPath, _ := mappedFixture(t, store.PackOptions{Align: true})
+	snapPath, _ := mappedFixture(t, store.PackOptions{})
 	c := New()
 	d, err := c.MountPath("g", snapPath, engine.DefaultConfig())
 	if err != nil {

@@ -6,7 +6,7 @@ package catalog
 // the dataset's current serving state (ReplicateSnapshot) together with the
 // (version, lineage) cursor it captured, then stays caught up by repeatedly
 // asking for the journal batches past its cursor (JournalSince) and folding
-// them through Engine.Apply — the scoped cache invalidation of the mutation
+// them through Catalog.Fold — the scoped cache invalidation of the mutation
 // path keeps the replica's caches warm across the stream.
 //
 // The replication cursor is the engine's graph generation (version), not the
@@ -100,7 +100,8 @@ func (d *Dataset) replicationInfoLocked() ReplicationInfo {
 }
 
 // ReplicateSnapshot streams the named dataset's current serving state to w
-// in the store snapshot format and returns the (version, lineage) cursor
+// in the store snapshot format (the layout variant the dataset was mounted
+// with, so replicas boot mapped) and returns the (version, lineage) cursor
 // the stream captured. The engine and lineage are resolved together under
 // the dataset lock, but the write itself streams unlocked — mutations keep
 // flowing while a bootstrap is on the wire, and the returned version is the
@@ -113,8 +114,9 @@ func (c *Catalog) ReplicateSnapshot(name string, w io.Writer) (version, lineage 
 	d.mu.Lock()
 	eng := d.eng.Load()
 	lineage = d.swaps
+	opt := d.packOptions()
 	d.mu.Unlock()
-	version, err = eng.WriteSnapshotAt(w)
+	version, err = eng.WriteSnapshot(w, opt)
 	return version, lineage, err
 }
 

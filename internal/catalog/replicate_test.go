@@ -47,6 +47,9 @@ func TestReplicateSnapshotRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replicated snapshot does not open: %v", err)
 	}
+	if snap.Info.Version != store.Version2 || !snap.Info.Aligned {
+		t.Fatalf("replicated snapshot is not the mappable layout: %+v", snap.Info)
+	}
 	src, err := c.Resolve("g")
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func testSnapshot(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "g.snap")
-	if _, err := store.AtomicWriteFile(path, eng.WriteSnapshot); err != nil {
+	if _, err := eng.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -119,6 +120,11 @@ func TestFollowerReplicatesByteIdentical(t *testing.T) {
 	pcat, pts := newPrimary(t)
 	fcat, fol, _ := newFollowerNode(t, pts.URL)
 	ctx := context.Background()
+
+	// The bootstrap snapshot is the mappable layout: replicas boot zero-copy.
+	if info := fcat.Infos()[0]; !info.Mapped && runtime.GOOS == "linux" {
+		t.Fatalf("follower booted heap-resident: %+v", info)
+	}
 
 	// Identical before any mutation…
 	for _, req := range testRequests() {

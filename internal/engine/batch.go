@@ -2,11 +2,11 @@ package engine
 
 // Batch execution through the engine: a bounded worker pool drives many
 // requests against the shared index and caches, each item carrying its own
-// per-stage metrics. Unlike sea.BatchSearch, repeated or concurrent
-// identical requests in a batch are served once (cache + coalescing), and
-// Config.RequestTimeout genuinely interrupts each item's search — a stuck
-// query is cancelled at its deadline instead of holding a worker and a
-// concurrency slot until it finishes on its own.
+// per-stage metrics. Repeated or concurrent identical requests in a batch
+// are served once (cache + coalescing), and Config.RequestTimeout genuinely
+// interrupts each item's search — a stuck query is cancelled at its
+// deadline instead of holding a worker and a concurrency slot until it
+// finishes on its own.
 
 import (
 	"context"
@@ -14,9 +14,7 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/sea"
 )
 
 // BatchItem pairs one request of a batch with its outcome and metrics. A
@@ -78,56 +76,15 @@ feed:
 	return out, nil
 }
 
-// SEABatchItem pairs one query of the legacy BatchSearch with its outcome.
-// New code should use Batch, whose BatchItem carries the full
-// Request/Outcome pair.
-type SEABatchItem struct {
-	Query   graph.NodeID
-	Result  *sea.Result // nil when Err != nil
-	Err     error
-	Metrics QueryMetrics
-}
-
-// BatchSearch executes every query as a SEA request with opts; it is a
-// thin legacy adapter over Batch.
-func (e *Engine) BatchSearch(ctx context.Context, queries []graph.NodeID, opts sea.Options) ([]SEABatchItem, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	reqs := make([]query.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = query.FromOptions(q, opts)
-	}
-	items, err := e.Batch(ctx, reqs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]SEABatchItem, len(items))
-	for i, it := range items {
-		out[i] = SEABatchItem{Query: it.Request.Query, Err: it.Err, Metrics: it.Metrics}
-		if it.Outcome != nil {
-			out[i].Result = it.Outcome.SEA
-		}
-	}
-	return out, nil
-}
-
-// metricsRow is any batch item exposing per-request metrics.
-type metricsRow interface{ metrics() QueryMetrics }
-
-func (it BatchItem) metrics() QueryMetrics    { return it.Metrics }
-func (it SEABatchItem) metrics() QueryMetrics { return it.Metrics }
-
 // WriteMetricsCSV writes one CSV row per batch item (header included), the
-// flat per-stage timing format of QueryMetrics. It accepts the items of
-// both Batch and the legacy BatchSearch.
-func WriteMetricsCSV[T metricsRow](w io.Writer, items []T) error {
+// flat per-stage timing format of QueryMetrics.
+func WriteMetricsCSV(w io.Writer, items []BatchItem) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(QueryMetricsHeader()); err != nil {
 		return err
 	}
 	for _, it := range items {
-		if err := cw.Write(it.metrics().CSVRecord()); err != nil {
+		if err := cw.Write(it.Metrics.CSVRecord()); err != nil {
 			return err
 		}
 	}

@@ -16,7 +16,7 @@
 //     work happens once while every caller gets the answer.
 //
 // Every request is one query.Request, whatever the method; Engine.Query is
-// the unified entry point and Engine.Search the SEA-only legacy form.
+// the one entry point and Engine.Batch its worker-pool form.
 // Requests carry contexts all the way into the search loops: a per-request
 // deadline (or a client disconnect) genuinely stops the computation once no
 // caller is waiting on it, freeing its concurrency slot. Every request
@@ -83,10 +83,10 @@ type Config struct {
 	// never shed. Set it above MaxConcurrent to allow a bounded queue;
 	// 0 disables shedding.
 	MaxInFlight int
-	// Workers is the BatchSearch worker-pool size. ≤0 selects GOMAXPROCS.
+	// Workers is the Batch worker-pool size. ≤0 selects GOMAXPROCS.
 	Workers int
-	// RequestTimeout, when positive, bounds every request (Query, Search and
-	// each batch item) that does not already carry an earlier deadline. The
+	// RequestTimeout, when positive, bounds every request (Query and
+	// each Batch item) that does not already carry an earlier deadline. The
 	// deadline cancels the underlying search, not just the wait.
 	RequestTimeout time.Duration
 	// EagerTruss also builds the truss-level index at construction instead
@@ -348,30 +348,6 @@ func (e *Engine) QueryWithMetrics(ctx context.Context, req query.Request) (*quer
 	}
 	e.recordQuery(RequestIDFromContext(ctx), t0, qm)
 	return out, qm, err
-}
-
-// Search runs one SEA request in the legacy (query, options) form; it is a
-// thin adapter over Query, kept so the deprecated public wrappers and older
-// callers keep working. New code should build a query.Request and use Query.
-func (e *Engine) Search(ctx context.Context, q graph.NodeID, opts sea.Options) (*sea.Result, error) {
-	res, _, err := e.SearchWithMetrics(ctx, q, opts)
-	return res, err
-}
-
-// SearchWithMetrics is Search returning per-stage timing metrics alongside
-// the result. Like Search, it is a legacy adapter over QueryWithMetrics.
-func (e *Engine) SearchWithMetrics(ctx context.Context, q graph.NodeID, opts sea.Options) (*sea.Result, QueryMetrics, error) {
-	// Validate the literal options first: the Request form resolves zero
-	// values to defaults, but the legacy contract rejects them.
-	if err := opts.Validate(); err != nil {
-		return nil, QueryMetrics{Query: int64(q), K: opts.K, Model: opts.Model.String(),
-			Method: query.MethodSEA.String(), Err: err.Error()}, err
-	}
-	out, qm, err := e.QueryWithMetrics(ctx, query.FromOptions(q, opts))
-	if err != nil {
-		return nil, qm, err
-	}
-	return out.SEA, qm, nil
 }
 
 func (e *Engine) serve(ctx context.Context, req query.Request, qm *QueryMetrics) (*query.Outcome, error) {

@@ -40,26 +40,29 @@ func testEngine(t testing.TB, cfg Config) (*Engine, *dataset.Generated, graph.No
 	return e, d, d.QueryNodes(1, 6, 3)[0]
 }
 
-func testOpts() sea.Options {
-	o := sea.DefaultOptions()
-	o.K = 6
-	o.MaxRounds = 2
-	return o
+// testReq is the SEA request the tests share: paper defaults, k=6, two
+// incremental rounds.
+func testReq(q graph.NodeID) query.Request {
+	r := query.DefaultRequest(q)
+	r.K = 6
+	r.MaxRounds = 2
+	return r
 }
 
 func TestEngineMatchesDirectSearch(t *testing.T) {
 	e, d, q := testEngine(t, DefaultConfig())
-	opts := testOpts()
+	req := testReq(q)
 
-	got, err := e.Search(context.Background(), q, opts)
+	out, err := e.Query(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := out.SEA
 	m, err := attr.NewMetric(d.Graph, DefaultConfig().Gamma)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sea.Search(d.Graph, m, q, opts)
+	want, err := sea.Search(d.Graph, m, q, req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,17 +77,17 @@ func TestEngineMatchesDirectSearch(t *testing.T) {
 
 func TestEngineResultCacheHit(t *testing.T) {
 	e, _, q := testEngine(t, DefaultConfig())
-	opts := testOpts()
+	req := testReq(q)
 	ctx := context.Background()
 
-	first, qm1, err := e.SearchWithMetrics(ctx, q, opts)
+	first, qm1, err := e.QueryWithMetrics(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qm1.ResultHit || qm1.DistHit {
 		t.Fatalf("first query must miss: %+v", qm1)
 	}
-	second, qm2, err := e.SearchWithMetrics(ctx, q, opts)
+	second, qm2, err := e.QueryWithMetrics(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +101,10 @@ func TestEngineResultCacheHit(t *testing.T) {
 		t.Errorf("stats after hit: %+v", s)
 	}
 
-	// Same query under different options shares the distance vector.
-	opts2 := opts
-	opts2.K = 4
-	_, qm3, err := e.SearchWithMetrics(ctx, q, opts2)
+	// Same query under different parameters shares the distance vector.
+	req2 := req
+	req2.K = 4
+	_, qm3, err := e.QueryWithMetrics(ctx, req2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +119,14 @@ func TestEngineCacheEviction(t *testing.T) {
 	cfg.ResultCacheSize = 2
 	cfg.CacheShards = 1
 	e, d, _ := testEngine(t, cfg)
-	opts := testOpts()
-	opts.K = 2 // low k so any query node hosts a community
 	ctx := context.Background()
 
 	qs := d.QueryNodes(3, 2, 5)
-	for _, q := range qs {
-		if _, err := e.Search(ctx, q, opts); err != nil {
+	reqs := make([]query.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = testReq(q)
+		reqs[i].K = 2 // low k so any query node hosts a community
+		if _, err := e.Query(ctx, reqs[i]); err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
 	}
@@ -134,7 +138,7 @@ func TestEngineCacheEviction(t *testing.T) {
 		t.Fatalf("expected full caches: %+v", s)
 	}
 	// The oldest query was evicted, so it recomputes.
-	_, qm, err := e.SearchWithMetrics(ctx, qs[0], opts)
+	_, qm, err := e.QueryWithMetrics(ctx, reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,10 +159,10 @@ func TestEngineIndexReject(t *testing.T) {
 			q = graph.NodeID(v)
 		}
 	}
-	opts := testOpts()
-	opts.K = int(e.Coreness(q)) + 1
+	req := testReq(q)
+	req.K = int(e.Coreness(q)) + 1
 
-	_, qm, err := e.SearchWithMetrics(ctx, q, opts)
+	_, qm, err := e.QueryWithMetrics(ctx, req)
 	if !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("want ErrNoCommunity, got %v", err)
 	}
@@ -170,19 +174,19 @@ func TestEngineIndexReject(t *testing.T) {
 	}
 	// The index's answer agrees with an actual search.
 	m, _ := attr.NewMetric(d.Graph, DefaultConfig().Gamma)
-	if _, err := sea.Search(d.Graph, m, q, opts); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := sea.Search(d.Graph, m, q, req.Options()); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct search disagrees with index: %v", err)
 	}
 
 	// Same for the truss-level index.
-	topts := opts
-	topts.Model = sea.KTruss
-	topts.K = int(e.st.Load().nodeTruss()[q]) + 1
-	_, qm, err = e.SearchWithMetrics(ctx, q, topts)
+	treq := req
+	treq.Model = sea.KTruss
+	treq.K = int(e.st.Load().nodeTruss()[q]) + 1
+	_, qm, err = e.QueryWithMetrics(ctx, treq)
 	if !errors.Is(err, sea.ErrNoCommunity) || !qm.IndexHit {
 		t.Fatalf("truss reject: err=%v metrics=%+v", err, qm)
 	}
-	if _, err := sea.Search(d.Graph, m, q, topts); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := sea.Search(d.Graph, m, q, treq.Options()); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct truss search disagrees with index: %v", err)
 	}
 }
@@ -191,17 +195,17 @@ func TestEngineCoalescing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 1
 	e, _, q := testEngine(t, cfg)
-	opts := testOpts()
-	key := flightKey{req: query.FromOptions(q, opts).WithDefaults(), version: e.Version()}
+	req := testReq(q)
+	key := flightKey{req: req.WithDefaults(), version: e.Version()}
 
 	e.sem <- struct{}{} // block the compute path behind the concurrency cap
 
 	const callers = 6
-	results := make(chan *sea.Result, callers)
+	results := make(chan *query.Outcome, callers)
 	errc := make(chan error, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
-			res, err := e.Search(context.Background(), q, opts)
+			res, err := e.Query(context.Background(), req)
 			results <- res
 			errc <- err
 		}()
@@ -209,7 +213,7 @@ func TestEngineCoalescing(t *testing.T) {
 	waitFor(t, func() bool { return e.flight.waiting(key) == callers }, "callers to coalesce")
 	<-e.sem // release; the single shared computation proceeds
 
-	var first *sea.Result
+	var first *query.Outcome
 	for i := 0; i < callers; i++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
@@ -235,10 +239,10 @@ func TestEngineRequestDeadline(t *testing.T) {
 	cfg.MaxConcurrent = 1
 	cfg.RequestTimeout = time.Nanosecond
 	e, _, q := testEngine(t, cfg)
-	opts := testOpts()
+	req := testReq(q)
 
 	e.sem <- struct{}{} // hold the computation so the deadline must fire
-	_, _, err := e.SearchWithMetrics(context.Background(), q, opts)
+	_, _, err := e.QueryWithMetrics(context.Background(), req)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}
@@ -254,20 +258,28 @@ func TestEngineRequestDeadline(t *testing.T) {
 	}, "cancelled computation to drain")
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	res, qm, err := e.SearchWithMetrics(ctx, q, opts)
+	res, qm, err := e.QueryWithMetrics(ctx, req)
 	if err != nil || res == nil || qm.ResultHit {
 		t.Fatalf("fresh retry: res=%v metrics=%+v err=%v", res, qm, err)
 	}
 }
 
-func TestEngineBatchSearch(t *testing.T) {
+// batchReqs is one k=2 request per query node.
+func batchReqs(qs []graph.NodeID) []query.Request {
+	reqs := make([]query.Request, len(qs))
+	for i, q := range qs {
+		reqs[i] = testReq(q)
+		reqs[i].K = 2
+	}
+	return reqs
+}
+
+func TestEngineBatch(t *testing.T) {
 	e, d, _ := testEngine(t, DefaultConfig())
-	opts := testOpts()
-	opts.K = 2
 
 	qs := d.QueryNodes(4, 2, 9)
 	queries := append(append([]graph.NodeID{}, qs...), qs[0]) // duplicate tail
-	items, err := e.BatchSearch(context.Background(), queries, opts)
+	items, err := e.Batch(context.Background(), batchReqs(queries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +287,8 @@ func TestEngineBatchSearch(t *testing.T) {
 		t.Fatalf("got %d items, want %d", len(items), len(queries))
 	}
 	for i, it := range items {
-		if it.Query != queries[i] {
-			t.Fatalf("item %d out of order: %d != %d", i, it.Query, queries[i])
+		if it.Request.Query != queries[i] {
+			t.Fatalf("item %d out of order: %d != %d", i, it.Request.Query, queries[i])
 		}
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
@@ -304,7 +316,7 @@ func TestEngineBatchCancelled(t *testing.T) {
 	e, d, _ := testEngine(t, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	items, err := e.BatchSearch(ctx, d.QueryNodes(3, 2, 9), testOpts())
+	items, err := e.Batch(ctx, batchReqs(d.QueryNodes(3, 2, 9)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,15 +331,15 @@ func TestEngineInvalidInputs(t *testing.T) {
 	e, _, q := testEngine(t, DefaultConfig())
 	ctx := context.Background()
 
-	bad := testOpts()
-	bad.K = 0
-	if _, err := e.Search(ctx, q, bad); err == nil {
-		t.Error("invalid options accepted")
+	bad := testReq(q)
+	bad.K = -1 // 0 would resolve to the default
+	if _, err := e.Query(ctx, bad); err == nil {
+		t.Error("invalid request accepted")
 	}
-	if _, err := e.Search(ctx, -1, testOpts()); err == nil {
+	if _, err := e.Query(ctx, testReq(-1)); err == nil {
 		t.Error("negative query accepted")
 	}
-	if _, err := e.Search(ctx, graph.NodeID(e.Graph().NumNodes()), testOpts()); err == nil {
+	if _, err := e.Query(ctx, testReq(graph.NodeID(e.Graph().NumNodes()))); err == nil {
 		t.Error("out-of-range query accepted")
 	}
 	if _, err := New(nil, DefaultConfig()); err == nil {
@@ -357,17 +369,17 @@ func TestEngineConcurrentMixed(t *testing.T) {
 		go func(gi int) {
 			ctx := context.Background()
 			for i := 0; i < 10; i++ {
-				opts := testOpts()
-				opts.K = 2 + (gi+i)%3
-				if gi%4 == 3 {
-					opts.Model = sea.KTruss
-					opts.K = 3
-				}
 				q := qs[(gi+i)%len(qs)]
 				if gi%5 == 4 && i%3 == 0 {
 					q = -1 // invalid on purpose
 				}
-				res, err := e.Search(ctx, q, opts)
+				req := testReq(q)
+				req.K = 2 + (gi+i)%3
+				if gi%4 == 3 {
+					req.Model = sea.KTruss
+					req.K = 3
+				}
+				res, err := e.Query(ctx, req)
 				if q == -1 {
 					if err == nil {
 						done <- errors.New("invalid query accepted")
@@ -376,7 +388,7 @@ func TestEngineConcurrentMixed(t *testing.T) {
 					continue
 				}
 				if err != nil && !errors.Is(err, sea.ErrNoCommunity) {
-					done <- fmt.Errorf("q=%d k=%d: %w", q, opts.K, err)
+					done <- fmt.Errorf("q=%d k=%d: %w", q, req.K, err)
 					return
 				}
 				if err == nil && len(res.Community) == 0 {
@@ -403,17 +415,17 @@ func TestEngineConcurrentMixed(t *testing.T) {
 // orders of magnitude faster — one cold search vs one cache lookup).
 func TestEngineCachedSpeedup(t *testing.T) {
 	e, d, q := testEngine(t, DefaultConfig())
-	opts := testOpts()
+	req := testReq(q)
 	ctx := context.Background()
 
-	if _, err := e.Search(ctx, q, opts); err != nil { // warm
+	if _, err := e.Query(ctx, req); err != nil { // warm
 		t.Fatal(err)
 	}
 
 	const iters = 50
 	tc := time.Now()
 	for i := 0; i < iters; i++ {
-		if _, err := e.Search(ctx, q, opts); err != nil {
+		if _, err := e.Query(ctx, req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -426,7 +438,7 @@ func TestEngineCachedSpeedup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sea.Search(d.Graph, m, q, opts); err != nil {
+		if _, err := sea.Search(d.Graph, m, q, req.Options()); err != nil {
 			t.Fatal(err)
 		}
 		if el := time.Since(t0); el < cold {

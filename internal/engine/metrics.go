@@ -76,7 +76,7 @@ type counters struct {
 // Stats is a point-in-time snapshot of the engine's aggregate state,
 // flat for JSON (/stats) and CSV export.
 type Stats struct {
-	Queries      uint64 `json:"queries"`       // Search/BatchSearch requests accepted
+	Queries      uint64 `json:"queries"`       // Query/Batch requests accepted
 	SearchRuns   uint64 `json:"search_runs"`   // SEA executions actually performed
 	Coalesced    uint64 `json:"coalesced"`     // requests that joined an in-flight twin
 	IndexRejects uint64 `json:"index_rejects"` // requests rejected by the shared index

@@ -27,7 +27,6 @@ func TestMaxInFlightSheds(t *testing.T) {
 	cfg.MaxInFlight = 1
 	e, d, _ := testEngine(t, cfg)
 	nodes := d.QueryNodes(3, 6, 3)
-	opts := testOpts()
 
 	faults.Enable(21, faults.Spec{Site: "engine.search", Count: 1, Delay: 300 * time.Millisecond})
 	defer faults.Disable()
@@ -38,7 +37,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		close(started)
-		if _, err := e.Search(context.Background(), nodes[0], opts); err != nil {
+		if _, err := e.Query(context.Background(), testReq(nodes[0])); err != nil {
 			t.Errorf("the slow holder query failed: %v", err)
 		}
 	}()
@@ -48,7 +47,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 	// Distinct query nodes: no result-cache hit, no coalesced join — these
 	// are genuine computations and the admission gate must shed them.
 	for _, q := range nodes[1:] {
-		_, qm, err := e.SearchWithMetrics(context.Background(), q, opts)
+		_, qm, err := e.QueryWithMetrics(context.Background(), testReq(q))
 		if !errors.Is(err, cserr.ErrOverloaded) {
 			t.Fatalf("query %d over the in-flight bound: err=%v, want ErrOverloaded", q, err)
 		}
@@ -67,7 +66,7 @@ func TestMaxInFlightSheds(t *testing.T) {
 
 	// Slot free again: the same queries now compute.
 	for _, q := range nodes[1:] {
-		if _, err := e.Search(context.Background(), q, opts); err != nil {
+		if _, err := e.Query(context.Background(), testReq(q)); err != nil {
 			t.Fatalf("query %d after the slot freed: %v", q, err)
 		}
 	}
@@ -84,10 +83,9 @@ func TestCacheHitsNeverShed(t *testing.T) {
 	cfg.MaxInFlight = 1
 	e, d, _ := testEngine(t, cfg)
 	nodes := d.QueryNodes(2, 6, 3)
-	opts := testOpts()
 
 	// Warm the cache before anything is slow.
-	if _, err := e.Search(context.Background(), nodes[0], opts); err != nil {
+	if _, err := e.Query(context.Background(), testReq(nodes[0])); err != nil {
 		t.Fatal(err)
 	}
 
@@ -97,11 +95,11 @@ func TestCacheHitsNeverShed(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e.Search(context.Background(), nodes[1], opts) // holder
+		e.Query(context.Background(), testReq(nodes[1])) // holder
 	}()
 	time.Sleep(50 * time.Millisecond)
 
-	if _, qm, err := e.SearchWithMetrics(context.Background(), nodes[0], opts); err != nil {
+	if _, qm, err := e.QueryWithMetrics(context.Background(), testReq(nodes[0])); err != nil {
 		t.Fatalf("cached query shed under load: %v", err)
 	} else if !qm.ResultHit {
 		t.Fatalf("expected a result-cache hit: %+v", qm)

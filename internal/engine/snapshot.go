@@ -2,8 +2,8 @@ package engine
 
 // Snapshot integration: an Engine's precomputed per-graph state — the core
 // and node-truss admission indexes and the attribute-metric normalization
-// table — exports as a store.Index so store.Write can persist it, and an
-// Engine reopens from a store.Snapshot with zero recomputation: no text
+// table — exports as a store.Index so store.WriteSnapshot can persist it, and
+// an Engine reopens from a store.Snapshot with zero recomputation: no text
 // parse, no min/max attribute scan, no core or truss decomposition at boot.
 
 import (
@@ -35,34 +35,29 @@ func (e *Engine) ExportIndex() *store.Index {
 }
 
 // WriteSnapshot serializes the engine's current graph and precomputed index
-// to w in the store snapshot format. Reopening it with NewFromSnapshot
-// yields an engine that answers every request identically to this one. The
-// state is captured atomically: a concurrent mutation lands either entirely
-// before or entirely after the written snapshot.
-func (e *Engine) WriteSnapshot(w io.Writer) error {
-	_, err := e.WriteSnapshotAt(w)
-	return err
-}
-
-// WriteSnapshotAt is WriteSnapshot also reporting the graph generation the
-// written snapshot captured. Callers that need the (snapshot, version) pair
-// to cohere under concurrent mutation — replication bootstrap serving
-// /admin/replicate — use this instead of pairing WriteSnapshot with a
-// separate Version call, which a mutation could land between.
-func (e *Engine) WriteSnapshotAt(w io.Writer) (uint64, error) {
+// to w in the store snapshot format (opt.Compress selects delta+varint
+// adjacency) and reports the graph generation it captured. Reopening the
+// stream with NewFromSnapshot yields an engine that answers every request
+// identically to this one. The state is captured atomically: a concurrent
+// mutation lands either entirely before or entirely after the written
+// snapshot, and the returned version is the generation actually written —
+// replication bootstrap relies on that pair cohering.
+func (e *Engine) WriteSnapshot(w io.Writer, opt store.PackOptions) (uint64, error) {
 	st := e.st.Load()
 	// Snapshot writing needs the materialized CSR arrays; a mapped or
 	// compressed backing is copied to the heap first (a *Graph passes
 	// through unchanged).
-	return st.version, store.Write(w, graph.CopyStore(st.g), exportIndex(st))
+	return st.version, store.WriteSnapshot(w, graph.CopyStore(st.g), exportIndex(st), opt)
 }
 
-// WriteSnapshotOpts is WriteSnapshot with an explicit on-disk layout: the
-// zero PackOptions writes the legacy v1 stream, Align the mmap-ready v2
-// section-table layout, Compress the v2 layout with delta+varint adjacency.
-func (e *Engine) WriteSnapshotOpts(w io.Writer, opt store.PackOptions) error {
-	st := e.st.Load()
-	return store.WriteSnapshot(w, graph.CopyStore(st.g), exportIndex(st), opt)
+// WriteSnapshotFile writes the snapshot to path atomically (temp file in the
+// destination directory, renamed into place only on success, so rewriting
+// over a good snapshot can never destroy it) and returns the file size.
+func (e *Engine) WriteSnapshotFile(path string, opt store.PackOptions) (int64, error) {
+	return store.AtomicWriteFile(path, func(w io.Writer) error {
+		_, err := e.WriteSnapshot(w, opt)
+		return err
+	})
 }
 
 // NewFromSnapshot builds an Engine directly from a reopened snapshot: the

@@ -77,13 +77,6 @@ func (g *Graph) NumAttrs(v NodeID) []float64 {
 	return g.num[int(v)*g.numDim : (int(v)+1)*g.numDim]
 }
 
-// Offsets exposes the CSR offset array (len NumNodes+1). Read-only.
-//
-// Deprecated: raw slice access ties callers to the heap CSR backing. Use
-// ListOffset (the positional CSR contract) and Degree/NeighborsInto, which
-// every Store backing — heap, mapped, compressed — implements.
-func (g *Graph) Offsets() []int32 { return g.offsets }
-
 // MaxDegree returns the maximum degree in the graph (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0

@@ -142,9 +142,8 @@ type Request struct {
 	SizeHi int `json:"size_hi,omitempty"`
 
 	// Seed drives SEA's random sampling. Unlike the other parameters it has
-	// no zero-means-default resolution — 0 is itself a valid seed, preserved
-	// as-is so legacy Options with Seed 0 convert faithfully. DefaultRequest
-	// sets 1, the paper's default.
+	// no zero-means-default resolution — 0 is itself a valid seed.
+	// DefaultRequest sets 1, the paper's default.
 	Seed     int64 `json:"seed,omitempty"`
 	NoRefine bool  `json:"no_refine,omitempty"`
 
@@ -247,9 +246,9 @@ func (r Request) Validate() error {
 	return r.Options().Validate()
 }
 
-// Options projects the Request onto sea.Options. The projection is lossless
-// in both directions: FromOptions(q, r.Options()) with method SEA equals
-// r.WithDefaults() for any valid SEA request.
+// Options projects the Request onto sea.Options: every SEA parameter of
+// r.WithDefaults() carries over; only Query, Method and the non-SEA budget
+// fields stay behind.
 func (r Request) Options() sea.Options {
 	r = r.WithDefaults()
 	return sea.Options{
@@ -266,29 +265,6 @@ func (r Request) Options() sea.Options {
 		MaxRounds:  r.MaxRounds,
 		NoRefine:   r.NoRefine,
 		Seed:       r.Seed,
-	}
-}
-
-// FromOptions lifts a legacy (query, sea.Options) pair into a SEA Request,
-// preserving every field so cache keys and results match the old entry
-// points bit for bit.
-func FromOptions(q graph.NodeID, opts sea.Options) Request {
-	return Request{
-		Query:      q,
-		Method:     MethodSEA,
-		K:          opts.K,
-		Model:      opts.Model,
-		ErrorBound: opts.ErrorBound,
-		Confidence: opts.Confidence,
-		SizeLo:     opts.SizeLo,
-		SizeHi:     opts.SizeHi,
-		Seed:       opts.Seed,
-		NoRefine:   opts.NoRefine,
-		Lambda:     opts.Lambda,
-		Eps:        opts.Eps,
-		Beta:       opts.Beta,
-		MaxRounds:  opts.MaxRounds,
-		BLB:        opts.BLB,
 	}
 }
 

@@ -172,9 +172,9 @@ func TestEveryMethodAnswersOneRequest(t *testing.T) {
 	}
 }
 
-// TestRunMatchesLegacyEntryPoints pins the adapter property: the unified
-// path answers exactly what the method-specific entry points answer.
-func TestRunMatchesLegacyEntryPoints(t *testing.T) {
+// TestRunMatchesSolver pins the adapter property: the unified path answers
+// exactly what the method's own solver answers.
+func TestRunMatchesSolver(t *testing.T) {
 	g := figure1(t)
 	m, err := attr.NewMetric(g, DefaultGamma)
 	if err != nil {
@@ -187,29 +187,27 @@ func TestRunMatchesLegacyEntryPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := sea.Search(g, m, 0, req.Options())
+	direct, err := sea.Search(g, m, 0, req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(out.Community) != fmt.Sprint(legacy.Community) || out.Delta != legacy.Delta || out.CI != legacy.CI {
-		t.Fatalf("unified %v δ=%v vs legacy %v δ=%v", out.Community, out.Delta, legacy.Community, legacy.Delta)
+	if fmt.Sprint(out.Community) != fmt.Sprint(direct.Community) || out.Delta != direct.Delta || out.CI != direct.CI {
+		t.Fatalf("unified %v δ=%v vs direct %v δ=%v", out.Community, out.Delta, direct.Community, direct.Delta)
 	}
 }
 
-// TestOptionsRoundTrip pins the lossless Request ↔ sea.Options projection.
-func TestOptionsRoundTrip(t *testing.T) {
-	opts := sea.DefaultOptions()
-	opts.K = 7
-	opts.Model = sea.KTruss
-	opts.SizeLo, opts.SizeHi = 8, 20
-	opts.NoRefine = true
-	opts.Seed = 99
-	req := FromOptions(3, opts)
-	if got := req.Options(); got != opts {
-		t.Fatalf("Options round trip:\n got %+v\nwant %+v", got, opts)
-	}
-	if back := FromOptions(3, req.Options()); back != req.WithDefaults() {
-		t.Fatalf("FromOptions round trip:\n got %+v\nwant %+v", back, req.WithDefaults())
+// TestOptionsProjection pins the Request → sea.Options projection: set
+// fields carry over, unset ones resolve to the paper's defaults.
+func TestOptionsProjection(t *testing.T) {
+	want := sea.DefaultOptions()
+	want.K = 7
+	want.Model = sea.KTruss
+	want.SizeLo, want.SizeHi = 8, 20
+	want.NoRefine = true
+	want.Seed = 99
+	req := Request{Query: 3, K: 7, Model: sea.KTruss, SizeLo: 8, SizeHi: 20, NoRefine: true, Seed: 99}
+	if got := req.Options(); got != want {
+		t.Fatalf("Options projection:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -160,50 +160,3 @@ func TestPropertyInfluentialMatchesBruteForce(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestBatchSearchMatchesSequential(t *testing.T) {
-	d := testDataset(t)
-	m, _ := attrMetric(t, d)
-	opts := DefaultOptions()
-	queries := d.QueryNodes(8, opts.K, 77)
-	batch, err := BatchSearch(d.Graph, m, queries, opts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(queries) {
-		t.Fatalf("batch results = %d, want %d", len(batch), len(queries))
-	}
-	for i, br := range batch {
-		if br.Query != queries[i] {
-			t.Fatalf("result %d out of order", i)
-		}
-		o := opts
-		o.Seed = opts.Seed + int64(i)*1_000_003
-		seq, err := Search(d.Graph, m, queries[i], o)
-		if (err != nil) != (br.Err != nil) {
-			t.Fatalf("query %d: err mismatch %v vs %v", i, err, br.Err)
-		}
-		if err != nil {
-			continue
-		}
-		if seq.Delta != br.Result.Delta || len(seq.Community) != len(br.Result.Community) {
-			t.Errorf("query %d: batch differs from sequential (δ %v vs %v)",
-				i, br.Result.Delta, seq.Delta)
-		}
-	}
-}
-
-func TestBatchSearchValidation(t *testing.T) {
-	d := testDataset(t)
-	m, _ := attrMetric(t, d)
-	bad := DefaultOptions()
-	bad.K = 0
-	if _, err := BatchSearch(d.Graph, m, d.QueryNodes(2, 4, 1), bad, 2); err == nil {
-		t.Error("invalid options accepted")
-	}
-	other := testDataset(t)
-	om, _ := attrMetric(t, other)
-	if _, err := BatchSearch(d.Graph, om, d.QueryNodes(2, 4, 1), DefaultOptions(), 2); err == nil {
-		t.Error("metric bound to another graph accepted")
-	}
-}

@@ -35,14 +35,14 @@ func TestJournalAppendFsyncFaultRewinds(t *testing.T) {
 	if len(batches) != 0 {
 		t.Fatalf("fresh journal replayed %d batches", len(batches))
 	}
-	if _, err := j.Append(testDeltas("one")); err != nil {
+	if _, err := appendOne(j, testDeltas("one")); err != nil {
 		t.Fatal(err)
 	}
 	sizeBefore := fileSize(t, path)
 
 	faults.Enable(1, faults.Spec{Site: "journal.fsync", Count: 1, Err: "enospc"})
 	defer faults.Disable()
-	if _, err := j.Append(testDeltas("lost")); err == nil {
+	if _, err := appendOne(j, testDeltas("lost")); err == nil {
 		t.Fatal("Append with a failing fsync returned no error")
 	} else if !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("error should surface the injected ENOSPC: %v", err)
@@ -53,7 +53,7 @@ func TestJournalAppendFsyncFaultRewinds(t *testing.T) {
 
 	// Fault spent: the journal accepts appends again, and a reopen replays
 	// exactly the durable batches in order.
-	if _, err := j.Append(testDeltas("two")); err != nil {
+	if _, err := appendOne(j, testDeltas("two")); err != nil {
 		t.Fatalf("append after fault cleared: %v", err)
 	}
 	j.Close()
@@ -77,14 +77,14 @@ func TestJournalAppendPartialWriteRewinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, err := j.Append(testDeltas("keep")); err != nil {
+	if _, err := appendOne(j, testDeltas("keep")); err != nil {
 		t.Fatal(err)
 	}
 	sizeBefore := fileSize(t, path)
 
 	faults.Enable(2, faults.Spec{Site: "journal.append", Count: 1, Partial: true, Err: "eio"})
 	defer faults.Disable()
-	if _, err := j.Append(testDeltas("torn-record-with-some-length-to-it")); err == nil {
+	if _, err := appendOne(j, testDeltas("torn-record-with-some-length-to-it")); err == nil {
 		t.Fatal("Append with a torn write returned no error")
 	}
 	if got := fileSize(t, path); got != sizeBefore {

@@ -1,7 +1,8 @@
 package store
 
-// Version 2 of the snapshot format: the mmap-ready aligned section-table
-// layout, optionally with delta+varint compressed adjacency.
+// Version 2 of the snapshot format — the one layout this build writes: the
+// mmap-ready aligned section table, optionally with delta+varint compressed
+// adjacency.
 //
 // # Format (version 2)
 //
@@ -114,26 +115,24 @@ func sectionName(id uint32) string {
 	return fmt.Sprintf("section#%d", id)
 }
 
-// PackOptions selects the on-disk snapshot layout.
+// PackOptions selects the variant of the v2 layout WriteSnapshot emits.
 type PackOptions struct {
-	// Align writes the version-2 aligned section-table layout, which
-	// OpenMapped can serve zero-copy straight from the page cache. False
-	// (and Compress false) keeps the legacy version-1 stream.
+	// Align selects nothing: every written snapshot is the aligned v2
+	// layout.
+	//
+	// Deprecated: the field stays declared only because the frozen
+	// benchmark module sets it; it goes with the next benchmark PR.
 	Align bool
-	// Compress stores the adjacency delta+varint encoded (implies Align).
-	// Neighbor lists are decoded per node into caller scratch at query
-	// time; the rest of the snapshot stays flat and mappable.
+	// Compress stores the adjacency delta+varint encoded. Neighbor lists
+	// are decoded per node into caller scratch at query time; the rest of
+	// the snapshot stays flat and mappable.
 	Compress bool
 }
 
-// WriteSnapshot serializes g and idx (nil for graph-only) to w in the layout
-// opt selects: the zero PackOptions writes the legacy v1 stream (identical
-// to Write), Align the v2 aligned layout, Compress the v2 layout with
-// delta+varint adjacency.
+// WriteSnapshot serializes g and idx (nil for graph-only) to w in the aligned
+// v2 layout, with delta+varint adjacency when opt.Compress is set. It is the
+// only snapshot encoder.
 func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) error {
-	if !opt.Align && !opt.Compress {
-		return Write(w, g, idx)
-	}
 	if g == nil {
 		return fmt.Errorf("store: nil graph")
 	}

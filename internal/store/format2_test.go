@@ -23,6 +23,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/query"
+	"repro/internal/sea"
 	"repro/internal/store"
 )
 
@@ -30,7 +31,7 @@ import (
 func v2Bytes(t testing.TB, eng *engine.Engine, opt store.PackOptions) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := eng.WriteSnapshotOpts(&buf, opt); err != nil {
+	if _, err := eng.WriteSnapshot(&buf, opt); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -58,13 +59,14 @@ func mmapExpected() bool {
 
 // outcomes runs a fixed request battery and returns the marshalled results,
 // the byte-identity currency of the round-trip property tests.
-func outcomes(t testing.TB, eng *engine.Engine, q graph.NodeID) [][]byte {
+func outcomes(t testing.TB, eng *engine.Engine, q graph.NodeID, k int) [][]byte {
 	t.Helper()
 	reqs := []query.Request{
-		{Query: q, Method: query.MethodSEA, K: 4, Seed: 1},
-		{Query: q, Method: query.MethodExact, K: 4, MaxStates: 20000},
-		{Query: q, Method: query.MethodStructural, K: 4},
-		{Query: q, Method: query.MethodACQ, K: 4},
+		{Query: q, Method: query.MethodSEA, K: k, Seed: 1},
+		{Query: q, Method: query.MethodSEA, K: k, Seed: 1, Model: sea.KTruss},
+		{Query: q, Method: query.MethodExact, K: k, MaxStates: 20000},
+		{Query: q, Method: query.MethodStructural, K: k},
+		{Query: q, Method: query.MethodACQ, K: k},
 	}
 	out := make([][]byte, len(reqs))
 	for i, req := range reqs {
@@ -82,15 +84,15 @@ func outcomes(t testing.TB, eng *engine.Engine, q graph.NodeID) [][]byte {
 }
 
 // TestV2RoundTripOutcomes is the tentpole property test: the same request
-// battery answers byte-identically across every snapshot backing — legacy v1
-// heap, v2 aligned heap, v2 compressed heap, and the mapped zero-copy opens
-// of both v2 layouts.
+// battery answers byte-identically across every snapshot backing — v2
+// aligned heap, v2 compressed heap, and the mapped zero-copy opens of both
+// (the legacy v1 heap open is pinned by TestLegacyV1Fixture).
 func TestV2RoundTripOutcomes(t *testing.T) {
 	d, eng := buildEngine(t, "facebook", 0.3)
 	q := d.QueryNodes(1, 4, 7)[0]
-	want := outcomes(t, eng, q)
+	want := outcomes(t, eng, q, 4)
 
-	aligned := v2Bytes(t, eng, store.PackOptions{Align: true})
+	aligned := v2Bytes(t, eng, store.PackOptions{})
 	compressed := v2Bytes(t, eng, store.PackOptions{Compress: true})
 	if bytes.Equal(aligned, compressed) {
 		t.Fatal("compressed layout identical to aligned")
@@ -105,7 +107,7 @@ func TestV2RoundTripOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := outcomes(t, reopened, q)
+		got := outcomes(t, reopened, q, 4)
 		for i := range want {
 			if !bytes.Equal(want[i], got[i]) {
 				t.Errorf("request %d outcome differs:\nfresh:    %s\nreopened: %s", i, want[i], got[i])
@@ -114,7 +116,6 @@ func TestV2RoundTripOutcomes(t *testing.T) {
 	}
 
 	heapVariants := map[string][]byte{
-		"v1-heap":            snapshotBytes(t, eng),
 		"v2-aligned-heap":    aligned,
 		"v2-compressed-heap": compressed,
 	}
@@ -282,7 +283,7 @@ func TestV2TruncationNamesSection(t *testing.T) {
 		name string
 		opt  store.PackOptions
 	}{
-		{"aligned", store.PackOptions{Align: true}},
+		{"aligned", store.PackOptions{}},
 		{"compressed", store.PackOptions{Compress: true}},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
@@ -356,7 +357,7 @@ func TestV2CorruptionDetection(t *testing.T) {
 
 func TestDetectFileV2(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	aligned := writeTemp(t, "aligned.snap", v2Bytes(t, eng, store.PackOptions{Align: true}))
+	aligned := writeTemp(t, "aligned.snap", v2Bytes(t, eng, store.PackOptions{}))
 	compressed := writeTemp(t, "compressed.snap", v2Bytes(t, eng, store.PackOptions{Compress: true}))
 
 	info, err := store.DetectFile(aligned)
@@ -399,7 +400,7 @@ func hasSection(secs []string, name string) bool {
 // idempotently (nil handles included).
 func TestOpenMappedIndexAndLifecycle(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	data := v2Bytes(t, eng, store.PackOptions{Align: true})
+	data := v2Bytes(t, eng, store.PackOptions{})
 	path := writeTemp(t, "g.snap", data)
 
 	snap, err := store.OpenFile(path)
@@ -437,26 +438,10 @@ func TestOpenMappedIndexAndLifecycle(t *testing.T) {
 	}
 }
 
-// TestOpenMappedFallbacks: v1 snapshots and text files serve heap-resident
-// through the same mount entry points, Mapped() == false.
-func TestOpenMappedFallbacks(t *testing.T) {
-	d, eng := buildEngine(t, "facebook", 0.2)
-	v1 := writeTemp(t, "v1.snap", snapshotBytes(t, eng))
-
-	m, err := store.OpenMapped(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mapped() {
-		t.Fatal("v1 snapshot claims to be mapped")
-	}
-	if m.Store == nil || m.Store.NumNodes() != d.Graph.NumNodes() {
-		t.Fatal("v1 fallback store wrong")
-	}
-	if m.Info.Version != store.Version {
-		t.Fatalf("v1 fallback info %+v", m.Info)
-	}
-
+// TestMountGraphFileText: a text file serves heap-resident through the same
+// mount entry point, Mapped() == false.
+func TestMountGraphFileText(t *testing.T) {
+	d, _ := buildEngine(t, "facebook", 0.2)
 	var text bytes.Buffer
 	if err := dataset.WriteGraph(&text, d.Graph); err != nil {
 		t.Fatal(err)
@@ -478,8 +463,11 @@ func TestOpenMappedFallbacks(t *testing.T) {
 // anything it accepts must carry a usable backing.
 func FuzzDecode(f *testing.F) {
 	_, eng := buildEngine(f, "facebook", 0.1)
-	v1 := snapshotBytes(f, eng)
-	aligned := v2Bytes(f, eng, store.PackOptions{Align: true})
+	v1, err := os.ReadFile(legacyV1Fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	aligned := v2Bytes(f, eng, store.PackOptions{})
 	compressed := v2Bytes(f, eng, store.PackOptions{Compress: true})
 	for _, seed := range [][]byte{v1, aligned, compressed} {
 		f.Add(seed)

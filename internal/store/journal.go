@@ -21,12 +21,13 @@ package store
 // A record is one commit — one sequence number, one engine generation —
 // whichever payload shape it carries. The group-commit write path
 // (AppendGroups) coalesces several callers' delta groups into one record:
-// a single group writes the flat-array shape (byte-identical to what a
-// serial writer produces), several groups write the batch object, and the
-// record is CRC'd as a unit either way, so a torn batch append rewinds
-// whole and no partial batch ever replays. Readers (OpenJournal replay and
-// TailJournal) understand both shapes and always surface the flattened
-// delta list; the group boundaries ride along in JournalBatch.Groups.
+// a single group writes the flat-array shape (a bare JSON array — 13 bytes
+// per record smaller than the batch object), several groups write the batch
+// object, and the record is CRC'd as a unit either way, so a torn batch
+// append rewinds whole and no partial batch ever replays. Readers
+// (OpenJournal replay and TailJournal) understand both shapes and always
+// surface the flattened delta list; the group boundaries ride along in
+// JournalBatch.Groups.
 //
 // Records are self-checking: Open replays until the first short or
 // corrupted record, truncates the file there (a torn tail from a crashed
@@ -88,7 +89,7 @@ type Journal struct {
 	batches int    // batches appended since the last reset (replay included)
 	off     int64  // end offset of the last durable record
 
-	// lastSyncNS is the fsync duration of the most recent successful Append
+	// lastSyncNS is the fsync duration of the most recent successful append
 	// — the storage-latency component of the write path, surfaced through
 	// MutateResult so callers can tell queueing from disk time.
 	lastSyncNS int64
@@ -274,24 +275,15 @@ func (j *Journal) writeHeader() error {
 	return j.f.Sync()
 }
 
-// Append writes one mutation batch and syncs it to stable storage before
-// returning its sequence number. A failed append (short write, ENOSPC)
-// truncates the file back to the last durable record, so a later
-// successful append can never land after torn garbage that replay would
-// stop at — an acknowledged batch is never silently discarded at boot.
-func (j *Journal) Append(deltas []mutate.Delta) (uint64, error) {
-	if len(deltas) == 0 {
-		return 0, cserr.Invalidf("journal: empty mutation batch")
-	}
-	return j.append(deltas)
-}
-
 // AppendGroups writes one group-commit batch — several callers' delta
-// groups — as ONE record: one sequence number, one CRC, one fsync. A
-// single-group batch writes the flat record shape, byte-identical to
-// Append; more groups write the batch-object shape. Either way the append
-// is atomic at replay: a torn write rewinds whole, no partial batch ever
-// replays.
+// groups — as ONE record: one sequence number, one CRC, one fsync to stable
+// storage before its sequence number is returned. A single-group batch
+// writes the flat record shape; more groups write the batch-object shape.
+// Either way the append is atomic at replay: a failed append (short write,
+// ENOSPC) truncates the file back to the last durable record, so a later
+// successful append can never land after torn garbage that replay would
+// stop at — an acknowledged batch is never silently discarded at boot, and
+// no partial batch ever replays.
 func (j *Journal) AppendGroups(groups [][]mutate.Delta) (uint64, error) {
 	n := 0
 	for _, g := range groups {
@@ -349,7 +341,7 @@ func (j *Journal) Batches() int { return j.batches }
 func (j *Journal) Seq() uint64 { return j.seq }
 
 // LastSyncNS returns the fsync duration of the most recent successful
-// Append in nanoseconds (0 before the first append).
+// append in nanoseconds (0 before the first append).
 func (j *Journal) LastSyncNS() int64 { return j.lastSyncNS }
 
 // Path returns the journal's file path.

@@ -6,6 +6,8 @@ package store
 // delta list.
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -17,42 +19,31 @@ import (
 	"repro/internal/mutate"
 )
 
-// TestAppendGroupsSingleIsFlat proves a one-group batch writes the legacy
-// flat record shape byte for byte: the two journals are identical files.
+// TestAppendGroupsSingleIsFlat proves a one-group batch writes the flat
+// record shape: the payload is the bare JSON array of its deltas.
 func TestAppendGroupsSingleIsFlat(t *testing.T) {
-	dir := t.TempDir()
+	path := filepath.Join(t.TempDir(), "g.journal")
 	group := testBatches()[0]
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := appendOne(j, group); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
 
-	flatPath := filepath.Join(dir, "flat.journal")
-	jf, _, err := OpenJournal(flatPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.Append(group); err != nil {
-		t.Fatal(err)
-	}
-	jf.Close()
-
-	groupedPath := filepath.Join(dir, "grouped.journal")
-	jg, _, err := OpenJournal(groupedPath)
+	want, err := json.Marshal(group)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jg.AppendGroups([][]mutate.Delta{group}); err != nil {
-		t.Fatal(err)
-	}
-	jg.Close()
-
-	a, err := os.ReadFile(flatPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(groupedPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("a single-group AppendGroups record differs from Append's flat shape")
+	rec := data[journalHeaderLen:]
+	if got := rec[12 : len(rec)-4]; !bytes.Equal(got, want) {
+		t.Fatalf("single-group record payload %s, want the flat array %s", got, want)
 	}
 }
 
@@ -67,13 +58,13 @@ func TestAppendGroupsReplaysBothShapes(t *testing.T) {
 	}
 	flat := testBatches()[0]
 	groups := [][]mutate.Delta{testBatches()[1], testBatches()[2]}
-	if seq, err := j.Append(flat); err != nil || seq != 1 {
+	if seq, err := appendOne(j, flat); err != nil || seq != 1 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	if seq, err := j.AppendGroups(groups); err != nil || seq != 2 {
 		t.Fatalf("grouped record: seq=%d err=%v — one batch, ONE seq", seq, err)
 	}
-	if seq, err := j.Append(flat); err != nil || seq != 3 {
+	if seq, err := appendOne(j, flat); err != nil || seq != 3 {
 		t.Fatalf("seq=%d err=%v", seq, err)
 	}
 	j.Close()
@@ -130,7 +121,7 @@ func TestTornGroupedAppendRewindsWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	intact := testBatches()[0]
-	if _, err := j.Append(intact); err != nil {
+	if _, err := appendOne(j, intact); err != nil {
 		t.Fatal(err)
 	}
 

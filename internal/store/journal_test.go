@@ -19,6 +19,11 @@ func testBatches() [][]mutate.Delta {
 	}
 }
 
+// appendOne journals deltas as a one-group commit.
+func appendOne(j *Journal, deltas []mutate.Delta) (uint64, error) {
+	return j.AppendGroups([][]mutate.Delta{deltas})
+}
+
 func TestJournalAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.journal")
 	j, replayed, err := OpenJournal(path)
@@ -30,7 +35,7 @@ func TestJournalAppendReplay(t *testing.T) {
 	}
 	want := testBatches()
 	for i, b := range want {
-		seq, err := j.Append(b)
+		seq, err := appendOne(j, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +43,7 @@ func TestJournalAppendReplay(t *testing.T) {
 			t.Fatalf("seq = %d, want %d", seq, i+1)
 		}
 	}
-	if _, err := j.Append(nil); !errors.Is(err, cserr.ErrInvalidRequest) {
+	if _, err := appendOne(j, nil); !errors.Is(err, cserr.ErrInvalidRequest) {
 		t.Fatalf("empty batch: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -59,7 +64,7 @@ func TestJournalAppendReplay(t *testing.T) {
 		}
 	}
 	// Appending after replay continues the sequence.
-	if seq, err := j2.Append(want[0]); err != nil || seq != 4 {
+	if seq, err := appendOne(j2, want[0]); err != nil || seq != 4 {
 		t.Fatalf("append after replay: seq=%d err=%v", seq, err)
 	}
 }
@@ -72,7 +77,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 	}
 	want := testBatches()
 	for _, b := range want {
-		if _, err := j.Append(b); err != nil {
+		if _, err := appendOne(j, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +101,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 		t.Fatalf("replayed %d batches, want %d", len(replayed), len(want))
 	}
 	// The torn bytes are gone and appends go to the right offset.
-	if _, err := j2.Append(want[1]); err != nil {
+	if _, err := appendOne(j2, want[1]); err != nil {
 		t.Fatal(err)
 	}
 	j2.Close()
@@ -132,7 +137,7 @@ func TestJournalReset(t *testing.T) {
 	}
 	defer j.Close()
 	for _, b := range testBatches() {
-		if _, err := j.Append(b); err != nil {
+		if _, err := appendOne(j, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,7 +147,7 @@ func TestJournalReset(t *testing.T) {
 	if j.Batches() != 0 || j.Seq() != 0 {
 		t.Fatalf("after reset: Batches=%d Seq=%d", j.Batches(), j.Seq())
 	}
-	if seq, err := j.Append(testBatches()[0]); err != nil || seq != 1 {
+	if seq, err := appendOne(j, testBatches()[0]); err != nil || seq != 1 {
 		t.Fatalf("append after reset: seq=%d err=%v", seq, err)
 	}
 }

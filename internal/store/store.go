@@ -7,48 +7,17 @@
 // text exchange format of internal/dataset is the interchange form, the
 // snapshot is the serving form.
 //
-// Two on-disk layouts exist: the legacy version-1 stream below, and the
-// version-2 aligned section-table layout (format2.go) that OpenMapped can
-// serve zero-copy from the page cache and that optionally stores the
-// adjacency delta+varint compressed (PackedGraph). Write emits v1;
-// WriteSnapshot with PackOptions selects the layout. Every open path reads
-// both versions.
-//
-// # Format (version 1)
-//
-// All integers are little-endian and fixed-width; arrays are stored raw with
-// their lengths derived from the header fields.
-//
-//	magic    [8]byte  "SEASNAP\x00"
-//	version  uint32   currently 1
-//	flags    uint32   bit 0: index section present
-//
-//	-- graph section --
-//	n        uint64   number of nodes
-//	a        uint64   len(adj) = 2·edges
-//	offsets  [n+1]int32
-//	adj      [a]int32
-//	t        uint64   len(text)
-//	textOff  [n+1]int32
-//	text     [t]int32
-//	numDim   uint32
-//	num      [n·numDim]float64
-//	dictLen  uint32
-//	names    dictLen × (uint32 byteLen + bytes)
-//
-//	-- index section (iff flags bit 0) --
-//	coreness [n]int32
-//	hasTruss uint8
-//	truss    [n]int32 (iff hasTruss)
-//	normMin  [numDim]float64
-//	normMax  [numDim]float64
-//
-//	crc      uint32   CRC-32 (Castagnoli) of every preceding byte
+// WriteSnapshot emits one layout: the version-2 aligned section table
+// (format2.go), which OpenMapped serves zero-copy from the page cache and
+// which optionally stores the adjacency delta+varint compressed
+// (PackedGraph). The version-1 stream of earlier builds is read-only legacy:
+// every open path still decodes it (decodeV1 below), nothing writes it, and
+// `seacli pack -load old.snap -out new.snap` repacks one as v2.
 //
 // # Guarantees
 //
-// Write produces a deterministic byte stream for a given graph + index.
-// Open verifies the magic and version (cserr.ErrSnapshotVersion on
+// WriteSnapshot produces a deterministic byte stream for a given graph +
+// index. Open verifies the magic and version (cserr.ErrSnapshotVersion on
 // mismatch), the trailing checksum, and the structural invariants of every
 // array (offsets monotone, adjacency sorted/symmetric/loop-free, tokens
 // within the dictionary — see graph.FromRaw); any violation reports
@@ -71,7 +40,8 @@ import (
 	"repro/internal/graph"
 )
 
-// Version is the snapshot format version this build reads and writes.
+// Version is the legacy stream format version. This build only reads it;
+// Version2 is the one it writes.
 const Version = 1
 
 // magic identifies a snapshot stream; it is deliberately not valid UTF-8
@@ -123,74 +93,6 @@ func (s *Snapshot) Backing() graph.Store {
 		return s.Graph
 	}
 	return nil
-}
-
-// Write serializes g and idx to w in the snapshot format. idx may be nil to
-// write a graph-only snapshot. The stream is checksummed; Write buffers
-// nothing beyond small scratch, so it streams large graphs directly to disk.
-func Write(w io.Writer, g *graph.Graph, idx *Index) error {
-	if g == nil {
-		return fmt.Errorf("store: nil graph")
-	}
-	raw := g.Export()
-	n := g.NumNodes()
-	if idx != nil {
-		if len(idx.Coreness) != n {
-			return fmt.Errorf("store: index coreness length %d, graph has %d nodes", len(idx.Coreness), n)
-		}
-		if idx.NodeTruss != nil && len(idx.NodeTruss) != n {
-			return fmt.Errorf("store: index truss length %d, graph has %d nodes", len(idx.NodeTruss), n)
-		}
-		if len(idx.NormMin) != raw.NumDim || len(idx.NormMax) != raw.NumDim {
-			return fmt.Errorf("store: index bounds width %d/%d, graph NumDim %d",
-				len(idx.NormMin), len(idx.NormMax), raw.NumDim)
-		}
-	}
-
-	crc := crc32.New(castagnoli)
-	ew := &encoder{w: io.MultiWriter(w, crc)}
-	ew.bytes(magic[:])
-	ew.u32(Version)
-	var flags uint32
-	if idx != nil {
-		flags |= flagIndex
-	}
-	ew.u32(flags)
-
-	ew.u64(uint64(n))
-	ew.u64(uint64(len(raw.Adj)))
-	ew.i32s(raw.Offsets)
-	ew.i32s(raw.Adj)
-	ew.u64(uint64(len(raw.Text)))
-	ew.i32s(raw.TextOff)
-	ew.i32s(raw.Text)
-	ew.u32(uint32(raw.NumDim))
-	ew.f64s(raw.Num)
-	ew.u32(uint32(len(raw.DictNames)))
-	for _, name := range raw.DictNames {
-		ew.u32(uint32(len(name)))
-		ew.bytes([]byte(name))
-	}
-
-	if idx != nil {
-		ew.i32s(idx.Coreness)
-		if idx.NodeTruss != nil {
-			ew.u8(1)
-			ew.i32s(idx.NodeTruss)
-		} else {
-			ew.u8(0)
-		}
-		ew.f64s(idx.NormMin)
-		ew.f64s(idx.NormMax)
-	}
-	if ew.err != nil {
-		return ew.err
-	}
-	// The trailer is the checksum of everything above; it goes to w only.
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	_, err := w.Write(tail[:])
-	return err
 }
 
 // Open reads one snapshot from r, verifying version, checksum and structure,
@@ -249,8 +151,8 @@ func OpenGraphFile(path string) (*Snapshot, error) {
 }
 
 // Decode is Open over bytes already in memory. It dispatches on the format
-// version: 1 is the legacy stream below, 2 the aligned section-table layout
-// (see format2.go).
+// version: 2 is the aligned section-table layout (see format2.go), 1 the
+// read-only legacy stream below.
 func Decode(data []byte) (*Snapshot, error) {
 	if len(data) < len(magic)+8+4 {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than any snapshot", cserr.ErrSnapshotCorrupt, len(data))
@@ -270,7 +172,36 @@ func Decode(data []byte) (*Snapshot, error) {
 	}
 }
 
-// decodeV1 decodes the legacy v1 stream. The structural parse runs before
+// decodeV1 decodes the legacy v1 stream: fixed-width little-endian integers,
+// raw arrays whose lengths derive from the header fields.
+//
+//	magic    [8]byte  "SEASNAP\x00"
+//	version  uint32   1
+//	flags    uint32   bit 0: index section present
+//
+//	-- graph section --
+//	n        uint64   number of nodes
+//	a        uint64   len(adj) = 2·edges
+//	offsets  [n+1]int32
+//	adj      [a]int32
+//	t        uint64   len(text)
+//	textOff  [n+1]int32
+//	text     [t]int32
+//	numDim   uint32
+//	num      [n·numDim]float64
+//	dictLen  uint32
+//	names    dictLen × (uint32 byteLen + bytes)
+//
+//	-- index section (iff flags bit 0) --
+//	coreness [n]int32
+//	hasTruss uint8
+//	truss    [n]int32 (iff hasTruss)
+//	normMin  [numDim]float64
+//	normMax  [numDim]float64
+//
+//	crc      uint32   CRC-32 (Castagnoli) of every preceding byte
+//
+// The structural parse runs before
 // the checksum so a truncated file reports the section the bytes ran out in
 // (not a bare checksum mismatch); a file whose lengths parse but whose bytes
 // are damaged still fails the checksum before any array is trusted.
@@ -354,8 +285,6 @@ func (e *encoder) bytes(b []byte) {
 		_, e.err = e.w.Write(b)
 	}
 }
-
-func (e *encoder) u8(v uint8) { e.bytes([]byte{v}) }
 
 func (e *encoder) u32(v uint32) {
 	binary.LittleEndian.PutUint32(e.buf[:4], v)

@@ -36,17 +36,15 @@ func buildEngine(t testing.TB, name string, scale float64) (*dataset.Generated, 
 	return d, eng
 }
 
+// snapshotBytes serializes the engine state in the default (uncompressed)
+// layout.
 func snapshotBytes(t testing.TB, eng *engine.Engine) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := eng.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return v2Bytes(t, eng, store.PackOptions{})
 }
 
 // TestRoundTripOutcomes is the acceptance criterion: a graph + index written
-// by store.Write and reopened by store.Open answer the same queries with
+// by store.WriteSnapshot and reopened by store.Open answer the same queries with
 // byte-identical Outcomes, across methods and structural models.
 func TestRoundTripOutcomes(t *testing.T) {
 	d, eng := buildEngine(t, "facebook", 0.3)
@@ -126,12 +124,12 @@ func TestRoundTripIndex(t *testing.T) {
 	}
 }
 
-// TestGraphOnlySnapshot: Write with a nil index yields a snapshot that still
+// TestGraphOnlySnapshot: WriteSnapshot with a nil index yields a snapshot that still
 // opens and serves (the engine rebuilds what is missing).
 func TestGraphOnlySnapshot(t *testing.T) {
 	d, _ := buildEngine(t, "facebook", 0.2)
 	var buf bytes.Buffer
-	if err := store.Write(&buf, d.Graph, nil); err != nil {
+	if err := store.WriteSnapshot(&buf, d.Graph, nil, store.PackOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Open(&buf)
@@ -210,8 +208,8 @@ func TestDetectFile(t *testing.T) {
 
 	if info, err := store.DetectFile(snapPath); err != nil || !info.IsSnapshot() {
 		t.Fatalf("snapshot not detected: %+v %v", info, err)
-	} else if info.Version != store.Version || !info.Index || info.Aligned || info.Compressed {
-		t.Fatalf("v1 snapshot misdescribed: %+v", info)
+	} else if info.Version != store.Version2 || !info.Index || !info.Aligned || info.Compressed {
+		t.Fatalf("snapshot misdescribed: %+v", info)
 	}
 	if info, err := store.DetectFile(textPath); err != nil || info.IsSnapshot() {
 		t.Fatalf("text file misdetected: %+v %v", info, err)
@@ -226,7 +224,7 @@ func TestWriteRejectsShapeMismatch(t *testing.T) {
 	idx := eng.ExportIndex()
 	idx.Coreness = idx.Coreness[:len(idx.Coreness)-1]
 	var buf bytes.Buffer
-	if err := store.Write(&buf, d.Graph, idx); err == nil {
+	if err := store.WriteSnapshot(&buf, d.Graph, idx, store.PackOptions{}); err == nil {
 		t.Fatal("mismatched index accepted")
 	}
 }
@@ -291,7 +289,7 @@ func BenchmarkBoot(b *testing.B) {
 		}
 	})
 	b.Run("mapped-open", func(b *testing.B) {
-		path := writeTemp(b, "g.snap", v2Bytes(b, eng, store.PackOptions{Align: true}))
+		path := writeTemp(b, "g.snap", snap)
 		b.SetBytes(int64(len(snap)))
 		for i := 0; i < b.N; i++ {
 			m, err := store.OpenMapped(path)
@@ -312,23 +310,21 @@ func BenchmarkBoot(b *testing.B) {
 // the same contrast including engine construction on top of the open.
 func BenchmarkBootScaling(b *testing.B) {
 	for _, scale := range []float64{0.5, 2.0} {
-		d, eng := buildEngine(b, "twitch", scale)
-		_ = d
-		v1Path := writeTemp(b, "v1.snap", snapshotBytes(b, eng))
-		v2Path := writeTemp(b, "v2.snap", v2Bytes(b, eng, store.PackOptions{Align: true}))
+		_, eng := buildEngine(b, "twitch", scale)
+		path := writeTemp(b, "g.snap", snapshotBytes(b, eng))
 		cfg := engine.DefaultConfig()
 		cfg.EagerTruss = true
 
 		b.Run(fmt.Sprintf("open-heap/scale=%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := store.OpenFile(v1Path); err != nil {
+				if _, err := store.OpenFile(path); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("open-mapped/scale=%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := store.OpenMapped(v2Path)
+				m, err := store.OpenMapped(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -337,7 +333,7 @@ func BenchmarkBootScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("engine-heap/scale=%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := store.OpenFile(v1Path)
+				s, err := store.OpenFile(path)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -348,7 +344,7 @@ func BenchmarkBootScaling(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("engine-mapped/scale=%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				m, err := store.OpenMapped(v2Path)
+				m, err := store.OpenMapped(path)
 				if err != nil {
 					b.Fatal(err)
 				}

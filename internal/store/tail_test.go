@@ -21,7 +21,7 @@ func writeTailFixture(t *testing.T, path string, batches [][]mutate.Delta) {
 	}
 	defer j.Close()
 	for _, b := range batches {
-		if _, err := j.Append(b); err != nil {
+		if _, err := appendOne(j, b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestTailJournalConcurrentAppend(t *testing.T) {
 			// The marker encodes the sequence number, so a reader can
 			// verify it never sees record n's payload under record m's
 			// header.
-			if _, err := j.Append([]mutate.Delta{mutate.AddEdge(graph.NodeID(i), graph.NodeID(i+1))}); err != nil {
+			if _, err := appendOne(j, []mutate.Delta{mutate.AddEdge(graph.NodeID(i), graph.NodeID(i+1))}); err != nil {
 				t.Error(err)
 				return
 			}

@@ -7,10 +7,8 @@ import (
 	"testing"
 )
 
-// TestGoVetPasses pins the satellite requirement of the API redesign: the
-// whole module — new Request/Searcher interfaces, deprecated wrappers and
-// all — stays go vet clean. Running it inside the test suite keeps the
-// check active even where the CI vet step is skipped.
+// TestGoVetPasses keeps the whole module go vet clean. Running it inside the
+// test suite keeps the check active even where the CI vet step is skipped.
 func TestGoVetPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping go vet in -short mode")
