@@ -572,6 +572,26 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateKTrussExtract is one warm k-truss round of SEA's S1:
+// (k−1)-core prefilter, edge index, supports, threshold peel, maintainer.
+// Everything but the maintainer's header comes from the workspace.
+func BenchmarkSubstrateKTrussExtract(b *testing.B) {
+	benchSetup(b)
+	w := ws.Get()
+	defer w.Release()
+	if truss.MaximalSub(benchData.Graph, benchQ, 5, w) == nil {
+		b.Fatal("query hosts no 5-truss: the guard would measure the prefilter alone")
+	}
+	guardAllocs(b, 1, func() {
+		truss.MaximalSub(benchData.Graph, benchQ, 5, w)
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		truss.MaximalSub(benchData.Graph, benchQ, 5, w)
+	}
+}
+
 func BenchmarkSubstrateInKCoreSet(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
@@ -621,6 +641,22 @@ func BenchmarkSEASearch(b *testing.B) {
 	opts := internalsea.DefaultOptions()
 	opts.K = 6
 	opts.MaxRounds = 2
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = int64(i + 1)
+		if _, err := internalsea.SearchWithDist(benchData.Graph, benchDist, benchQ, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSEASearchTruss is BenchmarkSEASearch under the k-truss model.
+func BenchmarkSEASearchTruss(b *testing.B) {
+	benchSetup(b)
+	opts := internalsea.DefaultOptions()
+	opts.K = 5 // benchQ hosts a 5-truss, no 6-truss
+	opts.MaxRounds = 2
+	opts.Model = internalsea.KTruss
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)

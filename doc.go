@@ -49,7 +49,13 @@
 //
 // Heterogeneous graphs are supported through meta-path projections
 // (NewHetGraphBuilder / Project), size-bounded search through
-// Request.SizeLo/SizeHi, and the k-truss model through Request.Model.
+// Request.SizeLo/SizeHi, and the k-truss model through Request.Model. Under
+// the k-truss model a SEA round extracts the maximal connected k-truss of
+// the sample for the request's fixed k in one pass — (k−1)-core prefilter,
+// one edge index, supports counted once per triangle, a threshold peel
+// whose surviving state becomes the round's maintenance structure — and
+// never computes trussness levels; the full truss decomposition is run
+// only to build the engine's admission index.
 //
 // # Serving
 //

@@ -25,6 +25,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/truss"
+	"repro/internal/ws"
 )
 
 // Model selects the structural model for a baseline.
@@ -53,15 +54,12 @@ func interrupted(ctx context.Context, name string, best []graph.NodeID) ([]graph
 func maximal(g graph.Store, q graph.NodeID, k int, model Model) (cohesive.Maintainer, []graph.NodeID) {
 	switch model {
 	case KTruss:
-		members := truss.MaximalConnectedKTruss(g, q, k)
-		if members == nil {
+		// A workspace of the maintainer's own: it lives in it past this call.
+		m := truss.MaximalSub(g, q, k, new(ws.Workspace))
+		if m == nil {
 			return nil, nil
 		}
-		m, err := truss.NewSub(g, q, k, members)
-		if err != nil {
-			return nil, nil
-		}
-		return m, members
+		return m, m.Members(nil)
 	default:
 		members := kcore.MaximalConnectedKCore(g, q, k)
 		if members == nil {

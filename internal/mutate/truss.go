@@ -138,8 +138,12 @@ func (s *Session) localPeel(scope map[Edge]int, boundary map[Edge]int32) {
 	removed := make([]bool, total)
 	k := int32(0)
 	for processed := 0; processed < total; processed++ {
+		// No live entry sits below the current level k: k only rises to a
+		// popped support, taken from the lowest non-empty bucket, and after
+		// that unpinned supports are clamped at k while pinned ones, never
+		// decremented, stay where they entered — so the scan starts at k.
 		var e int32 = -1
-		for sup := int32(0); sup <= maxSup && e < 0; sup++ {
+		for sup := k; sup <= maxSup && e < 0; sup++ {
 			for len(buckets[sup]) > 0 {
 				cand := buckets[sup][len(buckets[sup])-1]
 				buckets[sup] = buckets[sup][:len(buckets[sup])-1]

@@ -273,7 +273,16 @@ func (s *seaRun) interrupted() (*Result, error) {
 	if s.res.Community == nil {
 		return nil, err
 	}
-	return &s.res, err
+	return s.result(), err
+}
+
+// result returns the search's Result as its own allocation. Callers keep
+// Results for a long time (the engine caches 4 096 of them); a pointer into
+// seaRun would keep the run's distance vector, generator and context
+// reachable for as long.
+func (s *seaRun) result() *Result {
+	res := s.res
+	return &res
 }
 
 // minGqSize applies Theorem 10 for the active model / size bound.
@@ -374,7 +383,7 @@ func (s *seaRun) run() (*Result, error) {
 		if done {
 			s.res.CI = ci
 			s.res.Satisfied = true
-			return &s.res, nil
+			return s.result(), nil
 		}
 		s.res.CI = ci
 		lastMoE, lastTarget, lastBLBTotal = moe, target, blbTotal
@@ -389,11 +398,7 @@ func (s *seaRun) run() (*Result, error) {
 		// (typical when community cores are small relative to λ·|Gq|), so
 		// run the greedy estimation directly on the maximal structure of
 		// the full graph.
-		members := s.maximalOnFullGraph()
-		if members == nil {
-			return nil, ErrNoCommunity
-		}
-		maint := s.maintainerOnFullGraph(members)
+		maint := s.maximalIn(s.g, s.q)
 		if maint == nil {
 			return nil, ErrNoCommunity
 		}
@@ -412,7 +417,7 @@ func (s *seaRun) run() (*Result, error) {
 	if s.ctx.Err() != nil {
 		return s.interrupted()
 	}
-	return &s.res, nil
+	return s.result(), nil
 }
 
 // enlarge adds up to deltaS fresh weighted samples from gq to sample. The
@@ -451,57 +456,47 @@ func (s *seaRun) buildMaintainer(sample []graph.NodeID) (cohesive.Maintainer, []
 	if len(sample) == s.g.NumNodes() {
 		// The sample covers the whole graph: skip the induced-subgraph copy
 		// and work on g directly with an identity mapping.
-		members := s.maximalOnFullGraph()
-		if members == nil {
-			return nil, nil
+		if maint := s.maximalIn(s.g, s.q); maint != nil {
+			return maint, s.identityMap()
 		}
-		maint := s.maintainerOnFullGraph(members)
-		if maint == nil {
-			return nil, nil
-		}
-		return maint, s.identityMap()
+		return nil, nil
 	}
 	// Structure-only induced subgraph written into the workspace's
 	// preallocated CSR arrays: the extraction paths below read only
 	// adjacency, and attribute distances go through orig on the parent
 	// graph. sub and orig stay valid until the next round's rebuild.
 	sub, orig := graph.InducedStructureOf(s.g, sample, &s.w.Sub)
-	var subQ graph.NodeID = -1
-	for i, v := range orig {
-		if v == s.q {
-			subQ = graph.NodeID(i)
-			break
-		}
-	}
-	if subQ < 0 {
+	subQ, ok := slices.BinarySearch(orig, s.q)
+	if !ok {
 		return nil, nil
 	}
-	switch s.opts.Model {
-	case KTruss:
-		s.w.Members = s.w.Members[:0]
-		members := truss.MaximalConnectedKTrussInto(s.w.Members, sub, subQ, s.opts.K, s.w)
-		if members == nil {
-			return nil, nil
-		}
-		s.w.Members = members[:0]
-		maint, err := truss.NewSub(sub, subQ, s.opts.K, members)
-		if err != nil {
-			return nil, nil
-		}
-		return maint, orig
-	default:
-		s.w.Members = s.w.Members[:0]
-		members := kcore.MaximalConnectedKCoreInto(s.w.Members, sub, subQ, s.opts.K, s.w)
-		if members == nil {
-			return nil, nil
-		}
-		s.w.Members = members[:0]
-		maint, err := kcore.NewSub(sub, subQ, s.opts.K, members)
-		if err != nil {
-			return nil, nil
-		}
+	if maint := s.maximalIn(sub, graph.NodeID(subQ)); maint != nil {
 		return maint, orig
 	}
+	return nil, nil
+}
+
+// maximalIn returns the maintenance structure over the maximal connected
+// structure of g containing q, or nil when there is none. The k-truss one
+// lives in the workspace and is valid until the next call.
+func (s *seaRun) maximalIn(g graph.CSR, q graph.NodeID) cohesive.Maintainer {
+	if s.opts.Model == KTruss {
+		// A nil *Sub must come back as a nil interface.
+		if maint := truss.MaximalSub(g, q, s.opts.K, s.w); maint != nil {
+			return maint
+		}
+		return nil
+	}
+	members := kcore.MaximalConnectedKCoreInto(s.w.Members[:0], g, q, s.opts.K, s.w)
+	if members == nil {
+		return nil
+	}
+	s.w.Members = members[:0]
+	maint, err := kcore.NewSub(g, q, s.opts.K, members)
+	if err != nil {
+		return nil
+	}
+	return maint
 }
 
 // minCommunitySize is the smallest admissible community (including q): the
@@ -691,30 +686,4 @@ func (s *seaRun) keepCandidateInduced(members []graph.NodeID, orig []graph.NodeI
 func (s *seaRun) keepCandidate(members []graph.NodeID) {
 	s.res.Community = members
 	s.res.Delta = attr.Delta(s.dist, members, s.q)
-}
-
-// maximalOnFullGraph returns the maximal connected structure on the entire
-// graph, the last-resort fallback when sampling never found one.
-func (s *seaRun) maximalOnFullGraph() []graph.NodeID {
-	if s.opts.Model == KTruss {
-		return truss.MaximalConnectedKTruss(s.g, s.q, s.opts.K)
-	}
-	return kcore.MaximalConnectedKCore(s.g, s.q, s.opts.K)
-}
-
-// maintainerOnFullGraph wraps members (a maximal structure of the full
-// graph) in a maintenance structure, or returns nil on failure.
-func (s *seaRun) maintainerOnFullGraph(members []graph.NodeID) cohesive.Maintainer {
-	if s.opts.Model == KTruss {
-		m, err := truss.NewSub(s.g, s.q, s.opts.K, members)
-		if err != nil {
-			return nil
-		}
-		return m
-	}
-	m, err := kcore.NewSub(s.g, s.q, s.opts.K, members)
-	if err != nil {
-		return nil
-	}
-	return m
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -376,4 +377,53 @@ func TestSearchContextAlreadyCancelled(t *testing.T) {
 	if _, err := SearchContext(ctx, d.Graph, m, d.QueryNodes(1, 2, 5)[0], opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
+}
+
+// TestResultDoesNotPinTheSearch: a *Result is what the engine caches (4 096
+// of them), so holding one must not hold the run that produced it — above
+// all not its O(n) distance vector.
+func TestResultDoesNotPinTheSearch(t *testing.T) {
+	const n, held = 1 << 17, 32 // 1 MiB of distances per search
+	b := graph.NewBuilder(n, 0)
+	for i := 0; i < 8; i++ {
+		for j := i + 1; j < 8; j++ {
+			b.AddEdge(graph.NodeID(i), graph.NodeID(j))
+		}
+	}
+	g := b.MustBuild()
+	opts := DefaultOptions()
+	opts.K = 3
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	search := func(seed int64) *Result {
+		dist := make([]float64, n)
+		for v := 1; v < 8; v++ {
+			dist[v] = 0.1 * float64(v)
+		}
+		opts.Seed = seed
+		res, err := SearchWithDist(g, dist, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// One search first: the workspace it grows to n nodes goes back on the
+	// free list and stays resident, so it belongs in the baseline.
+	search(held + 1)
+	before := heap()
+	results := make([]*Result, held)
+	for i := range results {
+		results[i] = search(int64(i + 1))
+	}
+	perResult := (int64(heap()) - int64(before)) / held
+	if perResult > n/8 { // 1/64 of the 8·n bytes one pinned dist costs
+		t.Fatalf("each held Result retains %d B; a pinned distance vector is %d B", perResult, 8*n)
+	}
+	runtime.KeepAlive(results)
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cohesive"
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 var _ cohesive.Maintainer = (*Sub)(nil)
@@ -16,8 +17,7 @@ var _ cohesive.Maintainer = (*Sub)(nil)
 // alive incident edge. RemoveCascade(v) deletes v's edges, cascades support
 // violations, and restricts the alive edges to the query's component.
 type Sub struct {
-	g  graph.CSR
-	ix *EdgeIndex
+	ix EdgeIndex
 	k  int
 	q  graph.NodeID
 
@@ -26,141 +26,104 @@ type Sub struct {
 	sup       []int32 // support within alive edges
 	nodeDeg   []int32 // number of alive incident edges
 	size      int     // number of alive nodes
+	mark      []bool  // component marks, all false between calls
 
-	// logStack records, per RemoveCascade, the edges removed (in order) and
-	// the count of removed nodes. Restore must be called LIFO, which is how
-	// every enumeration in this repository backtracks.
-	logStack []removalLog
-
-	stack []int32 // cascade stack of edge IDs
-	mark  []bool
-	nbr   []graph.NodeID // neighbor-decode scratch for non-aliasing backings
+	// sc owns every array above and the buffers that grow while the
+	// structure is in use — the peel stack, the triangle list, the component
+	// queue and the rollback log (per RemoveCascade the edges removed, in
+	// order, and the count of removed nodes; Restore must be called LIFO,
+	// which is how every enumeration in this repository backtracks). Those
+	// are reached through sc so that growth lands in the pooled scratch.
+	sc *ws.TrussScratch
 }
 
-// removalLog pairs the edges removed by one RemoveCascade with the number of
-// nodes that died, for LIFO rollback.
-type removalLog struct {
-	edges    []int32
-	numNodes int
-}
-
-// NewSub builds a maintenance structure over members, which must form a
-// connected k-truss containing q.
+// NewSub builds a maintenance structure over the maximal k-truss inside
+// members that contains q, restricted to q's component; members in, e.g.,
+// MaximalConnectedKTruss's order keep that order.
 func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
-	ix := NewEdgeIndex(g)
-	s := &Sub{
-		g:         g,
-		ix:        ix,
-		k:         k,
-		q:         q,
-		universe:  append([]graph.NodeID(nil), members...),
-		edgeAlive: make([]bool, ix.NumEdges()),
-		sup:       make([]int32, ix.NumEdges()),
-		nodeDeg:   make([]int32, g.NumNodes()),
-		mark:      make([]bool, g.NumNodes()),
-	}
-	in := make([]bool, g.NumNodes())
+	w := ws.Get()
+	defer w.Release()
+	in := &w.Member
+	in.Reset(g.NumNodes())
 	for _, v := range members {
-		in[v] = true
+		in.Add(v)
 	}
-	if !in[q] {
+	if !in.Has(q) {
 		return nil, fmt.Errorf("truss: query node %d not in member set", q)
 	}
-	// Activate induced edges.
-	for _, v := range members {
-		for _, u := range g.NeighborsInto(&s.nbr, v) {
-			if u > v && in[u] {
-				e, _ := ix.EdgeID(v, u)
-				s.edgeAlive[e] = true
-				s.nodeDeg[v]++
-				s.nodeDeg[u]++
-			}
-		}
-	}
-	s.size = len(members)
-	// Compute supports within alive edges, then peel edges below the
-	// threshold: a k-truss is an edge subgraph, so the node-induced graph of
-	// members may contain extra low-support edges that must go.
-	for e := 0; e < ix.NumEdges(); e++ {
-		if !s.edgeAlive[e] {
-			continue
-		}
-		cnt := int32(0)
-		s.forAliveTriangles(int32(e), func(e1, e2 int32) { cnt++ })
-		s.sup[e] = cnt
-		if int(cnt) < k-2 {
-			s.stack = append(s.stack, int32(e))
-		}
-	}
-	var nodesGone []graph.NodeID
-	var elog []int32
-	for len(s.stack) > 0 {
-		e := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		s.killEdge(e, &nodesGone, &elog)
-	}
-	if s.nodeDeg[q] == 0 {
+	// The scratch is the structure's own: it outlives this call.
+	s := build(g, q, k, in, &w.NbrA, new(ws.TrussScratch))
+	if s == nil {
 		return nil, fmt.Errorf("truss: query node %d has no k-truss edge within the member set", q)
 	}
-	// Restrict to q's component over alive edges.
-	s.restrictToQueryComponent(&nodesGone, &elog)
+	s.universe = append([]graph.NodeID(nil), members...)
 	return s, nil
 }
 
-// restrictToQueryComponent kills every alive edge outside q's component.
-func (s *Sub) restrictToQueryComponent(nodes *[]graph.NodeID, elog *[]int32) {
-	comp := []graph.NodeID{s.q}
-	s.mark[s.q] = true
-	compSize := 1
-	for i := 0; i < len(comp); i++ {
-		x := comp[i]
-		baseX := int(s.g.ListOffset(x))
-		for j, u := range s.g.NeighborsInto(&s.nbr, x) {
-			e := s.ix.eid[baseX+j]
-			if s.edgeAlive[e] && !s.mark[u] {
-				s.mark[u] = true
-				comp = append(comp, u)
-				compSize++
-			}
+// build indexes the subgraph of g induced by in (all of g when nil), counts
+// supports once, peels every edge below k−2, and keeps q's component: the
+// index and the surviving alive/support/degree state are the maintainer.
+// Returns nil when no edge of q survives. The universe is q's component in
+// BFS order.
+func build(g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) *Sub {
+	s := &Sub{k: k, q: q, sc: sc}
+	s.ix.build(g, in, nbr, sc)
+	n, m := g.NumNodes(), s.ix.NumEdges()
+	sc.Sup = s.ix.supportsInto(sc.Sup)
+	sc.Alive = bools(sc.Alive, m, true)
+	sc.Mark = bools(sc.Mark, n, false)
+	sc.NodeDeg = ws.I32(sc.NodeDeg, n)
+	s.sup, s.edgeAlive, s.mark, s.nodeDeg = sc.Sup, sc.Alive, sc.Mark, sc.NodeDeg
+	for v := range s.nodeDeg {
+		s.nodeDeg[v] = s.ix.off[v+1] - s.ix.off[v]
+		if s.nodeDeg[v] > 0 {
+			s.size++
 		}
 	}
-	if compSize != s.size {
-		for e := range s.edgeAlive {
-			if s.edgeAlive[e] && !s.mark[s.ix.U[e]] {
-				s.killEdgeNoCascade(int32(e), nodes, elog)
-			}
+
+	sc.Stack, sc.Log, sc.Marks = sc.Stack[:0], sc.Log[:0], sc.Marks[:0]
+	for e, c := range s.sup {
+		if int(c) < k-2 {
+			sc.Stack = append(sc.Stack, int32(e))
 		}
 	}
-	for _, u := range comp {
-		s.mark[u] = false
+	s.drain(nil)
+	if s.nodeDeg[q] == 0 {
+		return nil
 	}
+	sc.Log = sc.Log[:0] // construction is not undoable
+
+	// Keep q's component. What lies outside — typically most of the core:
+	// every other truss in it — is dropped without the support bookkeeping
+	// of killEdge: no triangle joins it to the component, and nothing can
+	// restore it.
+	comp := s.markQueryComponent()
+	if len(comp) != s.size {
+		for e, alive := range s.edgeAlive {
+			if u := s.ix.U[e]; alive && !s.mark[u] {
+				s.edgeAlive[e] = false
+				s.nodeDeg[u]--
+				s.nodeDeg[s.ix.V[e]]--
+			}
+		}
+		s.size = len(comp)
+	}
+	s.unmark(comp)
+	sc.Universe = append(sc.Universe[:0], comp...)
+	s.universe = sc.Universe
+	return s
 }
 
-// forAliveTriangles calls fn for every triangle (e, e1, e2) with all three
-// edges alive.
-func (s *Sub) forAliveTriangles(e int32, fn func(e1, e2 int32)) {
-	u, v := s.ix.U[e], s.ix.V[e]
-	g := s.g
-	nu := g.NeighborsInto(&s.ix.nbu, u)
-	nv := g.NeighborsInto(&s.ix.nbv, v)
-	baseU, baseV := int(g.ListOffset(u)), int(g.ListOffset(v))
-	i, j := 0, 0
-	for i < len(nu) && j < len(nv) {
-		switch {
-		case nu[i] == nv[j]:
-			e1 := s.ix.eid[baseU+i]
-			e2 := s.ix.eid[baseV+j]
-			if s.edgeAlive[e1] && s.edgeAlive[e2] {
-				fn(e1, e2)
-			}
-			i++
-			j++
-		case nu[i] < nv[j]:
-			i++
-		default:
-			j++
-		}
+// bools returns buf resized to n with every element set to v.
+func bools(buf []bool, n int, v bool) []bool {
+	if cap(buf) < n {
+		buf = make([]bool, n)
 	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }
 
 // Query returns the query node.
@@ -183,103 +146,128 @@ func (s *Sub) Members(dst []graph.NodeID) []graph.NodeID {
 	return dst
 }
 
-// killEdge deactivates edge e, updates node degrees and neighbor supports,
-// cascading edges whose support drops below k-2. Removed nodes are appended
-// to nodes, removed edges to the edge log.
-func (s *Sub) killEdge(e int32, nodes *[]graph.NodeID, elog *[]int32) {
-	if !s.edgeAlive[e] {
-		return
-	}
+// killEdge deactivates the alive edge e, logs it, and takes it out of its
+// endpoints' degrees and its triangles' supports. Nodes left without an edge
+// are appended to removed (when non-nil); with cascade set, edges whose
+// support drops below k−2 go on the peel stack.
+func (s *Sub) killEdge(e int32, removed *[]graph.NodeID, cascade bool) {
+	sc := s.sc
 	s.edgeAlive[e] = false
-	*elog = append(*elog, e)
+	sc.Log = append(sc.Log, e)
 	for _, end := range [2]graph.NodeID{s.ix.U[e], s.ix.V[e]} {
 		s.nodeDeg[end]--
 		if s.nodeDeg[end] == 0 {
 			s.size--
-			*nodes = append(*nodes, end)
+			if removed != nil {
+				*removed = append(*removed, end)
+			}
 		}
 	}
-	s.forAliveTriangles(e, func(e1, e2 int32) {
-		s.sup[e1]--
-		if int(s.sup[e1]) < s.k-2 {
-			s.stack = append(s.stack, e1)
+	sc.Tri = s.ix.triangles(sc.Tri[:0], e, s.edgeAlive)
+	for _, t := range sc.Tri {
+		s.sup[t]--
+		if cascade && int(s.sup[t]) < s.k-2 {
+			sc.Stack = append(sc.Stack, t)
 		}
-		s.sup[e2]--
-		if int(s.sup[e2]) < s.k-2 {
-			s.stack = append(s.stack, e2)
+	}
+}
+
+// drain is the threshold peel: it kills stacked edges, and whatever their
+// removal pushes below k−2, until the stack is empty.
+func (s *Sub) drain(removed *[]graph.NodeID) {
+	sc := s.sc
+	for len(sc.Stack) > 0 {
+		e := sc.Stack[len(sc.Stack)-1]
+		sc.Stack = sc.Stack[:len(sc.Stack)-1]
+		if s.edgeAlive[e] {
+			s.killEdge(e, removed, true)
 		}
-	})
+	}
+}
+
+// markQueryComponent marks q's component over alive edges and returns it in
+// BFS order (in sc.Comp). The caller clears the marks with unmark.
+func (s *Sub) markQueryComponent() []graph.NodeID {
+	comp := append(s.sc.Comp[:0], s.q)
+	s.mark[s.q] = true
+	for i := 0; i < len(comp); i++ {
+		x := comp[i]
+		for p := s.ix.off[x]; p < s.ix.off[x+1]; p++ {
+			if u := s.ix.adj[p]; s.edgeAlive[s.ix.eid[p]] && !s.mark[u] {
+				s.mark[u] = true
+				comp = append(comp, u)
+			}
+		}
+	}
+	s.sc.Comp = comp
+	return comp
+}
+
+// unmark clears the marks markQueryComponent set.
+func (s *Sub) unmark(comp []graph.NodeID) {
+	for _, u := range comp {
+		s.mark[u] = false
+	}
+}
+
+// restrictToQueryComponent kills every alive edge outside q's component. No
+// cascade: a triangle is connected, so the edges killed share none with the
+// component.
+func (s *Sub) restrictToQueryComponent(removed *[]graph.NodeID) {
+	comp := s.markQueryComponent()
+	if len(comp) != s.size {
+		for e, alive := range s.edgeAlive {
+			if alive && !s.mark[s.ix.U[e]] {
+				s.killEdge(int32(e), removed, false)
+			}
+		}
+	}
+	s.unmark(comp)
 }
 
 // RemoveCascade deletes node v (all its alive edges), cascades support
 // violations, and restricts alive edges to the query's component.
 func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool) {
-	if s.nodeDeg[v] == 0 {
-		// No-op removal still pushes a log entry so Restore stays aligned.
-		s.logStack = append(s.logStack, removalLog{})
-		return nil, s.nodeDeg[s.q] > 0
-	}
-	var elog []int32
-	s.stack = s.stack[:0]
-	baseV := int(s.g.ListOffset(v))
-	for i, d := 0, s.g.Degree(v); i < d; i++ {
-		e := s.ix.eid[baseV+i]
-		s.killEdge(e, &removed, &elog)
-	}
-	for len(s.stack) > 0 {
-		e := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		s.killEdge(e, &removed, &elog)
-	}
-	if s.nodeDeg[s.q] == 0 {
-		s.logStack = append(s.logStack, removalLog{elog, len(removed)})
-		return removed, false
-	}
-	s.restrictToQueryComponent(&removed, &elog)
-	s.logStack = append(s.logStack, removalLog{elog, len(removed)})
-	return removed, true
-}
-
-// killEdgeNoCascade removes an edge known to be outside the query component.
-func (s *Sub) killEdgeNoCascade(e int32, nodes *[]graph.NodeID, elog *[]int32) {
-	s.edgeAlive[e] = false
-	*elog = append(*elog, e)
-	s.forAliveTriangles(e, func(e1, e2 int32) {
-		s.sup[e1]--
-		s.sup[e2]--
-	})
-	for _, end := range [2]graph.NodeID{s.ix.U[e], s.ix.V[e]} {
-		s.nodeDeg[end]--
-		if s.nodeDeg[end] == 0 {
-			s.size--
-			*nodes = append(*nodes, end)
+	sc := s.sc
+	logStart := int32(len(sc.Log))
+	if s.nodeDeg[v] > 0 {
+		sc.Stack = sc.Stack[:0]
+		for p := s.ix.off[v]; p < s.ix.off[v+1]; p++ {
+			if e := s.ix.eid[p]; s.edgeAlive[e] {
+				s.killEdge(e, &removed, true)
+			}
+		}
+		s.drain(&removed)
+		if s.nodeDeg[s.q] > 0 {
+			s.restrictToQueryComponent(&removed)
 		}
 	}
+	// A no-op removal still pushes a log entry so Restore stays aligned.
+	sc.Marks = append(sc.Marks, [2]int32{logStart, int32(len(removed))})
+	return removed, s.nodeDeg[s.q] > 0
 }
 
 // Restore re-inserts the edges and nodes removed by the most recent
 // RemoveCascade. Restores must proceed LIFO; removed must be the slice
 // returned by that call.
 func (s *Sub) Restore(removed []graph.NodeID) {
-	if len(s.logStack) == 0 {
+	sc := s.sc
+	if len(sc.Marks) == 0 {
 		panic("truss: Restore with empty log stack")
 	}
-	top := s.logStack[len(s.logStack)-1]
-	s.logStack = s.logStack[:len(s.logStack)-1]
-	if top.numNodes != len(removed) {
+	top := sc.Marks[len(sc.Marks)-1]
+	sc.Marks = sc.Marks[:len(sc.Marks)-1]
+	if int(top[1]) != len(removed) {
 		panic("truss: Restore out of LIFO order")
 	}
-	elog := top.edges
-	for i := len(elog) - 1; i >= 0; i-- {
-		e := elog[i]
+	for i := len(sc.Log) - 1; i >= int(top[0]); i-- {
+		e := sc.Log[i]
 		s.edgeAlive[e] = true
-		cnt := int32(0)
-		s.forAliveTriangles(e, func(e1, e2 int32) {
-			cnt++
-			s.sup[e1]++
-			s.sup[e2]++
-		})
-		s.sup[e] = cnt
+		sc.Tri = s.ix.triangles(sc.Tri[:0], e, s.edgeAlive)
+		for _, t := range sc.Tri {
+			s.sup[t]++
+		}
+		s.sup[e] = int32(len(sc.Tri) / 2)
 		for _, end := range [2]graph.NodeID{s.ix.U[e], s.ix.V[e]} {
 			if s.nodeDeg[end] == 0 {
 				s.size++
@@ -287,4 +275,5 @@ func (s *Sub) Restore(removed []graph.NodeID) {
 			s.nodeDeg[end]++
 		}
 	}
+	sc.Log = sc.Log[:top[0]]
 }

@@ -4,104 +4,172 @@
 //
 // A k-truss is a subgraph in which every edge participates in at least k−2
 // triangles inside the subgraph. Every node of a k-truss has degree ≥ k−1.
+//
+// Everything here runs on one EdgeIndex: a compact copy of the indexed
+// nodes' adjacency with a dense ID per undirected edge. Supports are counted
+// once per triangle (EdgeIndex.supportsInto), triangles through one edge are
+// listed by one merge (EdgeIndex.triangles), and edges are peeled at a fixed
+// threshold by one work-stack loop (Sub.drain). Extraction for a given k
+// (MaximalSub, MaximalConnectedKTruss, NewSub) never computes trussness;
+// Decompose, the level-by-level peel, is for callers that index it.
 package truss
 
 import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/kcore"
 	"repro/internal/ws"
 )
 
-// EdgeIndex assigns a dense ID to every undirected edge of a graph and maps
-// adjacency positions to edge IDs so supports can be stored per edge.
+// EdgeIndex assigns a dense ID to every undirected edge among the indexed
+// nodes of a graph — all of them, or a subset — and keeps those nodes'
+// adjacency restricted to each other, so the triangle loops touch neither
+// the backing graph nor non-indexed neighbours. Edge IDs ascend with (U,V).
 type EdgeIndex struct {
-	g graph.CSR
-	// eid[p] is the edge ID of the directed adjacency entry at CSR position p.
-	eid []int32
+	// Row v is adj[off[v]:off[v+1]], ascending, with the edge ID of each
+	// entry in eid; hi[v] is the position of v's first neighbour above v.
+	// A node outside the index has an empty row.
+	off, hi []int32
+	adj     []graph.NodeID
+	eid     []int32
 	// U, V are the endpoints of each edge, U[i] < V[i].
 	U, V []graph.NodeID
-	// nbu, nbv are neighbor-decode scratch for backings that cannot alias.
-	// EdgeIndex methods are single-goroutine; build one index per worker.
-	nbu, nbv []graph.NodeID
 }
 
-// NewEdgeIndex builds the edge index for g.
+// NewEdgeIndex builds the edge index of all of g.
 func NewEdgeIndex(g graph.CSR) *EdgeIndex {
+	ix := new(EdgeIndex)
+	var nbr []graph.NodeID
+	ix.build(g, nil, &nbr, new(ws.TrussScratch))
+	return ix
+}
+
+// build indexes the subgraph of g induced by in (all of g when in is nil)
+// into sc's arrays. Two passes over the indexed rows: one to size them, one
+// that copies neighbours and numbers each edge at its lower endpoint u,
+// writing the ID into v's row at a per-row cursor — rows are visited in
+// ascending u, so v's lower neighbours arrive in row order.
+func (ix *EdgeIndex) build(g graph.CSR, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) {
 	n := g.NumNodes()
-	idx := &EdgeIndex{g: g, eid: make([]int32, 2*g.NumEdges())}
-	pos := 0
-	var next int32
-	// First pass: assign IDs to (u,v) with u < v in CSR order.
-	starts := make([]int, n)
-	for u := 0; u < n; u++ {
-		starts[u] = pos
-		for _, v := range g.NeighborsInto(&idx.nbu, graph.NodeID(u)) {
-			if graph.NodeID(u) < v {
-				idx.eid[pos] = next
-				idx.U = append(idx.U, graph.NodeID(u))
-				idx.V = append(idx.V, v)
+	off := ws.I32(sc.Off, n+1)
+	off[0] = 0
+	for v := 0; v < n; v++ {
+		d := 0
+		switch {
+		case in == nil:
+			d = g.Degree(graph.NodeID(v))
+		case in.Has(graph.NodeID(v)):
+			for _, u := range g.NeighborsInto(nbr, graph.NodeID(v)) {
+				if in.Has(u) {
+					d++
+				}
+			}
+		}
+		off[v+1] = off[v] + int32(d)
+	}
+	arcs := int(off[n])
+	adj, eid := ws.I32(sc.Adj, arcs), ws.I32(sc.Eid, arcs)
+	us, vs := ws.I32(sc.U, arcs/2), ws.I32(sc.V, arcs/2)
+	cur := ws.I32(sc.Hi, n) // next unfilled position of each row's lower half
+	copy(cur, off[:n])
+	next := int32(0)
+	for u := graph.NodeID(0); int(u) < n; u++ {
+		if off[u] == off[u+1] {
+			continue
+		}
+		p := off[u]
+		for _, v := range g.NeighborsInto(nbr, u) {
+			if in != nil && !in.Has(v) {
+				continue
+			}
+			adj[p] = v
+			if v > u {
+				us[next], vs[next] = u, v
+				eid[p] = next
+				eid[cur[v]] = next
+				cur[v]++
 				next++
 			}
-			pos++
+			p++
 		}
 	}
-	// Second pass: fill in the reverse directions by lookup.
-	pos = 0
-	for u := 0; u < n; u++ {
-		for _, v := range g.NeighborsInto(&idx.nbu, graph.NodeID(u)) {
-			if graph.NodeID(u) > v {
-				idx.eid[pos] = idx.eid[starts[v]+idx.findPos(v, graph.NodeID(u))]
-			}
-			pos++
-		}
-	}
-	return idx
-}
-
-// findPos returns the index of u within v's sorted neighbor list.
-func (ix *EdgeIndex) findPos(v, u graph.NodeID) int {
-	ns := ix.g.NeighborsInto(&ix.nbv, v)
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= u })
-	return i
+	sc.Off, sc.Hi, sc.Adj, sc.Eid, sc.U, sc.V = off, cur, adj, eid, us, vs
+	*ix = EdgeIndex{off: off, hi: cur, adj: adj, eid: eid, U: us, V: vs}
 }
 
 // NumEdges returns the number of undirected edges.
 func (ix *EdgeIndex) NumEdges() int { return len(ix.U) }
 
-// EdgeID returns the edge ID of (u,v) and whether the edge exists.
+// EdgeID returns the edge ID of (u,v) and whether the edge is indexed.
 func (ix *EdgeIndex) EdgeID(u, v graph.NodeID) (int32, bool) {
-	ns := ix.g.NeighborsInto(&ix.nbu, u)
+	lo := int(ix.off[u])
+	ns := ix.adj[lo:ix.off[u+1]]
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
 	if i >= len(ns) || ns[i] != v {
 		return 0, false
 	}
-	return ix.eid[int(ix.g.ListOffset(u))+i], true
+	return ix.eid[lo+i], true
 }
 
 // Supports counts, for every edge, the number of triangles it closes.
-func (ix *EdgeIndex) Supports() []int32 {
-	sup := make([]int32, ix.NumEdges())
-	g := ix.g
-	for e := range ix.U {
-		u, v := ix.U[e], ix.V[e]
-		nu := g.NeighborsInto(&ix.nbu, u)
-		nv := g.NeighborsInto(&ix.nbv, v)
-		i, j := 0, 0
-		for i < len(nu) && j < len(nv) {
-			switch {
-			case nu[i] == nv[j]:
-				sup[e]++
-				i++
-				j++
-			case nu[i] < nv[j]:
-				i++
-			default:
-				j++
+func (ix *EdgeIndex) Supports() []int32 { return ix.supportsInto(nil) }
+
+// supportsInto is Supports into sup's backing array. Each triangle u<v<w is
+// found once, at its edge (u,v), by merging what follows v in u's row with
+// the upper half of v's row, and credited to all three of its edges.
+func (ix *EdgeIndex) supportsInto(sup []int32) []int32 {
+	sup = ws.I32(sup, ix.NumEdges())
+	clear(sup)
+	adj, eid := ix.adj, ix.eid
+	for u := range ix.hi {
+		endU := ix.off[u+1]
+		for p := ix.hi[u]; p < endU; p++ {
+			v, e := adj[p], eid[p]
+			i, j, endV := p+1, ix.hi[v], ix.off[v+1]
+			for i < endU && j < endV {
+				a, b := adj[i], adj[j]
+				if a == b {
+					sup[e]++
+					sup[eid[i]]++
+					sup[eid[j]]++
+				}
+				i += b2i(a <= b)
+				j += b2i(a >= b)
 			}
 		}
 	}
 	return sup
+}
+
+// triangles appends to dst, for every common neighbour w of edge e = (u,v)
+// whose edges e1 = (u,w) and e2 = (v,w) are both alive, the pair e1, e2.
+func (ix *EdgeIndex) triangles(dst []int32, e int32, alive []bool) []int32 {
+	u, v := ix.U[e], ix.V[e]
+	nu, eu := ix.adj[ix.off[u]:ix.off[u+1]], ix.eid[ix.off[u]:ix.off[u+1]]
+	nv, ev := ix.adj[ix.off[v]:ix.off[v+1]], ix.eid[ix.off[v]:ix.off[v+1]]
+	i, j := 0, 0
+	for i < len(nu) && j < len(nv) {
+		a, b := nu[i], nv[j]
+		if a == b {
+			if e1, e2 := eu[i], ev[j]; alive[e1] && alive[e2] {
+				dst = append(dst, e1, e2)
+			}
+		}
+		i += int(b2i(a <= b))
+		j += int(b2i(a >= b))
+	}
+	return dst
+}
+
+// b2i is 1 for true, 0 for false; it compiles to a flag-set, not a branch.
+// The sorted-list merges advance with it: which of two lists is behind is a
+// coin flip the branch predictor loses at every step.
+func b2i(b bool) int32 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Decompose computes the trussness of every edge by support peeling: the
@@ -109,88 +177,77 @@ func (ix *EdgeIndex) Supports() []int32 {
 func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 	ix := NewEdgeIndex(g)
 	m := ix.NumEdges()
-	sup := ix.Supports()
+	cur := ix.Supports()
 	truss := make([]int32, m)
 
-	// Bucket queue on support.
+	// Bucket queue on support, lazily invalidated: an entry counts only
+	// while its edge is alive and still has that support.
 	maxSup := int32(0)
-	for _, s := range sup {
-		if s > maxSup {
-			maxSup = s
-		}
+	for _, s := range cur {
+		maxSup = max(maxSup, s)
 	}
 	buckets := make([][]int32, maxSup+1)
-	for e := 0; e < m; e++ {
-		buckets[sup[e]] = append(buckets[sup[e]], int32(e))
+	for e, s := range cur {
+		buckets[s] = append(buckets[s], int32(e))
 	}
-	removed := make([]bool, m)
-	cur := append([]int32(nil), sup...)
+	alive := make([]bool, m)
+	for e := range alive {
+		alive[e] = true
+	}
+	var tri []int32
 	k := int32(0)
-	processed := 0
-	for processed < m {
-		// Find the lowest non-empty bucket at or below current supports.
-		var e int32 = -1
-		for s := int32(0); s <= maxSup; s++ {
-			for len(buckets[s]) > 0 {
-				cand := buckets[s][len(buckets[s])-1]
-				buckets[s] = buckets[s][:len(buckets[s])-1]
-				if removed[cand] || cur[cand] != s {
-					continue
+	for processed := 0; processed < m; processed++ {
+		// Pop the lowest live entry. Supports are clamped at the current
+		// level k, so none sits below it.
+		e := int32(-1)
+		for s := k; s <= maxSup && e < 0; s++ {
+			b := buckets[s]
+			for len(b) > 0 && e < 0 {
+				if cand := b[len(b)-1]; alive[cand] && cur[cand] == s {
+					e = cand
 				}
-				e = cand
-				break
+				b = b[:len(b)-1]
 			}
-			if e >= 0 {
-				break
-			}
+			buckets[s] = b
 		}
 		if e < 0 {
 			break
 		}
-		if cur[e] > k {
-			k = cur[e]
-		}
+		k = max(k, cur[e])
 		truss[e] = k + 2
-		removed[e] = true
-		processed++
-		u, v := ix.U[e], ix.V[e]
-		// Decrement supports of edges forming triangles with e.
-		forEachTriangle(ix, removed, u, v, func(e1, e2 int32) {
-			for _, t := range [2]int32{e1, e2} {
-				if cur[t] > k {
-					cur[t]--
-					buckets[cur[t]] = append(buckets[cur[t]], t)
-				}
+		alive[e] = false
+		tri = ix.triangles(tri[:0], e, alive)
+		for _, t := range tri {
+			if cur[t] > k {
+				cur[t]--
+				buckets[cur[t]] = append(buckets[cur[t]], t)
 			}
-		})
+		}
 	}
 	return ix, truss
 }
 
-// forEachTriangle calls fn(e1,e2) for every common neighbor w of u and v such
-// that edges e1=(u,w) and e2=(v,w) are not removed.
-func forEachTriangle(ix *EdgeIndex, removed []bool, u, v graph.NodeID, fn func(e1, e2 int32)) {
-	g := ix.g
-	nu := g.NeighborsInto(&ix.nbu, u)
-	nv := g.NeighborsInto(&ix.nbv, v)
-	baseU, baseV := int(g.ListOffset(u)), int(g.ListOffset(v))
-	i, j := 0, 0
-	for i < len(nu) && j < len(nv) {
-		switch {
-		case nu[i] == nv[j]:
-			e1 := ix.eid[baseU+i]
-			e2 := ix.eid[baseV+j]
-			if !removed[e1] && !removed[e2] {
-				fn(e1, e2)
-			}
-			i++
-			j++
-		case nu[i] < nv[j]:
-			i++
-		default:
-			j++
-		}
+// MaximalSub returns the maintenance structure over the maximal connected
+// k-truss of g containing q, or nil if q has no edge in any k-truss. Its
+// members come in BFS order from q over the truss's edges.
+//
+// Every node of a k-truss has k−1 neighbours inside it, so the truss lies
+// within q's connected (k−1)-core: the O(m) core peel runs first, answers
+// "none" before any triangle is looked at when q is not in that core, and
+// otherwise leaves only the core's component to index, count and peel. All
+// storage is w's (w.Truss, plus the core peel's scratch): the returned Sub
+// is valid until the next k-truss extraction on w or w's release.
+func MaximalSub(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) *Sub {
+	core := kcore.MaximalConnectedKCoreInto(w.Nodes[:0], g, q, k-1, w)
+	if core == nil {
+		return nil
 	}
+	w.Nodes = core[:0]
+	w.Member.Reset(g.NumNodes())
+	for _, v := range core {
+		w.Member.Add(v)
+	}
+	return build(g, q, k, &w.Member, &w.NbrA, &w.Truss)
 }
 
 // MaximalConnectedKTruss returns the node set of the maximal connected
@@ -203,42 +260,15 @@ func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
 }
 
 // MaximalConnectedKTrussInto is MaximalConnectedKTruss appending to dst,
-// with the traversal's visited set drawn from w. The edge index and support
-// peeling still allocate (trussness is an index-building computation); the
-// workspace removes the per-call visited array. Returns nil when q has no
-// qualifying edge.
+// with all working storage drawn from w: the members of MaximalSub, for
+// callers that want the node set and not the maintainer. Returns nil when q
+// has no qualifying edge.
 func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	ix, truss := Decompose(g)
-	inTruss := func(u, v graph.NodeID) bool {
-		e, ok := ix.EdgeID(u, v)
-		return ok && int(truss[e]) >= k
-	}
-	// q qualifies only if it has at least one qualifying edge.
-	hasEdge := false
-	for _, u := range g.NeighborsInto(&w.NbrA, q) {
-		if inTruss(q, u) {
-			hasEdge = true
-			break
-		}
-	}
-	if !hasEdge {
+	s := MaximalSub(g, q, k, w)
+	if s == nil {
 		return nil
 	}
-	// BFS from q over qualifying edges.
-	w.Visited.Reset(g.NumNodes())
-	w.Visited.Add(q)
-	start := len(dst)
-	dst = append(dst, q)
-	for i := start; i < len(dst); i++ {
-		v := dst[i]
-		for _, u := range g.NeighborsInto(&w.NbrA, v) {
-			if !w.Visited.Has(u) && inTruss(v, u) {
-				w.Visited.Add(u)
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return append(dst, s.universe...)
 }
 
 // InKTrussSet reports whether members is a valid connected k-truss

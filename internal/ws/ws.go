@@ -8,13 +8,14 @@
 // A Workspace bundles every scratch structure the hot loops need — epoch-
 // stamped visited/membership sets (graph.NodeSet: reset by epoch bump, not
 // reallocation), a best-first frontier heap, weighted-sampling key arrays,
-// int32 quadruples for the bin-sort core decomposition, and a
-// graph.SubScratch that writes induced CSR subgraphs into preallocated
-// arrays. Workspaces are recycled through a sync.Pool: a search borrows one
-// with Get, threads it through sampling → extraction → estimation, and
-// returns it with Release, so steady-state query traffic runs with ~zero
-// allocations in the substrate operations (see BenchmarkSubstrate* at the
-// repository root).
+// int32 quadruples for the bin-sort core decomposition, a graph.SubScratch
+// that writes induced CSR subgraphs into preallocated arrays, and a
+// TrussScratch holding the edge index, supports, peel state and rollback
+// logs of the k-truss round. Workspaces are recycled through a bounded free
+// list: a search borrows one with Get, threads it through sampling →
+// extraction → estimation, and returns it with Release, so steady-state
+// query traffic runs with ~zero allocations in the substrate operations (see
+// BenchmarkSubstrate* at the repository root).
 //
 // The package also hosts ForRange, the bounded parallel-for used by the
 // embarrassingly-parallel inner stages (BLB bag resamples, the peel loop's
@@ -78,15 +79,68 @@ type Workspace struct {
 
 	// Sub builds induced CSR subgraphs into preallocated arrays.
 	Sub graph.SubScratch
+
+	// Truss backs the k-truss extraction and the maintainer it returns.
+	Truss TrussScratch
 }
 
-var pool = sync.Pool{New: func() any { return new(Workspace) }}
+// TrussScratch holds every array of one k-truss extraction and of the
+// maintainer built from it (truss.Sub): the edge index over the indexed
+// nodes, the per-edge peel state, and the maintainer's stack and rollback
+// logs. Like graph.SubScratch, one scratch backs one live structure at a
+// time — the next extraction on it overwrites the previous maintainer. The
+// zero value is ready to use; package truss owns the layout.
+type TrussScratch struct {
+	Off, Hi []int32        // per node: row start (n+1 entries), first higher-neighbour position
+	Adj     []graph.NodeID // indexed neighbours, row by row, ascending
+	Eid     []int32        // edge ID of each Adj entry
+	U, V    []graph.NodeID // endpoints per edge, U < V
 
-// Get borrows a Workspace from the pool.
-func Get() *Workspace { return pool.Get().(*Workspace) }
+	Sup     []int32 // per edge: triangles among alive edges
+	Alive   []bool  // per edge
+	NodeDeg []int32 // per node: alive incident edges
+	Mark    []bool  // per node: component marks, all false between calls
 
-// Release returns w to the pool. The caller must not use w afterwards.
-func (w *Workspace) Release() { pool.Put(w) }
+	Universe []graph.NodeID // the maintainer's member order
+	Stack    []int32        // peel work stack of edge IDs
+	Tri      []int32        // partner pairs of the triangles through one edge
+	Log      []int32        // removed edges of every open RemoveCascade, flat
+	Marks    [][2]int32     // per open RemoveCascade: offset into Log, nodes removed
+	Comp     []graph.NodeID // BFS queue of the query's component
+}
+
+// free holds the released workspaces, as many as the engine runs searches at
+// once by default (2 per processor). It is not a sync.Pool because a
+// sync.Pool forgets: what sits in it through two collections is dropped, and
+// what one processor parked in its private slot a search starting on another
+// cannot see. A search that draws an empty Workspace grows every array again
+// from nothing — ~2 MB of fresh pages on an 8 000-node graph — and how often
+// that happened followed the collector's pace, not the traffic: under mixed
+// read/write load on a 15 MB heap (a collection every 50 ms) 7% of the
+// searches started empty, and a 20 s run took between 132 000 and 344 000
+// page faults; with the free list, 74 000–103 000. The price is that up to
+// cap(free) workspaces, each as large as the largest search it served, stay
+// resident for the life of the process.
+var free = make(chan *Workspace, 2*runtime.GOMAXPROCS(0))
+
+// Get borrows a Workspace from the free list, or makes one when it is empty.
+func Get() *Workspace {
+	select {
+	case w := <-free:
+		return w
+	default:
+		return new(Workspace)
+	}
+}
+
+// Release returns w to the free list; beyond its capacity w is left to the
+// collector. The caller must not use w afterwards.
+func (w *Workspace) Release() {
+	select {
+	case free <- w:
+	default:
+	}
+}
 
 // I32 returns buf resized to n, reusing its backing array when it is large
 // enough. Contents are not cleared.
