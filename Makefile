@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-substrate bench-module bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
+.PHONY: build test race loc bench bench-substrate bench-module bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines outside the frozen benchmark/ module (and its build
+# directory): the one number every simplicity PR reports, counted one way.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l
 
 # One iteration of every benchmark: a smoke test, not a measurement.
 bench:

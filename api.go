@@ -17,6 +17,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/hetgraph"
+	"repro/internal/httpapi"
 	"repro/internal/kcore"
 	"repro/internal/mutate"
 	"repro/internal/query"
@@ -229,7 +230,7 @@ func NewEngine(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.
 // nodes), /compare (one Request replayed through several methods side by
 // side), /healthz and /stats. cmd/seaserve wires it to flags and a
 // listener.
-func NewHTTPHandler(e *Engine) http.Handler { return engine.NewHTTPHandler(e) }
+func NewHTTPHandler(e *Engine) http.Handler { return httpapi.New(httpapi.EngineRoutes(e), nil) }
 
 // Snapshot is the reopened serving state of a packed dataset: the graph
 // and, when the snapshot carried one, the precomputed index.
@@ -399,7 +400,7 @@ func LoadCatalogManifest(path string) (*CatalogManifest, error) { return catalog
 // Catalog: the full engine query surface routed by the wire request's
 // "graph" field, plus /graphs (list + stats) and /admin/reload (hot-swap).
 func NewCatalogHTTPHandler(c *Catalog, base EngineConfig) http.Handler {
-	return catalog.NewHTTPHandler(c, base)
+	return httpapi.New(httpapi.CatalogRoutes(c, base), nil)
 }
 
 // ErrReplicaResync reports a replication cursor the primary cannot serve a
@@ -469,14 +470,20 @@ func QueryMetricsHeader() []string { return engine.QueryMetricsHeader() }
 type EngineStats = engine.Stats
 
 // LatencyStats is a point-in-time snapshot of every stage-latency histogram
-// an Engine records (Engine.Latency): full bucket resolution, mergeable
-// across engines, digestible to percentiles via Summary.
+// an Engine records (Engine.Latency), at full bucket resolution: an array
+// indexed like LatencyStages, digestible to percentiles via Summary.
 type LatencyStats = engine.LatencyStats
 
-// LatencySummary is the flat JSON percentile digest of LatencyStats
-// (count/mean/p50/p90/p99/p999/max in microseconds per stage) served under
-// "latency" by GET /stats.
+// LatencySummary is the percentile digest of LatencyStats
+// (count/mean/p50/p90/p99/p999/max in microseconds per stage), indexed like
+// LatencyStages; it marshals as (and decodes from) the JSON object served
+// under "latency" by GET /stats, keyed by LatencyStages[·].Key.
 type LatencySummary = engine.LatencySummary
+
+// LatencyStages describes each index of LatencyStats and LatencySummary:
+// the stage's /stats key and the Prometheus family (name, help) and label
+// of its /metrics series.
+var LatencyStages = engine.Stages
 
 // EngineSpan is one request's trace record (correlation id, dataset, start
 // timestamp, per-stage metrics) as kept in the engine's trace ring and

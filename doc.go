@@ -75,7 +75,12 @@
 // deadline instead of holding it until the search finishes on its own.
 // NewHTTPHandler exposes an engine over HTTP: /search and /batch speak the
 // Request JSON form, and /compare replays one Request through several
-// methods side by side.
+// methods side by side. The engine itself knows nothing about HTTP: every
+// handler of a node (this one, NewCatalogHTTPHandler, NewClusterNodeHandler)
+// is built by internal/httpapi from one route table of (method, path,
+// handler, write-fenced) rows, whose dispatcher echoes X-Request-ID, answers
+// 405 + Allow for a method a path has no row for, and holds the follower
+// write fence.
 //
 // # Snapshots
 //
@@ -119,8 +124,9 @@
 // NewCatalog builds a named registry of datasets, each backed by its own
 // Engine, for servers that mount several graphs at once. Request routing
 // is the Request.Graph field on the wire (empty = the default dataset);
-// NewCatalogHTTPHandler serves the full query surface routed per dataset,
-// plus /graphs (list, shape, per-engine stats) and /admin/reload
+// NewCatalogHTTPHandler serves the full query surface routed per dataset
+// (the same route table with the catalog's rows appended), plus /graphs
+// (list, shape, per-engine stats) and /admin/reload
 // (hot-swap: the new snapshot loads and validates off to the side, one
 // atomic pointer flip publishes it, in-flight queries drain on the old
 // engine while new ones hit the new snapshot — a corrupt file never
@@ -228,15 +234,17 @@
 // latency histogram (atomic log-bucketed counters, ≤25% bucket width,
 // exact count and sum) whose record path is three atomic adds, recorded
 // unconditionally on every stage of every request. Snapshots are immutable
-// and mergeable — one shared bucket layout, so per-engine, per-dataset and
-// client-side measurements aggregate identically — and estimate
-// percentiles by interpolation. The engine keeps a histogram per read
-// stage (admission, distance, search; whole-request split by
-// hit/miss/coalesced outcome) and per mutation stage (apply, journal
-// append, scoped invalidation); the router measures per-shard scatter
-// latency and fan-out width. GET /metrics renders them as Prometheus
-// histogram families (cumulative le buckets, _sum, _count — validated by
-// the strict parser obs.CheckExposition), GET /stats digests them to JSON
+// (one shared bucket layout) and estimate percentiles by interpolation.
+// The engine keeps a histogram per read stage (admission, distance, search;
+// whole-request split by hit/miss/coalesced/shed outcome) and per mutation
+// stage (apply, journal append, scoped invalidation) in one array indexed
+// by stage; one table (LatencyStages) gives each stage its /stats key and
+// its /metrics family and label, so a new stage is one constant and one
+// row. The router measures per-shard scatter latency and fan-out width.
+// GET /metrics renders them as Prometheus histogram families (cumulative le
+// buckets, _sum, _count — every family of every endpoint through the one
+// obs.FamilyWriter, validated by the strict parser obs.CheckExposition),
+// GET /stats digests them to JSON
 // percentiles, and GET /debug/trace?n= returns the newest spans from a
 // fixed-size trace ring (request id, stage timings, cache provenance;
 // served-by and scatter width at the router). A slow-query log

@@ -71,6 +71,14 @@ func (d *Dataset) Engine() *engine.Engine { return d.eng.Load() }
 // Name returns the dataset's catalog name.
 func (d *Dataset) Name() string { return d.name }
 
+// Swaps returns how many hot-swaps the dataset has taken since mount — its
+// replication lineage.
+func (d *Dataset) Swaps() uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.swaps
+}
+
 // Info is the describable state of a mounted dataset.
 type Info struct {
 	Name    string `json:"name"`
@@ -314,7 +322,7 @@ func (c *Catalog) datasetLocked(name string) (*Dataset, error) {
 }
 
 // Resolve maps a dataset name (empty = default) to its current engine; it is
-// the engine.Resolver of this catalog, so one grab serves one request.
+// the httpapi.Resolver of this catalog, so one grab serves one request.
 func (c *Catalog) Resolve(name string) (*engine.Engine, error) {
 	d, err := c.dataset(name)
 	if err != nil {

@@ -1,17 +1,12 @@
 package catalog
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -271,88 +266,6 @@ func TestConcurrentQueryMutateCompact(t *testing.T) {
 	}
 }
 
-func TestMutateHTTP(t *testing.T) {
-	snapPath, journalPath := liveFixture(t)
-	c := New()
-	if _, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewHTTPHandler(c, engine.DefaultConfig()))
-	defer srv.Close()
-
-	post := func(path, body string) (*http.Response, string) {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		return resp, buf.String()
-	}
-
-	// Before: no 3-core around node 4 (degree 0-ish).
-	resp, body := post("/search", `{"q":4,"method":"structural","k":3}`)
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pre-mutation search: %d %s", resp.StatusCode, body)
-	}
-
-	resp, body = post("/admin/mutate",
-		`{"graph":"g","deltas":[{"op":"add_edge","u":4,"v":0},{"op":"add_edge","u":4,"v":1},{"op":"add_edge","u":4,"v":2}]}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate: %d %s", resp.StatusCode, body)
-	}
-	var mres MutateResult
-	if err := json.Unmarshal([]byte(body), &mres); err != nil {
-		t.Fatal(err)
-	}
-	if mres.Applied != 3 || mres.Journaled != 1 {
-		t.Fatalf("mutate response %+v", mres)
-	}
-
-	// After: the mutation is visible, zero swaps (no hot-swap happened).
-	resp, body = post("/search", `{"q":4,"method":"structural","k":3}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-mutation search: %d %s", resp.StatusCode, body)
-	}
-	for _, info := range c.Infos() {
-		if info.Swaps != 0 || info.Version != 1 || info.JournalBatches != 1 {
-			t.Fatalf("info %+v", info)
-		}
-	}
-
-	resp, body = post("/admin/compact", `{"graph":"g"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compact: %d %s", resp.StatusCode, body)
-	}
-	var cres CompactResult
-	if err := json.Unmarshal([]byte(body), &cres); err != nil {
-		t.Fatal(err)
-	}
-	if cres.BatchesFolded != 1 {
-		t.Fatalf("compact response %+v", cres)
-	}
-
-	// Malformed and rejected batches.
-	if resp, _ := post("/admin/mutate", `{"graph":"g","deltas":[]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty deltas: %d", resp.StatusCode)
-	}
-	if resp, _ := post("/admin/mutate", `{"graph":"g","deltas":[{"op":"add_edge","u":4,"v":4}]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("self-loop: %d", resp.StatusCode)
-	}
-	if resp, _ := post("/admin/mutate", `{"graph":"nope","deltas":[{"op":"add_edge","u":1,"v":5}]}`); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown graph: %d", resp.StatusCode)
-	}
-	if resp, _ := post("/admin/mutate", `{"graph":"g","deltas":[{"op":"warp","u":1}]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown op: %d", resp.StatusCode)
-	}
-	// A delta with "op" omitted must be rejected, not applied as add_edge.
-	if resp, _ := post("/admin/mutate", `{"graph":"g","deltas":[{"u":1,"v":5}]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("missing op: %d", resp.StatusCode)
-	}
-}
-
 // TestTextSourceCompactionSurvivesReboot mounts a journaled *text* source,
 // compacts (which writes the sidecar path+".snap"), and proves a reboot
 // with the same flags serves the compacted state instead of silently
@@ -433,50 +346,5 @@ func TestAddNodeKeepsDistVectorsWarm(t *testing.T) {
 	}
 	if res.DistsExtended != 1 {
 		t.Fatalf("DistsExtended = %d, want 1", res.DistsExtended)
-	}
-}
-
-// TestBodyLimits exercises the MaxBytesReader + trailing-garbage hardening
-// across the admin and query decoders.
-func TestBodyLimits(t *testing.T) {
-	snapPath, journalPath := liveFixture(t)
-	c := New()
-	if _, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewHTTPHandler(c, engine.DefaultConfig()))
-	defer srv.Close()
-
-	huge := `{"graph":"g","deltas":[{"op":"add_node","text":["` +
-		strings.Repeat("x", engine.MaxBodyBytes+1024) + `"]}]}`
-	for _, path := range []string{"/admin/mutate", "/admin/reload", "/search", "/batch", "/compare"} {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(huge))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s oversized body: %d, want 413", path, resp.StatusCode)
-		}
-	}
-	for _, path := range []string{"/admin/mutate", "/admin/compact", "/admin/reload", "/search"} {
-		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(`{"q":1} trailing-garbage`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s trailing garbage: %d, want 400", path, resp.StatusCode)
-		}
-	}
-	// Concatenated JSON values are garbage too.
-	resp, err := http.Post(srv.URL+"/search", "application/json", strings.NewReader(`{"q":1}{"q":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("concatenated bodies: %d, want 400", resp.StatusCode)
 	}
 }

@@ -8,154 +8,102 @@ package catalog
 // the whole catalog.
 
 import (
-	"fmt"
 	"io"
 
-	"repro/internal/commit"
 	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
-// metricsContentType is the Content-Type of the /metrics exposition.
-const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// promFamily is one metric family: name, type, help, and a value per
-// dataset.
-type promFamily struct {
-	name  string
-	typ   string // "counter" or "gauge"
-	help  string
+// family is one metric family of the node's /metrics: name, type, help, and
+// how a dataset's Info yields its series.
+type family struct {
+	name string
+	typ  string // "counter", "gauge" or "histogram"
+	help string
+	// value is the sample of a counter or gauge family.
 	value func(Info) float64
-}
-
-var promFamilies = []promFamily{
-	{"sea_queries_total", "counter", "Search/batch requests accepted.",
-		func(i Info) float64 { return float64(i.Stats.Queries) }},
-	{"sea_search_runs_total", "counter", "Searches actually executed (cache and admission misses).",
-		func(i Info) float64 { return float64(i.Stats.SearchRuns) }},
-	{"sea_coalesced_total", "counter", "Requests that joined an identical in-flight query.",
-		func(i Info) float64 { return float64(i.Stats.Coalesced) }},
-	{"sea_index_rejects_total", "counter", "Requests rejected by the shared admission index without a search.",
-		func(i Info) float64 { return float64(i.Stats.IndexRejects) }},
-	{"sea_errors_total", "counter", "Requests that returned an error.",
-		func(i Info) float64 { return float64(i.Stats.Errors) }},
-	{"sea_shed_total", "counter", "Requests shed by MaxInFlight admission control (429).",
-		func(i Info) float64 { return float64(i.Stats.Shed) }},
-	{"sea_result_cache_hits_total", "counter", "Result cache hits.",
-		func(i Info) float64 { return float64(i.Stats.ResultHits) }},
-	{"sea_result_cache_misses_total", "counter", "Result cache misses.",
-		func(i Info) float64 { return float64(i.Stats.ResultMisses) }},
-	{"sea_result_cache_evictions_total", "counter", "Result cache evictions.",
-		func(i Info) float64 { return float64(i.Stats.ResultEvictions) }},
-	{"sea_result_cache_entries", "gauge", "Result cache occupancy.",
-		func(i Info) float64 { return float64(i.Stats.ResultEntries) }},
-	{"sea_dist_cache_hits_total", "counter", "Distance-vector cache hits.",
-		func(i Info) float64 { return float64(i.Stats.DistHits) }},
-	{"sea_dist_cache_misses_total", "counter", "Distance-vector cache misses.",
-		func(i Info) float64 { return float64(i.Stats.DistMisses) }},
-	{"sea_dist_cache_evictions_total", "counter", "Distance-vector cache evictions.",
-		func(i Info) float64 { return float64(i.Stats.DistEvictions) }},
-	{"sea_dist_cache_entries", "gauge", "Distance-vector cache occupancy.",
-		func(i Info) float64 { return float64(i.Stats.DistEntries) }},
-	{"sea_mutations_total", "counter", "Applied mutation batches.",
-		func(i Info) float64 { return float64(i.Stats.Mutations) }},
-	{"sea_deltas_applied_total", "counter", "Applied mutation deltas.",
-		func(i Info) float64 { return float64(i.Stats.DeltasApplied) }},
-	{"sea_result_invalidations_total", "counter", "Result cache entries dropped by scoped invalidation.",
-		func(i Info) float64 { return float64(i.Stats.ResultInvalidations) }},
-	{"sea_dist_invalidations_total", "counter", "Distance vectors dropped by scoped invalidation.",
-		func(i Info) float64 { return float64(i.Stats.DistInvalidations) }},
-	{"sea_dist_extensions_total", "counter", "Distance vectors extended in place for appended nodes.",
-		func(i Info) float64 { return float64(i.Stats.DistExtensions) }},
-	{"sea_graph_version", "gauge", "Graph generation (mutation batches applied since mount); the replication cursor.",
-		func(i Info) float64 { return float64(i.Version) }},
-	{"sea_graph_nodes", "gauge", "Nodes in the served graph.",
-		func(i Info) float64 { return float64(i.Nodes) }},
-	{"sea_graph_edges", "gauge", "Edges in the served graph.",
-		func(i Info) float64 { return float64(i.Edges) }},
-	{"sea_swaps_total", "counter", "Hot-swaps (lineage changes) since mount.",
-		func(i Info) float64 { return float64(i.Swaps) }},
-	{"sea_journal_seq", "gauge", "Last written journal sequence number (0 when unjournaled or freshly compacted).",
-		func(i Info) float64 { return float64(i.JournalSeq) }},
-	{"sea_journal_batches", "gauge", "Journal batches awaiting compaction.",
-		func(i Info) float64 { return float64(i.JournalBatches) }},
-	{"sea_mapped_bytes", "gauge", "Size of the zero-copy snapshot mapping backing the dataset (0 for heap mounts).",
-		func(i Info) float64 { return float64(i.MappedBytes) }},
-	{"sea_commit_submitted_total", "counter", "Delta groups accepted onto the group-commit queue.",
-		func(i Info) float64 { return float64(i.Commit.Submitted) }},
-	{"sea_commit_shed_total", "counter", "Delta groups shed by commit-queue backpressure (429).",
-		func(i Info) float64 { return float64(i.Commit.Shed) }},
-	{"sea_commit_flushes_total", "counter", "Group-commit flushes (one journal record and one engine generation each).",
-		func(i Info) float64 { return float64(i.Commit.Flushes) }},
-	{"sea_commit_failures_total", "counter", "Delta groups whose commit flush failed.",
-		func(i Info) float64 { return float64(i.Commit.Failures) }},
-	{"sea_commit_queue_depth", "gauge", "Instantaneous commit-queue occupancy.",
-		func(i Info) float64 { return float64(i.Commit.QueueDepth) }},
-}
-
-// commitHistFamilies are the group-commit batcher's distributions: the
-// batch-size histogram is unit-less (groups per flush, scale 1); the
-// queue-wait and flush histograms observe nanoseconds and expose seconds.
-var commitHistFamilies = []struct {
-	name  string
-	help  string
+	// hist and scale are the one series of a histogram family.
+	hist  func(Info) obs.Snapshot
 	scale float64
-	snap  func(commit.Stats) obs.Snapshot
-}{
-	{"sea_commit_batch_size", "Delta groups coalesced per group-commit flush.", 1,
-		func(s commit.Stats) obs.Snapshot { return s.BatchSize }},
-	{"sea_commit_queue_wait_seconds", "Wait from commit-queue enqueue to flush start.", 1e-9,
-		func(s commit.Stats) obs.Snapshot { return s.QueueWait }},
-	{"sea_commit_flush_seconds", "Whole group-commit flush: batched apply, journal append, result fan-out.", 1e-9,
-		func(s commit.Stats) obs.Snapshot { return s.FlushLat }},
+	// stages marks where the engine's stage families render (writeStages).
+	stages bool
 }
 
-// histFamily is one histogram metric family: name, help, and the labelled
-// stage snapshots it exposes per dataset. Observations are nanoseconds;
-// exposition scales them to the conventional seconds.
-type histFamily struct {
-	name   string
-	help   string
-	series func(engine.LatencyStats) []histSeries
-}
-
-type histSeries struct {
-	label string // the value of the family's discriminating label
-	snap  obs.Snapshot
-}
-
-var histFamilies = []struct {
-	histFamily
-	label string // discriminating label name ("stage" or "outcome")
-}{
-	{histFamily{"sea_query_stage_latency_seconds",
-		"Per-stage read-path latency: shared-index admission, distance-vector fetch/compute, search execution.",
-		func(l engine.LatencyStats) []histSeries {
-			return []histSeries{
-				{"admission", l.Admission},
-				{"distance", l.Distance},
-				{"search", l.Search},
-			}
-		}}, "stage"},
-	{histFamily{"sea_query_latency_seconds",
-		"Whole-request latency by outcome: result-cache hit, computed miss, coalesced join, admission shed.",
-		func(l engine.LatencyStats) []histSeries {
-			return []histSeries{
-				{"hit", l.TotalHit},
-				{"miss", l.TotalMiss},
-				{"coalesced", l.TotalCoalesced},
-				{"shed", l.TotalShed},
-			}
-		}}, "outcome"},
-	{histFamily{"sea_mutation_stage_latency_seconds",
-		"Per-stage write-path latency: delta apply (fold+materialize+index), journal append (fsync included), scoped cache invalidation.",
-		func(l engine.LatencyStats) []histSeries {
-			return []histSeries{
-				{"apply", l.MutateApply},
-				{"journal_append", l.MutateJournal},
-				{"invalidate", l.MutateInvalidate},
-			}
-		}}, "stage"},
+var families = []family{
+	{name: "sea_queries_total", typ: "counter", help: "Search/batch requests accepted.",
+		value: func(i Info) float64 { return float64(i.Stats.Queries) }},
+	{name: "sea_search_runs_total", typ: "counter", help: "Searches actually executed (cache and admission misses).",
+		value: func(i Info) float64 { return float64(i.Stats.SearchRuns) }},
+	{name: "sea_coalesced_total", typ: "counter", help: "Requests that joined an identical in-flight query.",
+		value: func(i Info) float64 { return float64(i.Stats.Coalesced) }},
+	{name: "sea_index_rejects_total", typ: "counter", help: "Requests rejected by the shared admission index without a search.",
+		value: func(i Info) float64 { return float64(i.Stats.IndexRejects) }},
+	{name: "sea_errors_total", typ: "counter", help: "Requests that returned an error.",
+		value: func(i Info) float64 { return float64(i.Stats.Errors) }},
+	{name: "sea_shed_total", typ: "counter", help: "Requests shed by MaxInFlight admission control (429).",
+		value: func(i Info) float64 { return float64(i.Stats.Shed) }},
+	{name: "sea_result_cache_hits_total", typ: "counter", help: "Result cache hits.",
+		value: func(i Info) float64 { return float64(i.Stats.ResultHits) }},
+	{name: "sea_result_cache_misses_total", typ: "counter", help: "Result cache misses.",
+		value: func(i Info) float64 { return float64(i.Stats.ResultMisses) }},
+	{name: "sea_result_cache_evictions_total", typ: "counter", help: "Result cache evictions.",
+		value: func(i Info) float64 { return float64(i.Stats.ResultEvictions) }},
+	{name: "sea_result_cache_entries", typ: "gauge", help: "Result cache occupancy.",
+		value: func(i Info) float64 { return float64(i.Stats.ResultEntries) }},
+	{name: "sea_dist_cache_hits_total", typ: "counter", help: "Distance-vector cache hits.",
+		value: func(i Info) float64 { return float64(i.Stats.DistHits) }},
+	{name: "sea_dist_cache_misses_total", typ: "counter", help: "Distance-vector cache misses.",
+		value: func(i Info) float64 { return float64(i.Stats.DistMisses) }},
+	{name: "sea_dist_cache_evictions_total", typ: "counter", help: "Distance-vector cache evictions.",
+		value: func(i Info) float64 { return float64(i.Stats.DistEvictions) }},
+	{name: "sea_dist_cache_entries", typ: "gauge", help: "Distance-vector cache occupancy.",
+		value: func(i Info) float64 { return float64(i.Stats.DistEntries) }},
+	{name: "sea_mutations_total", typ: "counter", help: "Applied mutation batches.",
+		value: func(i Info) float64 { return float64(i.Stats.Mutations) }},
+	{name: "sea_deltas_applied_total", typ: "counter", help: "Applied mutation deltas.",
+		value: func(i Info) float64 { return float64(i.Stats.DeltasApplied) }},
+	{name: "sea_result_invalidations_total", typ: "counter", help: "Result cache entries dropped by scoped invalidation.",
+		value: func(i Info) float64 { return float64(i.Stats.ResultInvalidations) }},
+	{name: "sea_dist_invalidations_total", typ: "counter", help: "Distance vectors dropped by scoped invalidation.",
+		value: func(i Info) float64 { return float64(i.Stats.DistInvalidations) }},
+	{name: "sea_dist_extensions_total", typ: "counter", help: "Distance vectors extended in place for appended nodes.",
+		value: func(i Info) float64 { return float64(i.Stats.DistExtensions) }},
+	{name: "sea_graph_version", typ: "gauge", help: "Graph generation (mutation batches applied since mount); the replication cursor.",
+		value: func(i Info) float64 { return float64(i.Version) }},
+	{name: "sea_graph_nodes", typ: "gauge", help: "Nodes in the served graph.",
+		value: func(i Info) float64 { return float64(i.Nodes) }},
+	{name: "sea_graph_edges", typ: "gauge", help: "Edges in the served graph.",
+		value: func(i Info) float64 { return float64(i.Edges) }},
+	{name: "sea_swaps_total", typ: "counter", help: "Hot-swaps (lineage changes) since mount.",
+		value: func(i Info) float64 { return float64(i.Swaps) }},
+	{name: "sea_journal_seq", typ: "gauge", help: "Last written journal sequence number (0 when unjournaled or freshly compacted).",
+		value: func(i Info) float64 { return float64(i.JournalSeq) }},
+	{name: "sea_journal_batches", typ: "gauge", help: "Journal batches awaiting compaction.",
+		value: func(i Info) float64 { return float64(i.JournalBatches) }},
+	{name: "sea_mapped_bytes", typ: "gauge", help: "Size of the zero-copy snapshot mapping backing the dataset (0 for heap mounts).",
+		value: func(i Info) float64 { return float64(i.MappedBytes) }},
+	{name: "sea_commit_submitted_total", typ: "counter", help: "Delta groups accepted onto the group-commit queue.",
+		value: func(i Info) float64 { return float64(i.Commit.Submitted) }},
+	{name: "sea_commit_shed_total", typ: "counter", help: "Delta groups shed by commit-queue backpressure (429).",
+		value: func(i Info) float64 { return float64(i.Commit.Shed) }},
+	{name: "sea_commit_flushes_total", typ: "counter", help: "Group-commit flushes (one journal record and one engine generation each).",
+		value: func(i Info) float64 { return float64(i.Commit.Flushes) }},
+	{name: "sea_commit_failures_total", typ: "counter", help: "Delta groups whose commit flush failed.",
+		value: func(i Info) float64 { return float64(i.Commit.Failures) }},
+	{name: "sea_commit_queue_depth", typ: "gauge", help: "Instantaneous commit-queue occupancy.",
+		value: func(i Info) float64 { return float64(i.Commit.QueueDepth) }},
+	// The engine's stage histograms: families, help text and series all come
+	// from engine.Stages, so this table has no row per stage family.
+	{stages: true},
+	// The group-commit batcher's distributions: the batch-size histogram is
+	// unit-less (groups per flush, scale 1); the queue-wait and flush
+	// histograms observe nanoseconds and expose seconds.
+	{name: "sea_commit_batch_size", typ: "histogram", help: "Delta groups coalesced per group-commit flush.",
+		hist: func(i Info) obs.Snapshot { return i.Commit.BatchSize }, scale: 1},
+	{name: "sea_commit_queue_wait_seconds", typ: "histogram", help: "Wait from commit-queue enqueue to flush start.",
+		hist: func(i Info) obs.Snapshot { return i.Commit.QueueWait }, scale: 1e-9},
+	{name: "sea_commit_flush_seconds", typ: "histogram", help: "Whole group-commit flush: batched apply, journal append, result fan-out.",
+		hist: func(i Info) obs.Snapshot { return i.Commit.FlushLat }, scale: 1e-9},
 }
 
 // WriteMetrics renders the datasets' serving counters and latency
@@ -163,35 +111,42 @@ var histFamilies = []struct {
 // sample (or histogram labelset) per dataset per family with the dataset
 // name as the graph label.
 func WriteMetrics(w io.Writer, infos []Info) error {
-	for _, f := range promFamilies {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ); err != nil {
-			return err
+	fw := obs.NewFamilyWriter(w)
+	for _, f := range families {
+		if f.stages {
+			writeStages(fw, infos)
+			continue
 		}
+		fw.Family(f.name, f.typ, f.help)
 		for _, info := range infos {
-			if _, err := fmt.Fprintf(w, "%s{graph=\"%s\"} %g\n",
-				f.name, obs.EscapeLabel(info.Name), f.value(info)); err != nil {
-				return err
+			graph := obs.Label{Name: "graph", Value: info.Name}
+			if f.value != nil {
+				fw.Sample(f.value(info), graph)
+			} else {
+				fw.Histogram(f.hist(info), f.scale, graph)
 			}
 		}
 	}
-	for _, f := range histFamilies {
-		obs.WriteHistogramHeader(w, f.name, f.help)
+	return fw.Err()
+}
+
+// writeStages renders the engine's stage histograms: one family per run of
+// engine.Stages rows sharing a Family, one series per dataset per row,
+// observed in nanoseconds and exposed in seconds.
+func writeStages(fw *obs.FamilyWriter, infos []Info) {
+	for lo := 0; lo < len(engine.Stages); {
+		fam, hi := engine.Stages[lo].Family, lo
+		for hi < len(engine.Stages) && engine.Stages[hi].Family == fam {
+			hi++
+		}
+		fw.Family(fam.Name, "histogram", fam.Help)
 		for _, info := range infos {
-			for _, s := range f.series(info.Latency) {
-				obs.WriteHistogram(w, f.name, []obs.Label{
-					{Name: "graph", Value: info.Name},
-					{Name: f.label, Value: s.label},
-				}, s.snap, 1e-9)
+			graph := obs.Label{Name: "graph", Value: info.Name}
+			for st := lo; st < hi; st++ {
+				d := engine.Stages[st]
+				fw.Histogram(info.Latency[st], 1e-9, graph, obs.Label{Name: d.Label, Value: d.Value})
 			}
 		}
+		lo = hi
 	}
-	for _, f := range commitHistFamilies {
-		obs.WriteHistogramHeader(w, f.name, f.help)
-		for _, info := range infos {
-			obs.WriteHistogram(w, f.name, []obs.Label{
-				{Name: "graph", Value: info.Name},
-			}, f.snap(info.Commit), f.scale)
-		}
-	}
-	return nil
 }

@@ -1,10 +1,8 @@
 package catalog
 
 import (
+	"bytes"
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -13,7 +11,7 @@ import (
 	"repro/internal/query"
 )
 
-// TestMetricsExpositionStrict runs the node's full /metrics output — counter
+// TestMetricsExpositionStrict runs the node's full /metrics body — counter
 // families, gauges and the per-stage latency histograms, over a dataset name
 // that exercises label escaping — through the parser-strictness checker. The
 // seed handlers drifted from the exposition format (bare series without
@@ -37,17 +35,11 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		}
 	}
 
-	srv := httptest.NewServer(NewHTTPHandler(c, engine.DefaultConfig()))
-	t.Cleanup(srv.Close)
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteMetrics(&buf, c.Infos()); err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
-	}
+	body := buf.Bytes()
 	if err := obs.CheckExposition(body); err != nil {
 		t.Fatalf("node /metrics fails strict parsing: %v\nbody:\n%s", err, body)
 	}

@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -157,95 +154,5 @@ func TestSwapStartsNewLineage(t *testing.T) {
 	// A cursor from the old lineage answers resync, whatever its position.
 	if _, _, err := c.JournalSince("g", 0, 0); !errors.Is(err, ErrResync) {
 		t.Fatalf("old-lineage cursor: %v, want ErrResync", err)
-	}
-}
-
-// TestReplicationHTTPSurface drives the replication endpoints end to end
-// over the catalog handler: snapshot fetch with cursor headers, journal
-// tail, 410 on an unserviceable cursor, and the enriched /stats.
-func TestReplicationHTTPSurface(t *testing.T) {
-	c := replicatedFixture(t, 2)
-	ts := httptest.NewServer(NewHTTPHandler(c, engine.DefaultConfig()))
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + ReplicatePath + "?graph=g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("replicate: %d %s", resp.StatusCode, body)
-	}
-	if g, v, l := resp.Header.Get(HeaderGraph), resp.Header.Get(HeaderVersion), resp.Header.Get(HeaderLineage); g != "g" || v != "2" || l != "0" {
-		t.Fatalf("replicate headers: graph=%q version=%q lineage=%q", g, v, l)
-	}
-	if _, err := store.Open(bytes.NewReader(body)); err != nil {
-		t.Fatalf("replicate body is not a snapshot: %v", err)
-	}
-
-	resp, err = http.Get(ts.URL + JournalPath + "?graph=g&lineage=0&from=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("journal: %d %s", resp.StatusCode, tail)
-	}
-	for _, want := range []string{`"version":2`, `"batches":[{"version":2`} {
-		if !strings.Contains(string(tail), want) {
-			t.Fatalf("journal body %s lacks %s", tail, want)
-		}
-	}
-
-	resp, err = http.Get(ts.URL + JournalPath + "?graph=g&lineage=9&from=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("unserviceable cursor: %d, want 410", resp.StatusCode)
-	}
-
-	resp, err = http.Get(ts.URL + "/stats?graph=g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	for _, want := range []string{`"graph":"g"`, `"journal_seq":2`, `"journal_batches":2`, `"lineage":0`} {
-		if !strings.Contains(string(stats), want) {
-			t.Fatalf("/stats body %s lacks %s", stats, want)
-		}
-	}
-}
-
-func TestMetricsEndpoint(t *testing.T) {
-	c := replicatedFixture(t, 1)
-	ts := httptest.NewServer(NewHTTPHandler(c, engine.DefaultConfig()))
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics: %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != metricsContentType {
-		t.Fatalf("content type %q", ct)
-	}
-	for _, want := range []string{
-		"# TYPE sea_queries_total counter",
-		`sea_graph_version{graph="g"} 1`,
-		`sea_journal_seq{graph="g"} 1`,
-		`sea_mutations_total{graph="g"} 1`,
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Fatalf("/metrics lacks %q in:\n%s", want, body)
-		}
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/store"
 )
 
@@ -154,17 +155,17 @@ func (c *Client) FetchSnapshot(ctx context.Context, graph, dest string) (Snapsho
 	if graph != "" {
 		q.Set("graph", graph)
 	}
-	resp, err := c.get(ctx, catalog.ReplicatePath, q)
+	resp, err := c.get(ctx, httpapi.ReplicatePath, q)
 	if err != nil {
 		return SnapshotMeta{}, err
 	}
 	defer resp.Body.Close()
-	meta := SnapshotMeta{Graph: resp.Header.Get(catalog.HeaderGraph)}
-	if meta.Version, err = strconv.ParseUint(resp.Header.Get(catalog.HeaderVersion), 10, 64); err != nil {
-		return SnapshotMeta{}, fmt.Errorf("replicate response from %s lacks %s", c.Base, catalog.HeaderVersion)
+	meta := SnapshotMeta{Graph: resp.Header.Get(httpapi.HeaderGraph)}
+	if meta.Version, err = strconv.ParseUint(resp.Header.Get(httpapi.HeaderVersion), 10, 64); err != nil {
+		return SnapshotMeta{}, fmt.Errorf("replicate response from %s lacks %s", c.Base, httpapi.HeaderVersion)
 	}
-	if meta.Lineage, err = strconv.ParseUint(resp.Header.Get(catalog.HeaderLineage), 10, 64); err != nil {
-		return SnapshotMeta{}, fmt.Errorf("replicate response from %s lacks %s", c.Base, catalog.HeaderLineage)
+	if meta.Lineage, err = strconv.ParseUint(resp.Header.Get(httpapi.HeaderLineage), 10, 64); err != nil {
+		return SnapshotMeta{}, fmt.Errorf("replicate response from %s lacks %s", c.Base, httpapi.HeaderLineage)
 	}
 	if _, err := store.AtomicWriteFile(dest, func(w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)
@@ -195,7 +196,7 @@ func (c *Client) JournalSince(ctx context.Context, graph string, lineage, from u
 	}
 	q.Set("lineage", strconv.FormatUint(lineage, 10))
 	q.Set("from", strconv.FormatUint(from, 10))
-	resp, err := c.get(ctx, catalog.JournalPath, q)
+	resp, err := c.get(ctx, httpapi.JournalPath, q)
 	if err != nil {
 		return nil, err
 	}

@@ -328,7 +328,7 @@ func (f *Follower) bootstrapDataset(ctx context.Context, client *Client, name st
 			return err
 		}
 	}
-	local, err := f.cat.InfoFor(name)
+	local, err := f.cat.ReplicationInfo(name)
 	if err != nil {
 		return err
 	}
@@ -345,7 +345,7 @@ func (f *Follower) bootstrapDataset(ctx context.Context, client *Client, name st
 // cursor is the primary-side generation the local replica has applied up
 // to: the snapshot's base plus every batch folded since.
 func (f *Follower) cursor(name string, r *replica) (uint64, error) {
-	info, err := f.cat.InfoFor(name)
+	info, err := f.cat.ReplicationInfo(name)
 	if err != nil {
 		return 0, err
 	}
@@ -391,7 +391,7 @@ func (f *Follower) Status() []ReplicaStatus {
 			PrimaryVersion: r.primaryVersion,
 			LastError:      r.lastErr,
 		}
-		if info, err := f.cat.InfoFor(name); err == nil {
+		if info, err := f.cat.ReplicationInfo(name); err == nil {
 			st.Version = r.base + info.Version
 			st.JournalSeq = info.JournalSeq
 		}

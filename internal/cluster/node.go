@@ -1,9 +1,9 @@
 package cluster
 
-// NewNodeHandler: the HTTP surface of one cluster node. It wraps the
-// catalog's full serving surface (queries, admin, replication source
-// endpoints) with the cluster-control endpoints and, on followers, a write
-// fence — replicated state must only change through the replication
+// NewNodeHandler: the HTTP surface of one cluster node — the catalog's route
+// table (queries, admin, replication source endpoints) plus the
+// cluster-control endpoints as three more rows, and, on followers, the
+// write fence: replicated state must only change through the replication
 // stream, or the follower's cursor would lie.
 
 import (
@@ -12,71 +12,56 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/cserr"
 	"repro/internal/engine"
+	"repro/internal/httpapi"
 )
 
-// writeFenced are the admin paths a non-promoted follower refuses: each
-// would fork the replica away from the primary's history.
-var writeFenced = map[string]bool{
-	"/admin/mutate":  true,
-	"/admin/reload":  true,
-	"/admin/compact": true,
+// NewNodeHandler returns the serving surface of a cluster node over cat:
+// the catalog routes plus /admin/replication, /admin/promote and
+// /admin/follow. fol is nil on a node born primary; on a follower it
+// supplies the replication status, the promotion switch, and the fence that
+// refuses the catalog's write routes (each would fork the replica away from
+// the primary's history) until promotion. Every response echoes the
+// request's X-Request-ID.
+func NewNodeHandler(cat *catalog.Catalog, base engine.Config, fol *Follower) http.Handler {
+	return httpapi.New(nodeRoutes(cat, base, fol), func() error {
+		if fol != nil && !fol.Promoted() {
+			return cserr.Invalidf("node is a follower of %s; write through the primary", fol.Primary())
+		}
+		return nil
+	})
 }
 
-// NewNodeHandler returns the serving surface of a cluster node over cat:
-// the catalog handler plus /admin/replication, /admin/promote and
-// /admin/follow. fol is nil on a node born primary; on a follower it
-// supplies the replication status, the write fence, and the promotion
-// switch. Every response echoes the request's X-Request-ID.
-func NewNodeHandler(cat *catalog.Catalog, base engine.Config, fol *Follower) http.Handler {
-	inner := catalog.NewHTTPHandler(cat, base)
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case ReplicationPath:
-			if r.Method != http.MethodGet {
-				engine.WriteError(w, http.StatusMethodNotAllowed, cserr.Invalidf("use GET"))
-				return
-			}
-			engine.WriteJSON(w, http.StatusOK, nodeStatus(cat, fol))
-		case PromotePath:
-			if r.Method != http.MethodPost {
-				engine.WriteError(w, http.StatusMethodNotAllowed, cserr.Invalidf("use POST"))
-				return
-			}
+// nodeRoutes is the node's full route table.
+func nodeRoutes(cat *catalog.Catalog, base engine.Config, fol *Follower) []httpapi.Route {
+	status := func(w http.ResponseWriter, _ *http.Request) error {
+		httpapi.WriteJSON(w, http.StatusOK, nodeStatus(cat, fol))
+		return nil
+	}
+	return append(httpapi.CatalogRoutes(cat, base),
+		httpapi.Route{Method: http.MethodGet, Path: ReplicationPath, Handler: status},
+		httpapi.Route{Method: http.MethodPost, Path: PromotePath, Handler: func(w http.ResponseWriter, r *http.Request) error {
 			if fol != nil {
 				fol.Promote()
 			}
-			engine.WriteJSON(w, http.StatusOK, nodeStatus(cat, fol))
-		case FollowPath:
-			if r.Method != http.MethodPost {
-				engine.WriteError(w, http.StatusMethodNotAllowed, cserr.Invalidf("use POST"))
-				return
-			}
+			return status(w, r)
+		}},
+		httpapi.Route{Method: http.MethodPost, Path: FollowPath, Handler: func(w http.ResponseWriter, r *http.Request) error {
 			if fol == nil || fol.Promoted() {
-				engine.WriteError(w, http.StatusConflict,
+				httpapi.WriteError(w, http.StatusConflict,
 					cserr.Invalidf("node is a primary; it cannot follow"))
-				return
+				return nil
 			}
 			var req followRequest
-			if err := engine.DecodeJSONBody(w, r, &req); err != nil {
-				engine.WriteError(w, engine.StatusFor(err), err)
-				return
+			if err := httpapi.DecodeJSONBody(w, r, &req); err != nil {
+				return err
 			}
 			if req.Primary == "" {
-				engine.WriteError(w, http.StatusBadRequest, cserr.Invalidf(`need "primary"`))
-				return
+				return cserr.Invalidf(`need "primary"`)
 			}
 			fol.SetPrimary(req.Primary)
-			engine.WriteJSON(w, http.StatusOK, nodeStatus(cat, fol))
-		default:
-			if fol != nil && !fol.Promoted() && writeFenced[r.URL.Path] {
-				engine.WriteError(w, http.StatusForbidden,
-					cserr.Invalidf("node is a follower of %s; write through the primary", fol.Primary()))
-				return
-			}
-			inner.ServeHTTP(w, r)
-		}
-	})
-	return engine.WithRequestID(h)
+			return status(w, r)
+		}},
+	)
 }
 
 // nodeStatus builds the node's NodeStatus: the follower's cursor view when

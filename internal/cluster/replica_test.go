@@ -15,6 +15,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/httpapi"
 	"repro/internal/mutate"
 	"repro/internal/query"
 	"repro/internal/store"
@@ -266,14 +267,74 @@ func TestRequestIDEcho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(engine.RequestIDHeader, "req-abc-123")
+		req.Header.Set(httpapi.RequestIDHeader, "req-abc-123")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		if got := resp.Header.Get(engine.RequestIDHeader); got != "req-abc-123" {
+		if got := resp.Header.Get(httpapi.RequestIDHeader); got != "req-abc-123" {
 			t.Fatalf("%s: request id %q, want echo", path, got)
+		}
+	}
+}
+
+// TestReplicationPollsTakeNoLatencySnapshot: everything a follower tick and
+// a router probe touch — /admin/replication on both roles, a journal
+// catch-up, a 410-triggered snapshot re-bootstrap, Follower.Status — reads
+// names, versions and journal positions only. None of it may snapshot the
+// engines' stage histograms (Engine.Latency, what /stats and /metrics pay).
+func TestReplicationPollsTakeNoLatencySnapshot(t *testing.T) {
+	pcat, pts := newPrimary(t)
+	fcat, fol, fts := newFollowerNode(t, pts.URL)
+	ctx := context.Background()
+	// snaps maps each engine under watch to the snapshots it had taken when
+	// the watch began (the bootstrap's /graphs listing costs the primary one).
+	snaps := map[*engine.Engine]uint64{}
+	watch := func(cat *catalog.Catalog) *engine.Engine {
+		e, err := cat.Resolve("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps[e] = e.LatencySnapshots()
+		return e
+	}
+	watch(pcat)
+	watch(fcat)
+	mutatePrimary := func(u, v graph.NodeID) {
+		if _, err := pcat.Mutate("g", []mutate.Delta{mutate.AddEdge(u, v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	probe := func(url string) {
+		if _, err := NewClient(url, nil).Status(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// A tick that tails the journal.
+	mutatePrimary(0, 10)
+	if !fol.syncOnce(ctx) {
+		t.Fatalf("catch-up tick failed: %+v", fol.Status())
+	}
+	// A tick whose cursor was compacted away: 410, then a fresh snapshot.
+	mutatePrimary(1, 10)
+	if _, err := pcat.Compact("g"); err != nil {
+		t.Fatal(err)
+	}
+	if !fol.syncOnce(ctx) {
+		t.Fatalf("re-bootstrap tick failed: %+v", fol.Status())
+	}
+	snaps[watch(fcat)] = 0 // the re-bootstrap swapped in a fresh follower engine
+	if st := fol.Status(); len(st) != 1 || st[0].Version != 2 || st[0].Lag != 0 {
+		t.Fatalf("follower did not converge: %+v", st)
+	}
+	probe(pts.URL)
+	probe(fts.URL)
+
+	for e, before := range snaps {
+		if got := e.LatencySnapshots(); got != before {
+			t.Errorf("engine %q took %d latency snapshots during replication polls", e.Name(), got-before)
 		}
 	}
 }

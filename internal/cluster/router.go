@@ -45,8 +45,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -434,19 +434,21 @@ func (r *Router) inSyncLocked(url, graph string) bool {
 // stats). Every response carries an X-Request-ID, generated here when the
 // client did not send one.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	id := req.Header.Get(engine.RequestIDHeader)
+	id := req.Header.Get(httpapi.RequestIDHeader)
 	if id == "" {
 		id = newRequestID()
-		req.Header.Set(engine.RequestIDHeader, id)
+		req.Header.Set(httpapi.RequestIDHeader, id)
 	}
-	w.Header().Set(engine.RequestIDHeader, id)
+	w.Header().Set(httpapi.RequestIDHeader, id)
 	switch req.URL.Path {
 	case "/healthz":
 		r.serveHealth(w)
 	case "/metrics":
 		r.serveMetrics(w)
 	case "/debug/trace":
-		r.serveTrace(w, req)
+		if err := httpapi.ServeTrace(w, req, r.Trace); err != nil {
+			httpapi.WriteError(w, http.StatusBadRequest, err)
+		}
 	case "/batch":
 		r.serveScatter(w, req, id, scatterBatch)
 	case "/compare":
@@ -464,24 +466,6 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// serveTrace answers GET /debug/trace?n= with the newest router spans.
-func (r *Router) serveTrace(w http.ResponseWriter, req *http.Request) {
-	n := 0
-	if s := req.URL.Query().Get("n"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil {
-			engine.WriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad n=%q", s)})
-			return
-		}
-		n = v
-	}
-	spans := r.Trace(n)
-	if spans == nil {
-		spans = []RouterSpan{}
-	}
-	engine.WriteJSON(w, http.StatusOK, map[string]any{"spans": spans})
-}
-
 func newRequestID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -493,13 +477,13 @@ func newRequestID() string {
 // routerError is an error originated by the router itself (as opposed to
 // one proxied through from a member); it always names the request, and
 // transient statuses carry a Retry-After hint so clients back off instead
-// of hammering. (engine.WriteJSON adds the hint for 429/503 on its own;
+// of hammering. (httpapi.WriteJSON adds the hint for 429/503 on its own;
 // 502 is the router's to stamp.)
 func routerError(w http.ResponseWriter, id string, status int, format string, args ...any) {
 	if status == http.StatusBadGateway {
-		w.Header().Set("Retry-After", engine.RetryAfterHint)
+		w.Header().Set("Retry-After", httpapi.RetryAfterHint)
 	}
-	engine.WriteJSON(w, status, map[string]string{
+	httpapi.WriteJSON(w, status, map[string]string{
 		"error":      fmt.Sprintf(format, args...),
 		"request_id": id,
 	})
@@ -682,7 +666,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, target, id st
 			w.Header().Add(k, v)
 		}
 	}
-	w.Header().Set(engine.RequestIDHeader, id)
+	w.Header().Set(httpapi.RequestIDHeader, id)
 	w.Header().Set(ServedByHeader, target)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
@@ -704,7 +688,7 @@ func (r *Router) serveSearch(w http.ResponseWriter, req *http.Request, id string
 	var body []byte
 	if req.Method != http.MethodGet {
 		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, engine.MaxBodyBytes))
+		body, err = io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes))
 		if err != nil {
 			routerError(w, id, http.StatusBadRequest, "reading body: %v", err)
 			return
@@ -746,7 +730,7 @@ func (r *Router) serveSearch(w http.ResponseWriter, req *http.Request, id string
 				w.Header().Add(k, v)
 			}
 		}
-		w.Header().Set(engine.RequestIDHeader, id)
+		w.Header().Set(httpapi.RequestIDHeader, id)
 		w.Header().Set(ServedByHeader, target)
 		w.WriteHeader(resp.StatusCode)
 		io.Copy(w, resp.Body)
@@ -828,10 +812,11 @@ var scatterCompare = scatterPlan{
 // per-item errors; only a total wipeout fails the request.
 func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id string, plan scatterPlan) {
 	if req.Method != http.MethodPost {
-		routerError(w, id, http.StatusMethodNotAllowed, "use POST")
+		w.Header().Set("Allow", http.MethodPost)
+		routerError(w, id, http.StatusMethodNotAllowed, "method %s not allowed on %s", req.Method, plan.path)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, engine.MaxBodyBytes))
+	body, err := io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes))
 	if err != nil {
 		routerError(w, id, http.StatusBadRequest, "reading body: %v", err)
 		return
@@ -895,7 +880,7 @@ func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id strin
 		routerError(w, id, http.StatusBadGateway, "all %d shards failed; first target %s", len(assign), set[0])
 		return
 	}
-	engine.WriteJSON(w, http.StatusOK, plan.merge(wire, items, failures > 0))
+	httpapi.WriteJSON(w, http.StatusOK, plan.merge(wire, items, failures > 0))
 }
 
 // ServedByKey annotates each scatter-gather item with the member that
@@ -942,7 +927,7 @@ func (r *Router) runShard(ctx context.Context, url string, set []string, id stri
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(engine.RequestIDHeader, id)
+		req.Header.Set(httpapi.RequestIDHeader, id)
 		return req, nil
 	})
 	if err != nil {
@@ -1022,7 +1007,7 @@ func (r *Router) serveHealth(w http.ResponseWriter) {
 		status = http.StatusServiceUnavailable
 		state = "no-primary"
 	}
-	engine.WriteJSON(w, status, map[string]any{
+	httpapi.WriteJSON(w, status, map[string]any{
 		"status":  state,
 		"primary": primary,
 		"members": members,
@@ -1034,42 +1019,36 @@ func (r *Router) serveHealth(w http.ResponseWriter) {
 // /metrics).
 func (r *Router) serveMetrics(w http.ResponseWriter) {
 	r.mu.Lock()
-	type row struct {
-		url     string
-		up      int
-		breaker int
-	}
-	rows := make([]row, 0, len(r.cfg.Members))
-	for _, url := range r.cfg.Members {
-		up := 0
+	up := make([]float64, len(r.cfg.Members))
+	for i, url := range r.cfg.Members {
 		if r.members[url].alive {
-			up = 1
+			up[i] = 1
 		}
-		rows = append(rows, row{url, up, r.breakers[url].stateValue()})
 	}
 	r.mu.Unlock()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# HELP searouter_member_up Member answers health probes (1) or is considered dead (0).\n# TYPE searouter_member_up gauge\n")
-	for _, row := range rows {
-		fmt.Fprintf(w, "searouter_member_up{member=\"%s\"} %d\n", obs.EscapeLabel(row.url), row.up)
+	w.Header().Set("Content-Type", obs.ExpositionContentType)
+	fw := obs.NewFamilyWriter(w)
+	fw.Family("searouter_member_up", "gauge", "Member answers health probes (1) or is considered dead (0).")
+	for i, url := range r.cfg.Members {
+		fw.Sample(up[i], obs.Label{Name: "member", Value: url})
 	}
-	fmt.Fprintf(w, "# HELP searouter_breaker_state Member circuit-breaker state: 0 closed, 1 open, 2 half-open.\n# TYPE searouter_breaker_state gauge\n")
-	for _, row := range rows {
-		fmt.Fprintf(w, "searouter_breaker_state{member=\"%s\"} %d\n", obs.EscapeLabel(row.url), row.breaker)
+	fw.Family("searouter_breaker_state", "gauge", "Member circuit-breaker state: 0 closed, 1 open, 2 half-open.")
+	for _, url := range r.cfg.Members {
+		fw.Sample(float64(r.breakers[url].stateValue()), obs.Label{Name: "member", Value: url})
 	}
-	fmt.Fprintf(w, "# HELP searouter_promotions_total Follower promotions performed by this router.\n# TYPE searouter_promotions_total counter\nsearouter_promotions_total %d\n", r.promotions.Load())
-	fmt.Fprintf(w, "# HELP searouter_shard_errors_total Scatter shards that failed and degraded to per-item errors.\n# TYPE searouter_shard_errors_total counter\nsearouter_shard_errors_total %d\n", r.shardErrs.Load())
-	fmt.Fprintf(w, "# HELP searouter_read_retries_total Read attempts beyond the first (/search and scatter shards).\n# TYPE searouter_read_retries_total counter\nsearouter_read_retries_total %d\n", r.retries.Load())
-	obs.WriteHistogramHeader(w, "searouter_shard_latency_seconds",
+	fw.Family("searouter_promotions_total", "counter", "Follower promotions performed by this router.")
+	fw.Sample(float64(r.promotions.Load()))
+	fw.Family("searouter_shard_errors_total", "counter", "Scatter shards that failed and degraded to per-item errors.")
+	fw.Sample(float64(r.shardErrs.Load()))
+	fw.Family("searouter_read_retries_total", "counter", "Read attempts beyond the first (/search and scatter shards).")
+	fw.Sample(float64(r.retries.Load()))
+	fw.Family("searouter_shard_latency_seconds", "histogram",
 		"Upstream call latency by route: per shard for /batch and /compare, per proxied request for /search, and every primary-forwarded request under \"forward\".")
 	for _, p := range routerPaths {
-		obs.WriteHistogram(w, "searouter_shard_latency_seconds",
-			[]obs.Label{{Name: "path", Value: p}}, r.shardLat[p].Snapshot(), 1e-9)
+		fw.Histogram(r.shardLat[p].Snapshot(), 1e-9, obs.Label{Name: "path", Value: p})
 	}
-	obs.WriteHistogramHeader(w, "searouter_fanout_width",
-		"Shards per scatter-gather request (unitless width, not seconds).")
+	fw.Family("searouter_fanout_width", "histogram", "Shards per scatter-gather request (unitless width, not seconds).")
 	for _, p := range []string{"/batch", "/compare"} {
-		obs.WriteHistogram(w, "searouter_fanout_width",
-			[]obs.Label{{Name: "path", Value: p}}, r.fanWidth[p].Snapshot(), 1)
+		fw.Histogram(r.fanWidth[p].Snapshot(), 1, obs.Label{Name: "path", Value: p})
 	}
 }

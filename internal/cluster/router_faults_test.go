@@ -14,7 +14,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/httpapi"
 )
 
 // flakyMember is an httptest member that always answers health probes as an
@@ -24,7 +24,7 @@ func flakyMember(t *testing.T, primaryURL string, status *atomic.Int32) *httptes
 	t.Helper()
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == ReplicationPath {
-			engine.WriteJSON(w, http.StatusOK, NodeStatus{
+			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{
 				Role:     RoleFollower,
 				Primary:  primaryURL,
 				Datasets: []ReplicaStatus{{Graph: "g"}},
@@ -172,12 +172,12 @@ func TestRouterSearchRetriesAndBreaker(t *testing.T) {
 func TestRouterAllMembersShedding(t *testing.T) {
 	busy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == ReplicationPath {
-			engine.WriteJSON(w, http.StatusOK, NodeStatus{Role: RolePrimary,
+			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{Role: RolePrimary,
 				Datasets: []ReplicaStatus{{Graph: "g"}}})
 			return
 		}
 		w.Header().Set("Retry-After", "1")
-		engine.WriteError(w, http.StatusTooManyRequests, fmt.Errorf("overloaded"))
+		httpapi.WriteError(w, http.StatusTooManyRequests, fmt.Errorf("overloaded"))
 	}))
 	defer busy.Close()
 	router, err := NewRouter(RouterConfig{
@@ -219,7 +219,7 @@ func TestRouterBreakersOpenAnswers503(t *testing.T) {
 	status.Store(http.StatusInternalServerError)
 	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == ReplicationPath {
-			engine.WriteJSON(w, http.StatusOK, NodeStatus{Role: RolePrimary,
+			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{Role: RolePrimary,
 				Datasets: []ReplicaStatus{{Graph: "g"}}})
 			return
 		}

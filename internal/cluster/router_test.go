@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/catalog"
-	"repro/internal/engine"
+	"repro/internal/httpapi"
 	"repro/internal/mutate"
 	"repro/internal/obs"
 )
@@ -217,7 +217,7 @@ func TestRouterPartialDegradation(t *testing.T) {
 	_, pts := newPrimary(t)
 	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == ReplicationPath {
-			engine.WriteJSON(w, http.StatusOK, NodeStatus{
+			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{
 				Role:     RoleFollower,
 				Primary:  pts.URL,
 				Datasets: []ReplicaStatus{{Graph: "g"}},
@@ -355,20 +355,20 @@ func TestRouterRequestID(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.Header.Get(engine.RequestIDHeader) == "" {
+	if resp.Header.Get(httpapi.RequestIDHeader) == "" {
 		t.Fatal("router did not generate a request id")
 	}
 
 	// Propagated end to end through a proxied request.
 	req, _ := http.NewRequest(http.MethodGet, tc.rts.URL+"/stats?graph=g", nil)
-	req.Header.Set(engine.RequestIDHeader, "corr-42")
+	req.Header.Set(httpapi.RequestIDHeader, "corr-42")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if got := resp.Header.Get(engine.RequestIDHeader); got != "corr-42" {
+	if got := resp.Header.Get(httpapi.RequestIDHeader); got != "corr-42" {
 		t.Fatalf("proxied request id %q, want corr-42", got)
 	}
 
@@ -377,7 +377,7 @@ func TestRouterRequestID(t *testing.T) {
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty /batch: %d", status)
 	}
-	id := hdr.Get(engine.RequestIDHeader)
+	id := hdr.Get(httpapi.RequestIDHeader)
 	if id == "" || body["request_id"] != id {
 		t.Fatalf("error body request_id %v, header %q", body["request_id"], id)
 	}

@@ -189,13 +189,17 @@ func TestMaxWaitFlushesIncompleteBatch(t *testing.T) {
 // and that nothing the batcher acknowledged is lost: every enqueued group
 // still commits after the flusher resumes.
 func TestQueueFullShedsOverloaded(t *testing.T) {
+	// Every flush parks until released, so whatever the flusher took in its
+	// first batch, nothing leaves the queue while the test fills it.
 	release := make(chan struct{})
-	first := true
+	var releaseOnce sync.Once
+	entered := make(chan struct{}, 1)
 	flush := func(groups [][]mutate.Delta) []Result {
-		if first {
-			first = false
-			<-release
+		select {
+		case entered <- struct{}{}:
+		default:
 		}
+		<-release
 		results := make([]Result, len(groups))
 		for i := range results {
 			results[i] = Result{Value: true}
@@ -203,20 +207,33 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 		return results
 	}
 	b := New(Config{Queue: 2}, flush)
-	defer b.Close()
+	// Release before Close on every exit path: a Fatalf with the flusher
+	// still parked would otherwise deadlock Close.
+	t.Cleanup(func() {
+		releaseOnce.Do(func() { close(release) })
+		b.Close()
+	})
 
-	// Occupy the flusher, then fill the queue.
 	var wg sync.WaitGroup
 	acked := make([]error, 3)
-	for i := 0; i < 3; i++ {
+	submit := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, _, acked[i] = b.Submit(deltas(1))
-		}(i)
+		}()
 	}
+	// Occupy the flusher with the first group alone, then fill the queue.
+	submit(0)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("flusher never picked up the first group: %+v", b.Stats())
+	}
+	submit(1)
+	submit(2)
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().QueueDepth < 2 {
+	for b.Stats().Submitted < 3 {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never filled: %+v", b.Stats())
 		}
@@ -231,7 +248,7 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 		t.Fatalf("shed counter: %+v", b.Stats())
 	}
 
-	close(release)
+	releaseOnce.Do(func() { close(release) })
 	wg.Wait()
 	for i, err := range acked {
 		if err != nil {

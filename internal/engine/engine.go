@@ -225,7 +225,9 @@ type Engine struct {
 	inflight atomic.Int64  // computations executing or queued (MaxInFlight admission)
 
 	ctr counters
-	lat latency
+	lat [NumStages]obs.Histogram
+	// latencySnaps counts Latency() calls (see LatencySnapshots).
+	latencySnaps atomic.Uint64
 
 	// name attributes spans, slow-query lines and aggregated metrics to a
 	// dataset; the catalog sets it at mount time (see SetName).

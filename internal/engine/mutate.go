@@ -226,8 +226,8 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	res.InvalidateNS = time.Since(tInv).Nanoseconds()
 	res.ResultsInvalidated, res.DistsInvalidated, res.DistsExtended = sw.results, sw.dists, sw.extended
 	res.TouchedNodes, res.RegionNodes = sw.touched, sw.region
-	e.lat.mutApply.Observe(res.ApplyNS)
-	e.lat.mutInvalidate.Observe(res.InvalidateNS)
+	e.lat[StageMutateApply].Observe(res.ApplyNS)
+	e.lat[StageMutateInvalidate].Observe(res.InvalidateNS)
 	e.st.Store(st)
 
 	e.ctr.mutations.Add(1)

@@ -2,13 +2,11 @@ package engine
 
 // Overload-control tests: MaxInFlight admission bounds cache-miss
 // computations and sheds the excess fast with cserr.ErrOverloaded, which
-// the HTTP layer turns into 429 + Retry-After.
+// internal/httpapi turns into 429 + Retry-After.
 
 import (
 	"context"
 	"errors"
-	"net/http"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -60,8 +58,8 @@ func TestMaxInFlightSheds(t *testing.T) {
 	if shed := e.Stats().Shed; shed != 2 {
 		t.Fatalf("Stats.Shed = %d, want 2", shed)
 	}
-	if e.Latency().TotalShed.Count != 2 {
-		t.Fatalf("shed latency observations = %d, want 2", e.Latency().TotalShed.Count)
+	if e.Latency()[StageTotalShed].Count != 2 {
+		t.Fatalf("shed latency observations = %d, want 2", e.Latency()[StageTotalShed].Count)
 	}
 
 	// Slot free again: the same queries now compute.
@@ -105,20 +103,4 @@ func TestCacheHitsNeverShed(t *testing.T) {
 		t.Fatalf("expected a result-cache hit: %+v", qm)
 	}
 	wg.Wait()
-}
-
-// TestOverloadedHTTPContract pins the wire shape of a shed: 429 with a
-// Retry-After hint.
-func TestOverloadedHTTPContract(t *testing.T) {
-	if got := StatusFor(cserr.ErrOverloaded); got != http.StatusTooManyRequests {
-		t.Fatalf("StatusFor(ErrOverloaded) = %d, want 429", got)
-	}
-	rec := httptest.NewRecorder()
-	WriteError(rec, StatusFor(cserr.ErrOverloaded), cserr.ErrOverloaded)
-	if rec.Code != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", rec.Code)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("429 carries no Retry-After hint")
-	}
 }

@@ -12,117 +12,161 @@ package engine
 // log writes one JSON line per request slower than Config.SlowQuery.
 
 import (
+	"context"
 	"encoding/json"
 	"os"
+	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// latency is the engine's stage-histogram bundle. Read stages record
-// per-request in QueryWithMetrics; mutation stages record per-batch in Apply
-// (journal appends are recorded by the owner of the journal via
-// ObserveJournalAppend, since the engine itself does not journal).
-type latency struct {
-	admission      obs.Histogram // shared-index admission check
-	distance       obs.Histogram // f(·,q) vector fetch or compute
-	search         obs.Histogram // search execution proper
-	totalHit       obs.Histogram // whole request, served from the result cache
-	totalMiss      obs.Histogram // whole request, computed
-	totalCoalesced obs.Histogram // whole request, joined an in-flight twin
-	totalShed      obs.Histogram // whole request, shed by MaxInFlight admission
+// Stage indexes the engine's latency histograms. Read stages record
+// per-request in QueryWithMetrics; mutation stages record per-batch in
+// ApplyGroups (journal appends are recorded by the owner of the journal via
+// ObserveJournalAppend, since the engine itself does not journal). Adding a
+// stage is one constant here and one row of Stages.
+type Stage int
 
-	mutApply      obs.Histogram // session apply + materialize + index rebind
-	mutJournal    obs.Histogram // journal append (recorded by the catalog)
-	mutInvalidate obs.Histogram // scoped cache sweep
+const (
+	StageAdmission        Stage = iota // shared-index admission check
+	StageDistance                      // f(·,q) vector fetch or compute
+	StageSearch                        // search execution proper
+	StageTotalHit                      // whole request, served from the result cache
+	StageTotalMiss                     // whole request, computed
+	StageTotalCoalesced                // whole request, joined an in-flight twin
+	StageTotalShed                     // whole request, shed by MaxInFlight admission
+	StageMutateApply                   // session apply + materialize + index rebind
+	StageMutateJournal                 // journal append (recorded by the catalog)
+	StageMutateInvalidate              // scoped cache sweep
+	NumStages
+)
+
+// StageFamily is one Prometheus histogram family of /metrics and its help
+// text; the stages naming it are its series.
+type StageFamily struct{ Name, Help string }
+
+var (
+	queryStageFamily = StageFamily{"sea_query_stage_latency_seconds",
+		"Per-stage read-path latency: shared-index admission, distance-vector fetch/compute, search execution."}
+	queryTotalFamily = StageFamily{"sea_query_latency_seconds",
+		"Whole-request latency by outcome: result-cache hit, computed miss, coalesced join, admission shed."}
+	mutateStageFamily = StageFamily{"sea_mutation_stage_latency_seconds",
+		"Per-stage write-path latency: delta apply (fold+materialize+index), journal append (fsync included), scoped cache invalidation."}
+)
+
+// StageDesc is everything the serving surface says about one stage: its key
+// under "latency" in /stats, and the Prometheus histogram family, label name
+// and label value of its /metrics series.
+type StageDesc struct {
+	Key    string
+	Family StageFamily
+	Label  string
+	Value  string
 }
 
-// LatencyStats is a point-in-time snapshot of every stage histogram. The
-// snapshots are mergeable across engines (catalog-level aggregation) and
-// carry full bucket resolution; Summary flattens them for JSON.
-type LatencyStats struct {
-	Admission        obs.Snapshot
-	Distance         obs.Snapshot
-	Search           obs.Snapshot
-	TotalHit         obs.Snapshot
-	TotalMiss        obs.Snapshot
-	TotalCoalesced   obs.Snapshot
-	TotalShed        obs.Snapshot
-	MutateApply      obs.Snapshot
-	MutateJournal    obs.Snapshot
-	MutateInvalidate obs.Snapshot
+// Stages describes every Stage, in /stats and /metrics order (the rows of
+// one family are contiguous).
+var Stages = [NumStages]StageDesc{
+	StageAdmission:        {"admission", queryStageFamily, "stage", "admission"},
+	StageDistance:         {"distance", queryStageFamily, "stage", "distance"},
+	StageSearch:           {"search", queryStageFamily, "stage", "search"},
+	StageTotalHit:         {"total_hit", queryTotalFamily, "outcome", "hit"},
+	StageTotalMiss:        {"total_miss", queryTotalFamily, "outcome", "miss"},
+	StageTotalCoalesced:   {"total_coalesced", queryTotalFamily, "outcome", "coalesced"},
+	StageTotalShed:        {"total_shed", queryTotalFamily, "outcome", "shed"},
+	StageMutateApply:      {"mutate_apply", mutateStageFamily, "stage", "apply"},
+	StageMutateJournal:    {"mutate_journal", mutateStageFamily, "stage", "journal_append"},
+	StageMutateInvalidate: {"mutate_invalidate", mutateStageFamily, "stage", "invalidate"},
 }
 
-// Merge aggregates two engines' stage snapshots field-wise.
-func (l LatencyStats) Merge(o LatencyStats) LatencyStats {
-	return LatencyStats{
-		Admission:        l.Admission.Merge(o.Admission),
-		Distance:         l.Distance.Merge(o.Distance),
-		Search:           l.Search.Merge(o.Search),
-		TotalHit:         l.TotalHit.Merge(o.TotalHit),
-		TotalMiss:        l.TotalMiss.Merge(o.TotalMiss),
-		TotalCoalesced:   l.TotalCoalesced.Merge(o.TotalCoalesced),
-		TotalShed:        l.TotalShed.Merge(o.TotalShed),
-		MutateApply:      l.MutateApply.Merge(o.MutateApply),
-		MutateJournal:    l.MutateJournal.Merge(o.MutateJournal),
-		MutateInvalidate: l.MutateInvalidate.Merge(o.MutateInvalidate),
+// LatencyStats is a point-in-time snapshot of every stage histogram at full
+// bucket resolution, indexed by Stage; Summary flattens it for JSON.
+type LatencyStats [NumStages]obs.Snapshot
+
+// LatencySummary is the flat digest of LatencyStats served by /stats:
+// count/mean/p50/p90/p99/p999/max in microseconds per stage, indexed by
+// Stage. It marshals as one JSON object keyed by Stages[·].Key, in stage
+// order.
+type LatencySummary [NumStages]obs.Summary
+
+// MarshalJSON renders the summary as {"admission":{...},"distance":{...},...}.
+func (s LatencySummary) MarshalJSON() ([]byte, error) {
+	out := []byte{'{'}
+	for st, d := range Stages {
+		v, err := json.Marshal(s[st])
+		if err != nil {
+			return nil, err
+		}
+		if st > 0 {
+			out = append(out, ',')
+		}
+		out = append(strconv.AppendQuote(out, d.Key), ':')
+		out = append(out, v...)
 	}
+	return append(out, '}'), nil
 }
 
-// LatencySummary is the flat JSON digest of LatencyStats served by /stats:
-// count/mean/p50/p90/p99/p999/max in microseconds per stage.
-type LatencySummary struct {
-	Admission        obs.Summary `json:"admission"`
-	Distance         obs.Summary `json:"distance"`
-	Search           obs.Summary `json:"search"`
-	TotalHit         obs.Summary `json:"total_hit"`
-	TotalMiss        obs.Summary `json:"total_miss"`
-	TotalCoalesced   obs.Summary `json:"total_coalesced"`
-	TotalShed        obs.Summary `json:"total_shed"`
-	MutateApply      obs.Summary `json:"mutate_apply"`
-	MutateJournal    obs.Summary `json:"mutate_journal"`
-	MutateInvalidate obs.Summary `json:"mutate_invalidate"`
+// UnmarshalJSON is MarshalJSON's inverse; unknown keys are ignored, absent
+// ones left zero.
+func (s *LatencySummary) UnmarshalJSON(data []byte) error {
+	var m map[string]obs.Summary
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	for st, d := range Stages {
+		s[st] = m[d.Key]
+	}
+	return nil
 }
 
-// Summary flattens the snapshot bundle into the JSON form.
+// Summary flattens the snapshots into the JSON form.
 func (l LatencyStats) Summary() LatencySummary {
-	return LatencySummary{
-		Admission:        l.Admission.Summary(),
-		Distance:         l.Distance.Summary(),
-		Search:           l.Search.Summary(),
-		TotalHit:         l.TotalHit.Summary(),
-		TotalMiss:        l.TotalMiss.Summary(),
-		TotalCoalesced:   l.TotalCoalesced.Summary(),
-		TotalShed:        l.TotalShed.Summary(),
-		MutateApply:      l.MutateApply.Summary(),
-		MutateJournal:    l.MutateJournal.Summary(),
-		MutateInvalidate: l.MutateInvalidate.Summary(),
+	var out LatencySummary
+	for st := range l {
+		out[st] = l[st].Summary()
 	}
+	return out
 }
 
-// Latency snapshots every stage histogram at once.
+// Latency snapshots every stage histogram at once: ≈2 000 atomic loads and
+// ≈16 KB copied, the price of a /stats or /metrics answer. Pollers that only
+// need a name, version or journal position (follower ticks, router probes)
+// must not pay it; LatencySnapshots lets tests hold them to that.
 func (e *Engine) Latency() LatencyStats {
-	return LatencyStats{
-		Admission:        e.lat.admission.Snapshot(),
-		Distance:         e.lat.distance.Snapshot(),
-		Search:           e.lat.search.Snapshot(),
-		TotalHit:         e.lat.totalHit.Snapshot(),
-		TotalMiss:        e.lat.totalMiss.Snapshot(),
-		TotalCoalesced:   e.lat.totalCoalesced.Snapshot(),
-		TotalShed:        e.lat.totalShed.Snapshot(),
-		MutateApply:      e.lat.mutApply.Snapshot(),
-		MutateJournal:    e.lat.mutJournal.Snapshot(),
-		MutateInvalidate: e.lat.mutInvalidate.Snapshot(),
+	e.latencySnaps.Add(1)
+	var out LatencyStats
+	for st := range e.lat {
+		out[st] = e.lat[st].Snapshot()
 	}
+	return out
 }
+
+// LatencySnapshots counts the Latency calls made on this engine.
+func (e *Engine) LatencySnapshots() uint64 { return e.latencySnaps.Load() }
 
 // ObserveJournalAppend records one durability-path journal append (ns) into
 // the mutation-stage histograms. The engine does not journal itself — the
 // catalog (or any other journal owner) reports the append it performed for a
 // batch this engine applied, so /metrics shows the full write path in one
 // place.
-func (e *Engine) ObserveJournalAppend(ns int64) { e.lat.mutJournal.Observe(ns) }
+func (e *Engine) ObserveJournalAppend(ns int64) { e.lat[StageMutateJournal].Observe(ns) }
+
+type requestIDKey struct{}
+
+// ContextWithRequestID attaches a correlation ID to ctx; every query served
+// under it records the ID on its trace span.
+func ContextWithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, requestIDKey{}, id)
+}
+
+// RequestIDFromContext returns the correlation ID attached by
+// ContextWithRequestID ("" when none).
+func RequestIDFromContext(ctx context.Context) string {
+	id, _ := ctx.Value(requestIDKey{}).(string)
+	return id
+}
 
 // SetName attributes this engine's spans and slow-query lines to a dataset
 // name. The catalog calls it at mount/swap time; a bare engine stays
@@ -164,13 +208,13 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 		// Shed requests get their own outcome series: their point is that
 		// they stay fast, and folding them into the miss histogram would
 		// fake a p50 improvement exactly when the node is overloaded.
-		e.lat.totalShed.Observe(qm.TotalNS)
+		e.lat[StageTotalShed].Observe(qm.TotalNS)
 	case qm.Coalesced:
-		e.lat.totalCoalesced.Observe(qm.TotalNS)
+		e.lat[StageTotalCoalesced].Observe(qm.TotalNS)
 	case qm.ResultHit:
-		e.lat.totalHit.Observe(qm.TotalNS)
+		e.lat[StageTotalHit].Observe(qm.TotalNS)
 	default:
-		e.lat.totalMiss.Observe(qm.TotalNS)
+		e.lat[StageTotalMiss].Observe(qm.TotalNS)
 	}
 	// Stage histograms only count requests where the stage actually ran:
 	// admission is skipped on a result-cache hit or a malformed request, and
@@ -178,11 +222,11 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 	// timings, which the executing request already recorded.
 	ranSearch := qm.SearchNS > 0 || qm.DistNS > 0
 	if !qm.ResultHit && (qm.IndexHit || ranSearch || qm.Err == "") {
-		e.lat.admission.Observe(qm.IndexNS)
+		e.lat[StageAdmission].Observe(qm.IndexNS)
 	}
 	if ranSearch && !qm.Coalesced {
-		e.lat.distance.Observe(qm.DistNS)
-		e.lat.search.Observe(qm.SearchNS)
+		e.lat[StageDistance].Observe(qm.DistNS)
+		e.lat[StageSearch].Observe(qm.SearchNS)
 	}
 
 	if e.trace == nil && e.cfg.SlowQuery <= 0 {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -28,22 +27,32 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	}
 
 	lat := e.Latency()
-	if lat.TotalMiss.Count != 1 {
-		t.Fatalf("total_miss count = %d, want 1", lat.TotalMiss.Count)
+	if lat[StageTotalMiss].Count != 1 {
+		t.Fatalf("total_miss count = %d, want 1", lat[StageTotalMiss].Count)
 	}
-	if lat.TotalHit.Count != 1 {
-		t.Fatalf("total_hit count = %d, want 1", lat.TotalHit.Count)
+	if lat[StageTotalHit].Count != 1 {
+		t.Fatalf("total_hit count = %d, want 1", lat[StageTotalHit].Count)
 	}
-	if lat.Search.Count != 1 || lat.Distance.Count != 1 {
-		t.Fatalf("stage counts: search=%d distance=%d, want 1 each", lat.Search.Count, lat.Distance.Count)
+	if lat[StageSearch].Count != 1 || lat[StageDistance].Count != 1 {
+		t.Fatalf("stage counts: search=%d distance=%d, want 1 each", lat[StageSearch].Count, lat[StageDistance].Count)
 	}
 	// The executed request must have spent time somewhere.
-	if lat.TotalMiss.Sum == 0 {
+	if lat[StageTotalMiss].Sum == 0 {
 		t.Fatal("total_miss sum is zero for an executed search")
 	}
 	sum := lat.Summary()
-	if sum.TotalMiss.Count != 1 || sum.TotalMiss.P50US <= 0 {
-		t.Fatalf("summary: %+v", sum.TotalMiss)
+	if sum[StageTotalMiss].Count != 1 || sum[StageTotalMiss].P50US <= 0 {
+		t.Fatalf("summary: %+v", sum[StageTotalMiss])
+	}
+	// The /stats form round-trips through JSON, so clients can decode it
+	// into the same type.
+	data, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back LatencySummary
+	if err := json.Unmarshal(data, &back); err != nil || back != sum {
+		t.Fatalf("round trip: %v\n got %+v\nwant %+v", err, back, sum)
 	}
 }
 
@@ -150,75 +159,6 @@ func TestSlowQueryLogThresholdFilters(t *testing.T) {
 	}
 }
 
-func TestDebugTraceEndpoint(t *testing.T) {
-	srv, _ := testServer(t)
-	// The engine echoes but never generates request IDs (that is the
-	// router's job), so send one and expect it on the span.
-	req, err := http.NewRequest(http.MethodGet, srv.URL+"/search?q=1&k=2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(RequestIDHeader, "trace-me")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /search: %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(RequestIDHeader); got != "trace-me" {
-		t.Fatalf("response request id %q", got)
-	}
-
-	var trace struct {
-		Spans []Span `json:"spans"`
-	}
-	getJSON(t, srv.URL+"/debug/trace?n=5", http.StatusOK, &trace)
-	if len(trace.Spans) == 0 {
-		t.Fatal("no spans after a served query")
-	}
-	sp := trace.Spans[0]
-	if sp.RequestID != "trace-me" {
-		t.Fatalf("span request id %q, want the propagated header", sp.RequestID)
-	}
-	if sp.Query != 1 || sp.TotalNS <= 0 {
-		t.Fatalf("span: %+v", sp)
-	}
-
-	bad, err := http.Get(srv.URL + "/debug/trace?n=notanumber")
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad.Body.Close()
-	if bad.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad n: status %d, want 400", bad.StatusCode)
-	}
-}
-
-func TestStatsIncludesLatency(t *testing.T) {
-	srv, _ := testServer(t)
-	var out searchResponse
-	getJSON(t, srv.URL+"/search?q=1&k=2", http.StatusOK, &out)
-
-	var stats struct {
-		Queries int64 `json:"queries"`
-		Latency struct {
-			TotalMiss struct {
-				Count uint64  `json:"count"`
-				P50US float64 `json:"p50_us"`
-			} `json:"total_miss"`
-		} `json:"latency"`
-	}
-	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
-	if stats.Latency.TotalMiss.Count == 0 {
-		t.Fatalf("stats latency missing the served query: %+v", stats)
-	}
-	if stats.Latency.TotalMiss.P50US <= 0 {
-		t.Fatalf("p50 of an executed query is %v", stats.Latency.TotalMiss.P50US)
-	}
-}
-
 func TestApplyResultStageTimings(t *testing.T) {
 	e, d, q := testEngine(t, DefaultConfig())
 	ctx := context.Background()
@@ -244,9 +184,9 @@ func TestApplyResultStageTimings(t *testing.T) {
 	}
 
 	lat := e.Latency()
-	if lat.MutateApply.Count != 1 || lat.MutateInvalidate.Count != 1 {
+	if lat[StageMutateApply].Count != 1 || lat[StageMutateInvalidate].Count != 1 {
 		t.Fatalf("mutation stage counts: apply=%d invalidate=%d, want 1 each",
-			lat.MutateApply.Count, lat.MutateInvalidate.Count)
+			lat[StageMutateApply].Count, lat[StageMutateInvalidate].Count)
 	}
 }
 

@@ -1,4 +1,4 @@
-package engine
+package httpapi
 
 import (
 	"context"
@@ -10,13 +10,43 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cserr"
+	"repro/internal/dataset"
+	"repro/internal/engine"
+	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/query"
 )
 
-func testServer(t *testing.T) (*httptest.Server, *Engine) {
+// testDataset builds a small planted-community graph shared by the tests.
+func testDataset(t testing.TB) *dataset.Generated {
 	t.Helper()
-	e, _, _ := testEngine(t, DefaultConfig())
-	srv := httptest.NewServer(NewHTTPHandler(e))
+	d, err := dataset.Generate(dataset.Spec{
+		Name: "engine-test", Nodes: 400, MinCommunity: 12, MaxCommunity: 28,
+		IntraDegree: 8, InterDegree: 0.8,
+		TokensPerNode: 4, PoolSize: 5, Vocab: 80, NoiseProb: 0.15,
+		NumDim: 2, NumSigma: 0.06, Seed: 11,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func testEngine(t testing.TB, cfg engine.Config) (*engine.Engine, *dataset.Generated, graph.NodeID) {
+	t.Helper()
+	d := testDataset(t)
+	e, err := engine.New(d.Graph, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, d, d.QueryNodes(1, 6, 3)[0]
+}
+
+func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
+	t.Helper()
+	e, _, _ := testEngine(t, engine.DefaultConfig())
+	srv := httptest.NewServer(New(EngineRoutes(e), nil))
 	t.Cleanup(srv.Close)
 	return srv, e
 }
@@ -116,25 +146,41 @@ func TestServerSearchErrors(t *testing.T) {
 	}
 }
 
+// TestServerDeadlineMapsTo408: the engine's own RequestTimeout firing while
+// the computation is held (an armed engine.search delay keeps the slot, as a
+// slow search would) answers 408 with the deadline error in the body; so
+// does a request whose client context is already cancelled.
 func TestServerDeadlineMapsTo408(t *testing.T) {
-	d := testDataset(t)
-	cfg := DefaultConfig()
-	cfg.MaxConcurrent = 1
+	cfg := engine.DefaultConfig()
 	cfg.RequestTimeout = time.Millisecond
-	e, err := New(d.Graph, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewHTTPHandler(e))
-	t.Cleanup(srv.Close)
+	e, d, _ := testEngine(t, cfg)
+	h := New(EngineRoutes(e), nil)
+	nodes := d.QueryNodes(2, 6, 3)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 
-	e.sem <- struct{}{} // hold the compute path so the engine deadline fires
-	defer func() { <-e.sem }()
-	q := int64(d.QueryNodes(1, 6, 3)[0])
-	var out searchResponse
-	postJSON(t, srv.URL+"/search", fmt.Sprintf(`{"q":%d,"k":6}`, q), http.StatusRequestTimeout, &out)
-	if out.Err == "" {
-		t.Fatalf("timeout response missing error: %+v", out)
+	faults.Enable(23, faults.Spec{Site: "engine.search", Count: 2, Delay: 200 * time.Millisecond})
+	defer faults.Disable()
+
+	for _, tc := range []struct {
+		name    string
+		ctx     context.Context
+		q       graph.NodeID
+		wantErr string
+	}{
+		{"engine deadline", context.Background(), nodes[0], context.DeadlineExceeded.Error()},
+		{"client cancel", cancelled, nodes[1], context.Canceled.Error()},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/search", strings.NewReader(fmt.Sprintf(`{"q":%d,"k":6}`, tc.q)))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req.WithContext(tc.ctx))
+		if rec.Code != http.StatusRequestTimeout {
+			t.Fatalf("%s: status %d, want 408: %s", tc.name, rec.Code, rec.Body)
+		}
+		var out searchResponse
+		if err := json.NewDecoder(rec.Body).Decode(&out); err != nil || !strings.Contains(out.Err, tc.wantErr) {
+			t.Fatalf("%s: body error %q (%v), want %q", tc.name, out.Err, err, tc.wantErr)
+		}
 	}
 }
 
@@ -157,7 +203,7 @@ func TestServerBatchAndStats(t *testing.T) {
 		t.Fatal("batch order not preserved")
 	}
 
-	var stats Stats
+	var stats engine.Stats
 	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
 	if stats.Queries != 4 || stats.SearchRuns != 3 {
 		t.Fatalf("stats after batch: %+v", stats)
@@ -276,5 +322,90 @@ func TestRequestRoundTripsThroughHTTP(t *testing.T) {
 	}
 	if viaHTTP.Method != req.Method.String() {
 		t.Fatalf("method lost on the wire: %+v", viaHTTP)
+	}
+}
+
+func TestDebugTraceEndpoint(t *testing.T) {
+	srv, _ := testServer(t)
+	// The engine echoes but never generates request IDs (that is the
+	// router's job), so send one and expect it on the span.
+	req, err := http.NewRequest(http.MethodGet, srv.URL+"/search?q=1&k=2", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(RequestIDHeader, "trace-me")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /search: %d", resp.StatusCode)
+	}
+	if got := resp.Header.Get(RequestIDHeader); got != "trace-me" {
+		t.Fatalf("response request id %q", got)
+	}
+
+	var trace struct {
+		Spans []engine.Span `json:"spans"`
+	}
+	getJSON(t, srv.URL+"/debug/trace?n=5", http.StatusOK, &trace)
+	if len(trace.Spans) == 0 {
+		t.Fatal("no spans after a served query")
+	}
+	sp := trace.Spans[0]
+	if sp.RequestID != "trace-me" {
+		t.Fatalf("span request id %q, want the propagated header", sp.RequestID)
+	}
+	if sp.Query != 1 || sp.TotalNS <= 0 {
+		t.Fatalf("span: %+v", sp)
+	}
+
+	bad, err := http.Get(srv.URL + "/debug/trace?n=notanumber")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad n: status %d, want 400", bad.StatusCode)
+	}
+}
+
+func TestStatsIncludesLatency(t *testing.T) {
+	srv, _ := testServer(t)
+	var out searchResponse
+	getJSON(t, srv.URL+"/search?q=1&k=2", http.StatusOK, &out)
+
+	var stats struct {
+		Queries int64 `json:"queries"`
+		Latency struct {
+			TotalMiss struct {
+				Count uint64  `json:"count"`
+				P50US float64 `json:"p50_us"`
+			} `json:"total_miss"`
+		} `json:"latency"`
+	}
+	getJSON(t, srv.URL+"/stats", http.StatusOK, &stats)
+	if stats.Latency.TotalMiss.Count == 0 {
+		t.Fatalf("stats latency missing the served query: %+v", stats)
+	}
+	if stats.Latency.TotalMiss.P50US <= 0 {
+		t.Fatalf("p50 of an executed query is %v", stats.Latency.TotalMiss.P50US)
+	}
+}
+
+// TestOverloadedHTTPContract pins the wire shape of a shed: 429 with a
+// Retry-After hint.
+func TestOverloadedHTTPContract(t *testing.T) {
+	if got := StatusFor(cserr.ErrOverloaded); got != http.StatusTooManyRequests {
+		t.Fatalf("StatusFor(ErrOverloaded) = %d, want 429", got)
+	}
+	rec := httptest.NewRecorder()
+	WriteError(rec, StatusFor(cserr.ErrOverloaded), cserr.ErrOverloaded)
+	if rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429", rec.Code)
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("429 carries no Retry-After hint")
 	}
 }

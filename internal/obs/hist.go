@@ -126,25 +126,12 @@ func (h *Histogram) Snapshot() Snapshot {
 
 // Snapshot is an immutable point-in-time copy of a Histogram: per-bucket
 // counts plus the exact observation count and sum. The zero value is an
-// empty snapshot. Snapshots merge by addition and estimate quantiles by
-// linear interpolation within the resolved bucket.
+// empty snapshot. Snapshots estimate quantiles by linear interpolation
+// within the resolved bucket.
 type Snapshot struct {
 	Count   uint64
 	Sum     uint64
 	Buckets [NumBuckets]uint64
-}
-
-// Merge returns the bucket-wise sum of s and o — the histogram of the two
-// underlying populations combined. All histograms share one layout, so any
-// two snapshots merge.
-func (s Snapshot) Merge(o Snapshot) Snapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	for i := range out.Buckets {
-		out.Buckets[i] += o.Buckets[i]
-	}
-	return out
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) of the recorded values,

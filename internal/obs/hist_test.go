@@ -122,26 +122,6 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-func TestSnapshotMerge(t *testing.T) {
-	var a, b Histogram
-	r := rand.New(rand.NewSource(7))
-	var whole Histogram
-	for i := 0; i < 10_000; i++ {
-		v := r.Int63n(1_000_000)
-		whole.Observe(v)
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-	}
-	merged := a.Snapshot().Merge(b.Snapshot())
-	want := whole.Snapshot()
-	if merged != want {
-		t.Fatal("merged snapshot differs from whole-population histogram")
-	}
-}
-
 // TestConcurrentRecordSnapshot is the race-detector workout: writers record
 // while readers snapshot and quantile. Run under -race it proves the
 // lock-free claim; the final barrier checks no observation was lost.

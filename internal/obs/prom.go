@@ -10,12 +10,17 @@ import (
 	"strings"
 )
 
-// Prometheus text exposition (format 0.0.4) helpers. WriteHistogram renders
-// a Snapshot as the standard cumulative `_bucket{le=...}` / `_sum` /
-// `_count` triple; EscapeLabel implements the exposition-format escaping
-// rules exactly (only `\`, `"` and newline are escaped — fmt's %q escapes
-// more and produces sequences strict parsers reject); CheckExposition is the
-// strictness checker the exposition tests run over full /metrics bodies.
+// Prometheus text exposition (format 0.0.4). FamilyWriter is the one
+// renderer every /metrics endpoint goes through: a # HELP / # TYPE preamble
+// per family, then one Sample (counter, gauge) or Histogram (cumulative
+// `_bucket{le=...}` / `_sum` / `_count`) per label set; escapeLabel
+// implements the exposition-format escaping rules exactly (only `\`, `"` and
+// newline are escaped — fmt's %q escapes more and produces sequences strict
+// parsers reject); CheckExposition is the strictness checker the exposition
+// tests run over full /metrics bodies.
+
+// ExpositionContentType is the Content-Type of a text-format /metrics body.
+const ExpositionContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Label is one Prometheus label pair. Values are escaped at write time.
 type Label struct {
@@ -23,10 +28,10 @@ type Label struct {
 	Value string
 }
 
-// EscapeLabel escapes a label value per the exposition format: backslash,
+// escapeLabel escapes a label value per the exposition format: backslash,
 // double-quote and newline only. Anything else — tabs, control bytes, UTF-8
 // — passes through verbatim, as the format requires.
-func EscapeLabel(v string) string {
+func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
@@ -53,26 +58,52 @@ func escapeHelp(v string) string {
 	return strings.ReplaceAll(v, "\n", `\n`)
 }
 
-// WriteHistogramHeader writes the # HELP / # TYPE preamble for a histogram
-// family. Call once per family, before the per-labelset WriteHistogram
-// calls.
-func WriteHistogramHeader(w io.Writer, name, help string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, escapeHelp(help), name)
-}
-
 // exposeEvery thins the bucket layout for exposition: one `le` boundary per
 // octave (the octave-top sub-bucket) instead of all four, cutting the series
 // count 4× while keeping full resolution in /stats and seaload, which
 // quantile over the unthinned snapshot.
 const exposeEvery = subCount
 
-// WriteHistogram writes one labelset of a histogram family: cumulative
-// `_bucket{le="..."}` lines at octave boundaries plus `+Inf`, then `_sum`
-// and `_count`. Values are scaled by scale before exposition — pass 1e-9 to
-// expose nanosecond observations as the conventional seconds, 1 for
-// unit-less histograms (fan-out widths). Boundaries are inclusive upper
-// bounds of integer-valued buckets, so the cumulative counts are exact.
-func WriteHistogram(w io.Writer, name string, labels []Label, s Snapshot, scale float64) {
+// FamilyWriter renders metric families in the text exposition format: call
+// Family once per family, then Sample or Histogram once per label set of it.
+// The first write error sticks and is reported by Err.
+type FamilyWriter struct {
+	w    io.Writer
+	name string // the current family
+	err  error
+}
+
+// NewFamilyWriter returns a FamilyWriter rendering to w.
+func NewFamilyWriter(w io.Writer) *FamilyWriter { return &FamilyWriter{w: w} }
+
+// Err is the first error a write returned.
+func (fw *FamilyWriter) Err() error { return fw.err }
+
+func (fw *FamilyWriter) printf(format string, args ...any) {
+	if fw.err == nil {
+		_, fw.err = fmt.Fprintf(fw.w, format, args...)
+	}
+}
+
+// Family starts a family: its # HELP / # TYPE preamble. typ is "counter",
+// "gauge" or "histogram".
+func (fw *FamilyWriter) Family(name, typ, help string) {
+	fw.name = name
+	fw.printf("# HELP %s %s\n# TYPE %s %s\n", name, escapeHelp(help), name, typ)
+}
+
+// Sample writes one counter or gauge sample of the current family.
+func (fw *FamilyWriter) Sample(v float64, labels ...Label) {
+	fw.printf("%s%s %s\n", fw.name, wrapLabels(labels), formatFloat(v))
+}
+
+// Histogram writes one label set of the current histogram family:
+// cumulative `_bucket{le="..."}` lines at octave boundaries plus `+Inf`,
+// then `_sum` and `_count`. Values are scaled by scale before exposition —
+// pass 1e-9 to expose nanosecond observations as the conventional seconds,
+// 1 for unit-less histograms (fan-out widths). Boundaries are inclusive
+// upper bounds of integer-valued buckets, so the cumulative counts are exact.
+func (fw *FamilyWriter) Histogram(s Snapshot, scale float64, labels ...Label) {
 	base := formatLabels(labels)
 	var cum uint64
 	for i := 0; i < NumBuckets-1; i++ {
@@ -81,11 +112,11 @@ func WriteHistogram(w io.Writer, name string, labels []Label, s Snapshot, scale 
 			continue
 		}
 		le := float64(BucketUpper(i)) * scale
-		fmt.Fprintf(w, "%s_bucket{%sle=\"%s\"} %d\n", name, base, formatFloat(le), cum)
+		fw.printf("%s_bucket{%sle=\"%s\"} %d\n", fw.name, base, formatFloat(le), cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, base, s.Count)
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, wrapLabels(labels), formatFloat(float64(s.Sum)*scale))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, wrapLabels(labels), s.Count)
+	fw.printf("%s_bucket{%sle=\"+Inf\"} %d\n", fw.name, base, s.Count)
+	fw.printf("%s_sum%s %s\n", fw.name, wrapLabels(labels), formatFloat(float64(s.Sum)*scale))
+	fw.printf("%s_count%s %d\n", fw.name, wrapLabels(labels), s.Count)
 }
 
 // formatLabels renders `name="escaped",` pairs with a trailing comma, ready
@@ -98,7 +129,7 @@ func formatLabels(labels []Label) string {
 	for _, l := range labels {
 		b.WriteString(l.Name)
 		b.WriteString(`="`)
-		b.WriteString(EscapeLabel(l.Value))
+		b.WriteString(escapeLabel(l.Value))
 		b.WriteString(`",`)
 	}
 	return b.String()

@@ -18,31 +18,37 @@ func TestEscapeLabel(t *testing.T) {
 		"utf8 — stays": "utf8 — stays",
 	}
 	for in, want := range cases {
-		if got := EscapeLabel(in); got != want {
-			t.Errorf("EscapeLabel(%q) = %q, want %q", in, got, want)
+		if got := escapeLabel(in); got != want {
+			t.Errorf("escapeLabel(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
 
-func TestWriteHistogramIsValidExposition(t *testing.T) {
+func TestFamilyWriterIsValidExposition(t *testing.T) {
 	var h Histogram
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 10_000; i++ {
 		h.Observe(r.Int63n(5_000_000))
 	}
 	var buf bytes.Buffer
-	WriteHistogramHeader(&buf, "sea_test_latency_seconds", "test latency")
-	WriteHistogram(&buf, "sea_test_latency_seconds",
-		[]Label{{"graph", `we"ird\name`}, {"stage", "search"}}, h.Snapshot(), 1e-9)
-	WriteHistogram(&buf, "sea_test_latency_seconds",
-		[]Label{{"graph", "fb"}, {"stage", "distance"}}, Snapshot{}, 1e-9)
+	fw := NewFamilyWriter(&buf)
+	fw.Family("sea_test_latency_seconds", "histogram", "test latency")
+	fw.Histogram(h.Snapshot(), 1e-9, Label{"graph", `we"ird\name`}, Label{"stage", "search"})
+	fw.Histogram(Snapshot{}, 1e-9, Label{"graph", "fb"}, Label{"stage", "distance"})
+	fw.Family("sea_test_total", "counter", "a counter\nwith a newline in its help")
+	fw.Sample(1e6, Label{"graph", "fb"})
+	fw.Sample(3)
+	if err := fw.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if err := CheckExposition(buf.Bytes()); err != nil {
-		t.Fatalf("WriteHistogram output rejected: %v\n%s", err, buf.String())
+		t.Fatalf("FamilyWriter output rejected: %v\n%s", err, buf.String())
 	}
 	out := buf.String()
 	for _, want := range []string{
 		`le="+Inf"`, "_sum{", "_count{", "# TYPE sea_test_latency_seconds histogram",
-		`graph="we\"ird\\name"`,
+		`graph="we\"ird\\name"`, "sea_test_total{graph=\"fb\"} 1e+06\n", "sea_test_total 3\n",
+		`# HELP sea_test_total a counter\nwith a newline in its help`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -50,12 +56,13 @@ func TestWriteHistogramIsValidExposition(t *testing.T) {
 	}
 }
 
-func TestWriteHistogramNoLabels(t *testing.T) {
+func TestHistogramNoLabels(t *testing.T) {
 	var h Histogram
 	h.Observe(42)
 	var buf bytes.Buffer
-	WriteHistogramHeader(&buf, "client_latency_seconds", "client side")
-	WriteHistogram(&buf, "client_latency_seconds", nil, h.Snapshot(), 1e-9)
+	fw := NewFamilyWriter(&buf)
+	fw.Family("client_latency_seconds", "histogram", "client side")
+	fw.Histogram(h.Snapshot(), 1e-9)
 	if err := CheckExposition(buf.Bytes()); err != nil {
 		t.Fatalf("no-label exposition rejected: %v\n%s", err, buf.String())
 	}
@@ -64,14 +71,16 @@ func TestWriteHistogramNoLabels(t *testing.T) {
 	}
 }
 
-func TestWriteHistogramCumulative(t *testing.T) {
+func TestHistogramCumulative(t *testing.T) {
 	// The cumulative invariant: each bucket line ≥ the previous, +Inf == count.
 	var h Histogram
 	for i := int64(1); i <= 1_000_000; i *= 3 {
 		h.Observe(i)
 	}
 	var buf bytes.Buffer
-	WriteHistogram(&buf, "m", nil, h.Snapshot(), 1)
+	fw := NewFamilyWriter(&buf)
+	fw.Family("m", "histogram", "m")
+	fw.Histogram(h.Snapshot(), 1)
 	var prev, inf, count uint64
 	var sawInf bool
 	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {

@@ -4,14 +4,16 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 )
 
-// TestGoVetPasses keeps the whole module go vet clean. Running it inside the
-// test suite keeps the check active even where the CI vet step is skipped.
-func TestGoVetPasses(t *testing.T) {
+// goTool locates the go binary, skipping the test in -short mode or when
+// there is none.
+func goTool(t *testing.T) string {
+	t.Helper()
 	if testing.Short() {
-		t.Skip("skipping go vet in -short mode")
+		t.Skip("skipping go tool checks in -short mode")
 	}
 	goBin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := exec.LookPath(goBin); err != nil {
@@ -19,9 +21,41 @@ func TestGoVetPasses(t *testing.T) {
 			t.Skip("go binary not found")
 		}
 	}
-	cmd := exec.Command(goBin, "vet", "./...")
-	cmd.Dir = "."
-	if out, err := cmd.CombinedOutput(); err != nil {
+	return goBin
+}
+
+// TestGoVetPasses keeps the whole module go vet clean. Running it inside the
+// test suite keeps the check active even where the CI vet step is skipped.
+func TestGoVetPasses(t *testing.T) {
+	if out, err := exec.Command(goTool(t), "vet", "./...").CombinedOutput(); err != nil {
 		t.Fatalf("go vet ./... failed: %v\n%s", err, out)
+	}
+}
+
+// TestImportBoundaries keeps the wire protocol in one place: under internal/
+// only httpapi, cluster, obs (the pprof listener) and faults (the transport
+// fault site) import net/http — tests included — and httpapi does not know
+// about cluster, which contributes its routes from the outside.
+func TestImportBoundaries(t *testing.T) {
+	out, err := exec.Command(goTool(t), "list", "-f",
+		`{{.ImportPath}}: {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}`,
+		"./internal/...").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list failed: %v\n%s", err, out)
+	}
+	mayServe := map[string]bool{
+		"repro/internal/httpapi": true, "repro/internal/cluster": true,
+		"repro/internal/obs": true, "repro/internal/faults": true,
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		pkg, imports, _ := strings.Cut(line, ": ")
+		for _, imp := range strings.Fields(imports) {
+			if strings.HasPrefix(imp, "net/http") && !mayServe[pkg] {
+				t.Errorf("%s imports %s; HTTP belongs in internal/httpapi", pkg, imp)
+			}
+			if pkg == "repro/internal/httpapi" && imp == "repro/internal/cluster" {
+				t.Errorf("%s imports %s; cluster adds its routes to the table, not the reverse", pkg, imp)
+			}
+		}
 	}
 }
