@@ -2,8 +2,8 @@ package sea
 
 // One benchmark per table and figure of the paper's evaluation (§VII), each
 // delegating to the experiment runner that regenerates it, plus ablation
-// benchmarks for the design decisions called out in DESIGN.md and
-// micro-benchmarks for the hot substrate operations.
+// benchmarks — each pairs a design decision with the alternative it
+// replaced — and micro-benchmarks for the hot substrate operations.
 //
 // The table/figure benchmarks run the miniature experiment configuration so
 // `go test -bench=.` completes in minutes; `cmd/seabench` runs the same code
@@ -225,7 +225,7 @@ func BenchmarkScalability(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md design decisions) ------------------------------
+// --- Ablations ------------------------------------------------------------
 
 // BenchmarkAblationCloneVsRollback compares rollback-based backtracking
 // against cloning the k-core maintenance structure per state.
@@ -345,7 +345,7 @@ func BenchmarkAblationStoppingRule(b *testing.B) {
 		opts.NoRefine = noRefine
 		for i := 0; i < b.N; i++ {
 			opts.Seed = int64(i + 1)
-			if _, err := internalsea.SearchWithDist(benchData.Graph, benchDist, benchQ, opts); err != nil {
+			if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -396,16 +396,11 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 	req := query.DefaultRequest(benchQ)
 	req.K = 6
 	req.MaxRounds = 2
-	opts := req.Options()
 	ctx := context.Background()
 
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m, err := attr.NewMetric(benchData.Graph, 0.5)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := internalsea.Search(benchData.Graph, m, benchQ, opts); err != nil {
+			if _, err := query.Execute(ctx, benchData.Graph, req); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -514,12 +509,12 @@ func BenchmarkSubstrateInducedCSR(b *testing.B) {
 	defer w.Release()
 	nodes := sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, 800, w)
 	guardAllocs(b, 0, func() {
-		benchData.Graph.InducedStructure(nodes, &w.Sub)
+		graph.InducedStructureOf(benchData.Graph, nodes, &w.Sub)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchData.Graph.InducedStructure(nodes, &w.Sub)
+		graph.InducedStructureOf(benchData.Graph, nodes, &w.Sub)
 	}
 }
 
@@ -594,19 +589,17 @@ func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 
 func BenchmarkSubstrateInKCoreSet(b *testing.B) {
 	benchSetup(b)
-	w := ws.Get()
-	defer w.Release()
-	members := kcore.MaximalConnectedKCoreInto(nil, benchData.Graph, benchQ, 6, w)
+	members := kcore.MaximalConnectedKCore(benchData.Graph, benchQ, 6)
 	if members == nil {
 		b.Skip("query hosts no 6-core")
 	}
 	guardAllocs(b, 0, func() {
-		kcore.InKCoreSetWS(benchData.Graph, members, 6, w)
+		kcore.InKCoreSet(benchData.Graph, members, 6)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		kcore.InKCoreSetWS(benchData.Graph, members, 6, w)
+		kcore.InKCoreSet(benchData.Graph, members, 6)
 	}
 }
 
@@ -644,7 +637,7 @@ func BenchmarkSEASearch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
-		if _, err := internalsea.SearchWithDist(benchData.Graph, benchDist, benchQ, opts); err != nil {
+		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -660,7 +653,7 @@ func BenchmarkSEASearchTruss(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
-		if _, err := internalsea.SearchWithDist(benchData.Graph, benchDist, benchQ, opts); err != nil {
+		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -672,7 +665,7 @@ func BenchmarkExactSearch(b *testing.B) {
 	cfg.MaxStates = 5000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := exact.Search(benchData.Graph, benchQ, 6, benchDist, cfg); err != nil && err != exact.ErrBudgetExhausted {
+		if _, err := exact.SearchContext(context.Background(), benchData.Graph, benchQ, 6, benchDist, cfg); err != nil && err != exact.ErrBudgetExhausted {
 			b.Fatal(err)
 		}
 	}

@@ -264,16 +264,20 @@
 // induced-subgraph builder that writes into preallocated CSR arrays — so
 // steady-state query traffic executes the sampling → extraction →
 // estimation loop with ~zero allocations (CI-enforced by the
-// BenchmarkSubstrate* AllocsPerRun guards). The embarrassingly-parallel
-// inner stages — BLB bag resamples, the peel loop's most-dissimilar scan,
-// QueryDist over node ranges — fan out over bounded worker pools sized by
-// GOMAXPROCS. Determinism is part of the contract: for a fixed Request
-// seed the result is byte-identical whatever the worker count, because
-// per-subsample rngs are derived serially, reductions are index-ordered,
-// and parallel scans preserve the serial tie-breaks. The repository's
-// recorded perf trajectory lives in BENCH_<pr>.json files produced by
-// `make bench-json` and compared with `make bench-compare` (or
-// `seabench -compare BENCH_4.json`).
+// BenchmarkSubstrate* AllocsPerRun guards). Parallelism is between
+// requests: the engine runs up to MaxConcurrent searches side by side and
+// Batch drives Workers of them, while each search runs on the goroutine
+// that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
+// nodes and up) is the only fan-out inside a request; BLB and the peel scan
+// lost theirs when a probe of the benchmark's workloads found candidates of
+// at most 48 members and BLB calls over at most 47 values — ~40 µs of work
+// each. A result depends on the Request alone: every BLB subsample draws
+// from its own generator, seeded by one value taken from the search's, so
+// for a fixed seed the Outcome is byte-identical whatever GOMAXPROCS is and
+// however many searches run beside it. The repository's recorded perf
+// trajectory lives in BENCH_<pr>.json files produced by `make bench-json`
+// and compared with `make bench-compare` (or `seabench -compare
+// BENCH_4.json`).
 //
 // # Removed in PR 12: the pre-Request entry points
 //

@@ -9,32 +9,25 @@
 //     distance inside the community; an approximate peeling variant and an
 //     exact branch-and-bound variant (E-VAC).
 //
-// Each method exists for the k-core and k-truss structure models through the
-// shared cohesive.Maintainer interface.
+// Each method exists for the k-core and k-truss structure models (the
+// request's sea.Model) through the shared cohesive.Maintainer interface, and
+// runs under a context: its loop checks ctx before every trial and, when
+// cancelled, returns the best community found so far with ctx's error
+// wrapped, like sea.SearchWithDistContext and exact.SearchContext.
 package baselines
 
 import (
 	"context"
-	"errors"
 	"math"
 	"sort"
 
 	"repro/internal/attr"
-	"repro/internal/cohesive"
 	"repro/internal/cserr"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/sea"
 	"repro/internal/truss"
 	"repro/internal/ws"
-)
-
-// Model selects the structural model for a baseline.
-type Model int
-
-// Structural models.
-const (
-	KCore Model = iota
-	KTruss
 )
 
 // ErrNoCommunity is returned when the query has no qualifying community.
@@ -43,56 +36,16 @@ const (
 var ErrNoCommunity = cserr.ErrNoCommunity
 
 // interrupted builds the cancelled-search return for a baseline: the best
-// community found so far (nil when none) with ctx's error wrapped, matching
-// the contract of sea.SearchContext and exact.SearchContext.
+// community found so far (nil when none) with ctx's error wrapped.
 func interrupted(ctx context.Context, name string, best []graph.NodeID) ([]graph.NodeID, error) {
 	return best, cserr.Interruptedf(ctx.Err(), "baselines: %s interrupted", name)
-}
-
-// maximal returns the maximal connected structure containing q and a
-// maintainer over it, or nil when none exists.
-func maximal(g graph.Store, q graph.NodeID, k int, model Model) (cohesive.Maintainer, []graph.NodeID) {
-	switch model {
-	case KTruss:
-		// A workspace of the maintainer's own: it lives in it past this call.
-		m := truss.MaximalSub(g, q, k, new(ws.Workspace))
-		if m == nil {
-			return nil, nil
-		}
-		return m, m.Members(nil)
-	default:
-		members := kcore.MaximalConnectedKCore(g, q, k)
-		if members == nil {
-			return nil, nil
-		}
-		m, err := kcore.NewSub(g, q, k, members)
-		if err != nil {
-			return nil, nil
-		}
-		return m, members
-	}
-}
-
-// minSize is the smallest admissible community for the model.
-func minSize(k int, model Model) int {
-	if model == KTruss {
-		return k
-	}
-	return k + 1
 }
 
 // ACQ finds a connected k-core containing q whose members all share as many
 // of q's textual attributes as possible. It examines q's attributes in
 // decreasing selectivity, greedily growing the shared set while a qualifying
 // community survives, per the ACQ algorithm's core idea.
-func ACQ(g graph.Store, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
-	return ACQContext(context.Background(), g, q, k, model)
-}
-
-// ACQContext is ACQ under a context: the greedy attribute-extension loop
-// checks ctx before every trial and, when cancelled, returns the best
-// community found so far with ctx's error wrapped.
-func ACQContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
+func ACQ(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
 	base := maximalMembers(g, q, k, model)
 	if base == nil {
 		return nil, ErrNoCommunity
@@ -139,7 +92,7 @@ func ACQContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, model
 
 // communityWithAttrs returns the maximal connected structure containing q
 // restricted to nodes having every attribute in attrs, or nil.
-func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model Model, attrs []int32) []graph.NodeID {
+func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model sea.Model, attrs []int32) []graph.NodeID {
 	keep := make([]graph.NodeID, 0, g.NumNodes())
 	for v := 0; v < g.NumNodes(); v++ {
 		if hasAll(g.TextAttrs(graph.NodeID(v)), attrs) {
@@ -156,12 +109,7 @@ func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model Model, attrs
 	if subQ < 0 {
 		return nil
 	}
-	var members []graph.NodeID
-	if model == KTruss {
-		members = truss.MaximalConnectedKTruss(sub, subQ, k)
-	} else {
-		members = kcore.MaximalConnectedKCore(sub, subQ, k)
-	}
+	members := maximalMembers(sub, subQ, k, model)
 	if members == nil {
 		return nil
 	}
@@ -186,8 +134,8 @@ func hasAll(have, want []int32) bool {
 	return true
 }
 
-func maximalMembers(g graph.Store, q graph.NodeID, k int, model Model) []graph.NodeID {
-	if model == KTruss {
+func maximalMembers(g graph.Store, q graph.NodeID, k int, model sea.Model) []graph.NodeID {
+	if model == sea.KTruss {
 		return truss.MaximalConnectedKTruss(g, q, k)
 	}
 	return kcore.MaximalConnectedKCore(g, q, k)
@@ -216,21 +164,16 @@ func CoverageScore(g graph.Store, q graph.NodeID, members []graph.NodeID) float6
 // LocATC performs the local search of ATC: starting from the maximal
 // connected structure, iteratively remove the node whose removal most
 // improves the attribute coverage score, stopping at a local optimum.
-func LocATC(g graph.Store, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
-	return LocATCContext(context.Background(), g, q, k, model)
-}
-
-// LocATCContext is LocATC under a context: the local search checks ctx
-// before every trial removal and, when cancelled, returns the best
-// community found so far with ctx's error wrapped.
-func LocATCContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
-	maint, members := maximal(g, q, k, model)
+func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
+	w := ws.Get()
+	defer w.Release() // the k-truss maintainer lives in w
+	maint := model.Maximal(g, q, k, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
-	best := append([]graph.NodeID(nil), members...)
+	best := maint.Members(nil)
 	bestScore := CoverageScore(g, q, best)
-	buf := make([]graph.NodeID, 0, len(members))
+	buf := make([]graph.NodeID, 0, len(best))
 	// Local search: per step, trial-remove the nodes sharing the fewest of
 	// q's attributes (capped — removing a low-overlap node is what raises
 	// the coverage score) and keep the best single removal.
@@ -238,7 +181,7 @@ func LocATCContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, mo
 	qAttrs := g.TextAttrs(q)
 	for {
 		buf = maint.Members(buf[:0])
-		if len(buf) <= minSize(k, model) {
+		if len(buf) <= model.MinSize(k) {
 			break
 		}
 		sort.Slice(buf, func(i, j int) bool {
@@ -260,7 +203,7 @@ func LocATCContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, mo
 				continue
 			}
 			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= minSize(k, model) {
+			if qAlive && maint.Size() >= model.MinSize(k) {
 				trialMembers := maint.Members(nil)
 				score := CoverageScore(g, q, trialMembers)
 				if score > bestTrial {
@@ -290,27 +233,22 @@ func LocATCContext(ctx context.Context, g graph.Store, q graph.NodeID, k int, mo
 // the structure survives; stop when the worst-case pair cannot be improved.
 // This mirrors the 2-approximation peeling of the VAC paper, using distance
 // to the farthest member as the vertex score.
-func VAC(g graph.Store, m *attr.Metric, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
-	return VACContext(context.Background(), g, m, q, k, model)
-}
-
-// VACContext is VAC under a context: the peeling loop checks ctx before
-// every endpoint trial and, when cancelled, returns the best community
-// found so far with ctx's error wrapped.
-func VACContext(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model Model) ([]graph.NodeID, error) {
-	maint, members := maximal(g, q, k, model)
+func VAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
+	w := ws.Get()
+	defer w.Release() // the k-truss maintainer lives in w
+	maint := model.Maximal(g, q, k, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
-	best := append([]graph.NodeID(nil), members...)
+	best := maint.Members(nil)
 	bestObj := m.MaxPairwise(best)
-	buf := make([]graph.NodeID, 0, len(members))
+	buf := make([]graph.NodeID, 0, len(best))
 	for {
 		if ctx.Err() != nil {
 			return interrupted(ctx, "vac", best)
 		}
 		buf = maint.Members(buf[:0])
-		if len(buf) <= minSize(k, model) {
+		if len(buf) <= model.MinSize(k) {
 			break
 		}
 		// The max-distance pair dominates the objective; try deleting each
@@ -325,7 +263,7 @@ func VACContext(ctx context.Context, g graph.Store, m *attr.Metric, q graph.Node
 				continue
 			}
 			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= minSize(k, model) {
+			if qAlive && maint.Size() >= model.MinSize(k) {
 				trial := maint.Members(nil)
 				obj := m.MaxPairwise(trial)
 				if obj < bestObj {
@@ -360,43 +298,24 @@ func worstPair(m *attr.Metric, members []graph.NodeID) (graph.NodeID, graph.Node
 }
 
 // EVAC is the exact min-max search: branch-and-bound over node deletions
-// minimizing the maximum pairwise distance. Exponential; guarded by
-// maxStates. It keeps its historical contract for legacy callers: a
-// non-positive budget returns the starting community without searching, and
-// an exhausted budget returns the best-so-far silently. New code should use
-// EVACContext, which reports exhaustion through ErrBudgetExhausted.
-func EVAC(g graph.Store, m *attr.Metric, q graph.NodeID, k int, model Model, maxStates int) ([]graph.NodeID, error) {
-	if maxStates <= 0 {
-		members := maximalMembers(g, q, k, model)
-		if members == nil {
-			return nil, ErrNoCommunity
-		}
-		return members, nil
-	}
-	members, err := EVACContext(context.Background(), g, m, q, k, model, maxStates)
-	if errors.Is(err, cserr.ErrBudgetExhausted) {
-		return members, nil
-	}
-	return members, err
-}
-
-// EVACContext is EVAC under a context: the branch-and-bound checks ctx on
-// every state and, when cancelled, returns the best community found so far
-// with ctx's error wrapped. maxStates ≤ 0 means unlimited; when a positive
-// budget is hit, the best-so-far is returned with ErrBudgetExhausted,
-// symmetric with exact.SearchContext.
-func EVACContext(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model Model, maxStates int) ([]graph.NodeID, error) {
-	maint, members := maximal(g, q, k, model)
+// minimizing the maximum pairwise distance. Exponential, so guarded by
+// maxStates: ≤ 0 means unlimited; when a positive budget is hit, the
+// best-so-far is returned with ErrBudgetExhausted, symmetric with
+// exact.SearchContext. ctx is checked on every state.
+func EVAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model, maxStates int) ([]graph.NodeID, error) {
+	w := ws.Get()
+	defer w.Release() // the k-truss maintainer lives in w
+	maint := model.Maximal(g, q, k, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
-	best := append([]graph.NodeID(nil), members...)
+	best := maint.Members(nil)
 	bestObj := m.MaxPairwise(best)
 	states := 0
 	cancelled := false
 	exceeded := func() bool { return maxStates > 0 && states > maxStates }
 	var rec func()
-	buf := make([]graph.NodeID, 0, len(members))
+	buf := make([]graph.NodeID, 0, len(best))
 	rec = func() {
 		states++
 		if exceeded() {
@@ -413,7 +332,7 @@ func EVACContext(ctx context.Context, g graph.Store, m *attr.Metric, q graph.Nod
 			bestObj = obj
 			best = cur
 		}
-		if len(cur) <= minSize(k, model) {
+		if len(cur) <= model.MinSize(k) {
 			return
 		}
 		a, b := worstPair(m, cur)
@@ -422,7 +341,7 @@ func EVACContext(ctx context.Context, g graph.Store, m *attr.Metric, q graph.Nod
 				continue
 			}
 			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= minSize(k, model) {
+			if qAlive && maint.Size() >= model.MinSize(k) {
 				rec()
 			}
 			maint.Restore(removed)

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"repro/internal/attr"
+	"repro/internal/cserr"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/sea"
 	"repro/internal/truss"
 )
 
@@ -31,7 +33,7 @@ func testGraph(t testing.TB) *dataset.Generated {
 func TestACQReturnsValidCore(t *testing.T) {
 	d := testGraph(t)
 	q := d.QueryNodes(1, 4, 1)[0]
-	members, err := ACQ(d.Graph, q, 4, KCore)
+	members, err := ACQ(context.Background(), d.Graph, q, 4, sea.KCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestACQMaximizesSharedAttrs(t *testing.T) {
 		b.SetTextAttrs(graph.NodeID(v), "y")
 	}
 	g := b.MustBuild()
-	members, err := ACQ(g, 0, 3, KCore)
+	members, err := ACQ(context.Background(), g, 0, 3, sea.KCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +80,7 @@ func TestACQNoCommunity(t *testing.T) {
 	b := graph.NewBuilder(3, 0)
 	b.AddEdge(0, 1)
 	g := b.MustBuild()
-	if _, err := ACQ(g, 0, 3, KCore); !errors.Is(err, ErrNoCommunity) {
+	if _, err := ACQ(context.Background(), g, 0, 3, sea.KCore); !errors.Is(err, ErrNoCommunity) {
 		t.Errorf("err = %v, want ErrNoCommunity", err)
 	}
 }
@@ -87,7 +89,7 @@ func TestLocATCImprovesCoverage(t *testing.T) {
 	d := testGraph(t)
 	q := d.QueryNodes(1, 4, 2)[0]
 	base := kcore.MaximalConnectedKCore(d.Graph, q, 4)
-	members, err := LocATC(d.Graph, q, 4, KCore)
+	members, err := LocATC(context.Background(), d.Graph, q, 4, sea.KCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestVACImprovesWorstCase(t *testing.T) {
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	q := d.QueryNodes(1, 4, 3)[0]
 	base := kcore.MaximalConnectedKCore(d.Graph, q, 4)
-	members, err := VAC(d.Graph, m, q, 4, KCore)
+	members, err := VAC(context.Background(), d.Graph, m, q, 4, sea.KCore)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,12 +134,12 @@ func TestEVACBeatsOrMatchesVAC(t *testing.T) {
 	}
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	q := d.QueryNodes(1, 3, 4)[0]
-	approx, err := VAC(d.Graph, m, q, 3, KCore)
+	approx, err := VAC(context.Background(), d.Graph, m, q, 3, sea.KCore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := EVAC(d.Graph, m, q, 3, KCore, 20000)
-	if err != nil {
+	ex, err := EVAC(context.Background(), d.Graph, m, q, 3, sea.KCore, 20000)
+	if err != nil && !errors.Is(err, cserr.ErrBudgetExhausted) {
 		t.Fatal(err)
 	}
 	if m.MaxPairwise(ex) > m.MaxPairwise(approx)+1e-9 {
@@ -155,9 +157,9 @@ func TestTrussVariants(t *testing.T) {
 	found := 0
 	for _, q := range d.QueryNodes(5, k, 5) {
 		for name, run := range map[string]func() ([]graph.NodeID, error){
-			"LocATC-Truss": func() ([]graph.NodeID, error) { return LocATC(d.Graph, q, k, KTruss) },
-			"VAC-Truss":    func() ([]graph.NodeID, error) { return VAC(d.Graph, m, q, k, KTruss) },
-			"ACQ-Truss":    func() ([]graph.NodeID, error) { return ACQ(d.Graph, q, k, KTruss) },
+			"LocATC-Truss": func() ([]graph.NodeID, error) { return LocATC(context.Background(), d.Graph, q, k, sea.KTruss) },
+			"VAC-Truss":    func() ([]graph.NodeID, error) { return VAC(context.Background(), d.Graph, m, q, k, sea.KTruss) },
+			"ACQ-Truss":    func() ([]graph.NodeID, error) { return ACQ(context.Background(), d.Graph, q, k, sea.KTruss) },
 		} {
 			members, err := run()
 			if errors.Is(err, ErrNoCommunity) {
@@ -242,7 +244,7 @@ func TestEVACContextCancellation(t *testing.T) {
 		// Unlimited states: with random attributes both endpoints of the
 		// worst pair are viable deletions, so the branch-and-bound tree is
 		// exponential and cannot finish within any test budget on its own.
-		members, err := EVACContext(ctx, g, m, 0, 4, KCore, 0)
+		members, err := EVAC(ctx, g, m, 0, 4, sea.KCore, 0)
 		done <- answer{members, err}
 	}()
 	time.Sleep(20 * time.Millisecond)
@@ -276,10 +278,10 @@ func TestBaselinesHonorDeadContext(t *testing.T) {
 		name string
 		run  func() ([]graph.NodeID, error)
 	}{
-		{"acq", func() ([]graph.NodeID, error) { return ACQContext(ctx, g, 0, 3, KCore) }},
-		{"locatc", func() ([]graph.NodeID, error) { return LocATCContext(ctx, g, 0, 3, KCore) }},
-		{"vac", func() ([]graph.NodeID, error) { return VACContext(ctx, g, m, 0, 3, KCore) }},
-		{"evac", func() ([]graph.NodeID, error) { return EVACContext(ctx, g, m, 0, 3, KCore, 0) }},
+		{"acq", func() ([]graph.NodeID, error) { return ACQ(ctx, g, 0, 3, sea.KCore) }},
+		{"locatc", func() ([]graph.NodeID, error) { return LocATC(ctx, g, 0, 3, sea.KCore) }},
+		{"vac", func() ([]graph.NodeID, error) { return VAC(ctx, g, m, 0, 3, sea.KCore) }},
+		{"evac", func() ([]graph.NodeID, error) { return EVAC(ctx, g, m, 0, 3, sea.KCore, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			members, err := tc.run()

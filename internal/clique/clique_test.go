@@ -263,7 +263,7 @@ func TestPropertyCommunityIsUnionOfKCliquesWithQ(t *testing.T) {
 		if !hasQ {
 			return false
 		}
-		sub, orig := g.InducedSubgraph(members)
+		sub, orig := graph.InducedSubgraphOf(g, members)
 		cliques, err := enumerateKCliques(sub, k, 100000)
 		if err != nil {
 			return false

@@ -11,6 +11,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/truss"
+	"repro/internal/ws"
 )
 
 // randomDense returns a dense random graph.
@@ -32,15 +33,8 @@ type factory struct {
 func factories() []factory {
 	return []factory{
 		{"kcore", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
-			members := kcore.MaximalConnectedKCore(g, q, 3)
-			if members == nil {
-				return nil, false
-			}
-			m, err := kcore.NewSub(g, q, 3, members)
-			if err != nil {
-				return nil, false
-			}
-			return m, true
+			m := kcore.MaximalSub(g, q, 3, new(ws.Workspace))
+			return m, m != nil
 		}},
 		{"truss", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
 			members := truss.MaximalConnectedKTruss(g, q, 3)

@@ -8,8 +8,8 @@
 // dense intra-community and sparse inter-community edges, and correlates
 // both textual attributes (per-community keyword pools plus noise) and
 // numerical attributes (per-community Gaussian centroids) with the planted
-// structure. DESIGN.md documents why this preserves the behaviours the
-// paper's experiments measure.
+// structure. The wiring comments in Generate say which behaviour the paper's
+// experiments measure each planted member class is there to preserve.
 package dataset
 
 import (
@@ -31,7 +31,7 @@ type Spec struct {
 	IntraDegree int
 	// InterDegree is the expected number of cross-community edges per node.
 	// Inter-community edges attach to boundary members only, so planted
-	// community cores stay separate connected k-cores (see DESIGN.md).
+	// community cores stay separate connected k-cores.
 	InterDegree float64
 	// BoundaryFrac is the fraction of each community wired sparsely as its
 	// boundary (default 0.3); BoundaryDegree is a boundary member's number
@@ -117,7 +117,7 @@ func Generate(s Spec) (*Generated, error) {
 	//     attribute-distance methods from equality-matching ones;
 	//   - bridge (rest): sparse members carrying the inter-community edges,
 	//     peeled structurally at any meaningful k, which keeps the maximal
-	//     connected k-core community-local (see DESIGN.md).
+	//     connected k-core community-local.
 	for _, members := range communities {
 		n := len(members)
 		periN := int(boundaryFrac * float64(n))

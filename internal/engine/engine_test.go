@@ -62,7 +62,7 @@ func TestEngineMatchesDirectSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sea.Search(d.Graph, m, q, req.Options())
+	want, err := sea.SearchWithDistContext(context.Background(), d.Graph, m.QueryDist(q), q, req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestEngineIndexReject(t *testing.T) {
 	}
 	// The index's answer agrees with an actual search.
 	m, _ := attr.NewMetric(d.Graph, DefaultConfig().Gamma)
-	if _, err := sea.Search(d.Graph, m, q, req.Options()); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := query.Run(ctx, d.Graph, m, nil, req); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct search disagrees with index: %v", err)
 	}
 
@@ -186,7 +186,7 @@ func TestEngineIndexReject(t *testing.T) {
 	if !errors.Is(err, sea.ErrNoCommunity) || !qm.IndexHit {
 		t.Fatalf("truss reject: err=%v metrics=%+v", err, qm)
 	}
-	if _, err := sea.Search(d.Graph, m, q, treq.Options()); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := query.Run(ctx, d.Graph, m, nil, treq); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct truss search disagrees with index: %v", err)
 	}
 }
@@ -411,7 +411,7 @@ func TestEngineConcurrentMixed(t *testing.T) {
 }
 
 // TestEngineCachedSpeedup codifies the acceptance criterion: the cached path
-// must be at least 5× faster than a cold sea.Search (in practice it is
+// must be at least 5× faster than a cold query.Execute (in practice it is
 // orders of magnitude faster — one cold search vs one cache lookup).
 func TestEngineCachedSpeedup(t *testing.T) {
 	e, d, q := testEngine(t, DefaultConfig())
@@ -434,11 +434,7 @@ func TestEngineCachedSpeedup(t *testing.T) {
 	cold := time.Duration(1<<63 - 1)
 	for i := 0; i < 3; i++ { // best of 3 favors the cold side
 		t0 := time.Now()
-		m, err := attr.NewMetric(d.Graph, DefaultConfig().Gamma)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sea.Search(d.Graph, m, q, req.Options()); err != nil {
+		if _, err := query.Execute(ctx, d.Graph, req); err != nil {
 			t.Fatal(err)
 		}
 		if el := time.Since(t0); el < cold {

@@ -82,32 +82,25 @@ type searcher struct {
 // the poll itself stays out of the profile.
 const ctxCheckMask = 63
 
-// Search solves CS-AG exactly: it finds the connected k-core containing q
-// with the smallest q-centric attribute distance δ. dist[v] must hold f(v,q)
-// for every node (see attr.Metric.QueryDist).
-func Search(g graph.Adjacency, q graph.NodeID, k int, dist []float64, cfg Config) (Result, error) {
-	return SearchContext(context.Background(), g, q, k, dist, cfg)
-}
-
-// SearchContext is Search under a context. The state-expansion loop polls
-// ctx every few states; when it is cancelled the search stops promptly and
-// returns the best community found so far together with an error wrapping
-// ctx's error — symmetric with the ErrBudgetExhausted contract, so a
-// deadline behaves like a budget that ran out mid-search.
+// SearchContext solves CS-AG exactly: it finds the connected k-core
+// containing q with the smallest q-centric attribute distance δ. dist[v]
+// must hold f(v,q) for every node (see attr.Metric.QueryDist). The
+// state-expansion loop polls ctx every few states; when it is cancelled the
+// search stops promptly and returns the best community found so far together
+// with an error wrapping ctx's error — symmetric with the ErrBudgetExhausted
+// contract, so a deadline behaves like a budget that ran out mid-search.
 func SearchContext(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, dist []float64, cfg Config) (Result, error) {
 	if k < 1 {
 		return Result{}, cserr.Invalidf("exact: k must be ≥ 1, got %d", k)
 	}
-	members := kcore.MaximalConnectedKCore(g, q, k)
-	if members == nil {
+	w := ws.Get()
+	sub := kcore.MaximalSub(g, q, k, w)
+	w.Release()
+	if sub == nil {
 		return Result{}, ErrNoCommunity
 	}
-	sub, err := kcore.NewSub(g, q, k, members)
-	if err != nil {
-		return Result{}, err
-	}
 	s := &searcher{ctx: ctx, sub: sub, dist: dist, q: q, k: k, cfg: cfg, best: math.Inf(1)}
-	for _, v := range members {
+	for _, v := range sub.Universe() {
 		s.sumDist += dist[v]
 	}
 	s.record()

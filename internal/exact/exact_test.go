@@ -38,7 +38,7 @@ func TestSearchMatchesBruteForceOnFigure3(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range allConfigs() {
-		got, err := Search(g, q, 2, dist, cfg)
+		got, err := SearchContext(context.Background(), g, q, 2, dist, cfg)
 		if err != nil {
 			t.Fatalf("cfg %+v: %v", cfg, err)
 		}
@@ -69,7 +69,7 @@ func TestSearchRootOnlyWhenNoBetterSubstate(t *testing.T) {
 	}
 	g := b.MustBuild()
 	dist := []float64{0, 0.9, 0.5, 0.2}
-	got, err := Search(g, 0, 3, dist, DefaultConfig())
+	got, err := SearchContext(context.Background(), g, 0, 3, dist, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +83,25 @@ func TestSearchRootOnlyWhenNoBetterSubstate(t *testing.T) {
 
 func TestSearchNoCommunity(t *testing.T) {
 	g, dist, _ := figure3Graph(t)
-	if _, err := Search(g, 0, 5, dist, DefaultConfig()); !errors.Is(err, ErrNoCommunity) {
+	if _, err := SearchContext(context.Background(), g, 0, 5, dist, DefaultConfig()); !errors.Is(err, ErrNoCommunity) {
 		t.Errorf("err = %v, want ErrNoCommunity", err)
 	}
 }
 
 func TestSearchRejectsBadK(t *testing.T) {
 	g, dist, q := figure3Graph(t)
-	if _, err := Search(g, q, 0, dist, DefaultConfig()); err == nil {
+	if _, err := SearchContext(context.Background(), g, q, 0, dist, DefaultConfig()); err == nil {
 		t.Error("accepted k=0")
 	}
 }
 
 func TestPruningReducesStates(t *testing.T) {
 	g, dist, q := figure3Graph(t)
-	full, err := Search(g, q, 2, dist, DefaultConfig())
+	full, err := SearchContext(context.Background(), g, q, 2, dist, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1only, err := Search(g, q, 2, dist, Config{PruneDuplicates: true})
+	p1only, err := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestPruningReducesStates(t *testing.T) {
 
 func TestBudgetExhaustion(t *testing.T) {
 	g, dist, q := figure3Graph(t)
-	res, err := Search(g, q, 2, dist, Config{MaxStates: 1})
+	res, err := SearchContext(context.Background(), g, q, 2, dist, Config{MaxStates: 1})
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
 	}
@@ -150,7 +150,7 @@ func TestPropertySearchMatchesBruteForce(t *testing.T) {
 		k := 1 + rng.Intn(3)
 		want, errWant := BruteForce(g, q, k, dist)
 		for _, cfg := range allConfigs() {
-			got, err := Search(g, q, k, dist, cfg)
+			got, err := SearchContext(context.Background(), g, q, k, dist, cfg)
 			if errors.Is(errWant, ErrNoCommunity) {
 				if !errors.Is(err, ErrNoCommunity) {
 					return false
@@ -185,7 +185,7 @@ func TestPropertySearchMatchesBruteForce(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	g, dist, q := figure3Graph(t)
-	res, err := Search(g, q, 2, dist, DefaultConfig())
+	res, err := SearchContext(context.Background(), g, q, 2, dist, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

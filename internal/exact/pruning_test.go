@@ -4,6 +4,7 @@ package exact
 // end-to-end equivalence checked in exact_test.go.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,8 +37,8 @@ func denseRandom(seed int64, n int) (*graph.Graph, []float64, graph.NodeID) {
 func TestP3NeverChangesTheOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		g, dist, q := denseRandom(seed, 9)
-		with, err1 := Search(g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true})
-		without, err2 := Search(g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true})
+		with, err1 := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true})
+		without, err2 := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true})
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -55,8 +56,8 @@ func TestP3NeverChangesTheOptimum(t *testing.T) {
 func TestP2NeverChangesTheOptimum(t *testing.T) {
 	f := func(seed int64) bool {
 		g, dist, q := denseRandom(seed, 9)
-		with, err1 := Search(g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true})
-		without, err2 := Search(g, q, 2, dist, Config{PruneDuplicates: true})
+		with, err1 := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true, PruneUnnecessary: true})
+		without, err2 := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true})
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}
@@ -76,11 +77,11 @@ func TestP1CutsDuplicateStatesMassively(t *testing.T) {
 	// random graph the pruned search must explore far fewer states than the
 	// unpruned one.
 	g, dist, q := denseRandom(3, 10)
-	pruned, err := Search(g, q, 2, dist, Config{PruneDuplicates: true})
+	pruned, err := SearchContext(context.Background(), g, q, 2, dist, Config{PruneDuplicates: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpruned, err := Search(g, q, 2, dist, Config{MaxStates: 2_000_000})
+	unpruned, err := SearchContext(context.Background(), g, q, 2, dist, Config{MaxStates: 2_000_000})
 	if err != nil && err != ErrBudgetExhausted {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestP1CutsDuplicateStatesMassively(t *testing.T) {
 
 func TestPrunedCountersIncrement(t *testing.T) {
 	g, dist, q := denseRandom(7, 11)
-	res, err := Search(g, q, 2, dist, DefaultConfig())
+	res, err := SearchContext(context.Background(), g, q, 2, dist, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestLowerBoundIsSound(t *testing.T) {
 	// the δ of any connected k-core in the state, in particular the optimum.
 	f := func(seed int64) bool {
 		g, dist, q := denseRandom(seed, 9)
-		res, err := Search(g, q, 2, dist, DefaultConfig())
+		res, err := SearchContext(context.Background(), g, q, 2, dist, DefaultConfig())
 		if err != nil {
 			return true
 		}

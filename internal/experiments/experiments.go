@@ -5,6 +5,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -14,10 +15,10 @@ import (
 	"time"
 
 	"repro/internal/attr"
-	"repro/internal/baselines"
+	"repro/internal/cserr"
 	"repro/internal/dataset"
-	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -57,17 +58,49 @@ func Quick() Config {
 	return c
 }
 
-// seaOptions builds SEA options from the experiment config.
-func (c Config) seaOptions() sea.Options {
-	o := sea.DefaultOptions()
-	o.K = c.K
-	o.ErrorBound = c.ErrorBound
-	o.Confidence = c.Confidence
-	o.Seed = c.Seed
-	// Three sampling rounds keep the whole suite minutes-fast; the paper
-	// observes convergence within two rounds.
-	o.MaxRounds = 3
-	return o
+// request is the query every line-up row starts from: the experiment's k,
+// accuracy parameters and seed, the state budget of the exact reference and
+// E-VAC, and three sampling rounds — which keep the whole suite minutes-fast;
+// the paper observes convergence within two. query.Run neutralizes whatever
+// the row's method ignores.
+func (c Config) request(method query.Method, model sea.Model) query.Request {
+	return query.Request{
+		Method:     method,
+		Model:      model,
+		K:          c.K,
+		ErrorBound: c.ErrorBound,
+		Confidence: c.Confidence,
+		Seed:       c.Seed,
+		MaxRounds:  3,
+		MaxStates:  c.ExactBudget,
+	}
+}
+
+// lineupRow is one method of a §VII line-up: its display name and the
+// Request that runs it, Query left for answer to fill per query node.
+type lineupRow struct {
+	name string
+	req  query.Request
+}
+
+// answer runs req for query node q on g through query.Run, sharing the
+// caller's metric and f(·,q) vector (dist may be nil). ok is false when the
+// method returned no community. A search that exhausted its state budget
+// counts with the best-so-far it returned, as the paper's budgeted exact
+// reference does.
+func answer(g graph.Store, m *attr.Metric, dist []float64, q graph.NodeID, req query.Request) (*query.Outcome, bool) {
+	// The paper's '-' cells: ACQ maximizes the attributes shared with q, so a
+	// query node without textual attributes has no attributed community —
+	// the solver would hand back the plain maximal structure.
+	if req.Method == query.MethodACQ && len(g.TextAttrs(q)) == 0 {
+		return nil, false
+	}
+	req.Query = q
+	out, err := query.Run(context.Background(), g, m, dist, req)
+	if err != nil && !errors.Is(err, cserr.ErrBudgetExhausted) {
+		return nil, false
+	}
+	return out, out != nil
 }
 
 // MethodRow aggregates one method's behaviour over all queries of a dataset.
@@ -80,47 +113,19 @@ type MethodRow struct {
 	Failures int     // queries where the method found no community
 }
 
-// methodFunc runs one method for one query and returns the community.
-type methodFunc func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error)
-
 // homogeneousMethods enumerates the §VII-A method lineup for k-core.
-func (c Config) homogeneousMethods(withEVAC bool) (names []string, fns []methodFunc) {
-	names = []string{"SEA", "Exact", "LocATC-Core", "ACQ-Core", "VAC-Core"}
-	fns = []methodFunc{
-		func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			res, err := sea.SearchWithDist(g, dist, q, c.seaOptions())
-			if err != nil {
-				return nil, err
-			}
-			return res.Community, nil
-		},
-		func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			res, err := exact.Search(g, q, c.K, dist, exact.Config{
-				PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true,
-				MaxStates: c.ExactBudget,
-			})
-			if err != nil && !errors.Is(err, exact.ErrBudgetExhausted) {
-				return nil, err
-			}
-			return res.Community, nil
-		},
-		func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.LocATC(g, q, c.K, baselines.KCore)
-		},
-		func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.ACQ(g, q, c.K, baselines.KCore)
-		},
-		func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.VAC(g, m, q, c.K, baselines.KCore)
-		},
+func (c Config) homogeneousMethods(withEVAC bool) []lineupRow {
+	rows := []lineupRow{
+		{"SEA", c.request(query.MethodSEA, sea.KCore)},
+		{"Exact", c.request(query.MethodExact, sea.KCore)},
+		{"LocATC-Core", c.request(query.MethodLocATC, sea.KCore)},
+		{"ACQ-Core", c.request(query.MethodACQ, sea.KCore)},
+		{"VAC-Core", c.request(query.MethodVAC, sea.KCore)},
 	}
 	if withEVAC {
-		names = append(names, "E-VAC-Core")
-		fns = append(fns, func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.EVAC(g, m, q, c.K, baselines.KCore, int(c.ExactBudget))
-		})
+		rows = append(rows, lineupRow{"E-VAC-Core", c.request(query.MethodEVAC, sea.KCore)})
 	}
-	return names, fns
+	return rows
 }
 
 // RunMethods evaluates every method on every query of d and aggregates.
@@ -131,40 +136,38 @@ func (c Config) RunMethods(d *dataset.Generated, withEVAC bool) ([]MethodRow, er
 		return nil, err
 	}
 	queries := d.QueryNodes(c.Queries, c.K, c.Seed)
-	names, fns := c.homogeneousMethods(withEVAC)
-	rows := make([]MethodRow, len(names))
+	lineup := c.homogeneousMethods(withEVAC)
+	rows := make([]MethodRow, len(lineup))
 	for i := range rows {
-		rows[i] = MethodRow{Dataset: d.Spec.Name, Method: names[i]}
+		rows[i] = MethodRow{Dataset: d.Spec.Name, Method: lineup[i].name}
 	}
-	counts := make([]int, len(names))
+	counts := make([]int, len(lineup))
 	for _, q := range queries {
 		dist := m.QueryDist(q)
-		// Exact reference first (index 1 in the lineup).
 		exactDelta := math.NaN()
-		communities := make([][]graph.NodeID, len(names))
-		for i, fn := range fns {
+		outs := make([]*query.Outcome, len(lineup))
+		for i, row := range lineup {
 			start := time.Now()
-			members, err := fn(d.Graph, m, dist, q)
+			out, ok := answer(d.Graph, m, dist, q, row.req)
 			elapsed := time.Since(start)
-			if err != nil || members == nil {
+			if !ok {
 				rows[i].Failures++
 				continue
 			}
-			communities[i] = members
-			rows[i].TimeMS += float64(elapsed.Microseconds()) / 1000
+			outs[i] = out
+			rows[i].TimeMS += ms(elapsed)
 			counts[i]++
-			if names[i] == "Exact" {
-				exactDelta = attr.Delta(dist, members, q)
+			if row.req.Method == query.MethodExact {
+				exactDelta = out.Delta
 			}
 		}
-		for i := range names {
-			if communities[i] == nil {
+		for i, out := range outs {
+			if out == nil {
 				continue
 			}
-			delta := attr.Delta(dist, communities[i], q)
-			rows[i].Delta += delta
+			rows[i].Delta += out.Delta
 			if !math.IsNaN(exactDelta) && exactDelta > 0 {
-				rows[i].RelErr += 100 * math.Abs(delta-exactDelta) / exactDelta
+				rows[i].RelErr += 100 * math.Abs(out.Delta-exactDelta) / exactDelta
 			}
 		}
 	}

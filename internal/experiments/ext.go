@@ -1,17 +1,15 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"time"
 
 	"repro/internal/attr"
-	"repro/internal/baselines"
 	"repro/internal/dataset"
-	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -63,79 +61,36 @@ func Table5(cfg Config, w io.Writer) ([]Table5Row, error) {
 
 // runHetMethods evaluates the Table-V method lineup on a projected graph.
 func runHetMethods(cfg Config, name string, g *graph.Graph, m *attr.Metric, queries []graph.NodeID) []Table5Row {
-	type method struct {
-		name string
-		fn   methodFunc
+	lineup := []lineupRow{
+		{"SEA", cfg.request(query.MethodSEA, sea.KCore)},
+		{"ACQ-Core", cfg.request(query.MethodACQ, sea.KCore)},
+		{"LocATC-Core", cfg.request(query.MethodLocATC, sea.KCore)},
+		{"VAC-Core", cfg.request(query.MethodVAC, sea.KCore)},
+		{"SEA-Truss", cfg.request(query.MethodSEA, sea.KTruss)},
+		{"LocATC-Truss", cfg.request(query.MethodLocATC, sea.KTruss)},
+		{"VAC-Truss", cfg.request(query.MethodVAC, sea.KTruss)},
 	}
-	coreOpts := cfg.seaOptions()
-	trussOpts := cfg.seaOptions()
-	trussOpts.Model = sea.KTruss
-	methods := []method{
-		{"SEA", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			res, err := sea.SearchWithDist(g, dist, q, coreOpts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Community, nil
-		}},
-		{"ACQ-Core", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			members, err := baselines.ACQ(g, q, cfg.K, baselines.KCore)
-			if err != nil {
-				return nil, err
-			}
-			// The paper's '-' cells: ACQ requires shared textual attributes;
-			// with none it cannot return an attributed community.
-			if len(g.TextAttrs(q)) == 0 {
-				return nil, baselines.ErrNoCommunity
-			}
-			return members, nil
-		}},
-		{"LocATC-Core", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.LocATC(g, q, cfg.K, baselines.KCore)
-		}},
-		{"VAC-Core", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.VAC(g, m, q, cfg.K, baselines.KCore)
-		}},
-		{"SEA-Truss", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			res, err := sea.SearchWithDist(g, dist, q, trussOpts)
-			if err != nil {
-				return nil, err
-			}
-			return res.Community, nil
-		}},
-		{"LocATC-Truss", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.LocATC(g, q, cfg.K, baselines.KTruss)
-		}},
-		{"VAC-Truss", func(g *graph.Graph, m *attr.Metric, dist []float64, q graph.NodeID) ([]graph.NodeID, error) {
-			return baselines.VAC(g, m, q, cfg.K, baselines.KTruss)
-		}},
-	}
-	rows := make([]Table5Row, len(methods))
-	counts := make([]int, len(methods))
+	rows := make([]Table5Row, len(lineup))
+	counts := make([]int, len(lineup))
 	for i := range rows {
-		rows[i] = Table5Row{Dataset: name, Method: methods[i].name}
+		rows[i] = Table5Row{Dataset: name, Method: lineup[i].name}
 	}
 	for _, q := range queries {
 		dist := m.QueryDist(q)
-		ref, err := exact.Search(g, q, cfg.K, dist, exact.Config{
-			PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true,
-			MaxStates: cfg.ExactBudget,
-		})
 		refDelta := math.NaN()
-		if err == nil || errors.Is(err, exact.ErrBudgetExhausted) {
+		if ref, ok := answer(g, m, dist, q, cfg.request(query.MethodExact, sea.KCore)); ok {
 			refDelta = ref.Delta
 		}
-		for i, meth := range methods {
+		for i, meth := range lineup {
 			start := time.Now()
-			members, err := meth.fn(g, m, dist, q)
-			if err != nil || members == nil {
+			out, ok := answer(g, m, dist, q, meth.req)
+			if !ok {
 				rows[i].Fail++
 				continue
 			}
 			rows[i].TimeMS += ms(time.Since(start))
 			if !math.IsNaN(refDelta) && refDelta > 0 {
-				delta := attr.Delta(dist, members, q)
-				rows[i].RelErr += 100 * math.Abs(delta-refDelta) / refDelta
+				rows[i].RelErr += 100 * math.Abs(out.Delta-refDelta) / refDelta
 			}
 			counts[i]++
 		}
@@ -199,17 +154,17 @@ func Fig7(cfg Config, w io.Writer) ([]Fig7Row, error) {
 			row := Fig7Row{Dataset: tgt.name, SizeLo: bound[0], SizeHi: bound[1]}
 			for _, q := range tgt.queries {
 				dist := m.QueryDist(q)
-				opts := cfg.seaOptions()
-				opts.SizeLo, opts.SizeHi = bound[0], bound[1]
+				req := cfg.request(query.MethodSEA, sea.KCore)
+				req.SizeLo, req.SizeHi = bound[0], bound[1]
 				start := time.Now()
-				res, err := sea.SearchWithDist(tgt.g, dist, q, opts)
-				if err != nil {
+				res, ok := answer(tgt.g, m, dist, q, req)
+				if !ok {
 					continue
 				}
 				row.TimeMS += ms(time.Since(start))
 				// Reference: unbounded SEA δ.
-				free, err := sea.SearchWithDist(tgt.g, dist, q, cfg.seaOptions())
-				if err == nil && free.Delta > 0 {
+				free, ok := answer(tgt.g, m, dist, q, cfg.request(query.MethodSEA, sea.KCore))
+				if ok && free.Delta > 0 {
 					row.RelErr += 100 * math.Abs(res.Delta-free.Delta) / free.Delta
 				}
 				row.Hits++

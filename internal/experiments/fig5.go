@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/dataset"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -88,10 +89,11 @@ func Fig5d(cfg Config, w io.Writer) ([]Fig5dRow, error) {
 		row := Fig5dRow{Dataset: name}
 		n := 0
 		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-			res, err := sea.Search(d.Graph, m, q, cfg.seaOptions())
-			if err != nil {
+			out, ok := answer(d.Graph, m, nil, q, cfg.request(query.MethodSEA, sea.KCore))
+			if !ok {
 				continue
 			}
+			res := out.SEA
 			row.S1MS += ms(res.Steps.Sampling)
 			row.S2MS += ms(res.Steps.Estimation)
 			row.S3MS += ms(res.Steps.Incremental)

@@ -1,14 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/exact"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -46,17 +45,14 @@ func Scalability(cfg Config, w io.Writer) ([]ScaleRow, error) {
 		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
 			dist := m.QueryDist(q)
 			start := time.Now()
-			res, err := sea.SearchWithDist(d.Graph, dist, q, cfg.seaOptions())
-			if err != nil {
+			res, ok := answer(d.Graph, m, dist, q, cfg.request(query.MethodSEA, sea.KCore))
+			if !ok {
 				continue
 			}
 			seaMS := ms(time.Since(start))
 			start = time.Now()
-			ex, err := exact.Search(d.Graph, q, cfg.K, dist, exact.Config{
-				PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true,
-				MaxStates: cfg.ExactBudget,
-			})
-			if err != nil && !errors.Is(err, exact.ErrBudgetExhausted) {
+			ex, ok := answer(d.Graph, m, dist, q, cfg.request(query.MethodExact, sea.KCore))
+			if !ok {
 				continue
 			}
 			row.SEAMS += seaMS

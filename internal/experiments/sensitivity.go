@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -9,8 +8,8 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/exact"
 	"repro/internal/graph"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -23,7 +22,6 @@ type Fig6Row struct {
 // Fig6 computes per-ego-network F1 for SEA, Exact, and the baselines on the
 // ten generated ego networks.
 func Fig6(cfg Config, w io.Writer) ([]Fig6Row, error) {
-	methods := []string{"SEA", "Exact", "LocATC-Core", "ACQ-Core", "VAC-Core"}
 	var rows []Fig6Row
 	egoCfg := cfg
 	egoCfg.K = 4 // ego networks are small; use a gentler core
@@ -32,7 +30,7 @@ func Fig6(cfg Config, w io.Writer) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := f1ForDataset(egoCfg, d, methods)
+		row, err := f1ForDataset(egoCfg, d)
 		if err != nil {
 			return nil, err
 		}
@@ -42,10 +40,10 @@ func Fig6(cfg Config, w io.Writer) ([]Fig6Row, error) {
 		Title:  "Figure 6: F1-score per ego network",
 		Header: append([]string{"method"}, dataset.EgoNames...),
 	}
-	for _, method := range methods {
-		cells := []string{method}
+	for _, meth := range egoCfg.homogeneousMethods(false) {
+		cells := []string{meth.name}
 		for _, row := range rows {
-			cells = append(cells, fmtF(row.F1[method]))
+			cells = append(cells, fmtF(row.F1[meth.name]))
 		}
 		t.Rows = append(t.Rows, cells)
 	}
@@ -99,14 +97,14 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 	sweeps := []struct {
 		param  string
 		values []float64
-		apply  func(*sea.Options, float64)
+		apply  func(*query.Request, float64)
 	}{
-		{"lambda", []float64{0.1, 0.2, 0.4, 0.6, 0.8}, func(o *sea.Options, x float64) { o.Lambda = x }},
-		{"eps", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(o *sea.Options, x float64) { o.Eps = x }},
-		{"1-beta", []float64{0.86, 0.90, 0.94, 0.98}, func(o *sea.Options, x float64) { o.Beta = 1 - x }},
-		{"e", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(o *sea.Options, x float64) { o.ErrorBound = x }},
-		{"1-alpha", []float64{0.86, 0.90, 0.94, 0.98}, func(o *sea.Options, x float64) { o.Confidence = x }},
-		{"k", []float64{4, 5, 6, 7, 8}, func(o *sea.Options, x float64) { o.K = int(x) }},
+		{"lambda", []float64{0.1, 0.2, 0.4, 0.6, 0.8}, func(r *query.Request, x float64) { r.Lambda = x }},
+		{"eps", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(r *query.Request, x float64) { r.Eps = x }},
+		{"1-beta", []float64{0.86, 0.90, 0.94, 0.98}, func(r *query.Request, x float64) { r.Beta = 1 - x }},
+		{"e", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(r *query.Request, x float64) { r.ErrorBound = x }},
+		{"1-alpha", []float64{0.86, 0.90, 0.94, 0.98}, func(r *query.Request, x float64) { r.Confidence = x }},
+		{"k", []float64{4, 5, 6, 7, 8}, func(r *query.Request, x float64) { r.K = int(x) }},
 	}
 	var points []SweepPoint
 	for name, g := range graphs {
@@ -125,11 +123,11 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 				n := 0
 				needRef := sweep.param == "e" || sweep.param == "1-alpha"
 				for _, q := range queries[name] {
-					opts := cfg.seaOptions()
-					sweep.apply(&opts, x)
+					req := cfg.request(query.MethodSEA, sea.KCore)
+					sweep.apply(&req, x)
 					start := time.Now()
-					res, err := sea.SearchWithDist(g, dists[q], q, opts)
-					if err != nil {
+					res, ok := answer(g, m, dists[q], q, req)
+					if !ok {
 						continue
 					}
 					pt.TimeMS += ms(time.Since(start))
@@ -137,18 +135,13 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 					if needRef {
 						ref, ok := exacts[q]
 						if !ok {
-							ex, err := exact.Search(g, q, cfg.K, dists[q], exact.Config{
-								PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true,
-								MaxStates: cfg.ExactBudget,
-							})
-							if err == nil || errors.Is(err, exact.ErrBudgetExhausted) {
+							ref = math.NaN()
+							if ex, ok := answer(g, m, dists[q], q, cfg.request(query.MethodExact, sea.KCore)); ok {
 								ref = ex.Delta
-							} else {
-								ref = math.NaN()
 							}
 							exacts[q] = ref
 						}
-						if !math.IsNaN(ref) && ref > 0 && opts.K == cfg.K {
+						if !math.IsNaN(ref) && ref > 0 && req.K == cfg.K {
 							pt.RelErr += 100 * math.Abs(res.Delta-ref) / ref
 						}
 					}
@@ -204,8 +197,8 @@ func Fig10(cfg Config, w io.Writer) ([]Fig10Row, error) {
 			row := Fig10Row{Dataset: name, Gamma: gamma}
 			n := 0
 			for _, q := range queries[name] {
-				res, err := sea.Search(g, m, q, cfg.seaOptions())
-				if err != nil {
+				res, ok := answer(g, m, nil, q, cfg.request(query.MethodSEA, sea.KCore))
+				if !ok {
 					continue
 				}
 				var jd, md float64

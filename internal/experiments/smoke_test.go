@@ -88,16 +88,6 @@ func TestTable6Smoke(t *testing.T) {
 	}
 }
 
-func TestFig5Smoke(t *testing.T) {
-	res, err := Fig5(Quick(), quietOrVerbose(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-}
-
 func TestFig5dSmoke(t *testing.T) {
 	rows, err := Fig5d(Quick(), quietOrVerbose(t))
 	if err != nil {

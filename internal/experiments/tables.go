@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/query"
 	"repro/internal/sea"
 )
 
@@ -107,21 +109,22 @@ func Table2(cfg Config, w io.Writer) ([]Table2Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	names, fns := cfg.homogeneousMethods(true)
+	lineup := cfg.homogeneousMethods(true)
 	queries := d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed)
-	rows := make([]Table2Row, len(names))
-	counts := make([]int, len(names))
+	rows := make([]Table2Row, len(lineup))
+	counts := make([]int, len(lineup))
 	for i := range rows {
-		rows[i].Method = names[i]
+		rows[i].Method = lineup[i].name
 	}
 	for _, q := range queries {
 		dist := m.QueryDist(q)
 		qAttrs := d.Graph.TextAttrs(q)
-		for i, fn := range fns {
-			members, err := fn(d.Graph, m, dist, q)
-			if err != nil || members == nil {
+		for i, row := range lineup {
+			out, ok := answer(d.Graph, m, dist, q, row.req)
+			if !ok {
 				continue
 			}
+			members := out.Community
 			counts[i]++
 			rows[i].MinMax += m.MaxPairwise(members)
 			rows[i].Coverage += baselines.CoverageScore(d.Graph, q, members)
@@ -134,7 +137,7 @@ func Table2(cfg Config, w io.Writer) ([]Table2Row, error) {
 			if len(members) > 1 {
 				rows[i].Shared += float64(shared) / float64(len(members)-1) / float64(maxInt(1, len(qAttrs)))
 			}
-			rows[i].Delta += attr.Delta(dist, members, q)
+			rows[i].Delta += out.Delta
 		}
 	}
 	minmax := make([]float64, len(rows))
@@ -185,14 +188,13 @@ var table3Datasets = []string{"facebook", "livejournal", "orkut", "amazon"}
 
 // Table3 computes F1 against the planted ground-truth communities.
 func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
-	methods := []string{"SEA", "Exact", "LocATC-Core", "ACQ-Core", "VAC-Core"}
 	var rows []Table3Row
 	for _, name := range table3Datasets {
 		d, err := dataset.Homogeneous(name, cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
-		row, err := f1ForDataset(cfg, d, methods)
+		row, err := f1ForDataset(cfg, d)
 		if err != nil {
 			return nil, err
 		}
@@ -202,10 +204,10 @@ func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
 		Title:  "Table III: F1-score w.r.t. planted ground-truth communities",
 		Header: append([]string{"method"}, table3Datasets...),
 	}
-	for _, method := range methods {
-		cells := []string{method}
+	for _, meth := range cfg.homogeneousMethods(false) {
+		cells := []string{meth.name}
 		for _, row := range rows {
-			cells = append(cells, fmtF(row.F1[method]))
+			cells = append(cells, fmtF(row.F1[meth.name]))
 		}
 		t.Rows = append(t.Rows, cells)
 	}
@@ -214,27 +216,24 @@ func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
 }
 
 // f1ForDataset runs the method lineup and scores each against ground truth.
-func f1ForDataset(cfg Config, d *dataset.Generated, methods []string) (Table3Row, error) {
+func f1ForDataset(cfg Config, d *dataset.Generated) (Table3Row, error) {
 	m, err := attr.NewMetric(d.Graph, cfg.Gamma)
 	if err != nil {
 		return Table3Row{}, err
 	}
-	names, fns := cfg.homogeneousMethods(false)
+	lineup := cfg.homogeneousMethods(false)
 	row := Table3Row{Dataset: d.Spec.Name, F1: map[string]float64{}}
 	counts := map[string]int{}
 	for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
 		dist := m.QueryDist(q)
 		truth := d.GroundTruth(q)
-		for i, fn := range fns {
-			if !contains(methods, names[i]) {
+		for _, meth := range lineup {
+			out, ok := answer(d.Graph, m, dist, q, meth.req)
+			if !ok {
 				continue
 			}
-			members, err := fn(d.Graph, m, dist, q)
-			if err != nil || members == nil {
-				continue
-			}
-			row.F1[names[i]] += F1(members, truth)
-			counts[names[i]]++
+			row.F1[meth.name] += F1(out.Community, truth)
+			counts[meth.name]++
 		}
 	}
 	for k, c := range counts {
@@ -243,15 +242,6 @@ func f1ForDataset(cfg Config, d *dataset.Generated, methods []string) (Table3Row
 		}
 	}
 	return row, nil
-}
-
-func contains(s []string, x string) bool {
-	for _, v := range s {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 func maxInt(a, b int) int {
@@ -270,8 +260,11 @@ type Table4Row struct {
 }
 
 // Table4 runs the exact-search pruning ablation on the two smallest
-// homogeneous analogs (the paper uses four datasets; the unpruned
-// configuration is bounded by the state budget as discussed in DESIGN.md).
+// homogeneous analogs (the paper uses four datasets). Without pruning the
+// search tree is exponential in the core's size, so every configuration runs
+// under the state budget and the unpruned ones saturate it: their rows
+// compare time per budget, not time to the optimum. It calls exact directly
+// because a Request carries the budget but not the pruning switches.
 func Table4(cfg Config, w io.Writer) ([]Table4Row, error) {
 	configs := []struct {
 		name string
@@ -299,7 +292,7 @@ func Table4(cfg Config, w io.Writer) ([]Table4Row, error) {
 			for _, q := range queries {
 				dist := m.QueryDist(q)
 				start := time.Now()
-				res, err := exact.Search(d.Graph, q, cfg.K, dist, c.c)
+				res, err := exact.SearchContext(context.Background(), d.Graph, q, cfg.K, dist, c.c)
 				if err != nil && !errors.Is(err, exact.ErrBudgetExhausted) {
 					continue
 				}
@@ -355,16 +348,17 @@ func Table6(cfg Config, w io.Writer) ([]Table6Row, error) {
 	q := proj.FromHet[hetQ]
 	var rows []Table6Row
 	for _, bound := range [][2]int{{10, 30}, {30, 50}} {
-		opts := cfg.seaOptions()
-		opts.SizeLo, opts.SizeHi = bound[0], bound[1]
-		res, err := sea.Search(proj.Graph, m, q, opts)
+		req := cfg.request(query.MethodSEA, sea.KCore)
+		req.Query = q
+		req.SizeLo, req.SizeHi = bound[0], bound[1]
+		out, err := query.Run(context.Background(), proj.Graph, m, nil, req)
 		if errors.Is(err, sea.ErrNoCommunity) {
 			continue
 		}
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range res.Rounds {
+		for _, r := range out.SEA.Rounds {
 			rows = append(rows, Table6Row{
 				SizeLo: bound[0], SizeHi: bound[1],
 				Round: r.Round, Delta: r.Delta, MoE: r.MoE,

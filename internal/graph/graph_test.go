@@ -156,7 +156,7 @@ func TestInducedSubgraph(t *testing.T) {
 		b.SetTextAttrs(NodeID(v), "x")
 	}
 	g := b.MustBuild()
-	sub, orig := g.InducedSubgraph([]NodeID{1, 2, 3})
+	sub, orig := InducedSubgraphOf(g, []NodeID{1, 2, 3})
 	if sub.NumNodes() != 3 {
 		t.Fatalf("sub nodes = %d", sub.NumNodes())
 	}
@@ -236,7 +236,7 @@ func TestPropertyInducedSubgraphEdges(t *testing.T) {
 		if len(nodes) == 0 {
 			return true
 		}
-		sub, orig := g.InducedSubgraph(nodes)
+		sub, orig := InducedSubgraphOf(g, nodes)
 		// Every induced edge exists in g; count matches direct count.
 		cnt := 0
 		in := map[NodeID]bool{}

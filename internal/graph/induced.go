@@ -2,10 +2,10 @@ package graph
 
 import "slices"
 
-// SubScratch holds the reusable buffers for InducedStructure: the
+// SubScratch holds the reusable buffers for InducedStructureOf: the
 // full-graph-sized epoch-stamped membership set and remap, the CSR arrays
 // of the induced subgraph, and the Graph header itself. One scratch
-// supports one live induced subgraph at a time — the next InducedStructure
+// supports one live induced subgraph at a time — the next InducedStructureOf
 // call on the same scratch overwrites the previous result. The zero value
 // is ready to use.
 type SubScratch struct {
@@ -20,26 +20,18 @@ type SubScratch struct {
 	sub     Graph
 }
 
-// InducedStructure builds the structure-only subgraph induced by nodes: CSR
-// adjacency identical to InducedSubgraph's, but no attribute copying (the
-// community-search extraction paths only ever read adjacency from the
-// induced graph — attribute distances are looked up through the returned
-// orig mapping on the parent graph). All storage comes from sc, so in the
-// steady state the call performs no allocation.
+// InducedStructureOf builds the structure-only subgraph of any Adjacency
+// backing induced by nodes: the edges InducedSubgraphOf keeps, as CSR
+// adjacency, but no attribute copying and a nil dictionary (the community-search
+// extraction paths only ever read adjacency from the induced graph —
+// attribute distances are looked up through the returned orig mapping on the
+// parent graph). All storage comes from sc — the neighbor lists of a decoding
+// backing included — so in the steady state the call performs no allocation.
 //
 // The returned Graph and orig slice alias sc and are valid until the next
-// InducedStructure call on the same scratch. nodes must contain no
+// InducedStructureOf call on the same scratch. nodes must contain no
 // duplicates and is not modified; the induced IDs follow ascending original
 // ID order, so neighbor lists are sorted without a per-list sort.
-func (g *Graph) InducedStructure(nodes []NodeID, sc *SubScratch) (*Graph, []NodeID) {
-	sub, orig := InducedStructureOf(g, nodes, sc)
-	sub.dict = g.dict
-	return sub, orig
-}
-
-// InducedStructureOf is InducedStructure over any Adjacency backing; the
-// neighbor lists of a decoding backing are drawn through sc's internal
-// scratch buffer. The induced graph's dictionary is nil (structure only).
 func InducedStructureOf(g Adjacency, nodes []NodeID, sc *SubScratch) (*Graph, []NodeID) {
 	n := g.NumNodes()
 	k := len(nodes)

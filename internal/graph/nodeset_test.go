@@ -89,8 +89,8 @@ func TestInducedStructureMatchesInducedSubgraph(t *testing.T) {
 			nodes[i] = NodeID(perm[i])
 		}
 
-		want, wantOrig := g.InducedSubgraph(nodes)
-		got, gotOrig := g.InducedStructure(nodes, &sc)
+		want, wantOrig := InducedSubgraphOf(g, nodes)
+		got, gotOrig := InducedStructureOf(g, nodes, &sc)
 
 		if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() {
 			t.Fatalf("trial %d: size mismatch: got %d/%d want %d/%d",
@@ -141,11 +141,11 @@ func TestInducedStructureReuse(t *testing.T) {
 	b.AddEdge(5, 0)
 	g := b.MustBuild()
 	var sc SubScratch
-	sub1, orig1 := g.InducedStructure([]NodeID{0, 1, 2}, &sc)
+	sub1, orig1 := InducedStructureOf(g, []NodeID{0, 1, 2}, &sc)
 	if sub1.NumNodes() != 3 || sub1.NumEdges() != 2 || orig1[0] != 0 {
 		t.Fatalf("first build wrong: n=%d m=%d", sub1.NumNodes(), sub1.NumEdges())
 	}
-	sub2, orig2 := g.InducedStructure([]NodeID{5, 4}, &sc)
+	sub2, orig2 := InducedStructureOf(g, []NodeID{5, 4}, &sc)
 	if sub2.NumNodes() != 2 || sub2.NumEdges() != 1 {
 		t.Fatalf("second build wrong: n=%d m=%d", sub2.NumNodes(), sub2.NumEdges())
 	}

@@ -78,9 +78,9 @@ func (g *Graph) ConnectedComponents() (labels []int32, count int) {
 	return labels, int(c)
 }
 
-// InducedSubgraphOf is InducedSubgraph over any Store backing: the subgraph
-// induced by nodes with attributes copied and the dictionary shared, plus
-// the mapping from new IDs to original IDs.
+// InducedSubgraphOf returns the subgraph of any Store backing induced by
+// nodes, with attributes copied and the dictionary shared, plus the mapping
+// from new IDs to original IDs.
 func InducedSubgraphOf(g Store, nodes []NodeID) (*Graph, []NodeID) {
 	remap := make(map[NodeID]NodeID, len(nodes))
 	orig := make([]NodeID, len(nodes))
@@ -98,33 +98,6 @@ func InducedSubgraphOf(g Store, nodes []NodeID) (*Graph, []NodeID) {
 			b.SetNumAttrs(NodeID(i), g.NumAttrs(v)...)
 		}
 		for _, u := range g.NeighborsInto(&nbr, v) {
-			if j, ok := remap[u]; ok && j > NodeID(i) {
-				b.AddEdge(NodeID(i), j)
-			}
-		}
-	}
-	sub := b.MustBuild()
-	return sub, orig
-}
-
-// InducedSubgraph returns the subgraph induced by nodes, along with the
-// mapping from new IDs to original IDs. Attributes are copied; the dictionary
-// is shared with g.
-func (g *Graph) InducedSubgraph(nodes []NodeID) (*Graph, []NodeID) {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	orig := make([]NodeID, len(nodes))
-	for i, v := range nodes {
-		remap[v] = NodeID(i)
-		orig[i] = v
-	}
-	b := NewBuilder(len(nodes), g.numDim)
-	b.dict = g.dict
-	for i, v := range nodes {
-		b.SetTextTokens(NodeID(i), g.TextAttrs(v))
-		if g.numDim > 0 {
-			b.SetNumAttrs(NodeID(i), g.NumAttrs(v)...)
-		}
-		for _, u := range g.Neighbors(v) {
 			if j, ok := remap[u]; ok && j > NodeID(i) {
 				b.AddEdge(NodeID(i), j)
 			}

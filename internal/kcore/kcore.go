@@ -11,23 +11,11 @@ import (
 // Decompose computes the coreness of every node with the O(m) bin-sort
 // algorithm of Batagelj and Zaversnik. The returned slice is freshly
 // allocated and owned by the caller (the Engine retains it as its admission
-// index); hot loops that consume the coreness transiently should use
-// DecomposeWS instead.
+// index).
 func Decompose(g graph.Adjacency) []int32 {
 	n := g.NumNodes()
 	var nbr []graph.NodeID
 	return decompose(g, make([]int32, n), make([]int32, n), make([]int32, n), nil, &nbr)
-}
-
-// DecomposeWS is Decompose with every buffer — including the returned
-// coreness slice — drawn from w. The result aliases w's scratch and is valid
-// only until the next workspace-threaded kcore operation.
-func DecomposeWS(g graph.Adjacency, w *ws.Workspace) []int32 {
-	n := g.NumNodes()
-	w.DegS = ws.I32(w.DegS, n)
-	w.VertS = ws.I32(w.VertS, n)
-	w.PosS = ws.I32(w.PosS, n)
-	return decompose(g, w.DegS, w.VertS, w.PosS, &w.BinS, &w.NbrA)
 }
 
 // decompose is the shared bin-sort peeling. deg doubles as the output
@@ -121,12 +109,16 @@ func MaximalConnectedKCore(g graph.Adjacency, q graph.NodeID, k int) []graph.Nod
 // the decomposition and traversal scratch drawn from w. It returns nil (not
 // dst) when q is in no k-core, preserving the nil-means-absent contract.
 func MaximalConnectedKCoreInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	core := DecomposeWS(g, w)
+	n := g.NumNodes()
+	w.DegS = ws.I32(w.DegS, n)
+	w.VertS = ws.I32(w.VertS, n)
+	w.PosS = ws.I32(w.PosS, n)
+	core := decompose(g, w.DegS, w.VertS, w.PosS, &w.BinS, &w.NbrA)
 	if int(core[q]) < k {
 		return nil
 	}
 	// BFS over nodes of coreness ≥ k, visited tracked by epoch stamp.
-	w.Visited.Reset(g.NumNodes())
+	w.Visited.Reset(n)
 	w.Visited.Add(q)
 	start := len(dst)
 	dst = append(dst, q)
@@ -140,17 +132,31 @@ func MaximalConnectedKCoreInto(dst []graph.NodeID, g graph.Adjacency, q graph.No
 	return dst
 }
 
+// MaximalSub returns the maintenance structure over the maximal connected
+// k-core of g containing q, or nil if q is in no k-core: the mirror of
+// truss.MaximalSub. Its Universe is MaximalConnectedKCoreInto's member order
+// (BFS from q). Only the extraction's scratch is w's — w.Nodes included; the
+// returned Sub owns its arrays and outlives w.
+func MaximalSub(g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) *Sub {
+	members := MaximalConnectedKCoreInto(w.Nodes[:0], g, q, k, w)
+	if members == nil {
+		return nil
+	}
+	w.Nodes = members[:0]
+	s, err := NewSub(g, q, k, members)
+	if err != nil {
+		// NewSub rejects only a member set that is not a k-core around q.
+		return nil
+	}
+	return s
+}
+
 // InKCoreSet reports whether every node of members has at least k neighbors
 // inside members. Used by tests and validators. Membership is tracked by an
 // epoch-stamped set from the workspace pool, not a per-call map.
 func InKCoreSet(g graph.Adjacency, members []graph.NodeID, k int) bool {
 	w := ws.Get()
 	defer w.Release()
-	return InKCoreSetWS(g, members, k, w)
-}
-
-// InKCoreSetWS is InKCoreSet with the membership set drawn from w.
-func InKCoreSetWS(g graph.Adjacency, members []graph.NodeID, k int, w *ws.Workspace) bool {
 	in := &w.Member
 	in.Reset(g.NumNodes())
 	for _, v := range members {

@@ -441,15 +441,15 @@ func runExact(e *env, req Request) (*Outcome, error) {
 }
 
 func runACQ(e *env, req Request) (*Outcome, error) {
-	return baselineOutcome(baselines.ACQContext(e.ctx, e.g, req.Query, req.K, baselineModel(req.Model)))
+	return baselineOutcome(baselines.ACQ(e.ctx, e.g, req.Query, req.K, req.Model))
 }
 
 func runLocATC(e *env, req Request) (*Outcome, error) {
-	return baselineOutcome(baselines.LocATCContext(e.ctx, e.g, req.Query, req.K, baselineModel(req.Model)))
+	return baselineOutcome(baselines.LocATC(e.ctx, e.g, req.Query, req.K, req.Model))
 }
 
 func runVAC(e *env, req Request) (*Outcome, error) {
-	return baselineOutcome(baselines.VACContext(e.ctx, e.g, e.metric(), req.Query, req.K, baselineModel(req.Model)))
+	return baselineOutcome(baselines.VAC(e.ctx, e.g, e.metric(), req.Query, req.K, req.Model))
 }
 
 // DefaultEVACStates is the EVAC state budget applied when Request.MaxStates
@@ -462,7 +462,7 @@ func runEVAC(e *env, req Request) (*Outcome, error) {
 	if budget == 0 {
 		budget = DefaultEVACStates
 	}
-	return baselineOutcome(baselines.EVACContext(e.ctx, e.g, e.metric(), req.Query, req.K, baselineModel(req.Model), int(budget)))
+	return baselineOutcome(baselines.EVAC(e.ctx, e.g, e.metric(), req.Query, req.K, req.Model, int(budget)))
 }
 
 func runStructural(e *env, req Request) (*Outcome, error) {
@@ -485,11 +485,4 @@ func baselineOutcome(members []graph.NodeID, err error) (*Outcome, error) {
 		return nil, err
 	}
 	return &Outcome{Community: members, Truncated: err != nil}, err
-}
-
-func baselineModel(m sea.Model) baselines.Model {
-	if m == sea.KTruss {
-		return baselines.KTruss
-	}
-	return baselines.KCore
 }

@@ -187,7 +187,7 @@ func TestRunMatchesSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := sea.Search(g, m, 0, req.Options())
+	direct, err := sea.SearchWithDistContext(context.Background(), g, m.QueryDist(0), 0, req.Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func goldenAnswers(t *testing.T, model Model, k int) []byte {
 	for i, q := range d.QueryNodes(64, k, 13) {
 		opts.Seed = int64(1000 + i)
 		a := goldenAnswer{Q: q, Seed: opts.Seed}
-		res, err := Search(d.Graph, m, q, opts)
+		res, err := search(d.Graph, m, q, opts)
 		switch {
 		case errors.Is(err, ErrNoCommunity):
 			a.NoCommunity = true

@@ -13,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/stats"
+	"repro/internal/ws"
 )
 
 // InfluentialResult is the outcome of an influential community search.
@@ -36,14 +37,13 @@ func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []flo
 	if len(influence) != g.NumNodes() {
 		return nil, fmt.Errorf("sea: influence vector has %d entries for %d nodes", len(influence), g.NumNodes())
 	}
-	members := kcore.MaximalConnectedKCore(g, q, k)
-	if members == nil {
+	w := ws.Get()
+	sub := kcore.MaximalSub(g, q, k, w)
+	w.Release()
+	if sub == nil {
 		return nil, ErrNoCommunity
 	}
-	sub, err := kcore.NewSub(g, q, k, members)
-	if err != nil {
-		return nil, err
-	}
+	members := sub.Universe()
 	best := append([]graph.NodeID(nil), members...)
 	bestMin := minInfluence(influence, best)
 	buf := make([]graph.NodeID, 0, len(members))

@@ -2,11 +2,11 @@ package sea
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/stats"
 )
 
 // stripTimes zeroes the wall-clock fields of a Result so two runs can be
@@ -21,15 +21,15 @@ func stripTimes(r *Result) *Result {
 	return &c
 }
 
-// TestParallelEstimationMatchesSerial is the determinism-under-parallelism
-// contract at the whole-search level: with the parallel peel scan forced on
-// (threshold 1) and the BLB worker pool at various widths, a SEA search
-// must return a Result identical to the fully serial execution for every
-// fixed seed — community, δ, CI, rounds trace, sample sizes, everything but
-// wall times.
-func TestParallelEstimationMatchesSerial(t *testing.T) {
+// TestResultIndependentOfGOMAXPROCS is the one scheduling contract a search
+// has: the same request — graph, query node, options, seed — returns a
+// byte-identical Result (times stripped) whatever GOMAXPROCS is. A search
+// runs on the goroutine that was handed it; the only fan-out a request can
+// reach is Metric.QueryDist's, on graphs of 4 096 nodes and up, so the graph
+// here is that large and f(·,q) is recomputed under each setting.
+func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 	d, err := dataset.Generate(dataset.Spec{
-		Name: "par", Nodes: 600, MinCommunity: 12, MaxCommunity: 30,
+		Name: "procs", Nodes: 4500, MinCommunity: 12, MaxCommunity: 30,
 		IntraDegree: 8, InterDegree: 0.6,
 		TokensPerNode: 4, PoolSize: 5, Vocab: 120, NoiseProb: 0.15,
 		NumDim: 2, NumSigma: 0.06, Seed: 9,
@@ -42,36 +42,29 @@ func TestParallelEstimationMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := d.QueryNodes(1, 5, 4)[0]
-	dist := m.QueryDist(q)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
-	opts := DefaultOptions()
-	opts.K = 5
-	opts.MaxRounds = 3
+	for _, model := range []Model{KCore, KTruss} {
+		for _, seed := range []int64{1, 7, 23} {
+			opts := DefaultOptions()
+			opts.K = 5
+			opts.MaxRounds = 3
+			opts.Model = model
+			opts.Seed = seed
 
-	defer stats.SetBLBWorkers(0)
-	oldPeel := peelScanMinParallel
-	defer func() { peelScanMinParallel = oldPeel }()
-
-	for _, seed := range []int64{1, 7, 23} {
-		opts.Seed = seed
-
-		stats.SetBLBWorkers(1)
-		peelScanMinParallel = 1 << 30 // serial scan
-		serial, serr := SearchWithDist(d.Graph, dist, q, opts)
-
-		for _, workers := range []int{2, 8} {
-			stats.SetBLBWorkers(workers)
-			peelScanMinParallel = 1 // force the parallel scan on every peel
-			par, perr := SearchWithDist(d.Graph, dist, q, opts)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("seed %d workers %d: error mismatch: %v vs %v", seed, workers, serr, perr)
+			runtime.GOMAXPROCS(1)
+			one, oneErr := search(d.Graph, m, q, opts)
+			runtime.GOMAXPROCS(4)
+			four, fourErr := search(d.Graph, m, q, opts)
+			if (oneErr == nil) != (fourErr == nil) {
+				t.Fatalf("%v seed %d: error mismatch: %v vs %v", model, seed, oneErr, fourErr)
 			}
-			if serr != nil {
-				continue
+			if oneErr != nil {
+				t.Fatalf("%v seed %d: %v", model, seed, oneErr)
 			}
-			if !reflect.DeepEqual(stripTimes(serial), stripTimes(par)) {
-				t.Fatalf("seed %d workers %d:\nserial: %+v\nparallel: %+v",
-					seed, workers, stripTimes(serial), stripTimes(par))
+			if !reflect.DeepEqual(stripTimes(one), stripTimes(four)) {
+				t.Fatalf("%v seed %d:\nGOMAXPROCS 1: %+v\nGOMAXPROCS 4: %+v",
+					model, seed, stripTimes(one), stripTimes(four))
 			}
 		}
 	}
@@ -94,17 +87,16 @@ func TestSearchDeterministicAcrossRepeats(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := d.QueryNodes(1, 4, 8)[0]
-	dist := m.QueryDist(q)
 	opts := DefaultOptions()
 	opts.K = 4
 	opts.Seed = 17
 
-	first, err := SearchWithDist(d.Graph, dist, q, opts)
+	first, err := search(d.Graph, m, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := SearchWithDist(d.Graph, dist, q, opts)
+		again, err := search(d.Graph, m, q, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/attr"
@@ -56,6 +55,33 @@ func (m Model) String() string {
 	default:
 		return fmt.Sprintf("Model(%d)", int(m))
 	}
+}
+
+// MinSize is the model's structural floor on a community's size, q included:
+// a k-core member has k neighbours inside, a k-truss member k−1.
+func (m Model) MinSize(k int) int {
+	if m == KTruss {
+		return k
+	}
+	return k + 1
+}
+
+// Maximal returns the maintenance structure over the model's maximal
+// connected structure of g containing q, or nil when there is none. The
+// extraction's scratch is w's, and the k-truss maintainer lives in w too: it
+// is valid until the next k-truss extraction on w or w's release.
+func (m Model) Maximal(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) cohesive.Maintainer {
+	// A nil *Sub must come back as a nil interface.
+	if m == KTruss {
+		if maint := truss.MaximalSub(g, q, k, w); maint != nil {
+			return maint
+		}
+		return nil
+	}
+	if maint := kcore.MaximalSub(g, q, k, w); maint != nil {
+		return maint
+	}
+	return nil
 }
 
 // MarshalText renders the model in the wire form ("core" or "truss") used by
@@ -103,10 +129,9 @@ type Options struct {
 	// The paper observes convergence within 2 rounds, 5 in the worst case.
 	MaxRounds int
 	// NoRefine stops the greedy search at the FIRST candidate satisfying
-	// Theorem 11, the paper's literal stopping rule. The default (refine)
-	// keeps peeling and returns the best satisfying candidate, which is what
-	// makes SEA's δ track the exact optimum as in Figure 5(a); the
-	// Theorem-11 guarantee holds either way. See DESIGN.md.
+	// Theorem 11, the paper's literal stopping rule, instead of walking the
+	// whole peel trajectory for the smallest δ*. seaRun.estimate says why
+	// the default differs and what this is the control for.
 	NoRefine bool
 	Seed     int64
 }
@@ -200,31 +225,12 @@ type Result struct {
 // internal/cserr, so errors.Is matches it across every search method.
 var ErrNoCommunity = cserr.ErrNoCommunity
 
-// Search runs SEA on g for query node q using metric m.
-func Search(g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
-	return SearchContext(context.Background(), g, m, q, opts)
-}
-
-// SearchContext is Search under a context: the sampling-estimation round
-// loop and the greedy peeling both check ctx and stop promptly when it is
-// cancelled. An interrupted search returns the best candidate found so far
-// (nil when none exists yet) together with an error wrapping ctx's error.
-func SearchContext(ctx context.Context, g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	dist := m.QueryDist(q)
-	return SearchWithDistContext(ctx, g, dist, q, opts)
-}
-
-// SearchWithDist is Search with a precomputed f(·,q) vector, letting callers
-// amortize the distance computation across runs.
-func SearchWithDist(g graph.CSR, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
-	return SearchWithDistContext(context.Background(), g, dist, q, opts)
-}
-
-// SearchWithDistContext is SearchWithDist under a context; see SearchContext
-// for the cancellation contract.
+// SearchWithDistContext runs SEA on g for query node q, where dist holds
+// f(·,q) for every node (attr.Metric.QueryDist; callers cache it across
+// runs). The sampling-estimation round loop and the greedy peeling both check
+// ctx and stop promptly when it is cancelled: an interrupted search returns
+// the best candidate found so far (nil when none exists yet) together with
+// an error wrapping ctx's error.
 func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -398,7 +404,7 @@ func (s *seaRun) run() (*Result, error) {
 		// (typical when community cores are small relative to λ·|Gq|), so
 		// run the greedy estimation directly on the maximal structure of
 		// the full graph.
-		maint := s.maximalIn(s.g, s.q)
+		maint := s.opts.Model.Maximal(s.g, s.q, s.opts.K, s.w)
 		if maint == nil {
 			return nil, ErrNoCommunity
 		}
@@ -456,7 +462,7 @@ func (s *seaRun) buildMaintainer(sample []graph.NodeID) (cohesive.Maintainer, []
 	if len(sample) == s.g.NumNodes() {
 		// The sample covers the whole graph: skip the induced-subgraph copy
 		// and work on g directly with an identity mapping.
-		if maint := s.maximalIn(s.g, s.q); maint != nil {
+		if maint := s.opts.Model.Maximal(s.g, s.q, s.opts.K, s.w); maint != nil {
 			return maint, s.identityMap()
 		}
 		return nil, nil
@@ -470,42 +476,16 @@ func (s *seaRun) buildMaintainer(sample []graph.NodeID) (cohesive.Maintainer, []
 	if !ok {
 		return nil, nil
 	}
-	if maint := s.maximalIn(sub, graph.NodeID(subQ)); maint != nil {
+	if maint := s.opts.Model.Maximal(sub, graph.NodeID(subQ), s.opts.K, s.w); maint != nil {
 		return maint, orig
 	}
 	return nil, nil
 }
 
-// maximalIn returns the maintenance structure over the maximal connected
-// structure of g containing q, or nil when there is none. The k-truss one
-// lives in the workspace and is valid until the next call.
-func (s *seaRun) maximalIn(g graph.CSR, q graph.NodeID) cohesive.Maintainer {
-	if s.opts.Model == KTruss {
-		// A nil *Sub must come back as a nil interface.
-		if maint := truss.MaximalSub(g, q, s.opts.K, s.w); maint != nil {
-			return maint
-		}
-		return nil
-	}
-	members := kcore.MaximalConnectedKCoreInto(s.w.Members[:0], g, q, s.opts.K, s.w)
-	if members == nil {
-		return nil
-	}
-	s.w.Members = members[:0]
-	maint, err := kcore.NewSub(g, q, s.opts.K, members)
-	if err != nil {
-		return nil
-	}
-	return maint
-}
-
 // minCommunitySize is the smallest admissible community (including q): the
 // structural floor of the model, raised to the size bound's lower end.
 func (s *seaRun) minCommunitySize() int {
-	structural := s.opts.K + 1
-	if s.opts.Model == KTruss {
-		structural = s.opts.K
-	}
+	structural := s.opts.Model.MinSize(s.opts.K)
 	if s.opts.SizeHi > 0 && s.opts.SizeLo > structural {
 		return s.opts.SizeLo
 	}
@@ -517,12 +497,26 @@ func (s *seaRun) minCommunitySize() int {
 //
 // In the default mode the search walks the full greedy trajectory —
 // estimating candidates at log-spaced sizes plus the final one — and keeps
-// the candidate with the smallest δ*. done reports whether that candidate's
-// CI satisfies Theorem 11; this is what makes SEA's δ track the exact
-// optimum in the paper's Figure 5(a) (see DESIGN.md for why the paper's
-// literal first-satisfy rule can return poor communities). Options.NoRefine
-// selects the literal rule: stop at the FIRST candidate satisfying
-// Theorem 11 and return it.
+// the candidate with the smallest δ*; done reports whether that candidate's
+// CI satisfies Theorem 11. The paper's literal rule stops at the FIRST
+// candidate whose CI satisfies it, and the default deviates on purpose.
+// Theorem 11 bounds the error of one candidate's estimate δ*; it does not say
+// the candidate is a good community. The walk starts at the maximal
+// structure, and the early, large candidates hold the most values, so theirs
+// are the narrowest intervals of the trajectory: they satisfy the rule first,
+// when the peel has barely begun to lower δ. On the twitter analog (scale
+// 0.25, k=6, e=10%) the literal rule returned 46 members at δ=0.448 where
+// the full walk returned 15 at δ=0.328, both satisfied; it is the full walk
+// whose δ tracks the exact optimum as the paper's Figure 5(a) reports. The
+// guarantee is about the returned candidate's own interval, so it holds
+// under either rule. The price: the smallest candidates have the widest
+// intervals, so done is harder to reach and more rounds run. At the default
+// e=2% neither rule is usually satisfied on the analogs, and both return the
+// same candidate at the floor.
+//
+// Options.NoRefine selects the literal rule. It is the control side of that
+// comparison (BenchmarkAblationStoppingRule, the request's no_refine field),
+// not a mode any line-up uses.
 //
 // On failure the best candidate's MoE/target/BLB-total feed Eq. 12.
 func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done bool, best stats.CI, moe, target float64, blbTotal int) {
@@ -602,59 +596,12 @@ func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done 
 	return done, best, moe, target, blbTotal
 }
 
-// peelScanMinParallel is the candidate size above which the per-peel
-// most-dissimilar scan fans out over a bounded worker pool. Package-level
-// so tests can force the parallel path on small fixtures and prove it
-// byte-identical to the serial scan.
-var peelScanMinParallel = 1 << 13
-
-// mostDissimilar returns the member with the maximal f(·,q), never q
-// itself, or -1 when only q remains (or the context is cancelled mid-scan;
-// the peel loop's own ctx check classifies that). The serial scan keeps the
-// FIRST maximal member; the parallel scan (ws.ForRange over contiguous
-// chunks) preserves that exactly — each chunk keeps its first chunk-local
-// maximum and chunks merge in index order under a strict greater-than — so
-// the peel sequence (and therefore the whole Result) is identical whatever
-// the worker count.
+// mostDissimilar returns the first member with the maximal f(·,q), never q
+// itself, or -1 when only q remains.
 func (s *seaRun) mostDissimilar(members []graph.NodeID, orig []graph.NodeID) graph.NodeID {
-	n := len(members)
-	if n < peelScanMinParallel || ws.MaxWorkers() <= 1 {
-		// Closure-free serial fast path: the peel loop calls this once per
-		// iteration.
-		worst, _ := s.scanWorst(members, orig, 0, n)
-		return worst
-	}
-	type chunkBest struct {
-		lo int
-		v  graph.NodeID
-		d  float64
-	}
-	results := make([]chunkBest, 0, ws.MaxWorkers())
-	var mu sync.Mutex
-	if err := ws.ForRange(s.ctx, n, peelScanMinParallel, func(lo, hi int) {
-		v, d := s.scanWorst(members, orig, lo, hi)
-		mu.Lock()
-		results = append(results, chunkBest{lo, v, d})
-		mu.Unlock()
-	}); err != nil {
-		return -1
-	}
-	slices.SortFunc(results, func(a, b chunkBest) int { return a.lo - b.lo })
 	var worst graph.NodeID = -1
 	worstD := -1.0
-	for _, r := range results {
-		if r.v >= 0 && r.d > worstD {
-			worstD = r.d
-			worst = r.v
-		}
-	}
-	return worst
-}
-
-// scanWorst is the serial most-dissimilar scan over members[lo:hi].
-func (s *seaRun) scanWorst(members []graph.NodeID, orig []graph.NodeID, lo, hi int) (worst graph.NodeID, worstD float64) {
-	worst, worstD = -1, -1.0
-	for _, v := range members[lo:hi] {
+	for _, v := range members {
 		if orig[v] == s.q {
 			continue
 		}
@@ -663,7 +610,7 @@ func (s *seaRun) scanWorst(members []graph.NodeID, orig []graph.NodeID, lo, hi i
 			worst = v
 		}
 	}
-	return worst, worstD
+	return worst
 }
 
 // blbConfig clones the BLB options with the run's confidence level.

@@ -33,6 +33,11 @@ func testDataset(t testing.TB) *dataset.Generated {
 	return d
 }
 
+// search runs SEA with f(·,q) computed from m.
+func search(g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
+	return SearchWithDistContext(context.Background(), g, m.QueryDist(q), q, opts)
+}
+
 func TestOptionsValidate(t *testing.T) {
 	good := DefaultOptions()
 	if err := good.Validate(); err != nil {
@@ -78,7 +83,7 @@ func TestSearchReturnsValidCore(t *testing.T) {
 	opts := DefaultOptions()
 	opts.K = 4
 	for _, q := range d.QueryNodes(5, opts.K, 7) {
-		res, err := Search(d.Graph, m, q, opts)
+		res, err := search(d.Graph, m, q, opts)
 		if err != nil {
 			t.Fatalf("q=%d: %v", q, err)
 		}
@@ -105,7 +110,7 @@ func TestSearchTrussModel(t *testing.T) {
 	opts.Model = KTruss
 	found := 0
 	for _, q := range d.QueryNodes(5, opts.K, 13) {
-		res, err := Search(d.Graph, m, q, opts)
+		res, err := search(d.Graph, m, q, opts)
 		if errors.Is(err, ErrNoCommunity) {
 			continue
 		}
@@ -133,7 +138,7 @@ func TestSearchSizeBounded(t *testing.T) {
 	opts.SizeLo, opts.SizeHi = 8, 14
 	hit := 0
 	for _, q := range d.QueryNodes(6, opts.K, 23) {
-		res, err := Search(d.Graph, m, q, opts)
+		res, err := search(d.Graph, m, q, opts)
 		if errors.Is(err, ErrNoCommunity) {
 			continue
 		}
@@ -158,11 +163,11 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	opts := DefaultOptions()
 	q := d.QueryNodes(1, opts.K, 3)[0]
-	r1, err := Search(d.Graph, m, q, opts)
+	r1, err := search(d.Graph, m, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Search(d.Graph, m, q, opts)
+	r2, err := search(d.Graph, m, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,14 +201,14 @@ func TestRelativeErrorBound(t *testing.T) {
 		dist := m.QueryDist(q)
 		// A budgeted exact search: with all prunings and these community
 		// sizes the optimum is reached well within the budget.
-		ex, err := exact.Search(d.Graph, q, opts.K, dist, exact.Config{
+		ex, err := exact.SearchContext(context.Background(), d.Graph, q, opts.K, dist, exact.Config{
 			PruneDuplicates: true, PruneUnnecessary: true, PruneUnpromising: true,
 			MaxStates: 60_000,
 		})
 		if errors.Is(err, exact.ErrNoCommunity) {
 			continue
 		}
-		res, err := SearchWithDist(d.Graph, dist, q, opts)
+		res, err := SearchWithDistContext(context.Background(), d.Graph, dist, q, opts)
 		if errors.Is(err, ErrNoCommunity) {
 			continue
 		}
@@ -234,7 +239,7 @@ func TestStepTimesAndSampleSizes(t *testing.T) {
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	opts := DefaultOptions()
 	q := d.QueryNodes(1, opts.K, 5)[0]
-	res, err := Search(d.Graph, m, q, opts)
+	res, err := search(d.Graph, m, q, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestPropertyCommunityValidity(t *testing.T) {
 			dv = m.QueryDist(q)
 			dist[q] = dv
 		}
-		res, err := SearchWithDist(d.Graph, dv, q, opts)
+		res, err := SearchWithDistContext(context.Background(), d.Graph, dv, q, opts)
 		if errors.Is(err, ErrNoCommunity) {
 			return true
 		}
@@ -374,7 +379,8 @@ func TestSearchContextAlreadyCancelled(t *testing.T) {
 	cancel()
 	opts := DefaultOptions()
 	opts.K = 2
-	if _, err := SearchContext(ctx, d.Graph, m, d.QueryNodes(1, 2, 5)[0], opts); !errors.Is(err, context.Canceled) {
+	q := d.QueryNodes(1, 2, 5)[0]
+	if _, err := SearchWithDistContext(ctx, d.Graph, m.QueryDist(q), q, opts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -407,7 +413,7 @@ func TestResultDoesNotPinTheSearch(t *testing.T) {
 			dist[v] = 0.1 * float64(v)
 		}
 		opts.Seed = seed
-		res, err := SearchWithDist(g, dist, 0, opts)
+		res, err := SearchWithDistContext(context.Background(), g, dist, 0, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

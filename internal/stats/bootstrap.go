@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Bootstrap estimates the sampling distribution of the mean of values by r
@@ -28,7 +25,7 @@ func bootstrapN(values []float64, resampleN, r int, rng *rand.Rand) (mean, sigma
 }
 
 // bootstrapNInto is bootstrapN writing the resample means into the caller's
-// buffer (len ≥ r), the reusable-scratch form the BLB workers drive.
+// buffer (len ≥ r), the reusable-scratch form BLB drives.
 func bootstrapNInto(values []float64, resampleN, r int, rng *rand.Rand, means []float64) (mean, sigma float64) {
 	n := len(values)
 	if n == 0 || r <= 1 || resampleN == 0 {
@@ -94,33 +91,17 @@ type BLBResult struct {
 	Resample int // resamples per subsample
 }
 
-// blbWorkers overrides the BLB worker-pool size: 0 selects GOMAXPROCS,
-// 1 forces serial execution. Parallel and serial execution are byte-
-// identical by construction (see BLB), so this is a scheduling knob only.
-var blbWorkers atomic.Int64
-
-// SetBLBWorkers bounds the BLB subsample worker pool: n ≤ 0 restores the
-// default (GOMAXPROCS), 1 forces serial execution. It exists for tests that
-// prove the determinism contract and for operators pinning CPU budgets; the
-// estimation result does not depend on it.
-func SetBLBWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	blbWorkers.Store(int64(n))
-}
-
 // BLB runs the Bag of Little Bootstraps of §V-B over values: draw s
 // subsamples of size n^m, bootstrap each to get an MoE ε_i = z_{α/2}·σ_i,
 // and average. The returned CI centers on the mean of values (δ* is computed
 // over the full candidate community, the bootstrap only sizes the MoE).
 //
-// The s bag resamples are embarrassingly parallel and run on a bounded
-// worker pool (GOMAXPROCS workers, see SetBLBWorkers). Determinism is part
-// of the contract: one child seed per subsample is drawn from rng serially
-// up front, each subsample runs on its own rand.Rand, and the per-subsample
-// MoEs are reduced in index order — so the result for a fixed seed is
-// byte-identical whatever the worker count, including fully serial.
+// The subsamples run one after another on the caller's goroutine: a
+// candidate holds tens of values, far too little work to hand to other
+// goroutines, and the engine already runs whole searches side by side. Each
+// subsample still draws from its own rand.Rand, seeded by one Int63 taken from
+// rng, so the result depends on rng's state alone — not on how many values an
+// earlier subsample consumed — and rng advances by exactly s draws per call.
 func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BLBResult{}, err
@@ -150,64 +131,20 @@ func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 		s = 1
 	}
 
-	// One derived seed per subsample, drawn serially from the master rng so
-	// the schedule is independent of execution order.
-	seeds := make([]int64, s)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
+	sc := blbScratch{
+		sub:   make([]float64, subSize),
+		means: make([]float64, cfg.Resamples),
+		idx:   make([]int32, n),
 	}
-	moes := make([]float64, s)
-
-	workers := int(blbWorkers.Load())
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > s {
-		workers = s
-	}
-	// Each worker owns one blbScratch, reused across every subsample it
-	// processes: the subsample value buffer, the stamped index set of the
-	// rejection sampler, and the resample-mean buffer all amortize to one
-	// allocation per worker per call. Scratch never influences the draws,
-	// so determinism is untouched.
-	runSub := func(i int, sc *blbScratch) {
-		sc.grow(n, subSize, cfg.Resamples)
-		sr := rand.New(rand.NewSource(seeds[i]))
+	sumMoE := 0.0
+	for i := 0; i < s; i++ {
+		sr := rand.New(rand.NewSource(rng.Int63()))
 		sc.sampleWithoutReplacement(values, sr)
 		// Resample at the ORIGINAL size n: each little subsample estimates
 		// the spread of the full-sample mean, which is what makes BLB an
 		// estimator-quality assessment rather than a subsample one.
 		_, sigma := bootstrapNInto(sc.sub, n, cfg.Resamples, sr, sc.means)
-		moes[i] = z * sigma
-	}
-	if workers <= 1 {
-		var sc blbScratch
-		for i := 0; i < s; i++ {
-			runSub(i, &sc)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var sc blbScratch
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= s {
-						return
-					}
-					runSub(i, &sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	sumMoE := 0.0
-	for _, m := range moes {
-		sumMoE += m
+		sumMoE += z * sigma
 	}
 	mean := 0.0
 	for _, v := range values {
@@ -222,31 +159,16 @@ func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 	}, nil
 }
 
-// blbScratch is the per-worker reusable state of one BLB call: the
-// subsample buffer, the epoch-stamped index set / index permutation of the
-// without-replacement sampler, and the bootstrap resample-mean buffer.
+// blbScratch is the state of one BLB call, reused by each of its subsamples:
+// the subsample buffer (len = subsample size), the bootstrap resample-mean
+// buffer (len = resamples), and the without-replacement sampler's index
+// permutation / epoch-stamped index set (len = number of values). The sizes
+// are fixed for the scratch's life, so idx only ever serves one of its roles.
 type blbScratch struct {
 	sub   []float64
 	means []float64
 	idx   []int32 // Fisher–Yates identity permutation, or epoch stamps
 	epoch int32
-}
-
-// grow sizes the scratch for subsamples of subSize out of n values with r
-// resamples; reallocation happens only when a dimension grows.
-func (sc *blbScratch) grow(n, subSize, r int) {
-	if cap(sc.sub) < subSize {
-		sc.sub = make([]float64, subSize)
-	}
-	sc.sub = sc.sub[:subSize]
-	if cap(sc.means) < r {
-		sc.means = make([]float64, r)
-	}
-	sc.means = sc.means[:r]
-	if len(sc.idx) < n {
-		sc.idx = make([]int32, n)
-		sc.epoch = 0
-	}
 }
 
 // sampleWithoutReplacement fills sc.sub with distinct values drawn
@@ -259,7 +181,7 @@ func (sc *blbScratch) grow(n, subSize, r int) {
 func (sc *blbScratch) sampleWithoutReplacement(values []float64, rng *rand.Rand) {
 	n, k := len(values), len(sc.sub)
 	if k*3 >= n {
-		idx := sc.idx[:n]
+		idx := sc.idx
 		for i := range idx {
 			idx[i] = int32(i)
 		}
@@ -268,22 +190,10 @@ func (sc *blbScratch) sampleWithoutReplacement(values []float64, rng *rand.Rand)
 			idx[j], idx[t] = idx[t], idx[j]
 			sc.sub[j] = values[idx[j]]
 		}
-		// The buffer now holds permutation state, not stamps: force the
-		// next rejection use to start from a clean epoch.
-		sc.epoch = 0
-		for i := range idx {
-			idx[i] = 0
-		}
 		return
 	}
-	sc.epoch++
-	if sc.epoch == math.MaxInt32 {
-		for i := range sc.idx {
-			sc.idx[i] = 0
-		}
-		sc.epoch = 1
-	}
-	seen := sc.idx[:n]
+	sc.epoch++ // one per subsample: far from wrapping
+	seen := sc.idx
 	for j := 0; j < k; {
 		i := rng.Intn(n)
 		if seen[i] == sc.epoch {

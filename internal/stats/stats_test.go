@@ -298,6 +298,29 @@ func TestBLBValidation(t *testing.T) {
 	}
 }
 
+func TestSampleWithoutReplacementDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	values := make([]float64, 100)
+	for i := range values {
+		values[i] = float64(i)
+	}
+	for _, k := range []int{1, 5, 30, 90, 100} {
+		sc := blbScratch{sub: make([]float64, k), idx: make([]int32, len(values))}
+		// Run twice per size, as successive subsamples of one BLB call do, so
+		// the reuse of the index buffer is exercised.
+		for round := 0; round < 2; round++ {
+			sc.sampleWithoutReplacement(values, rng)
+			seen := map[float64]bool{}
+			for _, v := range sc.sub {
+				if seen[v] {
+					t.Fatalf("k=%d round=%d: duplicate value %v", k, round, v)
+				}
+				seen[v] = true
+			}
+		}
+	}
+}
+
 func TestMeanStdDev(t *testing.T) {
 	vals := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if m := Mean(vals); m != 5 {

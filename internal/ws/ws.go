@@ -17,12 +17,11 @@
 // query traffic runs with ~zero allocations in the substrate operations (see
 // BenchmarkSubstrate* at the repository root).
 //
-// The package also hosts ForRange, the bounded parallel-for used by the
-// embarrassingly-parallel inner stages (BLB bag resamples, the peel loop's
-// most-dissimilar scan, Metric.QueryDist over node ranges). Workers are
-// capped by GOMAXPROCS and every parallel stage is written so its result is
-// byte-identical to the serial order — determinism under parallelism is
-// part of the paper-reproduction contract.
+// The package also hosts ForRange, the bounded parallel-for behind the one
+// fan-out inside a request (Metric.QueryDist over node ranges). Workers are
+// capped by GOMAXPROCS and its chunks write disjoint indices, so the result
+// is byte-identical to the serial order — a search's answer depends on its
+// request alone.
 package ws
 
 import (

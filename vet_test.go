@@ -1,6 +1,10 @@
 package sea
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os/exec"
 	"path/filepath"
 	"runtime"
@@ -55,6 +59,50 @@ func TestImportBoundaries(t *testing.T) {
 			}
 			if pkg == "repro/internal/httpapi" && imp == "repro/internal/cluster" {
 				t.Errorf("%s imports %s; cluster adds its routes to the table, not the reverse", pkg, imp)
+			}
+		}
+	}
+}
+
+// TestNoContextTwins keeps one way into every job: no package under
+// internal/ exports both F and FContext (functions or methods, non-test
+// files). The context form is the only form; a caller without a deadline
+// passes context.Background().
+func TestNoContextTwins(t *testing.T) {
+	// attr.Metric's QueryDist / QueryDistInto / QueryDistContext trio is the
+	// one exception until its own PR: the frozen benchmark/ module calls the
+	// context-free forms.
+	allowed := map[string]bool{"internal/attr.QueryDist": true}
+
+	exported := map[string]map[string]bool{} // package dir → exported func and method names
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if exported[dir] == nil {
+			exported[dir] = map[string]bool{}
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				exported[dir][fn.Name.Name] = true
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dir, names := range exported {
+		for name := range names {
+			base, isCtx := strings.CutSuffix(name, "Context")
+			if isCtx && names[base] && !allowed[dir+"."+base] {
+				t.Errorf("%s exports both %s and %s; keep one form", dir, base, name)
 			}
 		}
 	}
