@@ -85,87 +85,36 @@ staticcheck:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@2025.1.1)"; \
 	fi
 
-# End-to-end snapshot-serving smoke, mirroring the CI snapshot-smoke job:
-# datagen → pack → boot seaserve from the snapshot → curl it.
+# The seven end-to-end smokes, spelled once: CI's smoke job (ci.yml) is a
+# matrix over these targets and runs `make <target>`. Every target starts
+# from the same prepare step — build all binaries, generate the facebook
+# analog, pack it — into its own directory under $TMPDIR (default /tmp),
+# then runs scripts/<target>.sh, whose header says what the smoke asserts.
+# `smoke` is the one without a script: its steps are the recipe below.
+smoke_dir = $(or $(TMPDIR),/tmp)/sea-$@
+scripted_smokes := mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke
+
+define smoke-prepare
+@rm -rf $(smoke_dir) && mkdir -p $(smoke_dir)
+$(GO) build -o $(smoke_dir)/ ./cmd/...
+$(smoke_dir)/datagen -dataset facebook -scale 0.3 -out $(smoke_dir)/fb.txt
+$(smoke_dir)/seacli pack -load $(smoke_dir)/fb.txt -out $(smoke_dir)/fb.snap
+endef
+
+$(scripted_smokes):
+	$(smoke-prepare)
+	SMOKE_DIR=$(smoke_dir) sh scripts/$@.sh
+
+# Snapshot-serving smoke: boot seaserve from the packed snapshot and curl it
+# the way an operator would.
 smoke:
-	@rm -rf /tmp/sea-smoke && mkdir -p /tmp/sea-smoke
-	$(GO) build -o /tmp/sea-smoke/ ./cmd/...
-	/tmp/sea-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-smoke/fb.txt
-	/tmp/sea-smoke/seacli pack -load /tmp/sea-smoke/fb.txt -out /tmp/sea-smoke/fb.snap
-	@/tmp/sea-smoke/seaserve -snapshot /tmp/sea-smoke/fb.snap -addr 127.0.0.1:8971 & \
+	$(smoke-prepare)
+	@$(smoke_dir)/seaserve -snapshot $(smoke_dir)/fb.snap -addr 127.0.0.1:8971 & \
 	pid=$$!; \
 	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:8971/healthz >/dev/null && break; sleep 0.2; done; \
 	curl -sf http://127.0.0.1:8971/healthz && echo && \
 	curl -sf "http://127.0.0.1:8971/search?q=0&k=2&method=structural" >/dev/null && \
 	curl -sf http://127.0.0.1:8971/graphs && echo && \
 	echo "smoke OK"; status=$$?; kill $$pid 2>/dev/null; exit $$status
-
-# End-to-end live-update smoke, mirroring the CI mutation-smoke job: boot a
-# journaled snapshot, POST /admin/mutate, check /search reflects the new
-# edges with zero hot-swaps, compact, SIGTERM-drain, reboot from the
-# compacted snapshot and check the re-query answers identically.
-mutation-smoke:
-	@rm -rf /tmp/sea-mut-smoke && mkdir -p /tmp/sea-mut-smoke
-	$(GO) build -o /tmp/sea-mut-smoke/ ./cmd/...
-	/tmp/sea-mut-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-mut-smoke/fb.txt
-	/tmp/sea-mut-smoke/seacli pack -load /tmp/sea-mut-smoke/fb.txt -out /tmp/sea-mut-smoke/fb.snap
-	SMOKE_DIR=/tmp/sea-mut-smoke sh scripts/mutation-smoke.sh
-
-# End-to-end zero-copy serving smoke, mirroring the CI mmap-smoke job: pack
-# a compressed v2 snapshot, boot seaserve mapped, verify /graphs reports
-# mapped:true, /search and /admin/mutate work over the mapped base, and the
-# mapped boot wall-time stays flat across a 4× snapshot-size increase.
-mmap-smoke:
-	@rm -rf /tmp/sea-mmap-smoke && mkdir -p /tmp/sea-mmap-smoke
-	$(GO) build -o /tmp/sea-mmap-smoke/ ./cmd/...
-	SMOKE_DIR=/tmp/sea-mmap-smoke sh scripts/mmap-smoke.sh
-
-# End-to-end distributed-serving smoke, mirroring the CI router-smoke job:
-# boot a journaled primary, two -follow replicas, and a searouter; mutate
-# through the router, check followers catch up and serve /batch shards,
-# kill -9 the primary, and check the router promotes a follower and keeps
-# serving reads and writes.
-router-smoke:
-	@rm -rf /tmp/sea-router-smoke && mkdir -p /tmp/sea-router-smoke
-	$(GO) build -o /tmp/sea-router-smoke/ ./cmd/...
-	/tmp/sea-router-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-router-smoke/fb.txt
-	/tmp/sea-router-smoke/seacli pack -load /tmp/sea-router-smoke/fb.txt -out /tmp/sea-router-smoke/fb.snap
-	SMOKE_DIR=/tmp/sea-router-smoke sh scripts/router-smoke.sh
-
-# End-to-end observability smoke, mirroring the CI load-smoke job: boot
-# seaserve on a packed snapshot, run seaload open-loop for 5s, assert the
-# record carries p50/p99/p999 with zero errors, and assert /metrics exposes
-# the per-stage latency histograms with populated counts.
-load-smoke:
-	@rm -rf /tmp/sea-load-smoke && mkdir -p /tmp/sea-load-smoke
-	$(GO) build -o /tmp/sea-load-smoke/ ./cmd/...
-	/tmp/sea-load-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-load-smoke/fb.txt
-	/tmp/sea-load-smoke/seacli pack -load /tmp/sea-load-smoke/fb.txt -out /tmp/sea-load-smoke/fb.snap
-	SMOKE_DIR=/tmp/sea-load-smoke sh scripts/load-smoke.sh
-
-# End-to-end fault-tolerance smoke, mirroring the CI chaos-smoke job: boot
-# primary + followers + a router with fault injection armed on its read
-# path, drive it with seaload while kill -9ing the primary, and assert
-# reads keep flowing within the error budget, overloaded nodes shed with
-# 429 + Retry-After, and post-chaos answers stay consistent.
-chaos-smoke:
-	@rm -rf /tmp/sea-chaos-smoke && mkdir -p /tmp/sea-chaos-smoke
-	$(GO) build -o /tmp/sea-chaos-smoke/ ./cmd/...
-	/tmp/sea-chaos-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-chaos-smoke/fb.txt
-	/tmp/sea-chaos-smoke/seacli pack -load /tmp/sea-chaos-smoke/fb.txt -out /tmp/sea-chaos-smoke/fb.snap
-	SMOKE_DIR=/tmp/sea-chaos-smoke sh scripts/chaos-smoke.sh
-
-# End-to-end group-commit smoke, mirroring the CI write-smoke job: boot a
-# journaled primary plus a follower, fire a 32-writer /admin/mutate burst,
-# assert every acknowledged mutation is journaled with one batch record per
-# flush (version < mutation count: the burst coalesced), the follower
-# converges to the same answer, and a SIGTERM-drain + reboot replays the
-# batch records to the identical version and answer.
-write-smoke:
-	@rm -rf /tmp/sea-write-smoke && mkdir -p /tmp/sea-write-smoke
-	$(GO) build -o /tmp/sea-write-smoke/ ./cmd/...
-	/tmp/sea-write-smoke/datagen -dataset facebook -scale 0.3 -out /tmp/sea-write-smoke/fb.txt
-	/tmp/sea-write-smoke/seacli pack -load /tmp/sea-write-smoke/fb.txt -out /tmp/sea-write-smoke/fb.snap
-	SMOKE_DIR=/tmp/sea-write-smoke sh scripts/write-smoke.sh
 
 ci: fmt-check vet staticcheck build race bench bench-substrate bench-module smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke

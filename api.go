@@ -215,7 +215,7 @@ type Engine = engine.Engine
 type EngineConfig = engine.Config
 
 // DefaultEngineConfig returns a serving configuration suitable for mid-size
-// graphs: γ=0.5, 256 cached distance vectors, 4096 cached results.
+// graphs: γ=0.5, 4096 cached results.
 func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 
 // NewEngine builds a serving engine over g — a *Graph or any other

@@ -278,9 +278,11 @@ func BenchmarkAblationCloneVsRollback(b *testing.B) {
 func BenchmarkAblationGqFrontier(b *testing.B) {
 	benchSetup(b)
 	const size = 800
+	w := ws.Get()
+	defer w.Release()
 	b.Run("best-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sampling.BuildGq(benchData.Graph, benchQ, benchDist, size)
+			sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, size, w)
 		}
 	})
 	b.Run("bfs", func(b *testing.B) {
@@ -294,12 +296,14 @@ func BenchmarkAblationGqFrontier(b *testing.B) {
 // against roulette-wheel rejection sampling.
 func BenchmarkAblationSampling(b *testing.B) {
 	benchSetup(b)
-	gq := sampling.BuildGq(benchData.Graph, benchQ, benchDist, 800)
-	probs := sampling.Probabilities(gq, benchDist)
+	w := ws.Get()
+	defer w.Release()
+	gq := sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, 800, w)
+	probs := sampling.ProbabilitiesInto(nil, gq, benchDist)
 	b.Run("exponential-keys", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < b.N; i++ {
-			sampling.WeightedSample(gq, probs, 160, benchQ, rng)
+			sampling.WeightedSampleInto(nil, gq, probs, 160, benchQ, rng, w)
 		}
 	})
 	b.Run("roulette", func(b *testing.B) {
@@ -387,8 +391,8 @@ func BenchmarkAblationModelRanking(b *testing.B) {
 // BenchmarkEngineColdVsCached quantifies the engine's amortization of
 // per-query serving cost. "cold" is the library path a naive server would
 // pay per request: metric construction, distance vector, search. "shared"
-// reuses the engine's precomputed state but forces a result-cache miss
-// (fresh seed per iteration), isolating the distance-cache benefit.
+// reuses the engine's precomputed state (metric, admission index) but forces
+// a result-cache miss (fresh seed per iteration).
 // "cached" is the repeated-query fast path; the acceptance criterion is
 // cached ≥ 5× faster than cold (in practice orders of magnitude).
 func BenchmarkEngineColdVsCached(b *testing.B) {
@@ -413,7 +417,7 @@ func BenchmarkEngineColdVsCached(b *testing.B) {
 		req := req
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			req.Seed = int64(i + 1) // distinct key: result cache misses, dist cache hits
+			req.Seed = int64(i + 1) // distinct key: result cache misses
 			if _, err := e.Query(ctx, req); err != nil {
 				b.Fatal(err)
 			}

@@ -10,7 +10,7 @@
 // Experiments: table1, fig5, fig5d, table2, table3, fig6, table4, table5,
 // fig7, fig8, table6, fig10, scalability.
 //
-// -out (alias: -json) additionally writes one machine-readable record per
+// -out additionally writes one machine-readable record per
 // experiment — name, wall time, mean δ where the experiment measures one,
 // and the full typed result rows. The repository convention is to commit
 // one such file per performance-relevant PR as BENCH_<pr>.json (produced by
@@ -38,7 +38,7 @@ import (
 )
 
 // runner dispatches one experiment by name; fn returns the experiment's
-// typed result rows for the -json export.
+// typed result rows for the -out export.
 type runner struct {
 	name string
 	desc string
@@ -85,18 +85,10 @@ func main() {
 		k       = flag.Int("k", 6, "structural parameter k")
 		seed    = flag.Int64("seed", 42, "random seed")
 		budget  = flag.Int64("budget", 30000, "state budget for the exact reference")
-		jsonOut = flag.String("json", "", "also write machine-readable results to this file (alias of -out)")
 		outFile = flag.String("out", "", "write machine-readable results to this file (convention: BENCH_<pr>.json)")
 		compare = flag.String("compare", "", "prior BENCH_*.json to print per-experiment wall-clock ratios against")
 	)
 	flag.Parse()
-	if *jsonOut != "" && *outFile != "" && *jsonOut != *outFile {
-		fmt.Fprintln(os.Stderr, "seabench: -json and -out given with different paths; use one (-json is a deprecated alias of -out)")
-		os.Exit(2)
-	}
-	if *outFile == "" {
-		*outFile = *jsonOut
-	}
 
 	var oldRecords []benchRecord
 	if *compare != "" {

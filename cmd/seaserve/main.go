@@ -85,7 +85,6 @@ func main() {
 		commitQueue  = flag.Int("commit-queue", 0, "bounded commit queue; a full queue sheds with 429 (0 = default 256)")
 		scale        = flag.Float64("scale", 0.5, "dataset scale factor")
 		gamma        = flag.Float64("gamma", 0.5, "attribute balance factor")
-		distCache    = flag.Int("dist-cache", 0, "distance-vector cache entries (0 = default)")
 		resultCache  = flag.Int("result-cache", 0, "result cache entries (0 = default)")
 		workers      = flag.Int("workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
 		maxConc      = flag.Int("max-concurrent", 0, "max searches executing at once (0 = 2×GOMAXPROCS)")
@@ -120,7 +119,6 @@ func main() {
 
 	cfg := sealib.DefaultEngineConfig()
 	cfg.Gamma = *gamma
-	cfg.DistCacheSize = *distCache
 	cfg.ResultCacheSize = *resultCache
 	cfg.Workers = *workers
 	cfg.MaxConcurrent = *maxConc

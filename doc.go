@@ -64,9 +64,10 @@
 // Execute: the attribute metric and the core/truss decompositions are
 // precomputed once and shared (the decompositions double as an admission
 // index that proves the absence of a community for any method without
-// searching), per-query distance vectors and full Outcomes are held in
-// sharded LRU caches keyed by the canonical Request, and concurrent
-// identical requests are coalesced so the work happens once.
+// searching), full Outcomes are held in a sharded LRU cache keyed by the
+// canonical Request, and concurrent identical requests are coalesced so the
+// work happens once. Nothing is kept per query node: the f(·,q) distance
+// vector is computed on each cache miss and dropped with the search.
 //
 // Engine.Query serves one Request with whatever method it names,
 // Engine.Batch drives a worker pool, and both report flat per-stage timing
@@ -160,10 +161,9 @@
 // whole-graph decomposition, proven equal to from-scratch decomposition on
 // randomized mutation sequences. Cache invalidation is scoped the same
 // way: only result entries whose query node falls in the affected region
-// (and, for attribute changes, the distance vectors of the touched
-// component) are dropped; everything else stays warm, and structural edits
-// drop no distance vectors at all. The new state publishes atomically, so
-// a request always runs against one consistent graph + index generation.
+// are dropped; everything else stays warm. The new state publishes
+// atomically, so a request always runs against one consistent graph + index
+// generation.
 //
 // Durability is a write-ahead mutation journal (seaserve -journal,
 // Catalog.MountPathJournaled): batches are appended and synced before the

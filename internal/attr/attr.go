@@ -214,11 +214,10 @@ func (m *Metric) QueryDistInto(dst []float64, q graph.NodeID) []float64 {
 
 // QueryDistContext is QueryDistInto under a context: the fill polls ctx
 // between blocks of nodes and stops early when it is cancelled, returning
-// the partially-filled vector together with ctx's error. Note the Engine
-// intentionally does NOT pass request contexts here — its distance fills
-// run detached so even an abandoned request warms the shared cache — but
-// callers computing one-off vectors on large graphs can bound them with
-// this form.
+// the partially-filled vector together with ctx's error. The Engine calls
+// the context-free form — one fill is brief and the search that follows
+// polls the request context — but callers computing one-off vectors on
+// large graphs can bound them with this form.
 func (m *Metric) QueryDistContext(ctx context.Context, dst []float64, q graph.NodeID) ([]float64, error) {
 	n := m.g.NumNodes()
 	if cap(dst) < n {

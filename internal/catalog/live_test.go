@@ -317,34 +317,3 @@ func TestTextSourceCompactionSurvivesReboot(t *testing.T) {
 		t.Fatalf("reboot lost compacted mutations: %d edges, want %d", got, wantEdges)
 	}
 }
-
-// TestAddNodeKeepsDistVectorsWarm pins the appended-node guarantee: an
-// add_node + add_edge batch extends cached distance vectors instead of
-// dropping the touched component's.
-func TestAddNodeKeepsDistVectorsWarm(t *testing.T) {
-	snapPath, journalPath := liveFixture(t)
-	c := New()
-	d, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := context.Background()
-	// Cache a distance vector in the component the new node will join.
-	if _, err := d.Engine().Query(ctx, query.Request{Query: 0, Method: query.MethodSEA, K: 2, Seed: 1}.WithDefaults()); err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Mutate("g", []mutate.Delta{
-		mutate.AddNode([]string{"fresh"}, []float64{0.5}),
-		mutate.AddEdge(12, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DistsInvalidated != 0 {
-		t.Fatalf("DistsInvalidated = %d, want 0 (new node must not drop the component's vectors)", res.DistsInvalidated)
-	}
-	if res.DistsExtended != 1 {
-		t.Fatalf("DistsExtended = %d, want 1", res.DistsExtended)
-	}
-}

@@ -50,24 +50,12 @@ var families = []family{
 		value: func(i Info) float64 { return float64(i.Stats.ResultEvictions) }},
 	{name: "sea_result_cache_entries", typ: "gauge", help: "Result cache occupancy.",
 		value: func(i Info) float64 { return float64(i.Stats.ResultEntries) }},
-	{name: "sea_dist_cache_hits_total", typ: "counter", help: "Distance-vector cache hits.",
-		value: func(i Info) float64 { return float64(i.Stats.DistHits) }},
-	{name: "sea_dist_cache_misses_total", typ: "counter", help: "Distance-vector cache misses.",
-		value: func(i Info) float64 { return float64(i.Stats.DistMisses) }},
-	{name: "sea_dist_cache_evictions_total", typ: "counter", help: "Distance-vector cache evictions.",
-		value: func(i Info) float64 { return float64(i.Stats.DistEvictions) }},
-	{name: "sea_dist_cache_entries", typ: "gauge", help: "Distance-vector cache occupancy.",
-		value: func(i Info) float64 { return float64(i.Stats.DistEntries) }},
 	{name: "sea_mutations_total", typ: "counter", help: "Applied mutation batches.",
 		value: func(i Info) float64 { return float64(i.Stats.Mutations) }},
 	{name: "sea_deltas_applied_total", typ: "counter", help: "Applied mutation deltas.",
 		value: func(i Info) float64 { return float64(i.Stats.DeltasApplied) }},
 	{name: "sea_result_invalidations_total", typ: "counter", help: "Result cache entries dropped by scoped invalidation.",
 		value: func(i Info) float64 { return float64(i.Stats.ResultInvalidations) }},
-	{name: "sea_dist_invalidations_total", typ: "counter", help: "Distance vectors dropped by scoped invalidation.",
-		value: func(i Info) float64 { return float64(i.Stats.DistInvalidations) }},
-	{name: "sea_dist_extensions_total", typ: "counter", help: "Distance vectors extended in place for appended nodes.",
-		value: func(i Info) float64 { return float64(i.Stats.DistExtensions) }},
 	{name: "sea_graph_version", typ: "gauge", help: "Graph generation (mutation batches applied since mount); the replication cursor.",
 		value: func(i Info) float64 { return float64(i.Version) }},
 	{name: "sea_graph_nodes", typ: "gauge", help: "Nodes in the served graph.",

@@ -116,37 +116,24 @@ func (c *shardedLRU[K, V]) shard(key K) *lruShard[K, V] {
 func (c *shardedLRU[K, V]) get(key K) (V, bool) { return c.shard(key).get(key) }
 func (c *shardedLRU[K, V]) put(key K, val V)    { c.shard(key).put(key, val) }
 
-// sweepAction is the verdict of a sweep callback for one cache entry.
-type sweepAction int
-
-const (
-	sweepKeep sweepAction = iota
-	sweepDrop
-	sweepReplace
-)
-
-// sweep visits every cached entry under the shard locks, applying fn's
-// verdict: keep it, drop it, or replace its value in place (preserving LRU
-// position). It is the scoped-invalidation primitive: unlike a flush, it
-// removes exactly the entries fn condemns and leaves the rest warm.
-func (c *shardedLRU[K, V]) sweep(fn func(K, V) (V, sweepAction)) (dropped, replaced int) {
+// sweep visits every cached entry under the shard locks and removes those
+// for which drop reports true. It is the scoped-invalidation primitive:
+// unlike a flush, it removes exactly the entries drop condemns and leaves the
+// rest warm.
+func (c *shardedLRU[K, V]) sweep(drop func(K, V) bool) (dropped int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for key, e := range s.items {
-			switch v, act := fn(key, e.val); act {
-			case sweepDrop:
+			if drop(key, e.val) {
 				s.unlink(e)
 				delete(s.items, key)
 				dropped++
-			case sweepReplace:
-				e.val = v
-				replaced++
 			}
 		}
 		s.mu.Unlock()
 	}
-	return dropped, replaced
+	return dropped
 }
 
 func (c *shardedLRU[K, V]) stats() (hits, misses, evictions uint64, entries int) {

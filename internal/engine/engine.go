@@ -1,8 +1,8 @@
 // Package engine provides a long-lived, concurrency-safe serving layer over
 // an attributed graph. Where the library-level query.Execute pays the full
-// per-query cost — metric construction, distance vectors, structural
-// decompositions — on every call, an Engine precomputes the per-graph state
-// once and shares it across queries:
+// per-query cost — metric construction, structural decompositions — on
+// every call, an Engine precomputes the per-graph state once and shares it
+// across queries:
 //
 //   - the attribute Metric (min/max normalizer scan) is built at construction;
 //   - the core decomposition is built at construction and the truss-level
@@ -10,8 +10,8 @@
 //     admission index: a query node whose coreness (or incident trussness)
 //     is below k provably has no community, so the engine answers
 //     ErrNoCommunity without running a search — for every method;
-//   - per-query f(·,q) distance vectors and full Outcomes are held in
-//     sharded LRU caches, keyed by the canonical query.Request;
+//   - full Outcomes are held in a sharded LRU cache, keyed by the canonical
+//     query.Request;
 //   - concurrent identical queries are coalesced single-flight style, so the
 //     work happens once while every caller gets the answer.
 //
@@ -29,6 +29,11 @@
 // cache entries whose query node falls in the mutation's affected region
 // (see mutate.go). Queries load one state pointer at entry, so a request
 // always runs against one consistent snapshot of the graph and its indexes.
+//
+// Nothing is kept per query node: the f(·,q) distance vector a search needs
+// is computed on each result-cache miss and dropped with the search (the
+// paper's method is index-free; a caller sweeping parameters over one q
+// holds the vector itself and passes it to query.Run).
 package engine
 
 import (
@@ -62,13 +67,10 @@ var ErrQueryOutOfRange = fmt.Errorf("%w: query node outside the graph", cserr.Er
 type Config struct {
 	// Gamma is the attribute-metric balance factor in [0,1] (see attr.Metric).
 	Gamma float64
-	// DistCacheSize bounds the number of cached f(·,q) distance vectors.
-	// Each entry holds 8·NumNodes bytes. ≤0 selects the default.
-	DistCacheSize int
 	// ResultCacheSize bounds the number of cached Request → Outcome entries.
 	// ≤0 selects the default.
 	ResultCacheSize int
-	// CacheShards is the number of independent LRU shards per cache.
+	// CacheShards is the number of independent LRU shards of the result cache.
 	// ≤0 selects the default.
 	CacheShards int
 	// MaxConcurrent caps the number of searches executing at once; further
@@ -110,7 +112,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Gamma:           0.5,
-		DistCacheSize:   256,
 		ResultCacheSize: 4096,
 		CacheShards:     16,
 	}
@@ -135,7 +136,6 @@ type searchOutcome struct {
 	out      *query.Outcome
 	err      error
 	shed     bool // rejected by MaxInFlight admission (err wraps ErrOverloaded)
-	distHit  bool
 	distNS   int64
 	searchNS int64
 }
@@ -216,10 +216,8 @@ type Engine struct {
 	mu     sync.Mutex
 	etruss map[mutate.Edge]int32
 
-	dists   *shardedLRU[graph.NodeID, []float64]
 	results *shardedLRU[query.Request, *query.Outcome]
 	flight  flightGroup[flightKey, *searchOutcome]
-	dflight flightGroup[distKey, []float64]
 
 	sem      chan struct{} // bounds concurrently executing searches
 	inflight atomic.Int64  // computations executing or queued (MaxInFlight admission)
@@ -240,12 +238,6 @@ type Engine struct {
 // arriving after a mutation never joins a computation on the old graph.
 type flightKey struct {
 	req     query.Request
-	version uint64
-}
-
-// distKey scopes distance-vector coalescing the same way.
-type distKey struct {
-	q       graph.NodeID
 	version uint64
 }
 
@@ -271,14 +263,11 @@ func New(g graph.Store, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newEngine applies config defaults and assembles the caches around a
+// newEngine applies config defaults and assembles the result cache around a
 // metric and core index the caller supplies — computed fresh by New,
 // reopened without recomputation by NewFromIndex.
 func newEngine(g graph.Store, cfg Config, m *attr.Metric, core []int32) (*Engine, error) {
 	def := DefaultConfig()
-	if cfg.DistCacheSize <= 0 {
-		cfg.DistCacheSize = def.DistCacheSize
-	}
 	if cfg.ResultCacheSize <= 0 {
 		cfg.ResultCacheSize = def.ResultCacheSize
 	}
@@ -302,9 +291,6 @@ func newEngine(g graph.Store, cfg Config, m *attr.Metric, core []int32) (*Engine
 		e.trace = obs.NewRing[Span](cfg.TraceRing)
 	}
 	e.st.Store(&engState{g: g, metric: m, core: core})
-	e.dists = newShardedLRU[graph.NodeID, []float64](
-		cfg.DistCacheSize, cfg.CacheShards,
-		func(q graph.NodeID) uint64 { return fnvMix(fnvOffset, uint64(q)) })
 	e.results = newShardedLRU[query.Request, *query.Outcome](
 		cfg.ResultCacheSize, cfg.CacheShards, requestHash)
 	return e, nil
@@ -402,7 +388,7 @@ func (e *Engine) serve(ctx context.Context, req query.Request, qm *QueryMetrics)
 	if err != nil {
 		return nil, err // context expired while waiting
 	}
-	qm.DistHit, qm.DistNS, qm.SearchNS = out.distHit, out.distNS, out.searchNS
+	qm.DistNS, qm.SearchNS = out.distNS, out.searchNS
 	qm.Shed = out.shed
 	return out.out, out.err
 }
@@ -443,8 +429,7 @@ func (e *Engine) compute(ctx context.Context, st *engState, req query.Request) *
 	}
 
 	td := time.Now()
-	dist, hit := e.queryDist(st, req.Query)
-	out.distHit = hit
+	dist := st.metric.QueryDist(req.Query)
 	out.distNS = time.Since(td).Nanoseconds()
 
 	ts := time.Now()
@@ -453,39 +438,21 @@ func (e *Engine) compute(ctx context.Context, st *engState, req query.Request) *
 	out.searchNS = time.Since(ts).Nanoseconds()
 	out.out, out.err = res, err
 	if err == nil {
-		e.fill(st, func() { e.results.put(req, res) })
+		e.fill(st, req, res)
 	}
 	return out
 }
 
-// fill runs a cache insertion for a value computed against st, unless a
-// mutation has been applied since st was current. The read-lock pairs with
-// Apply's write-locked epoch bump: a fill is either fully visible to the
-// mutation's scoped sweep or skips itself, so stale entries can never
-// outlive the sweep.
-func (e *Engine) fill(st *engState, put func()) {
+// fill caches res, computed for req against st, unless a mutation has been
+// applied since st was current. The read-lock pairs with Apply's
+// write-locked epoch bump: a fill is either fully visible to the mutation's
+// scoped sweep or skips itself, so stale entries can never outlive the sweep.
+func (e *Engine) fill(st *engState, req query.Request, res *query.Outcome) {
 	e.pubMu.RLock()
 	if e.epoch.Load() == st.version {
-		put()
+		e.results.put(req, res)
 	}
 	e.pubMu.RUnlock()
-}
-
-// queryDist returns the f(·,q) vector from the distance cache, computing and
-// caching it (single-flight per q and generation) on a miss. hit reports a
-// cache hit. The computation is brief and always completes, so it runs
-// detached from request contexts and warms the cache even for abandoned
-// requests — unless a mutation intervened (fill fence).
-func (e *Engine) queryDist(st *engState, q graph.NodeID) (dist []float64, hit bool) {
-	if d, ok := e.dists.get(q); ok && len(d) >= st.g.NumNodes() {
-		return d, true
-	}
-	d, _, _ := e.dflight.do(context.Background(), distKey{q, st.version}, func(context.Context) ([]float64, error) {
-		d := st.metric.QueryDist(q)
-		e.fill(st, func() { e.dists.put(q, d) })
-		return d, nil
-	})
-	return d, false
 }
 
 // admit reports whether a community under the structural model can exist

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -84,7 +85,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qm1.ResultHit || qm1.DistHit {
+	if qm1.ResultHit {
 		t.Fatalf("first query must miss: %+v", qm1)
 	}
 	second, qm2, err := e.QueryWithMetrics(ctx, req)
@@ -101,21 +102,20 @@ func TestEngineResultCacheHit(t *testing.T) {
 		t.Errorf("stats after hit: %+v", s)
 	}
 
-	// Same query under different parameters shares the distance vector.
+	// The same query node under different parameters is a different entry.
 	req2 := req
 	req2.K = 4
 	_, qm3, err := e.QueryWithMetrics(ctx, req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qm3.ResultHit || !qm3.DistHit {
-		t.Fatalf("changed options: want result miss + dist hit, got %+v", qm3)
+	if qm3.ResultHit {
+		t.Fatalf("changed options must miss the result cache: %+v", qm3)
 	}
 }
 
 func TestEngineCacheEviction(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DistCacheSize = 2
 	cfg.ResultCacheSize = 2
 	cfg.CacheShards = 1
 	e, d, _ := testEngine(t, cfg)
@@ -131,20 +131,68 @@ func TestEngineCacheEviction(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	if s.DistEvictions < 1 || s.ResultEvictions < 1 {
-		t.Fatalf("expected evictions from capacity-2 caches: %+v", s)
+	if s.ResultEvictions < 1 {
+		t.Fatalf("expected evictions from a capacity-2 cache: %+v", s)
 	}
-	if s.DistEntries != 2 || s.ResultEntries != 2 {
-		t.Fatalf("expected full caches: %+v", s)
+	if s.ResultEntries != 2 {
+		t.Fatalf("expected a full cache: %+v", s)
 	}
 	// The oldest query was evicted, so it recomputes.
 	_, qm, err := e.QueryWithMetrics(ctx, reqs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qm.ResultHit || qm.DistHit {
+	if qm.ResultHit {
 		t.Fatalf("evicted query should recompute, got %+v", qm)
 	}
+}
+
+// TestEngineRetainsNoVectorPerQuery: the engine is index-free — serving a
+// query node leaves behind its cached Outcome and nothing of size O(n), above
+// all not the f(·,q) distance vector the search ran on.
+func TestEngineRetainsNoVectorPerQuery(t *testing.T) {
+	const n, distinct = 1 << 17, 32 // 1 MiB of distances per search
+	b := graph.NewBuilder(n, 0)
+	for c := 0; c <= distinct; c++ { // one 4-clique per query node, plus a warm-up
+		for i := 0; i < 4; i++ {
+			for j := i + 1; j < 4; j++ {
+				b.AddEdge(graph.NodeID(4*c+i), graph.NodeID(4*c+j))
+			}
+		}
+	}
+	e, err := New(b.MustBuild(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	serve := func(q graph.NodeID) {
+		req := query.DefaultRequest(q)
+		req.K = 3
+		if _, err := e.Query(context.Background(), req); err != nil {
+			t.Fatalf("q=%d: %v", q, err)
+		}
+	}
+	// One query first: the workspace it grows to n nodes goes back on the
+	// free list and stays resident, so it belongs in the baseline.
+	serve(4 * distinct)
+	before := heap()
+	for c := 0; c < distinct; c++ {
+		serve(graph.NodeID(4 * c))
+	}
+	perQuery := (int64(heap()) - int64(before)) / distinct
+	if perQuery > n/8 { // 1/64 of the 8·n bytes one retained vector costs
+		t.Fatalf("each distinct query node retains %d B; a distance vector is %d B", perQuery, 8*n)
+	}
+	if s := e.Stats(); s.ResultEntries != distinct+1 {
+		t.Fatalf("result cache holds %d entries, want %d", s.ResultEntries, distinct+1)
+	}
+	runtime.KeepAlive(e)
 }
 
 func TestEngineIndexReject(t *testing.T) {
@@ -353,11 +401,10 @@ func TestEngineInvalidInputs(t *testing.T) {
 }
 
 // TestEngineConcurrentMixed hammers one engine with a mix of models, ks,
-// invalid queries and tiny caches; run under -race this is the
+// invalid queries and a tiny cache; run under -race this is the
 // concurrent-access test of the serving layer.
 func TestEngineConcurrentMixed(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.DistCacheSize = 4
 	cfg.ResultCacheSize = 8
 	cfg.CacheShards = 2
 	e, d, _ := testEngine(t, cfg)

@@ -18,12 +18,11 @@ type QueryMetrics struct {
 	Model     string `json:"model"`      // community model name
 	Method    string `json:"method"`     // search method name
 	ResultHit bool   `json:"result_hit"` // served from the result cache
-	DistHit   bool   `json:"dist_hit"`   // f(·,q) vector served from the distance cache
 	Coalesced bool   `json:"coalesced"`  // joined an identical in-flight query
 	Shed      bool   `json:"shed"`       // rejected by MaxInFlight admission control (429)
 	IndexHit  bool   `json:"index_hit"`  // shared index answered admission (reject) without a search
 	IndexNS   int64  `json:"index_ns"`   // shared-index admission check
-	DistNS    int64  `json:"dist_ns"`    // distance-vector fetch or compute
+	DistNS    int64  `json:"dist_ns"`    // f(·,q) distance-vector compute
 	SearchNS  int64  `json:"search_ns"`  // SEA search proper
 	TotalNS   int64  `json:"total_ns"`   // whole request, queueing included
 	Err       string `json:"err"`        // empty on success
@@ -32,7 +31,7 @@ type QueryMetrics struct {
 // QueryMetricsHeader returns the CSV header matching CSVRecord.
 func QueryMetricsHeader() []string {
 	return []string{
-		"query", "k", "model", "method", "result_hit", "dist_hit", "coalesced",
+		"query", "k", "model", "method", "result_hit", "coalesced",
 		"shed", "index_hit", "index_ns", "dist_ns", "search_ns", "total_ns", "err",
 	}
 }
@@ -45,7 +44,6 @@ func (m QueryMetrics) CSVRecord() []string {
 		m.Model,
 		m.Method,
 		strconv.FormatBool(m.ResultHit),
-		strconv.FormatBool(m.DistHit),
 		strconv.FormatBool(m.Coalesced),
 		strconv.FormatBool(m.Shed),
 		strconv.FormatBool(m.IndexHit),
@@ -69,8 +67,6 @@ type counters struct {
 	mutations          atomic.Uint64
 	deltas             atomic.Uint64
 	resultInvalidation atomic.Uint64
-	distInvalidation   atomic.Uint64
-	distExtended       atomic.Uint64
 }
 
 // Stats is a point-in-time snapshot of the engine's aggregate state,
@@ -88,21 +84,21 @@ type Stats struct {
 	ResultEvictions uint64 `json:"result_evictions"`
 	ResultEntries   int    `json:"result_entries"`
 
-	DistHits      uint64 `json:"dist_hits"`
-	DistMisses    uint64 `json:"dist_misses"`
-	DistEvictions uint64 `json:"dist_evictions"`
-	DistEntries   int    `json:"dist_entries"`
+	// DistHits and DistMisses are always zero: the engine keeps no
+	// distance-vector cache.
+	//
+	// Deprecated: inert; the frozen benchmark's engine.dist_hit_frac reads
+	// them; remove in the next PR allowed to touch benchmark/.
+	DistHits   uint64 `json:"-"`
+	DistMisses uint64 `json:"-"`
 
 	// Live-update counters: applied mutation batches/deltas, the current
-	// graph generation, and the scoped-invalidation tallies — cache entries
-	// dropped because their query node fell in a mutation's affected
-	// region, and distance vectors extended in place for appended nodes.
+	// graph generation, and the scoped-invalidation tally — result entries
+	// dropped because their query node fell in a mutation's affected region.
 	Mutations           uint64 `json:"mutations"`
 	DeltasApplied       uint64 `json:"deltas_applied"`
 	GraphVersion        uint64 `json:"graph_version"`
 	ResultInvalidations uint64 `json:"result_invalidations"`
-	DistInvalidations   uint64 `json:"dist_invalidations"`
-	DistExtensions      uint64 `json:"dist_extensions"`
 }
 
 // Stats returns a snapshot of the engine's counters and cache occupancy.
@@ -118,10 +114,7 @@ func (e *Engine) Stats() Stats {
 		DeltasApplied:       e.ctr.deltas.Load(),
 		GraphVersion:        e.Version(),
 		ResultInvalidations: e.ctr.resultInvalidation.Load(),
-		DistInvalidations:   e.ctr.distInvalidation.Load(),
-		DistExtensions:      e.ctr.distExtended.Load(),
 	}
 	s.ResultHits, s.ResultMisses, s.ResultEvictions, s.ResultEntries = e.results.stats()
-	s.DistHits, s.DistMisses, s.DistEvictions, s.DistEntries = e.dists.stats()
 	return s
 }

@@ -9,9 +9,9 @@ package engine
 //  2. the overlay materializes into a fresh immutable CSR graph and the
 //     metric is rebound to it, keeping the mounted normalizer table;
 //  3. cache fills from pre-mutation computations are fenced off (epoch
-//     bump), then the caches are swept with *scoped* invalidation: an entry
-//     is dropped only if its query node lies in the mutation's affected
-//     region, everything else stays warm;
+//     bump), then the result cache is swept with *scoped* invalidation: an
+//     entry is dropped only if its query node lies in the mutation's
+//     affected region, everything else stays warm;
 //  4. the new state publishes with one atomic pointer store; in-flight
 //     queries finish on the generation they loaded at entry.
 //
@@ -22,11 +22,8 @@ package engine
 // node. The sweep reaches exactly the nodes connected to the touched set
 // through nodes whose index level (max of old and new) is ≥ k, in the union
 // of the old and new adjacencies, which covers both sides conservatively.
-// Distance vectors depend only on attributes, so structural mutations leave
-// the whole distance cache warm; an attribute change invalidates only the
-// vectors of queries connected to the changed node (a disconnected q can
-// never read the stale entry), and appended nodes extend surviving vectors
-// copy-on-write instead of dropping them.
+// The result cache is the only per-query state the engine keeps, so it is
+// the only thing swept.
 
 import (
 	"fmt"
@@ -53,12 +50,9 @@ type ApplyResult struct {
 	// Nodes/Edges describe the post-mutation graph.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
-	// ResultsInvalidated / DistsInvalidated count cache entries dropped by
-	// the scoped sweep; DistsExtended counts distance vectors grown in
-	// place for appended nodes.
+	// ResultsInvalidated counts result-cache entries dropped by the scoped
+	// sweep.
 	ResultsInvalidated int `json:"results_invalidated"`
-	DistsInvalidated   int `json:"dists_invalidated"`
-	DistsExtended      int `json:"dists_extended"`
 	// ApplyNS is the apply stage: session fold, materialization and index
 	// rebind. InvalidateNS is the scoped cache sweep. (Journal timing is the
 	// journal owner's — see catalog.MutateResult.JournalNS.)
@@ -224,8 +218,7 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	tInv := time.Now()
 	sw := e.invalidateScoped(old, st, sess)
 	res.InvalidateNS = time.Since(tInv).Nanoseconds()
-	res.ResultsInvalidated, res.DistsInvalidated, res.DistsExtended = sw.results, sw.dists, sw.extended
-	res.TouchedNodes, res.RegionNodes = sw.touched, sw.region
+	res.ResultsInvalidated, res.TouchedNodes, res.RegionNodes = sw.results, sw.touched, sw.region
 	e.lat[StageMutateApply].Observe(res.ApplyNS)
 	e.lat[StageMutateInvalidate].Observe(res.InvalidateNS)
 	e.st.Store(st)
@@ -233,8 +226,6 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	e.ctr.mutations.Add(1)
 	e.ctr.deltas.Add(uint64(sess.Applied()))
 	e.ctr.resultInvalidation.Add(uint64(res.ResultsInvalidated))
-	e.ctr.distInvalidation.Add(uint64(res.DistsInvalidated))
-	e.ctr.distExtended.Add(uint64(res.DistsExtended))
 	return res, outs, nil
 }
 
@@ -263,16 +254,15 @@ func edgeTrussTable(g graph.CSR) map[mutate.Edge]int32 {
 	return out
 }
 
-// sweepResult reports what one scoped invalidation pass did: cache entries
-// dropped/extended plus the affected-region accounting surfaced in
-// ApplyResult.
+// sweepResult reports what one scoped invalidation pass did: result entries
+// dropped plus the affected-region accounting surfaced in ApplyResult.
 type sweepResult struct {
-	results, dists, extended int
-	touched                  int // structural + attribute touched nodes
-	region                   int // union of the regions actually expanded
+	results int
+	touched int // structural + attribute touched nodes
+	region  int // union of the regions actually expanded
 }
 
-// invalidateScoped sweeps both caches against the mutation's affected
+// invalidateScoped sweeps the result cache against the mutation's affected
 // region; see the file comment for the soundness argument.
 func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) sweepResult {
 	var sw sweepResult
@@ -285,13 +275,13 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 	oldN, newN := old.g.NumNodes(), new.g.NumNodes()
 	oldTruss, newTruss := old.trussPeek(), new.trussPeek()
 
-	// expandRegion grows region from the seeds over the union of old and
-	// new adjacencies, entering a node only when level(v) ≥ k and expanding
-	// only through entered nodes.
-	expandRegion := func(seeds []graph.NodeID, level func(graph.NodeID) int32, k int) map[graph.NodeID]bool {
-		region := make(map[graph.NodeID]bool, len(seeds))
-		queue := make([]graph.NodeID, 0, len(seeds))
-		for _, t := range seeds {
+	// expandRegion grows region from the touched set over the union of old
+	// and new adjacencies, entering a node only when level(v) ≥ k and
+	// expanding only through entered nodes.
+	expandRegion := func(level func(graph.NodeID) int32, k int) map[graph.NodeID]bool {
+		region := make(map[graph.NodeID]bool, len(touched))
+		queue := make([]graph.NodeID, 0, len(touched))
+		for _, t := range touched {
 			if !region[t] {
 				region[t] = true
 				queue = append(queue, t)
@@ -352,54 +342,20 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 		if model == sea.KTruss {
 			level = trussLevel
 		}
-		r := expandRegion(touched, level, k)
+		r := expandRegion(level, k)
 		regions[rk] = r
 		return r
 	}
 
-	sw.results, _ = e.results.sweep(func(req query.Request, _ *query.Outcome) (*query.Outcome, sweepAction) {
+	sw.results = e.results.sweep(func(req query.Request, _ *query.Outcome) bool {
 		if req.Model == sea.KTruss && (oldTruss == nil || newTruss == nil) {
 			// No truss index on one side means no scoped region can be
 			// proven for the entry; drop it conservatively. (Reachable only
 			// when k-truss results were cached against an index a reload
 			// discarded — a mutation itself never unbuilds the index.)
-			return nil, sweepDrop
+			return true
 		}
-		if regionFor(req.Model, req.K)[req.Query] {
-			return nil, sweepDrop
-		}
-		return nil, sweepKeep
-	})
-
-	// Distance vectors depend only on attributes: a structural mutation
-	// invalidates none of them. An attribute change invalidates the vectors
-	// of queries connected to a changed node (level 0 = plain reachability
-	// in either graph). Appended nodes are excluded from the seeds: no
-	// existing vector can hold a stale entry for a node that did not exist,
-	// so they only extend surviving vectors in place.
-	attrSeeds := make([]graph.NodeID, 0, len(attrNodes))
-	for _, v := range attrNodes {
-		if int(v) < oldN {
-			attrSeeds = append(attrSeeds, v)
-		}
-	}
-	var attrRegion map[graph.NodeID]bool
-	if len(attrSeeds) > 0 {
-		attrRegion = expandRegion(attrSeeds, func(graph.NodeID) int32 { return 1 }, 0)
-	}
-	sw.dists, sw.extended = e.dists.sweep(func(q graph.NodeID, vec []float64) ([]float64, sweepAction) {
-		if attrRegion[q] {
-			return nil, sweepDrop
-		}
-		if len(vec) < newN {
-			grown := make([]float64, newN)
-			copy(grown, vec)
-			for v := len(vec); v < newN; v++ {
-				grown[v] = new.metric.Distance(graph.NodeID(v), q)
-			}
-			return grown, sweepReplace
-		}
-		return nil, sweepKeep
+		return regionFor(req.Model, req.K)[req.Query]
 	})
 
 	// Affected-region accounting: the union of every region the sweep
@@ -410,9 +366,6 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 		for v := range r {
 			union[v] = true
 		}
-	}
-	for v := range attrRegion {
-		union[v] = true
 	}
 	sw.region = len(union)
 	return sw

@@ -93,10 +93,29 @@ func TestApplyVisibleWithoutSwap(t *testing.T) {
 	}
 }
 
-// TestApplyScopedInvalidationKeepsWarm caches results and distance vectors
-// in both clusters, mutates only cluster A, and asserts via Engine.Stats
-// that cluster B's entries survive (warm hits) while cluster A's are
-// dropped and recomputed.
+// requireSameAsRebuilt asserts that the live engine answers each request
+// exactly as a fresh engine built over its current graph.
+func requireSameAsRebuilt(t *testing.T, live *Engine, reqs ...query.Request) {
+	t.Helper()
+	rebuilt, err := New(live.Graph(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs {
+		a, errA := live.Query(context.Background(), r)
+		b, errB := rebuilt.Query(context.Background(), r)
+		if errA != nil || errB != nil {
+			t.Fatalf("request %+v: live err %v, rebuilt err %v", r, errA, errB)
+		}
+		if !reflect.DeepEqual(a.Community, b.Community) || a.Delta != b.Delta {
+			t.Fatalf("request %+v:\nlive    %v δ=%v\nrebuilt %v δ=%v", r, a.Community, a.Delta, b.Community, b.Delta)
+		}
+	}
+}
+
+// TestApplyScopedInvalidationKeepsWarm caches results in both clusters,
+// mutates only cluster A, and asserts via Engine.Stats that cluster B's
+// entries survive (warm hits) while cluster A's are dropped and recomputed.
 func TestApplyScopedInvalidationKeepsWarm(t *testing.T) {
 	e, err := New(twoClusterGraph(t, 8), DefaultConfig())
 	if err != nil {
@@ -120,9 +139,6 @@ func TestApplyScopedInvalidationKeepsWarm(t *testing.T) {
 	if res.ResultsInvalidated != 1 {
 		t.Fatalf("ResultsInvalidated = %d, want 1 (only cluster A's entry): %+v", res.ResultsInvalidated, res)
 	}
-	if res.DistsInvalidated != 0 {
-		t.Fatalf("DistsInvalidated = %d, want 0 (structural mutation keeps all vectors)", res.DistsInvalidated)
-	}
 
 	// Cluster B stays warm: both requests hit the result cache.
 	for _, r := range []query.Request{reqB, seaB} {
@@ -142,24 +158,20 @@ func TestApplyScopedInvalidationKeepsWarm(t *testing.T) {
 	if qm.ResultHit {
 		t.Fatal("cluster A's entry survived a mutation in its region")
 	}
-	// The distance cache stayed warm everywhere: reqA's recomputation
-	// reuses its cached vector.
-	if !qm.DistHit {
-		t.Fatal("distance vector dropped by a structural mutation")
-	}
+	requireSameAsRebuilt(t, e, reqA, reqB, seaB)
 
 	st := e.Stats()
 	if st.Mutations != 1 || st.DeltasApplied != 1 || st.GraphVersion != 1 {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.ResultInvalidations != 1 || st.DistInvalidations != 0 {
+	if st.ResultInvalidations != 1 {
 		t.Fatalf("invalidation stats %+v", st)
 	}
 }
 
-// TestApplyAttrInvalidation checks the attribute path: distance vectors of
-// the touched component drop, the other component's stay, and appended
-// nodes extend surviving vectors.
+// TestApplyAttrInvalidation checks the attribute path: results of the
+// touched component drop, the other component's stay warm across an
+// appended node, and both re-query as a rebuilt engine answers.
 func TestApplyAttrInvalidation(t *testing.T) {
 	e, err := New(twoClusterGraph(t, 8), DefaultConfig())
 	if err != nil {
@@ -181,18 +193,14 @@ func TestApplyAttrInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.DistsInvalidated != 1 {
-		t.Fatalf("DistsInvalidated = %d, want 1 (query 1's vector, same component as node 2)", res.DistsInvalidated)
-	}
-	if res.DistsExtended != 1 {
-		t.Fatalf("DistsExtended = %d, want 1 (query 9's vector grown for the new node)", res.DistsExtended)
+	if res.ResultsInvalidated != 1 {
+		t.Fatalf("ResultsInvalidated = %d, want 1 (query 1's entry, same component as node 2)", res.ResultsInvalidated)
 	}
 	if len(res.NewNodes) != 1 || res.NewNodes[0] != 16 {
 		t.Fatalf("NewNodes = %v", res.NewNodes)
 	}
 
-	// Cluster B's result survives; its extended distance vector serves the
-	// recomputation path without a metric scan.
+	// Cluster B's result survives.
 	_, qm, err := e.QueryWithMetrics(ctx, reqB)
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +208,15 @@ func TestApplyAttrInvalidation(t *testing.T) {
 	if !qm.ResultHit {
 		t.Fatal("cluster B result dropped by an attribute change in cluster A")
 	}
-	// Cluster A's result dropped, and its distance vector too.
+	// Cluster A's result dropped.
 	_, qm, err = e.QueryWithMetrics(ctx, reqA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qm.ResultHit || qm.DistHit {
+	if qm.ResultHit {
 		t.Fatalf("cluster A served stale cache: %+v", qm)
 	}
+	requireSameAsRebuilt(t, e, reqA, reqB)
 }
 
 // TestApplyAllOrNothing proves a failing delta aborts the whole batch.

@@ -31,7 +31,7 @@ type Stage int
 
 const (
 	StageAdmission        Stage = iota // shared-index admission check
-	StageDistance                      // f(·,q) vector fetch or compute
+	StageDistance                      // f(·,q) vector compute
 	StageSearch                        // search execution proper
 	StageTotalHit                      // whole request, served from the result cache
 	StageTotalMiss                     // whole request, computed

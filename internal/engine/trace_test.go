@@ -164,7 +164,7 @@ func TestApplyResultStageTimings(t *testing.T) {
 	ctx := context.Background()
 	req := query.DefaultRequest(q)
 	req.K = 6
-	// Warm the caches so invalidation has something to sweep.
+	// Warm the cache so invalidation has something to sweep.
 	if _, _, err := e.QueryWithMetrics(ctx, req); err != nil {
 		t.Fatal(err)
 	}

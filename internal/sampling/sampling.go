@@ -4,11 +4,10 @@
 // probabilities Ps(v) proportional to attribute similarity (Eq. 5), and
 // weighted sampling without replacement.
 //
-// Every operation has an allocation-free form (the *Into variants) that
-// threads a ws.Workspace for its scratch state — visited sets, the frontier
-// heap, the sampling-key array — and appends results to caller-owned
-// slices. The legacy forms keep their original signatures and borrow a
-// pooled workspace internally.
+// The operations thread a ws.Workspace for their scratch state — visited
+// sets, the frontier heap, the sampling-key array — and append results to
+// caller-owned slices, so they allocate nothing once both have warmed to the
+// working size.
 package sampling
 
 import (
@@ -63,22 +62,12 @@ func heapPop(h []ws.NodeDist) ([]ws.NodeDist, ws.NodeDist) {
 	return h[:n], h[n]
 }
 
-// BuildGq expands a best-first search from q, always visiting the frontier
-// node with the smallest composite distance to q first, until minSize nodes
-// are collected (or the component of q is exhausted). dist[v] must hold
-// f(v,q). q is always the first element of the result.
-func BuildGq(g graph.Adjacency, q graph.NodeID, dist []float64, minSize int) []graph.NodeID {
-	w := ws.Get()
-	defer w.Release()
-	if minSize < 1 {
-		minSize = 1
-	}
-	return BuildGqInto(make([]graph.NodeID, 0, minSize), g, q, dist, minSize, w)
-}
-
-// BuildGqInto is BuildGq appending to dst, with all scratch state (visited
-// set, frontier heap) drawn from w: zero allocations once dst and w have
-// warmed to the working size.
+// BuildGqInto expands a best-first search from q, always visiting the
+// frontier node with the smallest composite distance to q first, until
+// minSize nodes are collected (or the component of q is exhausted), and
+// appends them to dst. dist[v] must hold f(v,q). q is always the first
+// element appended. All scratch state (visited set, frontier heap) is drawn
+// from w.
 func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []float64, minSize int, w *ws.Workspace) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
@@ -102,8 +91,8 @@ func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []f
 }
 
 // BuildGqBFS is the plain hop-order variant used by the frontier ablation
-// benchmark: identical contract to BuildGq but breadth-first instead of
-// best-first.
+// benchmark: identical contract to BuildGqInto (allocating its result) but
+// breadth-first instead of best-first.
 func BuildGqBFS(g graph.Adjacency, q graph.NodeID, minSize int) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
@@ -127,14 +116,9 @@ func BuildGqBFS(g graph.Adjacency, q graph.NodeID, minSize int) []graph.NodeID {
 	return out
 }
 
-// Probabilities computes the normalized sampling probabilities of Eq. 5 over
-// the population nodes: Ps(v) ∝ 1 − f(v,q). If all distances are 1 the
-// distribution degenerates to uniform.
-func Probabilities(population []graph.NodeID, dist []float64) []float64 {
-	return ProbabilitiesInto(make([]float64, 0, len(population)), population, dist)
-}
-
-// ProbabilitiesInto is Probabilities appending to dst.
+// ProbabilitiesInto appends to dst the normalized sampling probabilities of
+// Eq. 5 over the population nodes: Ps(v) ∝ 1 − f(v,q). If all distances are
+// 1 the distribution degenerates to uniform.
 func ProbabilitiesInto(dst []float64, population []graph.NodeID, dist []float64) []float64 {
 	start := len(dst)
 	sum := 0.0
@@ -160,19 +144,12 @@ func ProbabilitiesInto(dst []float64, population []graph.NodeID, dist []float64)
 	return dst
 }
 
-// WeightedSample draws size distinct nodes from population with probability
-// proportional to weights, using the exponential-keys method (Efraimidis &
-// Spirakis A-ES): key_i = U_i^(1/w_i); take the size largest keys. Nodes with
-// zero weight are drawn only if the positive-weight pool is exhausted.
-// The query node, if present in population, is always included.
-func WeightedSample(population []graph.NodeID, weights []float64, size int, q graph.NodeID, rng *rand.Rand) []graph.NodeID {
-	w := ws.Get()
-	defer w.Release()
-	return WeightedSampleInto(nil, population, weights, size, q, rng, w)
-}
-
-// WeightedSampleInto is WeightedSample appending to dst, drawing the key
-// array from w.
+// WeightedSampleInto appends to dst size distinct nodes drawn from
+// population with probability proportional to weights, using the
+// exponential-keys method (Efraimidis & Spirakis A-ES): key_i = U_i^(1/w_i);
+// take the size largest keys. Nodes with zero weight are drawn only if the
+// positive-weight pool is exhausted. The query node, if present in
+// population, is always included. The key array is drawn from w.
 func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights []float64, size int, q graph.NodeID, rng *rand.Rand, w *ws.Workspace) []graph.NodeID {
 	if size >= len(population) {
 		return append(dst, population...)
@@ -213,7 +190,7 @@ func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights [
 
 // RouletteSample is the naive with-rejection alternative used by the
 // sampling ablation benchmark: repeated roulette-wheel draws, rejecting
-// duplicates. Same contract as WeightedSample.
+// duplicates. Same contract as WeightedSampleInto, allocating its result.
 func RouletteSample(population []graph.NodeID, weights []float64, size int, q graph.NodeID, rng *rand.Rand) []graph.NodeID {
 	if size >= len(population) {
 		return append([]graph.NodeID(nil), population...)

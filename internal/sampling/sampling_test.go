@@ -7,7 +7,16 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
+
+// testWS borrows a pooled workspace for the test and returns it to the pool
+// when the test ends.
+func testWS(t testing.TB) *ws.Workspace {
+	w := ws.Get()
+	t.Cleanup(w.Release)
+	return w
+}
 
 // lineGraph builds a path 0-1-2-…-(n-1) with f(v,q)=dist[v].
 func lineGraph(n int) *graph.Graph {
@@ -27,7 +36,7 @@ func TestBuildGqBestFirstOrder(t *testing.T) {
 	}
 	g := b.MustBuild()
 	dist := []float64{0, 0.9, 0.7, 0.5, 0.3, 0.1}
-	gq := BuildGq(g, 0, dist, 3)
+	gq := BuildGqInto(nil, g, 0, dist, 3, testWS(t))
 	if len(gq) != 3 {
 		t.Fatalf("|Gq| = %d, want 3", len(gq))
 	}
@@ -42,7 +51,7 @@ func TestBuildGqBestFirstOrder(t *testing.T) {
 func TestBuildGqExhaustsComponent(t *testing.T) {
 	g := lineGraph(4)
 	dist := []float64{0, 0.1, 0.2, 0.3}
-	gq := BuildGq(g, 0, dist, 100)
+	gq := BuildGqInto(nil, g, 0, dist, 100, testWS(t))
 	if len(gq) != 4 {
 		t.Errorf("|Gq| = %d, want whole component", len(gq))
 	}
@@ -64,7 +73,7 @@ func TestBuildGqBFS(t *testing.T) {
 func TestProbabilities(t *testing.T) {
 	pop := []graph.NodeID{0, 1, 2}
 	dist := []float64{0, 0.5, 1}
-	ps := Probabilities(pop, dist)
+	ps := ProbabilitiesInto(nil, pop, dist)
 	sum := 0.0
 	for _, p := range ps {
 		sum += p
@@ -82,7 +91,7 @@ func TestProbabilities(t *testing.T) {
 
 func TestProbabilitiesDegenerate(t *testing.T) {
 	pop := []graph.NodeID{0, 1}
-	ps := Probabilities(pop, []float64{1, 1})
+	ps := ProbabilitiesInto(nil, pop, []float64{1, 1})
 	if ps[0] != 0.5 || ps[1] != 0.5 {
 		t.Errorf("degenerate ps = %v, want uniform", ps)
 	}
@@ -96,7 +105,7 @@ func TestWeightedSampleContract(t *testing.T) {
 		pop[i] = graph.NodeID(i)
 		w[i] = float64(i + 1)
 	}
-	s := WeightedSample(pop, w, 20, 0, rng)
+	s := WeightedSampleInto(nil, pop, w, 20, 0, rng, testWS(t))
 	if len(s) != 20 {
 		t.Fatalf("|S| = %d, want 20", len(s))
 	}
@@ -119,7 +128,7 @@ func TestWeightedSampleContract(t *testing.T) {
 func TestWeightedSampleWholePopulation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pop := []graph.NodeID{3, 1, 4}
-	s := WeightedSample(pop, []float64{1, 1, 1}, 10, 3, rng)
+	s := WeightedSampleInto(nil, pop, []float64{1, 1, 1}, 10, 3, rng, testWS(t))
 	if len(s) != 3 {
 		t.Errorf("|S| = %d, want whole population", len(s))
 	}
@@ -129,12 +138,13 @@ func TestWeightedSampleBias(t *testing.T) {
 	// Node 1 has 9× the weight of node 2; over many draws of size 1 from
 	// {1,2} (q excluded by using q=-1), node 1 must dominate.
 	rng := rand.New(rand.NewSource(9))
+	wk := testWS(t)
 	pop := []graph.NodeID{1, 2}
 	w := []float64{0.9, 0.1}
 	count := 0
 	trials := 2000
 	for i := 0; i < trials; i++ {
-		s := WeightedSample(pop, w, 1, -1, rng)
+		s := WeightedSampleInto(nil, pop, w, 1, -1, rng, wk)
 		if s[0] == 1 {
 			count++
 		}
@@ -170,6 +180,7 @@ func TestRouletteSampleContract(t *testing.T) {
 }
 
 func TestPropertySampleDistinctAndSized(t *testing.T) {
+	wk := testWS(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(60)
@@ -181,7 +192,7 @@ func TestPropertySampleDistinctAndSized(t *testing.T) {
 		}
 		size := 1 + rng.Intn(n)
 		q := graph.NodeID(rng.Intn(n))
-		s := WeightedSample(pop, w, size, q, rng)
+		s := WeightedSampleInto(nil, pop, w, size, q, rng, wk)
 		if len(s) != size {
 			return false
 		}
@@ -204,6 +215,7 @@ func TestPropertySampleDistinctAndSized(t *testing.T) {
 }
 
 func TestPropertyGqContainsQAndMeetsSize(t *testing.T) {
+	wk := testWS(t)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(50)
@@ -219,7 +231,7 @@ func TestPropertyGqContainsQAndMeetsSize(t *testing.T) {
 		q := graph.NodeID(rng.Intn(n))
 		dist[q] = 0
 		want := 1 + rng.Intn(n)
-		gq := BuildGq(g, q, dist, want)
+		gq := BuildGqInto(nil, g, q, dist, want, wk)
 		if len(gq) == 0 || gq[0] != q {
 			return false
 		}

@@ -31,7 +31,7 @@ func (h *refHeap) Pop() interface{} {
 
 // TestHeapMatchesContainerHeap drives both heaps with the same random
 // push/pop schedule and demands identical pop order — the property that
-// keeps BuildGq's output stable across the substrate rewrite.
+// keeps BuildGqInto's output stable across the substrate rewrite.
 func TestHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var ours []ws.NodeDist
@@ -68,53 +68,11 @@ func wsTestGraph(t *testing.T) (*graph.Graph, []float64) {
 	return g, dist
 }
 
-// TestBuildGqIntoMatchesBuildGq: the workspace-threaded form must be
-// output-identical to the allocating wrapper.
-func TestBuildGqIntoMatchesBuildGq(t *testing.T) {
-	g, dist := wsTestGraph(t)
-	w := ws.Get()
-	defer w.Release()
-	for _, size := range []int{1, 10, 50, 299, 1000} {
-		want := BuildGq(g, 0, dist, size)
-		got := BuildGqInto(nil, g, 0, dist, size, w)
-		if len(got) != len(want) {
-			t.Fatalf("size %d: len %d vs %d", size, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: element %d: %d vs %d", size, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestWeightedSampleIntoMatchesWeightedSample: same rng schedule, same
-// output.
-func TestWeightedSampleIntoMatchesWeightedSample(t *testing.T) {
-	g, dist := wsTestGraph(t)
-	gq := BuildGq(g, 0, dist, 200)
-	probs := Probabilities(gq, dist)
-	w := ws.Get()
-	defer w.Release()
-	for _, size := range []int{1, 20, 100} {
-		want := WeightedSample(gq, probs, size, 0, rand.New(rand.NewSource(13)))
-		got := WeightedSampleInto(nil, gq, probs, size, 0, rand.New(rand.NewSource(13)), w)
-		if len(got) != len(want) {
-			t.Fatalf("size %d: len %d vs %d", size, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("size %d: element %d: %d vs %d", size, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestProbabilitiesIntoAppends: ProbabilitiesInto must append after existing
 // elements and normalize only its own segment.
 func TestProbabilitiesIntoAppends(t *testing.T) {
 	g, dist := wsTestGraph(t)
-	gq := BuildGq(g, 0, dist, 50)
+	gq := BuildGqInto(nil, g, 0, dist, 50, testWS(t))
 	prefix := []float64{42}
 	out := ProbabilitiesInto(prefix, gq, dist)
 	if out[0] != 42 || len(out) != 51 {

@@ -26,9 +26,10 @@ func TestWeightedSampleInclusionFrequencies(t *testing.T) {
 		w[i] = float64(i + 1)
 	}
 	rng := rand.New(rand.NewSource(123))
+	wk := testWS(t)
 	counts := make([]int, n)
 	for trial := 0; trial < trials; trial++ {
-		for _, v := range WeightedSample(pop, w, size, -1, rng) {
+		for _, v := range WeightedSampleInto(nil, pop, w, size, -1, rng, wk) {
 			counts[v]++
 		}
 	}
@@ -66,10 +67,11 @@ func TestRouletteMatchesWeightedDistribution(t *testing.T) {
 	countB := make([]float64, n)
 	rngA := rand.New(rand.NewSource(1))
 	rngB := rand.New(rand.NewSource(2))
+	wk := testWS(t)
 	for trial := 0; trial < trials; trial++ {
 		// Both samplers force-include the same q so the number of free
 		// slots matches.
-		for _, v := range WeightedSample(pop, w, size, pop[0], rngA) {
+		for _, v := range WeightedSampleInto(nil, pop, w, size, pop[0], rngA, wk) {
 			countA[v]++
 		}
 		for _, v := range RouletteSample(pop, w, size, pop[0], rngB) {

@@ -377,49 +377,61 @@ func parseV2Meta(data []byte, secs []v2section) (v2Meta, error) {
 	return m, nil
 }
 
-// sectionBytes returns the payload of section id, checking its exact size.
+// sectionBytes returns the payload of section id, checking its exact size
+// (want < 0 accepts any: the dictionary and the packed blob carry their own
+// lengths).
 func sectionBytes(data []byte, secs []v2section, id uint32, want int64) ([]byte, error) {
 	s, ok := findSection(secs, id)
 	if !ok {
 		return nil, fmt.Errorf("%w: section %q missing", cserr.ErrSnapshotCorrupt, sectionName(id))
 	}
-	if s.size != want {
+	if want >= 0 && s.size != want {
 		return nil, fmt.Errorf("%w: section %q is %d bytes, want %d",
 			cserr.ErrSnapshotCorrupt, sectionName(id), s.size, want)
 	}
 	return data[s.off : s.off+s.size], nil
 }
 
-// decodeV2 is the heap open of a v2 snapshot: full checksum verification,
-// every section decoded into fresh heap slices, structural validation.
-func decodeV2(data []byte) (*Snapshot, error) {
+// openV2 is the one walk over a v2 snapshot's sections, shared by both
+// opens, which differ only in how a section becomes a slice and in what
+// they verify. The heap open (mapped false) checks the trailing checksum,
+// decodes every section into fresh heap slices and validates the structure
+// element by element. The mapped open reinterprets the sections of a live
+// mapping in place and trusts the payload validation done when the snapshot
+// was written, keeping only the O(1) shape checks that make the accessors
+// memory-safe. Either way a failure wraps ErrSnapshotCorrupt (or, for an
+// unknown flag, ErrSnapshotVersion).
+func openV2(data []byte, mapped bool) (*Snapshot, error) {
 	flags, secs, err := parseV2Table(data, int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
-	body, tail := data[:len(data)-4], data[len(data)-4:]
-	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, fmt.Errorf("%w: checksum mismatch (got %08x, stored %08x)", cserr.ErrSnapshotCorrupt, got, want)
+	i32s, i64s, f64s := decodeI32s, decodeI64s, decodeF64s
+	if mapped {
+		i32s, i64s, f64s = castI32s, castI64s, castF64s
+	} else {
+		body, tail := data[:len(data)-4], data[len(data)-4:]
+		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
+			return nil, fmt.Errorf("%w: checksum mismatch (got %08x, stored %08x)", cserr.ErrSnapshotCorrupt, got, want)
+		}
 	}
 	meta, err := parseV2Meta(data, secs)
 	if err != nil {
 		return nil, err
 	}
-	compressed := flags&flagCompressed != 0
-
 	i32sec := func(id uint32, n int) ([]int32, error) {
 		b, err := sectionBytes(data, secs, id, 4*int64(n))
 		if err != nil {
 			return nil, err
 		}
-		return decodeI32s(b), nil
+		return i32s(b), nil
 	}
 	f64sec := func(id uint32, n int) ([]float64, error) {
 		b, err := sectionBytes(data, secs, id, 8*int64(n))
 		if err != nil {
 			return nil, err
 		}
-		return decodeF64s(b), nil
+		return f64s(b), nil
 	}
 
 	offsets, err := i32sec(secOffsets, meta.n+1)
@@ -438,13 +450,58 @@ func decodeV2(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	dsec, ok := findSection(secs, secDict)
-	if !ok {
-		return nil, fmt.Errorf("%w: section %q missing", cserr.ErrSnapshotCorrupt, "dict")
-	}
-	names, err := decodeDict(data[dsec.off:dsec.off+dsec.size], meta.dictLen)
+	// The dictionary is always heap: Go strings cannot alias a mapping
+	// safely across unmap. O(vocabulary), not O(graph).
+	dict, err := sectionBytes(data, secs, secDict, -1)
 	if err != nil {
 		return nil, err
+	}
+	names, err := decodeDict(dict, meta.dictLen)
+	if err != nil {
+		return nil, err
+	}
+
+	compressed := flags&flagCompressed != 0
+	var backing graph.Store
+	if compressed {
+		packOff, err := sectionBytes(data, secs, secPackOff, 8*int64(meta.n+1))
+		if err != nil {
+			return nil, err
+		}
+		blob, err := sectionBytes(data, secs, secPackBlob, -1)
+		if err != nil {
+			return nil, err
+		}
+		if !mapped {
+			blob = append([]byte(nil), blob...)
+		}
+		pg, err := newPackedGraph(meta, offsets, i64s(packOff), blob, textOff, text, num, names)
+		if err == nil && !mapped {
+			err = pg.validate()
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
+		}
+		backing = pg
+	} else {
+		adj, err := i32sec(secAdj, 2*meta.edges)
+		if err != nil {
+			return nil, err
+		}
+		fromRaw := graph.FromRaw
+		if mapped {
+			fromRaw = graph.FromRawTrusted
+		}
+		g, err := fromRaw(graph.Raw{
+			Offsets: offsets, Adj: adj,
+			TextOff: textOff, Text: text,
+			NumDim: meta.numDim, Num: num,
+			DictNames: names,
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
+		}
+		backing = g
 	}
 
 	var idx *Index
@@ -466,55 +523,15 @@ func decodeV2(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	info := SnapshotInfo{
+	g, _ := backing.(*graph.Graph)
+	return &Snapshot{Graph: g, Store: backing, Index: idx, Info: SnapshotInfo{
 		Version:    Version2,
 		Sections:   sectionList(secs),
 		Aligned:    true,
 		Compressed: compressed,
 		Index:      idx != nil,
 		Bytes:      int64(len(data)),
-	}
-
-	if compressed {
-		packOff, err := func() ([]int64, error) {
-			b, err := sectionBytes(data, secs, secPackOff, 8*int64(meta.n+1))
-			if err != nil {
-				return nil, err
-			}
-			return decodeI64s(b), nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-		bsec, ok := findSection(secs, secPackBlob)
-		if !ok {
-			return nil, fmt.Errorf("%w: section %q missing", cserr.ErrSnapshotCorrupt, "packblob")
-		}
-		blob := append([]byte(nil), data[bsec.off:bsec.off+bsec.size]...)
-		pg, err := newPackedGraph(meta, offsets, packOff, blob, textOff, text, num, names)
-		if err != nil {
-			return nil, err
-		}
-		if err := pg.validate(); err != nil {
-			return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
-		}
-		return &Snapshot{Store: pg, Index: idx, Info: info}, nil
-	}
-
-	adj, err := i32sec(secAdj, 2*meta.edges)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.FromRaw(graph.Raw{
-		Offsets: offsets, Adj: adj,
-		TextOff: textOff, Text: text,
-		NumDim: meta.numDim, Num: num,
-		DictNames: names,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
-	}
-	return &Snapshot{Graph: g, Store: g, Index: idx, Info: info}, nil
+	}}, nil
 }
 
 func sectionList(secs []v2section) []string {

@@ -353,6 +353,30 @@ func TestV2CorruptionDetection(t *testing.T) {
 			t.Errorf("got %v, want ErrSnapshotVersion", err)
 		}
 	})
+	// A required variable-size section retagged to an unknown id passes the
+	// table validation; the mapped open (which skips the checksum) must
+	// still classify the missing section as corruption, as the heap open does.
+	t.Run("retagged section, mapped", func(t *testing.T) {
+		for _, c := range []struct {
+			opt     store.PackOptions
+			section string
+		}{
+			{store.PackOptions{}, "dict"},
+			{store.PackOptions{Compress: true}, "dict"},
+			{store.PackOptions{Compress: true}, "packblob"},
+		} {
+			bad := v2Bytes(t, eng, c.opt)
+			for i, s := range parseV2SectionTable(t, bad) {
+				if s.name == c.section {
+					binary.LittleEndian.PutUint32(bad[24+24*i:], 63)
+				}
+			}
+			_, err := store.OpenMapped(writeTemp(t, "retag.snap", bad))
+			if !errors.Is(err, cserr.ErrSnapshotCorrupt) {
+				t.Errorf("compress=%v, %s retagged: got %v, want ErrSnapshotCorrupt", c.opt.Compress, c.section, err)
+			}
+		}
+	})
 }
 
 func TestDetectFileV2(t *testing.T) {

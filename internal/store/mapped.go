@@ -127,12 +127,12 @@ func OpenMapped(path string) (*Mounted, error) {
 		}
 		return nil, fmt.Errorf("%s: mmap: %w", path, err)
 	}
-	m, err := mountMapped(data, size)
+	snap, err := openV2(data, true)
 	if err != nil {
 		munmap(data)
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return m, nil
+	return &Mounted{Store: snap.Store, Index: snap.Index, Info: snap.Info, data: data}, nil
 }
 
 // heapFallback is the non-zero-copy path of OpenMapped: a fully verified
@@ -143,129 +143,6 @@ func heapFallback(path string) (*Mounted, error) {
 		return nil, err
 	}
 	return &Mounted{Store: snap.Store, Index: snap.Index, Info: snap.Info}, nil
-}
-
-// mountMapped builds the zero-copy backing over a live mapping.
-func mountMapped(data []byte, size int64) (*Mounted, error) {
-	flags, secs, err := parseV2Table(data, size)
-	if err != nil {
-		return nil, err
-	}
-	meta, err := parseV2Meta(data, secs)
-	if err != nil {
-		return nil, err
-	}
-	i32sec := func(id uint32, n int) ([]int32, error) {
-		b, err := sectionBytes(data, secs, id, 4*int64(n))
-		if err != nil {
-			return nil, err
-		}
-		return castI32s(b), nil
-	}
-	f64sec := func(id uint32, n int) ([]float64, error) {
-		b, err := sectionBytes(data, secs, id, 8*int64(n))
-		if err != nil {
-			return nil, err
-		}
-		return castF64s(b), nil
-	}
-	offsets, err := i32sec(secOffsets, meta.n+1)
-	if err != nil {
-		return nil, err
-	}
-	textOff, err := i32sec(secTextOff, meta.n+1)
-	if err != nil {
-		return nil, err
-	}
-	text, err := i32sec(secText, meta.textLen)
-	if err != nil {
-		return nil, err
-	}
-	num, err := f64sec(secNum, meta.n*meta.numDim)
-	if err != nil {
-		return nil, err
-	}
-	dsec, ok := findSection(secs, secDict)
-	if !ok {
-		return nil, fmt.Errorf("snapshot has no dict section")
-	}
-	// The dictionary is the one always-heap piece: Go strings cannot alias
-	// the mapping safely across unmap. O(vocabulary), not O(graph).
-	names, err := decodeDict(data[dsec.off:dsec.off+dsec.size], meta.dictLen)
-	if err != nil {
-		return nil, err
-	}
-
-	var backing graph.Store
-	if flags&flagCompressed != 0 {
-		packOff, err := func() ([]int64, error) {
-			b, err := sectionBytes(data, secs, secPackOff, 8*int64(meta.n+1))
-			if err != nil {
-				return nil, err
-			}
-			return castI64s(b), nil
-		}()
-		if err != nil {
-			return nil, err
-		}
-		bsec, ok := findSection(secs, secPackBlob)
-		if !ok {
-			return nil, fmt.Errorf("snapshot has no packblob section")
-		}
-		pg, err := newPackedGraph(meta, offsets, packOff, data[bsec.off:bsec.off+bsec.size],
-			textOff, text, num, names)
-		if err != nil {
-			return nil, err
-		}
-		backing = pg
-	} else {
-		adj, err := i32sec(secAdj, 2*meta.edges)
-		if err != nil {
-			return nil, err
-		}
-		g, err := graph.FromRawTrusted(graph.Raw{
-			Offsets: offsets, Adj: adj,
-			TextOff: textOff, Text: text,
-			NumDim: meta.numDim, Num: num,
-			DictNames: names,
-		})
-		if err != nil {
-			return nil, err
-		}
-		backing = g
-	}
-
-	var idx *Index
-	if flags&flagIndex != 0 {
-		idx = &Index{}
-		if idx.Coreness, err = i32sec(secCoreness, meta.n); err != nil {
-			return nil, err
-		}
-		if _, ok := findSection(secs, secNodeTruss); ok {
-			if idx.NodeTruss, err = i32sec(secNodeTruss, meta.n); err != nil {
-				return nil, err
-			}
-		}
-		if idx.NormMin, err = f64sec(secNormMin, meta.numDim); err != nil {
-			return nil, err
-		}
-		if idx.NormMax, err = f64sec(secNormMax, meta.numDim); err != nil {
-			return nil, err
-		}
-	}
-	return &Mounted{
-		Store: backing,
-		Index: idx,
-		Info: SnapshotInfo{
-			Version:    Version2,
-			Sections:   sectionList(secs),
-			Aligned:    true,
-			Compressed: flags&flagCompressed != 0,
-			Index:      idx != nil,
-			Bytes:      size,
-		},
-		data: data,
-	}, nil
 }
 
 // MountGraphFile is OpenGraphFile's zero-copy sibling: a v2 snapshot maps

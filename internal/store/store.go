@@ -166,7 +166,7 @@ func Decode(data []byte) (*Snapshot, error) {
 	case Version:
 		return decodeV1(data)
 	case Version2:
-		return decodeV2(data)
+		return openV2(data, false)
 	default:
 		return nil, fmt.Errorf("%w: version %d, this build reads %d and %d", cserr.ErrSnapshotVersion, v, Version, Version2)
 	}
