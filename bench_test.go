@@ -553,6 +553,27 @@ func BenchmarkSubstrateWeightedSample(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateBLB is one interval estimate over a 20-member candidate:
+// the call's three scratch buffers and nothing per subsample.
+func BenchmarkSubstrateBLB(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	values := make([]float64, 20)
+	for i := range values {
+		values[i] = rng.Float64()
+	}
+	cfg := stats.DefaultBLB()
+	guardAllocs(b, 3, func() {
+		if _, err := stats.BLB(values, cfg, rng); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats.BLB(values, cfg, rng)
+	}
+}
+
 func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()

@@ -262,20 +262,29 @@
 // epoch-stamped visited/membership sets reset by an epoch bump instead of
 // reallocation, reusable frontier/sampling/distance buffers, and an
 // induced-subgraph builder that writes into preallocated CSR arrays — so
-// steady-state query traffic executes the sampling → extraction →
-// estimation loop with ~zero allocations (CI-enforced by the
-// BenchmarkSubstrate* AllocsPerRun guards). Parallelism is between
+// the substrate operations of the sampling → extraction → estimation loop
+// run with ~zero allocations (CI-enforced by the BenchmarkSubstrate*
+// AllocsPerRun guards). A whole search is not allocation-free: over 400
+// cold searches per workload a twitter k-core search allocated 1 608 KB and
+// a twitch k-truss search 617 KB while BLB seeded a generator per subsample
+// and the loop repeated rounds that had nothing to draw; 1 449 and 199 KB
+// without those rounds; 405 and 27 KB since BLB draws from the search's
+// generator. What is left is each round's k-core maintainer, three small
+// buffers per BLB call and the returned community. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
 // Batch drives Workers of them, while each search runs on the goroutine
 // that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
 // nodes and up) is the only fan-out inside a request; BLB and the peel scan
 // lost theirs when a probe of the benchmark's workloads found candidates of
 // at most 48 members and BLB calls over at most 47 values — ~40 µs of work
-// each. A result depends on the Request alone: every BLB subsample draws
-// from its own generator, seeded by one value taken from the search's, so
-// for a fixed seed the Outcome is byte-identical whatever GOMAXPROCS is and
-// however many searches run beside it. The repository's recorded perf
-// trajectory lives in BENCH_<pr>.json files produced by `make bench-json`
+// each. A result depends on the Request alone: a search builds one generator
+// from its seed and the sample, every S3 draw and every BLB subsample and
+// resample take from it in order, so for a fixed seed the Outcome is
+// byte-identical whatever GOMAXPROCS is and however many searches run beside
+// it. A round runs only if S3 added something to the sample: once the sample
+// is all of q's component the loop ends instead of repeating the round until
+// MaxRounds. The repository's recorded perf trajectory lives in
+// BENCH_<pr>.json files produced by `make bench-json`
 // and compared with `make bench-compare` (or `seabench -compare
 // BENCH_4.json`).
 //

@@ -102,17 +102,6 @@ func (o *Overlay) NeighborsInto(buf *[]NodeID, v NodeID) []NodeID {
 	return *buf
 }
 
-// MaxDegreeOf returns the maximum degree of any node of a (0 when empty).
-func MaxDegreeOf(a Adjacency) int {
-	max := 0
-	for v := 0; v < a.NumNodes(); v++ {
-		if d := a.Degree(NodeID(v)); d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // CopyStore materializes s into a heap *Graph, decoding every neighbor list
 // and copying every attribute row. A *Graph passes through unchanged (no
 // copy). It is the compaction/export path for mapped and compressed

@@ -161,26 +161,6 @@ func FromRawTrusted(r Raw) (*Graph, error) {
 	}, nil
 }
 
-// Clone deep-copies every slice of r, detaching it from whatever storage
-// the original aliased (a live Graph, an mmap'd snapshot about to be
-// unmapped, a decode buffer). The copy-mode counterpart of the borrowing
-// Export.
-func (r Raw) Clone() Raw {
-	return Raw{
-		Offsets:   append([]int32(nil), r.Offsets...),
-		Adj:       append([]NodeID(nil), r.Adj...),
-		TextOff:   append([]int32(nil), r.TextOff...),
-		Text:      append([]int32(nil), r.Text...),
-		NumDim:    r.NumDim,
-		Num:       append([]float64(nil), r.Num...),
-		DictNames: append([]string(nil), r.DictNames...),
-	}
-}
-
-// ExportCopy is Export in copy mode: the returned Raw owns its storage and
-// stays valid independently of g.
-func (g *Graph) ExportCopy() Raw { return g.Export().Clone() }
-
 // checkOffsets verifies an offset array: starts at 0, nondecreasing, and
 // ends exactly at the payload length.
 func checkOffsets(what string, off []int32, payload int) error {

@@ -93,29 +93,6 @@ func TestDict(t *testing.T) {
 	}
 }
 
-func TestBFSDistances(t *testing.T) {
-	g := buildPath(t, 5)
-	want := []int{0, 1, 2, 3, 4}
-	g.BFS(0, func(v NodeID, dist int) bool {
-		if dist != want[v] {
-			t.Errorf("BFS dist of %d = %d, want %d", v, dist, want[v])
-		}
-		return true
-	})
-}
-
-func TestBFSEarlyStop(t *testing.T) {
-	g := buildPath(t, 10)
-	visited := 0
-	g.BFS(0, func(NodeID, int) bool {
-		visited++
-		return visited < 3
-	})
-	if visited != 3 {
-		t.Errorf("visited %d nodes, want 3", visited)
-	}
-}
-
 func TestComponentWithFilter(t *testing.T) {
 	g := buildPath(t, 6)
 	comp := g.Component(0, func(v NodeID) bool { return v != 3 })
@@ -124,24 +101,6 @@ func TestComponentWithFilter(t *testing.T) {
 	}
 	if comp = g.Component(0, func(v NodeID) bool { return v == 5 }); comp != nil {
 		t.Errorf("component of filtered-out src = %v, want nil", comp)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(6, 0)
-	b.AddEdge(0, 1)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 4)
-	g := b.MustBuild()
-	labels, count := g.ConnectedComponents()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if labels[0] != labels[1] || labels[2] != labels[3] || labels[3] != labels[4] {
-		t.Errorf("labels = %v", labels)
-	}
-	if labels[0] == labels[2] || labels[5] == labels[0] || labels[5] == labels[2] {
-		t.Errorf("labels = %v", labels)
 	}
 }
 

@@ -63,6 +63,3 @@ func (s *NodeSet) Remove(v NodeID) bool {
 
 // Len returns the number of members.
 func (s *NodeSet) Len() int { return s.count }
-
-// Cap returns the node-ID capacity the set currently covers.
-func (s *NodeSet) Cap() int { return len(s.stamp) }

@@ -40,7 +40,7 @@ func TestNodeSetGrowKeepsMembership(t *testing.T) {
 	s.Add(2)
 	// Growing within the same generation must preserve the epoch discipline
 	// on the copied prefix.
-	if n := s.Cap(); n != 4 {
+	if n := len(s.stamp); n != 4 {
 		t.Fatalf("Cap=%d, want 4", n)
 	}
 	s.Reset(100)

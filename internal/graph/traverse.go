@@ -1,31 +1,5 @@
 package graph
 
-// BFS visits nodes reachable from src in breadth-first order, calling visit
-// for each with its hop distance. Traversal stops early if visit returns
-// false.
-func (g *Graph) BFS(src NodeID, visit func(v NodeID, dist int) bool) {
-	seen := make([]bool, g.NumNodes())
-	queue := []NodeID{src}
-	seen[src] = true
-	dist := 0
-	for len(queue) > 0 {
-		var next []NodeID
-		for _, v := range queue {
-			if !visit(v, dist) {
-				return
-			}
-			for _, u := range g.Neighbors(v) {
-				if !seen[u] {
-					seen[u] = true
-					next = append(next, u)
-				}
-			}
-		}
-		queue = next
-		dist++
-	}
-}
-
 // Component returns the connected component containing src, restricted to
 // nodes for which keep returns true (keep == nil keeps everything). src is
 // included only if keep allows it.
@@ -46,36 +20,6 @@ func (g *Graph) Component(src NodeID, keep func(NodeID) bool) []NodeID {
 		}
 	}
 	return out
-}
-
-// ConnectedComponents returns a label per node and the number of components.
-func (g *Graph) ConnectedComponents() (labels []int32, count int) {
-	n := g.NumNodes()
-	labels = make([]int32, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	var c int32
-	stack := make([]NodeID, 0, 64)
-	for v := 0; v < n; v++ {
-		if labels[v] >= 0 {
-			continue
-		}
-		stack = append(stack[:0], NodeID(v))
-		labels[v] = c
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, u := range g.Neighbors(x) {
-				if labels[u] < 0 {
-					labels[u] = c
-					stack = append(stack, u)
-				}
-			}
-		}
-		c++
-	}
-	return labels, int(c)
 }
 
 // InducedSubgraphOf returns the subgraph of any Store backing induced by

@@ -150,8 +150,8 @@ func TestMaximalSub(t *testing.T) {
 	if sub == nil {
 		t.Fatal("no 3-core around v5")
 	}
-	if sub.Query() != 4 || sub.K() != 3 {
-		t.Errorf("q=%d k=%d, want 4 and 3", sub.Query(), sub.K())
+	if sub.Query() != 4 || sub.k != 3 {
+		t.Errorf("q=%d k=%d, want 4 and 3", sub.Query(), sub.k)
 	}
 	if got, want := sub.Universe(), MaximalConnectedKCore(g, 4, 3); !slices.Equal(got, want) {
 		t.Errorf("universe = %v, want %v", got, want)
@@ -207,7 +207,7 @@ func snapshot(s *Sub, n int) string {
 	var out []byte
 	for v := 0; v < n; v++ {
 		if s.Alive(graph.NodeID(v)) {
-			out = append(out, byte('A'+s.Deg(graph.NodeID(v))))
+			out = append(out, byte('A'+s.deg[v]))
 		} else {
 			out = append(out, '.')
 		}

@@ -66,17 +66,11 @@ func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*
 // Query returns the query node.
 func (s *Sub) Query() graph.NodeID { return s.q }
 
-// K returns the core threshold.
-func (s *Sub) K() int { return s.k }
-
 // Size returns the number of alive nodes.
 func (s *Sub) Size() int { return s.size }
 
 // Alive reports whether v is in the current subgraph.
 func (s *Sub) Alive(v graph.NodeID) bool { return s.alive[v] }
-
-// Deg returns v's degree inside the current subgraph (undefined if dead).
-func (s *Sub) Deg(v graph.NodeID) int { return int(s.deg[v]) }
 
 // Members appends alive nodes to dst and returns it. O(initial members),
 // not O(graph).

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -12,6 +13,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graph"
 )
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden-*.json from the current output")
 
 // goldenAnswer is a Result minus its wall times: everything a search returns
 // that is a function of (graph, q, options) alone.
@@ -78,12 +81,14 @@ func goldenAnswers(t *testing.T, model Model, k int) []byte {
 	return out.Bytes()
 }
 
-// TestGoldenAnswers pins SEA's answers per (q, seed) to the ones recorded at
-// commit 4a5ddf3, before the k-truss round stopped running a full trussness
-// decomposition: the one-pass extraction must change how fast S1 is, never
-// what it returns. The k-core file guards the path that change did not touch.
-// A deliberate change of the algorithm's trajectory re-records the files
-// by writing goldenAnswers' output over them.
+// TestGoldenAnswers pins SEA's answers per (q, seed): a change to how fast a
+// search runs must not change what it returns. The files were first recorded
+// at commit 4a5ddf3 (before the one-pass k-truss extraction, which kept them
+// byte for byte) and re-recorded once, when BLB started drawing from the
+// search's own generator and the loop stopped running rounds with nothing to
+// draw. A deliberate change of the algorithm's trajectory re-records them:
+//
+//	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {
 	for _, tc := range []struct {
 		file  string
@@ -94,11 +99,18 @@ func TestGoldenAnswers(t *testing.T) {
 		{"golden-twitch-core-k6.json", KCore, 6},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			path := filepath.Join("testdata", tc.file)
+			got := goldenAnswers(t, tc.model, tc.k)
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := goldenAnswers(t, tc.model, tc.k)
 			if !bytes.Equal(got, want) {
 				gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
 				for i := 0; i < len(gl) && i < len(wl); i++ {

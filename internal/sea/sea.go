@@ -15,7 +15,8 @@
 //     stopping rule ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most
 //     dissimilar node and re-estimate.
 //  3. Incremental sampling (S3): if no candidate satisfies the rule, enlarge
-//     the sample by the error-driven |ΔS| of Eq. 12 and repeat.
+//     the sample by the error-driven |ΔS| of Eq. 12 and repeat, and stop when
+//     there is nothing left to draw.
 package sea
 
 import (
@@ -201,10 +202,13 @@ type StepTimes struct {
 
 // Round traces one sampling-estimation round for the Table-VI case study.
 type Round struct {
-	Round  int           // 1-based round number
-	Delta  float64       // δ* of the best candidate estimated this round
-	MoE    float64       // its margin of error ε
-	DeltaS int           // additional samples drawn before this round (0 for round 1)
+	Round int     // 1-based round number
+	Delta float64 // δ* of the best candidate estimated this round
+	MoE   float64 // its margin of error ε
+	// DeltaS is how many nodes S3 added to the sample before this round: what
+	// was drawn, not what Eq. 12 asked for. It is 0 for round 1 and positive
+	// for every later round — a round with nothing new to draw is not run.
+	DeltaS int
 	Time   time.Duration // wall time of the round
 }
 
@@ -252,8 +256,9 @@ type seaRun struct {
 	// w is the pooled scratch substrate threaded through every hot loop:
 	// stamped visited/membership sets, the frontier heap, sampling keys,
 	// the induced-CSR builder, and the round loop's own population/sample/
-	// candidate buffers — so steady-state query traffic runs the whole
-	// sampling→estimation→incremental loop without per-round allocation.
+	// candidate buffers. What a warm search still allocates is the k-core
+	// maintainer of each round, three small buffers per BLB call and the
+	// returned community.
 	w        *ws.Workspace
 	identity []graph.NodeID // lazily-built identity orig-mapping
 
@@ -310,14 +315,10 @@ func (s *seaRun) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.w.Gq = sampling.BuildGqInto(s.w.Gq[:0], s.g, s.q, s.dist, minGq, s.w)
-	gq := s.w.Gq
-	s.res.GqSize = len(gq)
+	gq, probs := s.buildGq(minGq)
 	if s.ctx.Err() != nil {
 		return s.interrupted()
 	}
-	s.w.Probs = sampling.ProbabilitiesInto(s.w.Probs[:0], gq, s.dist)
-	probs := s.w.Probs
 
 	sampleSize := int(s.opts.Lambda * float64(len(gq)))
 	if sampleSize < s.opts.K+1 {
@@ -338,29 +339,35 @@ func (s *seaRun) run() (*Result, error) {
 		if round > 1 {
 			// S3: error-based incremental sampling (Eq. 12).
 			t3 := time.Now()
-			deltaS = stats.IncrementalSampleSize(lastMoE, lastTarget, lastBLBTotal, s.opts.BLB.Scale)
-			if deltaS == 0 {
+			ask := stats.IncrementalSampleSize(lastMoE, lastTarget, lastBLBTotal, s.opts.BLB.Scale)
+			if ask == 0 {
 				// Structural miss: no candidate was even estimated, so
 				// Eq. 12 has no error signal. Double the sample — small
 				// samples of a sparse community rarely preserve its k-core.
-				deltaS = len(sample)
+				ask = len(sample)
 			}
-			sample = s.enlarge(gq, probs, sample, deltaS)
+			sample = s.enlarge(gq, probs, sample, ask)
 			s.w.Sample = sample // keep the grown backing array pooled
+			deltaS = len(sample) - s.res.SampleSize
 			s.res.Steps.Incremental += time.Since(t3)
-			if len(sample) >= len(gq) && len(gq) < s.g.NumNodes() {
-				// Sample exhausted the population: enlarge Gq itself.
-				t1 := time.Now()
-				minGq *= 2
-				s.w.Gq = sampling.BuildGqInto(s.w.Gq[:0], s.g, s.q, s.dist, minGq, s.w)
-				gq = s.w.Gq
-				s.res.GqSize = len(gq)
-				s.w.Probs = sampling.ProbabilitiesInto(s.w.Probs[:0], gq, s.dist)
-				probs = s.w.Probs
-				s.res.Steps.Sampling += time.Since(t1)
+			if deltaS == 0 {
+				// The one stop rule besides Theorem 11 and MaxRounds: S3 drew
+				// nothing, so the sample is all of a Gq that cannot grow — q's
+				// whole component — and this round would induce, peel and
+				// estimate exactly what the last one did.
+				break
 			}
 		}
 		s.res.SampleSize = len(sample)
+		if len(sample) >= len(gq) && len(gq) == minGq {
+			// Sample exhausted the population: enlarge Gq itself for the next
+			// round to draw from. A Gq shorter than it was asked to be is
+			// q's whole component and is never rebuilt.
+			t1 := time.Now()
+			minGq *= 2
+			gq, probs = s.buildGq(minGq)
+			s.res.Steps.Sampling += time.Since(t1)
+		}
 
 		// S1: maximal connected structure within the induced sample.
 		t1 := time.Now()
@@ -393,11 +400,6 @@ func (s *seaRun) run() (*Result, error) {
 		}
 		s.res.CI = ci
 		lastMoE, lastTarget, lastBLBTotal = moe, target, blbTotal
-		if len(sample) >= s.g.NumNodes() {
-			// The sample already covers the whole graph; further rounds
-			// cannot add information.
-			break
-		}
 	}
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
@@ -424,6 +426,16 @@ func (s *seaRun) run() (*Result, error) {
 		return s.interrupted()
 	}
 	return s.result(), nil
+}
+
+// buildGq expands Gq best-first around q until it holds size nodes or all of
+// q's component, and computes its sampling probabilities (Eq. 5). Both live
+// in the workspace.
+func (s *seaRun) buildGq(size int) ([]graph.NodeID, []float64) {
+	s.w.Gq = sampling.BuildGqInto(s.w.Gq[:0], s.g, s.q, s.dist, size, s.w)
+	s.w.Probs = sampling.ProbabilitiesInto(s.w.Probs[:0], s.w.Gq, s.dist)
+	s.res.GqSize = len(s.w.Gq)
+	return s.w.Gq, s.w.Probs
 }
 
 // enlarge adds up to deltaS fresh weighted samples from gq to sample. The

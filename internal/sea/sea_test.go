@@ -130,6 +130,54 @@ func TestSearchTrussModel(t *testing.T) {
 	}
 }
 
+// TestLoopStopsWhenSampleCannotGrow: q's component is 8 nodes of a larger
+// graph, so within a few rounds the sample is all of Gq and S3 has nothing
+// left to draw. Theorem 11 is out of reach at e = 1e-4 (the values are
+// distinct, so the MoE is not 0), and the loop used to run that same round
+// until MaxRounds.
+func TestLoopStopsWhenSampleCannotGrow(t *testing.T) {
+	const size = 8
+	b := graph.NewBuilder(2*size, 0)
+	dist := make([]float64, 2*size)
+	for c := 0; c < 2*size; c += size {
+		for i := c; i < c+size; i++ {
+			dist[i] = 0.05 * float64(i)
+			for j := i + 1; j < c+size; j++ {
+				b.AddEdge(graph.NodeID(i), graph.NodeID(j))
+			}
+		}
+	}
+	g := b.MustBuild()
+	valid := map[Model]func(graph.Adjacency, []graph.NodeID, int) bool{KCore: kcore.InKCoreSet, KTruss: truss.InKTrussSet}
+	for _, model := range []Model{KCore, KTruss} {
+		opts := DefaultOptions()
+		opts.Model, opts.K = model, 3
+		opts.ErrorBound = 1e-4
+		opts.MaxRounds = 40
+		res, err := SearchWithDistContext(context.Background(), g, dist, 0, opts)
+		if err != nil {
+			t.Fatalf("%v: %v", model, err)
+		}
+		if res.Satisfied || res.CI.MoE == 0 {
+			t.Errorf("%v: satisfied=%v MoE=%v; the test needs Theorem 11 out of reach", model, res.Satisfied, res.CI.MoE)
+		}
+		if len(res.Rounds) > 6 {
+			t.Errorf("%v: %d rounds over an %d-node component", model, len(res.Rounds), size)
+		}
+		for i, r := range res.Rounds {
+			if (r.DeltaS == 0) != (i == 0) {
+				t.Errorf("%v: round %d drew %d nodes", model, r.Round, r.DeltaS)
+			}
+		}
+		if res.SampleSize != size || res.GqSize != size {
+			t.Errorf("%v: |S|=%d |Gq|=%d, want q's whole component (%d)", model, res.SampleSize, res.GqSize, size)
+		}
+		if !containsNode(res.Community, 0) || !valid[model](g, res.Community, opts.K) {
+			t.Errorf("%v: %v is not a valid community of q at k=%d", model, res.Community, opts.K)
+		}
+	}
+}
+
 func TestSearchSizeBounded(t *testing.T) {
 	d := testDataset(t)
 	m, _ := attr.NewMetric(d.Graph, 0.5)

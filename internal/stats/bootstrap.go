@@ -96,12 +96,10 @@ type BLBResult struct {
 // and average. The returned CI centers on the mean of values (δ* is computed
 // over the full candidate community, the bootstrap only sizes the MoE).
 //
-// The subsamples run one after another on the caller's goroutine: a
+// The subsamples run one after another on the caller's goroutine, and every
+// draw — subsample and resamples alike — comes from rng, in order: a
 // candidate holds tens of values, far too little work to hand to other
-// goroutines, and the engine already runs whole searches side by side. Each
-// subsample still draws from its own rand.Rand, seeded by one Int63 taken from
-// rng, so the result depends on rng's state alone — not on how many values an
-// earlier subsample consumed — and rng advances by exactly s draws per call.
+// goroutines, and the engine already runs whole searches side by side.
 func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return BLBResult{}, err
@@ -138,12 +136,11 @@ func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 	}
 	sumMoE := 0.0
 	for i := 0; i < s; i++ {
-		sr := rand.New(rand.NewSource(rng.Int63()))
-		sc.sampleWithoutReplacement(values, sr)
+		sc.sampleWithoutReplacement(values, rng)
 		// Resample at the ORIGINAL size n: each little subsample estimates
 		// the spread of the full-sample mean, which is what makes BLB an
 		// estimator-quality assessment rather than a subsample one.
-		_, sigma := bootstrapNInto(sc.sub, n, cfg.Resamples, sr, sc.means)
+		_, sigma := bootstrapNInto(sc.sub, n, cfg.Resamples, rng, sc.means)
 		sumMoE += z * sigma
 	}
 	mean := 0.0
@@ -161,47 +158,26 @@ func BLB(values []float64, cfg BLBConfig, rng *rand.Rand) (BLBResult, error) {
 
 // blbScratch is the state of one BLB call, reused by each of its subsamples:
 // the subsample buffer (len = subsample size), the bootstrap resample-mean
-// buffer (len = resamples), and the without-replacement sampler's index
-// permutation / epoch-stamped index set (len = number of values). The sizes
-// are fixed for the scratch's life, so idx only ever serves one of its roles.
+// buffer (len = resamples) and the without-replacement sampler's index
+// permutation (len = number of values).
 type blbScratch struct {
 	sub   []float64
 	means []float64
-	idx   []int32 // Fisher–Yates identity permutation, or epoch stamps
-	epoch int32
+	idx   []int32
 }
 
-// sampleWithoutReplacement fills sc.sub with distinct values drawn
-// uniformly from values. For subsample sizes small relative to n it uses
-// rejection sampling on the scratch's epoch-stamped index set (O(k)
-// expected draws, no O(n) permutation or clearing); when the subsample
-// covers a large fraction it switches to a partial Fisher–Yates over the
-// scratch's index buffer. The method choice depends only on (n, k), so the
-// draw schedule is deterministic for a fixed rng.
+// sampleWithoutReplacement fills sc.sub with distinct values drawn uniformly
+// from values: the first len(sc.sub) steps of a Fisher–Yates shuffle of
+// sc.idx.
 func (sc *blbScratch) sampleWithoutReplacement(values []float64, rng *rand.Rand) {
-	n, k := len(values), len(sc.sub)
-	if k*3 >= n {
-		idx := sc.idx
-		for i := range idx {
-			idx[i] = int32(i)
-		}
-		for j := 0; j < k; j++ {
-			t := j + rng.Intn(n-j)
-			idx[j], idx[t] = idx[t], idx[j]
-			sc.sub[j] = values[idx[j]]
-		}
-		return
+	n, idx := len(values), sc.idx
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	sc.epoch++ // one per subsample: far from wrapping
-	seen := sc.idx
-	for j := 0; j < k; {
-		i := rng.Intn(n)
-		if seen[i] == sc.epoch {
-			continue
-		}
-		seen[i] = sc.epoch
-		sc.sub[j] = values[i]
-		j++
+	for j := range sc.sub {
+		t := j + rng.Intn(n-j)
+		idx[j], idx[t] = idx[t], idx[j]
+		sc.sub[j] = values[idx[j]]
 	}
 }
 
@@ -215,19 +191,4 @@ func Mean(values []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(values))
-}
-
-// StdDev returns the sample standard deviation of values.
-func StdDev(values []float64) float64 {
-	n := len(values)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(values)
-	var ss float64
-	for _, v := range values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }

@@ -5,9 +5,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -105,5 +107,34 @@ func TestNoContextTwins(t *testing.T) {
 				t.Errorf("%s exports both %s and %s; keep one form", dir, base, name)
 			}
 		}
+	}
+}
+
+// TestOneGeneratorPerSearch keeps a search's randomness in one place: the
+// non-test files of the solver packages build exactly one generator,
+// SearchWithDistContext's from Options.Seed, and every sampler and estimator
+// draws from the *rand.Rand it is handed.
+func TestOneGeneratorPerSearch(t *testing.T) {
+	var sites []string
+	for _, pkg := range []string{"sea", "stats", "sampling", "kcore", "truss", "attr"} {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range strings.Count(string(src), "rand.New(") {
+				sites = append(sites, filepath.ToSlash(path))
+			}
+		}
+	}
+	if want := []string{"internal/sea/sea.go"}; !slices.Equal(sites, want) {
+		t.Errorf("rand.New( in solver packages: %v, want %v", sites, want)
 	}
 }
