@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race loc bench bench-substrate bench-module bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
+.PHONY: build test race loc bench bench-substrate bench-module fuzz-smoke bench-json bench-compare fmt fmt-check vet staticcheck smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,15 @@ bench-substrate:
 # module from breaking it unnoticed.
 bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Every fuzzer for FUZZTIME each (go test -fuzz takes one target and one
+# package at a time). A crasher lands in the package's testdata/fuzz/ — commit
+# it with the fix, and it runs as a plain test from then on.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadGraph$$' -fuzztime $(FUZZTIME) ./internal/dataset
+	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 
 # The canonical perf-trajectory record. Each performance-relevant PR runs
 # this and commits the output as BENCH_<pr>.json (see README "Performance").
@@ -117,4 +126,4 @@ smoke:
 	curl -sf http://127.0.0.1:8971/graphs && echo && \
 	echo "smoke OK"; status=$$?; kill $$pid 2>/dev/null; exit $$status
 
-ci: fmt-check vet staticcheck build race bench bench-substrate bench-module smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke
+ci: fmt-check vet staticcheck build race bench bench-substrate bench-module fuzz-smoke smoke mutation-smoke mmap-smoke router-smoke load-smoke chaos-smoke write-smoke

@@ -10,9 +10,14 @@ package sea
 // at full scale.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -627,6 +632,121 @@ func BenchmarkSubstrateInKCoreSet(b *testing.B) {
 		kcore.InKCoreSet(benchData.Graph, members, 6)
 	}
 }
+
+// hitCaller issues one pre-built POST through a handler with the request,
+// body reader and writer reused, the way benchmark/ruler.go does, so what is
+// counted is the handler's own work.
+type hitCaller struct {
+	h    http.Handler
+	url  url.URL
+	hdr  http.Header
+	body []byte
+	rd   hitReader
+	req  http.Request
+	w    hitWriter
+}
+
+type hitReader struct{ bytes.Reader }
+
+func (*hitReader) Close() error { return nil }
+
+type hitWriter struct {
+	hdr    http.Header
+	status int
+	buf    bytes.Buffer
+}
+
+func (w *hitWriter) Header() http.Header         { return w.hdr }
+func (w *hitWriter) WriteHeader(status int)      { w.status = status }
+func (w *hitWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+
+func (c *hitCaller) call() {
+	clear(c.w.hdr)
+	c.w.status = 0
+	c.w.buf.Reset()
+	c.rd.Reset(c.body)
+	c.req = http.Request{
+		Method: http.MethodPost, URL: &c.url, RequestURI: c.url.Path,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: c.hdr, Host: "bench", Body: &c.rd, ContentLength: int64(len(c.body)),
+	}
+	c.h.ServeHTTP(&c.w, &c.req)
+}
+
+// hitBody is the read body the benchmark's hot-read mix sends to path, on
+// the bench graph.
+func hitBody(path string) string {
+	const spec = `,"k":6,"model":"core","e":0.02,"confidence":0.95,"seed":1}`
+	switch path {
+	case "/batch":
+		qs, _ := json.Marshal(benchData.QueryNodes(8, 6, 3))
+		return fmt.Sprintf(`{"graph":"bench","queries":%s,"method":"sea"`+spec, qs)
+	case "/compare":
+		return fmt.Sprintf(`{"graph":"bench","q":%d,"methods":["sea","structural"]`+spec, benchQ)
+	default:
+		return fmt.Sprintf(`{"graph":"bench","q":%d,"method":"sea"`+spec, benchQ)
+	}
+}
+
+// serveHitCaller mounts the bench dataset in a catalog behind
+// NewCatalogHTTPHandler and returns a caller for path's request, already
+// answered once so every further call is a result-cache hit.
+func serveHitCaller(b *testing.B, path string) *hitCaller {
+	b.Helper()
+	benchSetup(b)
+	cfg := DefaultEngineConfig()
+	e, err := NewEngine(benchData.Graph, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := NewCatalog()
+	b.Cleanup(func() { cat.Close() })
+	if _, err := cat.Mount("bench", e, cfg, "memory"); err != nil {
+		b.Fatal(err)
+	}
+	c := &hitCaller{h: NewCatalogHTTPHandler(cat, cfg), url: url.URL{Path: path}, body: []byte(hitBody(path)),
+		hdr: http.Header{"Content-Type": {"application/json"}}}
+	c.w.hdr = make(http.Header)
+	c.call()
+	if c.w.status != http.StatusOK {
+		b.Fatalf("warm %s %s: status %d: %s", path, c.body, c.w.status, c.w.buf.Bytes())
+	}
+	c.call()
+	if !bytes.Contains(c.w.buf.Bytes(), []byte(`"result_hit":true`)) || bytes.Contains(c.w.buf.Bytes(), []byte(`"result_hit":false`)) {
+		b.Fatalf("repeat of %s %s is not all hits: %s", path, c.body, c.w.buf.Bytes())
+	}
+	return c
+}
+
+// BenchmarkSubstrateServeHit guards what a cache hit allocates end to end:
+// one cached POST /search (the graph name, the q value, the Content-Type
+// header: 3) and one cached /batch of 8 (graph, Content-Type, the queries,
+// the requests, the items: 5) through the catalog handler, one to spare
+// each. With encoding/json on both sides and a goroutine pool per batch
+// they were 18 and 36.
+func BenchmarkSubstrateServeHit(b *testing.B) {
+	search := serveHitCaller(b, "/search")
+	guardAllocs(b, 4, search.call)
+	guardAllocs(b, 6, serveHitCaller(b, "/batch").call)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search.call()
+	}
+}
+
+func benchServeHit(b *testing.B, path string) {
+	c := serveHitCaller(b, path)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.call()
+	}
+}
+
+func BenchmarkServeHitSearch(b *testing.B)  { benchServeHit(b, "/search") }
+func BenchmarkServeHitBatch8(b *testing.B)  { benchServeHit(b, "/batch") }
+func BenchmarkServeHitCompare(b *testing.B) { benchServeHit(b, "/compare") }
 
 // --- Substrate micro-benchmarks ------------------------------------------
 

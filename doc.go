@@ -70,8 +70,9 @@
 // vector is computed on each cache miss and dropped with the search.
 //
 // Engine.Query serves one Request with whatever method it names,
-// Engine.Batch drives a worker pool, and both report flat per-stage timing
-// metrics (QueryMetrics, Engine.Stats). Per-request deadlines cancel the
+// Engine.Batch answers many — what the result cache holds inline on the
+// calling goroutine, in order, the rest through a worker pool — and both
+// report flat per-stage timing metrics (QueryMetrics, Engine.Stats). Per-request deadlines cancel the
 // underlying search — a stuck query frees its concurrency slot at its
 // deadline instead of holding it until the search finishes on its own.
 // NewHTTPHandler exposes an engine over HTTP: /search and /batch speak the
@@ -272,8 +273,9 @@
 // generator. What is left is each round's k-core maintainer, three small
 // buffers per BLB call and the returned community. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
-// Batch drives Workers of them, while each search runs on the goroutine
-// that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
+// Batch drives Workers of them (for what it has to compute; cached items
+// it answers inline and a fully cached batch starts no goroutine), while
+// each search runs on the goroutine that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
 // nodes and up) is the only fan-out inside a request; BLB and the peel scan
 // lost theirs when a probe of the benchmark's workloads found candidates of
 // at most 48 members and BLB calls over at most 47 values — ~40 µs of work

@@ -1,12 +1,12 @@
 package engine
 
-// Batch execution through the engine: a bounded worker pool drives many
-// requests against the shared index and caches, each item carrying its own
-// per-stage metrics. Repeated or concurrent identical requests in a batch
-// are served once (cache + coalescing), and Config.RequestTimeout genuinely
-// interrupts each item's search — a stuck query is cancelled at its
-// deadline instead of holding a worker and a concurrency slot until it
-// finishes on its own.
+// Batch execution through the engine: cached items are answered inline and a
+// bounded worker pool drives the rest against the shared index and caches,
+// each item carrying its own per-stage metrics. Repeated or concurrent
+// identical requests in a batch are served once (cache + coalescing), and
+// Config.RequestTimeout genuinely interrupts each item's search — a stuck
+// query is cancelled at its deadline instead of holding a worker and a
+// concurrency slot until it finishes on its own.
 
 import (
 	"context"
@@ -28,9 +28,11 @@ type BatchItem struct {
 	Metrics QueryMetrics
 }
 
-// Batch executes every request through the engine's worker pool
-// (Config.Workers goroutines) and returns the outcomes in request order.
-// Config.RequestTimeout bounds — and on expiry cancels — each item
+// Batch answers every request and returns the outcomes in request order.
+// What the result cache holds is answered on the calling goroutine, in
+// order, exactly as QueryWithMetrics would; only the rest goes through the
+// worker pool (at most Config.Workers goroutines, none for a fully cached
+// batch). Config.RequestTimeout bounds — and on expiry cancels — each item
 // individually; cancelling ctx stops feeding the pool, interrupts running
 // items, and marks unstarted items with ctx's error.
 func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, error) {
@@ -39,32 +41,39 @@ func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, 
 			return nil, err
 		}
 	}
-	workers := e.cfg.Workers
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	out := make([]BatchItem, len(reqs))
+	var pending []int // indexes the cache did not answer
+	for i := range reqs {
+		res, qm, err := e.answer(ctx, reqs[i], true)
+		if err == errUncached {
+			pending = append(pending, i)
+			continue
+		}
+		out[i] = BatchItem{Request: reqs[i], Outcome: res, Err: err, Metrics: qm}
+	}
+	if len(pending) == 0 {
+		return out, nil
+	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.cfg.Workers, len(pending)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
+				// The full path, lookup included: a duplicate of an item
+				// computed earlier in this batch is a hit by now.
 				res, qm, err := e.QueryWithMetrics(ctx, reqs[i])
 				out[i] = BatchItem{Request: reqs[i], Outcome: res, Err: err, Metrics: qm}
 			}
 		}()
 	}
 feed:
-	for i := range reqs {
+	for n, i := range pending {
 		select {
 		case jobs <- i:
 		case <-ctx.Done():
-			for j := i; j < len(reqs); j++ {
+			for _, j := range pending[n:] {
 				out[j] = BatchItem{Request: reqs[j], Err: ctx.Err(),
 					Metrics: QueryMetrics{Query: int64(reqs[j].Query), Err: ctx.Err().Error()}}
 			}

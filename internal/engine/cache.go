@@ -42,12 +42,16 @@ func (s *lruShard[K, V]) pushFront(e *lruEntry[K, V]) {
 	s.head.next = e
 }
 
-func (s *lruShard[K, V]) get(key K) (V, bool) {
+// get returns key's value and marks it most recently used; an absent key
+// counts as a miss only when countMiss is set.
+func (s *lruShard[K, V]) get(key K, countMiss bool) (V, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e, ok := s.items[key]
 	if !ok {
-		s.misses++
+		if countMiss {
+			s.misses++
+		}
 		var zero V
 		return zero, false
 	}
@@ -113,8 +117,13 @@ func (c *shardedLRU[K, V]) shard(key K) *lruShard[K, V] {
 	return &c.shards[c.hash(key)%uint64(len(c.shards))]
 }
 
-func (c *shardedLRU[K, V]) get(key K) (V, bool) { return c.shard(key).get(key) }
+func (c *shardedLRU[K, V]) get(key K) (V, bool) { return c.shard(key).get(key, true) }
 func (c *shardedLRU[K, V]) put(key K, val V)    { c.shard(key).put(key, val) }
+
+// hit is get for a caller that will look key up again before computing it
+// (Batch's inline pass): a hit counts and refreshes as in get, an absent key
+// leaves the miss to that second lookup, so every request is counted once.
+func (c *shardedLRU[K, V]) hit(key K) (V, bool) { return c.shard(key).get(key, false) }
 
 // sweep visits every cached entry under the shard locks and removes those
 // for which drop reports true. It is the scoped-invalidation primitive:

@@ -38,6 +38,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -322,13 +323,43 @@ func (e *Engine) Query(ctx context.Context, req query.Request) (*query.Outcome, 
 // QueryWithMetrics is Query returning per-stage timing metrics alongside
 // the outcome. The metrics row is valid on error paths too (Err is set).
 func (e *Engine) QueryWithMetrics(ctx context.Context, req query.Request) (*query.Outcome, QueryMetrics, error) {
+	return e.answer(ctx, req, false)
+}
+
+// errUncached is answer's report that a cachedOnly request is not in the
+// result cache.
+var errUncached = errors.New("engine: not cached")
+
+// answer is QueryWithMetrics. With cachedOnly set, a request the result
+// cache does not hold returns errUncached and leaves nothing behind — no
+// counter, histogram sample or span — so Batch can answer what is cached
+// inline and hand the rest to QueryWithMetrics with every item still counted
+// exactly once.
+func (e *Engine) answer(ctx context.Context, req query.Request, cachedOnly bool) (*query.Outcome, QueryMetrics, error) {
 	t0 := time.Now()
 	req = req.WithDefaults()
 	// Graph is routing metadata for multi-dataset servers; this engine IS
 	// the routed-to graph, so drop it before it can split cache keys.
 	req.Graph = ""
-	qm := QueryMetrics{Query: int64(req.Query), K: req.K, Model: req.Model.String(), Method: req.Method.String()}
-	out, err := e.serve(ctx, req, &qm)
+	// Cache first, validation after: only validated requests ever land in
+	// the cache, so a hit proves validity and the hot path skips the
+	// Validate/Options projection entirely; anything malformed misses and
+	// is rejected in miss before reaching the indexes.
+	var out *query.Outcome
+	var hit bool
+	if cachedOnly {
+		if out, hit = e.results.hit(req); !hit {
+			return nil, QueryMetrics{}, errUncached
+		}
+	} else {
+		out, hit = e.results.get(req)
+	}
+	e.ctr.queries.Add(1)
+	qm := QueryMetrics{Query: int64(req.Query), K: req.K, Model: req.Model.String(), Method: req.Method.String(), ResultHit: hit}
+	var err error
+	if !hit {
+		out, err = e.miss(ctx, req, &qm)
+	}
 	qm.TotalNS = time.Since(t0).Nanoseconds()
 	if err != nil {
 		qm.Err = err.Error()
@@ -338,20 +369,13 @@ func (e *Engine) QueryWithMetrics(ctx context.Context, req query.Request) (*quer
 	return out, qm, err
 }
 
-func (e *Engine) serve(ctx context.Context, req query.Request, qm *QueryMetrics) (*query.Outcome, error) {
-	e.ctr.queries.Add(1)
+// miss answers a request the result cache does not hold: validation, the
+// admission index, then a (possibly coalesced) execution.
+func (e *Engine) miss(ctx context.Context, req query.Request, qm *QueryMetrics) (*query.Outcome, error) {
 	// One state load per request: the graph, the metric and the admission
 	// indexes all come from this generation even if a mutation lands
 	// mid-request.
 	st := e.st.Load()
-	// Cache first, validation after: only validated requests ever land in
-	// the cache, so a hit proves validity and the hot path skips the
-	// Validate/Options projection entirely; anything malformed misses and
-	// is rejected below before reaching the indexes.
-	if out, ok := e.results.get(req); ok {
-		qm.ResultHit = true
-		return out, nil
-	}
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}

@@ -9,6 +9,15 @@
 // /admin/replication|promote|follow to the latter. Dispatch is one map
 // lookup on the request path; a path registered under other methods answers
 // 405 with an Allow header and the {"error": ...} body every endpoint uses.
+//
+// The query endpoints do not reflect over their bodies. A request's fields
+// are named once, in the wireFields table (wire.go), read by wireFromQuery
+// for a GET and by scanWire for a POST — a strict scanner that only ever
+// declines, leaving anything but the plain shape clients send to
+// DecodeJSONBody's decoder, the one place a decoding error is made.
+// appendSearch, appendBatch and appendCompare (encode.go) write what
+// encoding/json writes for the response structs, the part only the Outcome
+// decides rendered once per Outcome.
 package httpapi
 
 import (
@@ -81,7 +90,8 @@ func New(routes []Route, fence func() error) http.Handler {
 }
 
 func (m *mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if id := r.Header.Get(RequestIDHeader); id != "" {
+	if ids := r.Header[requestIDKey]; len(ids) > 0 && ids[0] != "" {
+		id := ids[0]
 		w.Header().Set(RequestIDHeader, id)
 		r = r.WithContext(engine.ContextWithRequestID(r.Context(), id))
 	}
@@ -121,6 +131,10 @@ func (m *mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // across processes by a single ID.
 const RequestIDHeader = "X-Request-ID"
 
+// requestIDKey is RequestIDHeader as http.Header keys it; Header.Get would
+// allocate that spelling on every request.
+var requestIDKey = http.CanonicalHeaderKey(RequestIDHeader)
+
 // Replication wire protocol: endpoint paths and the headers carrying the
 // snapshot cursor. internal/cluster's client speaks exactly these.
 const (
@@ -145,9 +159,12 @@ const (
 // → 422, exhausted budgets still carry a best-so-far community → 200 with
 // Err set; anything else is a 500.
 func StatusFor(err error) int {
+	if err == nil {
+		return http.StatusOK
+	}
 	var tooBig *http.MaxBytesError
 	switch {
-	case err == nil, errors.Is(err, cserr.ErrBudgetExhausted):
+	case errors.Is(err, cserr.ErrBudgetExhausted):
 		return http.StatusOK
 	case errors.As(err, &tooBig):
 		return http.StatusRequestEntityTooLarge
@@ -178,12 +195,16 @@ const RetryAfterHint = "1"
 // Transient-rejection statuses (429, 503) carry a Retry-After hint so
 // well-behaved clients back off instead of hammering.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	writeJSONHeader(w, status)
+	json.NewEncoder(w).Encode(v)
+}
+
+func writeJSONHeader(w http.ResponseWriter, status int) {
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
 		w.Header().Set("Retry-After", RetryAfterHint)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
 }
 
 type errorResponse struct {
@@ -204,7 +225,12 @@ const MaxBodyBytes = 1 << 20
 // rejecting trailing garbage after the JSON value. Errors map through
 // StatusFor: an overlong body to 413, anything else malformed to 400.
 func DecodeJSONBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	return decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+}
+
+// decodeJSON is DecodeJSONBody over a body already capped: the one place a
+// request-decoding error is made.
+func decodeJSON(body io.Reader, v any) error {
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
 		var tooBig *http.MaxBytesError

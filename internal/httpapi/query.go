@@ -11,15 +11,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
-	"strconv"
-	"strings"
 
 	"repro/internal/cserr"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/query"
-	"repro/internal/stats"
 )
 
 // Resolver maps a dataset name from the wire ("graph" field or ?graph=
@@ -50,81 +46,6 @@ func toNodeID(v int64) (graph.NodeID, error) {
 	return graph.NodeID(v), nil
 }
 
-// wireRequest is the JSON wire form shared by /search, /batch and /compare:
-// the fields of query.Request plus the endpoint-specific Q/Queries/Methods.
-// The outer Q shadows the embedded Request's "q" tag so a missing query
-// node is distinguishable from node 0.
-type wireRequest struct {
-	Q       *int64   `json:"q"`
-	Queries []int64  `json:"queries"`
-	Methods []string `json:"methods"`
-	query.Request
-}
-
-// queryNode returns the request's "q" as a node ID.
-func (w wireRequest) queryNode() (graph.NodeID, error) {
-	if w.Q == nil {
-		return 0, cserr.Invalidf("missing query node \"q\"")
-	}
-	return toNodeID(*w.Q)
-}
-
-type ciJSON struct {
-	Center     float64 `json:"center"`
-	MoE        float64 `json:"moe"`
-	Lo         float64 `json:"lo"`
-	Hi         float64 `json:"hi"`
-	Confidence float64 `json:"confidence"`
-}
-
-type searchResponse struct {
-	Query     int64               `json:"query"`
-	Method    string              `json:"method,omitempty"`
-	Community []graph.NodeID      `json:"community,omitempty"`
-	Size      int                 `json:"size"`
-	Delta     float64             `json:"delta"`
-	CI        ciJSON              `json:"ci"`
-	Satisfied bool                `json:"satisfied"`
-	States    int64               `json:"states,omitempty"`
-	Truncated bool                `json:"truncated,omitempty"`
-	Metrics   engine.QueryMetrics `json:"metrics"`
-	Err       string              `json:"err,omitempty"`
-}
-
-type batchResponse struct {
-	Items []searchResponse `json:"items"`
-}
-
-type compareResponse struct {
-	Query int64 `json:"query"`
-	// Best names the method with the smallest δ among the successful runs
-	// (empty when none succeeded).
-	Best  string           `json:"best,omitempty"`
-	Items []searchResponse `json:"items"`
-}
-
-func toResponse(req query.Request, out *query.Outcome, qm engine.QueryMetrics, err error) searchResponse {
-	resp := searchResponse{Query: int64(req.Query), Method: req.Method.String(), Metrics: qm}
-	if err != nil {
-		resp.Err = err.Error()
-	}
-	if out == nil {
-		return resp
-	}
-	resp.Community = out.Community
-	resp.Size = len(out.Community)
-	resp.Delta = out.Delta
-	resp.CI = toCIJSON(out.CI)
-	resp.Satisfied = out.Satisfied
-	resp.States = out.States
-	resp.Truncated = out.Truncated
-	return resp
-}
-
-func toCIJSON(ci stats.CI) ciJSON {
-	return ciJSON{Center: ci.Center, MoE: ci.MoE, Lo: ci.Lo(), Hi: ci.Hi(), Confidence: ci.Confidence}
-}
-
 // queryAPI holds the query handlers over one Resolver.
 type queryAPI struct{ resolve Resolver }
 
@@ -132,59 +53,67 @@ type queryAPI struct{ resolve Resolver }
 // from; each adds its own /stats.
 func (a queryAPI) routes() []Route {
 	return []Route{
-		{Method: http.MethodGet, Path: "/search", Handler: a.search},
-		{Method: http.MethodPost, Path: "/search", Handler: a.search},
-		{Method: http.MethodPost, Path: "/batch", Handler: a.batch},
-		{Method: http.MethodGet, Path: "/compare", Handler: a.compare},
-		{Method: http.MethodPost, Path: "/compare", Handler: a.compare},
+		{Method: http.MethodGet, Path: "/search", Handler: a.decoded(search)},
+		{Method: http.MethodPost, Path: "/search", Handler: a.decoded(search)},
+		{Method: http.MethodPost, Path: "/batch", Handler: a.decoded(batch)},
+		{Method: http.MethodGet, Path: "/compare", Handler: a.decoded(compare)},
+		{Method: http.MethodPost, Path: "/compare", Handler: a.decoded(compare)},
 		{Method: http.MethodGet, Path: "/healthz", Handler: a.healthz},
 		{Method: http.MethodGet, Path: "/debug/trace", Handler: a.trace},
 	}
 }
 
-// decode extracts the wireRequest — from the body of a POST, from the URL
-// query parameters otherwise — and resolves the engine it names.
-func (a queryAPI) decode(w http.ResponseWriter, r *http.Request) (wireRequest, *engine.Engine, error) {
-	var wire wireRequest
-	var err error
-	if r.Method == http.MethodPost {
-		err = DecodeJSONBody(w, r, &wire)
-	} else {
-		err = wireFromQuery(r, &wire)
+// decoded makes a Route handler of a query handler: it decodes the
+// wireRequest into pooled scratch — from the body of a POST, from the URL
+// query parameters otherwise — resolves the engine the request names, and
+// takes the scratch back when h returns.
+func (a queryAPI) decoded(h func(http.ResponseWriter, *http.Request, *scratch, *engine.Engine) error) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		sc := getScratch()
+		defer putScratch(sc)
+		var err error
+		if r.Method == http.MethodPost {
+			err = decodeBody(w, r, sc)
+		} else {
+			err = wireFromQuery(r, &sc.wire)
+		}
+		if err != nil {
+			return err
+		}
+		e, err := a.resolve(sc.wire.Graph)
+		if err != nil {
+			return err
+		}
+		return h(w, r, sc, e)
 	}
-	if err != nil {
-		return wire, nil, err
-	}
-	e, err := a.resolve(wire.Graph)
-	return wire, e, err
 }
 
 // search answers one community: POST {"q":12,"method":"sea","k":6,...}, or
 // GET ?q=12&k=6&method=exact for curl.
-func (a queryAPI) search(w http.ResponseWriter, r *http.Request) error {
-	wire, e, err := a.decode(w, r)
+func search(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engine) error {
+	q, err := sc.wire.queryNode()
 	if err != nil {
 		return err
 	}
-	req := wire.Request
-	if req.Query, err = wire.queryNode(); err != nil {
+	it := engine.BatchItem{Request: sc.wire.Request}
+	it.Request.Query = q
+	it.Request = it.Request.WithDefaults()
+	if err := it.Request.Validate(); err != nil {
 		return err
 	}
-	req = req.WithDefaults()
-	if err := req.Validate(); err != nil {
-		return err
+	it.Outcome, it.Metrics, it.Err = e.QueryWithMetrics(r.Context(), it.Request)
+	var ok bool
+	if sc.b, ok = appendSearch(sc.b[:0], &it); !ok {
+		WriteJSON(w, StatusFor(it.Err), toResponse(&it))
+		return nil
 	}
-	out, qm, err := e.QueryWithMetrics(r.Context(), req)
-	WriteJSON(w, StatusFor(err), toResponse(req, out, qm, err))
+	writeBody(w, StatusFor(it.Err), sc.b)
 	return nil
 }
 
 // batch answers one item per query node: POST {"queries":[1,2,3],"k":6,...}.
-func (a queryAPI) batch(w http.ResponseWriter, r *http.Request) error {
-	wire, e, err := a.decode(w, r)
-	if err != nil {
-		return err
-	}
+func batch(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engine) error {
+	wire := &sc.wire
 	if len(wire.Queries) == 0 {
 		return cserr.Invalidf("missing \"queries\"")
 	}
@@ -202,29 +131,28 @@ func (a queryAPI) batch(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	resp := batchResponse{Items: make([]searchResponse, len(items))}
-	shedAll := len(items) > 0
-	for i, it := range items {
-		resp.Items[i] = toResponse(it.Request, it.Outcome, it.Metrics, it.Err)
-		shedAll = shedAll && errors.Is(it.Err, cserr.ErrOverloaded)
-	}
 	// Per-item shedding is partial degradation (200, item Errs set); a
 	// batch with every item shed is an overloaded node and says so.
-	status := http.StatusOK
-	if shedAll {
-		status = http.StatusTooManyRequests
+	status := http.StatusTooManyRequests
+	for i := range items {
+		if !errors.Is(items[i].Err, cserr.ErrOverloaded) {
+			status = http.StatusOK
+			break
+		}
 	}
-	WriteJSON(w, status, resp)
+	var ok bool
+	if sc.b, ok = appendBatch(sc.b[:0], items); !ok {
+		WriteJSON(w, status, batchResponse{Items: toResponses(items)})
+		return nil
+	}
+	writeBody(w, status, sc.b)
 	return nil
 }
 
 // compare answers one item per method plus "best": POST
 // {"q":12,"methods":["sea","exact"],...}, or GET ?q=12&methods=sea,exact.
-func (a queryAPI) compare(w http.ResponseWriter, r *http.Request) error {
-	wire, e, err := a.decode(w, r)
-	if err != nil {
-		return err
-	}
+func compare(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engine) error {
+	wire := &sc.wire
 	q, err := wire.queryNode()
 	if err != nil {
 		return err
@@ -259,27 +187,31 @@ func (a queryAPI) compare(w http.ResponseWriter, r *http.Request) error {
 		reqs[i] = req
 	}
 	// One request, several solvers, side by side, through the engine's
-	// bounded worker pool (admission, caches, coalescing, per-stage
-	// metrics all apply per method).
+	// Batch (admission, caches, coalescing, per-stage metrics all apply per
+	// method).
 	items, err := e.Batch(r.Context(), reqs)
 	if err != nil {
 		return err
 	}
-	resp := compareResponse{Query: int64(q), Items: make([]searchResponse, len(items))}
-	best := -1
-	for i, it := range items {
-		resp.Items[i] = toResponse(it.Request, it.Outcome, it.Metrics, it.Err)
-		if resp.Items[i].Err != "" && !resp.Items[i].Truncated {
+	// Best: the smallest δ among the runs that have an answer — no error, or
+	// a truncated best-so-far.
+	best := ""
+	bestDelta := math.Inf(1)
+	for i := range items {
+		it := &items[i]
+		if it.Outcome == nil || it.Err != nil && !it.Outcome.Truncated {
 			continue
 		}
-		if best < 0 || resp.Items[i].Delta < resp.Items[best].Delta {
-			best = i
+		if best == "" || it.Outcome.Delta < bestDelta {
+			best, bestDelta = it.Request.Method.String(), it.Outcome.Delta
 		}
 	}
-	if best >= 0 {
-		resp.Best = resp.Items[best].Method
+	var ok bool
+	if sc.b, ok = appendCompare(sc.b[:0], int64(q), best, items); !ok {
+		WriteJSON(w, http.StatusOK, compareResponse{Query: int64(q), Best: best, Items: toResponses(items)})
+		return nil
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	writeBody(w, http.StatusOK, sc.b)
 	return nil
 }
 
@@ -321,56 +253,4 @@ func (a queryAPI) trace(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	return ServeTrace(w, r, e.Trace)
-}
-
-// param parses the URL query parameter name into dst, leaving dst alone when
-// the parameter is absent.
-func param[T any](vals url.Values, name string, dst *T, parse func(string) (T, error)) error {
-	s := vals.Get(name)
-	if s == "" {
-		return nil
-	}
-	v, err := parse(s)
-	if err != nil {
-		return cserr.Invalidf("bad %s=%q", name, s)
-	}
-	*dst = v
-	return nil
-}
-
-func parseInt64(s string) (int64, error)     { return strconv.ParseInt(s, 10, 64) }
-func parseFloat64(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
-
-// wireFromQuery fills wire from URL query parameters (GET endpoints); the
-// first malformed parameter, in the order below, is the error.
-func wireFromQuery(r *http.Request, wire *wireRequest) error {
-	vals := r.URL.Query()
-	var q int64
-	if vals.Get("q") != "" {
-		wire.Q = &q
-	}
-	if s := vals.Get("methods"); s != "" {
-		wire.Methods = strings.Split(s, ",")
-	}
-	wire.Graph = vals.Get("graph")
-	wire.NoRefine = vals.Get("no_refine") == "true"
-	for _, err := range []error{
-		param(vals, "q", &q, parseInt64),
-		wire.Method.UnmarshalText([]byte(vals.Get("method"))),
-		wire.Model.UnmarshalText([]byte(vals.Get("model"))),
-		param(vals, "k", &wire.K, strconv.Atoi),
-		param(vals, "size_lo", &wire.SizeLo, strconv.Atoi),
-		param(vals, "size_hi", &wire.SizeHi, strconv.Atoi),
-		param(vals, "max_rounds", &wire.MaxRounds, strconv.Atoi),
-		param(vals, "seed", &wire.Seed, parseInt64),
-		param(vals, "max_states", &wire.MaxStates, parseInt64),
-		param(vals, "e", &wire.ErrorBound, parseFloat64),
-		param(vals, "confidence", &wire.Confidence, parseFloat64),
-		param(vals, "lambda", &wire.Lambda, parseFloat64),
-	} {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -17,6 +17,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync/atomic"
 
 	"repro/internal/attr"
 	"repro/internal/baselines"
@@ -96,7 +98,8 @@ func ParseMethod(name string) (Method, error) {
 			return Method(m), nil
 		}
 	}
-	return 0, cserr.Invalidf("unknown method %q (want one of %v)", name, MethodNames())
+	// The copy keeps name off the heap for callers parsing out of a buffer.
+	return 0, cserr.Invalidf("unknown method %q (want one of %v)", strings.Clone(name), MethodNames())
 }
 
 // Methods returns every registered method in registry order.
@@ -290,6 +293,26 @@ type Outcome struct {
 	// SEA and Exact carry the full method-specific traces when applicable.
 	SEA   *sea.Result   `json:"-"`
 	Exact *exact.Result `json:"-"`
+
+	// rendered is a serving layer's encoding of the fields above, set at
+	// most once (see Rendered). It also makes copying an Outcome a vet error.
+	rendered atomic.Pointer[[]byte]
+}
+
+// Rendered returns render(o), computed on first use and kept with the
+// Outcome: an Outcome is immutable once a solver has returned it and is
+// shared by every request the engine answers with it, so what a serving
+// layer writes for it is the same bytes each time. render must depend on o
+// alone; concurrent first calls may each run it, and one result is kept.
+func (o *Outcome) Rendered(render func(*Outcome) []byte) []byte {
+	if p := o.rendered.Load(); p != nil {
+		return *p
+	}
+	b := render(o)
+	if !o.rendered.CompareAndSwap(nil, &b) {
+		return *o.rendered.Load()
+	}
+	return b
 }
 
 // Searcher answers Requests with one fixed method on any graph backing.
