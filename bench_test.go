@@ -617,6 +617,27 @@ func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateSEASearch is one warm search at the default options: what
+// is left once the sample, its core and the maintainers are pooled is the
+// generator, a maintainer header per round, BLB's three buffers per
+// estimate, RemoveCascade's result slices, the round trace and the answer.
+func BenchmarkSubstrateSEASearch(b *testing.B) {
+	benchSetup(b)
+	opts := internalsea.DefaultOptions()
+	opts.K = 6
+	search := func() {
+		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	guardAllocs(b, 260, search)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
+	}
+}
+
 func BenchmarkSubstrateInKCoreSet(b *testing.B) {
 	benchSetup(b)
 	members := kcore.MaximalConnectedKCore(benchData.Graph, benchQ, 6)
@@ -778,7 +799,6 @@ func BenchmarkSEASearch(b *testing.B) {
 	benchSetup(b)
 	opts := internalsea.DefaultOptions()
 	opts.K = 6
-	opts.MaxRounds = 2
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		opts.Seed = int64(i + 1)
@@ -793,7 +813,6 @@ func BenchmarkSEASearchTruss(b *testing.B) {
 	benchSetup(b)
 	opts := internalsea.DefaultOptions()
 	opts.K = 5 // benchQ hosts a 5-truss, no 6-truss
-	opts.MaxRounds = 2
 	opts.Model = internalsea.KTruss
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -261,17 +261,23 @@
 //
 // The hot paths run on a pooled per-search workspace (internal/ws):
 // epoch-stamped visited/membership sets reset by an epoch bump instead of
-// reallocation, reusable frontier/sampling/distance buffers, and an
-// induced-subgraph builder that writes into preallocated CSR arrays — so
-// the substrate operations of the sampling → extraction → estimation loop
-// run with ~zero allocations (CI-enforced by the BenchmarkSubstrate*
-// AllocsPerRun guards). A whole search is not allocation-free: over 400
+// reallocation, reusable frontier/sampling/distance buffers, and the sample
+// of a search with its core, kept on the graph's own node IDs and grown by
+// insertion (kcore.SampleCore) — so the substrate operations of the
+// sampling → extraction → estimation loop run with ~zero allocations
+// (CI-enforced by the BenchmarkSubstrate* AllocsPerRun guards) and a round
+// costs what it added to the sample, not the sample. The induced-subgraph
+// builder that writes into preallocated CSR arrays (graph.InducedStructureOf)
+// is what the tests compare that structure against; no serving path calls
+// it. A whole search is not allocation-free: over 400
 // cold searches per workload a twitter k-core search allocated 1 608 KB and
 // a twitch k-truss search 617 KB while BLB seeded a generator per subsample
 // and the loop repeated rounds that had nothing to draw; 1 449 and 199 KB
 // without those rounds; 405 and 27 KB since BLB draws from the search's
-// generator. What is left is each round's k-core maintainer, three small
-// buffers per BLB call and the returned community. Parallelism is between
+// generator; 60 and 18 KB since the k-core maintainer's arrays are pooled.
+// What is left is the generator, each round's maintainer header, three small
+// buffers per BLB call, the peel's removed-node lists and the returned
+// community. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
 // Batch drives Workers of them (for what it has to compute; cached items
 // it answers inline and a fully cached batch starts no goroutine), while

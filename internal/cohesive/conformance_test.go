@@ -5,6 +5,7 @@ package cohesive_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cohesive"
@@ -35,6 +36,26 @@ func factories() []factory {
 		{"kcore", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
 			m := kcore.MaximalSub(g, q, 3, new(ws.Workspace))
 			return m, m != nil
+		}},
+		// The pooled constructor, on a scratch that has already served another
+		// universe: nothing of the first may be alive in the second.
+		{"kcore-pooled", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
+			var sc ws.KCoreScratch
+			other := randomDense(int64(q)+100, g.NumNodes())
+			for oq := graph.NodeID(0); int(oq) < other.NumNodes(); oq++ {
+				if first := kcore.MaximalConnectedKCore(other, oq, 3); first != nil {
+					if _, err := kcore.NewSubOn(&sc, other, oq, 3, first); err != nil {
+						return nil, false
+					}
+					break
+				}
+			}
+			members := kcore.MaximalConnectedKCore(g, q, 3)
+			if members == nil {
+				return nil, false
+			}
+			m, err := kcore.NewSubOn(&sc, g, q, 3, members)
+			return m, err == nil
 		}},
 		{"truss", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
 			members := truss.MaximalConnectedKTruss(g, q, 3)
@@ -83,9 +104,9 @@ func checkContract(t *testing.T, m cohesive.Maintainer, q graph.NodeID, rng *ran
 	if len(members) != m.Size() {
 		t.Fatalf("Members len %d != Size %d", len(members), m.Size())
 	}
-	for _, v := range members {
-		if !m.Alive(v) {
-			t.Fatalf("member %d not Alive", v)
+	for v := graph.NodeID(0); v < 14; v++ {
+		if m.Alive(v) != slices.Contains(members, v) {
+			t.Fatalf("Alive(%d) = %v, Members() = %v", v, m.Alive(v), members)
 		}
 	}
 	hasQ := false

@@ -22,10 +22,12 @@ type SubScratch struct {
 
 // InducedStructureOf builds the structure-only subgraph of any Adjacency
 // backing induced by nodes: the edges InducedSubgraphOf keeps, as CSR
-// adjacency, but no attribute copying and a nil dictionary (the community-search
-// extraction paths only ever read adjacency from the induced graph —
-// attribute distances are looked up through the returned orig mapping on the
-// parent graph). All storage comes from sc — the neighbor lists of a decoding
+// adjacency, but no attribute copying and a nil dictionary (extraction only
+// ever reads adjacency from an induced graph — attribute distances are looked
+// up through the returned orig mapping on the parent graph). SEA no longer
+// induces its sample (kcore.SampleCore keeps the sample's core on the parent's
+// IDs); this is the from-scratch reference its tests compare against, and what
+// benchmark/trace.go times. All storage comes from sc — the neighbor lists of a decoding
 // backing included — so in the steady state the call performs no allocation.
 //
 // The returned Graph and orig slice alias sc and are valid until the next

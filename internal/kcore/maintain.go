@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cohesive"
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 var _ cohesive.Maintainer = (*Sub)(nil)
@@ -19,28 +20,33 @@ type Sub struct {
 	alive    []bool
 	deg      []int32 // degree within the alive set; valid only for alive nodes
 	size     int
+	mark     []bool // component marks, all false between calls
 
-	// scratch buffers reused across operations
-	stack []graph.NodeID
-	mark  []bool
-	comp  []graph.NodeID
-	nbr   []graph.NodeID // neighbor-decode scratch for non-aliasing backings
+	// sc owns every array above and the buffers that grow in use (cascade
+	// stack, component queue, neighbor-decode scratch), reached through it.
+	sc *ws.KCoreScratch
 }
 
 // NewSub builds a maintenance structure over the nodes of members, which must
 // already form a connected k-core containing q (e.g. the output of
-// MaximalConnectedKCore).
+// MaximalConnectedKCore). The structure owns its arrays.
 func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
-	n := g.NumNodes()
-	s := &Sub{
-		g:        g,
-		k:        k,
-		q:        q,
-		universe: append([]graph.NodeID(nil), members...),
-		alive:    make([]bool, n),
-		deg:      make([]int32, n),
-		mark:     make([]bool, n),
+	return NewSubOn(new(ws.KCoreScratch), g, q, k, members)
+}
+
+// NewSubOn is NewSub with every array drawn from sc, sized to the graph once
+// and reused: the returned Sub is valid until the next NewSubOn on sc, which
+// clears the flags this one leaves behind.
+func NewSubOn(sc *ws.KCoreScratch, g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
+	if n := g.NumNodes(); len(sc.Alive) < n {
+		sc.Alive, sc.Mark, sc.Deg = make([]bool, n), make([]bool, n), make([]int32, n)
+	} else {
+		for _, v := range sc.Universe {
+			sc.Alive[v] = false
+		}
 	}
+	sc.Universe = append(sc.Universe[:0], members...)
+	s := &Sub{g: g, k: k, q: q, universe: sc.Universe, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, sc: sc}
 	for _, v := range members {
 		s.alive[v] = true
 	}
@@ -49,7 +55,7 @@ func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*
 	}
 	for _, v := range members {
 		d := int32(0)
-		for _, u := range g.NeighborsInto(&s.nbr, v) {
+		for _, u := range g.NeighborsInto(&sc.Nbr, v) {
 			if s.alive[u] {
 				d++
 			}
@@ -93,13 +99,13 @@ func (s *Sub) kill(v graph.NodeID, removed *[]graph.NodeID) {
 	s.alive[v] = false
 	s.size--
 	*removed = append(*removed, v)
-	for _, u := range s.g.NeighborsInto(&s.nbr, v) {
+	for _, u := range s.g.NeighborsInto(&s.sc.Nbr, v) {
 		if !s.alive[u] {
 			continue
 		}
 		s.deg[u]--
 		if int(s.deg[u]) < s.k {
-			s.stack = append(s.stack, u)
+			s.sc.Stack = append(s.sc.Stack, u)
 		}
 	}
 }
@@ -110,11 +116,12 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 	if !s.alive[v] {
 		return nil, s.alive[s.q]
 	}
-	s.stack = s.stack[:0]
+	sc := s.sc
+	sc.Stack = sc.Stack[:0]
 	s.kill(v, &removed)
-	for len(s.stack) > 0 {
-		u := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
+	for len(sc.Stack) > 0 {
+		u := sc.Stack[len(sc.Stack)-1]
+		sc.Stack = sc.Stack[:len(sc.Stack)-1]
 		if s.alive[u] {
 			s.kill(u, &removed)
 		}
@@ -123,18 +130,18 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 		return removed, false
 	}
 	// Restrict to q's component: mark reachable alive nodes, kill the rest.
-	s.comp = s.comp[:0]
-	s.comp = append(s.comp, s.q)
+	comp := append(sc.Comp[:0], s.q)
 	s.mark[s.q] = true
-	for i := 0; i < len(s.comp); i++ {
-		for _, u := range s.g.NeighborsInto(&s.nbr, s.comp[i]) {
+	for i := 0; i < len(comp); i++ {
+		for _, u := range s.g.NeighborsInto(&sc.Nbr, comp[i]) {
 			if s.alive[u] && !s.mark[u] {
 				s.mark[u] = true
-				s.comp = append(s.comp, u)
+				comp = append(comp, u)
 			}
 		}
 	}
-	if len(s.comp) != s.size {
+	sc.Comp = comp
+	if len(comp) != s.size {
 		// Kill alive nodes outside the component. Their removal cannot push
 		// component members below k (no edges cross between components), but
 		// cascades inside the discarded part are irrelevant: kill them all.
@@ -143,7 +150,7 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 				s.alive[w] = false
 				s.size--
 				removed = append(removed, w)
-				for _, u := range s.g.NeighborsInto(&s.nbr, w) {
+				for _, u := range s.g.NeighborsInto(&sc.Nbr, w) {
 					if s.alive[u] {
 						s.deg[u]--
 					}
@@ -151,7 +158,7 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 			}
 		}
 	}
-	for _, u := range s.comp {
+	for _, u := range comp {
 		s.mark[u] = false
 	}
 	return removed, true
@@ -164,7 +171,7 @@ func (s *Sub) Restore(removed []graph.NodeID) {
 		s.alive[w] = true
 		s.size++
 		d := int32(0)
-		for _, u := range s.g.NeighborsInto(&s.nbr, w) {
+		for _, u := range s.g.NeighborsInto(&s.sc.Nbr, w) {
 			if s.alive[u] {
 				d++
 				if u != w {
@@ -188,6 +195,7 @@ func (s *Sub) Clone() *Sub {
 		deg:      append([]int32(nil), s.deg...),
 		mark:     make([]bool, len(s.mark)),
 		size:     s.size,
+		sc:       new(ws.KCoreScratch),
 	}
 	return c
 }

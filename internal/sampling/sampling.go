@@ -68,25 +68,32 @@ func heapPop(h []ws.NodeDist) ([]ws.NodeDist, ws.NodeDist) {
 // appends them to dst. dist[v] must hold f(v,q). q is always the first
 // element appended. All scratch state (visited set, frontier heap) is drawn
 // from w.
+//
+// An empty dst starts a fresh expansion. A non-empty dst must be what the
+// last call on w returned for the same g, q and dist: the expansion goes on
+// from the frontier that call left in w.Heap and w.GqSeen, and the pop order
+// being deterministic, the result is the list a fresh expansion builds.
 func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []float64, minSize int, w *ws.Workspace) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
 	}
-	w.Visited.Reset(g.NumNodes())
-	h := w.Heap[:0]
-	h = heapPush(h, ws.NodeDist{V: q, D: 0})
-	w.Visited.Add(q)
+	h := w.Heap
+	if len(dst) == 0 {
+		w.GqSeen.Reset(g.NumNodes())
+		h = heapPush(h[:0], ws.NodeDist{V: q, D: 0})
+		w.GqSeen.Add(q)
+	}
 	for len(h) > 0 && len(dst) < minSize {
 		var nd ws.NodeDist
 		h, nd = heapPop(h)
 		dst = append(dst, nd.V)
 		for _, u := range g.NeighborsInto(&w.NbrA, nd.V) {
-			if w.Visited.Add(u) {
+			if w.GqSeen.Add(u) {
 				h = heapPush(h, ws.NodeDist{V: u, D: dist[u]})
 			}
 		}
 	}
-	w.Heap = h[:0]
+	w.Heap = h
 	return dst
 }
 
@@ -150,6 +157,11 @@ func ProbabilitiesInto(dst []float64, population []graph.NodeID, dist []float64)
 // take the size largest keys. Nodes with zero weight are drawn only if the
 // positive-weight pool is exhausted. The query node, if present in
 // population, is always included. The key array is drawn from w.
+//
+// With weights near 1/|population| the exponent p = 1/w is in the thousands
+// and most keys underflow to exactly 0. Those are not computed: ln U ≤ U−1,
+// so U^p ≤ exp(p(U−1)), and below e^−745.2 a float64 is 0 — when p(U−1) <
+// −800 the key is the 0 math.Pow returns. Same draws, same keys, same order.
 func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights []float64, size int, q graph.NodeID, rng *rand.Rand, w *ws.Workspace) []graph.NodeID {
 	if size >= len(population) {
 		return append(dst, population...)
@@ -167,7 +179,9 @@ func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights [
 		case wt <= 0:
 			key = -rng.Float64() // after every positive-weight node
 		default:
-			key = math.Pow(rng.Float64(), 1/wt)
+			if u, p := rng.Float64(), 1/wt; !(p*(u-1) < -800) {
+				key = math.Pow(u, p)
+			}
 		}
 		keys = append(keys, ws.NodeDist{V: v, D: key})
 	}

@@ -254,27 +254,19 @@ type seaRun struct {
 	rng  *rand.Rand
 
 	// w is the pooled scratch substrate threaded through every hot loop:
-	// stamped visited/membership sets, the frontier heap, sampling keys,
-	// the induced-CSR builder, and the round loop's own population/sample/
-	// candidate buffers. What a warm search still allocates is the k-core
-	// maintainer of each round, three small buffers per BLB call and the
-	// returned community.
-	w        *ws.Workspace
-	identity []graph.NodeID // lazily-built identity orig-mapping
+	// stamped visited/membership sets, the frontier heap and visited set of
+	// Gq's expansion, sampling keys, the sample's core and the round's
+	// maintainer, and the round loop's own population/sample/candidate
+	// buffers. What a warm search still allocates is the generator, each
+	// round's maintainer header, three small buffers per BLB call, the
+	// removed-node lists of the peel and the returned community.
+	w *ws.Workspace
+	// core is the sample on g's own node IDs with its (MinSize(K)−1)-core,
+	// maintained by insertion: that is the k-core itself, and the (k−1)-core
+	// a k-truss lies inside, so one structure serves both models.
+	core kcore.SampleCore
 
 	res Result
-}
-
-// identityMap returns the cached identity node mapping (orig[i] = i) used
-// when a maintainer runs on the full graph rather than an induced sample.
-func (s *seaRun) identityMap() []graph.NodeID {
-	if len(s.identity) != s.g.NumNodes() {
-		s.identity = make([]graph.NodeID, s.g.NumNodes())
-		for i := range s.identity {
-			s.identity[i] = graph.NodeID(i)
-		}
-	}
-	return s.identity
 }
 
 // interrupted builds the cancelled-search return: the best candidate found
@@ -326,6 +318,7 @@ func (s *seaRun) run() (*Result, error) {
 	}
 	sample := sampling.WeightedSampleInto(s.w.Sample[:0], gq, probs, sampleSize, s.q, s.rng, s.w)
 	s.w.Sample = sample // keep the backing array pooled even on round-1 exits
+	s.core = kcore.NewSampleCore(s.g, s.opts.Model.MinSize(s.opts.K)-1, s.w)
 	s.res.Steps.Sampling += time.Since(t0)
 
 	var lastMoE, lastTarget float64
@@ -353,11 +346,12 @@ func (s *seaRun) run() (*Result, error) {
 			if deltaS == 0 {
 				// The one stop rule besides Theorem 11 and MaxRounds: S3 drew
 				// nothing, so the sample is all of a Gq that cannot grow — q's
-				// whole component — and this round would induce, peel and
-				// estimate exactly what the last one did.
+				// whole component — and this round would estimate exactly what
+				// the last one did.
 				break
 			}
 		}
+		added := sample[s.res.SampleSize:] // round 1: the whole first sample
 		s.res.SampleSize = len(sample)
 		if len(sample) >= len(gq) && len(gq) == minGq {
 			// Sample exhausted the population: enlarge Gq itself for the next
@@ -370,9 +364,7 @@ func (s *seaRun) run() (*Result, error) {
 		}
 
 		// S1: maximal connected structure within the induced sample.
-		t1 := time.Now()
-		maint, orig := s.buildMaintainer(sample)
-		s.res.Steps.Sampling += time.Since(t1)
+		maint := s.extract(added)
 		if s.ctx.Err() != nil {
 			return s.interrupted()
 		}
@@ -385,7 +377,7 @@ func (s *seaRun) run() (*Result, error) {
 
 		// S2: greedy candidate search with BLB estimation.
 		t2 := time.Now()
-		done, ci, moe, target, blbTotal := s.estimate(maint, orig)
+		done, ci, moe, target, blbTotal := s.estimate(maint)
 		s.res.Steps.Estimation += time.Since(t2)
 		s.res.Rounds = append(s.res.Rounds, Round{
 			Round: round, Delta: ci.Center, MoE: ci.MoE, DeltaS: deltaS, Time: time.Since(roundStart),
@@ -404,14 +396,24 @@ func (s *seaRun) run() (*Result, error) {
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
 		// (typical when community cores are small relative to λ·|Gq|), so
-		// run the greedy estimation directly on the maximal structure of
-		// the full graph.
-		maint := s.opts.Model.Maximal(s.g, s.q, s.opts.K, s.w)
+		// sample the rest of the graph and run the greedy estimation on its
+		// maximal structure. SampleSize stays what the rounds drew.
+		rest := len(sample)
+		for v := graph.NodeID(0); int(v) < s.g.NumNodes(); v++ {
+			if !s.core.Sampled(v) {
+				sample = append(sample, v)
+			}
+		}
+		s.w.Sample = sample
+		maint := s.extract(sample[rest:])
+		if s.ctx.Err() != nil {
+			return s.interrupted()
+		}
 		if maint == nil {
 			return nil, ErrNoCommunity
 		}
 		t2 := time.Now()
-		done, ci, _, _, _ := s.estimate(maint, s.identityMap())
+		done, ci, _, _, _ := s.estimate(maint)
 		s.res.Steps.Estimation += time.Since(t2)
 		s.res.Satisfied = done
 		s.res.CI = ci
@@ -430,28 +432,23 @@ func (s *seaRun) run() (*Result, error) {
 
 // buildGq expands Gq best-first around q until it holds size nodes or all of
 // q's component, and computes its sampling probabilities (Eq. 5). Both live
-// in the workspace.
+// in the workspace, and so does the frontier: the first call (GqSize still 0)
+// starts the expansion, a second one continues it.
 func (s *seaRun) buildGq(size int) ([]graph.NodeID, []float64) {
-	s.w.Gq = sampling.BuildGqInto(s.w.Gq[:0], s.g, s.q, s.dist, size, s.w)
+	s.w.Gq = sampling.BuildGqInto(s.w.Gq[:s.res.GqSize], s.g, s.q, s.dist, size, s.w)
 	s.w.Probs = sampling.ProbabilitiesInto(s.w.Probs[:0], s.w.Gq, s.dist)
 	s.res.GqSize = len(s.w.Gq)
 	return s.w.Gq, s.w.Probs
 }
 
 // enlarge adds up to deltaS fresh weighted samples from gq to sample. The
-// already-sampled set is an epoch-stamped workspace set and the rest pool
-// lives in workspace scratch, so the incremental step is allocation-free in
-// the steady state.
+// rest pool lives in workspace scratch, so the incremental step is
+// allocation-free in the steady state.
 func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.NodeID, deltaS int) []graph.NodeID {
-	in := &s.w.Member
-	in.Reset(s.g.NumNodes())
-	for _, v := range sample {
-		in.Add(v)
-	}
 	restNodes := s.w.Nodes[:0]
 	restProbs := s.w.Floats[:0]
 	for i, v := range gq {
-		if !in.Has(v) {
+		if !s.core.Sampled(v) {
 			restNodes = append(restNodes, v)
 			restProbs = append(restProbs, probs[i])
 		}
@@ -466,32 +463,34 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 	return sampling.WeightedSampleInto(sample, restNodes, restProbs, deltaS, -1, s.rng, s.w)
 }
 
-// buildMaintainer extracts the maximal connected structure containing q from
-// the subgraph induced by sample and wraps it in a maintenance structure.
-// The returned orig maps induced IDs back to g's IDs. Returns nil when the
-// sample contains no qualifying structure around q.
-func (s *seaRun) buildMaintainer(sample []graph.NodeID) (cohesive.Maintainer, []graph.NodeID) {
-	if len(sample) == s.g.NumNodes() {
-		// The sample covers the whole graph: skip the induced-subgraph copy
-		// and work on g directly with an identity mapping.
-		if maint := s.opts.Model.Maximal(s.g, s.q, s.opts.K, s.w); maint != nil {
-			return maint, s.identityMap()
+// extract inserts added into the sample and returns the maintenance
+// structure over the model's maximal connected structure containing q in the
+// subgraph the sample induces, valid until the next extract, or nil when
+// there is none or ctx was cancelled. q's component of the maintained core,
+// in BFS order from q, is the k-core maintainer's universe and all the
+// k-truss one indexes.
+func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
+	t1 := time.Now()
+	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
+	if s.core.Insert(s.ctx, added) != nil {
+		return nil
+	}
+	comp := s.core.ComponentInto(s.w.Nodes[:0], s.q)
+	if comp == nil {
+		return nil
+	}
+	s.w.Nodes = comp[:0]
+	// A nil *Sub must come back as a nil interface.
+	if s.opts.Model == KTruss {
+		if maint := truss.MaximalSubIn(s.g, s.q, s.opts.K, comp, s.w); maint != nil {
+			return maint
 		}
-		return nil, nil
+		return nil
 	}
-	// Structure-only induced subgraph written into the workspace's
-	// preallocated CSR arrays: the extraction paths below read only
-	// adjacency, and attribute distances go through orig on the parent
-	// graph. sub and orig stay valid until the next round's rebuild.
-	sub, orig := graph.InducedStructureOf(s.g, sample, &s.w.Sub)
-	subQ, ok := slices.BinarySearch(orig, s.q)
-	if !ok {
-		return nil, nil
+	if maint, err := kcore.NewSubOn(&s.w.KCore, s.g, s.q, s.opts.K, comp); err == nil {
+		return maint
 	}
-	if maint := s.opts.Model.Maximal(sub, graph.NodeID(subQ), s.opts.K, s.w); maint != nil {
-		return maint, orig
-	}
-	return nil, nil
+	return nil
 }
 
 // minCommunitySize is the smallest admissible community (including q): the
@@ -531,7 +530,7 @@ func (s *seaRun) minCommunitySize() int {
 // not a mode any line-up uses.
 //
 // On failure the best candidate's MoE/target/BLB-total feed Eq. 12.
-func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done bool, best stats.CI, moe, target float64, blbTotal int) {
+func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, moe, target float64, blbTotal int) {
 	members := s.w.Members[:0]
 	values := s.w.Vals[:0]
 	bestSet := s.w.Best[:0]
@@ -562,8 +561,8 @@ func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done 
 			}
 			values = values[:0]
 			for _, v := range members {
-				if orig[v] != s.q {
-					values = append(values, s.dist[orig[v]])
+				if v != s.q {
+					values = append(values, s.dist[v])
 				}
 			}
 			res, err := stats.BLB(values, blbConfig(s.opts), s.rng)
@@ -592,7 +591,7 @@ func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done 
 			}
 		}
 		// Peel the most dissimilar member (never q).
-		worst := s.mostDissimilar(members, orig)
+		worst := s.mostDissimilar(members)
 		if worst < 0 {
 			break
 		}
@@ -603,21 +602,22 @@ func (s *seaRun) estimate(maint cohesive.Maintainer, orig []graph.NodeID) (done 
 		}
 	}
 	if haveBest {
-		s.keepCandidateInduced(bestSet, orig)
+		s.res.Community = slices.Clone(bestSet)
+		s.res.Delta = attr.Delta(s.dist, s.res.Community, s.q)
 	}
 	return done, best, moe, target, blbTotal
 }
 
 // mostDissimilar returns the first member with the maximal f(·,q), never q
 // itself, or -1 when only q remains.
-func (s *seaRun) mostDissimilar(members []graph.NodeID, orig []graph.NodeID) graph.NodeID {
+func (s *seaRun) mostDissimilar(members []graph.NodeID) graph.NodeID {
 	var worst graph.NodeID = -1
 	worstD := -1.0
 	for _, v := range members {
-		if orig[v] == s.q {
+		if v == s.q {
 			continue
 		}
-		if d := s.dist[orig[v]]; d > worstD {
+		if d := s.dist[v]; d > worstD {
 			worstD = d
 			worst = v
 		}
@@ -630,19 +630,4 @@ func blbConfig(o Options) stats.BLBConfig {
 	cfg := o.BLB
 	cfg.Confidence = o.Confidence
 	return cfg
-}
-
-// keepCandidateInduced records the candidate (in induced IDs) as the current
-// best community, translating back to graph IDs.
-func (s *seaRun) keepCandidateInduced(members []graph.NodeID, orig []graph.NodeID) {
-	out := make([]graph.NodeID, len(members))
-	for i, v := range members {
-		out[i] = orig[v]
-	}
-	s.keepCandidate(out)
-}
-
-func (s *seaRun) keepCandidate(members []graph.NodeID) {
-	s.res.Community = members
-	s.res.Delta = attr.Delta(s.dist, members, s.q)
 }

@@ -481,3 +481,56 @@ func TestResultDoesNotPinTheSearch(t *testing.T) {
 	}
 	runtime.KeepAlive(results)
 }
+
+// countingCSR counts the neighbour lists a search reads.
+type countingCSR struct {
+	graph.CSR
+	reads int
+}
+
+func (c *countingCSR) NeighborsInto(buf *[]graph.NodeID, v graph.NodeID) []graph.NodeID {
+	c.reads++
+	return c.CSR.NeighborsInto(buf, v)
+}
+
+// TestLateRoundsReadWhatTheyDrew is the gate on per-round cost that does not
+// read the clock. On this search the sample doubles twice and then five
+// rounds add 36–72 nodes each to ~5 400. A neighbour list is read once per
+// node Gq's expansion pops, once per node inserted into the sample, at most
+// twice per node the core repair walks from the inserted ones, and then by
+// the extraction and the peel over q's component of the core — tens of nodes.
+// None of that is per round and per sampled node, so 2·(|Gq| + |S|) holds it
+// (17 946 reads against a limit of 24 538). Inducing the sample every round
+// reads |S| lists per round on the graph alone, before the decomposition
+// re-reads them on the induced copy: 43 423 here.
+func TestLateRoundsReadWhatTheyDrew(t *testing.T) {
+	d, err := dataset.Homogeneous("twitch", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = 2552
+	opts := DefaultOptions()
+	opts.K = 6
+	opts.Seed = 11
+	g := &countingCSR{CSR: d.Graph}
+	res, err := SearchWithDistContext(context.Background(), g, m.QueryDist(q), q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rounds) != opts.MaxRounds {
+		t.Fatalf("%d rounds, the case needs all %d", len(res.Rounds), opts.MaxRounds)
+	}
+	for _, r := range res.Rounds[len(res.Rounds)-4:] {
+		if r.DeltaS < 10 || r.DeltaS > 99 {
+			t.Fatalf("round %d drew %d nodes; the case needs late rounds that draw tens", r.Round, r.DeltaS)
+		}
+	}
+	if limit := 2 * (res.GqSize + res.SampleSize); g.reads > limit {
+		t.Errorf("%d neighbour lists read for |Gq| = %d, |S| = %d over %d rounds; limit %d",
+			g.reads, res.GqSize, res.SampleSize, len(res.Rounds), limit)
+	}
+}

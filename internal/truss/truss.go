@@ -243,8 +243,15 @@ func MaximalSub(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) *Sub {
 		return nil
 	}
 	w.Nodes = core[:0]
+	return MaximalSubIn(g, q, k, core, w)
+}
+
+// MaximalSubIn is MaximalSub for a caller that already holds q's connected
+// (k−1)-core, or any node set of g that contains q and its k-truss: only the
+// subgraph in induces is indexed, counted and peeled.
+func MaximalSubIn(g graph.CSR, q graph.NodeID, k int, in []graph.NodeID, w *ws.Workspace) *Sub {
 	w.Member.Reset(g.NumNodes())
-	for _, v := range core {
+	for _, v := range in {
 		w.Member.Add(v)
 	}
 	return build(g, q, k, &w.Member, &w.NbrA, &w.Truss)

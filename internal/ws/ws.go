@@ -8,13 +8,17 @@
 // A Workspace bundles every scratch structure the hot loops need — epoch-
 // stamped visited/membership sets (graph.NodeSet: reset by epoch bump, not
 // reallocation), a best-first frontier heap, weighted-sampling key arrays,
-// int32 quadruples for the bin-sort core decomposition, a graph.SubScratch
-// that writes induced CSR subgraphs into preallocated arrays, and a
-// TrussScratch holding the edge index, supports, peel state and rollback
-// logs of the k-truss round. Workspaces are recycled through a bounded free
-// list: a search borrows one with Get, threads it through sampling →
-// extraction → estimation, and returns it with Release, so steady-state
-// query traffic runs with ~zero allocations in the substrate operations (see
+// int32 quadruples for the bin-sort core decomposition, a SampleCoreScratch
+// holding a search's sample and its core on the graph's own node IDs, and a
+// KCoreScratch and a TrussScratch holding the maintainer of a round (for
+// k-truss also the edge index, supports, peel state and rollback logs). No
+// serving path induces a subgraph any more: graph.InducedStructureOf,
+// graph.SubScratch and Workspace.Sub are kept for benchmark/trace.go's
+// primitive timings and as the reference the tests hold the incremental
+// structures to. Workspaces are recycled through a bounded free list: a
+// search borrows one with Get, threads it through sampling → extraction →
+// estimation, and returns it with Release, so steady-state query traffic
+// runs with ~zero allocations in the substrate operations (see
 // BenchmarkSubstrate* at the repository root).
 //
 // The package also hosts ForRange, the bounded parallel-for behind the one
@@ -51,10 +55,12 @@ type Workspace struct {
 	Visited graph.NodeSet
 	Member  graph.NodeSet
 
-	// Heap is the best-first frontier of BuildGq; Keys the exponential-keys
-	// array of WeightedSample.
-	Heap []NodeDist
-	Keys []NodeDist
+	// Heap and GqSeen are BuildGq's frontier and visited set and nothing
+	// else's: a later call continues the expansion they hold. Keys is the
+	// exponential-keys array of WeightedSample.
+	Heap   []NodeDist
+	GqSeen graph.NodeSet
+	Keys   []NodeDist
 
 	// Nodes and Floats are general node/float scratch (enlarge's rest pool,
 	// component output, ...).
@@ -79,8 +85,34 @@ type Workspace struct {
 	// Sub builds induced CSR subgraphs into preallocated arrays.
 	Sub graph.SubScratch
 
-	// Truss backs the k-truss extraction and the maintainer it returns.
-	Truss TrussScratch
+	// SampleCore backs a search's sample and its maintained core, KCore and
+	// Truss the maintainer of a round. Unlike the buffers above, these belong
+	// to the structure built on them until the next one is built there.
+	SampleCore SampleCoreScratch
+	KCore      KCoreScratch
+	Truss      TrussScratch
+}
+
+// SampleCoreScratch holds kcore.SampleCore: the sampled nodes of a graph,
+// each one's degree within the sample, and the sample's core, by the graph's
+// node IDs. Starting a search bumps two epochs. The zero value is ready to
+// use; package kcore owns the layout.
+type SampleCoreScratch struct {
+	In, Core graph.NodeSet
+	Deg      []int32        // per node: sampled neighbours; valid for members of In
+	Queue    []graph.NodeID // candidates of one insertion, in discovery order
+}
+
+// KCoreScratch holds every array of one k-core maintainer (kcore.Sub), one
+// live maintainer at a time: the next built on it clears the previous
+// universe's flags. The zero value is ready to use; package kcore owns the
+// layout.
+type KCoreScratch struct {
+	Universe    []graph.NodeID // the maintainer's member order
+	Alive, Mark []bool         // per node; Mark is all false between calls
+	Deg         []int32        // per node: alive neighbours; valid for alive nodes
+	Stack, Comp []graph.NodeID // cascade work stack, BFS queue of the query's component
+	Nbr         []graph.NodeID // neighbor-decode scratch for non-aliasing backings
 }
 
 // TrussScratch holds every array of one k-truss extraction and of the

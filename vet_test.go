@@ -138,3 +138,29 @@ func TestOneGeneratorPerSearch(t *testing.T) {
 		t.Errorf("rand.New( in solver packages: %v, want %v", sites, want)
 	}
 }
+
+// TestSEAHasOneExtractionPath keeps SEA's way from a sample to a maintainer
+// single: the sample's core is maintained on the graph's own node IDs
+// (kcore.SampleCore), so no non-test file of internal/sea induces a subgraph
+// or maps induced IDs back. graph.InducedStructureOf stays, as the reference
+// the tests compare against and for benchmark/trace.go.
+func TestSEAHasOneExtractionPath(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("internal", "sea", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"InducedStructureOf", "identityMap"} {
+			if strings.Contains(string(src), name) {
+				t.Errorf("%s names %s; extraction goes through the maintained sample core", filepath.ToSlash(path), name)
+			}
+		}
+	}
+}
