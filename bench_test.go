@@ -598,7 +598,8 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 }
 
 // BenchmarkSubstrateKTrussExtract is one warm k-truss round of SEA's S1:
-// (k−1)-core prefilter, edge index, supports, threshold peel, maintainer.
+// (k−1)-core prefilter, the reach from q, edge index, supports, threshold
+// peel, maintainer.
 // Everything but the maintainer's header comes from the workspace.
 func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 	benchSetup(b)

@@ -51,11 +51,12 @@
 // (NewHetGraphBuilder / Project), size-bounded search through
 // Request.SizeLo/SizeHi, and the k-truss model through Request.Model. Under
 // the k-truss model a SEA round extracts the maximal connected k-truss of
-// the sample for the request's fixed k in one pass — (k−1)-core prefilter,
-// one edge index, supports counted once per triangle, a threshold peel
-// whose surviving state becomes the round's maintenance structure — and
-// never computes trussness levels; the full truss decomposition is run
-// only to build the engine's admission index.
+// the sample for the request's fixed k in one pass — within the sample's
+// maintained (k−1)-core, only the nodes q reaches over edges that close
+// k−2 triangles there, one edge index over those, supports counted once per
+// triangle, a threshold peel whose surviving state becomes the round's
+// maintenance structure — and never computes trussness levels; the full
+// truss decomposition is run only to build the engine's admission index.
 //
 // # Serving
 //
@@ -266,7 +267,8 @@
 // insertion (kcore.SampleCore) — so the substrate operations of the
 // sampling → extraction → estimation loop run with ~zero allocations
 // (CI-enforced by the BenchmarkSubstrate* AllocsPerRun guards) and a round
-// costs what it added to the sample, not the sample. The induced-subgraph
+// costs what it added to the sample, not the sample — under k-truss, what q
+// reaches in the sample's core, not the core. The induced-subgraph
 // builder that writes into preallocated CSR arrays (graph.InducedStructureOf)
 // is what the tests compare that structure against; no serving path calls
 // it. A whole search is not allocation-free: over 400

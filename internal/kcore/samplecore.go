@@ -31,6 +31,9 @@ func NewSampleCore(g graph.Adjacency, k int, w *ws.Workspace) SampleCore {
 // Sampled reports whether v is in the sample.
 func (c *SampleCore) Sampled(v graph.NodeID) bool { return c.w.SampleCore.In.Has(v) }
 
+// Core returns the core's membership, valid until the next Insert.
+func (c *SampleCore) Core() *graph.NodeSet { return &c.w.SampleCore.Core }
+
 // Insert adds nodes, none of them sampled yet, to the sample. The core can
 // only gain, and every connected piece of the gain contains an inserted node
 // (one without would have been a k-core beside the old core in the old G[S]).

@@ -467,12 +467,22 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 // structure over the model's maximal connected structure containing q in the
 // subgraph the sample induces, valid until the next extract, or nil when
 // there is none or ctx was cancelled. q's component of the maintained core,
-// in BFS order from q, is the k-core maintainer's universe and all the
-// k-truss one indexes.
+// in BFS order from q, is the k-core maintainer's universe. The k-truss
+// round hands the core's membership to truss.MaximalSubIn, which indexes
+// only what q reaches in it over edges closing k−2 triangles: when q's
+// component jumps to a core component of thousands of nodes, that is still
+// the few dozen around q, and the component itself is never walked.
 func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	t1 := time.Now()
 	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
 	if s.core.Insert(s.ctx, added) != nil {
+		return nil
+	}
+	// A nil *Sub must come back as a nil interface.
+	if s.opts.Model == KTruss {
+		if maint := truss.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, s.core.Core(), s.w); maint != nil {
+			return maint
+		}
 		return nil
 	}
 	comp := s.core.ComponentInto(s.w.Nodes[:0], s.q)
@@ -480,13 +490,6 @@ func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 		return nil
 	}
 	s.w.Nodes = comp[:0]
-	// A nil *Sub must come back as a nil interface.
-	if s.opts.Model == KTruss {
-		if maint := truss.MaximalSubIn(s.g, s.q, s.opts.K, comp, s.w); maint != nil {
-			return maint
-		}
-		return nil
-	}
 	if maint, err := kcore.NewSubOn(&s.w.KCore, s.g, s.q, s.opts.K, comp); err == nil {
 		return maint
 	}

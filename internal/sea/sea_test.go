@@ -16,6 +16,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/kcore"
 	"repro/internal/truss"
+	"repro/internal/ws"
 )
 
 // testDataset builds a small planted-community graph shared by the tests.
@@ -375,7 +376,8 @@ func slowOpts() Options {
 
 // TestSearchContextCancellation proves the acceptance criterion for SEA: a
 // context cancelled mid-search returns promptly (well under 50ms) with the
-// best candidate found so far and an error wrapping the context's error.
+// best candidate found so far and an error wrapping the context's error,
+// under either model.
 func TestSearchContextCancellation(t *testing.T) {
 	const n = 6000
 	g := ringLattice(t, n, 6)
@@ -384,34 +386,37 @@ func TestSearchContextCancellation(t *testing.T) {
 	for i := 1; i < n; i++ {
 		dist[i] = rng.Float64()
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	type answer struct {
-		res *Result
-		err error
-	}
-	done := make(chan answer, 1)
-	go func() {
-		res, err := SearchWithDistContext(ctx, g, dist, 0, slowOpts())
-		done <- answer{res, err}
-	}()
-	time.Sleep(30 * time.Millisecond) // mid-peeling on this workload
-	cancel()
-	t0 := time.Now()
-	var got answer
-	select {
-	case got = <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled SEA search did not return")
-	}
-	if el, budget := time.Since(t0), cancelBudgetScale*50*time.Millisecond; el > budget {
-		t.Fatalf("cancelled search took %v to return, want < %v", el, budget)
-	}
-	if !errors.Is(got.err, context.Canceled) {
-		t.Fatalf("want error wrapping context.Canceled, got %v", got.err)
-	}
-	if got.res != nil && len(got.res.Community) == 0 {
-		t.Fatal("non-nil interrupted result must carry a community")
+	for _, model := range []Model{KCore, KTruss} {
+		ctx, cancel := context.WithCancel(context.Background())
+		type answer struct {
+			res *Result
+			err error
+		}
+		done := make(chan answer, 1)
+		opts := slowOpts()
+		opts.Model = model
+		go func() {
+			res, err := SearchWithDistContext(ctx, g, dist, 0, opts)
+			done <- answer{res, err}
+		}()
+		time.Sleep(30 * time.Millisecond) // mid-peeling on this workload
+		cancel()
+		t0 := time.Now()
+		var got answer
+		select {
+		case got = <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%v: cancelled SEA search did not return", model)
+		}
+		if el, budget := time.Since(t0), cancelBudgetScale*50*time.Millisecond; el > budget {
+			t.Fatalf("%v: cancelled search took %v to return, want < %v", model, el, budget)
+		}
+		if !errors.Is(got.err, context.Canceled) {
+			t.Fatalf("%v: want error wrapping context.Canceled, got %v", model, got.err)
+		}
+		if got.res != nil && len(got.res.Community) == 0 {
+			t.Fatalf("%v: non-nil interrupted result must carry a community", model)
+		}
 	}
 }
 
@@ -532,5 +537,41 @@ func TestLateRoundsReadWhatTheyDrew(t *testing.T) {
 	if limit := 2 * (res.GqSize + res.SampleSize); g.reads > limit {
 		t.Errorf("%d neighbour lists read for |Gq| = %d, |S| = %d over %d rounds; limit %d",
 			g.reads, res.GqSize, res.SampleSize, len(res.Rounds), limit)
+	}
+}
+
+// TestTrussRoundReadsWhatQReaches is the same gate for the k-truss round. The
+// last round of this search merges q's component of the sample's 4-core, a
+// few dozen nodes until then, into the graph's giant 4-core component of
+// 5 759 nodes, whose truss around q is a few dozen again. Walking that
+// component and indexing all of it reads it three times over (37 786 reads
+// here); the round reads what q reaches over edges closing k−2 triangles.
+func TestTrussRoundReadsWhatQReaches(t *testing.T) {
+	d, err := dataset.Homogeneous("twitch", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = 4414
+	opts := DefaultOptions()
+	opts.K, opts.Model, opts.Seed = 5, KTruss, 1_000_007
+	g := &countingCSR{CSR: d.Graph}
+	s := &seaRun{ctx: context.Background(), g: g, dist: m.QueryDist(q), q: q, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
+	s.w = ws.Get()
+	defer s.w.Release()
+	res, err := s.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads := g.reads
+	if comp := s.core.ComponentInto(nil, q); len(comp) < 5000 {
+		t.Fatalf("q's component of the final sample's 4-core has %d nodes; the case needs the giant one", len(comp))
+	}
+	if limit := 2 * (res.GqSize + res.SampleSize); reads > limit {
+		t.Errorf("%d neighbour lists read for |Gq| = %d, |S| = %d over %d rounds; limit %d",
+			reads, res.GqSize, res.SampleSize, len(res.Rounds), limit)
 	}
 }

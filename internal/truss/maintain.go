@@ -1,6 +1,7 @@
 package truss
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cohesive"
@@ -52,7 +53,7 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 		return nil, fmt.Errorf("truss: query node %d not in member set", q)
 	}
 	// The scratch is the structure's own: it outlives this call.
-	s := build(g, q, k, in, &w.NbrA, new(ws.TrussScratch))
+	s := extract(context.Background(), g, q, k, in, w, new(ws.TrussScratch))
 	if s == nil {
 		return nil, fmt.Errorf("truss: query node %d has no k-truss edge within the member set", q)
 	}
@@ -60,22 +61,19 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 	return s, nil
 }
 
-// build indexes the subgraph of g induced by in (all of g when nil), counts
-// supports once, peels every edge below k−2, and keeps q's component: the
-// index and the surviving alive/support/degree state are the maintainer.
-// Returns nil when no edge of q survives. The universe is q's component in
-// BFS order.
-func build(g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) *Sub {
+// build indexes the subgraph of g induced by nodes (ascending, membership
+// in; nil for all of g) on the cleaned scratch sc, counts supports once,
+// peels every edge below k−2, and keeps q's component: the index and the
+// surviving alive/support/degree state are the maintainer. Returns nil when
+// no edge of q survives. The universe is q's component in BFS order.
+func build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) *Sub {
 	s := &Sub{k: k, q: q, sc: sc}
-	s.ix.build(g, in, nbr, sc)
-	n, m := g.NumNodes(), s.ix.NumEdges()
+	s.ix.build(g, nodes, in, nbr, sc)
 	sc.Sup = s.ix.supportsInto(sc.Sup)
-	sc.Alive = bools(sc.Alive, m, true)
-	sc.Mark = bools(sc.Mark, n, false)
-	sc.NodeDeg = ws.I32(sc.NodeDeg, n)
+	sc.Alive = bools(sc.Alive, s.ix.NumEdges(), true)
 	s.sup, s.edgeAlive, s.mark, s.nodeDeg = sc.Sup, sc.Alive, sc.Mark, sc.NodeDeg
-	for v := range s.nodeDeg {
-		s.nodeDeg[v] = s.ix.off[v+1] - s.ix.off[v]
+	for _, v := range nodes {
+		s.nodeDeg[v] = s.ix.end[v] - s.ix.lo[v]
 		if s.nodeDeg[v] > 0 {
 			s.size++
 		}
@@ -93,9 +91,9 @@ func build(g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, nbr *[]graph.N
 	}
 	sc.Log = sc.Log[:0] // construction is not undoable
 
-	// Keep q's component. What lies outside — typically most of the core:
-	// every other truss in it — is dropped without the support bookkeeping
-	// of killEdge: no triangle joins it to the component, and nothing can
+	// Keep q's component. What lies outside — other trusses among the
+	// indexed nodes — is dropped without the support bookkeeping of
+	// killEdge: no triangle joins it to the component, and nothing can
 	// restore it.
 	comp := s.markQueryComponent()
 	if len(comp) != s.size {
@@ -192,7 +190,7 @@ func (s *Sub) markQueryComponent() []graph.NodeID {
 	s.mark[s.q] = true
 	for i := 0; i < len(comp); i++ {
 		x := comp[i]
-		for p := s.ix.off[x]; p < s.ix.off[x+1]; p++ {
+		for p := s.ix.lo[x]; p < s.ix.end[x]; p++ {
 			if u := s.ix.adj[p]; s.edgeAlive[s.ix.eid[p]] && !s.mark[u] {
 				s.mark[u] = true
 				comp = append(comp, u)
@@ -232,7 +230,7 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 	logStart := int32(len(sc.Log))
 	if s.nodeDeg[v] > 0 {
 		sc.Stack = sc.Stack[:0]
-		for p := s.ix.off[v]; p < s.ix.off[v+1]; p++ {
+		for p := s.ix.lo[v]; p < s.ix.end[v]; p++ {
 			if e := s.ix.eid[p]; s.edgeAlive[e] {
 				s.killEdge(e, &removed, true)
 			}

@@ -10,11 +10,17 @@
 // once per triangle (EdgeIndex.supportsInto), triangles through one edge are
 // listed by one merge (EdgeIndex.triangles), and edges are peeled at a fixed
 // threshold by one work-stack loop (Sub.drain). Extraction for a given k
-// (MaximalSub, MaximalConnectedKTruss, NewSub) never computes trussness;
-// Decompose, the level-by-level peel, is for callers that index it.
+// (MaximalSub, MaximalSubIn, MaximalConnectedKTruss, NewSub) never computes
+// trussness, and it indexes only the nodes q reaches over edges that close
+// at least k−2 triangles among the candidate nodes (reach): q's truss lies
+// among them, so an extraction costs the neighbourhood of that truss, not
+// the core around it, and clears only the previous index's per-node entries.
+// Decompose, the level-by-level peel, is for callers that index all of g.
 package truss
 
 import (
+	"context"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -27,58 +33,72 @@ import (
 // adjacency restricted to each other, so the triangle loops touch neither
 // the backing graph nor non-indexed neighbours. Edge IDs ascend with (U,V).
 type EdgeIndex struct {
-	// Row v is adj[off[v]:off[v+1]], ascending, with the edge ID of each
-	// entry in eid; hi[v] is the position of v's first neighbour above v.
-	// A node outside the index has an empty row.
-	off, hi []int32
-	adj     []graph.NodeID
-	eid     []int32
+	// nodes are the indexed nodes, ascending. Row v is adj[lo[v]:end[v]],
+	// ascending, with the edge ID of each entry in eid; hi[v] is the position
+	// of v's first neighbour above v. A node outside the index has an empty
+	// row.
+	nodes       []graph.NodeID
+	lo, hi, end []int32
+	adj         []graph.NodeID
+	eid         []int32
 	// U, V are the endpoints of each edge, U[i] < V[i].
 	U, V []graph.NodeID
 }
 
 // NewEdgeIndex builds the edge index of all of g.
 func NewEdgeIndex(g graph.CSR) *EdgeIndex {
+	sc := new(ws.TrussScratch)
+	clean(sc, g.NumNodes())
+	for v := range g.NumNodes() {
+		sc.Nodes = append(sc.Nodes, graph.NodeID(v))
+	}
 	ix := new(EdgeIndex)
 	var nbr []graph.NodeID
-	ix.build(g, nil, &nbr, new(ws.TrussScratch))
+	ix.build(g, sc.Nodes, nil, &nbr, sc)
 	return ix
 }
 
-// build indexes the subgraph of g induced by in (all of g when in is nil)
-// into sc's arrays. Two passes over the indexed rows: one to size them, one
-// that copies neighbours and numbers each edge at its lower endpoint u,
-// writing the ID into v's row at a per-row cursor — rows are visited in
-// ascending u, so v's lower neighbours arrive in row order.
-func (ix *EdgeIndex) build(g graph.CSR, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) {
-	n := g.NumNodes()
-	off := ws.I32(sc.Off, n+1)
-	off[0] = 0
-	for v := 0; v < n; v++ {
-		d := 0
-		switch {
-		case in == nil:
-			d = g.Degree(graph.NodeID(v))
-		case in.Has(graph.NodeID(v)):
-			for _, u := range g.NeighborsInto(nbr, graph.NodeID(v)) {
-				if in.Has(u) {
-					d++
-				}
+// clean sizes sc's per-node arrays to a graph of n nodes with every entry
+// zero and empties its node list. Only the nodes the previous index on sc
+// held can have a non-zero entry (marks are cleared by whoever sets them),
+// so only theirs are cleared: an extraction costs its own nodes, not |V|.
+func clean(sc *ws.TrussScratch, n int) {
+	if len(sc.Lo) < n {
+		sc.Lo, sc.Hi, sc.End, sc.NodeDeg = make([]int32, n), make([]int32, n), make([]int32, n), make([]int32, n)
+		sc.Mark = make([]bool, n)
+	} else {
+		for _, v := range sc.Nodes {
+			sc.Lo[v], sc.Hi[v], sc.End[v], sc.NodeDeg[v] = 0, 0, 0, 0
+		}
+	}
+	sc.Nodes = sc.Nodes[:0]
+}
+
+// build indexes the subgraph of g induced by nodes, which ascend and whose
+// membership is in (nil when nodes is all of g), into sc's arrays, cleaned
+// beforehand. Two passes over the indexed rows: one to size them, one that
+// copies neighbours and numbers each edge at its lower endpoint u, writing
+// the ID into v's row at v's hi cursor — rows are visited in ascending u, so
+// v's lower neighbours arrive in row order.
+func (ix *EdgeIndex) build(g graph.CSR, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) {
+	lo, hi, end := sc.Lo, sc.Hi, sc.End
+	arcs := int32(0)
+	for _, v := range nodes {
+		lo[v], hi[v] = arcs, arcs
+		if in == nil {
+			arcs += int32(g.Degree(v))
+		} else {
+			for _, u := range g.NeighborsInto(nbr, v) {
+				arcs += b2i(in.Has(u))
 			}
 		}
-		off[v+1] = off[v] + int32(d)
+		end[v] = arcs
 	}
-	arcs := int(off[n])
-	adj, eid := ws.I32(sc.Adj, arcs), ws.I32(sc.Eid, arcs)
-	us, vs := ws.I32(sc.U, arcs/2), ws.I32(sc.V, arcs/2)
-	cur := ws.I32(sc.Hi, n) // next unfilled position of each row's lower half
-	copy(cur, off[:n])
+	adj, eid := ws.I32(sc.Adj, int(arcs)), ws.I32(sc.Eid, int(arcs))
+	us, vs := ws.I32(sc.U, int(arcs/2)), ws.I32(sc.V, int(arcs/2))
 	next := int32(0)
-	for u := graph.NodeID(0); int(u) < n; u++ {
-		if off[u] == off[u+1] {
-			continue
-		}
-		p := off[u]
+	for _, u := range nodes {
+		p := lo[u]
 		for _, v := range g.NeighborsInto(nbr, u) {
 			if in != nil && !in.Has(v) {
 				continue
@@ -87,15 +107,15 @@ func (ix *EdgeIndex) build(g graph.CSR, in *graph.NodeSet, nbr *[]graph.NodeID, 
 			if v > u {
 				us[next], vs[next] = u, v
 				eid[p] = next
-				eid[cur[v]] = next
-				cur[v]++
+				eid[hi[v]] = next
+				hi[v]++
 				next++
 			}
 			p++
 		}
 	}
-	sc.Off, sc.Hi, sc.Adj, sc.Eid, sc.U, sc.V = off, cur, adj, eid, us, vs
-	*ix = EdgeIndex{off: off, hi: cur, adj: adj, eid: eid, U: us, V: vs}
+	sc.Adj, sc.Eid, sc.U, sc.V = adj, eid, us, vs
+	*ix = EdgeIndex{nodes: nodes, lo: lo, hi: hi, end: end, adj: adj, eid: eid, U: us, V: vs}
 }
 
 // NumEdges returns the number of undirected edges.
@@ -103,8 +123,8 @@ func (ix *EdgeIndex) NumEdges() int { return len(ix.U) }
 
 // EdgeID returns the edge ID of (u,v) and whether the edge is indexed.
 func (ix *EdgeIndex) EdgeID(u, v graph.NodeID) (int32, bool) {
-	lo := int(ix.off[u])
-	ns := ix.adj[lo:ix.off[u+1]]
+	lo := int(ix.lo[u])
+	ns := ix.adj[lo:ix.end[u]]
 	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
 	if i >= len(ns) || ns[i] != v {
 		return 0, false
@@ -122,11 +142,11 @@ func (ix *EdgeIndex) supportsInto(sup []int32) []int32 {
 	sup = ws.I32(sup, ix.NumEdges())
 	clear(sup)
 	adj, eid := ix.adj, ix.eid
-	for u := range ix.hi {
-		endU := ix.off[u+1]
+	for _, u := range ix.nodes {
+		endU := ix.end[u]
 		for p := ix.hi[u]; p < endU; p++ {
 			v, e := adj[p], eid[p]
-			i, j, endV := p+1, ix.hi[v], ix.off[v+1]
+			i, j, endV := p+1, ix.hi[v], ix.end[v]
 			for i < endU && j < endV {
 				a, b := adj[i], adj[j]
 				if a == b {
@@ -146,8 +166,8 @@ func (ix *EdgeIndex) supportsInto(sup []int32) []int32 {
 // whose edges e1 = (u,w) and e2 = (v,w) are both alive, the pair e1, e2.
 func (ix *EdgeIndex) triangles(dst []int32, e int32, alive []bool) []int32 {
 	u, v := ix.U[e], ix.V[e]
-	nu, eu := ix.adj[ix.off[u]:ix.off[u+1]], ix.eid[ix.off[u]:ix.off[u+1]]
-	nv, ev := ix.adj[ix.off[v]:ix.off[v+1]], ix.eid[ix.off[v]:ix.off[v+1]]
+	nu, eu := ix.adj[ix.lo[u]:ix.end[u]], ix.eid[ix.lo[u]:ix.end[u]]
+	nv, ev := ix.adj[ix.lo[v]:ix.end[v]], ix.eid[ix.lo[v]:ix.end[v]]
 	i, j := 0, 0
 	for i < len(nu) && j < len(nv) {
 		a, b := nu[i], nv[j]
@@ -232,29 +252,99 @@ func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 // members come in BFS order from q over the truss's edges.
 //
 // Every node of a k-truss has k−1 neighbours inside it, so the truss lies
-// within q's connected (k−1)-core: the O(m) core peel runs first, answers
-// "none" before any triangle is looked at when q is not in that core, and
-// otherwise leaves only the core's component to index, count and peel. All
-// storage is w's (w.Truss, plus the core peel's scratch): the returned Sub
-// is valid until the next k-truss extraction on w or w's release.
+// within q's connected (k−1)-core: the O(m) core peel runs first and answers
+// "none" before any triangle is looked at when q is not in that core;
+// MaximalSubIn does the rest. All storage is w's (w.Truss, plus the core
+// peel's scratch): the returned Sub is valid until the next k-truss
+// extraction on w or w's release.
 func MaximalSub(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) *Sub {
 	core := kcore.MaximalConnectedKCoreInto(w.Nodes[:0], g, q, k-1, w)
 	if core == nil {
 		return nil
 	}
 	w.Nodes = core[:0]
-	return MaximalSubIn(g, q, k, core, w)
-}
-
-// MaximalSubIn is MaximalSub for a caller that already holds q's connected
-// (k−1)-core, or any node set of g that contains q and its k-truss: only the
-// subgraph in induces is indexed, counted and peeled.
-func MaximalSubIn(g graph.CSR, q graph.NodeID, k int, in []graph.NodeID, w *ws.Workspace) *Sub {
 	w.Member.Reset(g.NumNodes())
-	for _, v := range in {
+	for _, v := range core {
 		w.Member.Add(v)
 	}
-	return build(g, q, k, &w.Member, &w.NbrA, &w.Truss)
+	return MaximalSubIn(context.Background(), g, q, k, &w.Member, w)
+}
+
+// MaximalSubIn is MaximalSub for a caller that holds a node set in of g that
+// contains q's k-truss — the (k−1)-core of g or of a sample of it, for one.
+// It indexes, counts and peels only what q reaches over edges that close at
+// least k−2 triangles in G[in] (reach), not all of G[in]: on a SEA round that
+// merges q into a core component of thousands of nodes, that is the few
+// dozen around q. The answer is the one a build over all of G[in] gives: q's
+// truss T lies in G[R] for the reached set R, so T is within the k-truss of
+// G[R], which in turn lies within the k-truss of G[in], whose q-component is
+// T. Edge IDs ascend with (U,V) either way, so the member order, the supports
+// and every removal sequence of the maintainer are the same too. Storage is
+// as for MaximalSub; w.Visited holds R afterwards. A cancelled ctx ends the
+// reach between blocks of nodes with a nil result.
+func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
+	return extract(ctx, g, q, k, in, w, &w.Truss)
+}
+
+// extract is MaximalSubIn on the scratch sc, with w's sets and neighbour
+// buffers as temporaries only.
+func extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) *Sub {
+	clean(sc, g.NumNodes())
+	if !in.Has(q) {
+		return nil
+	}
+	nodes := reach(ctx, g, q, k, in, w, sc)
+	if nodes == nil {
+		return nil
+	}
+	slices.Sort(nodes)
+	return build(g, q, k, nodes, &w.Visited, &w.NbrA, sc)
+}
+
+// reach returns in sc.Nodes, and marks in w.Visited, the nodes of q's
+// component over the edges of G[in] that close at least k−2 triangles in
+// G[in]: for each node x reached it marks x's neighbours in in, and takes an
+// edge (x,y) to a node y not reached yet when k−2 of y's neighbours are
+// marked. Every edge of q's truss closes k−2 triangles inside the truss,
+// hence in G[in], and the truss is connected, so every one of its nodes is
+// reached. Returns nil when ctx is cancelled.
+func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
+	need, mark, seen := int32(k-2), sc.Mark, &w.Visited
+	seen.Reset(g.NumNodes())
+	seen.Add(q)
+	nodes := append(sc.Nodes[:0], q)
+	for i := 0; i < len(nodes); i++ {
+		if i&255 == 255 && ctx.Err() != nil {
+			sc.Nodes = nodes[:0]
+			return nil
+		}
+		nx := g.NeighborsInto(&w.NbrA, nodes[i])
+		for _, y := range nx {
+			mark[y] = in.Has(y)
+		}
+		for _, y := range nx {
+			if !mark[y] || seen.Has(y) {
+				continue
+			}
+			c := int32(0)
+			if need > 0 {
+				for _, z := range g.NeighborsInto(&w.NbrB, y) {
+					if c += b2i(mark[z]); c == need {
+						break
+					}
+				}
+			}
+			if c >= need {
+				seen.Add(y)
+				nodes = append(nodes, y)
+			}
+		}
+		for _, y := range nx {
+			mark[y] = false
+		}
+	}
+	sc.Nodes = nodes
+	return nodes
 }
 
 // MaximalConnectedKTruss returns the node set of the maximal connected

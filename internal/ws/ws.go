@@ -119,18 +119,21 @@ type KCoreScratch struct {
 // maintainer built from it (truss.Sub): the edge index over the indexed
 // nodes, the per-edge peel state, and the maintainer's stack and rollback
 // logs. Like graph.SubScratch, one scratch backs one live structure at a
-// time — the next extraction on it overwrites the previous maintainer. The
-// zero value is ready to use; package truss owns the layout.
+// time — the next extraction on it overwrites the previous maintainer, and
+// clears the per-node entries of the previous one's indexed nodes, not of
+// the whole graph. The zero value is ready to use; package truss owns the
+// layout.
 type TrussScratch struct {
-	Off, Hi []int32        // per node: row start (n+1 entries), first higher-neighbour position
-	Adj     []graph.NodeID // indexed neighbours, row by row, ascending
-	Eid     []int32        // edge ID of each Adj entry
-	U, V    []graph.NodeID // endpoints per edge, U < V
+	Nodes       []graph.NodeID // the indexed nodes, ascending
+	Lo, Hi, End []int32        // per node: row start, first higher-neighbour position, row end
+	Adj         []graph.NodeID // indexed neighbours, row by row, ascending
+	Eid         []int32        // edge ID of each Adj entry
+	U, V        []graph.NodeID // endpoints per edge, U < V
 
 	Sup     []int32 // per edge: triangles among alive edges
 	Alive   []bool  // per edge
 	NodeDeg []int32 // per node: alive incident edges
-	Mark    []bool  // per node: component marks, all false between calls
+	Mark    []bool  // per node: neighbour and component marks, all false between calls
 
 	Universe []graph.NodeID // the maintainer's member order
 	Stack    []int32        // peel work stack of edge IDs
