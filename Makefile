@@ -1,4 +1,5 @@
-# Targets mirror .github/workflows/ci.yml so local runs match CI exactly.
+# Every check is spelled once, here: both jobs of .github/workflows/ci.yml
+# run `make <target>`, so local runs match CI exactly.
 
 GO ?= go
 

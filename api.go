@@ -220,9 +220,9 @@ func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 
 // NewEngine builds a serving engine over g — a *Graph or any other
 // GraphStore backing, most importantly a zero-copy mapped or compressed
-// snapshot — precomputing the shared per-graph state (attribute metric, core
-// decomposition; the truss index is built lazily unless cfg.EagerTruss is
-// set).
+// snapshot — precomputing the shared per-graph state: the attribute metric
+// and the core and truss decompositions, both admission indexes whole before
+// the first request.
 func NewEngine(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
 
 // NewHTTPHandler returns the JSON serving surface of an Engine: /search
@@ -299,7 +299,8 @@ func OpenGraphFile(path string) (*Snapshot, error) { return store.OpenGraphFile(
 
 // NewEngineFromSnapshot builds an Engine directly from a reopened snapshot,
 // skipping the construction-time metric scan and core/truss decompositions
-// when the snapshot carries an index.
+// when the snapshot carries an index (a legacy index without the truss
+// section pays the truss decomposition).
 func NewEngineFromSnapshot(snap *Snapshot, cfg EngineConfig) (*Engine, error) {
 	return engine.NewFromSnapshot(snap, cfg)
 }
@@ -312,9 +313,7 @@ func NewEngineFromSnapshot(snap *Snapshot, cfg EngineConfig) (*Engine, error) {
 // depend on the balance factor, which is chosen at serving time. (The Opts
 // suffix is historical; the frozen benchmark module calls it by this name.)
 func PackSnapshotFileOpts(g *Graph, path string, opt PackOptions) (int64, error) {
-	cfg := DefaultEngineConfig()
-	cfg.EagerTruss = true
-	eng, err := NewEngine(g, cfg)
+	eng, err := NewEngine(g, DefaultEngineConfig())
 	if err != nil {
 		return 0, err
 	}

@@ -293,9 +293,7 @@ func runPack(args []string) error {
 		}
 		if snap.Index != nil {
 			// Repacking a snapshot reuses its index instead of rebuilding.
-			cfg := sealib.DefaultEngineConfig()
-			cfg.EagerTruss = true
-			eng, err := sealib.NewEngineFromSnapshot(snap, cfg)
+			eng, err := sealib.NewEngineFromSnapshot(snap, sealib.DefaultEngineConfig())
 			if err != nil {
 				return err
 			}

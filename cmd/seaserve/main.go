@@ -91,7 +91,6 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", 0, "max cache-miss computations admitted per dataset before shedding with 429 (0 = no shedding)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline (0 = none)")
 		drain        = flag.Duration("drain", 10*time.Second, "shutdown drain timeout for in-flight queries")
-		eagerTruss   = flag.Bool("eager-truss", false, "build the truss index at startup when absent from the source")
 		mmap         = flag.Bool("mmap", true, "serve aligned snapshots zero-copy from a read-only memory mapping")
 		follow       = flag.String("follow", "", "run as a read-only follower replicating from this primary URL")
 		replicaDir   = flag.String("replica-dir", "", "directory for follower replica snapshots and journals (default: a temp dir)")
@@ -124,13 +123,8 @@ func main() {
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxInFlight = *maxInFlight
 	cfg.RequestTimeout = *timeout
-	cfg.EagerTruss = *eagerTruss
 	cfg.SlowQuery = *slowQuery
-	if *traceRing < 0 {
-		cfg.TraceOff = true
-	} else {
-		cfg.TraceRing = *traceRing
-	}
+	cfg.TraceRing = *traceRing
 
 	t0 := time.Now()
 	cat := sealib.NewCatalog()

@@ -63,7 +63,8 @@
 // For serving many queries over one fixed graph, NewEngine builds a
 // long-lived, concurrency-safe engine that amortizes the per-call cost of
 // Execute: the attribute metric and the core/truss decompositions are
-// precomputed once and shared (the decompositions double as an admission
+// computed (or adopted from a snapshot) once, at construction, maintained by
+// every mutation, and shared (the decompositions double as an admission
 // index that proves the absence of a community for any method without
 // searching), full Outcomes are held in a sharded LRU cache keyed by the
 // canonical Request, and concurrent identical requests are coalesced so the

@@ -46,7 +46,7 @@ func interrupted(ctx context.Context, name string, best []graph.NodeID) ([]graph
 // decreasing selectivity, greedily growing the shared set while a qualifying
 // community survives, per the ACQ algorithm's core idea.
 func ACQ(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
-	base := maximalMembers(g, q, k, model)
+	base := MaximalMembers(g, q, k, model)
 	if base == nil {
 		return nil, ErrNoCommunity
 	}
@@ -109,7 +109,7 @@ func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model sea.Model, a
 	if subQ < 0 {
 		return nil
 	}
-	members := maximalMembers(sub, subQ, k, model)
+	members := MaximalMembers(sub, subQ, k, model)
 	if members == nil {
 		return nil
 	}
@@ -134,7 +134,10 @@ func hasAll(have, want []int32) bool {
 	return true
 }
 
-func maximalMembers(g graph.Store, q graph.NodeID, k int, model sea.Model) []graph.NodeID {
+// MaximalMembers returns the members of q's maximal connected k-core or
+// k-truss (per model), or nil when q has none: the structural baseline, and
+// the start of every peeling baseline.
+func MaximalMembers(g graph.Store, q graph.NodeID, k int, model sea.Model) []graph.NodeID {
 	if model == sea.KTruss {
 		return truss.MaximalConnectedKTruss(g, q, k)
 	}

@@ -5,11 +5,11 @@
 // across queries:
 //
 //   - the attribute Metric (min/max normalizer scan) is built at construction;
-//   - the core decomposition is built at construction and the truss-level
-//     decomposition on first k-truss query, and both serve as a shared
-//     admission index: a query node whose coreness (or incident trussness)
-//     is below k provably has no community, so the engine answers
-//     ErrNoCommunity without running a search — for every method;
+//   - the core and truss-level decompositions are built (or adopted from a
+//     snapshot) at construction, and both serve as a shared admission
+//     index: a query node whose coreness (or incident trussness) is below k
+//     provably has no community, so the engine answers ErrNoCommunity
+//     without running a search — for every method;
 //   - full Outcomes are held in a sharded LRU cache, keyed by the canonical
 //     query.Request;
 //   - concurrent identical queries are coalesced single-flight style, so the
@@ -51,12 +51,10 @@ import (
 	"repro/internal/cserr"
 	"repro/internal/faults"
 	"repro/internal/graph"
-	"repro/internal/kcore"
 	"repro/internal/mutate"
 	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/sea"
-	"repro/internal/truss"
 )
 
 // ErrQueryOutOfRange is returned (wrapped) when the query node ID is not a
@@ -92,15 +90,10 @@ type Config struct {
 	// each Batch item) that does not already carry an earlier deadline. The
 	// deadline cancels the underlying search, not just the wait.
 	RequestTimeout time.Duration
-	// EagerTruss also builds the truss-level index at construction instead
-	// of on the first k-truss query.
-	EagerTruss bool
 	// TraceRing is the request-trace ring capacity (spans kept for
-	// GET /debug/trace). ≤0 selects the default (256); set TraceOff to
-	// disable tracing entirely.
+	// GET /debug/trace). 0 selects the default (256); a negative value
+	// disables the span ring (histograms still record).
 	TraceRing int
-	// TraceOff disables the span ring (histograms still record).
-	TraceOff bool
 	// SlowQuery, when positive, logs one structured JSON line (to
 	// SlowQueryLog, default stderr) for every request whose total latency
 	// meets or exceeds it.
@@ -145,50 +138,13 @@ type searchOutcome struct {
 // shared structure derived from it, published as one unit through an atomic
 // pointer so a request never mixes two generations. Apply builds a new
 // engState per mutation batch; the old one keeps serving in-flight requests.
+// Every field is set before the state is published and never written after.
 type engState struct {
 	g       graph.Store
 	metric  *attr.Metric
 	core    []int32 // coreness per node
+	truss   []int32 // node trussness: max trussness over incident edges
 	version uint64  // increments once per applied mutation batch
-
-	trussOnce sync.Once
-	truss     atomic.Pointer[[]int32] // node trussness; nil until built
-}
-
-// nodeTruss lazily builds (or returns) the truss-level index: for each node
-// the maximum trussness over its incident edges.
-func (st *engState) nodeTruss() []int32 {
-	st.trussOnce.Do(func() {
-		ix, tr := truss.Decompose(st.g)
-		nt := make([]int32, st.g.NumNodes())
-		for eid := range tr {
-			if t := tr[eid]; t > 0 {
-				if u := ix.U[eid]; t > nt[u] {
-					nt[u] = t
-				}
-				if v := ix.V[eid]; t > nt[v] {
-					nt[v] = t
-				}
-			}
-		}
-		st.truss.Store(&nt)
-	})
-	return *st.truss.Load()
-}
-
-// trussPeek returns the node-truss index if it has been built, else nil,
-// without triggering the build. Safe against a concurrent first build.
-func (st *engState) trussPeek() []int32 {
-	if p := st.truss.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// adoptTruss installs a precomputed node-truss index (snapshot reopen,
-// incremental maintenance). Must be called before the state is published.
-func (st *engState) adoptTruss(nt []int32) {
-	st.trussOnce.Do(func() { st.truss.Store(&nt) })
 }
 
 // Engine is a concurrency-safe query-serving layer over one live graph.
@@ -212,8 +168,8 @@ type Engine struct {
 	pubMu sync.RWMutex
 
 	// mu serializes mutation batches; etruss is the per-edge trussness
-	// table maintained incrementally under it (nil until the node-truss
-	// index exists and a first mutation seeds it).
+	// table maintained incrementally under it (nil until the first mutation
+	// seeds it).
 	mu     sync.Mutex
 	etruss map[mutate.Edge]int32
 
@@ -244,30 +200,14 @@ type flightKey struct {
 
 // New builds an Engine over g — any immutable graph.Store backing: a heap
 // CSR, a zero-copy mapped snapshot, a compressed adjacency — precomputing
-// the attribute metric and the core decomposition. The engine serves g until
-// a mutation batch replaces it; the backing itself is never written.
-func New(g graph.Store, cfg Config) (*Engine, error) {
-	if g == nil {
-		return nil, cserr.Invalidf("engine: nil graph")
-	}
-	m, err := attr.NewMetric(g, cfg.Gamma)
-	if err != nil {
-		return nil, err
-	}
-	e, err := newEngine(g, cfg, m, kcore.Decompose(g))
-	if err != nil {
-		return nil, err
-	}
-	if cfg.EagerTruss {
-		e.st.Load().nodeTruss()
-	}
-	return e, nil
-}
+// the attribute metric and the core and truss decompositions. The engine
+// serves g until a mutation batch replaces it; the backing itself is never
+// written.
+func New(g graph.Store, cfg Config) (*Engine, error) { return NewFromIndex(g, cfg, nil) }
 
-// newEngine applies config defaults and assembles the result cache around a
-// metric and core index the caller supplies — computed fresh by New,
-// reopened without recomputation by NewFromIndex.
-func newEngine(g graph.Store, cfg Config, m *attr.Metric, core []int32) (*Engine, error) {
+// newEngine applies config defaults and assembles the result cache around
+// the complete serving state NewFromIndex built or adopted.
+func newEngine(cfg Config, st *engState) *Engine {
 	def := DefaultConfig()
 	if cfg.ResultCacheSize <= 0 {
 		cfg.ResultCacheSize = def.ResultCacheSize
@@ -281,20 +221,20 @@ func newEngine(g graph.Store, cfg Config, m *attr.Metric, core []int32) (*Engine
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.TraceRing <= 0 {
+	if cfg.TraceRing == 0 {
 		cfg.TraceRing = 256
 	}
 	e := &Engine{
 		cfg: cfg,
 		sem: make(chan struct{}, cfg.MaxConcurrent),
 	}
-	if !cfg.TraceOff {
+	if cfg.TraceRing > 0 {
 		e.trace = obs.NewRing[Span](cfg.TraceRing)
 	}
-	e.st.Store(&engState{g: g, metric: m, core: core})
+	e.st.Store(st)
 	e.results = newShardedLRU[query.Request, *query.Outcome](
 		cfg.ResultCacheSize, cfg.CacheShards, requestHash)
-	return e, nil
+	return e
 }
 
 // Graph returns the graph backing the engine currently serves. Across a
@@ -487,7 +427,7 @@ func (e *Engine) fill(st *engState, req query.Request, res *query.Outcome) {
 func admit(st *engState, q graph.NodeID, k int, model sea.Model) bool {
 	switch model {
 	case sea.KTruss:
-		return int(st.nodeTruss()[q]) >= k
+		return int(st.truss[q]) >= k
 	default:
 		return int(st.core[q]) >= k
 	}

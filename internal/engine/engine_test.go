@@ -235,7 +235,7 @@ func TestEngineIndexReject(t *testing.T) {
 	// Same for the truss-level index.
 	treq := req
 	treq.Model = sea.KTruss
-	treq.K = int(e.st.Load().nodeTruss()[q]) + 1
+	treq.K = int(e.st.Load().truss[q]) + 1
 	_, qm, err = e.QueryWithMetrics(ctx, treq)
 	if !errors.Is(err, sea.ErrNoCommunity) || !qm.IndexHit {
 		t.Fatalf("truss reject: err=%v metrics=%+v", err, qm)

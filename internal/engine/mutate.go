@@ -153,12 +153,9 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 		return nil, outs, firstGroupErr(outs, nil)
 	}
 
-	// Seed the per-edge trussness table the first time a mutation arrives
-	// after the node-truss index exists; from then on it is maintained
-	// incrementally. While the node index has never been built (no k-truss
-	// query yet), maintenance is skipped and the new state rebuilds lazily.
-	oldTruss := old.trussPeek()
-	if oldTruss != nil && e.etruss == nil {
+	// Seed the per-edge trussness table the first time a mutation arrives;
+	// from then on it is maintained incrementally.
+	if e.etruss == nil {
 		e.etruss = edgeTrussTable(old.g)
 	}
 
@@ -192,10 +189,7 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 		sess.Rollback()
 		return nil, outs, err
 	}
-	st := &engState{g: newG, metric: m, core: sess.Core(), version: old.version + 1}
-	if nt := sess.NodeTruss(oldTruss); nt != nil {
-		st.adoptTruss(nt)
-	}
+	st := &engState{g: newG, metric: m, core: sess.Core(), truss: sess.NodeTruss(old.truss), version: old.version + 1}
 	applyNS := time.Since(tApply).Nanoseconds()
 
 	// Publish. Fence: the write-locked bump waits out in-flight cache fills
@@ -273,7 +267,6 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 	touched = append(touched, attrNodes...)
 	sw.touched = len(touched)
 	oldN, newN := old.g.NumNodes(), new.g.NumNodes()
-	oldTruss, newTruss := old.trussPeek(), new.trussPeek()
 
 	// expandRegion grows region from the touched set over the union of old
 	// and new adjacencies, entering a node only when level(v) ≥ k and
@@ -310,23 +303,18 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 		}
 		return region
 	}
-	coreLevel := func(v graph.NodeID) int32 {
-		l := new.core[v]
-		if int(v) < oldN && old.core[v] > l {
-			l = old.core[v]
+	// levelOf is max(old, new) of one admission index; v may be a node the
+	// batch appended (no old value).
+	levelOf := func(oldIdx, newIdx []int32) func(graph.NodeID) int32 {
+		return func(v graph.NodeID) int32 {
+			l := newIdx[v]
+			if int(v) < oldN && oldIdx[v] > l {
+				l = oldIdx[v]
+			}
+			return l
 		}
-		return l
 	}
-	trussLevel := func(v graph.NodeID) int32 {
-		var l int32
-		if int(v) < len(newTruss) {
-			l = newTruss[v]
-		}
-		if int(v) < len(oldTruss) && oldTruss[v] > l {
-			l = oldTruss[v]
-		}
-		return l
-	}
+	coreLevel, trussLevel := levelOf(old.core, new.core), levelOf(old.truss, new.truss)
 
 	type regionKey struct {
 		model sea.Model
@@ -348,13 +336,6 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 	}
 
 	sw.results = e.results.sweep(func(req query.Request, _ *query.Outcome) bool {
-		if req.Model == sea.KTruss && (oldTruss == nil || newTruss == nil) {
-			// No truss index on one side means no scoped region can be
-			// proven for the entry; drop it conservatively. (Reachable only
-			// when k-truss results were cached against an index a reload
-			// discarded — a mutation itself never unbuilds the index.)
-			return true
-		}
 		return regionFor(req.Model, req.K)[req.Query]
 	})
 

@@ -260,7 +260,6 @@ func TestApplyEquivalentToRebuild(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	cfg.EagerTruss = true
 	live, err := New(b.MustBuild(), cfg)
 	if err != nil {
 		t.Fatal(err)

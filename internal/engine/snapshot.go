@@ -12,17 +12,18 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cserr"
 	"repro/internal/graph"
+	"repro/internal/kcore"
 	"repro/internal/store"
+	"repro/internal/truss"
 )
 
-// exportIndex flattens one state generation into a store.Index, building
-// the truss-level index first if it was not already so snapshots always
-// carry the complete admission state.
+// exportIndex flattens one state generation into a store.Index: the
+// complete admission state and the metric's normalization table.
 func exportIndex(st *engState) *store.Index {
 	min, max := st.metric.Normalizer().Bounds()
 	return &store.Index{
 		Coreness:  st.core,
-		NodeTruss: st.nodeTruss(),
+		NodeTruss: st.truss,
 		NormMin:   min,
 		NormMax:   max,
 	}
@@ -62,7 +63,8 @@ func (e *Engine) WriteSnapshotFile(path string, opt store.PackOptions) (int64, e
 
 // NewFromSnapshot builds an Engine directly from a reopened snapshot: the
 // graph is adopted as-is and the index section (when present) replaces the
-// construction-time core decomposition, metric scan and truss build.
+// construction-time core decomposition, metric scan and (when it carries
+// one) the truss build.
 func NewFromSnapshot(snap *store.Snapshot, cfg Config) (*Engine, error) {
 	if snap == nil {
 		return nil, cserr.Invalidf("engine: nil snapshot")
@@ -74,42 +76,72 @@ func NewFromSnapshot(snap *store.Snapshot, cfg Config) (*Engine, error) {
 	return NewFromIndex(g, cfg, snap.Index)
 }
 
-// NewFromIndex is New with a precomputed index. idx may be nil, which is
-// plain New; otherwise its arrays are validated against the graph shape and
-// adopted (not copied — the caller must not modify them). g may be any
-// graph.Store backing, most importantly a zero-copy mapped snapshot.
+// NewFromIndex is the one construction path: it builds the engine's
+// complete per-graph state, adopting what idx carries and computing what it
+// lacks. With idx nil it scans the attribute metric and decomposes g into
+// cores and trusses; otherwise idx's arrays are validated against the graph
+// shape and adopted (not copied — the caller must not modify them), and only
+// a missing NodeTruss (a snapshot written before the truss index was always
+// packed) is computed. g may be any graph.Store backing, most importantly a
+// zero-copy mapped snapshot.
 func NewFromIndex(g graph.Store, cfg Config, idx *store.Index) (*Engine, error) {
-	if idx == nil {
-		return New(g, cfg)
-	}
 	if g == nil {
 		return nil, cserr.Invalidf("engine: nil graph")
 	}
+	st := &engState{g: g}
+	if idx == nil {
+		m, err := attr.NewMetric(g, cfg.Gamma)
+		if err != nil {
+			return nil, err
+		}
+		st.metric, st.core = m, kcore.Decompose(g)
+	} else if err := adoptIndex(st, cfg, idx); err != nil {
+		return nil, err
+	}
+	if st.truss == nil {
+		st.truss = nodeTruss(g)
+	}
+	return newEngine(cfg, st), nil
+}
+
+// adoptIndex validates idx against st.g and installs its arrays and
+// normalization table in st.
+func adoptIndex(st *engState, cfg Config, idx *store.Index) error {
+	g := st.g
 	if len(idx.Coreness) != g.NumNodes() {
-		return nil, cserr.Invalidf("engine: index coreness length %d, graph has %d nodes",
+		return cserr.Invalidf("engine: index coreness length %d, graph has %d nodes",
 			len(idx.Coreness), g.NumNodes())
 	}
 	if idx.NodeTruss != nil && len(idx.NodeTruss) != g.NumNodes() {
-		return nil, cserr.Invalidf("engine: index truss length %d, graph has %d nodes",
+		return cserr.Invalidf("engine: index truss length %d, graph has %d nodes",
 			len(idx.NodeTruss), g.NumNodes())
 	}
 	nz, err := attr.NewNormalizerFromBounds(idx.NormMin, idx.NormMax)
 	if err != nil {
-		return nil, cserr.Invalidf("engine: %v", err)
+		return cserr.Invalidf("engine: %v", err)
 	}
 	m, err := attr.NewMetricWithNormalizer(g, cfg.Gamma, nz)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e, err := newEngine(g, cfg, m, idx.Coreness)
-	if err != nil {
-		return nil, err
+	st.metric, st.core, st.truss = m, idx.Coreness, idx.NodeTruss
+	return nil
+}
+
+// nodeTruss runs one full truss decomposition of g and projects it onto
+// nodes: each node's maximum trussness over its incident edges.
+func nodeTruss(g graph.CSR) []int32 {
+	ix, tr := truss.Decompose(g)
+	nt := make([]int32, g.NumNodes())
+	for eid, t := range tr {
+		if t > 0 {
+			if u := ix.U[eid]; t > nt[u] {
+				nt[u] = t
+			}
+			if v := ix.V[eid]; t > nt[v] {
+				nt[v] = t
+			}
+		}
 	}
-	if idx.NodeTruss != nil {
-		e.st.Load().adoptTruss(idx.NodeTruss)
-	}
-	if cfg.EagerTruss {
-		e.st.Load().nodeTruss()
-	}
-	return e, nil
+	return nt
 }

@@ -96,7 +96,7 @@ func TestTraceRingCapturesSpans(t *testing.T) {
 
 func TestTraceRingDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.TraceOff = true
+	cfg.TraceRing = -1
 	e, _, q := testEngine(t, cfg)
 	req := query.DefaultRequest(q)
 	req.K = 6

@@ -10,24 +10,19 @@ import "repro/internal/graph"
 // over the overlay and resolve it with a cascading eviction, never touching
 // the rest of the graph.
 
-// coreInsert updates the coreness copy for the already-applied edge (u,v):
-// the subcore candidates that can sustain degree r+1 within the candidate
-// set (counting neighbors of higher coreness) are promoted to r+1.
-func (s *Session) coreInsert(u, v graph.NodeID) {
+// subcore returns r = min(core(u), core(v)) and the endpoints' subcore: the
+// coreness-r nodes reachable from the coreness-r endpoint(s) through
+// coreness-r nodes, in BFS order (queue) and as a membership set (cand).
+func (s *Session) subcore(u, v graph.NodeID) (int32, []graph.NodeID, map[graph.NodeID]bool) {
 	core := s.core
-	r := core[u]
-	if core[v] < r {
-		r = core[v]
-	}
+	r := min(core[u], core[v])
 	var queue []graph.NodeID
 	cand := make(map[graph.NodeID]bool)
-	if core[u] == r {
-		cand[u] = true
-		queue = append(queue, u)
-	}
-	if core[v] == r && !cand[v] {
-		cand[v] = true
-		queue = append(queue, v)
+	for _, x := range [2]graph.NodeID{u, v} {
+		if core[x] == r && !cand[x] {
+			cand[x] = true
+			queue = append(queue, x)
+		}
 	}
 	for i := 0; i < len(queue); i++ {
 		s.nbuf = s.ov.AppendNeighbors(s.nbuf[:0], queue[i])
@@ -38,6 +33,15 @@ func (s *Session) coreInsert(u, v graph.NodeID) {
 			}
 		}
 	}
+	return r, queue, cand
+}
+
+// coreInsert updates the coreness copy for the already-applied edge (u,v):
+// the subcore candidates that can sustain degree r+1 within the candidate
+// set (counting neighbors of higher coreness) are promoted to r+1.
+func (s *Session) coreInsert(u, v graph.NodeID) {
+	core := s.core
+	r, queue, cand := s.subcore(u, v)
 	// Eligible degree: neighbors that could co-exist in an (r+1)-core —
 	// higher-coreness nodes and surviving candidates. (A coreness-r neighbor
 	// of a candidate is itself a candidate: it is adjacent, so the BFS
@@ -90,31 +94,9 @@ func (s *Session) coreInsert(u, v graph.NodeID) {
 // candidates included) falls below r cascade down to r−1.
 func (s *Session) coreRemove(u, v graph.NodeID) {
 	core := s.core
-	r := core[u]
-	if core[v] < r {
-		r = core[v]
-	}
+	r, queue, cand := s.subcore(u, v)
 	if r == 0 {
 		return
-	}
-	var queue []graph.NodeID
-	cand := make(map[graph.NodeID]bool)
-	if core[u] == r {
-		cand[u] = true
-		queue = append(queue, u)
-	}
-	if core[v] == r && !cand[v] {
-		cand[v] = true
-		queue = append(queue, v)
-	}
-	for i := 0; i < len(queue); i++ {
-		s.nbuf = s.ov.AppendNeighbors(s.nbuf[:0], queue[i])
-		for _, w := range s.nbuf {
-			if core[w] == r && !cand[w] {
-				cand[w] = true
-				queue = append(queue, w)
-			}
-		}
 	}
 	sup := make(map[graph.NodeID]int, len(queue))
 	var evict []graph.NodeID

@@ -216,7 +216,7 @@ func TestSessionRollback(t *testing.T) {
 func TestApplyErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(t, rng, 10, 0.3)
-	sess := NewSession(g, kcore.Decompose(g), nil)
+	sess := NewSession(g, kcore.Decompose(g), edgeTrussOf(g))
 	cases := []Delta{
 		AddEdge(0, 0),
 		AddEdge(0, 99),

@@ -7,8 +7,8 @@ import (
 
 // Session applies one batch of deltas to an immutable base graph. It owns a
 // graph.Overlay holding the accumulated structural/attribute deltas, a
-// working copy of the coreness array, and (optionally) the per-edge
-// trussness table, both maintained *incrementally* per delta: every Apply
+// working copy of the coreness array, and the per-edge trussness table,
+// both maintained *incrementally* per delta: every Apply
 // re-computes only the affected scope of the touched endpoints (see the
 // package comment for the locality results).
 //
@@ -23,9 +23,8 @@ type Session struct {
 	core []int32 // working coreness copy, post-mutation
 
 	// etruss is the per-edge trussness table, adopted (not copied) from the
-	// caller and mutated in place with an undo log; nil when the truss index
-	// is not maintained. undo holds the pre-batch value of every touched
-	// edge (nil pointer = the edge did not exist).
+	// caller and mutated in place with an undo log. undo holds the pre-batch
+	// value of every touched edge (nil pointer = the edge did not exist).
 	etruss map[Edge]int32
 	undo   map[Edge]*int32
 
@@ -40,10 +39,9 @@ type Session struct {
 
 // NewSession starts a mutation session over base, which may be any immutable
 // graph.Store backing (heap CSR, mapped snapshot, compressed adjacency).
-// core is the base graph's coreness (copied); etruss is the per-edge
-// trussness table, adopted and maintained in place when non-nil (pass nil to
-// skip truss maintenance — the caller rebuilds its truss index lazily
-// instead).
+// core is the base graph's coreness (copied); etruss is the base graph's
+// per-edge trussness table, which must be non-nil: the session adopts it and
+// maintains it in place.
 func NewSession(base graph.Store, core []int32, etruss map[Edge]int32) *Session {
 	return &Session{
 		ov:         graph.NewOverlay(base),
@@ -69,8 +67,7 @@ func (s *Session) NewNodes() []graph.NodeID { return s.newNodes }
 // session must not be applied to afterwards.
 func (s *Session) Core() []int32 { return s.core }
 
-// EdgeTruss returns the post-mutation per-edge trussness table (nil when
-// truss maintenance was skipped).
+// EdgeTruss returns the post-mutation per-edge trussness table.
 func (s *Session) EdgeTruss() map[Edge]int32 { return s.etruss }
 
 // StructuralNodes returns the nodes whose structure or admission-index value
@@ -86,12 +83,9 @@ func (s *Session) Materialize() *graph.Graph { return s.ov.Materialize() }
 
 // NodeTruss derives the post-mutation node-level truss index (max trussness
 // over incident edges) from old, re-scanning only nodes whose incident edge
-// set or edge trussness changed. It returns nil when truss maintenance was
-// skipped. old may be shorter than the new node count (appended nodes).
+// set or edge trussness changed. old may be shorter than the new node count
+// (appended nodes).
 func (s *Session) NodeTruss(old []int32) []int32 {
-	if s.etruss == nil || old == nil {
-		return nil
-	}
 	nt := make([]int32, s.ov.NumNodes())
 	copy(nt, old)
 	for v := range s.trussDirty {
@@ -157,14 +151,14 @@ func applyOverlay(ov *graph.Overlay, d Delta) (graph.NodeID, error) {
 	return 0, nil
 }
 
-// Apply validates and applies one delta, maintaining the coreness and (when
-// adopted) trussness tables incrementally. Errors wrap
+// Apply validates and applies one delta, maintaining the coreness and
+// trussness tables incrementally. Errors wrap
 // cserr.ErrInvalidRequest and leave the session as before the call.
 func (s *Session) Apply(d Delta) error {
 	// The deletion scope seeds are the triangles through the edge; they
 	// must be enumerated before the edge disappears from the overlay.
 	var seeds []Edge
-	if d.Op == OpRemoveEdge && s.etruss != nil && s.ov.HasEdge(d.U, d.V) {
+	if d.Op == OpRemoveEdge && s.ov.HasEdge(d.U, d.V) {
 		for _, z := range s.commonNeighbors(d.U, d.V) {
 			seeds = append(seeds, EdgeOf(d.U, z), EdgeOf(d.V, z))
 		}

@@ -21,11 +21,8 @@ import "repro/internal/graph"
 // peel passes its level — exactly how the global peel treats it.
 
 // trussInsert maintains the per-edge trussness table for the already-applied
-// edge (u,v). No-op when truss maintenance is skipped.
+// edge (u,v).
 func (s *Session) trussInsert(u, v graph.NodeID) {
-	if s.etruss == nil {
-		return
-	}
 	e := EdgeOf(u, v)
 	ub := int32(len(s.commonNeighbors(u, v))) + 2
 	s.setTruss(e, 2) // placeholder so scope lookups see the edge; peel fixes it
@@ -37,9 +34,6 @@ func (s *Session) trussInsert(u, v graph.NodeID) {
 // are the edges of the triangles that went through (u,v), enumerated by the
 // caller before the removal.
 func (s *Session) trussRemove(u, v graph.NodeID, seeds []Edge) {
-	if s.etruss == nil {
-		return
-	}
 	e := EdgeOf(u, v)
 	r, ok := s.etruss[e]
 	if !ok {

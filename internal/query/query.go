@@ -25,10 +25,8 @@ import (
 	"repro/internal/cserr"
 	"repro/internal/exact"
 	"repro/internal/graph"
-	"repro/internal/kcore"
 	"repro/internal/sea"
 	"repro/internal/stats"
-	"repro/internal/truss"
 )
 
 // Method names a community-search solver. The zero value is MethodSEA.
@@ -489,12 +487,7 @@ func runEVAC(e *env, req Request) (*Outcome, error) {
 }
 
 func runStructural(e *env, req Request) (*Outcome, error) {
-	var members []graph.NodeID
-	if req.Model == sea.KTruss {
-		members = truss.MaximalConnectedKTruss(e.g, req.Query, req.K)
-	} else {
-		members = kcore.MaximalConnectedKCore(e.g, req.Query, req.K)
-	}
+	members := baselines.MaximalMembers(e.g, req.Query, req.K, req.Model)
 	if members == nil {
 		return nil, cserr.ErrNoCommunity
 	}

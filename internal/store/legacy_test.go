@@ -53,9 +53,7 @@ func figure1Engine(t testing.TB) *engine.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.DefaultConfig()
-	cfg.EagerTruss = true
-	eng, err := engine.New(g, cfg)
+	eng, err := engine.New(g, engine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,13 +54,15 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Index is the serializable form of the Engine's precomputed per-graph
 // state: the structural admission indexes and the attribute-metric
-// normalization table. NodeTruss may be nil (the engine builds it lazily);
-// NormMin/NormMax have the graph's NumDim width.
+// normalization table. NodeTruss is optional on read, for files written
+// before the truss index was always packed: an engine constructed over an
+// index without it computes it at construction. NormMin/NormMax have the
+// graph's NumDim width.
 type Index struct {
 	// Coreness holds each node's coreness, len NumNodes.
 	Coreness []int32
 	// NodeTruss holds each node's maximum incident-edge trussness, len
-	// NumNodes, or nil when the truss index was never built.
+	// NumNodes, or nil in a file that predates it.
 	NodeTruss []int32
 	// NormMin/NormMax are the per-dimension numerical attribute bounds the
 	// metric normalizer scales by, len NumDim.

@@ -27,9 +27,7 @@ func buildEngine(t testing.TB, name string, scale float64) (*dataset.Generated, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := engine.DefaultConfig()
-	cfg.EagerTruss = true
-	eng, err := engine.New(d.Graph, cfg)
+	eng, err := engine.New(d.Graph, engine.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +260,6 @@ func BenchmarkBoot(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := engine.DefaultConfig()
-	cfg.EagerTruss = true // both paths must end with the full admission index
 
 	b.Run("snapshot-open", func(b *testing.B) {
 		b.SetBytes(int64(len(snap)))
@@ -313,7 +310,6 @@ func BenchmarkBootScaling(b *testing.B) {
 		_, eng := buildEngine(b, "twitch", scale)
 		path := writeTemp(b, "g.snap", snapshotBytes(b, eng))
 		cfg := engine.DefaultConfig()
-		cfg.EagerTruss = true
 
 		b.Run(fmt.Sprintf("open-heap/scale=%g", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
