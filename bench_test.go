@@ -5,6 +5,12 @@ package sea
 // benchmarks — each pairs a design decision with the alternative it
 // replaced — and micro-benchmarks for the hot substrate operations.
 //
+// Two ablations run here: the stopping rule and the model ranking. The four
+// whose control exists only to be measured live beside it, in the package it
+// belongs to: GqFrontier and Sampling in internal/sampling, BLBVsBootstrap in
+// internal/stats, CloneVsRollback in internal/kcore. `go test -run '^$'
+// -bench Ablation ./...` runs all six.
+//
 // The table/figure benchmarks run the miniature experiment configuration so
 // `go test -bench=.` completes in minutes; `cmd/seabench` runs the same code
 // at full scale.
@@ -232,117 +238,6 @@ func BenchmarkScalability(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationCloneVsRollback compares rollback-based backtracking
-// against cloning the k-core maintenance structure per state.
-func BenchmarkAblationCloneVsRollback(b *testing.B) {
-	benchSetup(b)
-	members := kcore.MaximalConnectedKCore(benchData.Graph, benchQ, 6)
-	if members == nil {
-		b.Skip("query hosts no 6-core")
-	}
-	b.Run("rollback", func(b *testing.B) {
-		sub, err := kcore.NewSub(benchData.Graph, benchQ, 6, members)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf []graph.NodeID
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = sub.Members(buf[:0])
-			for _, v := range buf {
-				if v == benchQ {
-					continue
-				}
-				removed, _ := sub.RemoveCascade(v)
-				sub.Restore(removed)
-			}
-		}
-	})
-	b.Run("clone", func(b *testing.B) {
-		sub, err := kcore.NewSub(benchData.Graph, benchQ, 6, members)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var buf []graph.NodeID
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = sub.Members(buf[:0])
-			for _, v := range buf {
-				if v == benchQ {
-					continue
-				}
-				c := sub.Clone()
-				c.RemoveCascade(v)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationGqFrontier compares best-first against plain-BFS Gq
-// construction.
-func BenchmarkAblationGqFrontier(b *testing.B) {
-	benchSetup(b)
-	const size = 800
-	w := ws.Get()
-	defer w.Release()
-	b.Run("best-first", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, size, w)
-		}
-	})
-	b.Run("bfs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sampling.BuildGqBFS(benchData.Graph, benchQ, size)
-		}
-	})
-}
-
-// BenchmarkAblationSampling compares exponential-keys weighted sampling
-// against roulette-wheel rejection sampling.
-func BenchmarkAblationSampling(b *testing.B) {
-	benchSetup(b)
-	w := ws.Get()
-	defer w.Release()
-	gq := sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, 800, w)
-	probs := sampling.ProbabilitiesInto(nil, gq, benchDist)
-	b.Run("exponential-keys", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			sampling.WeightedSampleInto(nil, gq, probs, 160, benchQ, rng, w)
-		}
-	})
-	b.Run("roulette", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(1))
-		for i := 0; i < b.N; i++ {
-			sampling.RouletteSample(gq, probs, 160, benchQ, rng)
-		}
-	})
-}
-
-// BenchmarkAblationBLBVsBootstrap compares BLB against a full bootstrap for
-// the MoE computation.
-func BenchmarkAblationBLBVsBootstrap(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	values := make([]float64, 4000)
-	for i := range values {
-		values[i] = rng.Float64()
-	}
-	b.Run("blb", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < b.N; i++ {
-			if _, err := stats.BLB(values, stats.DefaultBLB(), rng); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("bootstrap", func(b *testing.B) {
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < b.N; i++ {
-			stats.Bootstrap(values, 50, rng)
-		}
-	})
-}
-
 // BenchmarkAblationStoppingRule compares the default full-trajectory search
 // against the paper's literal first-satisfy stopping rule (Options.NoRefine).
 func BenchmarkAblationStoppingRule(b *testing.B) {
@@ -527,16 +422,15 @@ func BenchmarkSubstrateInducedCSR(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateQueryDist is the f(·,q) vector the engine computes on
+// every result-cache miss: the vector and the fan-out closure.
 func BenchmarkSubstrateQueryDist(b *testing.B) {
 	benchSetup(b)
-	dst := make([]float64, benchData.Graph.NumNodes())
-	guardAllocs(b, 0, func() {
-		dst = benchM.QueryDistInto(dst, benchQ)
-	})
+	guardAllocs(b, 2, func() { benchM.QueryDist(benchQ) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = benchM.QueryDistInto(dst, benchQ)
+		benchM.QueryDist(benchQ)
 	}
 }
 
@@ -785,14 +679,6 @@ func BenchmarkTrussDecompose(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		truss.Decompose(benchData.Graph)
-	}
-}
-
-func BenchmarkMetricQueryDist(b *testing.B) {
-	benchSetup(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		benchM.QueryDist(benchQ)
 	}
 }
 

@@ -6,7 +6,6 @@
 package attr
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -193,67 +192,19 @@ func (m *Metric) Distance(u, v graph.NodeID) float64 {
 // either path.
 var queryDistMinParallel = 1 << 12
 
-// queryDistStride is the per-chunk block size between context polls.
-const queryDistStride = 1 << 10
-
-// QueryDist precomputes f(v,q) for every node v of the graph. Index with
-// the node ID. The query's own entry is 0. On graphs large enough to
-// amortize the fan-out the vector is filled by a bounded worker pool
-// (GOMAXPROCS workers over disjoint node ranges); every write targets a
-// distinct index, so the result is identical to the serial fill.
+// QueryDist computes f(v,q) for every node v of the graph. Index with the
+// node ID. The query's own entry is 0. On graphs large enough to amortize
+// the fan-out the vector is filled by a bounded worker pool (GOMAXPROCS
+// workers over disjoint node ranges); every write targets a distinct index,
+// so the result is identical to the serial fill.
 func (m *Metric) QueryDist(q graph.NodeID) []float64 {
-	return m.QueryDistInto(nil, q)
-}
-
-// QueryDistInto is QueryDist writing into dst, which is grown only when its
-// capacity is below NumNodes: zero allocations in the steady state.
-func (m *Metric) QueryDistInto(dst []float64, q graph.NodeID) []float64 {
-	out, _ := m.QueryDistContext(context.Background(), dst, q)
-	return out
-}
-
-// QueryDistContext is QueryDistInto under a context: the fill polls ctx
-// between blocks of nodes and stops early when it is cancelled, returning
-// the partially-filled vector together with ctx's error. The Engine calls
-// the context-free form — one fill is brief and the search that follows
-// polls the request context — but callers computing one-off vectors on
-// large graphs can bound them with this form.
-func (m *Metric) QueryDistContext(ctx context.Context, dst []float64, q graph.NodeID) ([]float64, error) {
-	n := m.g.NumNodes()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	if n < queryDistMinParallel || ws.MaxWorkers() == 1 {
-		// Serial fast path, free of the parallel closure: zero allocations
-		// once dst has warmed.
-		m.fillDist(ctx, dst, q, 0, n)
-		return dst, ctx.Err()
-	}
-	err := ws.ForRange(ctx, n, queryDistMinParallel, func(lo, hi int) {
-		m.fillDist(ctx, dst, q, lo, hi)
-	})
-	if err == nil {
-		err = ctx.Err()
-	}
-	return dst, err
-}
-
-// fillDist fills dst[lo:hi] with f(v,q), polling ctx every queryDistStride
-// nodes and stopping early on cancellation.
-func (m *Metric) fillDist(ctx context.Context, dst []float64, q graph.NodeID, lo, hi int) {
-	for b := lo; b < hi; b += queryDistStride {
-		if ctx.Err() != nil {
-			return
-		}
-		e := b + queryDistStride
-		if e > hi {
-			e = hi
-		}
-		for v := b; v < e; v++ {
+	dst := make([]float64, m.g.NumNodes())
+	ws.ForRange(len(dst), queryDistMinParallel, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
 			dst[v] = m.Distance(graph.NodeID(v), q)
 		}
-	}
+	})
+	return dst
 }
 
 // Delta computes the q-centric attribute distance δ(H) of Definition 4: the

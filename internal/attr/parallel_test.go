@@ -1,7 +1,6 @@
 package attr
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 
@@ -44,40 +43,5 @@ func TestQueryDistParallelMatchesSerial(t *testing.T) {
 		if serial[i] != parallel[i] {
 			t.Fatalf("dist[%d]: serial %v parallel %v", i, serial[i], parallel[i])
 		}
-	}
-}
-
-// TestQueryDistIntoReusesBuffer checks the steady-state in-place contract.
-func TestQueryDistIntoReusesBuffer(t *testing.T) {
-	g := parallelTestGraph(t, 500)
-	m, err := NewMetric(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, 500)
-	out := m.QueryDistInto(buf, 3)
-	if &out[0] != &buf[0] {
-		t.Fatal("QueryDistInto reallocated a sufficient buffer")
-	}
-	want := m.QueryDist(3)
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("dist[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-}
-
-// TestQueryDistContextCancelled: a cancelled context stops the fill and
-// surfaces the error.
-func TestQueryDistContextCancelled(t *testing.T) {
-	g := parallelTestGraph(t, 100)
-	m, err := NewMetric(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.QueryDistContext(ctx, nil, 0); err == nil {
-		t.Fatal("want context error")
 	}
 }

@@ -182,20 +182,3 @@ func (s *Sub) Restore(removed []graph.NodeID) {
 		s.deg[w] = d
 	}
 }
-
-// Clone returns a deep copy sharing only the immutable graph. Used by the
-// clone-vs-rollback ablation benchmark.
-func (s *Sub) Clone() *Sub {
-	c := &Sub{
-		g:        s.g,
-		k:        s.k,
-		q:        s.q,
-		universe: s.universe,
-		alive:    append([]bool(nil), s.alive...),
-		deg:      append([]int32(nil), s.deg...),
-		mark:     make([]bool, len(s.mark)),
-		size:     s.size,
-		sc:       new(ws.KCoreScratch),
-	}
-	return c
-}

@@ -155,11 +155,10 @@ type Request struct {
 	MaxStates int64 `json:"max_states,omitempty"`
 
 	// Advanced SEA sampling knobs; zero values select the paper's defaults.
-	Lambda    float64         `json:"lambda,omitempty"`
-	Eps       float64         `json:"eps,omitempty"`
-	Beta      float64         `json:"beta,omitempty"`
-	MaxRounds int             `json:"max_rounds,omitempty"`
-	BLB       stats.BLBConfig `json:"-"`
+	Lambda    float64 `json:"lambda,omitempty"`
+	Eps       float64 `json:"eps,omitempty"`
+	Beta      float64 `json:"beta,omitempty"`
+	MaxRounds int     `json:"max_rounds,omitempty"`
 }
 
 // DefaultRequest returns a Request for query node q with the paper's default
@@ -198,16 +197,13 @@ func (r Request) WithDefaults() Request {
 	if r.MaxRounds == 0 {
 		r.MaxRounds = d.MaxRounds
 	}
-	if r.BLB == (stats.BLBConfig{}) {
-		r.BLB = d.BLB
-	}
 	// Neutralize method-irrelevant parameters (to the defaults, keeping the
 	// Request valid) so they cannot split cache entries or defeat
 	// coalescing for requests that are semantically identical.
 	if r.Method != MethodSEA && r.Method.Valid() {
 		r.ErrorBound, r.Confidence = d.ErrorBound, d.Confidence
 		r.Lambda, r.Eps, r.Beta = d.Lambda, d.Eps, d.Beta
-		r.MaxRounds, r.BLB = d.MaxRounds, d.BLB
+		r.MaxRounds = d.MaxRounds
 		r.Seed, r.NoRefine = 0, false
 	}
 	if r.Method != MethodExact && r.Method != MethodEVAC {
@@ -262,7 +258,7 @@ func (r Request) Options() sea.Options {
 		Model:      r.Model,
 		SizeLo:     r.SizeLo,
 		SizeHi:     r.SizeHi,
-		BLB:        r.BLB,
+		BLB:        stats.DefaultBLB(),
 		MaxRounds:  r.MaxRounds,
 		NoRefine:   r.NoRefine,
 		Seed:       r.Seed,
@@ -354,10 +350,10 @@ func Execute(ctx context.Context, g graph.Store, req Request) (*Outcome, error) 
 }
 
 // Run answers req on g, reusing a precomputed attribute metric m and f(·,q)
-// vector dist when the caller has them (either may be nil: a nil m builds
-// the DefaultGamma metric, a nil dist is computed from m on demand). This is
-// the entry point the Engine drives with its shared metric and distance
-// cache; g may be any graph.Store backing — heap CSR, mapped snapshot or
+// vector dist when the caller has them. Either may be nil: right after
+// validation a nil m becomes the DefaultGamma metric and a nil dist
+// m.QueryDist(q). This is the entry point the Engine drives with its shared
+// metric; g may be any graph.Store backing — heap CSR, mapped snapshot or
 // compressed adjacency — and the Outcome is byte-identical across them. On
 // interruption or budget exhaustion the Outcome carries the best community
 // found so far (Truncated set) alongside the classifying error.
@@ -372,49 +368,33 @@ func Run(ctx context.Context, g graph.Store, m *attr.Metric, dist []float64, req
 	if int(req.Query) >= g.NumNodes() {
 		return nil, cserr.Invalidf("query node %d outside graph [0,%d)", req.Query, g.NumNodes())
 	}
-	env := &env{ctx: ctx, g: g, q: req.Query, m: m, dist: dist}
-	out, err := executors[req.Method](env, req)
+	if m == nil {
+		var err error
+		if m, err = attr.NewMetric(g, DefaultGamma); err != nil {
+			return nil, err
+		}
+	}
+	if dist == nil {
+		dist = m.QueryDist(req.Query)
+	}
+	e := &env{ctx: ctx, g: g, m: m, dist: dist}
+	out, err := executors[req.Method](e, req)
 	if out != nil {
 		out.Method = req.Method
 		if out.Community != nil {
-			out.Delta = attr.Delta(env.distVec(), out.Community, req.Query)
+			out.Delta = attr.Delta(dist, out.Community, req.Query)
 		}
 	}
 	return out, err
 }
 
-// env bundles the per-execution state shared by the method executors: the
-// graph, the attribute metric, and the f(·,q) vector, the latter two built
-// lazily so attribute-free methods (ACQ, LocATC, structural) only pay for
-// them when an Outcome needs its Delta.
+// env bundles the per-execution inputs shared by the method executors: the
+// graph, the attribute metric and the f(·,q) vector.
 type env struct {
 	ctx  context.Context
 	g    graph.Store
-	q    graph.NodeID
 	m    *attr.Metric
 	dist []float64
-}
-
-// metric returns the attribute metric, building the DefaultGamma one on
-// first use when the caller did not supply one.
-func (e *env) metric() *attr.Metric {
-	if e.m == nil {
-		m, err := attr.NewMetric(e.g, DefaultGamma)
-		if err != nil {
-			// NewMetric only rejects out-of-range gamma; DefaultGamma is valid.
-			panic(err)
-		}
-		e.m = m
-	}
-	return e.m
-}
-
-// distVec returns the f(·,q) vector, computing it from the metric on first use.
-func (e *env) distVec() []float64 {
-	if e.dist == nil {
-		e.dist = e.metric().QueryDist(e.q)
-	}
-	return e.dist
 }
 
 // executor answers one canonical (defaults-resolved, validated) Request.
@@ -433,7 +413,7 @@ var executors = [numMethods]executor{
 }
 
 func runSEA(e *env, req Request) (*Outcome, error) {
-	res, err := sea.SearchWithDistContext(e.ctx, e.g, e.distVec(), req.Query, req.Options())
+	res, err := sea.SearchWithDistContext(e.ctx, e.g, e.dist, req.Query, req.Options())
 	if res == nil {
 		return nil, err
 	}
@@ -449,7 +429,7 @@ func runSEA(e *env, req Request) (*Outcome, error) {
 func runExact(e *env, req Request) (*Outcome, error) {
 	cfg := exact.DefaultConfig()
 	cfg.MaxStates = req.MaxStates
-	res, err := exact.SearchContext(e.ctx, e.g, req.Query, req.K, e.distVec(), cfg)
+	res, err := exact.SearchContext(e.ctx, e.g, req.Query, req.K, e.dist, cfg)
 	if err != nil && res.Community == nil {
 		return nil, err
 	}
@@ -470,7 +450,7 @@ func runLocATC(e *env, req Request) (*Outcome, error) {
 }
 
 func runVAC(e *env, req Request) (*Outcome, error) {
-	return baselineOutcome(baselines.VAC(e.ctx, e.g, e.metric(), req.Query, req.K, req.Model))
+	return baselineOutcome(baselines.VAC(e.ctx, e.g, e.m, req.Query, req.K, req.Model))
 }
 
 // DefaultEVACStates is the EVAC state budget applied when Request.MaxStates
@@ -483,7 +463,7 @@ func runEVAC(e *env, req Request) (*Outcome, error) {
 	if budget == 0 {
 		budget = DefaultEVACStates
 	}
-	return baselineOutcome(baselines.EVAC(e.ctx, e.g, e.metric(), req.Query, req.K, req.Model, int(budget)))
+	return baselineOutcome(baselines.EVAC(e.ctx, e.g, e.m, req.Query, req.K, req.Model, int(budget)))
 }
 
 func runStructural(e *env, req Request) (*Outcome, error) {

@@ -75,6 +75,7 @@ func TestRequestValidate(t *testing.T) {
 		{"confidence too large", func(r *Request) { r.Confidence = 1 }, false},
 		{"size bounds on sea", func(r *Request) { r.SizeLo, r.SizeHi = 4, 10 }, true},
 		{"inverted size bounds", func(r *Request) { r.SizeLo, r.SizeHi = 10, 4 }, false},
+		{"size_lo without size_hi", func(r *Request) { r.SizeLo = 12 }, false},
 		{"size bounds on exact", func(r *Request) { r.Method = MethodExact; r.SizeLo, r.SizeHi = 4, 10 }, false},
 		{"size bounds on vac", func(r *Request) { r.Method = MethodVAC; r.SizeLo, r.SizeHi = 4, 10 }, false},
 		{"size bounds on structural", func(r *Request) { r.Method = MethodStructural; r.SizeHi = 10 }, false},
@@ -197,7 +198,8 @@ func TestRunMatchesSolver(t *testing.T) {
 }
 
 // TestOptionsProjection pins the Request → sea.Options projection: set
-// fields carry over, unset ones resolve to the paper's defaults.
+// fields carry over, unset ones resolve to the paper's defaults, and BLB,
+// which a Request does not carry, is DefaultOptions' stats.DefaultBLB().
 func TestOptionsProjection(t *testing.T) {
 	want := sea.DefaultOptions()
 	want.K = 7
@@ -212,7 +214,7 @@ func TestOptionsProjection(t *testing.T) {
 }
 
 // TestRequestJSONRoundTrip pins the wire format: a Request survives JSON
-// encode/decode bit for bit (BLB aside, which is not wire-exposed).
+// encode/decode bit for bit.
 func TestRequestJSONRoundTrip(t *testing.T) {
 	req := DefaultRequest(5)
 	req.Method = MethodExact

@@ -77,9 +77,9 @@ func TestValidateAcceptsBase(t *testing.T) {
 	}
 }
 
-// TestNegativeRequestNeverReachesSolver drives the negative table through
-// Run against a real graph: every case must return ErrInvalidRequest, never
-// a solver panic or result.
+// TestNegativeRequestNeverReachesSolver drives the negative table, and a
+// size_lo without a size_hi, through Run against a real graph: every case
+// must return ErrInvalidRequest, never a solver panic or result.
 func TestNegativeRequestNeverReachesSolver(t *testing.T) {
 	b := graph.NewBuilder(6, 1)
 	for v := graph.NodeID(0); v < 6; v++ {
@@ -95,6 +95,7 @@ func TestNegativeRequestNeverReachesSolver(t *testing.T) {
 		func(r *Request) { r.SizeLo = -3 },
 		func(r *Request) { r.SizeHi = -10 },
 		func(r *Request) { r.MaxRounds = -2 },
+		func(r *Request) { r.SizeLo = 12 },
 	}
 	for i, mut := range muts {
 		req := validBase()

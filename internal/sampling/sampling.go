@@ -97,32 +97,6 @@ func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []f
 	return dst
 }
 
-// BuildGqBFS is the plain hop-order variant used by the frontier ablation
-// benchmark: identical contract to BuildGqInto (allocating its result) but
-// breadth-first instead of best-first.
-func BuildGqBFS(g graph.Adjacency, q graph.NodeID, minSize int) []graph.NodeID {
-	if minSize < 1 {
-		minSize = 1
-	}
-	out := make([]graph.NodeID, 0, minSize)
-	seen := make([]bool, g.NumNodes())
-	seen[q] = true
-	out = append(out, q)
-	var nbr []graph.NodeID
-	for i := 0; i < len(out) && len(out) < minSize; i++ {
-		for _, u := range g.NeighborsInto(&nbr, out[i]) {
-			if !seen[u] {
-				seen[u] = true
-				out = append(out, u)
-				if len(out) >= minSize {
-					break
-				}
-			}
-		}
-	}
-	return out
-}
-
 // ProbabilitiesInto appends to dst the normalized sampling probabilities of
 // Eq. 5 over the population nodes: Ps(v) ∝ 1 − f(v,q). If all distances are
 // 1 the distribution degenerates to uniform.
@@ -200,64 +174,4 @@ func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights [
 	}
 	w.Keys = keys[:0]
 	return dst
-}
-
-// RouletteSample is the naive with-rejection alternative used by the
-// sampling ablation benchmark: repeated roulette-wheel draws, rejecting
-// duplicates. Same contract as WeightedSampleInto, allocating its result.
-func RouletteSample(population []graph.NodeID, weights []float64, size int, q graph.NodeID, rng *rand.Rand) []graph.NodeID {
-	if size >= len(population) {
-		return append([]graph.NodeID(nil), population...)
-	}
-	if size < 1 {
-		size = 1
-	}
-	total := 0.0
-	maxID := q
-	for i, v := range population {
-		if weights[i] > 0 {
-			total += weights[i]
-		}
-		if v > maxID {
-			maxID = v
-		}
-	}
-	w := ws.Get()
-	defer w.Release()
-	chosen := &w.Member
-	chosen.Reset(int(maxID) + 1)
-	out := make([]graph.NodeID, 0, size)
-	add := func(v graph.NodeID) {
-		if chosen.Add(v) {
-			out = append(out, v)
-		}
-	}
-	if q >= 0 {
-		add(q)
-	}
-	attempts := 0
-	maxAttempts := 50 * size
-	for len(out) < size && attempts < maxAttempts && total > 0 {
-		attempts++
-		r := rng.Float64() * total
-		acc := 0.0
-		for i, v := range population {
-			if weights[i] <= 0 {
-				continue
-			}
-			acc += weights[i]
-			if r <= acc {
-				add(v)
-				break
-			}
-		}
-	}
-	// Fill deterministically if rejection stalls.
-	for _, v := range population {
-		if len(out) >= size {
-			break
-		}
-		add(v)
-	}
-	return out
 }

@@ -57,19 +57,6 @@ func TestBuildGqExhaustsComponent(t *testing.T) {
 	}
 }
 
-func TestBuildGqBFS(t *testing.T) {
-	g := lineGraph(10)
-	gq := BuildGqBFS(g, 0, 4)
-	if len(gq) != 4 {
-		t.Fatalf("|Gq| = %d, want 4", len(gq))
-	}
-	for i, v := range gq {
-		if v != graph.NodeID(i) {
-			t.Errorf("BFS order wrong: %v", gq)
-		}
-	}
-}
-
 func TestProbabilities(t *testing.T) {
 	pop := []graph.NodeID{0, 1, 2}
 	dist := []float64{0, 0.5, 1}
@@ -152,30 +139,6 @@ func TestWeightedSampleBias(t *testing.T) {
 	frac := float64(count) / float64(trials)
 	if frac < 0.85 || frac > 0.95 {
 		t.Errorf("node 1 drawn %.3f of the time, want ≈0.9", frac)
-	}
-}
-
-func TestRouletteSampleContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pop := make([]graph.NodeID, 50)
-	w := make([]float64, 50)
-	for i := range pop {
-		pop[i] = graph.NodeID(i)
-		w[i] = 1
-	}
-	s := RouletteSample(pop, w, 10, 5, rng)
-	if len(s) != 10 {
-		t.Fatalf("|S| = %d, want 10", len(s))
-	}
-	seen := map[graph.NodeID]bool{}
-	for _, v := range s {
-		if seen[v] {
-			t.Fatal("duplicate in roulette sample")
-		}
-		seen[v] = true
-	}
-	if !seen[5] {
-		t.Error("query node missing")
 	}
 }
 

@@ -74,7 +74,7 @@ func TestRouletteMatchesWeightedDistribution(t *testing.T) {
 		for _, v := range WeightedSampleInto(nil, pop, w, size, pop[0], rngA, wk) {
 			countA[v]++
 		}
-		for _, v := range RouletteSample(pop, w, size, pop[0], rngB) {
+		for _, v := range rouletteSample(pop, w, size, pop[0], rngB) {
 			countB[v]++
 		}
 	}

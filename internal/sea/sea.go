@@ -67,24 +67,6 @@ func (m Model) MinSize(k int) int {
 	return k + 1
 }
 
-// Maximal returns the maintenance structure over the model's maximal
-// connected structure of g containing q, or nil when there is none. The
-// extraction's scratch is w's, and the k-truss maintainer lives in w too: it
-// is valid until the next k-truss extraction on w or w's release.
-func (m Model) Maximal(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) cohesive.Maintainer {
-	// A nil *Sub must come back as a nil interface.
-	if m == KTruss {
-		if maint := truss.MaximalSub(g, q, k, w); maint != nil {
-			return maint
-		}
-		return nil
-	}
-	if maint := kcore.MaximalSub(g, q, k, w); maint != nil {
-		return maint
-	}
-	return nil
-}
-
 // MarshalText renders the model in the wire form ("core" or "truss") used by
 // the HTTP API and the CLI, so a Model round-trips through JSON.
 func (m Model) MarshalText() ([]byte, error) {
@@ -174,13 +156,13 @@ func (o Options) Validate() error {
 	if o.Beta <= 0 || o.Beta >= 1 {
 		return cserr.Invalidf("sea: Beta %v outside (0,1)", o.Beta)
 	}
-	// Negative bounds are rejected outright — a negative SizeLo or SizeHi
-	// with the other side zero previously slipped past the bounded-range
-	// check below and silently behaved as "unbounded".
+	// A bound that is negative, or a SizeLo without a SizeHi, is rejected
+	// outright: either would otherwise slip past the bounded-range check and
+	// silently behave as "unbounded".
 	if o.SizeLo < 0 || o.SizeHi < 0 {
 		return cserr.Invalidf("sea: size bound [%d,%d] negative", o.SizeLo, o.SizeHi)
 	}
-	if o.SizeHi > 0 && (o.SizeLo < 1 || o.SizeLo > o.SizeHi) {
+	if (o.SizeLo > 0 || o.SizeHi > 0) && (o.SizeLo < 1 || o.SizeLo > o.SizeHi) {
 		return cserr.Invalidf("sea: size bound [%d,%d] invalid", o.SizeLo, o.SizeHi)
 	}
 	if o.MaxRounds < 1 {
@@ -230,8 +212,7 @@ type Result struct {
 var ErrNoCommunity = cserr.ErrNoCommunity
 
 // SearchWithDistContext runs SEA on g for query node q, where dist holds
-// f(·,q) for every node (attr.Metric.QueryDist; callers cache it across
-// runs). The sampling-estimation round loop and the greedy peeling both check
+// f(·,q) for every node (attr.Metric.QueryDist). The sampling-estimation round loop and the greedy peeling both check
 // ctx and stop promptly when it is cancelled: an interrupted search returns
 // the best candidate found so far (nil when none exists yet) together with
 // an error wrapping ctx's error.

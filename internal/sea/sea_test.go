@@ -54,6 +54,7 @@ func TestOptionsValidate(t *testing.T) {
 		func(o *Options) { o.Eps = 0 },
 		func(o *Options) { o.Beta = 0 },
 		func(o *Options) { o.SizeHi = 5; o.SizeLo = 9 },
+		func(o *Options) { o.SizeLo = 12 },
 		func(o *Options) { o.MaxRounds = 0 },
 		func(o *Options) { o.BLB.Scale = 0.2 },
 	}

@@ -6,26 +6,11 @@ import (
 	"math/rand"
 )
 
-// Bootstrap estimates the sampling distribution of the mean of values by r
-// resamples with replacement and returns the estimated mean and the standard
-// deviation of the resample means (σ_δ*), per Eq. 11.
-func Bootstrap(values []float64, r int, rng *rand.Rand) (mean, sigma float64) {
-	return bootstrapN(values, len(values), r, rng)
-}
-
-// bootstrapN draws r resamples of resampleN points (with replacement) from
-// values and returns the mean and standard deviation of the resample means.
-// BLB passes the ORIGINAL sample size as resampleN so each little subsample
-// estimates the full-size estimator's spread (Kleiner et al., §3).
-func bootstrapN(values []float64, resampleN, r int, rng *rand.Rand) (mean, sigma float64) {
-	if len(values) == 0 || r <= 1 || resampleN == 0 {
-		return 0, 0
-	}
-	return bootstrapNInto(values, resampleN, r, rng, make([]float64, r))
-}
-
-// bootstrapNInto is bootstrapN writing the resample means into the caller's
-// buffer (len ≥ r), the reusable-scratch form BLB drives.
+// bootstrapNInto draws r resamples of resampleN points (with replacement)
+// from values, writes their means into the caller's buffer (len ≥ r) and
+// returns the mean and standard deviation of the resample means. BLB passes
+// the ORIGINAL sample size as resampleN so each little subsample estimates
+// the full-size estimator's spread (Kleiner et al., §3).
 func bootstrapNInto(values []float64, resampleN, r int, rng *rand.Rand, means []float64) (mean, sigma float64) {
 	n := len(values)
 	if n == 0 || r <= 1 || resampleN == 0 {

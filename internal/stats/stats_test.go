@@ -206,33 +206,6 @@ func TestIncrementalSampleSizeMonotone(t *testing.T) {
 	}
 }
 
-func TestBootstrapRecoversSpread(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	n := 400
-	values := make([]float64, n)
-	for i := range values {
-		values[i] = rng.NormFloat64()*2 + 10
-	}
-	mean, sigma := Bootstrap(values, 200, rng)
-	if math.Abs(mean-10) > 0.5 {
-		t.Errorf("bootstrap mean = %v, want ≈10", mean)
-	}
-	// σ of the mean ≈ 2/√400 = 0.1.
-	if sigma < 0.05 || sigma > 0.2 {
-		t.Errorf("bootstrap sigma = %v, want ≈0.1", sigma)
-	}
-}
-
-func TestBootstrapDegenerate(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if m, s := Bootstrap(nil, 100, rng); m != 0 || s != 0 {
-		t.Errorf("empty input: %v,%v", m, s)
-	}
-	if _, s := Bootstrap([]float64{5, 5, 5}, 50, rng); s != 0 {
-		t.Errorf("constant input: sigma = %v, want 0", s)
-	}
-}
-
 func TestBLBCoverage(t *testing.T) {
 	// The 95% CI should cover the true population mean in most trials.
 	trueMean := 0.4

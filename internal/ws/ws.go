@@ -29,7 +29,6 @@
 package ws
 
 import (
-	"context"
 	"runtime"
 	"sync"
 
@@ -188,20 +187,15 @@ func I32(buf []int32, n int) []int32 {
 // MaxWorkers returns the bound on workers for parallel stages: GOMAXPROCS.
 func MaxWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// ForRange splits [0, n) into at most MaxWorkers contiguous chunks and runs
-// fn(lo, hi) on each concurrently. It returns ctx.Err() without launching
-// when the context is already cancelled, and otherwise waits for every
-// launched chunk (fn must itself poll ctx if chunks are long-running).
-// When n < minParallel — or only one worker is available — fn runs inline
-// as fn(0, n), so small inputs pay no goroutine overhead. fn must be safe
-// for concurrent invocation on disjoint ranges; writes to disjoint indices
-// keep results identical to the serial order.
-func ForRange(ctx context.Context, n, minParallel int, fn func(lo, hi int)) error {
+// ForRange splits [0, n) into at most MaxWorkers contiguous chunks, runs
+// fn(lo, hi) on each concurrently and waits for every chunk. When
+// n < minParallel — or only one worker is available — fn runs inline as
+// fn(0, n), so small inputs pay no goroutine overhead. fn must be safe for
+// concurrent invocation on disjoint ranges; writes to disjoint indices keep
+// results identical to the serial order.
+func ForRange(n, minParallel int, fn func(lo, hi int)) {
 	if n <= 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+		return
 	}
 	workers := MaxWorkers()
 	if workers > n {
@@ -209,7 +203,7 @@ func ForRange(ctx context.Context, n, minParallel int, fn func(lo, hi int)) erro
 	}
 	if workers <= 1 || n < minParallel {
 		fn(0, n)
-		return nil
+		return
 	}
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
@@ -225,5 +219,4 @@ func ForRange(ctx context.Context, n, minParallel int, fn func(lo, hi int)) erro
 		}(lo, hi)
 	}
 	wg.Wait()
-	return ctx.Err()
 }

@@ -1,7 +1,6 @@
 package ws
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -10,14 +9,11 @@ import (
 func TestForRangeCoversEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 100, 4096} {
 		var hits [4096]int32
-		err := ForRange(context.Background(), n, 1, func(lo, hi int) {
+		ForRange(n, 1, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
 		})
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
 		for i := 0; i < n; i++ {
 			if hits[i] != 1 {
 				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i])
@@ -28,27 +24,14 @@ func TestForRangeCoversEveryIndexOnce(t *testing.T) {
 
 func TestForRangeInlineBelowThreshold(t *testing.T) {
 	calls := 0
-	err := ForRange(context.Background(), 100, 1000, func(lo, hi int) {
+	ForRange(100, 1000, func(lo, hi int) {
 		calls++
 		if lo != 0 || hi != 100 {
 			t.Fatalf("inline call got [%d,%d), want [0,100)", lo, hi)
 		}
 	})
-	if err != nil || calls != 1 {
-		t.Fatalf("err=%v calls=%d, want nil / 1", err, calls)
-	}
-}
-
-func TestForRangeCancelledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	called := false
-	err := ForRange(ctx, 1000, 1, func(lo, hi int) { called = true })
-	if err == nil {
-		t.Fatal("want context error")
-	}
-	if called {
-		t.Fatal("fn ran under a cancelled context")
+	if calls != 1 {
+		t.Fatalf("calls=%d, want 1", calls)
 	}
 }
 

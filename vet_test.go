@@ -71,11 +71,6 @@ func TestImportBoundaries(t *testing.T) {
 // files). The context form is the only form; a caller without a deadline
 // passes context.Background().
 func TestNoContextTwins(t *testing.T) {
-	// attr.Metric's QueryDist / QueryDistInto / QueryDistContext trio is the
-	// one exception until its own PR: the frozen benchmark/ module calls the
-	// context-free forms.
-	allowed := map[string]bool{"internal/attr.QueryDist": true}
-
 	exported := map[string]map[string]bool{} // package dir → exported func and method names
 	fset := token.NewFileSet()
 	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
@@ -103,7 +98,7 @@ func TestNoContextTwins(t *testing.T) {
 	for dir, names := range exported {
 		for name := range names {
 			base, isCtx := strings.CutSuffix(name, "Context")
-			if isCtx && names[base] && !allowed[dir+"."+base] {
+			if isCtx && names[base] {
 				t.Errorf("%s exports both %s and %s; keep one form", dir, base, name)
 			}
 		}
