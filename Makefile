@@ -24,8 +24,9 @@ bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # Alloc-regression guards on the pooled hot-path substrate: each
-# BenchmarkSubstrate* measures steady-state allocs/op with AllocsPerRun and
-# FAILS above its committed ceiling (~0). CI runs this on every push.
+# BenchmarkSubstrate* measures steady-state allocs/op with AllocsPerRun (and
+# BenchmarkSubstrateSEAMiss bytes/op) and FAILS above its committed ceiling.
+# CI runs this on every push.
 bench-substrate:
 	$(GO) test -bench=BenchmarkSubstrate -benchtime=1x -run='^$$' .
 

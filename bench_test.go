@@ -24,6 +24,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -290,7 +291,7 @@ func BenchmarkAblationModelRanking(b *testing.B) {
 
 // BenchmarkEngineColdVsCached quantifies the engine's amortization of
 // per-query serving cost. "cold" is the library path a naive server would
-// pay per request: metric construction, distance vector, search. "shared"
+// pay per request: metric construction, then the search. "shared"
 // reuses the engine's precomputed state (metric, admission index) but forces
 // a result-cache miss (fresh seed per iteration).
 // "cached" is the repeated-query fast path; the acceptance criterion is
@@ -375,9 +376,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // --- Substrate alloc-regression guards -----------------------------------
 //
 // Each BenchmarkSubstrate* benchmark doubles as a CI guard: before timing,
-// it measures steady-state allocations with testing.AllocsPerRun against a
-// warmed workspace and FAILS if the count regresses above the committed
-// ceiling (~zero for the pooled hot paths). CI runs them via
+// it measures steady-state allocations with testing.AllocsPerRun (bytes, for
+// BenchmarkSubstrateSEAMiss) against a warmed workspace and FAILS if the
+// count regresses above the committed ceiling (~zero for the pooled hot
+// paths). CI runs them via
 // `go test -bench=BenchmarkSubstrate -benchtime=1x` (see Makefile
 // bench-substrate).
 
@@ -388,6 +390,22 @@ func guardAllocs(b *testing.B, limit float64, fn func()) {
 	fn() // warm buffers and pools outside the measurement
 	if allocs := testing.AllocsPerRun(20, fn); allocs > limit {
 		b.Fatalf("allocs/op = %v, regression guard is %v", allocs, limit)
+	}
+}
+
+// guardBytes fails the benchmark when fn allocates more than limit bytes per
+// run, averaged over 16 runs of an fn the caller has warmed.
+func guardBytes(b *testing.B, limit int64, fn func()) {
+	b.Helper()
+	const runs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := int64(after.TotalAlloc-before.TotalAlloc) / runs; perRun > limit {
+		b.Fatalf("bytes/op = %d, regression guard is %d", perRun, limit)
 	}
 }
 
@@ -526,6 +544,45 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 		}
 	}
 	guardAllocs(b, 260, search)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
+	}
+}
+
+// BenchmarkSubstrateSEAMiss is the engine's result-cache miss on the
+// twitter analog (48 000 nodes, k-core at k=6): query.Run with no f(·,q)
+// vector, a fresh seed per search. Its guard is on bytes, not allocations:
+// a search evaluates f at the nodes it touches, and its per-node arrays come
+// from pooled workspaces, so it allocates ~70 KB, under the 4·n = 192 KB
+// ceiling, where one f(·,q) vector is 8·n. An O(|V|) allocation per search
+// coming back — a vector filled up front, a per-search set sized to the
+// graph — fails it.
+func BenchmarkSubstrateSEAMiss(b *testing.B) {
+	d, err := dataset.Homogeneous("twitter", 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, query.DefaultGamma)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := query.Request{Query: d.QueryNodes(1, 6, 3)[0], K: 6}
+	ctx := context.Background()
+	search := func() {
+		req.Seed++ // a distinct request each time, as on a miss
+		if _, err := query.Run(ctx, d.Graph, m, nil, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Serial searches take the free list's workspaces in turn; each grows
+	// its per-node arrays to the graph once.
+	for range 2*runtime.GOMAXPROCS(0) + 1 {
+		search()
+	}
+	n := int64(d.Graph.NumNodes())
+	guardBytes(b, 4*n, search)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,8 +68,10 @@
 // index that proves the absence of a community for any method without
 // searching), full Outcomes are held in a sharded LRU cache keyed by the
 // canonical Request, and concurrent identical requests are coalesced so the
-// work happens once. Nothing is kept per query node: the f(·,q) distance
-// vector is computed on each cache miss and dropped with the search.
+// work happens once. Nothing is kept per query node, and a cache miss builds
+// nothing of size |V|: SEA evaluates f(·,q) at the nodes the search touches
+// and drops the values with the search; only MethodExact fills f over every
+// node.
 //
 // Engine.Query serves one Request with whatever method it names,
 // Engine.Batch answers many — what the result cache holds inline on the
@@ -263,13 +265,16 @@
 //
 // The hot paths run on a pooled per-search workspace (internal/ws):
 // epoch-stamped visited/membership sets reset by an epoch bump instead of
-// reallocation, reusable frontier/sampling/distance buffers, and the sample
-// of a search with its core, kept on the graph's own node IDs and grown by
-// insertion (kcore.SampleCore) — so the substrate operations of the
-// sampling → extraction → estimation loop run with ~zero allocations
-// (CI-enforced by the BenchmarkSubstrate* AllocsPerRun guards) and a round
+// reallocation, reusable frontier/sampling buffers, the f(·,q) values a
+// search has evaluated (attr.View, which evaluates f on first touch), and the
+// sample of a search, kept on the graph's own node IDs with, under k-core,
+// its core grown by insertion (kcore.SampleCore) — so the substrate
+// operations of the sampling → extraction → estimation loop run with ~zero
+// allocations (CI-enforced by the BenchmarkSubstrate* guards) and a round
 // costs what it added to the sample, not the sample — under k-truss, what q
-// reaches in the sample's core, not the core. The induced-subgraph
+// reaches in the sample, not the sample. A search evaluates f only at Gq, its
+// frontier and its candidates: a million unreachable nodes change neither
+// its answer nor its work (TestPaddingAddsNoWork). The induced-subgraph
 // builder that writes into preallocated CSR arrays (graph.InducedStructureOf)
 // is what the tests compare that structure against; no serving path calls
 // it. A whole search is not allocation-free: over 400
@@ -278,6 +283,8 @@
 // and the loop repeated rounds that had nothing to draw; 1 449 and 199 KB
 // without those rounds; 405 and 27 KB since BLB draws from the search's
 // generator; 60 and 18 KB since the k-core maintainer's arrays are pooled.
+// The engine's miss used to add an f(·,q) vector of 8·n bytes to that (375
+// and 63 KB); it adds none now (BenchmarkSubstrateSEAMiss guards it).
 // What is left is the generator, each round's maintainer header, three small
 // buffers per BLB call, the peel's removed-node lists and the returned
 // community. Parallelism is between
@@ -285,7 +292,8 @@
 // Batch drives Workers of them (for what it has to compute; cached items
 // it answers inline and a fully cached batch starts no goroutine), while
 // each search runs on the goroutine that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
-// nodes and up) is the only fan-out inside a request; BLB and the peel scan
+// nodes and up), which only MethodExact and the experiments still run, is
+// the only fan-out inside a request; BLB and the peel scan
 // lost theirs when a probe of the benchmark's workloads found candidates of
 // at most 48 members and BLB calls over at most 47 values — ~40 µs of work
 // each. A result depends on the Request alone: a search builds one generator

@@ -196,7 +196,9 @@ var queryDistMinParallel = 1 << 12
 // node ID. The query's own entry is 0. On graphs large enough to amortize
 // the fan-out the vector is filled by a bounded worker pool (GOMAXPROCS
 // workers over disjoint node ranges); every write targets a distinct index,
-// so the result is identical to the serial fill.
+// so the result is identical to the serial fill. A search reads f through a
+// View instead, which evaluates only the nodes it touches; the whole vector
+// is for the exact solver and for callers that reuse it across searches.
 func (m *Metric) QueryDist(q graph.NodeID) []float64 {
 	dst := make([]float64, m.g.NumNodes())
 	ws.ForRange(len(dst), queryDistMinParallel, func(lo, hi int) {
@@ -207,23 +209,62 @@ func (m *Metric) QueryDist(q graph.NodeID) []float64 {
 	return dst
 }
 
+// View is f(·,q) as a search reads it, one node at a time. A lazy view
+// (Metric.View) evaluates Distance(v, q) the first time v is read and keeps
+// the value in its scratch, so a search pays for the nodes it touches, not
+// for |V|. A vector view (VectorView) reads a whole f(·,q) vector: every node
+// is computed already. Entry v of QueryDist(q) is that same Distance(v, q),
+// so both give the same bits.
+type View struct {
+	m    *Metric
+	q    graph.NodeID
+	vals []float64
+	done *graph.NodeSet // nil: vals is a whole vector
+}
+
+// View starts a lazy view of f(·,q) on sc, in O(1) once sc has served a
+// graph of this size. The view is valid until the next View on sc.
+func (m *Metric) View(q graph.NodeID, sc *ws.DistScratch) View {
+	n := m.g.NumNodes()
+	sc.Done.Reset(n)
+	sc.Vals = ws.F64(sc.Vals, n)
+	return View{m: m, q: q, vals: sc.Vals, done: &sc.Done}
+}
+
+// VectorView views dist, which holds f(v,q) for every node v.
+func VectorView(dist []float64) View { return View{vals: dist} }
+
+// At returns f(v,q).
+func (f *View) At(v graph.NodeID) float64 {
+	if f.done != nil && f.done.Add(v) {
+		f.vals[v] = f.m.Distance(v, f.q)
+	}
+	return f.vals[v]
+}
+
 // Delta computes the q-centric attribute distance δ(H) of Definition 4: the
 // mean composite distance to q over all members except q itself. A community
 // of only {q} has δ = 0.
-func Delta(dist []float64, members []graph.NodeID, q graph.NodeID) float64 {
+func (f *View) Delta(members []graph.NodeID, q graph.NodeID) float64 {
 	sum := 0.0
 	n := 0
 	for _, v := range members {
 		if v == q {
 			continue
 		}
-		sum += dist[v]
+		sum += f.At(v)
 		n++
 	}
 	if n == 0 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// Delta is View.Delta on a whole f(·,q) vector: dist[v] = f(v,q).
+func Delta(dist []float64, members []graph.NodeID, q graph.NodeID) float64 {
+	f := VectorView(dist)
+	return f.Delta(members, q)
 }
 
 // MaxPairwise returns the maximum composite distance over all pairs of

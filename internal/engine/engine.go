@@ -30,10 +30,12 @@
 // (see mutate.go). Queries load one state pointer at entry, so a request
 // always runs against one consistent snapshot of the graph and its indexes.
 //
-// Nothing is kept per query node: the f(·,q) distance vector a search needs
-// is computed on each result-cache miss and dropped with the search (the
-// paper's method is index-free; a caller sweeping parameters over one q
-// holds the vector itself and passes it to query.Run).
+// Nothing is kept per query node, and nothing of size |V| is built per
+// query: a result-cache miss hands query.Run no f(·,q) vector, so SEA
+// evaluates f at the nodes it touches and drops the values with the search
+// (the paper's method is index-free). Only the exact solver fills the whole
+// vector; a caller sweeping parameters over one q holds it itself and passes
+// it to query.Run.
 package engine
 
 import (
@@ -130,7 +132,6 @@ type searchOutcome struct {
 	out      *query.Outcome
 	err      error
 	shed     bool // rejected by MaxInFlight admission (err wraps ErrOverloaded)
-	distNS   int64
 	searchNS int64
 }
 
@@ -352,7 +353,7 @@ func (e *Engine) miss(ctx context.Context, req query.Request, qm *QueryMetrics) 
 	if err != nil {
 		return nil, err // context expired while waiting
 	}
-	qm.DistNS, qm.SearchNS = out.distNS, out.searchNS
+	qm.SearchNS = out.searchNS
 	qm.Shed = out.shed
 	return out.out, out.err
 }
@@ -392,13 +393,9 @@ func (e *Engine) compute(ctx context.Context, st *engState, req query.Request) *
 		return out
 	}
 
-	td := time.Now()
-	dist := st.metric.QueryDist(req.Query)
-	out.distNS = time.Since(td).Nanoseconds()
-
 	ts := time.Now()
 	e.ctr.searchRuns.Add(1)
-	res, err := query.Run(ctx, st.g, st.metric, dist, req)
+	res, err := query.Run(ctx, st.g, st.metric, nil, req)
 	out.searchNS = time.Since(ts).Nanoseconds()
 	out.out, out.err = res, err
 	if err == nil {

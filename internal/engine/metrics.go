@@ -22,10 +22,15 @@ type QueryMetrics struct {
 	Shed      bool   `json:"shed"`       // rejected by MaxInFlight admission control (429)
 	IndexHit  bool   `json:"index_hit"`  // shared index answered admission (reject) without a search
 	IndexNS   int64  `json:"index_ns"`   // shared-index admission check
-	DistNS    int64  `json:"dist_ns"`    // f(·,q) distance-vector compute
-	SearchNS  int64  `json:"search_ns"`  // SEA search proper
-	TotalNS   int64  `json:"total_ns"`   // whole request, queueing included
-	Err       string `json:"err"`        // empty on success
+	// DistNS is always zero: the engine builds no f(·,q) vector. SEA
+	// evaluates f at the nodes it touches, and that cost is in SearchNS.
+	//
+	// Deprecated: inert; kept so the wire form and the CSV columns stay as
+	// they are.
+	DistNS   int64  `json:"dist_ns"`
+	SearchNS int64  `json:"search_ns"` // the search, f(·,q) evaluation included
+	TotalNS  int64  `json:"total_ns"`  // whole request, queueing included
+	Err      string `json:"err"`       // empty on success
 }
 
 // QueryMetricsHeader returns the CSV header matching CSVRecord.

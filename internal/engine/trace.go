@@ -30,16 +30,20 @@ import (
 type Stage int
 
 const (
-	StageAdmission        Stage = iota // shared-index admission check
-	StageDistance                      // f(·,q) vector compute
-	StageSearch                        // search execution proper
-	StageTotalHit                      // whole request, served from the result cache
-	StageTotalMiss                     // whole request, computed
-	StageTotalCoalesced                // whole request, joined an in-flight twin
-	StageTotalShed                     // whole request, shed by MaxInFlight admission
-	StageMutateApply                   // session apply + materialize + index rebind
-	StageMutateJournal                 // journal append (recorded by the catalog)
-	StageMutateInvalidate              // scoped cache sweep
+	StageAdmission Stage = iota // shared-index admission check
+	// StageDistance records QueryMetrics.DistNS when it is positive, which
+	// it never is: f(·,q) is evaluated inside the search (StageSearch).
+	//
+	// Deprecated: inert; kept so /stats and /metrics keep their series.
+	StageDistance
+	StageSearch           // search execution proper, f(·,q) included
+	StageTotalHit         // whole request, served from the result cache
+	StageTotalMiss        // whole request, computed
+	StageTotalCoalesced   // whole request, joined an in-flight twin
+	StageTotalShed        // whole request, shed by MaxInFlight admission
+	StageMutateApply      // session apply + materialize + index rebind
+	StageMutateJournal    // journal append (recorded by the catalog)
+	StageMutateInvalidate // scoped cache sweep
 	NumStages
 )
 
@@ -225,7 +229,9 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 		e.lat[StageAdmission].Observe(qm.IndexNS)
 	}
 	if ranSearch && !qm.Coalesced {
-		e.lat[StageDistance].Observe(qm.DistNS)
+		if qm.DistNS > 0 {
+			e.lat[StageDistance].Observe(qm.DistNS)
+		}
 		e.lat[StageSearch].Observe(qm.SearchNS)
 	}
 

@@ -33,8 +33,10 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	if lat[StageTotalHit].Count != 1 {
 		t.Fatalf("total_hit count = %d, want 1", lat[StageTotalHit].Count)
 	}
-	if lat[StageSearch].Count != 1 || lat[StageDistance].Count != 1 {
-		t.Fatalf("stage counts: search=%d distance=%d, want 1 each", lat[StageSearch].Count, lat[StageDistance].Count)
+	// The engine builds no f(·,q) vector, so the inert distance stage stays
+	// empty rather than filling with zeros.
+	if lat[StageSearch].Count != 1 || lat[StageDistance].Count != 0 {
+		t.Fatalf("stage counts: search=%d distance=%d, want 1 and 0", lat[StageSearch].Count, lat[StageDistance].Count)
 	}
 	// The executed request must have spent time somewhere.
 	if lat[StageTotalMiss].Sum == 0 {

@@ -10,7 +10,9 @@ import (
 // SampleCore keeps, for a node sample S of g that only grows, the k-core of
 // the induced subgraph G[S] — {v : coreness of v in G[S] ≥ k} — on g's own
 // node IDs, repaired on insertion instead of induced and decomposed again.
-// The state lives in w.SampleCore; Visited, DegS, Nodes and NbrA of w are
+// SEA keeps one under the k-core model only: a k-truss round needs no core,
+// just the sample's membership. S is w.Sampled, the core and the sample
+// degrees live in w.SampleCore; Visited, DegS, Nodes and NbrA of w are
 // scratch during a call.
 type SampleCore struct {
 	g graph.Adjacency
@@ -22,17 +24,11 @@ type SampleCore struct {
 // graph of g's size.
 func NewSampleCore(g graph.Adjacency, k int, w *ws.Workspace) SampleCore {
 	n, sc := g.NumNodes(), &w.SampleCore
-	sc.In.Reset(n)
+	w.Sampled.Reset(n)
 	sc.Core.Reset(n)
 	sc.Deg = ws.I32(sc.Deg, n)
 	return SampleCore{g: g, k: int32(k), w: w}
 }
-
-// Sampled reports whether v is in the sample.
-func (c *SampleCore) Sampled(v graph.NodeID) bool { return c.w.SampleCore.In.Has(v) }
-
-// Core returns the core's membership, valid until the next Insert.
-func (c *SampleCore) Core() *graph.NodeSet { return &c.w.SampleCore.Core }
 
 // Insert adds nodes, none of them sampled yet, to the sample. The core can
 // only gain, and every connected piece of the gain contains an inserted node
@@ -45,15 +41,15 @@ func (c *SampleCore) Core() *graph.NodeSet { return &c.w.SampleCore.Core }
 // A cancelled ctx ends it between blocks of nodes with ctx's error; the
 // structure is then half updated and must not be used again.
 func (c *SampleCore) Insert(ctx context.Context, nodes []graph.NodeID) error {
-	g, k, w, sc := c.g, c.k, c.w, &c.w.SampleCore
+	g, k, w, sc, in := c.g, c.k, c.w, &c.w.SampleCore, &c.w.Sampled
 	for i, v := range nodes {
 		if i&1023 == 1023 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		sc.In.Add(v)
+		in.Add(v)
 		d := int32(0)
 		for _, u := range g.NeighborsInto(&w.NbrA, v) {
-			if sc.In.Has(u) {
+			if in.Has(u) {
 				d++
 				sc.Deg[u]++
 			}
@@ -75,7 +71,7 @@ func (c *SampleCore) Insert(ctx context.Context, nodes []graph.NodeID) error {
 	}
 	// open: u is in the core, or has the degree to join and is not evicted.
 	open := func(u graph.NodeID) bool {
-		return sc.In.Has(u) && sc.Deg[u] >= k && !(seen.Has(u) && cnt[u] == evicted)
+		return in.Has(u) && sc.Deg[u] >= k && !(seen.Has(u) && cnt[u] == evicted)
 	}
 	for i := 0; i < len(queue); i++ {
 		if i&1023 == 1023 && ctx.Err() != nil {

@@ -102,8 +102,8 @@ func TestSampleCoreMatchesScratch(t *testing.T) {
 				t.Fatalf("seed %d k %d |S| %d: component of q %v, from scratch %v", seed, k, len(sample), got, want)
 			}
 			for i, v := range order {
-				if core.Sampled(graph.NodeID(v)) != (i < len(sample)) {
-					t.Fatalf("seed %d |S| %d: Sampled(%d) = %v", seed, len(sample), v, i >= len(sample))
+				if w.Sampled.Has(graph.NodeID(v)) != (i < len(sample)) {
+					t.Fatalf("seed %d |S| %d: sampled(%d) = %v", seed, len(sample), v, i >= len(sample))
 				}
 			}
 		}

@@ -27,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sea"
 	"repro/internal/stats"
+	"repro/internal/ws"
 )
 
 // Method names a community-search solver. The zero value is MethodSEA.
@@ -351,12 +352,15 @@ func Execute(ctx context.Context, g graph.Store, req Request) (*Outcome, error) 
 
 // Run answers req on g, reusing a precomputed attribute metric m and f(·,q)
 // vector dist when the caller has them. Either may be nil: right after
-// validation a nil m becomes the DefaultGamma metric and a nil dist
-// m.QueryDist(q). This is the entry point the Engine drives with its shared
-// metric; g may be any graph.Store backing — heap CSR, mapped snapshot or
-// compressed adjacency — and the Outcome is byte-identical across them. On
-// interruption or budget exhaustion the Outcome carries the best community
-// found so far (Truncated set) alongside the classifying error.
+// validation a nil m becomes the DefaultGamma metric. A nil dist is not
+// computed up front: SEA evaluates f at the nodes it touches, a baseline at
+// its community's members for δ, and only exact, which bounds over every
+// node, fills m.QueryDist(q). This is the entry point the Engine drives with
+// its shared metric; g may be any graph.Store backing — heap CSR, mapped
+// snapshot or compressed adjacency — and the Outcome is byte-identical
+// across them, and across a nil and a supplied dist. On interruption or
+// budget exhaustion the Outcome carries the best community found so far
+// (Truncated set) alongside the classifying error.
 func Run(ctx context.Context, g graph.Store, m *attr.Metric, dist []float64, req Request) (*Outcome, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
@@ -374,27 +378,38 @@ func Run(ctx context.Context, g graph.Store, m *attr.Metric, dist []float64, req
 			return nil, err
 		}
 	}
-	if dist == nil {
-		dist = m.QueryDist(req.Query)
-	}
 	e := &env{ctx: ctx, g: g, m: m, dist: dist}
 	out, err := executors[req.Method](e, req)
 	if out != nil {
 		out.Method = req.Method
-		if out.Community != nil {
-			out.Delta = attr.Delta(dist, out.Community, req.Query)
+		if out.Community != nil && out.SEA == nil {
+			// SEA's own δ is this one, read from the same f.
+			out.Delta = e.delta(out.Community, req.Query)
 		}
 	}
 	return out, err
 }
 
 // env bundles the per-execution inputs shared by the method executors: the
-// graph, the attribute metric and the f(·,q) vector.
+// graph, the attribute metric and the caller's f(·,q) vector, nil when the
+// caller has none.
 type env struct {
 	ctx  context.Context
 	g    graph.Store
 	m    *attr.Metric
 	dist []float64
+}
+
+// delta is δ of members: from the caller's vector, or from m at the members
+// alone.
+func (e *env) delta(members []graph.NodeID, q graph.NodeID) float64 {
+	if e.dist != nil {
+		return attr.Delta(e.dist, members, q)
+	}
+	w := ws.Get()
+	defer w.Release()
+	f := e.m.View(q, &w.Dist)
+	return f.Delta(members, q)
 }
 
 // executor answers one canonical (defaults-resolved, validated) Request.
@@ -413,12 +428,19 @@ var executors = [numMethods]executor{
 }
 
 func runSEA(e *env, req Request) (*Outcome, error) {
-	res, err := sea.SearchWithDistContext(e.ctx, e.g, e.dist, req.Query, req.Options())
+	var res *sea.Result
+	var err error
+	if e.dist != nil {
+		res, err = sea.SearchWithDistContext(e.ctx, e.g, e.dist, req.Query, req.Options())
+	} else {
+		res, err = sea.SearchContext(e.ctx, e.g, e.m, req.Query, req.Options())
+	}
 	if res == nil {
 		return nil, err
 	}
 	return &Outcome{
 		Community: res.Community,
+		Delta:     res.Delta,
 		CI:        res.CI,
 		Satisfied: res.Satisfied,
 		Truncated: err != nil,
@@ -427,6 +449,9 @@ func runSEA(e *env, req Request) (*Outcome, error) {
 }
 
 func runExact(e *env, req Request) (*Outcome, error) {
+	if e.dist == nil {
+		e.dist = e.m.QueryDist(req.Query)
+	}
 	cfg := exact.DefaultConfig()
 	cfg.MaxStates = req.MaxStates
 	res, err := exact.SearchContext(e.ctx, e.g, req.Query, req.K, e.dist, cfg)

@@ -7,7 +7,8 @@
 // The operations thread a ws.Workspace for their scratch state — visited
 // sets, the frontier heap, the sampling-key array — and append results to
 // caller-owned slices, so they allocate nothing once both have warmed to the
-// working size.
+// working size. They read f(·,q) through an attr.View, so a lazy view
+// evaluates f only at the nodes Gq's frontier reaches.
 package sampling
 
 import (
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"repro/internal/attr"
 	"repro/internal/graph"
 	"repro/internal/ws"
 )
@@ -62,18 +64,18 @@ func heapPop(h []ws.NodeDist) ([]ws.NodeDist, ws.NodeDist) {
 	return h[:n], h[n]
 }
 
-// BuildGqInto expands a best-first search from q, always visiting the
+// BuildGqView expands a best-first search from q, always visiting the
 // frontier node with the smallest composite distance to q first, until
 // minSize nodes are collected (or the component of q is exhausted), and
-// appends them to dst. dist[v] must hold f(v,q). q is always the first
-// element appended. All scratch state (visited set, frontier heap) is drawn
-// from w.
+// appends them to dst. f is read once per node the frontier reaches. q is
+// always the first element appended. All scratch state (visited set,
+// frontier heap) is drawn from w.
 //
 // An empty dst starts a fresh expansion. A non-empty dst must be what the
-// last call on w returned for the same g, q and dist: the expansion goes on
+// last call on w returned for the same g, q and f: the expansion goes on
 // from the frontier that call left in w.Heap and w.GqSeen, and the pop order
 // being deterministic, the result is the list a fresh expansion builds.
-func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []float64, minSize int, w *ws.Workspace) []graph.NodeID {
+func BuildGqView(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, f *attr.View, minSize int, w *ws.Workspace) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
 	}
@@ -89,7 +91,7 @@ func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []f
 		dst = append(dst, nd.V)
 		for _, u := range g.NeighborsInto(&w.NbrA, nd.V) {
 			if w.GqSeen.Add(u) {
-				h = heapPush(h, ws.NodeDist{V: u, D: dist[u]})
+				h = heapPush(h, ws.NodeDist{V: u, D: f.At(u)})
 			}
 		}
 	}
@@ -97,14 +99,28 @@ func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []f
 	return dst
 }
 
-// ProbabilitiesInto appends to dst the normalized sampling probabilities of
+// BuildGqInto is BuildGqView over a whole f(·,q) vector, dist[v] = f(v,q),
+// for callers that hold one: benchmark/trace.go's primitive timings and the
+// tests.
+func BuildGqInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, dist []float64, minSize int, w *ws.Workspace) []graph.NodeID {
+	f := attr.VectorView(dist)
+	return BuildGqView(dst, g, q, &f, minSize, w)
+}
+
+// ProbabilitiesInto is ProbabilitiesView over a whole f(·,q) vector.
+func ProbabilitiesInto(dst []float64, population []graph.NodeID, dist []float64) []float64 {
+	f := attr.VectorView(dist)
+	return ProbabilitiesView(dst, population, &f)
+}
+
+// ProbabilitiesView appends to dst the normalized sampling probabilities of
 // Eq. 5 over the population nodes: Ps(v) ∝ 1 − f(v,q). If all distances are
 // 1 the distribution degenerates to uniform.
-func ProbabilitiesInto(dst []float64, population []graph.NodeID, dist []float64) []float64 {
+func ProbabilitiesView(dst []float64, population []graph.NodeID, f *attr.View) []float64 {
 	start := len(dst)
 	sum := 0.0
 	for _, v := range population {
-		w := 1 - dist[v]
+		w := 1 - f.At(v)
 		if w < 0 {
 			w = 0
 		}

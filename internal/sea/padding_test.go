@@ -1,0 +1,183 @@
+package sea
+
+import (
+	"context"
+	"encoding/json"
+	"testing"
+
+	"repro/internal/attr"
+	"repro/internal/dataset"
+	"repro/internal/graph"
+)
+
+// padded is a graph with pad isolated nodes after its own, carrying no text
+// and zero numerical attributes: a graph on which a search that costs O(|V|)
+// pays for a million nodes it never reaches.
+type padded struct {
+	*graph.Graph
+	pad  int
+	zero []float64
+}
+
+func (p padded) own(v graph.NodeID) bool { return int(v) < p.Graph.NumNodes() }
+
+func (p padded) NumNodes() int { return p.Graph.NumNodes() + p.pad }
+
+func (p padded) Degree(v graph.NodeID) int {
+	if !p.own(v) {
+		return 0
+	}
+	return p.Graph.Degree(v)
+}
+
+func (p padded) NeighborsInto(buf *[]graph.NodeID, v graph.NodeID) []graph.NodeID {
+	if !p.own(v) {
+		return nil
+	}
+	return p.Graph.NeighborsInto(buf, v)
+}
+
+func (p padded) HasEdge(u, v graph.NodeID) bool {
+	return p.own(u) && p.own(v) && p.Graph.HasEdge(u, v)
+}
+
+func (p padded) ListOffset(v graph.NodeID) int32 {
+	if !p.own(v) {
+		return int32(2 * p.NumEdges())
+	}
+	return p.Graph.ListOffset(v)
+}
+
+func (p padded) TextAttrs(v graph.NodeID) []int32 {
+	if !p.own(v) {
+		return nil
+	}
+	return p.Graph.TextAttrs(v)
+}
+
+func (p padded) NumAttrs(v graph.NodeID) []float64 {
+	if !p.own(v) {
+		return p.zero
+	}
+	return p.Graph.NumAttrs(v)
+}
+
+// PaddingCase is twitch and its twin padded with 10⁶ isolated nodes, each
+// with a metric on twitch's own normalizer bounds, so f agrees on every node
+// the two share. Theorem 10 asks for |Gq| ≥ |V| on twitch (capped at its
+// 8 000 nodes) and for ~15 000 nodes on the twin, more than the largest
+// component holds (6 673), so on both Gq is q's whole component: the ln n
+// term cannot move it, and a search that does only the work its answer reads
+// does the same work on both.
+type PaddingCase struct {
+	Base, Padded   graph.Store
+	MBase, MPadded *attr.Metric
+	Queries        []PaddingQuery // 20 k-core (k=6) and 20 k-truss (k=5)
+}
+
+// PaddingQuery is one search of a PaddingCase.
+type PaddingQuery struct {
+	Q     graph.NodeID
+	Model Model
+	K     int
+	Seed  int64
+}
+
+// Options returns the search's options.
+func (pq PaddingQuery) Options() Options {
+	opts := DefaultOptions()
+	opts.Model, opts.K, opts.Seed = pq.Model, pq.K, pq.Seed
+	return opts
+}
+
+// PaddedTwitch builds the PaddingCase. It is exported for the package's
+// external tests, which measure query.Run on it.
+func PaddedTwitch(t testing.TB) *PaddingCase {
+	t.Helper()
+	d, err := dataset.Homogeneous("twitch", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Graph
+	pad := padded{Graph: g, pad: 1_000_000, zero: make([]float64, g.NumDim())}
+	mBase, err := attr.NewMetric(g, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mPad, err := attr.NewMetricWithNormalizer(pad, 0.5, mBase.Normalizer())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &PaddingCase{Base: g, Padded: pad, MBase: mBase, MPadded: mPad}
+	for _, mk := range []struct {
+		model Model
+		k     int
+	}{{KCore, 6}, {KTruss, 5}} {
+		for i, q := range d.QueryNodes(20, mk.k, 29) {
+			c.Queries = append(c.Queries, PaddingQuery{Q: q, Model: mk.model, K: mk.k, Seed: int64(i + 1)})
+		}
+	}
+	return c
+}
+
+// searchWork is what one search returned and what it cost.
+type searchWork struct {
+	answer []byte // the Result without its wall times
+	evals  int    // f(·,q) evaluations: the lazy view's computed set
+	reads  int    // neighbour lists read
+}
+
+// work runs pq on g with f from m, checking that Gq is q's whole component
+// and that the search never takes the last-resort path, which visits every
+// node by design.
+func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWork {
+	t.Helper()
+	cg := &countingCSR{CSR: g}
+	s := newRun(context.Background(), cg, pq.Q, pq.Options())
+	defer s.w.Release()
+	s.f = m.View(pq.Q, &s.w.Dist)
+	minGq, err := s.minGqSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.run()
+	if err != nil {
+		t.Fatalf("%+v: %v", pq, err)
+	}
+	if res.GqSize >= minGq {
+		t.Fatalf("%+v: |Gq| = %d of the %d Theorem 10 asks for; the case needs q's whole component", pq, res.GqSize, minGq)
+	}
+	if len(s.w.Sample) != res.SampleSize {
+		t.Fatalf("%+v: the search took the last-resort path", pq)
+	}
+	res.Steps = StepTimes{}
+	for i := range res.Rounds {
+		res.Rounds[i].Time = 0
+	}
+	answer, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return searchWork{answer: answer, evals: s.w.Dist.Done.Len(), reads: cg.reads}
+}
+
+// TestPaddingAddsNoWork: a million nodes no search reaches change neither a
+// search's answer nor its work — its f(·,q) evaluations and its neighbour
+// reads. Evaluating f over all of V, or any other per-search pass over V,
+// fails it.
+func TestPaddingAddsNoWork(t *testing.T) {
+	c := PaddedTwitch(t)
+	for _, pq := range c.Queries {
+		base := work(t, c.Base, c.MBase, pq)
+		pad := work(t, c.Padded, c.MPadded, pq)
+		if string(base.answer) != string(pad.answer) {
+			t.Errorf("%+v: answers differ:\n  twitch: %s\n  padded: %s", pq, base.answer, pad.answer)
+		}
+		if base.evals != pad.evals || base.reads != pad.reads {
+			t.Errorf("%+v: f evaluations %d → %d, neighbour reads %d → %d", pq, base.evals, pad.evals, base.reads, pad.reads)
+		}
+		if base.evals >= c.Base.NumNodes() {
+			t.Errorf("%+v: %d f evaluations on a %d-node graph", pq, base.evals, c.Base.NumNodes())
+		}
+	}
+}

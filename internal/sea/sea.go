@@ -211,40 +211,66 @@ type Result struct {
 // internal/cserr, so errors.Is matches it across every search method.
 var ErrNoCommunity = cserr.ErrNoCommunity
 
-// SearchWithDistContext runs SEA on g for query node q, where dist holds
-// f(·,q) for every node (attr.Metric.QueryDist). The sampling-estimation round loop and the greedy peeling both check
-// ctx and stop promptly when it is cancelled: an interrupted search returns
-// the best candidate found so far (nil when none exists yet) together with
-// an error wrapping ctx's error.
+// SearchContext runs SEA on g for query node q, reading f(·,q) from m
+// through a lazy view: f is evaluated at the nodes the search touches — Gq
+// and its frontier, and the candidates — never at all |V| of them. The
+// sampling-estimation round loop and the greedy peeling both check ctx and
+// stop promptly when it is cancelled: an interrupted search returns the best
+// candidate found so far (nil when none exists yet) together with an error
+// wrapping ctx's error.
+func SearchContext(ctx context.Context, g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	s := newRun(ctx, g, q, opts)
+	defer s.w.Release()
+	s.f = m.View(q, &s.w.Dist)
+	return s.run()
+}
+
+// SearchWithDistContext is SearchContext for a caller that already holds
+// f(·,q) for every node (attr.Metric.QueryDist), as a sweep over one q does:
+// the vector is the same view with every node computed, and the answer is
+// the one SearchContext gives.
 func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	s := &seaRun{ctx: ctx, g: g, dist: dist, q: q, opts: opts, rng: rand.New(rand.NewSource(opts.Seed))}
-	s.w = ws.Get()
+	s := newRun(ctx, g, q, opts)
 	defer s.w.Release()
+	s.f = attr.VectorView(dist)
 	return s.run()
+}
+
+// newRun is the one constructor of a search: its generator, from
+// Options.Seed, and a workspace the caller releases. The caller sets f.
+func newRun(ctx context.Context, g graph.CSR, q graph.NodeID, opts Options) *seaRun {
+	return &seaRun{ctx: ctx, g: g, q: q, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), w: ws.Get()}
 }
 
 type seaRun struct {
 	ctx  context.Context
 	g    graph.CSR
-	dist []float64
 	q    graph.NodeID
 	opts Options
 	rng  *rand.Rand
+	// f is f(·,q): a lazy view on w.Dist, or a caller's whole vector.
+	f attr.View
 
 	// w is the pooled scratch substrate threaded through every hot loop:
-	// stamped visited/membership sets, the frontier heap and visited set of
-	// Gq's expansion, sampling keys, the sample's core and the round's
-	// maintainer, and the round loop's own population/sample/candidate
-	// buffers. What a warm search still allocates is the generator, each
-	// round's maintainer header, three small buffers per BLB call, the
-	// removed-node lists of the peel and the returned community.
+	// stamped visited/membership sets, the evaluated f values, the frontier
+	// heap and visited set of Gq's expansion, sampling keys, the sample's
+	// membership and core and the round's maintainer, and the round loop's
+	// own population/sample/candidate buffers. What a warm search still
+	// allocates is the generator, each round's maintainer header, three
+	// small buffers per BLB call, the removed-node lists of the peel and the
+	// returned community.
 	w *ws.Workspace
-	// core is the sample on g's own node IDs with its (MinSize(K)−1)-core,
-	// maintained by insertion: that is the k-core itself, and the (k−1)-core
-	// a k-truss lies inside, so one structure serves both models.
+	// core is the sample's K-core on g's own node IDs, maintained by
+	// insertion beside the sample's membership (w.Sampled). Only the k-core
+	// model has one: a k-truss lies inside the (k−1)-core of the sample, so
+	// the truss extraction finds the same truss in the sample itself, and a
+	// k-truss round keeps the membership alone.
 	core kcore.SampleCore
 
 	res Result
@@ -262,8 +288,8 @@ func (s *seaRun) interrupted() (*Result, error) {
 
 // result returns the search's Result as its own allocation. Callers keep
 // Results for a long time (the engine caches 4 096 of them); a pointer into
-// seaRun would keep the run's distance vector, generator and context
-// reachable for as long.
+// seaRun would keep the run's f view (a caller's vector, or the metric and
+// with it the graph), generator and context reachable for as long.
 func (s *seaRun) result() *Result {
 	res := s.res
 	return &res
@@ -299,7 +325,11 @@ func (s *seaRun) run() (*Result, error) {
 	}
 	sample := sampling.WeightedSampleInto(s.w.Sample[:0], gq, probs, sampleSize, s.q, s.rng, s.w)
 	s.w.Sample = sample // keep the backing array pooled even on round-1 exits
-	s.core = kcore.NewSampleCore(s.g, s.opts.Model.MinSize(s.opts.K)-1, s.w)
+	if s.opts.Model == KTruss {
+		s.w.Sampled.Reset(s.g.NumNodes())
+	} else {
+		s.core = kcore.NewSampleCore(s.g, s.opts.K, s.w)
+	}
 	s.res.Steps.Sampling += time.Since(t0)
 
 	var lastMoE, lastTarget float64
@@ -381,7 +411,7 @@ func (s *seaRun) run() (*Result, error) {
 		// maximal structure. SampleSize stays what the rounds drew.
 		rest := len(sample)
 		for v := graph.NodeID(0); int(v) < s.g.NumNodes(); v++ {
-			if !s.core.Sampled(v) {
+			if !s.w.Sampled.Has(v) {
 				sample = append(sample, v)
 			}
 		}
@@ -416,8 +446,8 @@ func (s *seaRun) run() (*Result, error) {
 // in the workspace, and so does the frontier: the first call (GqSize still 0)
 // starts the expansion, a second one continues it.
 func (s *seaRun) buildGq(size int) ([]graph.NodeID, []float64) {
-	s.w.Gq = sampling.BuildGqInto(s.w.Gq[:s.res.GqSize], s.g, s.q, s.dist, size, s.w)
-	s.w.Probs = sampling.ProbabilitiesInto(s.w.Probs[:0], s.w.Gq, s.dist)
+	s.w.Gq = sampling.BuildGqView(s.w.Gq[:s.res.GqSize], s.g, s.q, &s.f, size, s.w)
+	s.w.Probs = sampling.ProbabilitiesView(s.w.Probs[:0], s.w.Gq, &s.f)
 	s.res.GqSize = len(s.w.Gq)
 	return s.w.Gq, s.w.Probs
 }
@@ -429,7 +459,7 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 	restNodes := s.w.Nodes[:0]
 	restProbs := s.w.Floats[:0]
 	for i, v := range gq {
-		if !s.core.Sampled(v) {
+		if !s.w.Sampled.Has(v) {
 			restNodes = append(restNodes, v)
 			restProbs = append(restProbs, probs[i])
 		}
@@ -447,23 +477,27 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 // extract inserts added into the sample and returns the maintenance
 // structure over the model's maximal connected structure containing q in the
 // subgraph the sample induces, valid until the next extract, or nil when
-// there is none or ctx was cancelled. q's component of the maintained core,
-// in BFS order from q, is the k-core maintainer's universe. The k-truss
-// round hands the core's membership to truss.MaximalSubIn, which indexes
-// only what q reaches in it over edges closing k−2 triangles: when q's
-// component jumps to a core component of thousands of nodes, that is still
-// the few dozen around q, and the component itself is never walked.
+// there is none or ctx was cancelled. The k-truss round adds to the sample's
+// membership and hands it to truss.MaximalSubIn, which indexes only what q
+// reaches in it over edges closing k−2 triangles: when the sample around q
+// joins a component of thousands of nodes, that is still the few dozen
+// around q, and neither the component nor a core of it is ever walked. The
+// k-core round repairs the sample's core, and q's component of it, in BFS
+// order from q, is the maintainer's universe.
 func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	t1 := time.Now()
 	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
-	if s.core.Insert(s.ctx, added) != nil {
-		return nil
-	}
-	// A nil *Sub must come back as a nil interface.
 	if s.opts.Model == KTruss {
-		if maint := truss.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, s.core.Core(), s.w); maint != nil {
+		for _, v := range added {
+			s.w.Sampled.Add(v)
+		}
+		// A nil *Sub must come back as a nil interface.
+		if maint := truss.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, &s.w.Sampled, s.w); maint != nil {
 			return maint
 		}
+		return nil
+	}
+	if s.core.Insert(s.ctx, added) != nil {
 		return nil
 	}
 	comp := s.core.ComponentInto(s.w.Nodes[:0], s.q)
@@ -546,7 +580,7 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 			values = values[:0]
 			for _, v := range members {
 				if v != s.q {
-					values = append(values, s.dist[v])
+					values = append(values, s.f.At(v))
 				}
 			}
 			res, err := stats.BLB(values, blbConfig(s.opts), s.rng)
@@ -587,7 +621,7 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 	}
 	if haveBest {
 		s.res.Community = slices.Clone(bestSet)
-		s.res.Delta = attr.Delta(s.dist, s.res.Community, s.q)
+		s.res.Delta = s.f.Delta(s.res.Community, s.q)
 	}
 	return done, best, moe, target, blbTotal
 }
@@ -601,7 +635,7 @@ func (s *seaRun) mostDissimilar(members []graph.NodeID) graph.NodeID {
 		if v == s.q {
 			continue
 		}
-		if d := s.dist[v]; d > worstD {
+		if d := s.f.At(v); d > worstD {
 			worstD = d
 			worst = v
 		}

@@ -8,9 +8,11 @@
 // A Workspace bundles every scratch structure the hot loops need — epoch-
 // stamped visited/membership sets (graph.NodeSet: reset by epoch bump, not
 // reallocation), a best-first frontier heap, weighted-sampling key arrays,
-// int32 quadruples for the bin-sort core decomposition, a SampleCoreScratch
-// holding a search's sample and its core on the graph's own node IDs, and a
-// KCoreScratch and a TrussScratch holding the maintainer of a round (for
+// int32 quadruples for the bin-sort core decomposition, a DistScratch
+// holding the f(·,q) values a search has evaluated so far, the membership of
+// a search's sample and, beside it under the k-core model, a
+// SampleCoreScratch with the sample's core on the graph's own node IDs, and
+// a KCoreScratch and a TrussScratch holding the maintainer of a round (for
 // k-truss also the edge index, supports, peel state and rollback logs). No
 // serving path induces a subgraph any more: graph.InducedStructureOf,
 // graph.SubScratch and Workspace.Sub are kept for benchmark/trace.go's
@@ -21,8 +23,14 @@
 // runs with ~zero allocations in the substrate operations (see
 // BenchmarkSubstrate* at the repository root).
 //
+// A search's per-node arrays are sized to the graph once per Workspace and
+// then reset by epoch, so what a warm search costs follows the nodes it
+// touches, not |V|: SEA evaluates f(·,q) through DistScratch on first touch
+// and never fills an n-vector.
+//
 // The package also hosts ForRange, the bounded parallel-for behind the one
-// fan-out inside a request (Metric.QueryDist over node ranges). Workers are
+// fan-out inside a request: Metric.QueryDist over node ranges, which only
+// the exact solver and the paper's experiments still run. Workers are
 // capped by GOMAXPROCS and its chunks write disjoint indices, so the result
 // is byte-identical to the serial order — a search's answer depends on its
 // request alone.
@@ -84,22 +92,38 @@ type Workspace struct {
 	// Sub builds induced CSR subgraphs into preallocated arrays.
 	Sub graph.SubScratch
 
-	// SampleCore backs a search's sample and its maintained core, KCore and
-	// Truss the maintainer of a round. Unlike the buffers above, these belong
-	// to the structure built on them until the next one is built there.
+	// Sampled is the membership of a search's sample, by the graph's node
+	// IDs. Under the k-core model kcore.SampleCore adds to it and keeps the
+	// sample's core beside it; a k-truss round adds to it directly and
+	// hands it to the truss extraction.
+	Sampled graph.NodeSet
+
+	// Dist backs a search's lazy view of f(·,q), SampleCore the sample's
+	// maintained core, KCore and Truss the maintainer of a round. Unlike the
+	// buffers above, these belong to the structure built on them until the
+	// next one is built there.
+	Dist       DistScratch
 	SampleCore SampleCoreScratch
 	KCore      KCoreScratch
 	Truss      TrussScratch
 }
 
-// SampleCoreScratch holds kcore.SampleCore: the sampled nodes of a graph,
-// each one's degree within the sample, and the sample's core, by the graph's
-// node IDs. Starting a search bumps two epochs. The zero value is ready to
-// use; package kcore owns the layout.
+// DistScratch holds attr.View's lazy f(·,q): the nodes evaluated so far and
+// each one's value. Starting a search bumps one epoch. The zero value is
+// ready to use; package attr owns the layout.
+type DistScratch struct {
+	Done graph.NodeSet
+	Vals []float64 // per node: f(v,q); valid for members of Done
+}
+
+// SampleCoreScratch holds kcore.SampleCore: each sampled node's degree
+// within the sample (Workspace.Sampled) and the sample's core, by the
+// graph's node IDs. Starting a search bumps two epochs. The zero value is
+// ready to use; package kcore owns the layout.
 type SampleCoreScratch struct {
-	In, Core graph.NodeSet
-	Deg      []int32        // per node: sampled neighbours; valid for members of In
-	Queue    []graph.NodeID // candidates of one insertion, in discovery order
+	Core  graph.NodeSet
+	Deg   []int32        // per node: sampled neighbours; valid for sampled nodes
+	Queue []graph.NodeID // candidates of one insertion, in discovery order
 }
 
 // KCoreScratch holds every array of one k-core maintainer (kcore.Sub), one
@@ -180,6 +204,14 @@ func (w *Workspace) Release() {
 func I32(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// F64 is I32 for float64 buffers.
+func F64(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
 	}
 	return buf[:n]
 }
