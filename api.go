@@ -139,7 +139,7 @@ func Execute(ctx context.Context, g *Graph, req Request) (*Outcome, error) {
 
 // ExecuteWithMetric is Execute with a caller-supplied attribute metric.
 func ExecuteWithMetric(ctx context.Context, g *Graph, m *Metric, req Request) (*Outcome, error) {
-	return query.Run(ctx, g, m, nil, req)
+	return query.Run(ctx, g, m, req)
 }
 
 // Unified error taxonomy: every method classifies its failures behind these

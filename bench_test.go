@@ -440,11 +440,12 @@ func BenchmarkSubstrateInducedCSR(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateQueryDist is the f(·,q) vector the engine computes on
-// every result-cache miss: the vector and the fan-out closure.
+// BenchmarkSubstrateQueryDist is the whole f(·,q) vector the exact solver
+// fills per search (the engine's SEA miss builds none): one allocation, the
+// vector itself.
 func BenchmarkSubstrateQueryDist(b *testing.B) {
 	benchSetup(b)
-	guardAllocs(b, 2, func() { benchM.QueryDist(benchQ) })
+	guardAllocs(b, 1, func() { benchM.QueryDist(benchQ) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -552,8 +553,8 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 }
 
 // BenchmarkSubstrateSEAMiss is the engine's result-cache miss on the
-// twitter analog (48 000 nodes, k-core at k=6): query.Run with no f(·,q)
-// vector, a fresh seed per search. Its guard is on bytes, not allocations:
+// twitter analog (48 000 nodes, k-core at k=6): query.Run, a fresh seed per
+// search. Its guard is on bytes, not allocations:
 // a search evaluates f at the nodes it touches, and its per-node arrays come
 // from pooled workspaces, so it allocates ~70 KB, under the 4·n = 192 KB
 // ceiling, where one f(·,q) vector is 8·n. An O(|V|) allocation per search
@@ -572,7 +573,7 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 	ctx := context.Background()
 	search := func() {
 		req.Seed++ // a distinct request each time, as on a miss
-		if _, err := query.Run(ctx, d.Graph, m, nil, req); err != nil {
+		if _, err := query.Run(ctx, d.Graph, m, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -240,7 +240,7 @@
 // exact count and sum) whose record path is three atomic adds, recorded
 // unconditionally on every stage of every request. Snapshots are immutable
 // (one shared bucket layout) and estimate percentiles by interpolation.
-// The engine keeps a histogram per read stage (admission, distance, search;
+// The engine keeps a histogram per read stage (admission, search;
 // whole-request split by hit/miss/coalesced/shed outcome) and per mutation
 // stage (apply, journal append, scoped invalidation) in one array indexed
 // by stage; one table (LatencyStages) gives each stage its /stats key and
@@ -291,12 +291,14 @@
 // requests: the engine runs up to MaxConcurrent searches side by side and
 // Batch drives Workers of them (for what it has to compute; cached items
 // it answers inline and a fully cached batch starts no goroutine), while
-// each search runs on the goroutine that was handed it. Metric.QueryDist over node ranges (graphs of 4 096
-// nodes and up), which only MethodExact and the experiments still run, is
-// the only fan-out inside a request; BLB and the peel scan
-// lost theirs when a probe of the benchmark's workloads found candidates of
-// at most 48 members and BLB calls over at most 47 values — ~40 µs of work
-// each. A result depends on the Request alone: a search builds one generator
+// each search runs on the goroutine that was handed it: no request fans
+// out. BLB and the peel scan lost their fan-outs when a probe of the
+// benchmark's workloads found candidates of at most 48 members and BLB calls
+// over at most 47 values — ~40 µs of work each; Metric.QueryDist, which only
+// MethodExact runs, lost its node-range fan-out when it measured no faster
+// than the serial loop (0.67 vs 0.64 ms on a 12k-node twitter analog, 2.40
+// vs 2.41 ms at 48k nodes, 2 vCPUs), under 1% of one budgeted exact search.
+// A result depends on the Request alone: a search builds one generator
 // from its seed and the sample, every S3 draw and every BLB subsample and
 // resample take from it in order, so for a fixed seed the Outcome is
 // byte-identical whatever GOMAXPROCS is and however many searches run beside

@@ -2,7 +2,8 @@
 // (§II): Jaccard distance over textual attributes, min-max-normalized
 // Manhattan distance over numerical attributes, their composite combination
 // f(u,v) = γ·f_t + (1−γ)·f_#, and the q-centric attribute distance δ(H) of a
-// community.
+// community. f(·,q) is evaluated on the caller's goroutine, by the solver
+// that reads it: lazily through a View, or whole by QueryDist.
 package attr
 
 import (
@@ -186,26 +187,16 @@ func (m *Metric) Distance(u, v graph.NodeID) float64 {
 	return m.gamma*m.Jaccard(u, v) + (1-m.gamma)*m.Manhattan(u, v)
 }
 
-// queryDistMinParallel is the node count below which QueryDist stays
-// serial: per-node distance work is cheap enough that goroutine fan-out
-// only pays for itself on larger graphs. Package-level so tests can force
-// either path.
-var queryDistMinParallel = 1 << 12
-
-// QueryDist computes f(v,q) for every node v of the graph. Index with the
-// node ID. The query's own entry is 0. On graphs large enough to amortize
-// the fan-out the vector is filled by a bounded worker pool (GOMAXPROCS
-// workers over disjoint node ranges); every write targets a distinct index,
-// so the result is identical to the serial fill. A search reads f through a
-// View instead, which evaluates only the nodes it touches; the whole vector
-// is for the exact solver and for callers that reuse it across searches.
+// QueryDist computes f(v,q) for every node v of the graph, serially on the
+// calling goroutine. Index with the node ID. The query's own entry is 0. A
+// search reads f through a View instead, which evaluates only the nodes it
+// touches; the whole vector is for the exact solver, whose bounds read every
+// node.
 func (m *Metric) QueryDist(q graph.NodeID) []float64 {
 	dst := make([]float64, m.g.NumNodes())
-	ws.ForRange(len(dst), queryDistMinParallel, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			dst[v] = m.Distance(graph.NodeID(v), q)
-		}
-	})
+	for v := range dst {
+		dst[v] = m.Distance(graph.NodeID(v), q)
+	}
 	return dst
 }
 

@@ -148,7 +148,7 @@ func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 		if !errors.Is(err, sea.ErrNoCommunity) || !qm.IndexHit {
 			t.Fatalf("batch %d: truss reject for q=%d K=%d: err=%v metrics=%+v", batch, q, treq.K, err, qm)
 		}
-		if _, err := query.Run(ctx, st.g, st.metric, nil, treq); !errors.Is(err, sea.ErrNoCommunity) {
+		if _, err := query.Run(ctx, st.g, st.metric, treq); !errors.Is(err, sea.ErrNoCommunity) {
 			t.Fatalf("batch %d: direct search at q=%d K=%d disagrees with the index: %v", batch, q, treq.K, err)
 		}
 	}

@@ -4,8 +4,8 @@ import "sync"
 
 // Sharded LRU cache. Each shard is an independent mutex-protected LRU so
 // concurrent queries touching different keys rarely contend. Capacity is
-// divided evenly across shards; eviction is strictly least-recently-used
-// within a shard.
+// divided across shards so the slots add up to it exactly; eviction is
+// strictly least-recently-used within a shard.
 
 type lruEntry[K comparable, V any] struct {
 	key        K
@@ -87,6 +87,9 @@ func (s *lruShard[K, V]) stats() (hits, misses, evictions uint64, entries int) {
 	return s.hits, s.misses, s.evictions, len(s.items)
 }
 
+// cacheShards is the result cache's shard count, clamped to its capacity.
+const cacheShards = 16
+
 // shardedLRU distributes keys over shards by a caller-supplied hash.
 type shardedLRU[K comparable, V any] struct {
 	shards []lruShard[K, V]
@@ -94,7 +97,8 @@ type shardedLRU[K comparable, V any] struct {
 }
 
 // newShardedLRU builds a cache holding up to capacity entries in total,
-// spread over shards (both floored to 1).
+// spread over shards (both floored to 1, shards clamped to capacity): each
+// shard holds capacity/shards slots, and the first capacity%shards one more.
 func newShardedLRU[K comparable, V any](capacity, shards int, hash func(K) uint64) *shardedLRU[K, V] {
 	if shards < 1 {
 		shards = 1
@@ -106,8 +110,11 @@ func newShardedLRU[K comparable, V any](capacity, shards int, hash func(K) uint6
 		shards = capacity
 	}
 	c := &shardedLRU[K, V]{shards: make([]lruShard[K, V], shards), hash: hash}
-	per := (capacity + shards - 1) / shards
 	for i := range c.shards {
+		per := capacity / shards
+		if i < capacity%shards {
+			per++
+		}
 		c.shards[i].init(per)
 	}
 	return c

@@ -58,6 +58,18 @@ func TestLRUSharding(t *testing.T) {
 	}
 }
 
+// The shards' slots add up to the capacity exactly: 100 over 16 shards is
+// four shards of 7 and twelve of 6, not 16 of 7.
+func TestLRUHoldsCapacity(t *testing.T) {
+	c := newShardedLRU[int, int](100, 16, identHash)
+	for i := 0; i < 1000; i++ {
+		c.put(i, i)
+	}
+	if _, _, _, n := c.stats(); n != 100 {
+		t.Fatalf("entries=%d, want 100", n)
+	}
+}
+
 func TestLRUDegenerateSizes(t *testing.T) {
 	c := newShardedLRU[int, int](0, 0, identHash) // floors to 1×1
 	c.put(1, 10)

@@ -31,11 +31,11 @@
 // always runs against one consistent snapshot of the graph and its indexes.
 //
 // Nothing is kept per query node, and nothing of size |V| is built per
-// query: a result-cache miss hands query.Run no f(·,q) vector, so SEA
-// evaluates f at the nodes it touches and drops the values with the search
-// (the paper's method is index-free). Only the exact solver fills the whole
-// vector; a caller sweeping parameters over one q holds it itself and passes
-// it to query.Run.
+// query: on a result-cache miss query.Run's solver computes f(·,q) itself,
+// on the request's goroutine — SEA at the nodes it touches, dropping the
+// values with the search (the paper's method is index-free); only the exact
+// solver fills the whole vector. Goroutines run between requests (Batch
+// workers, the single-flight), never inside one.
 package engine
 
 import (
@@ -71,9 +71,6 @@ type Config struct {
 	// ResultCacheSize bounds the number of cached Request → Outcome entries.
 	// ≤0 selects the default.
 	ResultCacheSize int
-	// CacheShards is the number of independent LRU shards of the result cache.
-	// ≤0 selects the default.
-	CacheShards int
 	// MaxConcurrent caps the number of searches executing at once; further
 	// computations queue. ≤0 selects 2×GOMAXPROCS.
 	MaxConcurrent int
@@ -109,7 +106,6 @@ func DefaultConfig() Config {
 	return Config{
 		Gamma:           0.5,
 		ResultCacheSize: 4096,
-		CacheShards:     16,
 	}
 }
 
@@ -213,9 +209,6 @@ func newEngine(cfg Config, st *engState) *Engine {
 	if cfg.ResultCacheSize <= 0 {
 		cfg.ResultCacheSize = def.ResultCacheSize
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = def.CacheShards
-	}
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
@@ -234,7 +227,7 @@ func newEngine(cfg Config, st *engState) *Engine {
 	}
 	e.st.Store(st)
 	e.results = newShardedLRU[query.Request, *query.Outcome](
-		cfg.ResultCacheSize, cfg.CacheShards, requestHash)
+		cfg.ResultCacheSize, cacheShards, requestHash)
 	return e
 }
 
@@ -395,7 +388,7 @@ func (e *Engine) compute(ctx context.Context, st *engState, req query.Request) *
 
 	ts := time.Now()
 	e.ctr.searchRuns.Add(1)
-	res, err := query.Run(ctx, st.g, st.metric, nil, req)
+	res, err := query.Run(ctx, st.g, st.metric, req)
 	out.searchNS = time.Since(ts).Nanoseconds()
 	out.out, out.err = res, err
 	if err == nil {

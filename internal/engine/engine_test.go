@@ -117,7 +117,6 @@ func TestEngineResultCacheHit(t *testing.T) {
 func TestEngineCacheEviction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 2
-	cfg.CacheShards = 1
 	e, d, _ := testEngine(t, cfg)
 	ctx := context.Background()
 
@@ -228,7 +227,7 @@ func TestEngineIndexReject(t *testing.T) {
 	}
 	// The index's answer agrees with an actual search.
 	m, _ := attr.NewMetric(d.Graph, DefaultConfig().Gamma)
-	if _, err := query.Run(ctx, d.Graph, m, nil, req); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := query.Run(ctx, d.Graph, m, req); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct search disagrees with index: %v", err)
 	}
 
@@ -240,7 +239,7 @@ func TestEngineIndexReject(t *testing.T) {
 	if !errors.Is(err, sea.ErrNoCommunity) || !qm.IndexHit {
 		t.Fatalf("truss reject: err=%v metrics=%+v", err, qm)
 	}
-	if _, err := query.Run(ctx, d.Graph, m, nil, treq); !errors.Is(err, sea.ErrNoCommunity) {
+	if _, err := query.Run(ctx, d.Graph, m, treq); !errors.Is(err, sea.ErrNoCommunity) {
 		t.Fatalf("direct truss search disagrees with index: %v", err)
 	}
 }
@@ -412,7 +411,6 @@ func TestEngineInvalidInputs(t *testing.T) {
 func TestEngineConcurrentMixed(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 8
-	cfg.CacheShards = 2
 	e, d, _ := testEngine(t, cfg)
 	qs := d.QueryNodes(8, 2, 17)
 

@@ -22,22 +22,16 @@ type QueryMetrics struct {
 	Shed      bool   `json:"shed"`       // rejected by MaxInFlight admission control (429)
 	IndexHit  bool   `json:"index_hit"`  // shared index answered admission (reject) without a search
 	IndexNS   int64  `json:"index_ns"`   // shared-index admission check
-	// DistNS is always zero: the engine builds no f(·,q) vector. SEA
-	// evaluates f at the nodes it touches, and that cost is in SearchNS.
-	//
-	// Deprecated: inert; kept so the wire form and the CSV columns stay as
-	// they are.
-	DistNS   int64  `json:"dist_ns"`
-	SearchNS int64  `json:"search_ns"` // the search, f(·,q) evaluation included
-	TotalNS  int64  `json:"total_ns"`  // whole request, queueing included
-	Err      string `json:"err"`       // empty on success
+	SearchNS  int64  `json:"search_ns"`  // the search, f(·,q) evaluation included
+	TotalNS   int64  `json:"total_ns"`   // whole request, queueing included
+	Err       string `json:"err"`        // empty on success
 }
 
 // QueryMetricsHeader returns the CSV header matching CSVRecord.
 func QueryMetricsHeader() []string {
 	return []string{
 		"query", "k", "model", "method", "result_hit", "coalesced",
-		"shed", "index_hit", "index_ns", "dist_ns", "search_ns", "total_ns", "err",
+		"shed", "index_hit", "index_ns", "search_ns", "total_ns", "err",
 	}
 }
 
@@ -53,7 +47,6 @@ func (m QueryMetrics) CSVRecord() []string {
 		strconv.FormatBool(m.Shed),
 		strconv.FormatBool(m.IndexHit),
 		strconv.FormatInt(m.IndexNS, 10),
-		strconv.FormatInt(m.DistNS, 10),
 		strconv.FormatInt(m.SearchNS, 10),
 		strconv.FormatInt(m.TotalNS, 10),
 		m.Err,

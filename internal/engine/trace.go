@@ -30,20 +30,15 @@ import (
 type Stage int
 
 const (
-	StageAdmission Stage = iota // shared-index admission check
-	// StageDistance records QueryMetrics.DistNS when it is positive, which
-	// it never is: f(·,q) is evaluated inside the search (StageSearch).
-	//
-	// Deprecated: inert; kept so /stats and /metrics keep their series.
-	StageDistance
-	StageSearch           // search execution proper, f(·,q) included
-	StageTotalHit         // whole request, served from the result cache
-	StageTotalMiss        // whole request, computed
-	StageTotalCoalesced   // whole request, joined an in-flight twin
-	StageTotalShed        // whole request, shed by MaxInFlight admission
-	StageMutateApply      // session apply + materialize + index rebind
-	StageMutateJournal    // journal append (recorded by the catalog)
-	StageMutateInvalidate // scoped cache sweep
+	StageAdmission        Stage = iota // shared-index admission check
+	StageSearch                        // search execution proper, f(·,q) included
+	StageTotalHit                      // whole request, served from the result cache
+	StageTotalMiss                     // whole request, computed
+	StageTotalCoalesced                // whole request, joined an in-flight twin
+	StageTotalShed                     // whole request, shed by MaxInFlight admission
+	StageMutateApply                   // session apply + materialize + index rebind
+	StageMutateJournal                 // journal append (recorded by the catalog)
+	StageMutateInvalidate              // scoped cache sweep
 	NumStages
 )
 
@@ -53,7 +48,7 @@ type StageFamily struct{ Name, Help string }
 
 var (
 	queryStageFamily = StageFamily{"sea_query_stage_latency_seconds",
-		"Per-stage read-path latency: shared-index admission, distance-vector fetch/compute, search execution."}
+		"Per-stage read-path latency: shared-index admission, search execution."}
 	queryTotalFamily = StageFamily{"sea_query_latency_seconds",
 		"Whole-request latency by outcome: result-cache hit, computed miss, coalesced join, admission shed."}
 	mutateStageFamily = StageFamily{"sea_mutation_stage_latency_seconds",
@@ -74,7 +69,6 @@ type StageDesc struct {
 // one family are contiguous).
 var Stages = [NumStages]StageDesc{
 	StageAdmission:        {"admission", queryStageFamily, "stage", "admission"},
-	StageDistance:         {"distance", queryStageFamily, "stage", "distance"},
 	StageSearch:           {"search", queryStageFamily, "stage", "search"},
 	StageTotalHit:         {"total_hit", queryTotalFamily, "outcome", "hit"},
 	StageTotalMiss:        {"total_miss", queryTotalFamily, "outcome", "miss"},
@@ -95,7 +89,7 @@ type LatencyStats [NumStages]obs.Snapshot
 // order.
 type LatencySummary [NumStages]obs.Summary
 
-// MarshalJSON renders the summary as {"admission":{...},"distance":{...},...}.
+// MarshalJSON renders the summary as {"admission":{...},"search":{...},...}.
 func (s LatencySummary) MarshalJSON() ([]byte, error) {
 	out := []byte{'{'}
 	for st, d := range Stages {
@@ -222,16 +216,13 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 	}
 	// Stage histograms only count requests where the stage actually ran:
 	// admission is skipped on a result-cache hit or a malformed request, and
-	// a coalesced joiner carries the shared execution's distance/search
-	// timings, which the executing request already recorded.
-	ranSearch := qm.SearchNS > 0 || qm.DistNS > 0
+	// a coalesced joiner carries the shared execution's search timing,
+	// which the executing request already recorded.
+	ranSearch := qm.SearchNS > 0
 	if !qm.ResultHit && (qm.IndexHit || ranSearch || qm.Err == "") {
 		e.lat[StageAdmission].Observe(qm.IndexNS)
 	}
 	if ranSearch && !qm.Coalesced {
-		if qm.DistNS > 0 {
-			e.lat[StageDistance].Observe(qm.DistNS)
-		}
 		e.lat[StageSearch].Observe(qm.SearchNS)
 	}
 

@@ -84,11 +84,11 @@ type lineupRow struct {
 }
 
 // answer runs req for query node q on g through query.Run, sharing the
-// caller's metric and f(·,q) vector (dist may be nil). ok is false when the
-// method returned no community. A search that exhausted its state budget
-// counts with the best-so-far it returned, as the paper's budgeted exact
-// reference does.
-func answer(g graph.Store, m *attr.Metric, dist []float64, q graph.NodeID, req query.Request) (*query.Outcome, bool) {
+// caller's metric; the solver computes f(·,q) itself, inside the caller's
+// timer, as a served query does. ok is false when the method returned no
+// community. A search that exhausted its state budget counts with the
+// best-so-far it returned, as the paper's budgeted exact reference does.
+func answer(g graph.Store, m *attr.Metric, q graph.NodeID, req query.Request) (*query.Outcome, bool) {
 	// The paper's '-' cells: ACQ maximizes the attributes shared with q, so a
 	// query node without textual attributes has no attributed community —
 	// the solver would hand back the plain maximal structure.
@@ -96,7 +96,7 @@ func answer(g graph.Store, m *attr.Metric, dist []float64, q graph.NodeID, req q
 		return nil, false
 	}
 	req.Query = q
-	out, err := query.Run(context.Background(), g, m, dist, req)
+	out, err := query.Run(context.Background(), g, m, req)
 	if err != nil && !errors.Is(err, cserr.ErrBudgetExhausted) {
 		return nil, false
 	}
@@ -143,12 +143,11 @@ func (c Config) RunMethods(d *dataset.Generated, withEVAC bool) ([]MethodRow, er
 	}
 	counts := make([]int, len(lineup))
 	for _, q := range queries {
-		dist := m.QueryDist(q)
 		exactDelta := math.NaN()
 		outs := make([]*query.Outcome, len(lineup))
 		for i, row := range lineup {
 			start := time.Now()
-			out, ok := answer(d.Graph, m, dist, q, row.req)
+			out, ok := answer(d.Graph, m, q, row.req)
 			elapsed := time.Since(start)
 			if !ok {
 				rows[i].Failures++

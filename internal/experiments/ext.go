@@ -76,14 +76,13 @@ func runHetMethods(cfg Config, name string, g *graph.Graph, m *attr.Metric, quer
 		rows[i] = Table5Row{Dataset: name, Method: lineup[i].name}
 	}
 	for _, q := range queries {
-		dist := m.QueryDist(q)
 		refDelta := math.NaN()
-		if ref, ok := answer(g, m, dist, q, cfg.request(query.MethodExact, sea.KCore)); ok {
+		if ref, ok := answer(g, m, q, cfg.request(query.MethodExact, sea.KCore)); ok {
 			refDelta = ref.Delta
 		}
 		for i, meth := range lineup {
 			start := time.Now()
-			out, ok := answer(g, m, dist, q, meth.req)
+			out, ok := answer(g, m, q, meth.req)
 			if !ok {
 				rows[i].Fail++
 				continue
@@ -153,17 +152,16 @@ func Fig7(cfg Config, w io.Writer) ([]Fig7Row, error) {
 		for _, bound := range fig7Bounds {
 			row := Fig7Row{Dataset: tgt.name, SizeLo: bound[0], SizeHi: bound[1]}
 			for _, q := range tgt.queries {
-				dist := m.QueryDist(q)
 				req := cfg.request(query.MethodSEA, sea.KCore)
 				req.SizeLo, req.SizeHi = bound[0], bound[1]
 				start := time.Now()
-				res, ok := answer(tgt.g, m, dist, q, req)
+				res, ok := answer(tgt.g, m, q, req)
 				if !ok {
 					continue
 				}
 				row.TimeMS += ms(time.Since(start))
 				// Reference: unbounded SEA δ.
-				free, ok := answer(tgt.g, m, dist, q, cfg.request(query.MethodSEA, sea.KCore))
+				free, ok := answer(tgt.g, m, q, cfg.request(query.MethodSEA, sea.KCore))
 				if ok && free.Delta > 0 {
 					row.RelErr += 100 * math.Abs(res.Delta-free.Delta) / free.Delta
 				}

@@ -89,7 +89,7 @@ func Fig5d(cfg Config, w io.Writer) ([]Fig5dRow, error) {
 		row := Fig5dRow{Dataset: name}
 		n := 0
 		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-			out, ok := answer(d.Graph, m, nil, q, cfg.request(query.MethodSEA, sea.KCore))
+			out, ok := answer(d.Graph, m, q, cfg.request(query.MethodSEA, sea.KCore))
 			if !ok {
 				continue
 			}

@@ -43,15 +43,14 @@ func Scalability(cfg Config, w io.Writer) ([]ScaleRow, error) {
 		row := ScaleRow{Scale: scale, Nodes: d.Graph.NumNodes(), Edges: d.Graph.NumEdges()}
 		n := 0
 		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-			dist := m.QueryDist(q)
 			start := time.Now()
-			res, ok := answer(d.Graph, m, dist, q, cfg.request(query.MethodSEA, sea.KCore))
+			res, ok := answer(d.Graph, m, q, cfg.request(query.MethodSEA, sea.KCore))
 			if !ok {
 				continue
 			}
 			seaMS := ms(time.Since(start))
 			start = time.Now()
-			ex, ok := answer(d.Graph, m, dist, q, cfg.request(query.MethodExact, sea.KCore))
+			ex, ok := answer(d.Graph, m, q, cfg.request(query.MethodExact, sea.KCore))
 			if !ok {
 				continue
 			}

@@ -112,11 +112,7 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		dists := map[graph.NodeID][]float64{}
 		exacts := map[graph.NodeID]float64{}
-		for _, q := range queries[name] {
-			dists[q] = m.QueryDist(q)
-		}
 		for _, sweep := range sweeps {
 			for _, x := range sweep.values {
 				pt := SweepPoint{Dataset: name, Param: sweep.param, X: x}
@@ -126,7 +122,7 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 					req := cfg.request(query.MethodSEA, sea.KCore)
 					sweep.apply(&req, x)
 					start := time.Now()
-					res, ok := answer(g, m, dists[q], q, req)
+					res, ok := answer(g, m, q, req)
 					if !ok {
 						continue
 					}
@@ -136,7 +132,7 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 						ref, ok := exacts[q]
 						if !ok {
 							ref = math.NaN()
-							if ex, ok := answer(g, m, dists[q], q, cfg.request(query.MethodExact, sea.KCore)); ok {
+							if ex, ok := answer(g, m, q, cfg.request(query.MethodExact, sea.KCore)); ok {
 								ref = ex.Delta
 							}
 							exacts[q] = ref
@@ -197,7 +193,7 @@ func Fig10(cfg Config, w io.Writer) ([]Fig10Row, error) {
 			row := Fig10Row{Dataset: name, Gamma: gamma}
 			n := 0
 			for _, q := range queries[name] {
-				res, ok := answer(g, m, nil, q, cfg.request(query.MethodSEA, sea.KCore))
+				res, ok := answer(g, m, q, cfg.request(query.MethodSEA, sea.KCore))
 				if !ok {
 					continue
 				}

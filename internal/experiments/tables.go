@@ -117,10 +117,9 @@ func Table2(cfg Config, w io.Writer) ([]Table2Row, error) {
 		rows[i].Method = lineup[i].name
 	}
 	for _, q := range queries {
-		dist := m.QueryDist(q)
 		qAttrs := d.Graph.TextAttrs(q)
 		for i, row := range lineup {
-			out, ok := answer(d.Graph, m, dist, q, row.req)
+			out, ok := answer(d.Graph, m, q, row.req)
 			if !ok {
 				continue
 			}
@@ -225,10 +224,9 @@ func f1ForDataset(cfg Config, d *dataset.Generated) (Table3Row, error) {
 	row := Table3Row{Dataset: d.Spec.Name, F1: map[string]float64{}}
 	counts := map[string]int{}
 	for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-		dist := m.QueryDist(q)
 		truth := d.GroundTruth(q)
 		for _, meth := range lineup {
-			out, ok := answer(d.Graph, m, dist, q, meth.req)
+			out, ok := answer(d.Graph, m, q, meth.req)
 			if !ok {
 				continue
 			}
@@ -290,9 +288,8 @@ func Table4(cfg Config, w io.Writer) ([]Table4Row, error) {
 			row := Table4Row{Config: c.name, Dataset: name}
 			n := 0
 			for _, q := range queries {
-				dist := m.QueryDist(q)
 				start := time.Now()
-				res, err := exact.SearchContext(context.Background(), d.Graph, q, cfg.K, dist, c.c)
+				res, err := exact.SearchContext(context.Background(), d.Graph, q, cfg.K, m.QueryDist(q), c.c)
 				if err != nil && !errors.Is(err, exact.ErrBudgetExhausted) {
 					continue
 				}
@@ -351,7 +348,7 @@ func Table6(cfg Config, w io.Writer) ([]Table6Row, error) {
 		req := cfg.request(query.MethodSEA, sea.KCore)
 		req.Query = q
 		req.SizeLo, req.SizeHi = bound[0], bound[1]
-		out, err := query.Run(context.Background(), proj.Graph, m, nil, req)
+		out, err := query.Run(context.Background(), proj.Graph, m, req)
 		if errors.Is(err, sea.ErrNoCommunity) {
 			continue
 		}

@@ -122,8 +122,6 @@ func appendItem(b []byte, it *engine.BatchItem) ([]byte, bool) {
 	b = strconv.AppendBool(append(b, `,"shed":`...), m.Shed)
 	b = strconv.AppendBool(append(b, `,"index_hit":`...), m.IndexHit)
 	b = strconv.AppendInt(append(b, `,"index_ns":`...), m.IndexNS, 10)
-	//lint:ignore SA1019 dist_ns stays on the wire, written as encoding/json writes it
-	b = strconv.AppendInt(append(b, `,"dist_ns":`...), m.DistNS, 10)
 	b = strconv.AppendInt(append(b, `,"search_ns":`...), m.SearchNS, 10)
 	b = strconv.AppendInt(append(b, `,"total_ns":`...), m.TotalNS, 10)
 	b = appendString(append(b, `,"err":`...), m.Err)

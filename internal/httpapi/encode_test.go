@@ -61,7 +61,7 @@ func genItem(rng *rand.Rand) engine.BatchItem {
 		Metrics: engine.QueryMetrics{
 			Query: rng.Int63() - rng.Int63(), K: rng.Intn(100) - 5, Model: pick(rng, edgeStrings), Method: pick(rng, edgeStrings),
 			ResultHit: rng.Intn(2) == 0, Coalesced: rng.Intn(2) == 0, Shed: rng.Intn(2) == 0, IndexHit: rng.Intn(2) == 0,
-			IndexNS: rng.Int63n(1e6), DistNS: rng.Int63n(1e9), SearchNS: rng.Int63(), TotalNS: -rng.Int63n(5), Err: pick(rng, edgeStrings),
+			IndexNS: rng.Int63n(1e6), SearchNS: rng.Int63(), TotalNS: -rng.Int63n(5), Err: pick(rng, edgeStrings),
 		},
 	}
 	if rng.Intn(3) == 0 {

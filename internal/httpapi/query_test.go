@@ -312,7 +312,7 @@ func TestRequestRoundTripsThroughHTTP(t *testing.T) {
 	var viaHTTP searchResponse
 	postJSON(t, srv.URL+"/search", string(blob), http.StatusOK, &viaHTTP)
 
-	direct, err := query.Run(context.Background(), d.Graph, e.Metric(), nil, req)
+	direct, err := query.Run(context.Background(), d.Graph, e.Metric(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -313,7 +313,8 @@ func (o *Outcome) Rendered(render func(*Outcome) []byte) []byte {
 // Searcher answers Requests with one fixed method on any graph backing.
 // Obtain one from NewSearcher; implementations are stateless and safe for
 // concurrent use. Search builds the attribute metric itself (γ=0.5, the
-// paper's default); use Run to share a precomputed metric or f(·,q) vector.
+// paper's default); use Run to share a precomputed metric. Either way the
+// solver computes f(·,q) itself, as part of answering.
 type Searcher interface {
 	// Method returns the solver this searcher routes to.
 	Method() Method
@@ -341,27 +342,26 @@ func (s methodSearcher) Method() Method { return s.m }
 
 func (s methodSearcher) Search(ctx context.Context, g graph.Store, req Request) (*Outcome, error) {
 	req.Method = s.m
-	return Run(ctx, g, nil, nil, req)
+	return Run(ctx, g, nil, req)
 }
 
 // Execute answers req on g with the method req names, building the default
 // attribute metric. It is the one-call form of NewSearcher + Search.
 func Execute(ctx context.Context, g graph.Store, req Request) (*Outcome, error) {
-	return Run(ctx, g, nil, nil, req)
+	return Run(ctx, g, nil, req)
 }
 
-// Run answers req on g, reusing a precomputed attribute metric m and f(·,q)
-// vector dist when the caller has them. Either may be nil: right after
-// validation a nil m becomes the DefaultGamma metric. A nil dist is not
-// computed up front: SEA evaluates f at the nodes it touches, a baseline at
-// its community's members for δ, and only exact, which bounds over every
-// node, fills m.QueryDist(q). This is the entry point the Engine drives with
-// its shared metric; g may be any graph.Store backing — heap CSR, mapped
-// snapshot or compressed adjacency — and the Outcome is byte-identical
-// across them, and across a nil and a supplied dist. On interruption or
-// budget exhaustion the Outcome carries the best community found so far
-// (Truncated set) alongside the classifying error.
-func Run(ctx context.Context, g graph.Store, m *attr.Metric, dist []float64, req Request) (*Outcome, error) {
+// Run answers req on g, reusing the caller's attribute metric m; a nil m
+// becomes the DefaultGamma metric right after validation. f(·,q) is computed
+// by the solver that reads it, on the calling goroutine: SEA evaluates f at
+// the nodes it touches, a baseline at its community's members for δ, and
+// only exact, which bounds over every node, fills m.QueryDist(q). This is the
+// entry point the Engine drives with its shared metric; g may be any
+// graph.Store backing — heap CSR, mapped snapshot or compressed adjacency —
+// and the Outcome is byte-identical across them. On interruption or budget
+// exhaustion the Outcome carries the best community found so far (Truncated
+// set) alongside the classifying error.
+func Run(ctx context.Context, g graph.Store, m *attr.Metric, req Request) (*Outcome, error) {
 	req = req.WithDefaults()
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -378,37 +378,31 @@ func Run(ctx context.Context, g graph.Store, m *attr.Metric, dist []float64, req
 			return nil, err
 		}
 	}
-	e := &env{ctx: ctx, g: g, m: m, dist: dist}
+	e := &env{ctx: ctx, g: g, m: m}
 	out, err := executors[req.Method](e, req)
 	if out != nil {
 		out.Method = req.Method
 		if out.Community != nil && out.SEA == nil {
 			// SEA's own δ is this one, read from the same f.
-			out.Delta = e.delta(out.Community, req.Query)
+			out.Delta = delta(m, out.Community, req.Query)
 		}
 	}
 	return out, err
 }
 
 // env bundles the per-execution inputs shared by the method executors: the
-// graph, the attribute metric and the caller's f(·,q) vector, nil when the
-// caller has none.
+// graph and the attribute metric.
 type env struct {
-	ctx  context.Context
-	g    graph.Store
-	m    *attr.Metric
-	dist []float64
+	ctx context.Context
+	g   graph.Store
+	m   *attr.Metric
 }
 
-// delta is δ of members: from the caller's vector, or from m at the members
-// alone.
-func (e *env) delta(members []graph.NodeID, q graph.NodeID) float64 {
-	if e.dist != nil {
-		return attr.Delta(e.dist, members, q)
-	}
+// delta is δ of members, evaluating f at the members alone.
+func delta(m *attr.Metric, members []graph.NodeID, q graph.NodeID) float64 {
 	w := ws.Get()
 	defer w.Release()
-	f := e.m.View(q, &w.Dist)
+	f := m.View(q, &w.Dist)
 	return f.Delta(members, q)
 }
 
@@ -428,13 +422,7 @@ var executors = [numMethods]executor{
 }
 
 func runSEA(e *env, req Request) (*Outcome, error) {
-	var res *sea.Result
-	var err error
-	if e.dist != nil {
-		res, err = sea.SearchWithDistContext(e.ctx, e.g, e.dist, req.Query, req.Options())
-	} else {
-		res, err = sea.SearchContext(e.ctx, e.g, e.m, req.Query, req.Options())
-	}
+	res, err := sea.SearchContext(e.ctx, e.g, e.m, req.Query, req.Options())
 	if res == nil {
 		return nil, err
 	}
@@ -449,12 +437,9 @@ func runSEA(e *env, req Request) (*Outcome, error) {
 }
 
 func runExact(e *env, req Request) (*Outcome, error) {
-	if e.dist == nil {
-		e.dist = e.m.QueryDist(req.Query)
-	}
 	cfg := exact.DefaultConfig()
 	cfg.MaxStates = req.MaxStates
-	res, err := exact.SearchContext(e.ctx, e.g, req.Query, req.K, e.dist, cfg)
+	res, err := exact.SearchContext(e.ctx, e.g, req.Query, req.K, e.m.QueryDist(req.Query), cfg)
 	if err != nil && res.Community == nil {
 		return nil, err
 	}

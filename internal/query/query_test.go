@@ -184,7 +184,7 @@ func TestRunMatchesSolver(t *testing.T) {
 	req := DefaultRequest(0)
 	req.K = 3
 
-	out, err := Run(context.Background(), g, m, nil, req)
+	out, err := Run(context.Background(), g, m, req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestNegativeRequestNeverReachesSolver(t *testing.T) {
 	for i, mut := range muts {
 		req := validBase()
 		mut(&req)
-		out, err := Run(t.Context(), g, nil, nil, req)
+		out, err := Run(t.Context(), g, nil, req)
 		if out != nil || !errors.Is(err, cserr.ErrInvalidRequest) {
 			t.Fatalf("case %d: out=%v err=%v", i, out, err)
 		}

@@ -11,8 +11,8 @@ import (
 	"repro/internal/sea"
 )
 
-// TestPaddingAddsNoBytes: what query.Run allocates for a SEA search with no
-// f(·,q) vector — the engine's miss path — does not grow with nodes the
+// TestPaddingAddsNoBytes: what query.Run allocates for a SEA search — the
+// engine's miss path — does not grow with nodes the
 // search never reaches. On twitch padded with 10⁶ isolated nodes each search
 // allocates within 64 KB of what it does on twitch; one f vector over the
 // padded graph is 8 MB. The pooled workspaces are grown to the padded size
@@ -24,7 +24,7 @@ func TestPaddingAddsNoBytes(t *testing.T) {
 		return query.Request{Query: pq.Q, Model: pq.Model, K: pq.K, Seed: pq.Seed}
 	}
 	run := func(g graph.Store, m *attr.Metric, req query.Request) {
-		if _, err := query.Run(ctx, g, m, nil, req); err != nil {
+		if _, err := query.Run(ctx, g, m, req); err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
 	}

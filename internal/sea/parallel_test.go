@@ -24,9 +24,8 @@ func stripTimes(r *Result) *Result {
 // TestResultIndependentOfGOMAXPROCS is the one scheduling contract a search
 // has: the same request — graph, query node, options, seed — returns a
 // byte-identical Result (times stripped) whatever GOMAXPROCS is. A search
-// runs on the goroutine that was handed it; the only fan-out a request can
-// reach is Metric.QueryDist's, on graphs of 4 096 nodes and up, so the graph
-// here is that large and f(·,q) is recomputed under each setting.
+// runs on the goroutine that was handed it, and nothing it calls starts
+// another (TestNoFanOutInsideARequest at the repository root).
 func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 	d, err := dataset.Generate(dataset.Spec{
 		Name: "procs", Nodes: 4500, MinCommunity: 12, MaxCommunity: 30,

@@ -228,10 +228,12 @@ func SearchContext(ctx context.Context, g graph.CSR, m *attr.Metric, q graph.Nod
 	return s.run()
 }
 
-// SearchWithDistContext is SearchContext for a caller that already holds
-// f(·,q) for every node (attr.Metric.QueryDist), as a sweep over one q does:
-// the vector is the same view with every node computed, and the answer is
-// the one SearchContext gives.
+// SearchWithDistContext is SearchContext reading a caller's f(·,q) vector
+// (attr.Metric.QueryDist): the same view with every node computed, so the
+// answer is the one SearchContext gives. No serving path or experiment calls
+// it; it is kept for benchmark/trace.go, which times the search apart from
+// f, and for the tests that hold the two paths equal
+// (TestVectorPathMatchesLazy).
 func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err

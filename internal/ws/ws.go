@@ -28,17 +28,12 @@
 // touches, not |V|: SEA evaluates f(·,q) through DistScratch on first touch
 // and never fills an n-vector.
 //
-// The package also hosts ForRange, the bounded parallel-for behind the one
-// fan-out inside a request: Metric.QueryDist over node ranges, which only
-// the exact solver and the paper's experiments still run. Workers are
-// capped by GOMAXPROCS and its chunks write disjoint indices, so the result
-// is byte-identical to the serial order — a search's answer depends on its
-// request alone.
+// Nothing here starts a goroutine: a search runs on the goroutine that was
+// handed it, and its answer depends on its request alone.
 package ws
 
 import (
 	"runtime"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -214,41 +209,4 @@ func F64(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// MaxWorkers returns the bound on workers for parallel stages: GOMAXPROCS.
-func MaxWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// ForRange splits [0, n) into at most MaxWorkers contiguous chunks, runs
-// fn(lo, hi) on each concurrently and waits for every chunk. When
-// n < minParallel — or only one worker is available — fn runs inline as
-// fn(0, n), so small inputs pay no goroutine overhead. fn must be safe for
-// concurrent invocation on disjoint ranges; writes to disjoint indices keep
-// results identical to the serial order.
-func ForRange(n, minParallel int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := MaxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minParallel {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

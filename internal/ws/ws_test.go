@@ -2,38 +2,8 @@ package ws
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 )
-
-func TestForRangeCoversEveryIndexOnce(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 100, 4096} {
-		var hits [4096]int32
-		ForRange(n, 1, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&hits[i], 1)
-			}
-		})
-		for i := 0; i < n; i++ {
-			if hits[i] != 1 {
-				t.Fatalf("n=%d: index %d visited %d times", n, i, hits[i])
-			}
-		}
-	}
-}
-
-func TestForRangeInlineBelowThreshold(t *testing.T) {
-	calls := 0
-	ForRange(100, 1000, func(lo, hi int) {
-		calls++
-		if lo != 0 || hi != 100 {
-			t.Fatalf("inline call got [%d,%d), want [0,100)", lo, hi)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("calls=%d, want 1", calls)
-	}
-}
 
 func TestWorkspacePoolRoundTrip(t *testing.T) {
 	w := Get()

@@ -105,10 +105,44 @@ func TestNoContextTwins(t *testing.T) {
 	}
 }
 
+// TestNoFanOutInsideARequest keeps a search on the goroutine that was handed
+// it: no non-test file of a package a search runs through has a go
+// statement or a sync.WaitGroup. Parallelism is between requests — the
+// engine's Batch workers and single-flight — which this does not cover.
+func TestNoFanOutInsideARequest(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, pkg := range []string{"attr", "ws", "graph", "sampling", "stats", "kcore", "truss", "cohesive", "sea", "exact", "baselines", "clique", "hetgraph", "query"} {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					t.Errorf("%s: go statement inside a request", fset.Position(n.Pos()))
+				case *ast.SelectorExpr:
+					if x, ok := n.X.(*ast.Ident); ok && x.Name == "sync" && n.Sel.Name == "WaitGroup" {
+						t.Errorf("%s: sync.WaitGroup inside a request", fset.Position(n.Pos()))
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestOneGeneratorPerSearch keeps a search's randomness in one place: the
 // non-test files of the solver packages build exactly one generator,
-// SearchWithDistContext's from Options.Seed, and every sampler and estimator
-// draws from the *rand.Rand it is handed.
+// newRun's from Options.Seed, and every sampler and estimator draws from the
+// *rand.Rand it is handed.
 func TestOneGeneratorPerSearch(t *testing.T) {
 	var sites []string
 	for _, pkg := range []string{"sea", "stats", "sampling", "kcore", "truss", "attr"} {
