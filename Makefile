@@ -58,17 +58,9 @@ bench-json:
 	$(GO) run ./cmd/seaload -selfserve -scale 0.25 -scenario mixed \
 		-qps 150 -duration 5s -warmup 1s -out $(BENCH_OUT)
 	$(GO) run ./cmd/seaload -selfserve -selfserve-journal -scale 0.25 \
-		-scenario write-heavy -qps 150 -duration 5s -warmup 1s \
-		-record-suffix @serial -commit-max-batch 1 -out $(BENCH_OUT)
-	$(GO) run ./cmd/seaload -selfserve -selfserve-journal -scale 0.25 \
-		-scenario write-heavy -qps 150 -duration 5s -warmup 1s \
-		-record-suffix @group-commit -out $(BENCH_OUT)
+		-scenario write-heavy -qps 150 -duration 5s -warmup 1s -out $(BENCH_OUT)
 	$(GO) run ./cmd/seaload -selfserve -selfserve-journal -scale 1.0 \
-		-writers 32 -direct -duration 3s -warmup 500ms \
-		-record-suffix @serial -commit-max-batch 1 -out $(BENCH_OUT)
-	$(GO) run ./cmd/seaload -selfserve -selfserve-journal -scale 1.0 \
-		-writers 32 -direct -duration 3s -warmup 500ms \
-		-record-suffix @group-commit -out $(BENCH_OUT)
+		-writers 32 -direct -duration 3s -warmup 500ms -out $(BENCH_OUT)
 
 # Re-run the canonical configuration and print per-experiment wall-clock
 # ratios against the latest (highest-numbered) committed trajectory record.

@@ -10,7 +10,6 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/clique"
 	"repro/internal/cluster"
-	"repro/internal/commit"
 	"repro/internal/cserr"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -163,8 +162,8 @@ var (
 	// ErrUnknownGraph reports a request naming a dataset the catalog has
 	// not mounted.
 	ErrUnknownGraph = cserr.ErrUnknownGraph
-	// ErrOverloaded reports a request shed by admission control or
-	// commit-queue backpressure: nothing was enqueued or applied, and the
+	// ErrOverloaded reports a request shed by admission control or by a
+	// full commit queue: nothing was enqueued or applied, and the
 	// request is safe to retry after backing off (HTTP 429 + Retry-After).
 	ErrOverloaded = cserr.ErrOverloaded
 )
@@ -201,10 +200,10 @@ func KCliqueCommunity(g *Graph, q NodeID, k, maxCliques int) ([]NodeID, error) {
 }
 
 // Engine is a long-lived, concurrency-safe query-serving layer over one
-// fixed graph: it precomputes and shares the attribute metric and the
-// structural decompositions across queries, caches per-query distance
-// vectors and full Outcomes in sharded LRUs, and coalesces concurrent
-// identical queries single-flight style. Every request is one Request,
+// graph: it precomputes and shares the attribute metric and the structural
+// decompositions across queries, caches full Outcomes in a sharded LRU, and
+// coalesces concurrent identical queries single-flight style. Nothing is
+// kept per query node: a cache miss computes f(·,q) inside the search. Every request is one Request,
 // whatever the method; Engine.Query is the unified entry point and
 // Engine.Batch its worker-pool form. Per-request deadlines (and client
 // disconnects) cancel the underlying search, not just the wait. Create one
@@ -362,13 +361,6 @@ type ApplyResult = engine.ApplyResult
 // caller's per-delta outcomes, the journal sequence number when the dataset
 // is journaled, and the group-commit batch timings.
 type MutateResult = catalog.MutateResult
-
-// CommitConfig holds the group-commit batching knobs of the write path
-// (max groups per flush, hold-open wait, bounded queue); install it with
-// Catalog.SetCommitConfig before mounting. The zero value means the
-// defaults: batches of at most 64 groups, no hold-open wait, a queue of
-// 256 before backpressure sheds with ErrOverloaded/429.
-type CommitConfig = commit.Config
 
 // CompactResult reports one journal compaction (Catalog.Compact): the
 // snapshot the journal folded into and how many batches it absorbed.

@@ -28,9 +28,8 @@
 //
 // -writers N switches to a closed-loop mutation mode: N concurrent writers
 // fire /admin/mutate back-to-back, measuring the write path's sustained
-// commit throughput (the group-commit before/after comparison; pair with
-// -commit-max-batch 1 for the serial-equivalent before row and
-// -record-suffix to keep both rows in one file).
+// commit throughput under group commit (-direct calls Catalog.Mutate in
+// process, leaving the HTTP stack out).
 //
 // -selfserve boots an in-process server on a loopback port (generated
 // dataset, full catalog HTTP surface) and drives it over real HTTP — the
@@ -100,13 +99,9 @@ func main() {
 		timeout     = flag.Duration("timeout", 2*time.Second, "per-request client timeout")
 		seed        = flag.Int64("seed", 42, "random seed for node choice and op mix")
 		outFile     = flag.String("out", "", "merge the run's record into this JSON array (convention: BENCH_<pr>.json)")
-		recSuffix   = flag.String("record-suffix", "", "suffix appended to the -out experiment name, e.g. \"@serial\" (before/after rows coexist)")
 		writers     = flag.Int("writers", 0, "closed-loop mutation mode: this many concurrent writers fire /admin/mutate back-to-back for -duration instead of the open-loop mix")
 		direct      = flag.Bool("direct", false, "with -selfserve -writers: call Catalog.Mutate in process instead of over HTTP, measuring the commit pipeline itself rather than the HTTP stack")
 		journalSelf = flag.Bool("selfserve-journal", false, "journal the -selfserve mount into a temp dir, so mutations measure durable commits (fsync included)")
-		commitBatch = flag.Int("commit-max-batch", 0, "-selfserve group-commit flush size (0 = default 64; 1 = serial-equivalent, the before row)")
-		commitWait  = flag.Duration("commit-max-wait", 0, "-selfserve group-commit hold-open wait (0 = flush immediately)")
-		commitQueue = flag.Int("commit-queue", 0, "-selfserve commit queue bound (0 = default 256)")
 		maxErrRate  = flag.Float64("max-error-rate", 0,
 			"tolerated error fraction (0..1) before exiting nonzero; 0 means any error fails (chaos runs pass e.g. 0.1)")
 	)
@@ -125,8 +120,7 @@ func main() {
 
 	var selfCat *sealib.Catalog
 	if *selfserve {
-		target, cat, shutdown, err := bootSelfServe(*dsName, *scale, *journalSelf,
-			sealib.CommitConfig{MaxBatch: *commitBatch, MaxWait: *commitWait, Queue: *commitQueue})
+		target, cat, shutdown, err := bootSelfServe(*dsName, *scale, *journalSelf)
 		if err != nil {
 			fail(err)
 		}
@@ -175,7 +169,6 @@ func main() {
 		res = run(cfg)
 		res.Scenario = *scenario
 	}
-	experiment += *recSuffix
 
 	fmt.Printf("seaload: %d requests (%d errors), %.1f qps achieved of %g target\n",
 		res.Requests, res.Errors, res.QPSAchieved, res.QPSTarget)
@@ -222,10 +215,9 @@ func main() {
 // bootSelfServe mounts a generated dataset behind the full catalog HTTP
 // surface on a loopback port and returns its base URL. With journal set the
 // dataset mounts write-ahead journaled into a temp dir (removed at
-// shutdown), so mutations pay the real durability cost — that is the write
-// path the group-commit before/after rows measure; ccfg sets the
-// group-commit knobs for the mount.
-func bootSelfServe(name string, scale float64, journal bool, ccfg sealib.CommitConfig) (string, *sealib.Catalog, func(), error) {
+// shutdown), so mutations pay the real durability cost — the write path
+// the write-heavy and -writers rows measure.
+func bootSelfServe(name string, scale float64, journal bool) (string, *sealib.Catalog, func(), error) {
 	d, err := sealib.GenerateDataset(name, scale)
 	if err != nil {
 		return "", nil, nil, err
@@ -236,7 +228,6 @@ func bootSelfServe(name string, scale float64, journal bool, ccfg sealib.CommitC
 		return "", nil, nil, err
 	}
 	cat := sealib.NewCatalog()
-	cat.SetCommitConfig(ccfg)
 	cleanup := func() {}
 	if journal {
 		dir, err := os.MkdirTemp("", "seaload-journal-*")
@@ -516,12 +507,11 @@ func run(cfg runConfig) loadResult {
 
 // runWriters is the closed-loop mutation mode: writers goroutines each fire
 // one-delta set_attr mutations back-to-back against /admin/mutate for the
-// window, measuring sustained mutation throughput — the group-commit
-// before/after comparison. Unlike the open loop, each request's latency is
-// measured from its own send: this mode asks "how fast CAN the write path
-// commit under N concurrent writers", not "how does it behave at a fixed
-// rate", so the closed loop's coordinated omission is the point rather than
-// a hazard.
+// window, measuring sustained group-commit mutation throughput. Unlike the
+// open loop, each request's latency is measured from its own send: this
+// mode asks "how fast CAN the write path commit under N concurrent
+// writers", not "how does it behave at a fixed rate", so the closed loop's
+// coordinated omission is the point rather than a hazard.
 func runWriters(cfg runConfig, writers int) loadResult {
 	hc := &http.Client{
 		Timeout:   cfg.timeout,

@@ -80,9 +80,6 @@ func main() {
 		name         = flag.String("name", "", "catalog name for -snapshot/-load mounts (default: file basename)")
 		journal      = flag.String("journal", "", "write-ahead mutation journal for the -snapshot/-load mount (replayed at boot)")
 		compactEvery = flag.Int("compact-every", catalog.DefaultCompactEvery, "journal batches that trigger background compaction (0 = manual only)")
-		commitBatch  = flag.Int("commit-max-batch", 0, "max delta groups coalesced per group-commit flush (0 = default 64)")
-		commitWait   = flag.Duration("commit-max-wait", 0, "hold an incomplete commit batch open this long for companions (0 = flush immediately)")
-		commitQueue  = flag.Int("commit-queue", 0, "bounded commit queue; a full queue sheds with 429 (0 = default 256)")
 		scale        = flag.Float64("scale", 0.5, "dataset scale factor")
 		gamma        = flag.Float64("gamma", 0.5, "attribute balance factor")
 		resultCache  = flag.Int("result-cache", 0, "result cache entries (0 = default)")
@@ -129,7 +126,6 @@ func main() {
 	t0 := time.Now()
 	cat := sealib.NewCatalog()
 	cat.SetMmap(*mmap)
-	cat.SetCommitConfig(sealib.CommitConfig{MaxBatch: *commitBatch, MaxWait: *commitWait, Queue: *commitQueue})
 	mountFile := func(path string) {
 		dname := nameForPath(*name, path)
 		if *journal == "" {

@@ -179,18 +179,16 @@
 //
 // Concurrent writers go through a staged group-commit pipeline rather
 // than serializing one fsync and one maintenance pass each: Catalog.Mutate
-// enqueues the caller's delta group on a per-dataset batcher
-// (CommitConfig: -commit-max-batch groups per flush, -commit-max-wait
-// batching window, -commit-queue backpressure bound) and a single flusher
-// folds the whole batch through one incremental-maintenance session, one
-// published engine generation (version+1 per flush, not per writer), and
-// one journal batch record — one sequence number, one CRC, one fsync for
-// the lot. Each group stays all-or-nothing with its own result; a full
-// queue sheds new writes with ErrOverloaded (HTTP 429 + Retry-After)
-// before anything is applied, so an acknowledged delta is never lost. The
-// default -commit-max-wait of 0 flushes immediately with whatever is
-// queued: an uncontended writer pays no added latency, and batches form
-// naturally while the previous flush's fsync runs.
+// enqueues the caller's delta group on a per-dataset batcher and a single
+// flusher folds up to 64 queued groups through one incremental-maintenance
+// session, one published engine generation (version+1 per flush, not per
+// writer), and one journal batch record — one sequence number, one CRC,
+// one fsync for the lot. Each group stays all-or-nothing with its own
+// result; once 256 groups are queued, new writes shed with ErrOverloaded
+// (HTTP 429 + Retry-After) before anything is applied, so an acknowledged
+// delta is never lost. The batcher has no knobs and no hold-open window:
+// it flushes whatever is queued at once, so an uncontended writer pays no
+// added latency and batches form while the previous flush's fsync runs.
 //
 // # Distributed serving
 //

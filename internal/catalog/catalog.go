@@ -119,11 +119,10 @@ type Info struct {
 // Catalog is a concurrency-safe named registry of datasets. The zero value
 // is not usable; call New.
 type Catalog struct {
-	mu        sync.RWMutex
-	datasets  map[string]*Dataset
-	def       string
-	mmapOff   bool
-	commitCfg commit.Config // batching knobs for subsequently mounted datasets
+	mu       sync.RWMutex
+	datasets map[string]*Dataset
+	def      string
+	mmapOff  bool
 	// retired holds mappings displaced by Swap/Unmount. They are never
 	// unmapped while the process serves — an in-flight query may still hold
 	// the old engine over them — only at Close.
@@ -143,16 +142,6 @@ func (c *Catalog) SetMmap(enabled bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.mmapOff = !enabled
-}
-
-// SetCommitConfig sets the group-commit batching knobs for subsequently
-// mounted datasets (the zero Config means the commit package defaults).
-// Already-mounted datasets keep the batcher they were mounted with — set
-// the config before mounting, as seaserve does from its -commit-* flags.
-func (c *Catalog) SetCommitConfig(cfg commit.Config) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.commitCfg = cfg
 }
 
 // retireLocked parks a displaced mapping for unmapping at Close; the caller
@@ -182,7 +171,7 @@ func (c *Catalog) Mount(name string, eng *engine.Engine, cfg engine.Config, sour
 	d.eng.Store(eng)
 	// The group-commit batcher must exist before the dataset is visible:
 	// Mutate reads d.commit without a lock.
-	d.commit = commit.New(c.commitCfg, func(groups [][]mutate.Delta) []commit.Result {
+	d.commit = commit.New(func(groups [][]mutate.Delta) []commit.Result {
 		return c.flushGroups(d, groups)
 	})
 	c.datasets[name] = d

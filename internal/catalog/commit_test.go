@@ -144,53 +144,72 @@ func TestMutateBatchObservability(t *testing.T) {
 	}
 }
 
-// TestCommitBackpressureSheds proves the bounded queue: with a hold-open
-// flush and a queue of 1, an overflowing writer sheds with ErrOverloaded
-// (the HTTP 429 + Retry-After error) while every acknowledged group still
-// commits — never losing an acknowledged delta.
+// TestCommitBackpressureSheds proves the bounded queue: with the flusher
+// held on a delayed flush and every queue slot taken behind it, the next
+// Mutate sheds with ErrOverloaded (the HTTP 429 + Retry-After error) while
+// every acknowledged group still commits — never losing an acknowledged
+// delta.
 func TestCommitBackpressureSheds(t *testing.T) {
 	snapPath, journalPath := liveFixture(t)
 	c := New()
 	defer c.Close()
-	c.SetCommitConfig(commit.Config{Queue: 1, MaxBatch: 1})
-	if _, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig()); err != nil {
+	d, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Hold the flusher: arm a slow fault? No — simplest reliable hold is
-	// many concurrent writers against a queue of 1 with MaxBatch 1: every
-	// flush drains one group while the rest contend for a single slot, so
-	// at least one Submit must observe a full queue and shed.
-	const writers = 24
+	// The first flush sleeps `hold` before it runs; the queue fills behind it.
+	const hold = 2 * time.Second
+	const queueCap = 256 // the commit package's fixed queue bound
+	faults.Enable(1, faults.Spec{Site: "commit.flush", Count: 1, Delay: hold})
+	defer faults.Disable()
+	deadline := time.Now().Add(hold)
+	waitFor := func(what string, cond func(commit.Stats) bool) {
+		t.Helper()
+		for !cond(d.commit.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s before the held flush resumed: %+v", what, d.commit.Stats())
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var acked, shed int
-	var other error
-	for w := 0; w < writers; w++ {
+	var failed error
+	submitted := 0
+	write := func() {
+		w := submitted
+		submitted++
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			_, err := c.Mutate("g", []mutate.Delta{
-				mutate.SetAttr(graph.NodeID(w%12), []string{"bp"}, nil),
+				mutate.SetAttr(graph.NodeID(w%12), []string{fmt.Sprintf("bp%d", w)}, nil),
 			})
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				acked++
-			case errors.Is(err, cserr.ErrOverloaded):
-				shed++
-			default:
-				other = err
+			if err != nil {
+				mu.Lock()
+				failed = err
+				mu.Unlock()
 			}
-		}(w)
+		}()
+		waitFor("a writer did not enqueue", func(s commit.Stats) bool { return s.Submitted == uint64(submitted) })
+	}
+	// The flusher takes the first group and parks; then writers enqueue one
+	// at a time until every slot is taken (a writer swept into the first
+	// batch frees its slot for the next).
+	write()
+	waitFor("the flusher did not take the first group", func(s commit.Stats) bool { return s.QueueDepth == 0 })
+	for d.commit.Stats().QueueDepth < queueCap {
+		write()
+	}
+
+	if _, err := c.Mutate("g", attrDelta("overflow")); !errors.Is(err, cserr.ErrOverloaded) {
+		t.Fatalf("Mutate on a full commit queue: %v, want ErrOverloaded", err)
 	}
 	wg.Wait()
-	if other != nil {
-		t.Fatalf("unexpected writer error: %v", other)
-	}
-	if shed == 0 {
-		t.Skip("no writer observed a full queue on this run; shedding exercised in internal/commit")
+	if failed != nil {
+		t.Fatalf("an enqueued writer failed: %v", failed)
 	}
 
 	// Conservation: every acknowledged group is in the journal.
@@ -202,8 +221,8 @@ func TestCommitBackpressureSheds(t *testing.T) {
 	for _, b := range replayed {
 		total += len(b.Deltas)
 	}
-	if total != acked {
-		t.Fatalf("journal has %d deltas, %d were acknowledged (%d shed)", total, acked, shed)
+	if total != submitted {
+		t.Fatalf("journal has %d deltas, %d were acknowledged", total, submitted)
 	}
 }
 
@@ -448,36 +467,4 @@ func (c *Catalog) mustInfo(t *testing.T, name string) Info {
 		t.Fatal(err)
 	}
 	return info
-}
-
-// TestMaxWaitBatchesSequentialWriters proves the MaxWait knob: with a
-// hold-open window, even a brief stagger of writers coalesces, and the
-// batch-size histogram records it.
-func TestMaxWaitBatchesSequentialWriters(t *testing.T) {
-	snapPath, journalPath := liveFixture(t)
-	c := New()
-	defer c.Close()
-	c.SetCommitConfig(commit.Config{MaxWait: 50 * time.Millisecond})
-	if _, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			time.Sleep(time.Duration(w) * time.Millisecond)
-			if _, err := c.Mutate("g", attrDelta(fmt.Sprintf("held%d", w))); err != nil {
-				t.Errorf("writer %d: %v", w, err)
-			}
-		}(w)
-	}
-	wg.Wait()
-	info := c.mustInfo(t, "g")
-	if info.Commit.Submitted != 4 {
-		t.Fatalf("submitted: %+v", info.Commit)
-	}
-	if uint64(info.Commit.BatchSize.Max()) < 2 {
-		t.Skipf("writers did not overlap on this run (batches of 1); hold-open coalescing exercised in internal/commit")
-	}
 }

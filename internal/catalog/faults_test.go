@@ -7,6 +7,8 @@ package catalog
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -128,5 +130,64 @@ func TestMutateJournalPartialWriteRewinds(t *testing.T) {
 	}
 	if replayed != 1 {
 		t.Fatalf("replayed %d batches, want exactly the 1 durable one", replayed)
+	}
+}
+
+// TestBackgroundCompactionWriteFault arms the snapshot.write fault site
+// under a background compaction: the compaction fails cleanly — the error
+// surfaces in Info.CompactError, the journal keeps its batch, no temp file
+// is left beside the snapshot — and once disarmed the next compaction
+// succeeds and clears the error.
+func TestBackgroundCompactionWriteFault(t *testing.T) {
+	snapPath, journalPath := liveFixture(t)
+	c := New()
+	defer c.Close()
+	d, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetCompactEvery(1)
+	// commitAndCompact commits one group, which triggers a compaction, and
+	// waits the compaction out.
+	commitAndCompact := func(tag string) Info {
+		t.Helper()
+		res, err := c.Mutate("g", attrDelta(tag))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Compacting {
+			t.Fatalf("batch %q did not trigger compaction: %+v", tag, res)
+		}
+		d.mu.Lock()
+		live := d.live
+		d.mu.Unlock()
+		live.wg.Wait()
+		return c.mustInfo(t, "g")
+	}
+
+	faults.Enable(1, faults.Spec{Site: "snapshot.write", Err: "enospc"})
+	defer faults.Disable()
+	info := commitAndCompact("faulted")
+	if !strings.Contains(info.CompactError, faults.ErrInjected.Error()) {
+		t.Fatalf("CompactError %q, want the injected snapshot.write fault", info.CompactError)
+	}
+	if info.JournalBatches != 1 {
+		t.Fatalf("journal holds %d batches after a failed compaction, want 1", info.JournalBatches)
+	}
+	leftovers, err := filepath.Glob(snapPath + ".tmp*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leftovers) != 0 {
+		t.Fatalf("failed compaction left temp files: %v", leftovers)
+	}
+	if _, err := os.Stat(snapPath); err != nil {
+		t.Fatalf("the snapshot must survive a failed compaction: %v", err)
+	}
+
+	faults.Disable()
+	info = commitAndCompact("healed")
+	if info.CompactError != "" || info.JournalBatches != 0 {
+		t.Fatalf("compaction after disarming: error %q, %d journal batches", info.CompactError, info.JournalBatches)
 	}
 }

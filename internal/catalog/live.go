@@ -25,8 +25,8 @@ package catalog
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -404,25 +404,11 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 	opt := d.packOptions()
 	d.mu.Unlock()
 
-	dir, base := filepath.Split(snapPath)
-	f, err := os.CreateTemp(dir, base+".compact*")
+	tmp, _, err := store.WriteTemp(snapPath, func(w io.Writer) error {
+		_, err := eng.WriteSnapshot(w, opt)
+		return err
+	})
 	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	discard := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := eng.WriteSnapshot(f, opt); err != nil {
-		return discard(err)
-	}
-	if err := f.Sync(); err != nil {
-		return discard(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
 		return err
 	}
 

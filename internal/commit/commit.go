@@ -5,15 +5,15 @@
 // amortize across every caller that arrived while the previous flush was on
 // disk.
 //
-// Submit enqueues one caller's delta group on a bounded queue and blocks on
-// a per-caller result channel until its flush commits. The flusher goroutine
-// drains the queue into batches of at most Config.MaxBatch groups: under
-// concurrency, batches grow naturally to whatever queued while the previous
-// flush ran (group commit without added latency); Config.MaxWait > 0
-// additionally holds an incomplete batch open for companions. A full queue
-// sheds immediately with cserr.ErrOverloaded — the HTTP layer's 429 +
-// Retry-After — and a shed request was never enqueued, so nothing the
-// batcher acknowledged is ever lost.
+// Submit enqueues one caller's delta group on a queue of queueCap slots and
+// blocks on a per-caller result channel until its flush commits. The
+// flusher goroutine drains whatever has queued into a batch of at most
+// maxBatch groups and flushes it at once: an uncontended caller pays no
+// wait, and under concurrency batches grow to whatever queued while the
+// previous flush (its fsync) ran — group commit with no added latency.
+// A full queue sheds immediately with cserr.ErrOverloaded — the HTTP
+// layer's 429 + Retry-After — and a shed request was never enqueued, so
+// nothing the batcher acknowledged is ever lost.
 //
 // The batcher knows nothing about engines or journals: the owner supplies a
 // Flush callback that applies one batch and reports one Result per group.
@@ -35,43 +35,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Defaults for the zero Config.
+// The batcher's fixed bounds: groups coalesced into one flush, and submit
+// queue slots before backpressure sheds.
 const (
-	DefaultMaxBatch = 64
-	DefaultQueue    = 256
+	maxBatch = 64
+	queueCap = 256
 )
 
 // ErrClosed reports a Submit on a closed Batcher (the dataset was unmounted
 // or the catalog closed while the request was in flight).
 var ErrClosed = errors.New("commit: batcher closed")
-
-// Config are the group-commit knobs of one Batcher.
-type Config struct {
-	// MaxBatch caps the groups coalesced into one flush (default 64).
-	MaxBatch int
-	// MaxWait holds an incomplete batch open this long for companions.
-	// 0 (the default) flushes as soon as the queue stops yielding: batching
-	// then comes entirely from requests that queued while the previous
-	// flush ran, and an uncontended caller pays no added latency.
-	MaxWait time.Duration
-	// Queue bounds the submit queue (default 256). A Submit beyond it sheds
-	// with cserr.ErrOverloaded instead of queueing without bound.
-	Queue int
-}
-
-// withDefaults resolves the zero value to the documented defaults.
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
-	if c.Queue <= 0 {
-		c.Queue = DefaultQueue
-	}
-	if c.MaxWait < 0 {
-		c.MaxWait = 0
-	}
-	return c
-}
 
 // Result is one group's outcome of a flush, as reported by the Flush
 // callback: Value is the caller-visible result (may be non-nil even when
@@ -115,7 +88,6 @@ type submitOutcome struct {
 // Batcher coalesces Submit calls into group-commit flushes. Create with
 // New; Close before discarding (the flusher is a goroutine).
 type Batcher struct {
-	cfg   Config
 	flush Flush
 
 	mu     sync.RWMutex // guards closed vs. the channel send in Submit
@@ -133,15 +105,13 @@ type Batcher struct {
 	flushLat  obs.Histogram // ns per flush (callback duration)
 }
 
-// New starts a Batcher flushing through flush. The zero Config takes the
-// documented defaults.
-func New(cfg Config, flush Flush) *Batcher {
+// New starts a Batcher flushing through flush.
+func New(flush Flush) *Batcher {
 	b := &Batcher{
-		cfg:   cfg.withDefaults(),
 		flush: flush,
+		ch:    make(chan *pending, queueCap),
 		done:  make(chan struct{}),
 	}
-	b.ch = make(chan *pending, b.cfg.Queue)
 	go b.run()
 	return b
 }
@@ -168,7 +138,7 @@ func (b *Batcher) Submit(deltas []mutate.Delta) (any, SubmitStats, error) {
 	default:
 		b.mu.RUnlock()
 		b.shed.Add(1)
-		return nil, SubmitStats{}, fmt.Errorf("%w (commit queue full at %d)", cserr.ErrOverloaded, b.cfg.Queue)
+		return nil, SubmitStats{}, fmt.Errorf("%w (commit queue full at %d)", cserr.ErrOverloaded, queueCap)
 	}
 	b.submitted.Add(1)
 	out := <-p.done
@@ -206,9 +176,9 @@ func (b *Batcher) Close() {
 	<-b.done
 }
 
-// run is the flusher goroutine: block for the first pending, sweep the
-// queue for companions (bounded by MaxBatch, optionally held open MaxWait),
-// flush, deliver, repeat.
+// run is the flusher goroutine: block for the first pending, sweep whatever
+// else has queued (up to maxBatch groups, never waiting for more), flush,
+// deliver, repeat.
 func (b *Batcher) run() {
 	defer close(b.done)
 	for {
@@ -222,41 +192,20 @@ func (b *Batcher) run() {
 		}
 		batch := []*pending{p}
 		var sentinel *pending
-		if b.cfg.MaxWait > 0 {
-			timer := time.NewTimer(b.cfg.MaxWait)
-		held:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case q, ok := <-b.ch:
-					if !ok {
-						break held
-					}
-					if q.drained != nil {
-						sentinel = q
-						break held
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					break held
-				}
-			}
-			timer.Stop()
-		} else {
-		sweep:
-			for len(batch) < b.cfg.MaxBatch {
-				select {
-				case q, ok := <-b.ch:
-					if !ok {
-						break sweep
-					}
-					if q.drained != nil {
-						sentinel = q
-						break sweep
-					}
-					batch = append(batch, q)
-				default:
+	sweep:
+		for len(batch) < maxBatch {
+			select {
+			case q, ok := <-b.ch:
+				if !ok {
 					break sweep
 				}
+				if q.drained != nil {
+					sentinel = q
+					break sweep
+				}
+				batch = append(batch, q)
+			default:
+				break sweep
 			}
 		}
 		b.flushBatch(batch)
@@ -327,10 +276,6 @@ type Stats struct {
 	Failures  uint64 `json:"failures"`
 	// QueueDepth is the instantaneous submit-queue occupancy.
 	QueueDepth int `json:"queue_depth"`
-	// MaxBatch/QueueCap echo the resolved config so operators can read the
-	// knobs off a running process.
-	MaxBatch int `json:"max_batch"`
-	QueueCap int `json:"queue_cap"`
 
 	BatchSize obs.Snapshot `json:"-"` // groups per flush (unit-less)
 	QueueWait obs.Snapshot `json:"-"` // ns, enqueue → flush start
@@ -345,8 +290,6 @@ func (b *Batcher) Stats() Stats {
 		Flushes:    b.flushes.Load(),
 		Failures:   b.failures.Load(),
 		QueueDepth: len(b.ch),
-		MaxBatch:   b.cfg.MaxBatch,
-		QueueCap:   b.cfg.Queue,
 		BatchSize:  b.batchSize.Snapshot(),
 		QueueWait:  b.queueWait.Snapshot(),
 		FlushLat:   b.flushLat.Snapshot(),
@@ -361,8 +304,6 @@ type Summary struct {
 	Flushes    uint64  `json:"flushes"`
 	Failures   uint64  `json:"failures,omitempty"`
 	QueueDepth int     `json:"queue_depth"`
-	MaxBatch   int     `json:"max_batch"`
-	QueueCap   int     `json:"queue_cap"`
 	BatchMean  float64 `json:"batch_mean"`
 	BatchMax   uint64  `json:"batch_max"`
 
@@ -378,8 +319,6 @@ func (s Stats) Summary() Summary {
 		Flushes:    s.Flushes,
 		Failures:   s.Failures,
 		QueueDepth: s.QueueDepth,
-		MaxBatch:   s.MaxBatch,
-		QueueCap:   s.QueueCap,
 		BatchMean:  s.BatchSize.Mean(),
 		BatchMax:   s.BatchSize.Max(),
 		QueueWait:  s.QueueWait.Summary(),

@@ -44,7 +44,7 @@ func deltas(n int) []mutate.Delta {
 // flush, the caller gets its group's Result value and batch stats.
 func TestSubmitReturnsGroupResult(t *testing.T) {
 	flush, _ := echoFlush()
-	b := New(Config{}, flush)
+	b := New(flush)
 	defer b.Close()
 	val, stats, err := b.Submit(deltas(3))
 	if err != nil {
@@ -72,14 +72,14 @@ func TestSubmitReturnsGroupResult(t *testing.T) {
 func TestConcurrentSubmitsCoalesce(t *testing.T) {
 	release := make(chan struct{})
 	first := true
-	var maxBatch atomic.Int64
-	b := New(Config{}, func(groups [][]mutate.Delta) []Result {
+	var largest atomic.Int64
+	b := New(func(groups [][]mutate.Delta) []Result {
 		if first {
 			first = false // flusher goroutine: no race
 			<-release
 		}
-		if n := int64(len(groups)); n > maxBatch.Load() {
-			maxBatch.Store(n)
+		if n := int64(len(groups)); n > largest.Load() {
+			largest.Store(n)
 		}
 		results := make([]Result, len(groups))
 		for i, g := range groups {
@@ -120,23 +120,25 @@ func TestConcurrentSubmitsCoalesce(t *testing.T) {
 			t.Fatalf("writer %d got value %v, want its own group length %d", w, vals[w], w+1)
 		}
 	}
-	if maxBatch.Load() < 2 {
-		t.Fatalf("no flush coalesced concurrent groups (max batch %d)", maxBatch.Load())
+	if largest.Load() < 2 {
+		t.Fatalf("no flush coalesced concurrent groups (max batch %d)", largest.Load())
 	}
 }
 
-// TestMaxBatchCapsFlush proves no flush ever exceeds MaxBatch groups.
+// TestMaxBatchCapsFlush holds the flusher while more than maxBatch groups
+// queue, then proves no flush ever exceeds maxBatch groups and the backlog
+// drains in full batches.
 func TestMaxBatchCapsFlush(t *testing.T) {
 	release := make(chan struct{})
 	first := true
-	var over atomic.Bool
-	b := New(Config{MaxBatch: 2}, func(groups [][]mutate.Delta) []Result {
+	var largest atomic.Int64
+	b := New(func(groups [][]mutate.Delta) []Result {
 		if first {
 			first = false
 			<-release
 		}
-		if len(groups) > 2 {
-			over.Store(true)
+		if n := int64(len(groups)); n > largest.Load() {
+			largest.Store(n) // flusher goroutine: no concurrent writer
 		}
 		results := make([]Result, len(groups))
 		for i := range results {
@@ -145,13 +147,14 @@ func TestMaxBatchCapsFlush(t *testing.T) {
 		return results
 	})
 	defer b.Close()
+	const writers = 2*maxBatch + 1
 	var wg sync.WaitGroup
-	for w := 0; w < 7; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func() { defer wg.Done(); b.Submit(deltas(1)) }()
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Submitted < 7 {
+	for b.Stats().Submitted < writers {
 		if time.Now().After(deadline) {
 			t.Fatal("writers did not all enqueue")
 		}
@@ -159,28 +162,8 @@ func TestMaxBatchCapsFlush(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if over.Load() {
-		t.Fatal("a flush exceeded MaxBatch=2 groups")
-	}
-}
-
-// TestMaxWaitFlushesIncompleteBatch proves a lone group still flushes once
-// MaxWait expires, without a companion ever arriving.
-func TestMaxWaitFlushesIncompleteBatch(t *testing.T) {
-	flush, _ := echoFlush()
-	b := New(Config{MaxBatch: 64, MaxWait: 5 * time.Millisecond}, flush)
-	defer b.Close()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if _, _, err := b.Submit(deltas(1)); err != nil {
-			t.Error(err)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lone Submit under MaxWait never flushed")
+	if got := largest.Load(); got != maxBatch {
+		t.Fatalf("largest flush %d groups, want exactly maxBatch=%d", got, maxBatch)
 	}
 }
 
@@ -206,7 +189,7 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 		}
 		return results
 	}
-	b := New(Config{Queue: 2}, flush)
+	b := New(flush)
 	// Release before Close on every exit path: a Fatalf with the flusher
 	// still parked would otherwise deadlock Close.
 	t.Cleanup(func() {
@@ -215,7 +198,7 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 	})
 
 	var wg sync.WaitGroup
-	acked := make([]error, 3)
+	acked := make([]error, queueCap+1)
 	submit := func(i int) {
 		wg.Add(1)
 		go func() {
@@ -223,17 +206,19 @@ func TestQueueFullShedsOverloaded(t *testing.T) {
 			_, _, acked[i] = b.Submit(deltas(1))
 		}()
 	}
-	// Occupy the flusher with the first group alone, then fill the queue.
+	// Occupy the flusher with the first group alone, then fill all queueCap
+	// slots behind it.
 	submit(0)
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		t.Fatalf("flusher never picked up the first group: %+v", b.Stats())
 	}
-	submit(1)
-	submit(2)
+	for i := 1; i <= queueCap; i++ {
+		submit(i)
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Submitted < 3 {
+	for b.Stats().Submitted < queueCap+1 {
 		if time.Now().After(deadline) {
 			t.Fatalf("queue never filled: %+v", b.Stats())
 		}
@@ -263,7 +248,7 @@ func TestDrainWaitsForEnqueued(t *testing.T) {
 	var flushed atomic.Int64
 	release := make(chan struct{})
 	first := true
-	b := New(Config{}, func(groups [][]mutate.Delta) []Result {
+	b := New(func(groups [][]mutate.Delta) []Result {
 		if first {
 			first = false
 			<-release
@@ -300,7 +285,7 @@ func TestDrainWaitsForEnqueued(t *testing.T) {
 // acknowledged and later Submits fail with ErrClosed.
 func TestCloseFlushesPendingThenRefuses(t *testing.T) {
 	flush, batches := echoFlush()
-	b := New(Config{}, flush)
+	b := New(flush)
 	if _, _, err := b.Submit(deltas(2)); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +305,7 @@ func TestCloseFlushesPendingThenRefuses(t *testing.T) {
 // TestFlushLengthMismatchFailsBatch proves a Flush callback returning the
 // wrong result count fails every waiter instead of misdelivering.
 func TestFlushLengthMismatchFailsBatch(t *testing.T) {
-	b := New(Config{}, func(groups [][]mutate.Delta) []Result {
+	b := New(func(groups [][]mutate.Delta) []Result {
 		return nil // wrong: must be one Result per group
 	})
 	defer b.Close()
@@ -336,7 +321,7 @@ func TestFlushLengthMismatchFailsBatch(t *testing.T) {
 // before anything enqueues.
 func TestEnqueueFaultSite(t *testing.T) {
 	flush, batches := echoFlush()
-	b := New(Config{}, flush)
+	b := New(flush)
 	defer b.Close()
 	faults.Enable(1, faults.Spec{Site: "commit.enqueue", Count: 1, Err: "eio"})
 	defer faults.Disable()
@@ -354,7 +339,7 @@ func TestEnqueueFaultSite(t *testing.T) {
 // error, nothing partially applies.
 func TestFlushFaultFailsEveryWaiterClosed(t *testing.T) {
 	var ran atomic.Bool
-	b := New(Config{}, func(groups [][]mutate.Delta) []Result {
+	b := New(func(groups [][]mutate.Delta) []Result {
 		ran.Store(true)
 		results := make([]Result, len(groups))
 		for i := range results {
@@ -388,13 +373,13 @@ func TestFlushFaultFailsEveryWaiterClosed(t *testing.T) {
 	}
 }
 
-// TestSubmittedNeverLostUnderChurn hammers the batcher with concurrent
-// writers and random timing and proves conservation: every Submit either
-// sheds (ErrOverloaded, never enqueued) or its group reaches exactly one
-// flush.
+// TestSubmittedNeverLostUnderChurn hammers the batcher with more concurrent
+// writers than the queue has slots and proves conservation: every Submit
+// either sheds (ErrOverloaded, never enqueued) or its group reaches exactly
+// one flush.
 func TestSubmittedNeverLostUnderChurn(t *testing.T) {
 	var delivered atomic.Int64
-	b := New(Config{MaxBatch: 4, Queue: 8}, func(groups [][]mutate.Delta) []Result {
+	b := New(func(groups [][]mutate.Delta) []Result {
 		delivered.Add(int64(len(groups)))
 		results := make([]Result, len(groups))
 		for i := range results {
@@ -402,13 +387,14 @@ func TestSubmittedNeverLostUnderChurn(t *testing.T) {
 		}
 		return results
 	})
+	const writers, perWriter = queueCap + maxBatch, 5
 	var accepted, shed atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < perWriter; i++ {
 				_, _, err := b.Submit(deltas(1))
 				switch {
 				case err == nil:
@@ -428,15 +414,15 @@ func TestSubmittedNeverLostUnderChurn(t *testing.T) {
 		t.Fatalf("flushed %d groups, acknowledged %d — conservation violated (shed %d)",
 			got, want, shed.Load())
 	}
-	if total := accepted.Load() + shed.Load(); total != 16*50 {
-		t.Fatalf("accounted %d of %d submits", total, 16*50)
+	if total := accepted.Load() + shed.Load(); total != writers*perWriter {
+		t.Fatalf("accounted %d of %d submits", total, writers*perWriter)
 	}
 }
 
 // TestStatsSummaryShape sanity-checks the JSON digest wiring.
 func TestStatsSummaryShape(t *testing.T) {
 	flush, _ := echoFlush()
-	b := New(Config{MaxBatch: 7, Queue: 9}, flush)
+	b := New(flush)
 	defer b.Close()
 	for i := 0; i < 5; i++ {
 		if _, _, err := b.Submit(deltas(1)); err != nil {
@@ -444,9 +430,6 @@ func TestStatsSummaryShape(t *testing.T) {
 		}
 	}
 	s := b.Stats().Summary()
-	if s.MaxBatch != 7 || s.QueueCap != 9 {
-		t.Fatalf("config echo: %+v", s)
-	}
 	if s.Submitted != 5 || s.BatchMean < 1 || s.QueueWait.Count != 5 || s.FlushLat.Count == 0 {
 		t.Fatalf("summary: %+v", s)
 	}

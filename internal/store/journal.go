@@ -373,16 +373,34 @@ func (j *Journal) Close() error { return j.f.Close() }
 // good file can never destroy it. It returns the written size. It is the
 // write discipline behind snapshot packing and journal compaction.
 func AtomicWriteFile(path string, write func(io.Writer) error) (int64, error) {
-	dir, base := filepath.Split(path)
-	f, err := os.CreateTemp(dir, base+".tmp*")
+	tmp, size, err := WriteTemp(path, write)
 	if err != nil {
 		return 0, err
 	}
-	tmp := f.Name()
-	fail := func(err error) (int64, error) {
-		f.Close()
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return 0, err
+	}
+	return size, nil
+}
+
+// WriteTemp is AtomicWriteFile without the rename: it streams write's output
+// through the "snapshot.write" fault site to a new temp file in path's
+// directory, syncs and closes it, and returns the temp file's name and size.
+// On error the temp file is already removed. Renaming it over path is the
+// caller's commit point — background compaction renames only if no batch
+// landed while the snapshot was on its way to disk.
+func WriteTemp(path string, write func(io.Writer) error) (string, int64, error) {
+	dir, base := filepath.Split(path)
+	f, err := os.CreateTemp(dir, base+".tmp*")
+	if err != nil {
+		return "", 0, err
+	}
+	tmp := f.Name()
+	fail := func(err error) (string, int64, error) {
+		f.Close()
+		os.Remove(tmp)
+		return "", 0, err
 	}
 	if err := write(faults.Wrap("snapshot.write", f)); err != nil {
 		return fail(err)
@@ -396,11 +414,7 @@ func AtomicWriteFile(path string, write func(io.Writer) error) (int64, error) {
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return 0, err
+		return "", 0, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, err
-	}
-	return st.Size(), nil
+	return tmp, st.Size(), nil
 }
