@@ -36,6 +36,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/mutate"
 	"repro/internal/query"
 	"repro/internal/sampling"
 	internalsea "repro/internal/sea"
@@ -604,6 +605,60 @@ func BenchmarkSubstrateInKCoreSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		kcore.InKCoreSet(benchData.Graph, members, 6)
+	}
+}
+
+// BenchmarkSubstrateApply is one single-delta Engine.Apply on the twitch
+// analog (8 000 nodes, 50 242 edges): add_edge between two non-adjacent
+// nodes, and set_attr replacing one node's tokens. A batch copies only the
+// column it wrote and shares the others with the previous generation, so
+// each stays under one full copy of the graph's arrays (~700 KB; add_edge
+// allocates ~510 KB, set_attr ~215 KB). A whole-graph copy per batch coming
+// back fails it.
+func BenchmarkSubstrateApply(b *testing.B) {
+	d, err := dataset.Homogeneous("twitch", 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	raw := d.Graph.Export()
+	fullCopy := 4*int64(len(raw.Offsets)+len(raw.Adj)+len(raw.TextOff)+len(raw.Text)) + 8*int64(len(raw.Num))
+	tags := d.Graph.Dict().Names()
+	rng := rand.New(rand.NewSource(1))
+	node := func() graph.NodeID { return graph.NodeID(rng.Intn(d.Graph.NumNodes())) }
+	for _, c := range []struct {
+		name string
+		next func(g graph.Store) mutate.Delta
+	}{
+		{"add_edge", func(g graph.Store) mutate.Delta {
+			for {
+				if u, v := node(), node(); u != v && !g.HasEdge(u, v) {
+					return mutate.Delta{Op: mutate.OpAddEdge, U: u, V: v}
+				}
+			}
+		}},
+		{"set_attr", func(graph.Store) mutate.Delta {
+			return mutate.Delta{Op: mutate.OpSetAttr, U: node(),
+				Text: []string{tags[rng.Intn(len(tags))], tags[rng.Intn(len(tags))]}}
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			e, err := engine.New(d.Graph, engine.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			step := func() {
+				if _, err := e.Apply([]mutate.Delta{c.next(e.Graph())}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			step() // the first mutation seeds the per-edge trussness table
+			guardBytes(b, fullCopy, step)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 

@@ -159,7 +159,12 @@
 // of Mutations — AddEdgeDelta, RemoveEdgeDelta, AddNodeDelta,
 // SetAttrDelta — into the running engine without a reload or a hot-swap.
 // The deltas accumulate in a delta-overlay graph view and materialize into
-// a fresh immutable CSR in one pass; the coreness and trussness admission
+// a fresh immutable CSR that copies only what the batch wrote — touched rows
+// merged, runs of untouched rows block-copied, and a column the batch did
+// not write (the adjacency of a set_attr-only batch, the attributes of an
+// edge-only one) shared with the previous generation, which may mean with a
+// mapped snapshot: retired mappings unmap only at Catalog.Close. The
+// coreness and trussness admission
 // indexes are maintained incrementally — bounded re-computation restricted
 // to the affected region (the subcore of the touched endpoints, the
 // triangle-connected truss scope below a level bound) instead of a

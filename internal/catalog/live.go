@@ -88,7 +88,10 @@ func (c *Catalog) MountPathJournaled(name, path, journalPath string, cfg engine.
 	}
 	// Replay applies each batch as an overlay over the mounted base (which
 	// may be a zero-copy mapped snapshot — the mutation path never writes
-	// the read-only pages) and materializes a fresh heap graph per batch.
+	// the read-only pages) and materializes a new graph per batch that
+	// copies only the columns the batch wrote. The others stay shared with
+	// the base, mapping included, which is why mounted outlives every
+	// generation: it unmaps only at Catalog.Close.
 	for _, b := range batches {
 		if _, err := eng.Apply(b.Deltas); err != nil {
 			journal.Close()

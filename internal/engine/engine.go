@@ -166,9 +166,10 @@ type Engine struct {
 
 	// mu serializes mutation batches; etruss is the per-edge trussness
 	// table maintained incrementally under it (nil until the first mutation
-	// seeds it).
+	// seeds it), and sweep is the scoped invalidation's scratch.
 	mu     sync.Mutex
 	etruss map[mutate.Edge]int32
+	sweep  sweepScratch
 
 	results *shardedLRU[query.Request, *query.Outcome]
 	flight  flightGroup[flightKey, *searchOutcome]

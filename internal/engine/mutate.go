@@ -7,7 +7,13 @@ package engine
 //     maintains the coreness and per-edge trussness indexes incrementally
 //     (bounded re-computation over the affected scope, never the graph);
 //  2. the overlay materializes into a fresh immutable CSR graph and the
-//     metric is rebound to it, keeping the mounted normalizer table;
+//     metric is rebound to it, keeping the mounted normalizer table. The
+//     graph copies only what the batch wrote: touched rows are merged, each
+//     run of untouched rows is one block copy, and a column the batch did
+//     not write (adjacency, text, numbers) is the previous generation's
+//     array, shared. Graphs are immutable, so sharing is safe; with a mapped
+//     base it relies on the catalog unmapping retired mappings only at
+//     Catalog.Close;
 //  3. cache fills from pre-mutation computations are fenced off (epoch
 //     bump), then the result cache is swept with *scoped* invalidation: an
 //     entry is dropped only if its query node lies in the mutation's
@@ -256,52 +262,69 @@ type sweepResult struct {
 	region  int // union of the regions actually expanded
 }
 
+// regionKey names one affected region: the result entries of one model at
+// one k share it.
+type regionKey struct {
+	model sea.Model
+	k     int
+}
+
+// sweepScratch is invalidateScoped's reusable state, guarded by Engine.mu:
+// one stamped set per region the current sweep expanded (keys[i] names
+// regions[i]), their union for RegionNodes, and the expansion queue. Sets
+// and queue keep their arrays from batch to batch, so a sweep allocates
+// only when the graph or the number of cached (model, k) pairs grows.
+type sweepScratch struct {
+	keys    []regionKey
+	regions []graph.NodeSet
+	union   graph.NodeSet
+	queue   []graph.NodeID
+	nbr     []graph.NodeID
+	touched []graph.NodeID
+}
+
 // invalidateScoped sweeps the result cache against the mutation's affected
 // region; see the file comment for the soundness argument.
 func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) sweepResult {
-	var sw sweepResult
-	structural := sess.StructuralNodes()
-	attrNodes := sess.AttrNodes()
-	touched := make([]graph.NodeID, 0, len(structural)+len(attrNodes))
-	touched = append(touched, structural...)
-	touched = append(touched, attrNodes...)
-	sw.touched = len(touched)
+	sc := &e.sweep
+	sc.touched = append(append(sc.touched[:0], sess.StructuralNodes()...), sess.AttrNodes()...)
+	sw := sweepResult{touched: len(sc.touched)}
 	oldN, newN := old.g.NumNodes(), new.g.NumNodes()
+	sc.keys = sc.keys[:0]
+	sc.union.Reset(newN)
 
-	// expandRegion grows region from the touched set over the union of old
-	// and new adjacencies, entering a node only when level(v) ≥ k and
-	// expanding only through entered nodes.
-	expandRegion := func(level func(graph.NodeID) int32, k int) map[graph.NodeID]bool {
-		region := make(map[graph.NodeID]bool, len(touched))
-		queue := make([]graph.NodeID, 0, len(touched))
-		for _, t := range touched {
-			if !region[t] {
-				region[t] = true
-				queue = append(queue, t)
+	// expand grows region from the touched set over the union of old and new
+	// adjacencies, entering a node only when level(v) ≥ k and expanding only
+	// through entered nodes.
+	expand := func(region *graph.NodeSet, level func(graph.NodeID) int32, k int) {
+		region.Reset(newN)
+		queue := sc.queue[:0]
+		enter := func(v graph.NodeID) {
+			if region.Add(v) {
+				sc.union.Add(v)
+				queue = append(queue, v)
 			}
 		}
-		var nbr []graph.NodeID
+		for _, t := range sc.touched {
+			enter(t)
+		}
 		for i := 0; i < len(queue); i++ {
 			x := queue[i]
 			if int(level(x)) < k {
 				continue // in the region, but no level-k path runs through it
 			}
-			visit := func(ns []graph.NodeID) {
-				for _, w := range ns {
-					if !region[w] && int(level(w)) >= k {
-						region[w] = true
-						queue = append(queue, w)
+			for _, g := range [...]graph.Store{old.g, new.g} {
+				if int(x) >= g.NumNodes() {
+					continue
+				}
+				for _, w := range g.NeighborsInto(&sc.nbr, x) {
+					if int(level(w)) >= k {
+						enter(w)
 					}
 				}
 			}
-			if int(x) < oldN {
-				visit(old.g.NeighborsInto(&nbr, x))
-			}
-			if int(x) < newN {
-				visit(new.g.NeighborsInto(&nbr, x))
-			}
 		}
-		return region
+		sc.queue = queue
 	}
 	// levelOf is max(old, new) of one admission index; v may be a node the
 	// batch appended (no old value).
@@ -316,38 +339,36 @@ func (e *Engine) invalidateScoped(old, new *engState, sess *mutate.Session) swee
 	}
 	coreLevel, trussLevel := levelOf(old.core, new.core), levelOf(old.truss, new.truss)
 
-	type regionKey struct {
-		model sea.Model
-		k     int
-	}
-	regions := make(map[regionKey]map[graph.NodeID]bool)
-	regionFor := func(model sea.Model, k int) map[graph.NodeID]bool {
+	// regionFor returns the (model, k) region, expanding it on first use.
+	regionFor := func(model sea.Model, k int) *graph.NodeSet {
 		rk := regionKey{model, k}
-		if r, ok := regions[rk]; ok {
-			return r
+		for i, key := range sc.keys {
+			if key == rk {
+				return &sc.regions[i]
+			}
+		}
+		i := len(sc.keys)
+		sc.keys = append(sc.keys, rk)
+		if i == len(sc.regions) {
+			sc.regions = append(sc.regions, graph.NodeSet{})
 		}
 		level := coreLevel
 		if model == sea.KTruss {
 			level = trussLevel
 		}
-		r := expandRegion(level, k)
-		regions[rk] = r
-		return r
+		expand(&sc.regions[i], level, k)
+		return &sc.regions[i]
 	}
 
 	sw.results = e.results.sweep(func(req query.Request, _ *query.Outcome) bool {
-		return regionFor(req.Model, req.K)[req.Query]
+		// Only validated requests fill the cache, so a cached q is in range;
+		// the check keeps a broken invariant from panicking under the lock.
+		return int(req.Query) < newN && regionFor(req.Model, req.K).Has(req.Query)
 	})
 
 	// Affected-region accounting: the union of every region the sweep
 	// expanded. Regions are built lazily per cached (model, k), so this
 	// reflects the expansion work done, not a hypothetical full region.
-	union := make(map[graph.NodeID]bool)
-	for _, r := range regions {
-		for v := range r {
-			union[v] = true
-		}
-	}
-	sw.region = len(union)
+	sw.region = sc.union.Len()
 	return sw
 }

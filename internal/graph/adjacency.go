@@ -105,8 +105,7 @@ func (o *Overlay) NeighborsInto(buf *[]NodeID, v NodeID) []NodeID {
 // CopyStore materializes s into a heap *Graph, decoding every neighbor list
 // and copying every attribute row. A *Graph passes through unchanged (no
 // copy). It is the compaction/export path for mapped and compressed
-// backings: snapshot writing and overlay materialization always operate on
-// a heap CSR.
+// backings: snapshot writing always operates on a *Graph.
 func CopyStore(s Store) *Graph {
 	if g, ok := s.(*Graph); ok {
 		return g

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -12,10 +13,13 @@ import (
 // serving layer replay journaled mutations over a read-only mapped base.
 // Reads (Degree, NeighborsInto, HasEdge, attributes) see the base patched by
 // the accumulated deltas, so index-maintenance code can traverse the
-// post-mutation graph before any CSR exists for it; Materialize folds the
-// deltas into a fresh immutable heap Graph in one pass, copying the adjacency
-// spans of untouched nodes verbatim (no re-sorting, no re-deduplication, no
-// decomposition).
+// post-mutation graph before any CSR exists for it. Materialize folds the
+// deltas into a fresh immutable Graph that copies only what they wrote:
+// touched rows are merged, each run of untouched rows between them is one
+// block copy (no re-sorting, no re-deduplication, no decomposition), and a
+// column no delta wrote is the base's own array, shared. A Graph may thus
+// share arrays with a mapped base, so the mapping must outlive every Graph
+// materialized over it (the catalog unmaps retired mappings only at Close).
 //
 // An Overlay is not safe for concurrent use; the serving layer applies
 // mutations under its own lock and publishes only materialized Graphs.
@@ -100,7 +104,10 @@ func (o *Overlay) HasEdge(u, v NodeID) bool {
 	if containsSorted(o.removed[u], v) {
 		return false
 	}
-	return int(u) < o.base.NumNodes() && o.base.HasEdge(u, v)
+	// An appended endpoint has no base edges; the base (a PackedGraph reads
+	// both endpoints' degrees) must not see its out-of-range ID.
+	baseN := o.base.NumNodes()
+	return int(u) < baseN && int(v) < baseN && o.base.HasEdge(u, v)
 }
 
 // AppendNeighbors appends v's neighbor list under the deltas to dst and
@@ -292,52 +299,132 @@ func (o *Overlay) patchEdge(u, v NodeID, add bool) {
 	to[u] = insertSorted(to[u], v)
 }
 
-// Materialize folds the deltas into a fresh immutable Graph. Untouched
-// adjacency spans and attribute rows are copied verbatim from the base CSR;
-// touched nodes are merged in sorted order. The overlay remains usable (its
+// Materialize folds the deltas into a fresh immutable Graph. Each column —
+// adjacency, text, numbers — is built in one pass over its sorted touched
+// rows: a touched or appended row is merged as AppendNeighbors/TextAttrs/
+// NumAttrs read it, and every run of untouched rows between two touched ones
+// is copied as one block when the base is a *Graph (row by row through the
+// Store accessors otherwise). A column the deltas did not write at all is
+// shared with a *Graph base, not copied. The overlay remains usable (its
 // deltas are not consumed), so a caller can materialize intermediate states.
 func (o *Overlay) Materialize() *Graph {
-	n := o.NumNodes()
-	baseN := o.base.NumNodes()
+	n, baseN, dim := o.NumNodes(), o.base.NumNodes(), o.NumDim()
+	flat, _ := o.base.(*Graph)
+	g := &Graph{numDim: dim, dict: o.dict}
 
-	offsets := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + int32(o.Degree(NodeID(v)))
+	var baseOff, baseAdj, baseTextOff, baseText []int32
+	var baseNum []float64
+	if flat != nil {
+		baseOff, baseAdj = flat.offsets, flat.adj
+		baseTextOff, baseText, baseNum = flat.textOff, flat.text, flat.num
 	}
-	adj := make([]NodeID, offsets[n])
-	for v := 0; v < n; v++ {
-		span := adj[offsets[v]:offsets[v]:offsets[v+1]]
-		if v < baseN && !o.Touched(NodeID(v)) {
-			copy(adj[offsets[v]:offsets[v+1]], o.base.NeighborsInto(&o.nbuf, NodeID(v)))
-			continue
+
+	g.offsets, g.adj = foldRows(n, baseN, 2*o.NumEdges(), touchedRows(baseN, o.added, o.removed),
+		baseOff, baseAdj,
+		func(dst []int32, v NodeID) []int32 { return append(dst, o.base.NeighborsInto(&o.nbuf, v)...) },
+		o.AppendNeighbors)
+
+	textRows := touchedRows(baseN, o.textOver)
+	textLen := len(baseText)
+	for _, v := range textRows {
+		textLen += len(o.textOver[v])
+	}
+	for _, row := range o.newText {
+		textLen += len(row)
+	}
+	g.textOff, g.text = foldRows(n, baseN, textLen, textRows, baseTextOff, baseText,
+		func(dst []int32, v NodeID) []int32 { return append(dst, o.base.TextAttrs(v)...) },
+		func(dst []int32, v NodeID) []int32 { return append(dst, o.TextAttrs(v)...) })
+
+	numRows := touchedRows(baseN, o.numOver)
+	if len(numRows) == 0 && n == baseN && flat != nil {
+		g.num = baseNum
+		return g
+	}
+	num := make([]float64, 0, n*dim)
+	next := 0
+	copyRun := func(hi int) { // untouched base rows [next, hi)
+		if flat != nil {
+			num = append(num, baseNum[next*dim:hi*dim]...)
+			return
 		}
-		o.AppendNeighbors(span, NodeID(v))
+		for v := next; v < hi; v++ {
+			num = append(num, o.base.NumAttrs(NodeID(v))...)
+		}
 	}
+	for _, t := range numRows {
+		copyRun(int(t))
+		num = append(num, o.numOver[t]...)
+		next = int(t) + 1
+	}
+	copyRun(baseN)
+	for _, row := range o.newNum {
+		num = append(num, row...)
+	}
+	g.num = num
+	return g
+}
 
-	textOff := make([]int32, n+1)
-	for v := 0; v < n; v++ {
-		textOff[v+1] = textOff[v] + int32(len(o.TextAttrs(NodeID(v))))
+// foldRows builds one offset/payload column of an n-row graph. Rows listed
+// in touched (sorted base rows) and appended rows ≥ baseN come from
+// appendRow. Every run of untouched base rows between them is copied from
+// the base: as one block from off/data when the base is flat (its offsets
+// shifted by the running difference), else row by row through appendBase.
+// A column with nothing touched and nothing appended is the base's own
+// arrays, returned shared. total is the payload capacity to reserve.
+func foldRows(n, baseN, total int, touched []NodeID, off, data []int32,
+	appendBase, appendRow func(dst []int32, v NodeID) []int32) ([]int32, []int32) {
+	if len(touched) == 0 && n == baseN && off != nil {
+		return off, data
 	}
-	text := make([]int32, 0, textOff[n])
-	for v := 0; v < n; v++ {
-		text = append(text, o.TextAttrs(NodeID(v))...)
+	offsets := make([]int32, 1, n+1)
+	out := make([]int32, 0, total)
+	next := 0
+	copyRun := func(hi int) { // untouched base rows [next, hi)
+		if off == nil {
+			for v := next; v < hi; v++ {
+				out = appendBase(out, NodeID(v))
+				offsets = append(offsets, int32(len(out)))
+			}
+			return
+		}
+		shift := int32(len(out)) - off[next]
+		out = append(out, data[off[next]:off[hi]]...)
+		run := len(offsets)
+		offsets = append(offsets, off[next+1:hi+1]...)
+		if shift != 0 {
+			for i := run; i < len(offsets); i++ {
+				offsets[i] += shift
+			}
+		}
 	}
+	for _, t := range touched {
+		copyRun(int(t))
+		out = appendRow(out, t)
+		offsets = append(offsets, int32(len(out)))
+		next = int(t) + 1
+	}
+	copyRun(baseN)
+	for v := baseN; v < n; v++ {
+		out = appendRow(out, NodeID(v))
+		offsets = append(offsets, int32(len(out)))
+	}
+	return offsets, out
+}
 
-	dim := o.NumDim()
-	num := make([]float64, n*dim)
-	for v := 0; v < n; v++ {
-		copy(num[v*dim:(v+1)*dim], o.NumAttrs(NodeID(v)))
+// touchedRows returns the base rows (< baseN) keyed in any of ms, sorted
+// ascending without duplicates.
+func touchedRows[V any](baseN int, ms ...map[NodeID]V) []NodeID {
+	var rows []NodeID
+	for _, m := range ms {
+		for v := range m {
+			if int(v) < baseN {
+				rows = append(rows, v)
+			}
+		}
 	}
-
-	return &Graph{
-		offsets: offsets,
-		adj:     adj,
-		textOff: textOff,
-		text:    text,
-		numDim:  dim,
-		num:     num,
-		dict:    o.dict,
-	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
 }
 
 // containsSorted reports whether v is in the sorted slice l.

@@ -35,6 +35,7 @@ type Session struct {
 	applied    int
 
 	nbuf, nbuf2 []graph.NodeID // neighbor-list scratch
+	common      []graph.NodeID // commonNeighbors' result
 }
 
 // NewSession starts a mutation session over base, which may be any immutable
@@ -200,7 +201,7 @@ func (s *Session) markStructural(u, v graph.NodeID) {
 func (s *Session) commonNeighbors(u, v graph.NodeID) []graph.NodeID {
 	s.nbuf = s.ov.AppendNeighbors(s.nbuf[:0], u)
 	s.nbuf2 = s.ov.AppendNeighbors(s.nbuf2[:0], v)
-	var out []graph.NodeID
+	out := s.common[:0]
 	i, j := 0, 0
 	for i < len(s.nbuf) && j < len(s.nbuf2) {
 		switch {
@@ -214,6 +215,7 @@ func (s *Session) commonNeighbors(u, v graph.NodeID) []graph.NodeID {
 			j++
 		}
 	}
+	s.common = out
 	return out
 }
 

@@ -26,8 +26,7 @@ func (s *Session) trussInsert(u, v graph.NodeID) {
 	e := EdgeOf(u, v)
 	ub := int32(len(s.commonNeighbors(u, v))) + 2
 	s.setTruss(e, 2) // placeholder so scope lookups see the edge; peel fixes it
-	scope, boundary := s.trussScope([]Edge{e}, func(t int32) bool { return t < ub })
-	s.localPeel(scope, boundary)
+	s.localPeel(s.trussScope([]Edge{e}, func(t int32) bool { return t < ub }))
 }
 
 // trussRemove maintains the table for the already-removed edge (u,v). seeds
@@ -43,31 +42,41 @@ func (s *Session) trussRemove(u, v graph.NodeID, seeds []Edge) {
 	if len(seeds) == 0 {
 		return
 	}
-	scope, boundary := s.trussScope(seeds, func(t int32) bool { return t <= r })
-	s.localPeel(scope, boundary)
+	s.localPeel(s.trussScope(seeds, func(t int32) bool { return t <= r }))
+}
+
+// edgeScope is the affected edge scope of one mutation: the scope edges in
+// BFS order (scope[f] is f's index), the pinned boundary with its known
+// trussness, and the triangle apexes of every scope edge, enumerated once by
+// the BFS and read again by the peel: scope edge i's apexes are
+// tri[triOff[i]:triOff[i+1]].
+type edgeScope struct {
+	scope    map[Edge]int
+	boundary map[Edge]int32
+	tri      []graph.NodeID
+	triOff   []int
 }
 
 // trussScope collects the affected edge scope: starting from the seed edges,
 // it BFSes over triangle adjacency in the overlay, expanding through edges
 // whose current trussness satisfies inScope and recording the rest as
 // pinned boundary. Seeds failing inScope become boundary themselves.
-func (s *Session) trussScope(seeds []Edge, inScope func(int32) bool) (map[Edge]int, map[Edge]int32) {
-	scope := make(map[Edge]int)
-	boundary := make(map[Edge]int32)
+func (s *Session) trussScope(seeds []Edge, inScope func(int32) bool) *edgeScope {
+	sc := &edgeScope{scope: make(map[Edge]int), boundary: make(map[Edge]int32), triOff: []int{0}}
 	var queue []Edge
 	classify := func(f Edge) {
-		if _, ok := scope[f]; ok {
+		if _, ok := sc.scope[f]; ok {
 			return
 		}
-		if _, ok := boundary[f]; ok {
+		if _, ok := sc.boundary[f]; ok {
 			return
 		}
 		t := s.etruss[f]
 		if inScope(t) {
-			scope[f] = len(scope)
+			sc.scope[f] = len(sc.scope)
 			queue = append(queue, f)
 		} else {
-			boundary[f] = t
+			sc.boundary[f] = t
 		}
 	}
 	for _, f := range seeds {
@@ -76,11 +85,13 @@ func (s *Session) trussScope(seeds []Edge, inScope func(int32) bool) (map[Edge]i
 	for i := 0; i < len(queue); i++ {
 		f := queue[i]
 		for _, z := range s.commonNeighbors(f.U, f.V) {
+			sc.tri = append(sc.tri, z)
 			classify(EdgeOf(f.U, z))
 			classify(EdgeOf(f.V, z))
 		}
+		sc.triOff = append(sc.triOff, len(sc.tri))
 	}
-	return scope, boundary
+	return sc
 }
 
 // localPeel recomputes the trussness of every scope edge by support peeling
@@ -88,21 +99,24 @@ func (s *Session) trussScope(seeds []Edge, inScope func(int32) bool) (map[Edge]i
 // Triangle enumeration runs on the overlay, and every edge of a triangle
 // containing a scope edge is itself scope or boundary (the BFS closure), so
 // the peel sees exactly the triangles the global peel would.
-func (s *Session) localPeel(scope map[Edge]int, boundary map[Edge]int32) {
-	if len(scope) == 0 {
+func (s *Session) localPeel(sc *edgeScope) {
+	nScope := len(sc.scope)
+	if nScope == 0 {
 		return
 	}
-	total := len(scope) + len(boundary)
+	total := nScope + len(sc.boundary)
 	edges := make([]Edge, total)
 	pinned := make([]bool, total)
 	cur := make([]int32, total)
-	id := make(map[Edge]int, total)
-	for f, i := range scope {
+	// id indexes every edge of the peel: scope edges keep their BFS index
+	// and support, boundary edges follow at their pinned level.
+	id := sc.scope
+	for f, i := range id {
 		edges[i] = f
-		id[f] = i
+		cur[i] = int32(sc.triOff[i+1] - sc.triOff[i])
 	}
-	i := len(scope)
-	for f, t := range boundary {
+	i := nScope
+	for f, t := range sc.boundary {
 		edges[i] = f
 		pinned[i] = true
 		if t >= 2 {
@@ -112,16 +126,8 @@ func (s *Session) localPeel(scope map[Edge]int, boundary map[Edge]int32) {
 		i++
 	}
 	maxSup := int32(0)
-	for f, i := range scope {
-		cur[i] = int32(len(s.commonNeighbors(f.U, f.V)))
-		if cur[i] > maxSup {
-			maxSup = cur[i]
-		}
-	}
-	for i := len(scope); i < total; i++ {
-		if cur[i] > maxSup {
-			maxSup = cur[i]
-		}
+	for _, c := range cur {
+		maxSup = max(maxSup, c)
 	}
 
 	// Bucket peel, the same lazy-invalidation scheme as truss.Decompose.
@@ -166,7 +172,13 @@ func (s *Session) localPeel(scope map[Edge]int, boundary map[Edge]int32) {
 				s.trussDirty[f.V] = struct{}{}
 			}
 		}
-		for _, z := range s.commonNeighbors(f.U, f.V) {
+		var apexes []graph.NodeID
+		if int(e) < nScope {
+			apexes = sc.tri[sc.triOff[e]:sc.triOff[e+1]]
+		} else {
+			apexes = s.commonNeighbors(f.U, f.V) // a pinned boundary edge
+		}
+		for _, z := range apexes {
 			e1, ok1 := id[EdgeOf(f.U, z)]
 			e2, ok2 := id[EdgeOf(f.V, z)]
 			if !ok1 || !ok2 || removed[e1] || removed[e2] {
