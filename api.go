@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/attr"
 	"repro/internal/catalog"
-	"repro/internal/clique"
 	"repro/internal/cluster"
 	"repro/internal/cserr"
 	"repro/internal/dataset"
@@ -192,25 +191,23 @@ func MaximalConnectedKTruss(g *Graph, q NodeID, k int) []NodeID {
 	return truss.MaximalConnectedKTruss(g, q, k)
 }
 
-// KCliqueCommunity returns the k-clique percolation community of q — the
-// most cohesive model in the paper's §II ranking k-core ⪯ k-truss ⪯
-// k-clique. maxCliques bounds the exponential enumeration (0 = default).
-func KCliqueCommunity(g *Graph, q NodeID, k, maxCliques int) ([]NodeID, error) {
-	return clique.Community(g, q, k, maxCliques)
-}
-
 // Engine is a long-lived, concurrency-safe query-serving layer over one
 // graph: it precomputes and shares the attribute metric and the structural
 // decompositions across queries, caches full Outcomes in a sharded LRU, and
 // coalesces concurrent identical queries single-flight style. Nothing is
-// kept per query node: a cache miss computes f(·,q) inside the search. Every request is one Request,
-// whatever the method; Engine.Query is the unified entry point and
-// Engine.Batch its worker-pool form. Per-request deadlines (and client
-// disconnects) cancel the underlying search, not just the wait. Create one
-// with NewEngine.
+// kept per query node: a cache miss computes f(·,q) inside the search.
+// Every request is one Request, whatever the method; Engine.Query is the
+// unified entry point and Engine.Batch its worker-pool form, the pool as
+// wide as MaxConcurrent. Per-request deadlines (and client disconnects)
+// cancel the underlying search, not just the wait. Create one with
+// NewEngine; serve it over HTTP as a one-dataset catalog (NewCatalog,
+// Catalog.Mount, NewCatalogHTTPHandler).
 type Engine = engine.Engine
 
-// EngineConfig parameterizes NewEngine; start from DefaultEngineConfig.
+// EngineConfig parameterizes NewEngine: the attribute balance γ and the
+// deployment's resource and latency bounds (result-cache entries, executing
+// and admitted computations, the per-request deadline, the slow-query log).
+// Start from DefaultEngineConfig.
 type EngineConfig = engine.Config
 
 // DefaultEngineConfig returns a serving configuration suitable for mid-size
@@ -223,13 +220,6 @@ func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 // and the core and truss decompositions, both admission indexes whole before
 // the first request.
 func NewEngine(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
-
-// NewHTTPHandler returns the JSON serving surface of an Engine: /search
-// (one Request, any method), /batch (one Request spec over many query
-// nodes), /compare (one Request replayed through several methods side by
-// side), /healthz and /stats. cmd/seaserve wires it to flags and a
-// listener.
-func NewHTTPHandler(e *Engine) http.Handler { return httpapi.New(httpapi.EngineRoutes(e), nil) }
 
 // Snapshot is the reopened serving state of a packed dataset: the graph
 // and, when the snapshot carried one, the precomputed index.

@@ -157,7 +157,13 @@ func TestRequestRoundTripsEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := httptest.NewServer(NewHTTPHandler(eng))
+	// One engine is served as a one-dataset catalog.
+	cat := NewCatalog()
+	defer cat.Close()
+	if _, err := cat.Mount("g", eng, DefaultEngineConfig(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewCatalogHTTPHandler(cat, DefaultEngineConfig()))
 	defer srv.Close()
 	blob, err := json.Marshal(req)
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 	"testing"
 
 	"repro/internal/attr"
-	"repro/internal/clique"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/exact"
@@ -261,8 +260,8 @@ func BenchmarkAblationStoppingRule(b *testing.B) {
 }
 
 // BenchmarkAblationModelRanking measures the §II model hierarchy
-// k-core ⪯ k-truss ⪯ k-clique: extraction cost of each structural model
-// around the same query.
+// k-core ⪯ k-truss: extraction cost of each structural model around the
+// same query.
 func BenchmarkAblationModelRanking(b *testing.B) {
 	benchSetup(b)
 	b.Run("k-core", func(b *testing.B) {
@@ -276,13 +275,6 @@ func BenchmarkAblationModelRanking(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if truss.MaximalConnectedKTruss(benchData.Graph, benchQ, 6) == nil {
 				b.Skip("no 6-truss")
-			}
-		}
-	})
-	b.Run("k-clique", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := clique.Community(benchData.Graph, benchQ, 6, 0); err != nil {
-				b.Fatal(err)
 			}
 		}
 	})

@@ -116,8 +116,8 @@ func (f *cliFlags) buildRequest(q sealib.NodeID) (sealib.Request, error) {
 		return req, fmt.Errorf("bad -model %q: %w", f.model, err)
 	}
 	if f.size != "" {
-		if _, err := fmt.Sscanf(f.size, "%d,%d", &req.SizeLo, &req.SizeHi); err != nil {
-			return req, fmt.Errorf("bad -size %q: %v", f.size, err)
+		if req.SizeLo, req.SizeHi, err = parseSize(f.size); err != nil {
+			return req, err
 		}
 	}
 	return req, req.Validate()
@@ -349,6 +349,22 @@ func parseEdge(spec string) (u, v sealib.NodeID, err error) {
 		return 0, 0, fmt.Errorf("bad edge %q: %v", spec, err)
 	}
 	return sealib.NodeID(a), sealib.NodeID(b), nil
+}
+
+// parseSize parses "lo,hi" the way parseEdge parses "u,v": two integers,
+// spaces trimmed, nothing else.
+func parseSize(spec string) (lo, hi int, err error) {
+	los, his, ok := strings.Cut(spec, ",")
+	if !ok {
+		return 0, 0, fmt.Errorf("bad -size %q (want lo,hi)", spec)
+	}
+	if lo, err = strconv.Atoi(strings.TrimSpace(los)); err == nil {
+		hi, err = strconv.Atoi(strings.TrimSpace(his))
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("bad -size %q: %v", spec, err)
+	}
+	return lo, hi, nil
 }
 
 // parseAttrs parses "tok1,tok2:0.1,0.2" — textual tokens before the colon,

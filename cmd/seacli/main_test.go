@@ -70,8 +70,13 @@ func TestMethodFlagExposesAllSearchers(t *testing.T) {
 	if _, err := parse(t, "-method", "exact", "-model", "truss"); err == nil {
 		t.Fatal("exact+truss mismatch accepted")
 	}
-	if _, err := parse(t, "-size", "20,8"); err == nil {
-		t.Fatal("inverted -size accepted")
+	for _, size := range []string{"20,8", "8,20junk", "8,20,30", "8", "8,"} {
+		if _, err := parse(t, "-size", size); err == nil {
+			t.Errorf("-size %q accepted", size)
+		}
+	}
+	if got, err := parse(t, "-size", " 8 , 20 "); err != nil || got.SizeLo != 8 || got.SizeHi != 20 {
+		t.Errorf("-size with spaces: %+v, %v", got, err)
 	}
 }
 

@@ -114,6 +114,9 @@ func main() {
 	if *qps <= 0 {
 		fail(errors.New("-qps must be positive"))
 	}
+	if !(*zipfS > 1) { // rand.NewZipf returns nil for s ≤ 1
+		fail(fmt.Errorf("-zipf must be greater than 1, got %g", *zipfS))
+	}
 	if *url == "" && !*selfserve {
 		fail(errors.New("need -url or -selfserve"))
 	}

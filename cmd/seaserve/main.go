@@ -83,7 +83,6 @@ func main() {
 		scale        = flag.Float64("scale", 0.5, "dataset scale factor")
 		gamma        = flag.Float64("gamma", 0.5, "attribute balance factor")
 		resultCache  = flag.Int("result-cache", 0, "result cache entries (0 = default)")
-		workers      = flag.Int("workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
 		maxConc      = flag.Int("max-concurrent", 0, "max searches executing at once (0 = 2×GOMAXPROCS)")
 		maxInFlight  = flag.Int("max-inflight", 0, "max cache-miss computations admitted per dataset before shedding with 429 (0 = no shedding)")
 		timeout      = flag.Duration("timeout", 0, "per-request deadline (0 = none)")
@@ -94,7 +93,6 @@ func main() {
 		pollEvery    = flag.Duration("poll-every", cluster.DefaultPollEvery, "follower journal poll interval")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this loopback address, e.g. 127.0.0.1:6060 (off when empty)")
 		slowQuery    = flag.Duration("slow-query", 0, "log one structured JSON line to stderr per request at least this slow (0 = off)")
-		traceRing    = flag.Int("trace-ring", 0, "request spans kept for GET /debug/trace (0 = default 256, negative = off)")
 		faultSpec    = flag.String("faults", os.Getenv("SEAFAULTS"), "fault-injection spec, e.g. \"journal.fsync=prob:0.1,err:eio\" (default $SEAFAULTS; testing only)")
 		faultSeed    = flag.Int64("faults-seed", 1, "fault-injection PRNG seed (deterministic per site)")
 	)
@@ -116,12 +114,10 @@ func main() {
 	cfg := sealib.DefaultEngineConfig()
 	cfg.Gamma = *gamma
 	cfg.ResultCacheSize = *resultCache
-	cfg.Workers = *workers
 	cfg.MaxConcurrent = *maxConc
 	cfg.MaxInFlight = *maxInFlight
 	cfg.RequestTimeout = *timeout
 	cfg.SlowQuery = *slowQuery
-	cfg.TraceRing = *traceRing
 
 	t0 := time.Now()
 	cat := sealib.NewCatalog()

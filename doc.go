@@ -76,17 +76,18 @@
 // Engine.Query serves one Request with whatever method it names,
 // Engine.Batch answers many — what the result cache holds inline on the
 // calling goroutine, in order, the rest through a worker pool — and both
-// report flat per-stage timing metrics (QueryMetrics, Engine.Stats). Per-request deadlines cancel the
-// underlying search — a stuck query frees its concurrency slot at its
-// deadline instead of holding it until the search finishes on its own.
-// NewHTTPHandler exposes an engine over HTTP: /search and /batch speak the
-// Request JSON form, and /compare replays one Request through several
-// methods side by side. The engine itself knows nothing about HTTP: every
-// handler of a node (this one, NewCatalogHTTPHandler, NewClusterNodeHandler)
-// is built by internal/httpapi from one route table of (method, path,
-// handler, write-fenced) rows, whose dispatcher echoes X-Request-ID, answers
-// 405 + Allow for a method a path has no row for, and holds the follower
-// write fence.
+// report flat per-stage timing metrics (QueryMetrics, Engine.Stats).
+// Per-request deadlines cancel the underlying search — a stuck query frees
+// its concurrency slot at its deadline instead of holding it until the
+// search finishes on its own. NewCatalogHTTPHandler exposes engines over
+// HTTP, one engine being a one-dataset catalog (NewCatalog + Catalog.Mount):
+// /search and /batch speak the Request JSON form, and /compare replays one
+// Request through several methods side by side. The engine itself knows
+// nothing about HTTP: both handlers of a node (NewCatalogHTTPHandler and
+// NewClusterNodeHandler) are built by internal/httpapi from one route table
+// of (method, path, handler, write-fenced) rows, whose dispatcher echoes
+// X-Request-ID, answers 405 + Allow for a method a path has no row for, and
+// holds the follower write fence.
 //
 // # Snapshots
 //
@@ -292,8 +293,8 @@
 // buffers per BLB call, the peel's removed-node lists and the returned
 // community. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
-// Batch drives Workers of them (for what it has to compute; cached items
-// it answers inline and a fully cached batch starts no goroutine), while
+// Batch's pool is that wide (for what it has to compute; cached items it
+// answers inline and a fully cached batch starts no goroutine), while
 // each search runs on the goroutine that was handed it: no request fans
 // out. BLB and the peel scan lost their fan-outs when a probe of the
 // benchmark's workloads found candidates of at most 48 members and BLB calls

@@ -1,7 +1,7 @@
 // Influential community search (the §VI-A HIC extension): on a social
 // network analog with a synthetic influence score per user, find the
 // community around a seed user whose *least* influential member is as
-// influential as possible, and compare the three structural models on the
+// influential as possible, and compare the two structural models on the
 // same neighborhood.
 package main
 
@@ -42,15 +42,10 @@ func main() {
 	fmt.Printf("  EVT-estimated max influence in the region: %.2f (observed max %.2f, GPD ξ=%.2f)\n\n",
 		res.MaxEstimate.Max, res.MaxEstimate.SampleMax, res.MaxEstimate.Xi)
 
-	// The §II model ranking on the same query: k-core ⪯ k-truss ⪯ k-clique.
+	// The §II model ranking on the same query: k-core ⪯ k-truss.
 	core := sea.MaximalConnectedKCore(g, seed, k)
 	truss := sea.MaximalConnectedKTruss(g, seed, k)
-	cliqueComm, err := sea.KCliqueCommunity(g, seed, k, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println("structure models around the same seed (more cohesive ⇒ smaller):")
 	fmt.Printf("  %d-core:    %d members\n", k, len(core))
 	fmt.Printf("  %d-truss:   %d members\n", k, len(truss))
-	fmt.Printf("  %d-clique:  %d members\n", k, len(cliqueComm))
 }

@@ -31,10 +31,13 @@ type BatchItem struct {
 // Batch answers every request and returns the outcomes in request order.
 // What the result cache holds is answered on the calling goroutine, in
 // order, exactly as QueryWithMetrics would; only the rest goes through the
-// worker pool (at most Config.Workers goroutines, none for a fully cached
-// batch). Config.RequestTimeout bounds — and on expiry cancels — each item
-// individually; cancelling ctx stops feeding the pool, interrupts running
-// items, and marks unstarted items with ctx's error.
+// worker pool, none for a fully cached batch. The pool is as wide as the
+// MaxConcurrent semaphore: a pool goroutine only hands its item to a
+// computation that waits on that semaphore, so a wider pool would only queue
+// and a narrower one would leave slots idle. Config.RequestTimeout bounds —
+// and on expiry cancels — each item individually; cancelling ctx stops
+// feeding the pool, interrupts running items, and marks unstarted items with
+// ctx's error.
 func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, error) {
 	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
@@ -56,7 +59,7 @@ func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, 
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < min(e.cfg.Workers, len(pending)); w++ {
+	for w := 0; w < min(cap(e.sem), len(pending)); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

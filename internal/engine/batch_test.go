@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/graph"
+	"repro/internal/query"
 )
 
 func TestBatchAllCachedStartsNoGoroutine(t *testing.T) {
@@ -54,7 +55,7 @@ func tallyOf(e *Engine) tally {
 
 func TestBatchMixedCountsOnce(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1 // the duplicate follows its twin, as it does one by one
+	cfg.MaxConcurrent = 1 // the duplicate follows its twin, as it does one by one
 	ctx := context.Background()
 	qs := testDataset(t).QueryNodes(4, 2, 9)
 	// Two cached, two uncached, and a repeat of an uncached one.
@@ -91,7 +92,7 @@ func TestBatchMixedCountsOnce(t *testing.T) {
 // starting before the other ends.
 func TestBatchMissesStillOverlap(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Workers, cfg.MaxConcurrent = 2, 2
+	cfg.MaxConcurrent = 2
 	e, d, _ := testEngine(t, cfg)
 	ctx := context.Background()
 	reqs := batchReqs(d.QueryNodes(3, 2, 9))
@@ -134,6 +135,43 @@ func TestBatchCancelledMarksUnstarted(t *testing.T) {
 	for i, it := range items[1:] {
 		if it.Err == nil || it.Metrics.Err == "" || it.Request != reqs[i+1] {
 			t.Errorf("uncached item %d under a cancelled context: %+v", i+1, it)
+		}
+	}
+}
+
+// TestBatchPoolFillsTheSemaphore: a batch of distinct misses keeps every
+// MaxConcurrent slot busy at once. The pool is as wide as the semaphore, so
+// with every computation held in the "engine.search" delay all cap(e.sem)
+// of them sit on it together.
+func TestBatchPoolFillsTheSemaphore(t *testing.T) {
+	e, _, q := testEngine(t, DefaultConfig())
+	reqs := make([]query.Request, cap(e.sem))
+	for i := range reqs {
+		reqs[i] = testReq(q)
+		reqs[i].Seed = int64(i + 1) // distinct keys: no hit, no coalescing
+	}
+	faults.Enable(31, faults.Spec{Site: "engine.search", Delay: 2 * time.Second})
+	defer faults.Disable()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if _, err := e.Batch(context.Background(), reqs); err != nil {
+			t.Error(err)
+		}
+	}()
+	defer func() { <-done }()
+	deadline := time.After(10 * time.Second)
+	for peak := 0; ; {
+		peak = max(peak, len(e.sem))
+		if peak == cap(e.sem) {
+			return
+		}
+		select {
+		case <-done:
+			t.Fatalf("batch of %d misses held at most %d of %d slots at once", len(reqs), peak, cap(e.sem))
+		case <-deadline:
+			t.Fatalf("after 10s %d of %d slots held", peak, cap(e.sem))
+		case <-time.After(time.Millisecond):
 		}
 	}
 }

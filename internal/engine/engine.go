@@ -72,7 +72,8 @@ type Config struct {
 	// ≤0 selects the default.
 	ResultCacheSize int
 	// MaxConcurrent caps the number of searches executing at once; further
-	// computations queue. ≤0 selects 2×GOMAXPROCS.
+	// computations queue. It is also the width of Batch's pool. ≤0 selects
+	// 2×GOMAXPROCS.
 	MaxConcurrent int
 	// MaxInFlight, when positive, bounds admission: at most this many
 	// cache-miss computations may be in flight (executing or queued on the
@@ -83,16 +84,10 @@ type Config struct {
 	// never shed. Set it above MaxConcurrent to allow a bounded queue;
 	// 0 disables shedding.
 	MaxInFlight int
-	// Workers is the Batch worker-pool size. ≤0 selects GOMAXPROCS.
-	Workers int
 	// RequestTimeout, when positive, bounds every request (Query and
 	// each Batch item) that does not already carry an earlier deadline. The
 	// deadline cancels the underlying search, not just the wait.
 	RequestTimeout time.Duration
-	// TraceRing is the request-trace ring capacity (spans kept for
-	// GET /debug/trace). 0 selects the default (256); a negative value
-	// disables the span ring (histograms still record).
-	TraceRing int
 	// SlowQuery, when positive, logs one structured JSON line (to
 	// SlowQueryLog, default stderr) for every request whose total latency
 	// meets or exceeds it.
@@ -185,7 +180,7 @@ type Engine struct {
 	// name attributes spans, slow-query lines and aggregated metrics to a
 	// dataset; the catalog sets it at mount time (see SetName).
 	name atomic.Pointer[string]
-	// trace holds the most recent request spans (nil when tracing is off).
+	// trace holds the most recent traceSpans request spans.
 	trace *obs.Ring[Span]
 }
 
@@ -213,18 +208,10 @@ func newEngine(cfg Config, st *engState) *Engine {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 2 * runtime.GOMAXPROCS(0)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.TraceRing == 0 {
-		cfg.TraceRing = 256
-	}
 	e := &Engine{
-		cfg: cfg,
-		sem: make(chan struct{}, cfg.MaxConcurrent),
-	}
-	if cfg.TraceRing > 0 {
-		e.trace = obs.NewRing[Span](cfg.TraceRing)
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.MaxConcurrent),
+		trace: obs.NewRing[Span](traceSpans),
 	}
 	e.st.Store(st)
 	e.results = newShardedLRU[query.Request, *query.Outcome](

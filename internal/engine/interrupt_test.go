@@ -19,8 +19,8 @@ import (
 
 // slowEngine builds an engine over a 6000-node ring lattice whose SEA
 // search takes hundreds of milliseconds (see internal/sea's cancellation
-// test for the workload's anatomy), with one worker and one concurrency
-// slot so a stuck search blocks everything behind it.
+// test for the workload's anatomy), with one concurrency slot (and so one
+// Batch worker) so a stuck search blocks everything behind it.
 func slowEngine(t testing.TB, timeout time.Duration) *Engine {
 	t.Helper()
 	const n, d = 6000, 6
@@ -34,7 +34,6 @@ func slowEngine(t testing.TB, timeout time.Duration) *Engine {
 	}
 	cfg := DefaultConfig()
 	cfg.MaxConcurrent = 1
-	cfg.Workers = 1
 	cfg.RequestTimeout = timeout
 	e, err := New(b.MustBuild(), cfg)
 	if err != nil {

@@ -7,7 +7,7 @@ package engine
 //
 // Histograms are obs.Histogram — the record path is three atomic adds, so
 // every stage of every request is recorded unconditionally. The trace ring
-// keeps the last Config.TraceRing spans (request id, stage timings, cache
+// keeps the last traceSpans spans (request id, stage timings, cache
 // provenance) in fixed memory, readable at GET /debug/trace. The slow-query
 // log writes one JSON line per request slower than Config.SlowQuery.
 
@@ -179,6 +179,10 @@ func (e *Engine) Name() string {
 	return ""
 }
 
+// traceSpans is the span ring's capacity: the newest requests GET
+// /debug/trace can show, in fixed memory.
+const traceSpans = 256
+
 // Span is one request's trace record: correlation id, dataset attribution,
 // start timestamp and the full per-stage metrics row. Spans live in a
 // fixed-size ring; GET /debug/trace?n= returns the newest n.
@@ -191,12 +195,7 @@ type Span struct {
 
 // Trace returns up to n spans, newest first (n ≤ 0 returns everything the
 // ring holds).
-func (e *Engine) Trace(n int) []Span {
-	if e.trace == nil {
-		return nil
-	}
-	return e.trace.Last(n)
-}
+func (e *Engine) Trace(n int) []Span { return e.trace.Last(n) }
 
 // recordQuery is the per-request observability tail, called once per
 // QueryWithMetrics: stage histograms, the span ring, and the slow-query log.
@@ -226,18 +225,13 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 		e.lat[StageSearch].Observe(qm.SearchNS)
 	}
 
-	if e.trace == nil && e.cfg.SlowQuery <= 0 {
-		return
-	}
 	span := Span{
 		RequestID:    requestID,
 		Graph:        e.Name(),
 		StartNS:      start.UnixNano(),
 		QueryMetrics: qm,
 	}
-	if e.trace != nil {
-		e.trace.Add(span)
-	}
+	e.trace.Add(span)
 	if e.cfg.SlowQuery > 0 && qm.TotalNS >= e.cfg.SlowQuery.Nanoseconds() {
 		e.logSlow(span)
 	}

@@ -56,7 +56,7 @@ func TestLatencyHistogramsRecord(t *testing.T) {
 	}
 }
 
-func TestTraceRingCapturesSpans(t *testing.T) {
+func TestSpanRingCapturesSpans(t *testing.T) {
 	e, _, q := testEngine(t, DefaultConfig())
 	e.SetName("fbtest")
 	ctx := ContextWithRequestID(context.Background(), "req-abc")
@@ -91,20 +91,6 @@ func TestTraceRingCapturesSpans(t *testing.T) {
 	spans = e.Trace(2)
 	if len(spans) != 2 || !spans[0].ResultHit || spans[1].ResultHit {
 		t.Fatalf("trace order: %+v", spans)
-	}
-}
-
-func TestTraceRingDisabled(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.TraceRing = -1
-	e, _, q := testEngine(t, cfg)
-	req := query.DefaultRequest(q)
-	req.K = 6
-	if _, _, err := e.QueryWithMetrics(context.Background(), req); err != nil {
-		t.Fatal(err)
-	}
-	if spans := e.Trace(0); spans != nil {
-		t.Fatalf("tracing disabled but got %d spans", len(spans))
 	}
 }
 

@@ -170,7 +170,7 @@ func TestNonFiniteDeltaAnswersAsEncodingJSONDid(t *testing.T) {
 	if err != nil || !math.IsNaN(out.Delta) {
 		t.Fatalf("the fixture should yield a NaN δ: %+v, %v", out, err)
 	}
-	h := New(EngineRoutes(e), nil)
+	h := engineHandler(t, e)
 	for path, body := range map[string]string{
 		"/search":  `{"q":0,"k":2,"method":"structural"}`,
 		"/batch":   `{"queries":[0,1],"k":2,"method":"structural"}`,

@@ -4,11 +4,12 @@
 // internal/catalog know nothing about HTTP; internal/cluster contributes its
 // control endpoints and the follower write fence as rows of the same table.
 //
-// A handler is New(routes, fence): EngineRoutes serves one engine,
-// CatalogRoutes a multi-dataset catalog, and cluster.NewNodeHandler appends
-// /admin/replication|promote|follow to the latter. Dispatch is one map
-// lookup on the request path; a path registered under other methods answers
-// 405 with an Allow header and the {"error": ...} body every endpoint uses.
+// A handler is New(routes, fence): CatalogRoutes serves a catalog of
+// datasets (one engine is served as a one-dataset catalog), and
+// cluster.NewNodeHandler appends /admin/replication|promote|follow to it.
+// Dispatch is one map lookup on the request path; a path registered under
+// other methods answers 405 with an Allow header and the {"error": ...} body
+// every endpoint uses.
 //
 // The query endpoints do not reflect over their bodies. A request's fields
 // are named once, in the wireFields table (wire.go), read by wireFromQuery

@@ -1,14 +1,13 @@
 package httpapi
 
 // The query surface: /search, /batch, /compare, /healthz and /debug/trace
-// over a Resolver, plus the single-engine /stats. All query endpoints decode
-// the same wire form of query.Request, so one JSON body works across single
-// search, batch and method comparison; /compare replays one request through
-// several methods side by side.
+// over a Resolver. All query endpoints decode the same wire form of
+// query.Request, so one JSON body works across single search, batch and
+// method comparison; /compare replays one request through several methods
+// side by side.
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"net/http"
 
@@ -25,18 +24,6 @@ import (
 // request across two snapshots.
 type Resolver func(name string) (*engine.Engine, error)
 
-// EngineRoutes is the route table of one engine: every request resolves to
-// e, and naming any other graph is an error.
-func EngineRoutes(e *engine.Engine) []Route {
-	q := queryAPI{func(name string) (*engine.Engine, error) {
-		if name != "" {
-			return nil, fmt.Errorf("%w: %q (single-graph server)", cserr.ErrUnknownGraph, name)
-		}
-		return e, nil
-	}}
-	return append(q.routes(), Route{Method: http.MethodGet, Path: "/stats", Handler: q.stats})
-}
-
 // toNodeID converts a wire-format node ID, rejecting values that would
 // silently truncate to a different (possibly valid) int32 node.
 func toNodeID(v int64) (graph.NodeID, error) {
@@ -49,8 +36,7 @@ func toNodeID(v int64) (graph.NodeID, error) {
 // queryAPI holds the query handlers over one Resolver.
 type queryAPI struct{ resolve Resolver }
 
-// routes is the query surface both EngineRoutes and CatalogRoutes start
-// from; each adds its own /stats.
+// routes is the query surface CatalogRoutes starts from.
 func (a queryAPI) routes() []Route {
 	return []Route{
 		{Method: http.MethodGet, Path: "/search", Handler: a.decoded(search)},
@@ -229,20 +215,6 @@ func (a queryAPI) healthz(w http.ResponseWriter, r *http.Request) error {
 		"version": e.Version(),
 		"methods": query.MethodNames(),
 	})
-	return nil
-}
-
-// stats answers the engine's counters, cache occupancy and per-stage
-// latency percentiles.
-func (a queryAPI) stats(w http.ResponseWriter, r *http.Request) error {
-	e, err := a.resolve(r.URL.Query().Get("graph"))
-	if err != nil {
-		return err
-	}
-	WriteJSON(w, http.StatusOK, struct {
-		engine.Stats
-		Latency engine.LatencySummary `json:"latency"`
-	}{e.Stats(), e.Latency().Summary()})
 	return nil
 }
 

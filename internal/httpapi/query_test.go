@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/cserr"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -43,10 +44,22 @@ func testEngine(t testing.TB, cfg engine.Config) (*engine.Engine, *dataset.Gener
 	return e, d, d.QueryNodes(1, 6, 3)[0]
 }
 
+// engineHandler serves e the way a node serves one engine: as the only
+// dataset of a catalog.
+func engineHandler(t testing.TB, e *engine.Engine) http.Handler {
+	t.Helper()
+	c := catalog.New()
+	t.Cleanup(func() { c.Close() })
+	if _, err := c.Mount("g", e, engine.DefaultConfig(), "test"); err != nil {
+		t.Fatal(err)
+	}
+	return New(CatalogRoutes(c, engine.DefaultConfig()), nil)
+}
+
 func testServer(t *testing.T) (*httptest.Server, *engine.Engine) {
 	t.Helper()
 	e, _, _ := testEngine(t, engine.DefaultConfig())
-	srv := httptest.NewServer(New(EngineRoutes(e), nil))
+	srv := httptest.NewServer(engineHandler(t, e))
 	t.Cleanup(srv.Close)
 	return srv, e
 }
@@ -154,7 +167,7 @@ func TestServerDeadlineMapsTo408(t *testing.T) {
 	cfg := engine.DefaultConfig()
 	cfg.RequestTimeout = time.Millisecond
 	e, d, _ := testEngine(t, cfg)
-	h := New(EngineRoutes(e), nil)
+	h := engineHandler(t, e)
 	nodes := d.QueryNodes(2, 6, 3)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -173,7 +173,7 @@ func TestServerGetHonoursEpsBeta(t *testing.T) {
 // overlong, malformed, or both.
 func TestBodyErrorsUnchangedByBuffering(t *testing.T) {
 	e, _, _ := testEngine(t, engine.DefaultConfig())
-	h := New(EngineRoutes(e), nil)
+	h := engineHandler(t, e)
 	pad := strings.Repeat(" ", MaxBodyBytes)
 	for _, tc := range []struct {
 		name, body string
@@ -208,7 +208,7 @@ func TestBodyErrorsUnchangedByBuffering(t *testing.T) {
 // request to carry.
 func TestScratchPoolDropsLargeBuffers(t *testing.T) {
 	e, _, _ := testEngine(t, engine.DefaultConfig())
-	h := New(EngineRoutes(e), nil)
+	h := engineHandler(t, e)
 	body := `{"graph":"elsewhere","queries":[` + strings.Repeat("1,", 256<<10) + `1]}`
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body)))

@@ -105,21 +105,30 @@ func TestNoContextTwins(t *testing.T) {
 	}
 }
 
+// sourceFiles lists the non-test Go files of internal/pkg and fails the test
+// when there are none, so a check over a deleted or misspelled package
+// cannot pass by inspecting nothing.
+func sourceFiles(t *testing.T, pkg string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = slices.DeleteFunc(files, func(path string) bool { return strings.HasSuffix(path, "_test.go") })
+	if len(files) == 0 {
+		t.Fatalf("internal/%s has no non-test Go file", pkg)
+	}
+	return files
+}
+
 // TestNoFanOutInsideARequest keeps a search on the goroutine that was handed
 // it: no non-test file of a package a search runs through has a go
 // statement or a sync.WaitGroup. Parallelism is between requests — the
 // engine's Batch workers and single-flight — which this does not cover.
 func TestNoFanOutInsideARequest(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"attr", "ws", "graph", "sampling", "stats", "kcore", "truss", "cohesive", "sea", "exact", "baselines", "clique", "hetgraph", "query"} {
-		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
+	for _, pkg := range []string{"attr", "ws", "graph", "sampling", "stats", "kcore", "truss", "cohesive", "sea", "exact", "baselines", "hetgraph", "query"} {
+		for _, path := range sourceFiles(t, pkg) {
 			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				t.Fatal(err)
@@ -146,14 +155,7 @@ func TestNoFanOutInsideARequest(t *testing.T) {
 func TestOneGeneratorPerSearch(t *testing.T) {
 	var sites []string
 	for _, pkg := range []string{"sea", "stats", "sampling", "kcore", "truss", "attr"} {
-		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, path := range files {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
+		for _, path := range sourceFiles(t, pkg) {
 			src, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -174,14 +176,7 @@ func TestOneGeneratorPerSearch(t *testing.T) {
 // or maps induced IDs back. graph.InducedStructureOf stays, as the reference
 // the tests compare against and for benchmark/trace.go.
 func TestSEAHasOneExtractionPath(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("internal", "sea", "*.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
+	for _, path := range sourceFiles(t, "sea") {
 		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

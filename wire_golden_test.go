@@ -279,31 +279,17 @@ func keySequence(t *testing.T, doc []byte) string {
 	return b.String()
 }
 
-// TestWireGoldenStatsKeys pins the nested key order of /stats for the
-// catalog handler and the single-engine handler.
+// TestWireGoldenStatsKeys pins the nested key order of the catalog
+// handler's /stats.
 func TestWireGoldenStatsKeys(t *testing.T) {
 	cat, _ := goldenNode(t)
-	for _, tc := range []struct {
-		name string
-		h    http.Handler
-	}{
-		{"stats-catalog", NewCatalogHTTPHandler(cat, DefaultEngineConfig())},
-		{"stats-engine", func() http.Handler {
-			g, _ := buildFigure1(t)
-			e, err := NewEngine(g, DefaultEngineConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return NewHTTPHandler(e)
-		}()},
-	} {
-		serve(tc.h, "GET", "/search?q=0&k=3", "")
-		rec := serve(tc.h, "GET", "/stats", "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s: /stats status %d", tc.name, rec.Code)
-		}
-		checkGolden(t, tc.name, keySequence(t, rec.Body.Bytes()))
+	h := NewCatalogHTTPHandler(cat, DefaultEngineConfig())
+	serve(h, "GET", "/search?q=0&k=3", "")
+	rec := serve(h, "GET", "/stats", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/stats status %d", rec.Code)
 	}
+	checkGolden(t, "stats-catalog", keySequence(t, rec.Body.Bytes()))
 }
 
 // expositionShape reduces a Prometheus text body to its ordered # HELP and
