@@ -197,11 +197,12 @@ func MaximalConnectedKTruss(g *Graph, q NodeID, k int) []NodeID {
 // coalesces concurrent identical queries single-flight style. Nothing is
 // kept per query node: a cache miss computes f(·,q) inside the search.
 // Every request is one Request, whatever the method; Engine.Query is the
-// unified entry point and Engine.Batch its worker-pool form, the pool as
-// wide as MaxConcurrent. Per-request deadlines (and client disconnects)
-// cancel the underlying search, not just the wait. Create one with
-// NewEngine; serve it over HTTP as a one-dataset catalog (NewCatalog,
-// Catalog.Mount, NewCatalogHTTPHandler).
+// unified entry point and Engine.Batch its worker-pool form (Engine.Answer
+// the same over items the caller owns), the pool as wide as MaxConcurrent.
+// Per-request deadlines (and client disconnects) cancel the underlying
+// search, not just the wait. Create one with NewEngine; serve it over HTTP
+// as a one-dataset catalog (NewCatalog, Catalog.Mount,
+// NewCatalogHTTPHandler).
 type Engine = engine.Engine
 
 // EngineConfig parameterizes NewEngine: the attribute balance γ and the

@@ -75,8 +75,8 @@
 //
 // Engine.Query serves one Request with whatever method it names,
 // Engine.Batch answers many — what the result cache holds inline on the
-// calling goroutine, in order, the rest through a worker pool — and both
-// report flat per-stage timing metrics (QueryMetrics, Engine.Stats).
+// calling goroutine, in order, the rest through a worker pool; Engine.Answer
+// does the same into items the caller owns — and both report flat per-stage timing metrics (QueryMetrics, Engine.Stats).
 // Per-request deadlines cancel the underlying search — a stuck query frees
 // its concurrency slot at its deadline instead of holding it until the
 // search finishes on its own. NewCatalogHTTPHandler exposes engines over
@@ -241,7 +241,7 @@
 //
 // internal/obs is the measurement substrate: a lock-free, allocation-free
 // latency histogram (atomic log-bucketed counters, ≤25% bucket width,
-// exact count and sum) whose record path is three atomic adds, recorded
+// exact count and sum) whose record path is two atomic adds, recorded
 // unconditionally on every stage of every request. Snapshots are immutable
 // (one shared bucket layout) and estimate percentiles by interpolation.
 // The engine keeps a histogram per read stage (admission, search;

@@ -23,6 +23,7 @@ package catalog
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"sort"
 	"sync"
@@ -122,18 +123,44 @@ type Catalog struct {
 	mu       sync.RWMutex
 	datasets map[string]*Dataset
 	def      string
-	mmapOff  bool
+	// view is datasets and def as a resolve reads them, republished under mu
+	// by every change, so that a resolve takes no lock: a read-lock is a
+	// write every request would make to state every other request shares.
+	view    atomic.Pointer[resolveView]
+	mmapOff bool
 	// retired holds mappings displaced by Swap/Unmount. They are never
 	// unmapped while the process serves — an in-flight query may still hold
 	// the old engine over them — only at Close.
 	retired []*store.Mounted
 }
 
+// resolveView is an immutable copy of the catalog's name table.
+type resolveView struct {
+	datasets map[string]*Dataset
+	def      *Dataset
+}
+
+// lookup resolves name ("" for the default); nil when it names nothing.
+func (v *resolveView) lookup(name string) *Dataset {
+	if name == "" {
+		return v.def
+	}
+	return v.datasets[name]
+}
+
 // New returns an empty catalog. Snapshot mounts serve zero-copy from memory
 // mappings where the format and platform allow; SetMmap(false) disables
 // that, forcing heap opens.
 func New() *Catalog {
-	return &Catalog{datasets: make(map[string]*Dataset)}
+	c := &Catalog{datasets: make(map[string]*Dataset)}
+	c.publishLocked()
+	return c
+}
+
+// publishLocked republishes the resolve view after a change to datasets or
+// def; the caller holds c.mu.
+func (c *Catalog) publishLocked() {
+	c.view.Store(&resolveView{datasets: maps.Clone(c.datasets), def: c.datasets[c.def]})
 }
 
 // SetMmap enables or disables zero-copy mapped serving for subsequent
@@ -178,6 +205,7 @@ func (c *Catalog) Mount(name string, eng *engine.Engine, cfg engine.Config, sour
 	if c.def == "" {
 		c.def = name
 	}
+	c.publishLocked()
 	return d, nil
 }
 
@@ -244,6 +272,13 @@ func (c *Catalog) Unmount(name string) error {
 		return fmt.Errorf("%w: %q", cserr.ErrUnknownGraph, name)
 	}
 	delete(c.datasets, name)
+	if c.def == name {
+		c.def = ""
+		if names := c.names(); len(names) > 0 {
+			c.def = names[0]
+		}
+	}
+	c.publishLocked()
 	// Closing the batcher flushes everything already acknowledged into the
 	// queue, then stops it; later Submits fail with commit.ErrClosed. Must
 	// happen before d.mu is taken — an in-flight flush holds it.
@@ -258,12 +293,6 @@ func (c *Catalog) Unmount(name string) error {
 	c.retireLocked(d.mounted)
 	d.mounted = nil
 	d.mu.Unlock()
-	if c.def == name {
-		c.def = ""
-		if names := c.names(); len(names) > 0 {
-			c.def = names[0]
-		}
-	}
 	return nil
 }
 
@@ -275,6 +304,7 @@ func (c *Catalog) SetDefault(name string) error {
 		return fmt.Errorf("%w: %q", cserr.ErrUnknownGraph, name)
 	}
 	c.def = name
+	c.publishLocked()
 	return nil
 }
 
@@ -285,8 +315,12 @@ func (c *Catalog) Default() string {
 	return c.def
 }
 
-// dataset looks a name up, resolving "" to the default.
+// dataset looks a name up, resolving "" to the default. A name that
+// resolves takes no lock; one that does not is explained under it.
 func (c *Catalog) dataset(name string) (*Dataset, error) {
+	if d := c.view.Load().lookup(name); d != nil {
+		return d, nil
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.datasetLocked(name)

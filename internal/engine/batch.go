@@ -28,34 +28,49 @@ type BatchItem struct {
 	Metrics QueryMetrics
 }
 
-// Batch answers every request and returns the outcomes in request order.
-// What the result cache holds is answered on the calling goroutine, in
-// order, exactly as QueryWithMetrics would; only the rest goes through the
-// worker pool, none for a fully cached batch. The pool is as wide as the
-// MaxConcurrent semaphore: a pool goroutine only hands its item to a
-// computation that waits on that semaphore, so a wider pool would only queue
-// and a narrower one would leave slots idle. Config.RequestTimeout bounds —
-// and on expiry cancels — each item individually; cancelling ctx stops
-// feeding the pool, interrupts running items, and marks unstarted items with
-// ctx's error.
+// Batch answers every request and returns the outcomes in request order,
+// each item carrying its request as given. It is Answer over a fresh slice.
 func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, error) {
+	items := make([]BatchItem, len(reqs))
 	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
-			return nil, err
+		items[i].Request = reqs[i]
+	}
+	if err := e.Answer(ctx, items); err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// Answer fills in every item's Outcome, Err and Metrics from its Request,
+// leaving the Request as it is. It validates every request before answering
+// any and returns the first error, changing nothing; past that point every
+// item gets its own answer and Answer returns nil. What the result cache
+// holds is answered on the calling goroutine, in order, exactly as
+// QueryWithMetrics would; only the rest goes through the worker pool, none
+// for a fully cached batch. The pool is as wide as the MaxConcurrent
+// semaphore: a pool goroutine only hands its item to a computation that
+// waits on that semaphore, so a wider pool would only queue and a narrower
+// one would leave slots idle. Config.RequestTimeout bounds — and on expiry
+// cancels — each item individually; cancelling ctx stops feeding the pool,
+// interrupts running items, and marks unstarted items with ctx's error.
+func (e *Engine) Answer(ctx context.Context, items []BatchItem) error {
+	for i := range items {
+		if err := items[i].Request.Validate(); err != nil {
+			return err
 		}
 	}
-	out := make([]BatchItem, len(reqs))
 	var pending []int // indexes the cache did not answer
-	for i := range reqs {
-		res, qm, err := e.answer(ctx, reqs[i], true)
-		if err == errUncached {
+	for i := range items {
+		it := &items[i]
+		var err error
+		if it.Outcome, err = e.answer(ctx, &it.Request, true, &it.Metrics); err == errUncached {
 			pending = append(pending, i)
 			continue
 		}
-		out[i] = BatchItem{Request: reqs[i], Outcome: res, Err: err, Metrics: qm}
+		it.Err = err
 	}
 	if len(pending) == 0 {
-		return out, nil
+		return nil
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
@@ -66,8 +81,8 @@ func (e *Engine) Batch(ctx context.Context, reqs []query.Request) ([]BatchItem, 
 			for i := range jobs {
 				// The full path, lookup included: a duplicate of an item
 				// computed earlier in this batch is a hit by now.
-				res, qm, err := e.QueryWithMetrics(ctx, reqs[i])
-				out[i] = BatchItem{Request: reqs[i], Outcome: res, Err: err, Metrics: qm}
+				it := &items[i]
+				it.Outcome, it.Err = e.answer(ctx, &it.Request, false, &it.Metrics)
 			}
 		}()
 	}
@@ -77,15 +92,16 @@ feed:
 		case jobs <- i:
 		case <-ctx.Done():
 			for _, j := range pending[n:] {
-				out[j] = BatchItem{Request: reqs[j], Err: ctx.Err(),
-					Metrics: QueryMetrics{Query: int64(reqs[j].Query), Err: ctx.Err().Error()}}
+				it := &items[j]
+				it.Outcome, it.Err = nil, ctx.Err()
+				it.Metrics = QueryMetrics{Query: int64(it.Request.Query), Err: ctx.Err().Error()}
 			}
 			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	return out, nil
+	return nil
 }
 
 // WriteMetricsCSV writes one CSV row per batch item (header included), the

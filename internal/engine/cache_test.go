@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func identHash(k int) uint64 { return uint64(k) }
 
@@ -79,5 +82,52 @@ func TestLRUDegenerateSizes(t *testing.T) {
 	}
 	if v, ok := c.get(2); !ok || v != 20 {
 		t.Fatal("latest entry lost")
+	}
+}
+
+// TestLRUStrictUnderHitFastPath: a hit on the entry that is already the most
+// recent leaves the list alone, and a hit on an older one moves it to the
+// front, so the puts that follow evict exactly the strict-LRU victims in
+// order; hits, misses and evictions count as they always did. Keys sharing
+// one hash (here all of them, in one shard) are told apart by ==.
+func TestLRUStrictUnderHitFastPath(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hash func(int) uint64
+	}{{"distinct hashes", identHash}, {"one shared hash", func(int) uint64 { return 7 }}} {
+		c := newShardedLRU[int, int](3, 1, tc.hash)
+		for k := 1; k <= 3; k++ {
+			c.put(k, 10*k)
+		}
+		// Recency, newest first: 3 2 1. Hits on the newest change nothing.
+		for range 3 {
+			if v, ok := c.get(3); !ok || v != 30 {
+				t.Fatalf("%s: get(3) = %d,%v", tc.name, v, ok)
+			}
+		}
+		// A hit on the oldest makes it the newest: 1 3 2; then on 2: 2 1 3.
+		for _, k := range []int{1, 2} {
+			if _, ok := c.get(k); !ok {
+				t.Fatalf("%s: get(%d) missed", tc.name, k)
+			}
+		}
+		if _, ok := c.get(9); ok {
+			t.Fatalf("%s: get(9) hit", tc.name)
+		}
+		// Each put now evicts the least recently used: 3, then 1, then 2.
+		victims := []int{3, 1, 2}
+		for i := range victims {
+			c.put(100+i, i)
+			for k := 1; k <= 3; k++ {
+				held := c.shards[0].find(&k, tc.hash(k)) != nil // counts nothing, moves nothing
+				if evicted := slices.Contains(victims[:i+1], k); held == evicted {
+					t.Fatalf("%s: after put %d key %d held=%v, want evicted=%v", tc.name, i, k, held, evicted)
+				}
+			}
+		}
+		hits, misses, evictions, n := c.stats()
+		if hits != 5 || misses != 1 || evictions != 3 || n != 3 {
+			t.Fatalf("%s: hits=%d misses=%d evictions=%d entries=%d, want 5 1 3 3", tc.name, hits, misses, evictions, n)
+		}
 	}
 }

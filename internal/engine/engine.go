@@ -16,7 +16,8 @@
 //     work happens once while every caller gets the answer.
 //
 // Every request is one query.Request, whatever the method; Engine.Query is
-// the one entry point and Engine.Batch its worker-pool form.
+// the one entry point and Engine.Batch (Engine.Answer over caller-owned
+// items) its worker-pool form.
 // Requests carry contexts all the way into the search loops: a per-request
 // deadline (or a client disconnect) genuinely stops the computation once no
 // caller is waiting on it, freeing its concurrency slot. Every request
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -104,18 +106,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// requestHash folds the discriminating fields of a canonical Request into
-// the shard/bucket hash. Equality is still exact (the full struct is the
-// map key); the hash only spreads entries.
-func requestHash(r query.Request) uint64 {
-	h := fnvMix(fnvOffset, uint64(r.Query))
-	h = fnvMix(h, uint64(r.Method))
-	h = fnvMix(h, uint64(r.K))
-	h = fnvMix(h, uint64(r.Model))
-	h = fnvMix(h, uint64(r.Seed))
-	h = fnvMix(h, uint64(r.SizeLo)<<32|uint64(r.SizeHi))
-	h = fnvMix(h, math.Float64bits(r.ErrorBound))
-	return h
+// requestHash is the result cache's one hash of a canonical Request: it picks
+// the shard and keys the shard's map, and the shard tells requests sharing
+// it apart by ==. It folds every field but Graph (which the engine clears
+// before a lookup) two words at a time through a 64×64→128-bit multiply.
+func requestHash(r *query.Request) uint64 {
+	var noRefine uint64
+	if r.NoRefine {
+		noRefine = 1
+	}
+	h := mix(uint64(r.Query), uint64(r.Method)<<16|uint64(r.Model)<<1|noRefine)
+	h = mix(h^uint64(r.K), uint64(r.Seed))
+	h = mix(h^uint64(r.SizeLo), uint64(r.SizeHi))
+	h = mix(h^uint64(r.MaxStates), uint64(r.MaxRounds))
+	h = mix(h^math.Float64bits(r.ErrorBound), math.Float64bits(r.Confidence))
+	h = mix(h^math.Float64bits(r.Lambda), math.Float64bits(r.Eps))
+	return mix(h, math.Float64bits(r.Beta))
+}
+
+// mix folds two words into one: the high and low halves of their product,
+// each offset by a constant so that a zero word still stirs the other.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a^0xa0761d6478bd642f, b^0xe7037ed1a0b428db)
+	return hi ^ lo
 }
 
 // searchOutcome is the shared product of one coalesced computation.
@@ -215,7 +228,7 @@ func newEngine(cfg Config, st *engState) *Engine {
 	}
 	e.st.Store(st)
 	e.results = newShardedLRU[query.Request, *query.Outcome](
-		cfg.ResultCacheSize, cacheShards, requestHash)
+		cfg.ResultCacheSize, cacheShards, func(r query.Request) uint64 { return requestHash(&r) })
 	return e
 }
 
@@ -245,42 +258,39 @@ func (e *Engine) Query(ctx context.Context, req query.Request) (*query.Outcome, 
 // QueryWithMetrics is Query returning per-stage timing metrics alongside
 // the outcome. The metrics row is valid on error paths too (Err is set).
 func (e *Engine) QueryWithMetrics(ctx context.Context, req query.Request) (*query.Outcome, QueryMetrics, error) {
-	return e.answer(ctx, req, false)
+	var qm QueryMetrics
+	out, err := e.answer(ctx, &req, false, &qm)
+	return out, qm, err
 }
 
 // errUncached is answer's report that a cachedOnly request is not in the
 // result cache.
 var errUncached = errors.New("engine: not cached")
 
-// answer is QueryWithMetrics. With cachedOnly set, a request the result
-// cache does not hold returns errUncached and leaves nothing behind — no
-// counter, histogram sample or span — so Batch can answer what is cached
-// inline and hand the rest to QueryWithMetrics with every item still counted
-// exactly once.
-func (e *Engine) answer(ctx context.Context, req query.Request, cachedOnly bool) (*query.Outcome, QueryMetrics, error) {
+// answer is QueryWithMetrics writing the metrics row into qm. With
+// cachedOnly set, a request the result cache does not hold returns
+// errUncached and leaves nothing behind — no counter, histogram sample or
+// span — so Answer can answer what is cached inline and hand the rest to
+// the full path with every item still counted exactly once.
+func (e *Engine) answer(ctx context.Context, given *query.Request, cachedOnly bool, qm *QueryMetrics) (*query.Outcome, error) {
 	t0 := time.Now()
-	req = req.WithDefaults()
+	req := given.WithDefaults()
 	// Graph is routing metadata for multi-dataset servers; this engine IS
 	// the routed-to graph, so drop it before it can split cache keys.
 	req.Graph = ""
 	// Cache first, validation after: only validated requests ever land in
 	// the cache, so a hit proves validity and the hot path skips the
 	// Validate/Options projection entirely; anything malformed misses and
-	// is rejected in miss before reaching the indexes.
-	var out *query.Outcome
-	var hit bool
-	if cachedOnly {
-		if out, hit = e.results.hit(req); !hit {
-			return nil, QueryMetrics{}, errUncached
-		}
-	} else {
-		out, hit = e.results.get(req)
+	// is rejected in miss before reaching the indexes. The lookup counts
+	// the request: Stats.Queries is the cache's hits plus misses.
+	out, hit := e.results.lookup(&req, requestHash(&req), !cachedOnly)
+	if cachedOnly && !hit {
+		return nil, errUncached
 	}
-	e.ctr.queries.Add(1)
-	qm := QueryMetrics{Query: int64(req.Query), K: req.K, Model: req.Model.String(), Method: req.Method.String(), ResultHit: hit}
+	*qm = QueryMetrics{Query: int64(req.Query), K: req.K, Model: req.Model.String(), Method: req.Method.String(), ResultHit: hit}
 	var err error
 	if !hit {
-		out, err = e.miss(ctx, req, &qm)
+		out, err = e.miss(ctx, req, qm)
 	}
 	qm.TotalNS = time.Since(t0).Nanoseconds()
 	if err != nil {
@@ -288,7 +298,7 @@ func (e *Engine) answer(ctx context.Context, req query.Request, cachedOnly bool)
 		e.ctr.errors.Add(1)
 	}
 	e.recordQuery(RequestIDFromContext(ctx), t0, qm)
-	return out, qm, err
+	return out, err
 }
 
 // miss answers a request the result cache does not hold: validation, the

@@ -55,7 +55,6 @@ func (m QueryMetrics) CSVRecord() []string {
 
 // counters aggregates engine-wide event counts with atomic increments.
 type counters struct {
-	queries      atomic.Uint64
 	searchRuns   atomic.Uint64
 	coalesced    atomic.Uint64
 	indexRejects atomic.Uint64
@@ -102,7 +101,6 @@ type Stats struct {
 // Stats returns a snapshot of the engine's counters and cache occupancy.
 func (e *Engine) Stats() Stats {
 	s := Stats{
-		Queries:             e.ctr.queries.Load(),
 		SearchRuns:          e.ctr.searchRuns.Load(),
 		Coalesced:           e.ctr.coalesced.Load(),
 		IndexRejects:        e.ctr.indexRejects.Load(),
@@ -114,5 +112,8 @@ func (e *Engine) Stats() Stats {
 		ResultInvalidations: e.ctr.resultInvalidation.Load(),
 	}
 	s.ResultHits, s.ResultMisses, s.ResultEvictions, s.ResultEntries = e.results.stats()
+	// Every request is looked up exactly once with its miss counted (see
+	// Engine.answer), so the cache's tally is the request count.
+	s.Queries = s.ResultHits + s.ResultMisses
 	return s
 }

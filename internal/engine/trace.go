@@ -5,7 +5,7 @@ package engine
 // the structures here say how long they take and which requests were the
 // outliers.
 //
-// Histograms are obs.Histogram — the record path is three atomic adds, so
+// Histograms are obs.Histogram — the record path is two atomic adds, so
 // every stage of every request is recorded unconditionally. The trace ring
 // keeps the last traceSpans spans (request id, stage timings, cache
 // provenance) in fixed memory, readable at GET /debug/trace. The slow-query
@@ -199,7 +199,7 @@ func (e *Engine) Trace(n int) []Span { return e.trace.Last(n) }
 
 // recordQuery is the per-request observability tail, called once per
 // QueryWithMetrics: stage histograms, the span ring, and the slow-query log.
-func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics) {
+func (e *Engine) recordQuery(requestID string, start time.Time, qm *QueryMetrics) {
 	switch {
 	case qm.Shed:
 		// Shed requests get their own outcome series: their point is that
@@ -229,7 +229,7 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm QueryMetrics)
 		RequestID:    requestID,
 		Graph:        e.Name(),
 		StartNS:      start.UnixNano(),
-		QueryMetrics: qm,
+		QueryMetrics: *qm,
 	}
 	e.trace.Add(span)
 	if e.cfg.SlowQuery > 0 && qm.TotalNS >= e.cfg.SlowQuery.Nanoseconds() {

@@ -200,11 +200,20 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// The header values writeJSONHeader assigns: one slice each, shared by every
+// response, because Header.Set would canonicalize the key and allocate a
+// value slice per response. Nothing writes into a header value in place.
+var (
+	jsonContentType = []string{"application/json"}
+	retryAfterHint  = []string{RetryAfterHint}
+)
+
 func writeJSONHeader(w http.ResponseWriter, status int) {
+	h := w.Header()
 	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", RetryAfterHint)
+		h["Retry-After"] = retryAfterHint
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 }
 

@@ -83,7 +83,6 @@ func search(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engin
 	}
 	it := engine.BatchItem{Request: sc.wire.Request}
 	it.Request.Query = q
-	it.Request = it.Request.WithDefaults()
 	if err := it.Request.Validate(); err != nil {
 		return err
 	}
@@ -103,18 +102,16 @@ func batch(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engine
 	if len(wire.Queries) == 0 {
 		return cserr.Invalidf("missing \"queries\"")
 	}
-	reqs := make([]query.Request, len(wire.Queries))
+	items := sc.batchItems(len(wire.Queries))
 	for i, q := range wire.Queries {
 		id, err := toNodeID(q)
 		if err != nil {
 			return err
 		}
-		req := wire.Request
-		req.Query = id
-		reqs[i] = req.WithDefaults()
+		items[i].Request = wire.Request
+		items[i].Request.Query = id
 	}
-	items, err := e.Batch(r.Context(), reqs)
-	if err != nil {
+	if err := e.Answer(r.Context(), items); err != nil {
 		return err
 	}
 	// Per-item shedding is partial degradation (200, item Errs set); a
@@ -146,7 +143,7 @@ func compare(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engi
 	if len(wire.Methods) == 0 {
 		return cserr.Invalidf("missing \"methods\"")
 	}
-	reqs := make([]query.Request, len(wire.Methods))
+	items := sc.batchItems(len(wire.Methods))
 	for i, name := range wire.Methods {
 		if name == "" {
 			// ParseMethod resolves "" to SEA for omitted single-method
@@ -158,25 +155,24 @@ func compare(w http.ResponseWriter, r *http.Request, sc *scratch, e *engine.Engi
 		if err != nil {
 			return err
 		}
-		// Canonicalize from the raw wire request per method, never from
-		// another method's canonical form: WithDefaults neutralizes the
-		// parameters a method ignores (e.g. MaxStates under SEA), so a
-		// shared canonical base would silently drop parameters the
-		// other methods need.
-		req := wire.Request
+		// Each method's request is the raw wire request with that method,
+		// never another method's canonical form: WithDefaults neutralizes
+		// the parameters a method ignores (e.g. MaxStates under SEA), so a
+		// shared canonical base would silently drop parameters the other
+		// methods need. Validating here, in method order, reports the first
+		// bad method or bad parameter as it comes.
+		req := &items[i].Request
+		*req = wire.Request
 		req.Query = q
 		req.Method = m
-		req = req.WithDefaults()
 		if err := req.Validate(); err != nil {
 			return err
 		}
-		reqs[i] = req
 	}
 	// One request, several solvers, side by side, through the engine's
-	// Batch (admission, caches, coalescing, per-stage metrics all apply per
+	// Answer (admission, caches, coalescing, per-stage metrics all apply per
 	// method).
-	items, err := e.Batch(r.Context(), reqs)
-	if err != nil {
+	if err := e.Answer(r.Context(), items); err != nil {
 		return err
 	}
 	// Best: the smallest δ among the runs that have an answer — no error, or

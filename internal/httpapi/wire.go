@@ -16,6 +16,7 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/cserr"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/query"
 )
@@ -72,6 +73,51 @@ var wireFields = [...]wireField{
 	{"queries", func(w *wireRequest) any { return &w.Queries }},
 }
 
+// fieldIndex returns the index in wireFields of the field named key, -1 for
+// a name that is none of theirs. TestFieldIndexMatchesTable holds the two
+// together.
+func fieldIndex(key []byte) int {
+	switch string(key) {
+	case "q":
+		return 0
+	case "method":
+		return 1
+	case "model":
+		return 2
+	case "k":
+		return 3
+	case "size_lo":
+		return 4
+	case "size_hi":
+		return 5
+	case "max_rounds":
+		return 6
+	case "seed":
+		return 7
+	case "max_states":
+		return 8
+	case "e":
+		return 9
+	case "confidence":
+		return 10
+	case "lambda":
+		return 11
+	case "eps":
+		return 12
+	case "beta":
+		return 13
+	case "no_refine":
+		return 14
+	case "graph":
+		return 15
+	case "methods":
+		return 16
+	case "queries":
+		return 17
+	}
+	return -1
+}
+
 // wireFromQuery fills wire from URL query parameters (GET endpoints). An
 // absent or empty parameter leaves its field alone.
 func wireFromQuery(r *http.Request, wire *wireRequest) error {
@@ -95,6 +141,9 @@ func wireFromQuery(r *http.Request, wire *wireRequest) error {
 			*p, err = strconv.ParseFloat(s, 64)
 		case *bool:
 			*p = s == "true"
+			if !*p && s != "false" {
+				err = strconv.ErrSyntax
+			}
 		case *string:
 			*p = s
 		case encoding.TextUnmarshaler:
@@ -122,188 +171,343 @@ func wireFromQuery(r *http.Request, wire *wireRequest) error {
 // body to encoding/json, which stays the definition of every edge case and
 // every error. FuzzWireDecode: whatever scanWire accepts, encoding/json
 // decodes to the same wireRequest.
-func scanWire(body []byte, wire *wireRequest) bool {
-	s := scanner{b: body}
-	if !s.eat('{') {
+func scanWire(body []byte, wire *wireRequest) bool { return scan(body, wire, new(spare)) }
+
+// spare is what a scan fills instead of allocating, kept by a scratch from
+// one request to the next: "q" lands in q, and the graph name, the queries
+// and the methods reuse the previous body's string and arrays where the new
+// body repeats or fits them. It has one slot per kind of field, as the table
+// has one field of each of these kinds (TestSpareKindsAreUnique). A request
+// a scan filled points into its spare until the next scan with it.
+type spare struct {
+	q       int64
+	graph   string
+	queries []int64
+	methods []string
+}
+
+// scan is scanWire filling sp in place of fresh allocations.
+func scan(body []byte, wire *wireRequest, sp *spare) bool {
+	b := wireBody(body)
+	i := b.space(0)
+	if !b.at(i, '{') {
 		return false
+	}
+	if i = b.space(i + 1); b.at(i, '}') {
+		return b.space(i+1) == len(b)
 	}
 	var seen uint32
-	for more := !s.eat('}'); more; {
-		key, ok := s.str()
-		i := 0
-		for i < len(wireFields) && string(key) != wireFields[i].name {
-			i++
-		}
-		if !ok || i == len(wireFields) || seen&(1<<i) != 0 || !s.eat(':') || !s.value(wireFields[i].dst(wire)) {
+	for {
+		key, j, ok := b.str(i)
+		f := fieldIndex(key)
+		if !ok || f < 0 || seen&(1<<f) != 0 {
 			return false
 		}
-		seen |= 1 << i
-		if more = s.eat(','); !more && !s.eat('}') {
+		seen |= 1 << f
+		if j = b.space(j); !b.at(j, ':') {
+			return false
+		}
+		if i, ok = b.value(b.space(j+1), wireFields[f].dst(wire), sp); !ok {
+			return false
+		}
+		switch i = b.space(i); {
+		case b.at(i, ','):
+			i = b.space(i + 1)
+		case b.at(i, '}'):
+			return b.space(i+1) == len(b)
+		default:
 			return false
 		}
 	}
-	s.space()
-	return s.i == len(s.b)
 }
 
-// scanner is scanWire's cursor over the body.
-type scanner struct {
-	b []byte
-	i int
-}
+// wireBody is the body scanWire reads. Its readers take the index to read at
+// and return the index after what they read, so the cursor is a value the
+// compiler keeps in a register.
+type wireBody []byte
 
-// at reports whether c is the next byte.
-func (s *scanner) at(c byte) bool { return s.i < len(s.b) && s.b[s.i] == c }
+// at reports whether c is at i.
+func (b wireBody) at(i int, c byte) bool { return i < len(b) && b[i] == c }
 
-func (s *scanner) space() {
-	for s.at(' ') || s.at('\t') || s.at('\n') || s.at('\r') {
-		s.i++
+// space returns the index of the first byte at or after i that is not white
+// space.
+func (b wireBody) space(i int) int {
+	for i < len(b) && b[i] <= ' ' && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
 	}
+	return i
 }
 
-// eat consumes c, after any white space, if it is next.
-func (s *scanner) eat(c byte) bool {
-	s.space()
-	if !s.at(c) {
-		return false
-	}
-	s.i++
-	return true
-}
+// The two JSON literals a boolean field takes.
+var (
+	litTrue  = []byte("true")
+	litFalse = []byte("false")
+)
 
-// value scans the value of the field dst points to into it.
-func (s *scanner) value(dst any) (ok bool) {
-	s.space()
+// value reads the value at i of the field dst points to into it, or into
+// sp and dst to that.
+func (b wireBody) value(i int, dst any, sp *spare) (int, bool) {
+	var ok bool
 	switch p := dst.(type) {
 	case **int64:
-		*p = new(int64)
-		**p, ok = s.int(64)
+		sp.q, i, ok = b.int(i, 64)
+		*p = &sp.q
 	case *int64:
-		*p, ok = s.int(64)
+		*p, i, ok = b.int(i, 64)
 	case *int:
 		var v int64
-		v, ok = s.int(strconv.IntSize)
+		v, i, ok = b.int(i, strconv.IntSize)
 		*p = int(v)
 	case *float64:
-		var err error
-		*p, err = strconv.ParseFloat(string(s.number()), 64)
-		ok = err == nil
+		*p, i, ok = b.float(i)
 	case *bool:
-		*p = s.at('t')
-		lit := strconv.FormatBool(*p)
-		if ok = bytes.HasPrefix(s.b[s.i:], []byte(lit)); ok {
-			s.i += len(lit)
+		switch rest := b[i:]; {
+		case bytes.HasPrefix(rest, litTrue):
+			*p, i, ok = true, i+len(litTrue), true
+		case bytes.HasPrefix(rest, litFalse):
+			*p, i, ok = false, i+len(litFalse), true
 		}
 	case *string:
-		var v []byte
-		v, ok = s.str()
-		*p = string(v)
+		i, ok = b.strInto(i, &sp.graph)
+		*p = sp.graph
 	case encoding.TextUnmarshaler: // a method or model name
 		var v []byte
-		v, ok = s.str()
+		v, i, ok = b.str(i)
 		ok = ok && p.UnmarshalText(v) == nil
 	case *[]int64:
-		ok = scanList(s, p, func() (int64, bool) { s.space(); return s.int(64) })
+		i, ok = scanList(b, i, &sp.queries, func(i int, v *int64) (int, bool) {
+			var ok bool
+			*v, i, ok = b.int(i, 64)
+			return i, ok
+		})
+		*p = sp.queries
 	case *[]string:
-		ok = scanList(s, p, func() (string, bool) { v, ok := s.str(); return string(v), ok })
+		i, ok = scanList(b, i, &sp.methods, b.strInto)
+		*p = sp.methods
 	}
-	return ok
+	return i, ok
 }
 
-// scanList scans a non-empty array into *p; an empty one decodes to an empty
-// non-nil slice, which is encoding/json's to produce.
-func scanList[T any](s *scanner, p *[]T, elem func() (T, bool)) bool {
-	if !s.eat('[') || s.at(']') {
-		return false
+// scanList reads the non-empty array at i into *p, in the array *p already
+// has when that is long enough; elem reads one element into its slot, which
+// holds what the previous array held there. An empty array decodes to an
+// empty non-nil slice, which is encoding/json's to produce.
+func scanList[T any](b wireBody, i int, p *[]T, elem func(int, *T) (int, bool)) (int, bool) {
+	if !b.at(i, '[') {
+		return i, false
 	}
-	end := bytes.IndexByte(s.b[s.i:], ']')
+	if i = b.space(i + 1); b.at(i, ']') {
+		return i, false
+	}
+	end := bytes.IndexByte(b[i:], ']')
 	if end < 0 {
-		return false
+		return i, false
 	}
 	// One element per comma and one more; a "]" or "," inside a string only
 	// makes this a wrong guess.
-	*p = make([]T, 0, 1+bytes.Count(s.b[s.i:s.i+end], []byte(",")))
+	if n := 1 + bytes.Count(b[i:i+end], []byte(",")); cap(*p) < n {
+		*p = make([]T, n)
+	}
+	list := (*p)[:0]
 	for {
-		v, ok := elem()
+		if len(list) < cap(list) {
+			list = list[:len(list)+1]
+		} else {
+			var zero T
+			list = append(list, zero)
+		}
+		j, ok := elem(i, &list[len(list)-1])
 		if !ok {
-			return false
+			return j, false
 		}
-		if *p = append(*p, v); !s.eat(',') {
-			return s.eat(']')
+		switch j = b.space(j); {
+		case b.at(j, ','):
+			i = b.space(j + 1)
+		case b.at(j, ']'):
+			*p = list
+			return j + 1, true
+		default:
+			return j, false
 		}
 	}
 }
 
-// int scans an integer of the given bit size.
-func (s *scanner) int(bits int) (int64, bool) {
-	v, err := strconv.ParseInt(string(s.number()), 10, bits)
-	return v, err == nil
+// int reads the integer of the given bit size at i: a JSON number with
+// neither fraction nor exponent, in range. JSON allows no leading zeros, so
+// more than 19 digits is out of range for any size.
+func (b wireBody) int(i, bits int) (int64, int, bool) {
+	digits, end := b.number(i)
+	neg := len(digits) > 0 && digits[0] == '-'
+	if neg {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 19 {
+		return 0, end, false
+	}
+	var v uint64
+	for _, c := range digits {
+		if c-'0' > 9 { // '.', 'e' or 'E' and what follows
+			return 0, end, false
+		}
+		v = v*10 + uint64(c-'0')
+	}
+	if limit := uint64(1) << (bits - 1); v > limit || v == limit && !neg {
+		return 0, end, false
+	}
+	if neg {
+		return -int64(v), end, true
+	}
+	return int64(v), end, true
 }
 
-// number consumes the JSON-grammar number at the cursor; nil when there is
-// none. What follows it is the caller's to check.
-func (s *scanner) number() []byte {
-	start := s.i
-	digits := func() bool {
-		from := s.i
-		for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
-			s.i++
+// exactPow10 holds the powers of ten a float64 represents exactly and that
+// float's fast path divides by.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// float reads the number at i. A decimal of at most 15 digits with no
+// exponent is an exact integer over an exact power of ten, and one IEEE
+// division rounds that quotient correctly — so it is strconv's answer,
+// reached without strconv. Any other number goes to strconv.ParseFloat.
+func (b wireBody) float(i int) (float64, int, bool) {
+	num, end := b.number(i)
+	digits := num
+	neg := len(digits) > 0 && digits[0] == '-'
+	if neg {
+		digits = digits[1:]
+	}
+	var m uint64
+	n, frac := 0, -1 // digits read; digits after the point, -1 before it
+	for _, c := range digits {
+		switch {
+		case c-'0' <= 9:
+			m = m*10 + uint64(c-'0')
+			n++
+			if frac >= 0 {
+				frac++
+			}
+		case c == '.':
+			frac = 0
+		default: // an exponent
+			n = len(exactPow10)
 		}
-		return s.i > from
 	}
-	if s.at('-') {
-		s.i++
+	if n == 0 || n >= len(exactPow10) {
+		f, err := strconv.ParseFloat(string(num), 64)
+		return f, end, err == nil
 	}
-	if s.at('0') {
-		s.i++
-	} else if !digits() {
-		return nil
+	f := float64(m) / exactPow10[max(frac, 0)]
+	if neg {
+		f = -f
 	}
-	if s.at('.') {
-		if s.i++; !digits() {
-			return nil
-		}
-	}
-	if s.at('e') || s.at('E') {
-		if s.i++; s.at('+') || s.at('-') {
-			s.i++
-		}
-		if !digits() {
-			return nil
-		}
-	}
-	return s.b[start:s.i]
+	return f, end, true
 }
 
-// str consumes, after any white space, a string with no escapes and only
-// printable ASCII, and returns what is between its quotes.
-func (s *scanner) str() ([]byte, bool) {
-	if !s.eat('"') {
-		return nil, false
+// number returns the JSON-grammar number at i and the index after it; nil
+// and i when there is none. What follows it is the caller's to check.
+func (b wireBody) number(i int) ([]byte, int) {
+	start := i
+	if b.at(i, '-') {
+		i++
 	}
-	for start := s.i; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			s.i++
-			return s.b[start : s.i-1], true
-		case c < ' ' || c >= utf8.RuneSelf || c == '\\':
-			return nil, false
+	switch {
+	case b.at(i, '0'):
+		i++
+	case b.digit(i):
+		i = b.digits(i)
+	default:
+		return nil, start
+	}
+	if b.at(i, '.') {
+		if !b.digit(i + 1) {
+			return nil, start
 		}
+		i = b.digits(i + 1)
 	}
-	return nil, false
+	if b.at(i, 'e') || b.at(i, 'E') {
+		if i++; b.at(i, '+') || b.at(i, '-') {
+			i++
+		}
+		if !b.digit(i) {
+			return nil, start
+		}
+		i = b.digits(i)
+	}
+	return b[start:i], i
+}
+
+// digit reports whether a decimal digit is at i.
+func (b wireBody) digit(i int) bool { return i < len(b) && b[i]-'0' <= 9 }
+
+// digits returns the index after the run of digits at i.
+func (b wireBody) digits(i int) int {
+	for b.digit(i) {
+		i++
+	}
+	return i
+}
+
+// plain marks the bytes a string str reads may hold: printable ASCII but the
+// quote and the backslash.
+var plain = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// strInto reads the string at i into *s, keeping the string *s holds when it
+// is the same.
+func (b wireBody) strInto(i int, s *string) (int, bool) {
+	v, i, ok := b.str(i)
+	if string(v) != *s {
+		*s = string(v)
+	}
+	return i, ok
+}
+
+// str reads the string at i — no escapes, only printable ASCII — and
+// returns what is between its quotes.
+func (b wireBody) str(i int) ([]byte, int, bool) {
+	if !b.at(i, '"') {
+		return nil, i, false
+	}
+	j := i + 1
+	for j < len(b) && plain[b[j]] {
+		j++
+	}
+	if !b.at(j, '"') {
+		return nil, j, false
+	}
+	return b[i+1 : j], j + 1, true
 }
 
 // scratch is what one request to a query endpoint works in: the decoded
-// request, and the bytes the body is read into and then (nothing decoded
-// points into them) the response is encoded into.
+// request, the bytes the body is read into and then (nothing decoded points
+// into them) the response is encoded into, and the items a /batch or
+// /compare answers.
 type scratch struct {
-	wire wireRequest
-	b    []byte
+	wire  wireRequest
+	spare spare
+	b     []byte
+	items []engine.BatchItem
+}
+
+// batchItems returns n items of the scratch, zero-valued.
+func (sc *scratch) batchItems(n int) []engine.BatchItem {
+	if cap(sc.items) < n {
+		sc.items = make([]engine.BatchItem, n)
+	}
+	sc.items = sc.items[:n]
+	return sc.items
 }
 
 // maxPooledScratch is the largest buffer kept for reuse: one body near
 // MaxBodyBytes or one 10⁴-node community must not stay pinned in the pool.
-const maxPooledScratch = 64 << 10
+// maxPooledItems is its counterpart for the items of a batch.
+const (
+	maxPooledScratch = 64 << 10
+	maxPooledItems   = 64
+)
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
@@ -314,6 +518,18 @@ func getScratch() *scratch {
 }
 
 func putScratch(sc *scratch) {
+	// The items hold the outcomes they answered with; a pooled scratch must
+	// not keep those alive, and the next batchItems hands them out zeroed.
+	clear(sc.items)
+	if cap(sc.items) > maxPooledItems {
+		sc.items = nil
+	}
+	if cap(sc.spare.queries) > maxPooledItems {
+		sc.spare.queries = nil
+	}
+	if cap(sc.spare.methods) > maxPooledItems {
+		sc.spare.methods = nil
+	}
 	if cap(sc.b) <= maxPooledScratch {
 		scratchPool.Put(sc)
 	}
@@ -346,7 +562,7 @@ func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 func decodeBody(w http.ResponseWriter, r *http.Request, sc *scratch) error {
 	var readErr error
 	sc.b, readErr = readBody(w, r, sc.b[:0])
-	if readErr == nil && scanWire(sc.b, &sc.wire) {
+	if readErr == nil && scan(sc.b, &sc.wire, &sc.spare) {
 		return nil
 	}
 	sc.wire = wireRequest{}

@@ -224,3 +224,88 @@ func TestScratchPoolDropsLargeBuffers(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldIndexMatchesTable: the key switch scanWire dispatches on names
+// every row of wireFields, at that row's index, and nothing else.
+func TestFieldIndexMatchesTable(t *testing.T) {
+	for i, f := range wireFields {
+		if got := fieldIndex([]byte(f.name)); got != i {
+			t.Errorf("fieldIndex(%q) = %d, want %d", f.name, got, i)
+		}
+	}
+	for _, key := range []string{"", "Q", "qq", "graphs", "method ", "BLB", "size"} {
+		if got := fieldIndex([]byte(key)); got != -1 {
+			t.Errorf("fieldIndex(%q) = %d, want -1", key, got)
+		}
+	}
+}
+
+// TestGetRejectsMalformedParams: a GET parameter its field cannot hold is a
+// 400 naming it, booleans included — no_refine takes exactly "true" or
+// "false", as the POST form takes exactly the two JSON literals.
+func TestGetRejectsMalformedParams(t *testing.T) {
+	for _, tc := range []struct{ query, err string }{
+		{"k=x", `bad k="x"`},
+		{"e=0.x", `bad e="0.x"`},
+		{"no_refine=1", `bad no_refine="1"`},
+		{"no_refine=yes", `bad no_refine="yes"`},
+		{"no_refine=TRUE", `bad no_refine="TRUE"`},
+		{"no_refine=garbage", `bad no_refine="garbage"`},
+	} {
+		var wire wireRequest
+		err := wireFromQuery(httptest.NewRequest(http.MethodGet, "/search?q=1&"+tc.query, nil), &wire)
+		if err == nil || StatusFor(err) != http.StatusBadRequest || !strings.HasSuffix(err.Error(), tc.err) {
+			t.Errorf("?%s: %v, want 400 %s", tc.query, err, tc.err)
+		}
+	}
+	for _, v := range []string{"true", "false"} {
+		var wire wireRequest
+		if err := wireFromQuery(httptest.NewRequest(http.MethodGet, "/search?q=1&no_refine="+v, nil), &wire); err != nil || wire.NoRefine != (v == "true") {
+			t.Errorf("?no_refine=%s: %v, NoRefine %v", v, err, wire.NoRefine)
+		}
+	}
+}
+
+// TestSpareKindsAreUnique: a spare has one slot per kind of field it fills,
+// so the table may hold at most one field of each of those kinds — a second
+// would share the first one's slot.
+func TestSpareKindsAreUnique(t *testing.T) {
+	kinds := map[reflect.Type]string{}
+	for _, f := range wireFields {
+		switch p := f.dst(new(wireRequest)); p.(type) {
+		case **int64, *string, *[]int64, *[]string:
+			typ := reflect.TypeOf(p)
+			if other, dup := kinds[typ]; dup {
+				t.Errorf("fields %s and %s are both %v and would share one spare slot", other, f.name, typ)
+			}
+			kinds[typ] = f.name
+		}
+	}
+}
+
+// TestScanReusesSpare: scanning with the spare of the body before fills the
+// same request a fresh scan fills, whatever the two bodies were, and once a
+// body has been scanned, scanning it again allocates nothing.
+func TestScanReusesSpare(t *testing.T) {
+	var sp spare
+	for _, prev := range clientBodies {
+		for _, body := range clientBodies {
+			var reused, fresh wireRequest
+			scan([]byte(prev), new(wireRequest), &sp)
+			if !scan([]byte(body), &reused, &sp) || !scanWire([]byte(body), &fresh) {
+				t.Fatalf("%s declined", body)
+			}
+			if !reflect.DeepEqual(reused, fresh) {
+				t.Fatalf("after %s, %s scans to\n%+v, fresh\n%+v", prev, body, reused, fresh)
+			}
+		}
+	}
+	for _, body := range clientBodies {
+		var wire wireRequest
+		b := []byte(body)
+		scan(b, &wire, &sp)
+		if allocs := testing.AllocsPerRun(10, func() { wire = wireRequest{}; scan(b, &wire, &sp) }); allocs != 0 {
+			t.Errorf("rescanning %s allocates %v times", body, allocs)
+		}
+	}
+}

@@ -5,7 +5,7 @@
 // The central type is Histogram — a fixed-boundary, log-bucketed (HDR-style
 // log-linear: power-of-two octaves split into 4 sub-buckets, ≤12.5% relative
 // bucket width) concurrent histogram of non-negative integer values,
-// typically latencies in nanoseconds. The record path is three atomic adds:
+// typically latencies in nanoseconds. The record path is two atomic adds:
 // no locks, no allocation, no branches on shared state — cheap enough to sit
 // on every request and every stage of the hot path. Snapshot copies the
 // counters into an immutable, mergeable value that estimates percentiles by
@@ -88,7 +88,6 @@ func bucketLower(i int) uint64 {
 // value is ready to use; copying a non-zero Histogram is not (hold it by
 // pointer or embed it in a heap-allocated struct).
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [NumBuckets]atomic.Uint64
 }
@@ -102,7 +101,6 @@ func (h *Histogram) Observe(v int64) {
 	u := uint64(v)
 	h.buckets[bucketIndex(u)].Add(1)
 	h.sum.Add(u)
-	h.count.Add(1)
 }
 
 // ObserveSince records the nanoseconds elapsed since start.
@@ -110,16 +108,17 @@ func (h *Histogram) ObserveSince(start time.Time) {
 	h.Observe(time.Since(start).Nanoseconds())
 }
 
-// Snapshot copies the histogram into an immutable value. Concurrent with
-// Observe the copy is weakly consistent bucket by bucket (count, sum and
+// Snapshot copies the histogram into an immutable value. Its count is the
+// sum of the bucket counts it copied, so the two always agree. Concurrent
+// with Observe the copy is weakly consistent bucket by bucket (sum and
 // buckets may straddle a racing record by one), which is the usual and
 // harmless histogram-scrape semantics; it never tears a single counter.
 func (h *Histogram) Snapshot() Snapshot {
 	var s Snapshot
-	s.Count = h.count.Load()
 	s.Sum = h.sum.Load()
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }

@@ -169,6 +169,10 @@ func DefaultRequest(q graph.NodeID) Request {
 	return Request{Query: q, Seed: 1}.WithDefaults()
 }
 
+// defaults is sea.DefaultOptions(), built once: WithDefaults, Validate and
+// Options read it for every request.
+var defaults = sea.DefaultOptions()
+
 // WithDefaults resolves every zero-valued parameter to the paper's default
 // (Seed excepted — 0 is a valid seed) and neutralizes parameters the chosen
 // method ignores, returning the canonical Request. Engine caching and
@@ -176,7 +180,13 @@ func DefaultRequest(q graph.NodeID) Request {
 // spelled-out equivalent, and variants differing only in ignored knobs all
 // hit the same cache entry.
 func (r Request) WithDefaults() Request {
-	d := sea.DefaultOptions()
+	r.canonicalize()
+	return r
+}
+
+// canonicalize is WithDefaults in place.
+func (r *Request) canonicalize() {
+	d := &defaults
 	if r.K == 0 {
 		r.K = d.K
 	}
@@ -210,7 +220,6 @@ func (r Request) WithDefaults() Request {
 	if r.Method != MethodExact && r.Method != MethodEVAC {
 		r.MaxStates = 0
 	}
-	return r
 }
 
 // Validate reports request errors after default resolution; every error
@@ -219,7 +228,12 @@ func (r Request) WithDefaults() Request {
 // k-truss model under the k-core-only exact solver) are rejected rather
 // than ignored.
 func (r Request) Validate() error {
-	r = r.WithDefaults()
+	r.canonicalize()
+	return r.validate()
+}
+
+// validate is Validate for a canonical request.
+func (r *Request) validate() error {
 	if r.Query < 0 {
 		return cserr.Invalidf("query node %d negative", r.Query)
 	}
@@ -241,14 +255,19 @@ func (r Request) Validate() error {
 		return cserr.Invalidf("MaxStates %d negative", r.MaxStates)
 	}
 	// The shared structural/accuracy parameters reuse the SEA validation.
-	return r.Options().Validate()
+	return r.options().Validate()
 }
 
 // Options projects the Request onto sea.Options: every SEA parameter of
 // r.WithDefaults() carries over; only Query, Method and the non-SEA budget
 // fields stay behind.
 func (r Request) Options() sea.Options {
-	r = r.WithDefaults()
+	r.canonicalize()
+	return r.options()
+}
+
+// options is Options for a canonical request.
+func (r *Request) options() sea.Options {
 	return sea.Options{
 		K:          r.K,
 		ErrorBound: r.ErrorBound,
@@ -259,7 +278,7 @@ func (r Request) Options() sea.Options {
 		Model:      r.Model,
 		SizeLo:     r.SizeLo,
 		SizeHi:     r.SizeHi,
-		BLB:        stats.DefaultBLB(),
+		BLB:        defaults.BLB,
 		MaxRounds:  r.MaxRounds,
 		NoRefine:   r.NoRefine,
 		Seed:       r.Seed,
@@ -362,8 +381,8 @@ func Execute(ctx context.Context, g graph.Store, req Request) (*Outcome, error) 
 // exhaustion the Outcome carries the best community found so far (Truncated
 // set) alongside the classifying error.
 func Run(ctx context.Context, g graph.Store, m *attr.Metric, req Request) (*Outcome, error) {
-	req = req.WithDefaults()
-	if err := req.Validate(); err != nil {
+	req.canonicalize()
+	if err := req.validate(); err != nil {
 		return nil, err
 	}
 	if g == nil {
@@ -422,7 +441,7 @@ var executors = [numMethods]executor{
 }
 
 func runSEA(e *env, req Request) (*Outcome, error) {
-	res, err := sea.SearchContext(e.ctx, e.g, e.m, req.Query, req.Options())
+	res, err := sea.SearchContext(e.ctx, e.g, e.m, req.Query, req.options())
 	if res == nil {
 		return nil, err
 	}
