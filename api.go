@@ -31,18 +31,17 @@ type NodeID = graph.NodeID
 type Graph = graph.Graph
 
 // Adjacency is read-only access to graph structure — the interface every
-// backing (heap CSR, zero-copy mapped snapshot, compressed adjacency,
-// mutation overlay) implements and every algorithm consumes.
+// backing (heap or zero-copy mapped CSR, mutation overlay) implements and
+// every algorithm consumes.
 type Adjacency = graph.Adjacency
 
 // GraphStore is the full serving surface of an immutable graph backing:
-// positional CSR structure plus attribute columns. *Graph satisfies it, as
-// do the snapshot store's mapped and compressed backings.
+// positional CSR structure plus attribute columns. *Graph, on the heap or
+// over a mapped snapshot, satisfies it.
 type GraphStore = graph.Store
 
 // CopyGraph materializes any GraphStore into a heap *Graph (a *Graph passes
-// through unchanged) — the export/compaction path for mapped and compressed
-// backings.
+// through unchanged) — the export/compaction path for other backings.
 func CopyGraph(s GraphStore) *Graph { return graph.CopyStore(s) }
 
 // GraphBuilder assembles a Graph; create one with NewGraphBuilder.
@@ -216,8 +215,8 @@ type EngineConfig = engine.Config
 func DefaultEngineConfig() EngineConfig { return engine.DefaultConfig() }
 
 // NewEngine builds a serving engine over g — a *Graph or any other
-// GraphStore backing, most importantly a zero-copy mapped or compressed
-// snapshot — precomputing the shared per-graph state: the attribute metric
+// GraphStore backing, most importantly a zero-copy mapped snapshot —
+// precomputing the shared per-graph state: the attribute metric
 // and the core and truss decompositions, both admission indexes whole before
 // the first request.
 func NewEngine(g GraphStore, cfg EngineConfig) (*Engine, error) { return engine.New(g, cfg) }
@@ -231,9 +230,9 @@ type Snapshot = store.Snapshot
 // indexes and the attribute-metric normalization table.
 type SnapshotIndex = store.Index
 
-// PackOptions selects the variant of the one written snapshot layout (aligned
-// v2): Compress stores the adjacency delta+varint compressed. Align is inert
-// — every written snapshot is aligned.
+// PackOptions selects nothing: every written snapshot is the aligned v2
+// layout. It stays only for PackSnapshotFileOpts, whose callers in the
+// benchmark module pass PackOptions{Align: true}.
 type PackOptions = store.PackOptions
 
 // SnapshotInfo describes an on-disk snapshot without opening it: format
@@ -248,21 +247,21 @@ type MountedSnapshot = store.Mounted
 
 // WriteSnapshot serializes g and idx (which may be nil for a graph-only
 // snapshot) to w in the versioned, checksummed binary snapshot format of
-// internal/store: the mmap-ready aligned v2 layout, with delta+varint
-// adjacency when opt.Compress is set. Engine.WriteSnapshot and
+// internal/store: the mmap-ready aligned v2 layout. Engine.WriteSnapshot and
 // Engine.WriteSnapshotFile pack a serving engine's full state.
-func WriteSnapshot(w io.Writer, g *Graph, idx *SnapshotIndex, opt PackOptions) error {
-	return store.WriteSnapshot(w, g, idx, opt)
+func WriteSnapshot(w io.Writer, g *Graph, idx *SnapshotIndex) error {
+	return store.WriteSnapshot(w, g, idx)
 }
 
 // OpenMappedSnapshot opens the snapshot at path for zero-copy serving: it
 // maps read-only and serves straight from the page cache — O(1) boot in the
-// graph size — while a legacy v1 file or an mmap-less platform falls back
-// to a fully verified heap open (Mapped() reports which).
+// graph size — while a legacy file (v1, or v2 with compressed adjacency) or
+// an mmap-less platform falls back to a fully verified heap open (Mapped()
+// reports which).
 func OpenMappedSnapshot(path string) (*MountedSnapshot, error) { return store.OpenMapped(path) }
 
 // MountGraphFile is OpenGraphFile's zero-copy sibling: a snapshot maps
-// read-only (a legacy v1 file heap-opens), anything else parses as the text
+// read-only (a legacy file heap-opens), anything else parses as the text
 // exchange format.
 func MountGraphFile(path string) (*MountedSnapshot, error) { return store.MountGraphFile(path) }
 
@@ -301,13 +300,14 @@ func NewEngineFromSnapshot(snap *Snapshot, cfg EngineConfig) (*Engine, error) {
 // pipeline behind cmd/datagen -pack and cmd/seacli pack.
 // Snapshots are gamma-agnostic — the packed normalizer table does not
 // depend on the balance factor, which is chosen at serving time. (The Opts
-// suffix is historical; the frozen benchmark module calls it by this name.)
-func PackSnapshotFileOpts(g *Graph, path string, opt PackOptions) (int64, error) {
+// suffix and the inert PackOptions parameter are historical; the frozen
+// benchmark module calls it with both.)
+func PackSnapshotFileOpts(g *Graph, path string, _ PackOptions) (int64, error) {
 	eng, err := NewEngine(g, DefaultEngineConfig())
 	if err != nil {
 		return 0, err
 	}
-	return eng.WriteSnapshotFile(path, opt)
+	return eng.WriteSnapshotFile(path)
 }
 
 // Mutation is one live graph delta — add_edge, remove_edge, add_node or

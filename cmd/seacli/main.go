@@ -244,12 +244,7 @@ func loadGraphFile(path string) (*sealib.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if snap.Graph != nil {
-		return snap.Graph, nil
-	}
-	// A compressed snapshot opens as a PackedGraph; the one-shot CLI path
-	// materializes it to a heap CSR.
-	return sealib.CopyGraph(snap.Store), nil
+	return snap.Graph, nil
 }
 
 // runPack is the pack subcommand: text format (or generated analog) →
@@ -260,11 +255,10 @@ func loadGraphFile(path string) (*sealib.Graph, error) {
 func runPack(args []string) error {
 	fs := flag.NewFlagSet("seacli pack", flag.ExitOnError)
 	var (
-		load     = fs.String("load", "", "input graph file (text exchange format, or a snapshot of any version to repack)")
-		dsName   = fs.String("dataset", "", "generate this dataset analog instead of reading -load")
-		scale    = fs.Float64("scale", 0.5, "dataset scale factor (with -dataset)")
-		out      = fs.String("out", "", "output snapshot path (required)")
-		compress = fs.Bool("compress", false, "delta+varint compress the adjacency")
+		load   = fs.String("load", "", "input graph file (text exchange format, or a snapshot of any version to repack)")
+		dsName = fs.String("dataset", "", "generate this dataset analog instead of reading -load")
+		scale  = fs.Float64("scale", 0.5, "dataset scale factor (with -dataset)")
+		out    = fs.String("out", "", "output snapshot path (required)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -272,7 +266,6 @@ func runPack(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("pack: -out is required")
 	}
-	opt := sealib.PackOptions{Compress: *compress}
 	t0 := time.Now()
 	var (
 		size int64
@@ -288,21 +281,18 @@ func runPack(args []string) error {
 			return err
 		}
 		g = snap.Graph
-		if g == nil {
-			g = sealib.CopyGraph(snap.Store) // compressed input: materialize
-		}
 		if snap.Index != nil {
 			// Repacking a snapshot reuses its index instead of rebuilding.
 			eng, err := sealib.NewEngineFromSnapshot(snap, sealib.DefaultEngineConfig())
 			if err != nil {
 				return err
 			}
-			if size, err = eng.WriteSnapshotFile(*out, opt); err != nil {
+			if size, err = eng.WriteSnapshotFile(*out); err != nil {
 				return err
 			}
 			break
 		}
-		if size, err = sealib.PackSnapshotFileOpts(g, *out, opt); err != nil {
+		if size, err = sealib.PackSnapshotFileOpts(g, *out, sealib.PackOptions{}); err != nil {
 			return err
 		}
 	case *dsName != "":
@@ -311,7 +301,7 @@ func runPack(args []string) error {
 			return err
 		}
 		g = d.Graph
-		if size, err = sealib.PackSnapshotFileOpts(g, *out, opt); err != nil {
+		if size, err = sealib.PackSnapshotFileOpts(g, *out, sealib.PackOptions{}); err != nil {
 			return err
 		}
 	default:

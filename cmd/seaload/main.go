@@ -239,7 +239,7 @@ func bootSelfServe(name string, scale float64, journal bool) (string, *sealib.Ca
 		}
 		cleanup = func() { os.RemoveAll(dir) }
 		snap := filepath.Join(dir, name+".snap")
-		if _, err := eng.WriteSnapshotFile(snap, sealib.PackOptions{}); err != nil {
+		if _, err := eng.WriteSnapshotFile(snap); err != nil {
 			cleanup()
 			return "", nil, nil, err
 		}

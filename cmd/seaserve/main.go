@@ -25,7 +25,7 @@
 //	seaserve -snapshot facebook.snap -journal facebook.journal
 //	seaserve -manifest catalog.json
 //	seaserve -dataset facebook -scale 0.5
-//	seaserve -load graph.txt -gamma 0.5 -timeout 2s
+//	seaserve -snapshot graph.txt -gamma 0.5 -timeout 2s
 //	seaserve -follow http://primary:8080 -replica-dir /var/lib/sea -addr :8081
 //	seaserve -snapshot facebook.snap -pprof 127.0.0.1:6060
 //	  then: go tool pprof http://127.0.0.1:6060/debug/pprof/profile?seconds=10
@@ -74,11 +74,10 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		manifest     = flag.String("manifest", "", "mount the datasets listed in this JSON manifest")
-		snapshot     = flag.String("snapshot", "", "mount a packed snapshot file")
-		load         = flag.String("load", "", "mount a graph file (snapshot or text format)")
+		snapshot     = flag.String("snapshot", "", "mount a graph file: a packed snapshot or a text-format graph")
 		dsName       = flag.String("dataset", "facebook", "generated dataset analog name")
-		name         = flag.String("name", "", "catalog name for -snapshot/-load mounts (default: file basename)")
-		journal      = flag.String("journal", "", "write-ahead mutation journal for the -snapshot/-load mount (replayed at boot)")
+		name         = flag.String("name", "", "catalog name for the -snapshot mount (default: file basename)")
+		journal      = flag.String("journal", "", "write-ahead mutation journal for the -snapshot mount (replayed at boot)")
 		compactEvery = flag.Int("compact-every", catalog.DefaultCompactEvery, "journal batches that trigger background compaction (0 = manual only)")
 		scale        = flag.Float64("scale", 0.5, "dataset scale factor")
 		gamma        = flag.Float64("gamma", 0.5, "attribute balance factor")
@@ -122,23 +121,6 @@ func main() {
 	t0 := time.Now()
 	cat := sealib.NewCatalog()
 	cat.SetMmap(*mmap)
-	mountFile := func(path string) {
-		dname := nameForPath(*name, path)
-		if *journal == "" {
-			if _, err := cat.MountPath(dname, path, cfg); err != nil {
-				fail(err)
-			}
-			return
-		}
-		d, replayed, err := cat.MountPathJournaled(dname, path, *journal, cfg)
-		if err != nil {
-			fail(err)
-		}
-		d.SetCompactEvery(*compactEvery)
-		if replayed > 0 {
-			fmt.Printf("seaserve: replayed %d journaled mutation batch(es) onto %q\n", replayed, dname)
-		}
-	}
 	var fol *cluster.Follower
 	switch {
 	case *follow != "":
@@ -181,10 +163,20 @@ func main() {
 		if err := cat.MountManifest(m, cfg); err != nil {
 			fail(err)
 		}
+	case *snapshot != "" && *journal == "":
+		if _, err := cat.MountPath(nameForPath(*name, *snapshot), *snapshot, cfg); err != nil {
+			fail(err)
+		}
 	case *snapshot != "":
-		mountFile(*snapshot)
-	case *load != "":
-		mountFile(*load)
+		dname := nameForPath(*name, *snapshot)
+		d, replayed, err := cat.MountPathJournaled(dname, *snapshot, *journal, cfg)
+		if err != nil {
+			fail(err)
+		}
+		d.SetCompactEvery(*compactEvery)
+		if replayed > 0 {
+			fmt.Printf("seaserve: replayed %d journaled mutation batch(es) onto %q\n", replayed, dname)
+		}
 	default:
 		d, err := sealib.GenerateDataset(*dsName, *scale)
 		if err != nil {

@@ -114,17 +114,15 @@
 // Every writer emits one layout, version 2: each array sits at an
 // 8-byte-aligned file offset behind a section table, so OpenMappedSnapshot
 // serves the snapshot zero-copy from a read-only memory mapping — boot cost
-// is O(header + dictionary), independent of graph size. Its one variant,
-// PackOptions.Compress, additionally stores the adjacency as per-node
-// delta+uvarint runs (decoded into caller scratch at query time)
-// while keeping Degree and positional edge IDs O(1). Every consumer reaches
-// the graph through the Adjacency/GraphStore interfaces, so heap, mapped
-// and compressed backings answer byte-identically — including live
-// mutation, which overlays heap deltas over the read-only mapped base.
-// DetectSnapshotFile describes any file's layout without opening it. The
-// version-1 stream of earlier builds is read-only legacy: every open path
-// still reads it (heap only), nothing writes it, and
-// `seacli pack -load old.snap -out new.snap` repacks one as v2.
+// is O(header + dictionary), independent of graph size. Every served graph
+// is a *Graph, on the heap or over the mapping, so heap and mapped opens
+// answer byte-identically — including live mutation, which overlays heap
+// deltas over the read-only mapped base. DetectSnapshotFile describes any
+// file's layout without opening it. Two forms earlier builds wrote are
+// read-only legacy: the version-1 stream and the v2 layout with
+// delta+uvarint compressed adjacency. Every open path still reads both (on
+// the heap, fully validated), nothing writes either, and
+// `seacli pack -load old.snap -out new.snap` repacks one as aligned v2.
 //
 // # Multi-graph serving
 //
@@ -321,8 +319,8 @@
 //	BatchSearch, Engine.BatchSearch     → Engine.Batch(ctx, []Request)
 //	Engine.Search[WithMetrics]          → Engine.Query[WithMetrics](ctx, Request)
 //	NewEngineFromStore, Catalog.Engine  → NewEngine (any GraphStore), Catalog.Resolve
-//	WriteSnapshotOpts                   → WriteSnapshot(w, g, idx, opt)
-//	WriteSnapshotFile[Opts]             → Engine.WriteSnapshotFile(path, opt)
+//	WriteSnapshotOpts                   → WriteSnapshot(w, g, idx)
+//	WriteSnapshotFile[Opts]             → Engine.WriteSnapshotFile(path)
 //
 // The per-package error values alias the shared sentinels, so errors.Is
 // checks keep working unchanged.

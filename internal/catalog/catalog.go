@@ -56,14 +56,6 @@ type Dataset struct {
 	mounted *store.Mounted // backing mapping (heap mounts: only the source's Info); nil for a bare engine
 }
 
-// packOptions is the layout compaction and replication write the dataset
-// in: the variant its source snapshot was packed as, so a compressed dataset
-// stays compressed (and a mapped one mappable) across both. Text sources and
-// bare engines write plain aligned v2. The caller holds d.mu.
-func (d *Dataset) packOptions() store.PackOptions {
-	return store.PackOptions{Compress: d.mounted != nil && d.mounted.Info.Compressed}
-}
-
 // Engine returns the dataset's current engine. The pointer stays valid for
 // as long as the caller holds it, across any number of concurrent swaps —
 // use one grab per request so the request sees one consistent snapshot.

@@ -14,7 +14,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // makeEngine builds an engine over a generated analog.
@@ -35,7 +34,7 @@ func makeEngine(t testing.TB, name string, scale float64) *engine.Engine {
 func packFile(t testing.TB, eng *engine.Engine, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	if _, err := eng.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

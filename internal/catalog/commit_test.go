@@ -33,7 +33,7 @@ func engineSnapshot(t *testing.T, c *Catalog, name string) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := eng.WriteSnapshot(&buf, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -363,7 +363,7 @@ func (d *Dataset) compactLocked() (*CompactResult, error) {
 	}
 	eng := d.eng.Load()
 	folded := d.live.journal.Batches()
-	size, err := eng.WriteSnapshotFile(d.live.snapPath, d.packOptions())
+	size, err := eng.WriteSnapshotFile(d.live.snapPath)
 	if err != nil {
 		return nil, err
 	}
@@ -404,11 +404,10 @@ func (c *Catalog) compactOptimistic(d *Dataset, live *liveState) error {
 	eng := d.eng.Load()
 	ver := eng.Version()
 	snapPath := live.snapPath
-	opt := d.packOptions()
 	d.mu.Unlock()
 
 	tmp, _, err := store.WriteTemp(snapPath, func(w io.Writer) error {
-		_, err := eng.WriteSnapshot(w, opt)
+		_, err := eng.WriteSnapshot(w)
 		return err
 	})
 	if err != nil {

@@ -43,7 +43,7 @@ func liveFixture(t *testing.T) (snapPath, journalPath string) {
 		t.Fatal(err)
 	}
 	snapPath = filepath.Join(dir, "g.snap")
-	if _, err := eng.WriteSnapshotFile(snapPath, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshotFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g.journal")

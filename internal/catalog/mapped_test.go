@@ -3,11 +3,14 @@ package catalog
 // Mapped-serving catalog tests: a snapshot mounts zero-copy, the journal
 // replays its deltas as a heap overlay over the read-only mapped base, the
 // served answers are byte-identical to a heap-resident mount of the same
-// state, and compaction writes back the layout it mounted. Under -race
-// these pin the mapped pages as read-only in practice, not just by contract.
+// state, and compaction writes the one aligned layout, so a legacy
+// compressed mount converges to it. Under -race these pin the mapped pages
+// as read-only in practice, not just by contract.
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -19,8 +22,8 @@ import (
 	"repro/internal/store"
 )
 
-// mappedFixture repacks the liveFixture graph in the layout opt selects.
-func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath string) {
+// mappedFixture repacks the liveFixture graph.
+func mappedFixture(t *testing.T) (snapPath, journalPath string) {
 	t.Helper()
 	basePath, _ := liveFixture(t)
 	snap, err := store.OpenFile(basePath)
@@ -33,10 +36,27 @@ func mappedFixture(t *testing.T, opt store.PackOptions) (snapPath, journalPath s
 	}
 	dir := t.TempDir()
 	snapPath = filepath.Join(dir, "g2.snap")
-	if _, err := eng.WriteSnapshotFile(snapPath, opt); err != nil {
+	if _, err := eng.WriteSnapshotFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g2.journal")
+}
+
+// legacyCompressedFixture copies the store package's compressed v2 fixture
+// (Figure 1's movie graph, written by the last build with the encoder) to a
+// fresh directory a compaction may rewrite.
+func legacyCompressedFixture(t *testing.T) (snapPath, journalPath string) {
+	t.Helper()
+	data, err := os.ReadFile("../store/testdata/v2c-figure1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	snapPath = filepath.Join(dir, "g.snap")
+	if err := os.WriteFile(snapPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return snapPath, filepath.Join(dir, "g.journal")
 }
 
 // mmapExpected mirrors the store package's unix build constraint: on these
@@ -51,19 +71,25 @@ func mmapExpected() bool {
 
 func TestMappedMountJournalReplay(t *testing.T) {
 	for _, layout := range []struct {
-		name string
-		opt  store.PackOptions
+		name    string
+		fixture func(*testing.T) (string, string)
+		deltas  []mutate.Delta
+		mapped  bool // whether the first mount serves zero-copy
 	}{
-		{"aligned", store.PackOptions{}},
-		{"compressed", store.PackOptions{Compress: true}},
+		{"aligned", mappedFixture, []mutate.Delta{
+			mutate.AddEdge(4, 0), mutate.AddEdge(4, 1), mutate.AddEdge(4, 2),
+		}, mmapExpected()},
+		// A legacy compressed file heap-opens; its first compaction
+		// rewrites it aligned, and from then on it serves mapped.
+		{"compressed", legacyCompressedFixture, []mutate.Delta{
+			mutate.AddEdge(4, 3), mutate.AddEdge(4, 6), mutate.AddEdge(4, 9),
+		}, false},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
-			snapPath, journalPath := mappedFixture(t, layout.opt)
+			snapPath, journalPath := layout.fixture(t)
 			ctx := context.Background()
 			req := query.Request{Query: 0, Method: query.MethodStructural, K: 3}.WithDefaults()
-			deltas := []mutate.Delta{
-				mutate.AddEdge(4, 0), mutate.AddEdge(4, 1), mutate.AddEdge(4, 2),
-			}
+			deltas := layout.deltas
 
 			// Heap-resident reference: the same snapshot with mmap disabled.
 			ref := New()
@@ -94,8 +120,8 @@ func TestMappedMountJournalReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, info := range c.Infos() {
-				if info.Mapped != mmapExpected() {
-					t.Fatalf("mapped = %v, platform expects %v (%+v)", info.Mapped, mmapExpected(), info)
+				if info.Mapped != layout.mapped {
+					t.Fatalf("mapped = %v, want %v (%+v)", info.Mapped, layout.mapped, info)
 				}
 				if info.Mapped && info.MappedBytes == 0 {
 					t.Fatalf("mapped dataset reports 0 resident bytes: %+v", info)
@@ -135,9 +161,21 @@ func TestMappedMountJournalReplay(t *testing.T) {
 					want.Community, want.Delta, reboot.Community, reboot.Delta)
 			}
 
-			// Compaction keeps the layout the dataset was mounted with: the
-			// folded snapshot is still aligned v2 (and still compressed), so
-			// the next boot is still zero-copy and answers the same.
+			// Replication streams the one layout whatever the mount was.
+			var stream bytes.Buffer
+			if _, _, err := c2.ReplicateSnapshot("g", &stream); err != nil {
+				t.Fatal(err)
+			}
+			streamPath := filepath.Join(t.TempDir(), "replica.snap")
+			if err := os.WriteFile(streamPath, stream.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if info, err := store.DetectFile(streamPath); err != nil || !info.Aligned || info.Compressed {
+				t.Fatalf("replication stream is not aligned v2: %+v %v", info, err)
+			}
+
+			// Compaction writes the one layout: the folded snapshot is
+			// aligned v2, so the next boot is zero-copy and answers the same.
 			if _, err := c2.Compact("g"); err != nil {
 				t.Fatal(err)
 			}
@@ -145,8 +183,8 @@ func TestMappedMountJournalReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.Version != store.Version2 || !info.Aligned || info.Compressed != layout.opt.Compress {
-				t.Fatalf("compaction changed the layout: %+v", info)
+			if info.Version != store.Version2 || !info.Aligned || info.Compressed {
+				t.Fatalf("compaction wrote %+v, want aligned v2", info)
 			}
 			c3 := New()
 			d3, replayed, err := c3.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
@@ -175,7 +213,7 @@ func TestMappedMountJournalReplay(t *testing.T) {
 // TestMappedSwapRetiresMapping hot-swaps a mapped dataset and proves the
 // displaced mapping stays valid for in-flight readers until Catalog.Close.
 func TestMappedSwapRetiresMapping(t *testing.T) {
-	snapPath, _ := mappedFixture(t, store.PackOptions{})
+	snapPath, _ := mappedFixture(t)
 	c := New()
 	d, err := c.MountPath("g", snapPath, engine.DefaultConfig())
 	if err != nil {

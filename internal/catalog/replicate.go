@@ -100,12 +100,12 @@ func (d *Dataset) replicationInfoLocked() ReplicationInfo {
 }
 
 // ReplicateSnapshot streams the named dataset's current serving state to w
-// in the store snapshot format (the layout variant the dataset was mounted
-// with, so replicas boot mapped) and returns the (version, lineage) cursor
-// the stream captured. The engine and lineage are resolved together under
-// the dataset lock, but the write itself streams unlocked — mutations keep
-// flowing while a bootstrap is on the wire, and the returned version is the
-// generation actually written, whatever lands meanwhile.
+// in the store snapshot format (the aligned layout, so replicas boot mapped)
+// and returns the (version, lineage) cursor the stream captured. The engine
+// and lineage are resolved together under the dataset lock, but the write
+// itself streams unlocked — mutations keep flowing while a bootstrap is on
+// the wire, and the returned version is the generation actually written,
+// whatever lands meanwhile.
 func (c *Catalog) ReplicateSnapshot(name string, w io.Writer) (version, lineage uint64, err error) {
 	d, err := c.dataset(name)
 	if err != nil {
@@ -114,9 +114,8 @@ func (c *Catalog) ReplicateSnapshot(name string, w io.Writer) (version, lineage 
 	d.mu.Lock()
 	eng := d.eng.Load()
 	lineage = d.swaps
-	opt := d.packOptions()
 	d.mu.Unlock()
-	version, err = eng.WriteSnapshot(w, opt)
+	version, err = eng.WriteSnapshot(w)
 	return version, lineage, err
 }
 

@@ -18,7 +18,6 @@ import (
 	"repro/internal/httpapi"
 	"repro/internal/mutate"
 	"repro/internal/query"
-	"repro/internal/store"
 )
 
 // testSnapshot packs the shared 12-node fixture graph (two squares joined
@@ -42,7 +41,7 @@ func testSnapshot(t *testing.T, dir string) string {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "g.snap")
-	if _, err := eng.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path

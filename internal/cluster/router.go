@@ -429,10 +429,10 @@ func (r *Router) inSyncLocked(url, graph string) bool {
 	return graph == "" && m.status != nil && len(m.status.Datasets) > 0
 }
 
-// ServeHTTP routes: scatter-gather for /batch and /compare, single in-sync
-// replica for /search, the primary for everything else (writes, admin,
-// stats). Every response carries an X-Request-ID, generated here when the
-// client did not send one.
+// ServeHTTP routes: scatter-gather for /batch and POST /compare, single
+// in-sync replica for /search and GET /compare, the primary for everything
+// else (writes, admin, stats). Every response carries an X-Request-ID,
+// generated here when the client did not send one.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	id := req.Header.Get(httpapi.RequestIDHeader)
 	if id == "" {
@@ -452,9 +452,13 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	case "/batch":
 		r.serveScatter(w, req, id, scatterBatch)
 	case "/compare":
-		r.serveScatter(w, req, id, scatterCompare)
+		if req.Method == http.MethodGet || req.Method == http.MethodHead {
+			r.serveRead(w, req, id)
+		} else {
+			r.serveScatter(w, req, id, scatterCompare)
+		}
 	case "/search":
-		r.serveSearch(w, req, id)
+		r.serveRead(w, req, id)
 	default:
 		start := time.Now()
 		target := r.Primary()
@@ -679,18 +683,32 @@ func queryString(req *http.Request) string {
 	return "?" + req.URL.RawQuery
 }
 
-// serveSearch proxies a single query to one in-sync replica, round-robin
-// across the dataset's read set. The body is buffered so a failed attempt
-// can be retried verbatim against a different replica — /search is a pure
-// read, replaying it is always safe.
-func (r *Router) serveSearch(w http.ResponseWriter, req *http.Request, id string) {
+// readBody reads req's body under the MaxBodyBytes cap. On failure it has
+// answered: 413 for an overlong body, as a node does, 400 otherwise.
+func readBody(w http.ResponseWriter, req *http.Request, id string) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, httpapi.MaxBodyBytes))
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		routerError(w, id, status, "reading body: %v", err)
+		return nil, false
+	}
+	return body, true
+}
+
+// serveRead proxies a single read (/search, or a GET /compare) to one
+// in-sync replica, round-robin across the dataset's read set. The body is
+// buffered so a failed attempt can be retried verbatim against a different
+// replica — the request is a pure read, replaying it is always safe.
+func (r *Router) serveRead(w http.ResponseWriter, req *http.Request, id string) {
 	graph := req.URL.Query().Get("graph")
 	var body []byte
-	if req.Method != http.MethodGet {
-		var err error
-		body, err = io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes))
-		if err != nil {
-			routerError(w, id, http.StatusBadRequest, "reading body: %v", err)
+	if req.Method != http.MethodGet && req.Method != http.MethodHead {
+		var ok bool
+		if body, ok = readBody(w, req, id); !ok {
 			return
 		}
 		var peek struct {
@@ -736,8 +754,8 @@ func (r *Router) serveSearch(w http.ResponseWriter, req *http.Request, id string
 		io.Copy(w, resp.Body)
 	}
 	ns := time.Since(start).Nanoseconds()
-	r.shardLat["/search"].Observe(ns)
-	r.trace.Add(RouterSpan{RequestID: id, Path: "/search", Graph: graph,
+	r.shardLat[req.URL.Path].Observe(ns)
+	r.trace.Add(RouterSpan{RequestID: id, Path: req.URL.Path, Graph: graph,
 		StartNS: start.UnixNano(), TotalNS: ns, ServedBy: target})
 }
 
@@ -746,6 +764,7 @@ func (r *Router) serveSearch(w http.ResponseWriter, req *http.Request, id string
 type scatterPlan struct {
 	field string // the wire field that splits across shards
 	path  string
+	allow string // the Allow header of a 405
 	// merge builds the client response from the per-item results (in
 	// original order) and the shard responses keyed by member.
 	merge func(req map[string]any, items []map[string]any, degraded bool) map[string]any
@@ -754,6 +773,7 @@ type scatterPlan struct {
 var scatterBatch = scatterPlan{
 	field: "queries",
 	path:  "/batch",
+	allow: http.MethodPost,
 	merge: func(req map[string]any, items []map[string]any, degraded bool) map[string]any {
 		out := map[string]any{"items": items}
 		if degraded {
@@ -766,6 +786,7 @@ var scatterBatch = scatterPlan{
 var scatterCompare = scatterPlan{
 	field: "methods",
 	path:  "/compare",
+	allow: "GET, HEAD, POST",
 	merge: func(req map[string]any, items []map[string]any, degraded bool) map[string]any {
 		out := map[string]any{"items": items}
 		if q, ok := req["q"]; ok {
@@ -812,13 +833,12 @@ var scatterCompare = scatterPlan{
 // per-item errors; only a total wipeout fails the request.
 func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id string, plan scatterPlan) {
 	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
+		w.Header().Set("Allow", plan.allow)
 		routerError(w, id, http.StatusMethodNotAllowed, "method %s not allowed on %s", req.Method, plan.path)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes))
-	if err != nil {
-		routerError(w, id, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, req, id)
+	if !ok {
 		return
 	}
 	var wire map[string]any

@@ -472,3 +472,64 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		t.Fatalf("trace ring lacks /batch or /search spans: %v", paths)
 	}
 }
+
+// TestRouterRejectsOverlongBodies: a body one byte over the cap answers 413
+// with the request id on every body-reading route, as a node does, instead
+// of being cut to the cap and misreported as malformed.
+func TestRouterRejectsOverlongBodies(t *testing.T) {
+	tc := newTestCluster(t, RouterConfig{ProbeEvery: 20 * time.Millisecond, ShardTimeout: 5 * time.Second})
+	head := `{"graph":"g","q":0,"k":2,"queries":[0],"methods":["structural"],"pad":"`
+	body := head + strings.Repeat("x", httpapi.MaxBodyBytes+1-len(head)-2) + `"}`
+	if len(body) != httpapi.MaxBodyBytes+1 {
+		t.Fatalf("body is %d bytes", len(body))
+	}
+	for _, path := range []string{"/search", "/batch", "/compare"} {
+		status, got, hdr := postJSON(t, tc.rts.URL+path, body)
+		if status != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: %d %v, want 413", path, status, got)
+			continue
+		}
+		if id := hdr.Get(httpapi.RequestIDHeader); id == "" || got["request_id"] != id {
+			t.Errorf("%s: request_id %v, header %q", path, got["request_id"], id)
+		}
+	}
+}
+
+// TestRouterGetCompare: a GET /compare is a single read, served by one
+// replica like a GET /search, not refused by the POST-only scatter path.
+func TestRouterGetCompare(t *testing.T) {
+	tc := newTestCluster(t, RouterConfig{
+		ReplicationFactor: 3,
+		ProbeEvery:        20 * time.Millisecond,
+		ShardTimeout:      5 * time.Second,
+	})
+	resp, err := http.Get(tc.rts.URL + "/compare?graph=g&q=0&k=2&methods=structural,sea&seed=42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Items []map[string]any `json:"items"`
+		Best  string           `json:"best"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /compare: %d %+v", resp.StatusCode, body)
+	}
+	if len(body.Items) != 2 || body.Best == "" {
+		t.Fatalf("GET /compare: %d items, best %q", len(body.Items), body.Best)
+	}
+	served := resp.Header.Get(ServedByHeader)
+	if served == "" {
+		t.Fatalf("GET /compare lacks %s", ServedByHeader)
+	}
+	spans := tc.router.Trace(1)
+	if len(spans) != 1 || spans[0].Path != "/compare" || spans[0].ServedBy != served {
+		t.Fatalf("router span %+v, want path /compare served by %s", spans, served)
+	}
+	if n := tc.router.shardLat["/compare"].Snapshot().Count; n != 1 {
+		t.Fatalf("shardLat[/compare] holds %d observations, want 1", n)
+	}
+}

@@ -40,7 +40,7 @@ func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "g.snap")
-	if _, err := base.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
+	if _, err := base.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	want := scratchNodeTruss(d.Graph)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/cserr"
 	"repro/internal/graph"
 	"repro/internal/mutate"
-	"repro/internal/store"
 )
 
 // snapshotBytes serializes the engine's serving state; the version is not
@@ -22,7 +21,7 @@ import (
 func snapshotBytes(t *testing.T, e *Engine) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := e.WriteSnapshot(&buf, store.PackOptions{}); err != nil {
+	if _, err := e.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -205,7 +205,7 @@ type flightKey struct {
 }
 
 // New builds an Engine over g — any immutable graph.Store backing: a heap
-// CSR, a zero-copy mapped snapshot, a compressed adjacency — precomputing
+// CSR or a zero-copy mapped snapshot — precomputing
 // the attribute metric and the core and truss decompositions. The engine
 // serves g until a mutation batch replaces it; the backing itself is never
 // written.

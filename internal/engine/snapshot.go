@@ -36,27 +36,25 @@ func (e *Engine) ExportIndex() *store.Index {
 }
 
 // WriteSnapshot serializes the engine's current graph and precomputed index
-// to w in the store snapshot format (opt.Compress selects delta+varint
-// adjacency) and reports the graph generation it captured. Reopening the
-// stream with NewFromSnapshot yields an engine that answers every request
-// identically to this one. The state is captured atomically: a concurrent
+// to w in the store snapshot format and reports the graph generation it
+// captured. Reopening the stream with NewFromSnapshot yields an engine that
+// answers every request identically to this one. The state is captured atomically: a concurrent
 // mutation lands either entirely before or entirely after the written
 // snapshot, and the returned version is the generation actually written —
 // replication bootstrap relies on that pair cohering.
-func (e *Engine) WriteSnapshot(w io.Writer, opt store.PackOptions) (uint64, error) {
+func (e *Engine) WriteSnapshot(w io.Writer) (uint64, error) {
 	st := e.st.Load()
-	// Snapshot writing needs the materialized CSR arrays; a mapped or
-	// compressed backing is copied to the heap first (a *Graph passes
-	// through unchanged).
-	return st.version, store.WriteSnapshot(w, graph.CopyStore(st.g), exportIndex(st), opt)
+	// Snapshot writing needs the materialized CSR arrays; any other backing
+	// is copied to the heap first (a *Graph passes through unchanged).
+	return st.version, store.WriteSnapshot(w, graph.CopyStore(st.g), exportIndex(st))
 }
 
 // WriteSnapshotFile writes the snapshot to path atomically (temp file in the
 // destination directory, renamed into place only on success, so rewriting
 // over a good snapshot can never destroy it) and returns the file size.
-func (e *Engine) WriteSnapshotFile(path string, opt store.PackOptions) (int64, error) {
+func (e *Engine) WriteSnapshotFile(path string) (int64, error) {
 	return store.AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := e.WriteSnapshot(w, opt)
+		_, err := e.WriteSnapshot(w)
 		return err
 	})
 }
@@ -69,11 +67,10 @@ func NewFromSnapshot(snap *store.Snapshot, cfg Config) (*Engine, error) {
 	if snap == nil {
 		return nil, cserr.Invalidf("engine: nil snapshot")
 	}
-	g := snap.Backing()
-	if g == nil {
-		return nil, cserr.Invalidf("engine: snapshot has no graph backing")
+	if snap.Graph == nil {
+		return nil, cserr.Invalidf("engine: snapshot has no graph")
 	}
-	return NewFromIndex(g, cfg, snap.Index)
+	return NewFromIndex(snap.Graph, cfg, snap.Index)
 }
 
 // NewFromIndex is the one construction path: it builds the engine's

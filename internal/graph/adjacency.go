@@ -4,21 +4,19 @@ package graph
 // topology goes through. Historically the algorithms reached straight into
 // the exported CSR slices of a heap *Graph; the interfaces decouple them
 // from the backing so the same code serves a heap CSR, a zero-copy mmap'd
-// snapshot (whose slices alias the page cache), a delta+varint compressed
-// adjacency (internal/store.PackedGraph), or a mutation Overlay.
+// snapshot (a *Graph whose slices alias the page cache), or a mutation
+// Overlay.
 //
 // The central contract is NeighborsInto: neighbor-range iteration into
-// caller scratch. A backing that already holds a materialized neighbor list
-// (heap or mapped CSR) returns an alias and never touches the scratch, so
-// the hot paths stay zero-copy and zero-alloc; a backing that must decode
-// (compressed lists, overlay merges) decodes into *buf, growing it as
-// needed. Callers that hold two neighbor lists at once must pass two
-// distinct buffers.
+// caller scratch. A *Graph (heap or mapped) returns an alias and never
+// touches the scratch, so the hot paths stay zero-copy and zero-alloc; an
+// Overlay merges its deltas into *buf, growing it as needed. Callers that
+// hold two neighbor lists at once must pass two distinct buffers.
 
-// Adjacency is read-only access to graph structure. All backings — *Graph,
-// *Overlay, the snapshot store's mapped and compressed graphs — implement
-// it. Implementations must be safe for concurrent readers as long as each
-// goroutine uses its own scratch buffers.
+// Adjacency is read-only access to graph structure. *Graph and *Overlay
+// are its implementations outside tests. Implementations must be safe for
+// concurrent readers as long as each goroutine uses its own scratch
+// buffers.
 type Adjacency interface {
 	// NumNodes returns the number of nodes; IDs are dense in [0, NumNodes).
 	NumNodes() int
@@ -68,8 +66,8 @@ type AttrSource interface {
 
 // Store is the full serving surface of an immutable graph backing:
 // positional CSR structure plus attribute columns. The engine, catalog and
-// query layers hold a Store; *Graph and the snapshot store's mapped and
-// compressed backings implement it.
+// query layers hold a Store; *Graph, on the heap or over a mapped snapshot,
+// implements it.
 type Store interface {
 	CSR
 	AttrSource
@@ -104,8 +102,8 @@ func (o *Overlay) NeighborsInto(buf *[]NodeID, v NodeID) []NodeID {
 
 // CopyStore materializes s into a heap *Graph, decoding every neighbor list
 // and copying every attribute row. A *Graph passes through unchanged (no
-// copy). It is the compaction/export path for mapped and compressed
-// backings: snapshot writing always operates on a *Graph.
+// copy). It is the export path for any other backing: snapshot writing
+// always operates on a *Graph.
 func CopyStore(s Store) *Graph {
 	if g, ok := s.(*Graph); ok {
 		return g

@@ -9,8 +9,8 @@ import (
 // Overlay is a mutable delta view over an immutable base Store: edges and
 // nodes can be added, edges removed, and per-node attributes replaced without
 // touching the base storage. The base may be any Store backing — a heap
-// Graph, an mmap'd snapshot, a compressed adjacency — which is what lets the
-// serving layer replay journaled mutations over a read-only mapped base.
+// Graph or an mmap'd snapshot — which is what lets the serving layer replay
+// journaled mutations over a read-only mapped base.
 // Reads (Degree, NeighborsInto, HasEdge, attributes) see the base patched by
 // the accumulated deltas, so index-maintenance code can traverse the
 // post-mutation graph before any CSR exists for it. Materialize folds the
@@ -104,8 +104,8 @@ func (o *Overlay) HasEdge(u, v NodeID) bool {
 	if containsSorted(o.removed[u], v) {
 		return false
 	}
-	// An appended endpoint has no base edges; the base (a PackedGraph reads
-	// both endpoints' degrees) must not see its out-of-range ID.
+	// An appended endpoint has no base edges; the base must not see its
+	// out-of-range ID.
 	baseN := o.base.NumNodes()
 	return int(u) < baseN && int(v) < baseN && o.base.HasEdge(u, v)
 }

@@ -3,6 +3,7 @@ package graph_test
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -83,38 +84,51 @@ func randomBase(rng *rand.Rand, n, dim int) (*graph.Graph, *model) {
 	return b.MustBuild(), m
 }
 
-// backings returns g served three ways: the heap Graph, a mapped v2
-// snapshot (a *graph.Graph over the mapping) and a compressed snapshot
-// (*store.PackedGraph).
-func backings(t *testing.T, g *graph.Graph) map[string]graph.Store {
+// backings returns g served two ways: the heap Graph and a mapped v2
+// snapshot (a *graph.Graph over the mapping).
+func backings(t *testing.T, g *graph.Graph) map[string]*graph.Graph {
 	t.Helper()
-	out := map[string]graph.Store{"heap": g}
-	for name, opt := range map[string]store.PackOptions{"mapped": {}, "packed": {Compress: true}} {
-		path := filepath.Join(t.TempDir(), name+".snap")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := store.WriteSnapshot(f, g, nil, opt); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		m, err := store.MountGraphFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { m.Close() })
-		out[name] = m.Store
+	path := filepath.Join(t.TempDir(), "mapped.snap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := out["mapped"].(*graph.Graph); !ok {
-		t.Fatalf("mapped backing is %T, want *graph.Graph", out["mapped"])
+	if err := store.WriteSnapshot(f, g, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := out["packed"].(*store.PackedGraph); !ok {
-		t.Fatalf("packed backing is %T, want *store.PackedGraph", out["packed"])
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return map[string]*graph.Graph{"heap": g, "mapped": mount(t, path)}
+}
+
+// mount opens path through the catalog's mount path, unmapping at cleanup.
+func mount(t *testing.T, path string) *graph.Graph {
+	t.Helper()
+	m, err := store.MountGraphFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m.Store
+}
+
+// modelOf reads g back into a model, for bases that were not built from one.
+func modelOf(g *graph.Graph) *model {
+	m := &model{edges: map[[2]graph.NodeID]bool{}}
+	names := g.Dict().Names()
+	for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+		for _, u := range g.Neighbors(v) {
+			m.edges[edgeKey(v, u)] = true
+		}
+		var tx []string
+		for _, id := range g.TextAttrs(v) {
+			tx = append(tx, names[id])
+		}
+		m.text = append(m.text, tx)
+		m.num = append(m.num, slices.Clone(g.NumAttrs(v)))
+	}
+	return m
 }
 
 // applyRandom replays one random delta sequence into ov and m alike. It
@@ -221,36 +235,48 @@ func normalized(r graph.Raw) graph.Raw {
 }
 
 // TestOverlayMaterializeBackings extends TestOverlayMaterializeMatchesBuilder
-// across the three Store backings Materialize folds over: for random delta
-// sequences on heap, mapped and packed bases, the materialized graph must
-// export exactly what a Builder rebuilds from the same final state.
+// across the bases Materialize folds over: for random delta sequences on
+// heap and mapped bases, and on the graph a legacy compressed snapshot
+// decodes to, the materialized graph must export exactly what a Builder
+// rebuilds from the same final state.
 func TestOverlayMaterializeBackings(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for base := 0; base < 20; base++ {
 		dim := base % 3 // 0 exercises the empty numeric column
 		g, m0 := randomBase(rng, 12+rng.Intn(30), dim)
-		stores := backings(t, g)
-		for seq := 0; seq < 15; seq++ {
-			seed := rng.Int63()
-			steps := 1 + rng.Intn(12)
-			var want graph.Raw
-			for _, name := range []string{"heap", "mapped", "packed"} {
-				ov := graph.NewOverlay(stores[name])
-				m := m0.clone()
-				applyRandom(t, rand.New(rand.NewSource(seed)), ov, m, steps)
-				got := normalized(ov.Materialize().Export())
-				if name == "heap" {
-					want = normalized(m.build(t, ov.Dict(), dim).Export())
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("base %d seq %d on %s: materialized graph differs from the rebuilt one\ngot  %+v\nwant %+v",
-						base, seq, name, got, want)
-				}
-			}
-		}
+		materializeSequences(t, rng, fmt.Sprintf("base %d", base), backings(t, g), m0)
 		// The bases are read-only: nothing above may have written them.
 		if !reflect.DeepEqual(normalized(g.Export()), normalized(m0.build(t, g.Dict(), dim).Export())) {
 			t.Fatalf("base %d: base graph changed", base)
+		}
+	}
+	legacy := mount(t, "../store/testdata/v2c-figure1.snap")
+	materializeSequences(t, rng, "legacy", map[string]*graph.Graph{"legacy": legacy}, modelOf(legacy))
+}
+
+// materializeSequences replays 15 random delta sequences over every base in
+// stores, all holding the graph m0 describes, and compares each
+// materialized graph with the Builder rebuild of the sequence's final state.
+func materializeSequences(t *testing.T, rng *rand.Rand, label string, stores map[string]*graph.Graph, m0 *model) {
+	t.Helper()
+	names := slices.Sorted(maps.Keys(stores))
+	for seq := 0; seq < 15; seq++ {
+		seed := rng.Int63()
+		steps := 1 + rng.Intn(12)
+		var want *graph.Raw
+		for _, name := range names {
+			ov := graph.NewOverlay(stores[name])
+			m := m0.clone()
+			applyRandom(t, rand.New(rand.NewSource(seed)), ov, m, steps)
+			got := normalized(ov.Materialize().Export())
+			if want == nil {
+				r := normalized(m.build(t, ov.Dict(), ov.NumDim()).Export())
+				want = &r
+			}
+			if !reflect.DeepEqual(got, *want) {
+				t.Fatalf("%s seq %d on %s: materialized graph differs from the rebuilt one\ngot  %+v\nwant %+v",
+					label, seq, name, got, *want)
+			}
 		}
 	}
 }
@@ -264,10 +290,7 @@ func TestOverlayMaterializeSharesUnwrittenColumns(t *testing.T) {
 	same := func(a, b []int32) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 	sameF := func(a, b []float64) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 	for name, s := range backings(t, g) {
-		if name == "packed" {
-			continue // its adjacency is compressed: every column is rebuilt flat
-		}
-		base := s.(*graph.Graph).Export()
+		base := s.Export()
 
 		attrOnly := graph.NewOverlay(s)
 		if err := attrOnly.SetAttrs(3, []string{"never-seen"}, []float64{0.5, 0.25}); err != nil {

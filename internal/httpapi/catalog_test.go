@@ -40,7 +40,7 @@ func makeEngine(t testing.TB, name string, scale float64) *engine.Engine {
 func packFile(t testing.TB, eng *engine.Engine, name string) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
-	if _, err := eng.WriteSnapshotFile(path, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshotFile(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -70,7 +70,7 @@ func liveFixture(t *testing.T) (snapPath, journalPath string) {
 		t.Fatal(err)
 	}
 	snapPath = filepath.Join(dir, "g.snap")
-	if _, err := eng.WriteSnapshotFile(snapPath, store.PackOptions{}); err != nil {
+	if _, err := eng.WriteSnapshotFile(snapPath); err != nil {
 		t.Fatal(err)
 	}
 	return snapPath, filepath.Join(dir, "g.journal")

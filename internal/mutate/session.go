@@ -39,7 +39,7 @@ type Session struct {
 }
 
 // NewSession starts a mutation session over base, which may be any immutable
-// graph.Store backing (heap CSR, mapped snapshot, compressed adjacency).
+// graph.Store backing (heap CSR or mapped snapshot).
 // core is the base graph's coreness (copied); etruss is the base graph's
 // per-edge trussness table, which must be non-nil: the session adopts it and
 // maintains it in place.

@@ -376,8 +376,8 @@ func Execute(ctx context.Context, g graph.Store, req Request) (*Outcome, error) 
 // the nodes it touches, a baseline at its community's members for δ, and
 // only exact, which bounds over every node, fills m.QueryDist(q). This is the
 // entry point the Engine drives with its shared metric; g may be any
-// graph.Store backing — heap CSR, mapped snapshot or compressed adjacency —
-// and the Outcome is byte-identical across them. On interruption or budget
+// graph.Store backing — heap CSR or mapped snapshot — and the Outcome is
+// byte-identical across them. On interruption or budget
 // exhaustion the Outcome carries the best community found so far (Truncated
 // set) alongside the classifying error.
 func Run(ctx context.Context, g graph.Store, m *attr.Metric, req Request) (*Outcome, error) {

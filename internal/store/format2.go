@@ -1,8 +1,7 @@
 package store
 
 // Version 2 of the snapshot format — the one layout this build writes: the
-// mmap-ready aligned section table, optionally with delta+varint compressed
-// adjacency.
+// mmap-ready aligned section table.
 //
 // # Format (version 2)
 //
@@ -11,7 +10,7 @@ package store
 //
 //	magic    [8]byte  "SEASNAP\x00"
 //	version  uint32   2
-//	flags    uint32   bit 0: index sections present; bit 1: compressed adjacency
+//	flags    uint32   bit 0: index sections present; bit 1: legacy compressed adjacency
 //	nsec     uint32   number of section-table entries
 //	reserved uint32   0
 //	table    nsec × { id uint32, reserved uint32, off uint64, len uint64 }
@@ -28,9 +27,9 @@ package store
 //
 //	 1 meta       n uint64, edges uint64, textLen uint64, numDim uint32, dictLen uint32
 //	 2 offsets    [n+1]int32   CSR element offsets
-//	 3 adj        [2·edges]int32  (uncompressed layout only)
-//	 4 packoff    [n+1]int64   per-node byte offsets into packblob (compressed only)
-//	 5 packblob   varint bytes (compressed only)
+//	 3 adj        [2·edges]int32
+//	 4 packoff    [n+1]int64   per-node byte offsets into packblob (legacy, read only)
+//	 5 packblob   varint bytes (legacy, read only)
 //	 6 textoff    [n+1]int32
 //	 7 text       [textLen]int32
 //	 8 num        [n·numDim]float64
@@ -40,12 +39,12 @@ package store
 //	12 normmin    [numDim]float64 (index only)
 //	13 normmax    [numDim]float64 (index only)
 //
-// The compressed adjacency encodes each node's sorted neighbor list as
-// uvarints: the first neighbor as its value, every later neighbor as the
-// delta to its predecessor (always ≥ 1 — lists are strictly ascending).
-// packoff[v] is the byte offset of v's encoding in packblob; the element
-// offsets section is kept as-is so Degree and the positional edge-ID
-// contract (graph.CSR) stay O(1).
+// Earlier builds could write the adjacency compressed instead (flag bit 1):
+// packoff and packblob in place of adj, each node's sorted neighbor list
+// as uvarints — the first neighbor as its value, every later one as the
+// delta to its predecessor. Such a file is read-only legacy: every open
+// decodes it into a flat heap adjacency and validates it in full, nothing
+// writes it, and `seacli pack -load old.snap -out new.snap` repacks it.
 //
 // Open/OpenFile verify the trailing checksum and the structural invariants
 // before serving (heap open). OpenMapped validates only the header and
@@ -115,24 +114,17 @@ func sectionName(id uint32) string {
 	return fmt.Sprintf("section#%d", id)
 }
 
-// PackOptions selects the variant of the v2 layout WriteSnapshot emits.
+// PackOptions selects nothing: WriteSnapshot emits one layout. It stays
+// declared only because the benchmark module passes PackOptions{Align:
+// true} to PackSnapshotFileOpts.
 type PackOptions struct {
-	// Align selects nothing: every written snapshot is the aligned v2
-	// layout.
-	//
-	// Deprecated: the field stays declared only because the frozen
-	// benchmark module sets it; it goes with the next benchmark PR.
+	// Align is inert: every written snapshot is the aligned v2 layout.
 	Align bool
-	// Compress stores the adjacency delta+varint encoded. Neighbor lists
-	// are decoded per node into caller scratch at query time; the rest of
-	// the snapshot stays flat and mappable.
-	Compress bool
 }
 
 // WriteSnapshot serializes g and idx (nil for graph-only) to w in the aligned
-// v2 layout, with delta+varint adjacency when opt.Compress is set. It is the
-// only snapshot encoder.
-func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) error {
+// v2 layout. It is the only snapshot encoder.
+func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index) error {
 	if g == nil {
 		return fmt.Errorf("store: nil graph")
 	}
@@ -180,22 +172,12 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) err
 	secs := []sec{
 		{secMeta, v2MetaLen, func(e *encoder) { e.bytes(meta) }},
 		{secOffsets, 4 * int64(len(raw.Offsets)), func(e *encoder) { e.i32s(raw.Offsets) }},
+		{secAdj, 4 * int64(len(raw.Adj)), func(e *encoder) { e.i32s(raw.Adj) }},
+		{secTextOff, 4 * int64(len(raw.TextOff)), func(e *encoder) { e.i32s(raw.TextOff) }},
+		{secText, 4 * int64(len(raw.Text)), func(e *encoder) { e.i32s(raw.Text) }},
+		{secNum, 8 * int64(len(raw.Num)), func(e *encoder) { e.f64s(raw.Num) }},
+		{secDict, int64(len(dict)), func(e *encoder) { e.bytes(dict) }},
 	}
-	if opt.Compress {
-		packOff, blob := packAdjacency(raw.Offsets, raw.Adj)
-		secs = append(secs,
-			sec{secPackOff, 8 * int64(len(packOff)), func(e *encoder) { e.i64s(packOff) }},
-			sec{secPackBlob, int64(len(blob)), func(e *encoder) { e.bytes(blob) }},
-		)
-	} else {
-		secs = append(secs, sec{secAdj, 4 * int64(len(raw.Adj)), func(e *encoder) { e.i32s(raw.Adj) }})
-	}
-	secs = append(secs,
-		sec{secTextOff, 4 * int64(len(raw.TextOff)), func(e *encoder) { e.i32s(raw.TextOff) }},
-		sec{secText, 4 * int64(len(raw.Text)), func(e *encoder) { e.i32s(raw.Text) }},
-		sec{secNum, 8 * int64(len(raw.Num)), func(e *encoder) { e.f64s(raw.Num) }},
-		sec{secDict, int64(len(dict)), func(e *encoder) { e.bytes(dict) }},
-	)
 	if idx != nil {
 		secs = append(secs, sec{secCoreness, 4 * int64(len(idx.Coreness)), func(e *encoder) { e.i32s(idx.Coreness) }})
 		if idx.NodeTruss != nil {
@@ -223,9 +205,6 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) err
 	var flags uint32
 	if idx != nil {
 		flags |= flagIndex
-	}
-	if opt.Compress {
-		flags |= flagCompressed
 	}
 	ew.u32(flags)
 	ew.u32(uint32(len(secs)))
@@ -255,31 +234,6 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index, opt PackOptions) err
 }
 
 func align8(x int64) int64 { return (x + 7) &^ 7 }
-
-// packAdjacency delta+uvarint encodes the CSR neighbor lists: per node, the
-// first neighbor as its value, every later one as the (≥1) delta to its
-// predecessor. Returns per-node byte offsets into the blob (len n+1).
-func packAdjacency(offsets []int32, adj []graph.NodeID) ([]int64, []byte) {
-	n := len(offsets) - 1
-	packOff := make([]int64, n+1)
-	blob := make([]byte, 0, len(adj)) // deltas are usually 1–2 bytes
-	var tmp [binary.MaxVarintLen64]byte
-	for v := 0; v < n; v++ {
-		prev := int64(-1)
-		for _, u := range adj[offsets[v]:offsets[v+1]] {
-			var d uint64
-			if prev < 0 {
-				d = uint64(u)
-			} else {
-				d = uint64(int64(u) - prev)
-			}
-			blob = append(blob, tmp[:binary.PutUvarint(tmp[:], d)]...)
-			prev = int64(u)
-		}
-		packOff[v+1] = int64(len(blob))
-	}
-	return packOff, blob
-}
 
 // v2section is one parsed section-table entry.
 type v2section struct {
@@ -406,9 +360,9 @@ func openV2(data []byte, mapped bool) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	i32s, i64s, f64s := decodeI32s, decodeI64s, decodeF64s
+	i32s, f64s := decodeI32s, decodeF64s
 	if mapped {
-		i32s, i64s, f64s = castI32s, castI64s, castF64s
+		i32s, f64s = castI32s, castF64s
 	} else {
 		body, tail := data[:len(data)-4], data[len(data)-4:]
 		if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
@@ -461,47 +415,30 @@ func openV2(data []byte, mapped bool) (*Snapshot, error) {
 		return nil, err
 	}
 
+	// A legacy compressed adjacency decodes to the flat array, so the
+	// result is checked in full even when the other sections are mapped.
 	compressed := flags&flagCompressed != 0
-	var backing graph.Store
+	var adj []int32
 	if compressed {
-		packOff, err := sectionBytes(data, secs, secPackOff, 8*int64(meta.n+1))
-		if err != nil {
-			return nil, err
-		}
-		blob, err := sectionBytes(data, secs, secPackBlob, -1)
-		if err != nil {
-			return nil, err
-		}
-		if !mapped {
-			blob = append([]byte(nil), blob...)
-		}
-		pg, err := newPackedGraph(meta, offsets, i64s(packOff), blob, textOff, text, num, names)
-		if err == nil && !mapped {
-			err = pg.validate()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
-		}
-		backing = pg
+		adj, err = unpackAdjacency(data, secs, meta, offsets)
 	} else {
-		adj, err := i32sec(secAdj, 2*meta.edges)
-		if err != nil {
-			return nil, err
-		}
-		fromRaw := graph.FromRaw
-		if mapped {
-			fromRaw = graph.FromRawTrusted
-		}
-		g, err := fromRaw(graph.Raw{
-			Offsets: offsets, Adj: adj,
-			TextOff: textOff, Text: text,
-			NumDim: meta.numDim, Num: num,
-			DictNames: names,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
-		}
-		backing = g
+		adj, err = i32sec(secAdj, 2*meta.edges)
+	}
+	if err != nil {
+		return nil, err
+	}
+	fromRaw := graph.FromRaw
+	if mapped && !compressed {
+		fromRaw = graph.FromRawTrusted
+	}
+	g, err := fromRaw(graph.Raw{
+		Offsets: offsets, Adj: adj,
+		TextOff: textOff, Text: text,
+		NumDim: meta.numDim, Num: num,
+		DictNames: names,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
 	}
 
 	var idx *Index
@@ -523,8 +460,7 @@ func openV2(data []byte, mapped bool) (*Snapshot, error) {
 		}
 	}
 
-	g, _ := backing.(*graph.Graph)
-	return &Snapshot{Graph: g, Store: backing, Index: idx, Info: SnapshotInfo{
+	return &Snapshot{Graph: g, Index: idx, Info: SnapshotInfo{
 		Version:    Version2,
 		Sections:   sectionList(secs),
 		Aligned:    true,
@@ -532,6 +468,63 @@ func openV2(data []byte, mapped bool) (*Snapshot, error) {
 		Index:      idx != nil,
 		Bytes:      int64(len(data)),
 	}}, nil
+}
+
+// unpackAdjacency decodes a legacy compressed adjacency (the packoff and
+// packblob sections) into the flat CSR neighbor array on the heap. Each
+// node's run must consume exactly its byte span and yield exactly its
+// element count, every neighbor in range; order, loops and symmetry are
+// left to graph.FromRaw.
+func unpackAdjacency(data []byte, secs []v2section, meta v2Meta, offsets []int32) ([]int32, error) {
+	b, err := sectionBytes(data, secs, secPackOff, 8*int64(meta.n+1))
+	if err != nil {
+		return nil, err
+	}
+	packOff := decodeI64s(b)
+	blob, err := sectionBytes(data, secs, secPackBlob, -1)
+	if err != nil {
+		return nil, err
+	}
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: section %q: %s", cserr.ErrSnapshotCorrupt, "packblob", fmt.Sprintf(format, args...))
+	}
+	// Every neighbor takes at least one byte, which bounds the allocation.
+	if meta.edges > len(blob)/2 || packOff[0] != 0 || packOff[meta.n] != int64(len(blob)) {
+		return nil, corrupt("%d edges in %d bytes spanning [%d,%d]", meta.edges, len(blob), packOff[0], packOff[meta.n])
+	}
+	adj := make([]int32, 0, 2*meta.edges)
+	n := uint64(meta.n)
+	for v := 0; v < meta.n; v++ {
+		lo, hi := packOff[v], packOff[v+1]
+		count := int(offsets[v+1]) - int(offsets[v])
+		if int(offsets[v]) != len(adj) || count < 0 || count > cap(adj)-len(adj) || hi < lo || hi > int64(len(blob)) {
+			return nil, corrupt("node %d: run [%d,%d) of %d neighbors out of bounds", v, lo, hi, count)
+		}
+		run := blob[lo:hi]
+		var prev uint64
+		for i := 0; i < count; i++ {
+			u, k := binary.Uvarint(run)
+			if k <= 0 || u >= n {
+				return nil, corrupt("node %d: bad varint at neighbor %d", v, i)
+			}
+			run = run[k:]
+			if i > 0 {
+				u += prev // the first neighbor is stored as is, the rest as deltas
+			}
+			if u >= n {
+				return nil, corrupt("node %d: neighbor %d out of range [0,%d)", v, u, n)
+			}
+			adj = append(adj, int32(u))
+			prev = u
+		}
+		if len(run) != 0 {
+			return nil, corrupt("node %d: %d trailing bytes in neighbor run", v, len(run))
+		}
+	}
+	if len(adj) != cap(adj) {
+		return nil, corrupt("%d neighbors decoded, want %d", len(adj), cap(adj))
+	}
+	return adj, nil
 }
 
 func sectionList(secs []v2section) []string {

@@ -1,9 +1,9 @@
 package store_test
 
-// Tests for the version-2 aligned snapshot layout: heap/mapped/compressed
-// backings answering byte-identically, truncation detection at every section
-// boundary with the failing section named, DetectFile descriptions, and the
-// packed-adjacency accessors against their heap CSR equivalents.
+// Tests for the version-2 snapshot layout: the heap and mapped opens of the
+// aligned layout and the heap open of a legacy compressed file answering
+// byte-identically, truncation detection at every section boundary with the
+// failing section named, and DetectFile descriptions.
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,14 +28,14 @@ import (
 	"repro/internal/store"
 )
 
-// v2Bytes serializes the engine state in the layout opt selects.
-func v2Bytes(t testing.TB, eng *engine.Engine, opt store.PackOptions) []byte {
+// readFile returns the bytes at path.
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if _, err := eng.WriteSnapshot(&buf, opt); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }
 
 // writeTemp drops data into a fresh temp file and returns its path.
@@ -84,24 +85,25 @@ func outcomes(t testing.TB, eng *engine.Engine, q graph.NodeID, k int) [][]byte 
 }
 
 // TestV2RoundTripOutcomes is the tentpole property test: the same request
-// battery answers byte-identically across every snapshot backing — v2
-// aligned heap, v2 compressed heap, and the mapped zero-copy opens of both
-// (the legacy v1 heap open is pinned by TestLegacyV1Fixture).
+// battery answers byte-identically across every snapshot open — the heap
+// and mapped opens of the aligned layout, and both opens of the legacy
+// compressed fixture, which always lands on the heap (the legacy v1 file is
+// pinned by TestLegacyV1Fixture).
 func TestV2RoundTripOutcomes(t *testing.T) {
 	d, eng := buildEngine(t, "facebook", 0.3)
 	q := d.QueryNodes(1, 4, 7)[0]
 	want := outcomes(t, eng, q, 4)
 
-	aligned := v2Bytes(t, eng, store.PackOptions{})
-	compressed := v2Bytes(t, eng, store.PackOptions{Compress: true})
-	if bytes.Equal(aligned, compressed) {
-		t.Fatal("compressed layout identical to aligned")
-	}
+	aligned := snapshotBytes(t, eng)
+	compressed := readFile(t, legacyFacebookFixture)
 
 	check := func(t *testing.T, snap *store.Snapshot) {
 		t.Helper()
 		if snap.Index == nil {
 			t.Fatal("snapshot lost its index section")
+		}
+		if !reflect.DeepEqual(snap.Graph.Export(), d.Graph.Export()) {
+			t.Fatal("reopened CSR differs from the generated graph")
 		}
 		reopened, err := engine.NewFromSnapshot(snap, engine.DefaultConfig())
 		if err != nil {
@@ -128,86 +130,25 @@ func TestV2RoundTripOutcomes(t *testing.T) {
 			check(t, snap)
 		})
 	}
-	mappedVariants := map[string][]byte{
-		"v2-aligned-mapped":    aligned,
-		"v2-compressed-mapped": compressed,
+	mappedVariants := map[string]struct {
+		data   []byte
+		mapped bool
+	}{
+		"v2-aligned-mapped":    {aligned, mmapExpected()},
+		"v2-compressed-mapped": {compressed, false},
 	}
-	for name, data := range mappedVariants {
+	for name, v := range mappedVariants {
 		t.Run(name, func(t *testing.T) {
-			m, err := store.OpenMapped(writeTemp(t, "g.snap", data))
+			m, err := store.OpenMapped(writeTemp(t, "g.snap", v.data))
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer m.Close()
-			if mmapExpected() != m.Mapped() {
-				t.Fatalf("Mapped() = %v, platform expects %v", m.Mapped(), mmapExpected())
+			if m.Mapped() != v.mapped {
+				t.Fatalf("Mapped() = %v, want %v", m.Mapped(), v.mapped)
 			}
 			check(t, m.Snapshot())
 		})
-	}
-}
-
-// TestPackedGraphEquivalence pins every graph.Store accessor of the
-// compressed backing to the heap CSR it was packed from, including the
-// positional ListOffset contract the truss edge index depends on.
-func TestPackedGraphEquivalence(t *testing.T) {
-	d, eng := buildEngine(t, "facebook", 0.25)
-	snap, err := store.Decode(v2Bytes(t, eng, store.PackOptions{Compress: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, ok := snap.Store.(*store.PackedGraph)
-	if !ok {
-		t.Fatalf("compressed snapshot opened as %T, want *store.PackedGraph", snap.Store)
-	}
-	if snap.Graph != nil {
-		t.Fatal("compressed snapshot claims a heap *graph.Graph")
-	}
-	g := d.Graph
-	if pg.NumNodes() != g.NumNodes() || pg.NumEdges() != g.NumEdges() || pg.NumDim() != g.NumDim() {
-		t.Fatalf("shape: packed %d/%d/%d, heap %d/%d/%d",
-			pg.NumNodes(), pg.NumEdges(), pg.NumDim(), g.NumNodes(), g.NumEdges(), g.NumDim())
-	}
-	if pg.PackedBytes() >= 4*2*int64(g.NumEdges()) {
-		t.Fatalf("packed adjacency %d bytes, not smaller than flat %d", pg.PackedBytes(), 8*g.NumEdges())
-	}
-	var buf []graph.NodeID
-	for v := 0; v < g.NumNodes(); v++ {
-		id := graph.NodeID(v)
-		if pg.Degree(id) != g.Degree(id) {
-			t.Fatalf("degree(%d): packed %d, heap %d", v, pg.Degree(id), g.Degree(id))
-		}
-		if pg.ListOffset(id) != g.ListOffset(id) {
-			t.Fatalf("listoffset(%d): packed %d, heap %d", v, pg.ListOffset(id), g.ListOffset(id))
-		}
-		want := g.Neighbors(id)
-		got := pg.NeighborsInto(&buf, id)
-		if len(got) != len(want) {
-			t.Fatalf("neighbors(%d): packed %v, heap %v", v, got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("neighbors(%d)[%d]: packed %d, heap %d", v, i, got[i], want[i])
-			}
-			if !pg.HasEdge(id, want[i]) || !pg.HasEdge(want[i], id) {
-				t.Fatalf("HasEdge(%d,%d) lost an edge", v, want[i])
-			}
-		}
-		// A non-neighbor probe per node (the next ID after the last neighbor,
-		// when it is not itself a neighbor).
-		probe := id + 1
-		if int(probe) < g.NumNodes() && pg.HasEdge(id, probe) != g.HasEdge(id, probe) {
-			t.Fatalf("HasEdge(%d,%d): packed %v, heap %v", id, probe, pg.HasEdge(id, probe), g.HasEdge(id, probe))
-		}
-		if !equalI32(pg.TextAttrs(id), g.TextAttrs(id)) {
-			t.Fatalf("textattrs(%d) differ", v)
-		}
-		if !equalF64(pg.NumAttrs(id), g.NumAttrs(id)) {
-			t.Fatalf("numattrs(%d) differ", v)
-		}
-	}
-	if pg.Dict().Len() != g.Dict().Len() {
-		t.Fatalf("dict: packed %d names, heap %d", pg.Dict().Len(), g.Dict().Len())
 	}
 }
 
@@ -274,20 +215,20 @@ func parseV2SectionTable(t *testing.T, data []byte) []v2Section {
 	return secs
 }
 
-// TestV2TruncationNamesSection truncates an aligned and a compressed
-// snapshot inside every section (plus mid-header and mid-table) and asserts
-// each failure is ErrSnapshotCorrupt naming the failing section.
+// TestV2TruncationNamesSection truncates an aligned snapshot and the legacy
+// compressed fixture inside every section (plus mid-header and mid-table)
+// and asserts each failure is ErrSnapshotCorrupt naming the failing section.
 func TestV2TruncationNamesSection(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
 	for _, layout := range []struct {
 		name string
-		opt  store.PackOptions
+		data []byte
 	}{
-		{"aligned", store.PackOptions{}},
-		{"compressed", store.PackOptions{Compress: true}},
+		{"aligned", snapshotBytes(t, eng)},
+		{"compressed", readFile(t, legacyFacebookFixture)},
 	} {
 		t.Run(layout.name, func(t *testing.T) {
-			data := v2Bytes(t, eng, layout.opt)
+			data := layout.data
 			secs := parseV2SectionTable(t, data)
 
 			cases := []struct {
@@ -329,7 +270,8 @@ func TestV2TruncationNamesSection(t *testing.T) {
 // unknown header flags.
 func TestV2CorruptionDetection(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	good := v2Bytes(t, eng, store.PackOptions{Compress: true})
+	aligned := snapshotBytes(t, eng)
+	good := readFile(t, legacyFacebookFixture)
 
 	t.Run("bit flip", func(t *testing.T) {
 		for _, at := range []int{30, len(good) / 4, len(good) / 2, len(good) - 5} {
@@ -354,18 +296,20 @@ func TestV2CorruptionDetection(t *testing.T) {
 		}
 	})
 	// A required variable-size section retagged to an unknown id passes the
-	// table validation; the mapped open (which skips the checksum) must
-	// still classify the missing section as corruption, as the heap open does.
+	// table validation; the mapped open (which skips the checksum of an
+	// aligned file) must still classify the missing section as corruption,
+	// as the heap open does.
 	t.Run("retagged section, mapped", func(t *testing.T) {
 		for _, c := range []struct {
-			opt     store.PackOptions
+			layout  string
+			data    []byte
 			section string
 		}{
-			{store.PackOptions{}, "dict"},
-			{store.PackOptions{Compress: true}, "dict"},
-			{store.PackOptions{Compress: true}, "packblob"},
+			{"aligned", aligned, "dict"},
+			{"compressed", good, "dict"},
+			{"compressed", good, "packblob"},
 		} {
-			bad := v2Bytes(t, eng, c.opt)
+			bad := append([]byte(nil), c.data...)
 			for i, s := range parseV2SectionTable(t, bad) {
 				if s.name == c.section {
 					binary.LittleEndian.PutUint32(bad[24+24*i:], 63)
@@ -373,7 +317,7 @@ func TestV2CorruptionDetection(t *testing.T) {
 			}
 			_, err := store.OpenMapped(writeTemp(t, "retag.snap", bad))
 			if !errors.Is(err, cserr.ErrSnapshotCorrupt) {
-				t.Errorf("compress=%v, %s retagged: got %v, want ErrSnapshotCorrupt", c.opt.Compress, c.section, err)
+				t.Errorf("%s, %s retagged: got %v, want ErrSnapshotCorrupt", c.layout, c.section, err)
 			}
 		}
 	})
@@ -381,8 +325,8 @@ func TestV2CorruptionDetection(t *testing.T) {
 
 func TestDetectFileV2(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	aligned := writeTemp(t, "aligned.snap", v2Bytes(t, eng, store.PackOptions{}))
-	compressed := writeTemp(t, "compressed.snap", v2Bytes(t, eng, store.PackOptions{Compress: true}))
+	aligned := writeTemp(t, "aligned.snap", snapshotBytes(t, eng))
+	compressed := legacyFacebookFixture
 
 	info, err := store.DetectFile(aligned)
 	if err != nil || !info.IsSnapshot() {
@@ -424,7 +368,7 @@ func hasSection(secs []string, name string) bool {
 // idempotently (nil handles included).
 func TestOpenMappedIndexAndLifecycle(t *testing.T) {
 	_, eng := buildEngine(t, "facebook", 0.2)
-	data := v2Bytes(t, eng, store.PackOptions{})
+	data := snapshotBytes(t, eng)
 	path := writeTemp(t, "g.snap", data)
 
 	snap, err := store.OpenFile(path)
@@ -484,15 +428,12 @@ func TestMountGraphFileText(t *testing.T) {
 
 // FuzzDecode feeds the snapshot decoder arbitrary bytes seeded with every
 // on-disk layout and their truncations; the decoder must never panic, and
-// anything it accepts must carry a usable backing.
+// anything it accepts must carry a usable graph.
 func FuzzDecode(f *testing.F) {
 	_, eng := buildEngine(f, "facebook", 0.1)
-	v1, err := os.ReadFile(legacyV1Fixture)
-	if err != nil {
-		f.Fatal(err)
-	}
-	aligned := v2Bytes(f, eng, store.PackOptions{})
-	compressed := v2Bytes(f, eng, store.PackOptions{Compress: true})
+	v1 := readFile(f, legacyV1Fixture)
+	aligned := snapshotBytes(f, eng)
+	compressed := readFile(f, legacyFigure1Fixture)
 	for _, seed := range [][]byte{v1, aligned, compressed} {
 		f.Add(seed)
 		for _, cut := range []int{0, 8, 16, 23, 24, len(seed) / 2, len(seed) - 1} {
@@ -517,9 +458,9 @@ func FuzzDecode(f *testing.F) {
 			}
 			return
 		}
-		g := snap.Backing()
+		g := snap.Graph
 		if g == nil {
-			t.Fatal("accepted snapshot has no backing")
+			t.Fatal("accepted snapshot has no graph")
 		}
 		if g.NumNodes() < 0 || g.NumEdges() < 0 {
 			t.Fatalf("negative shape: %d nodes, %d edges", g.NumNodes(), g.NumEdges())

@@ -20,7 +20,8 @@ type SnapshotInfo struct {
 	// Aligned reports the 8-byte-aligned v2 layout OpenMapped serves
 	// zero-copy.
 	Aligned bool `json:"aligned"`
-	// Compressed reports delta+varint compressed adjacency.
+	// Compressed reports delta+varint compressed adjacency, a read-only
+	// legacy layout that opens on the heap.
 	Compressed bool `json:"compressed"`
 	// Index reports a precomputed admission-index section.
 	Index bool `json:"index"`

@@ -9,10 +9,11 @@ package store
 // mutations build heap overlays on top (graph.Overlay) without ever writing
 // the mapped pages.
 //
-// OpenMapped degrades gracefully: a legacy v1 snapshot, a platform without
-// mmap, or a section whose payload lands misaligned in memory falls back to
-// the heap open (or a per-section copy) — same Snapshot semantics, just not
-// zero-copy. Callers can tell which they got from Mounted.Mapped.
+// OpenMapped degrades gracefully: a legacy snapshot (v1, or v2 with
+// compressed adjacency), a platform without mmap, or a section whose payload
+// lands misaligned in memory falls back to the heap open (or a per-section
+// copy) — same Snapshot semantics, just not zero-copy. Callers can tell
+// which they got from Mounted.Mapped.
 
 import (
 	"encoding/binary"
@@ -31,16 +32,16 @@ import (
 // cannot serve; OpenMapped falls back to the heap open.
 var errMmapUnsupported = errors.New("store: mmap unsupported")
 
-// Mounted is an opened serving backing plus the resources behind it: for a
+// Mounted is an opened serving graph plus the resources behind it: for a
 // mapped snapshot, the live memory mapping. The Store (and the Index arrays)
 // may alias the mapping — Close only once nothing reaches the backing
 // anymore. In-flight readers on a hot-swapped-away Mounted must be drained
 // before Close (the catalog retires old mappings and unmaps them only at
 // Catalog.Close).
 type Mounted struct {
-	// Store is the serving backing: a zero-copy *graph.Graph or *PackedGraph
-	// over the mapping, or a heap backing when the fast path fell back.
-	Store graph.Store
+	// Store is the serving graph: zero-copy over the mapping, or on the heap
+	// when the fast path fell back.
+	Store *graph.Graph
 	// Index is the snapshot's precomputed index section (nil when absent).
 	// Its arrays may alias the mapping and are read-only.
 	Index *Index
@@ -61,11 +62,10 @@ func (m *Mounted) MappedBytes() int64 {
 	return int64(len(m.data))
 }
 
-// Snapshot adapts the Mounted backing to the *Snapshot shape shared with the
-// heap open paths. Graph is set only when the backing is a CSR *graph.Graph.
+// Snapshot adapts the Mounted graph to the *Snapshot shape shared with the
+// heap open paths.
 func (m *Mounted) Snapshot() *Snapshot {
-	g, _ := m.Store.(*graph.Graph)
-	return &Snapshot{Graph: g, Store: m.Store, Index: m.Index, Info: m.Info}
+	return &Snapshot{Graph: m.Store, Index: m.Index, Info: m.Info}
 }
 
 // Close unmaps the snapshot. The Store and Index become invalid; accessing
@@ -85,8 +85,8 @@ func (m *Mounted) Close() error {
 // OpenMapped opens the snapshot at path for zero-copy serving. A version-2
 // aligned snapshot maps read-only and serves straight from the page cache —
 // O(1) in the graph size (only the header, section table and dictionary are
-// touched); a v1 snapshot or an mmap-less platform falls back to the heap
-// open, returning a Mounted with Mapped() == false.
+// touched); a legacy snapshot or an mmap-less platform falls back to the
+// heap open, returning a Mounted with Mapped() == false.
 //
 // The mapped fast path validates the header and section table but — by
 // design — not the payload checksum or per-element structure: both were
@@ -110,15 +110,15 @@ func OpenMapped(path string) (*Mounted, error) {
 	if size < int64(len(magic))+4 {
 		return nil, fmt.Errorf("%s: not a snapshot (%d bytes)", path, size)
 	}
-	var head [12]byte
+	var head [16]byte
 	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return heapFallback(path) // too short to map: the heap open says why
 	}
 	if *(*[8]byte)(head[:8]) != magic {
 		return nil, fmt.Errorf("%s: not a snapshot file", path)
 	}
-	if binary.LittleEndian.Uint32(head[8:]) != Version2 {
-		return heapFallback(path) // legacy v1 layout: not mappable
+	if binary.LittleEndian.Uint32(head[8:]) != Version2 || binary.LittleEndian.Uint32(head[12:])&flagCompressed != 0 {
+		return heapFallback(path) // legacy v1 or compressed layout: not mappable
 	}
 	data, err := mmapFile(f, size)
 	if err != nil {
@@ -132,7 +132,7 @@ func OpenMapped(path string) (*Mounted, error) {
 		munmap(data)
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &Mounted{Store: snap.Store, Index: snap.Index, Info: snap.Info, data: data}, nil
+	return &Mounted{Store: snap.Graph, Index: snap.Index, Info: snap.Info, data: data}, nil
 }
 
 // heapFallback is the non-zero-copy path of OpenMapped: a fully verified
@@ -142,12 +142,13 @@ func heapFallback(path string) (*Mounted, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Mounted{Store: snap.Store, Index: snap.Index, Info: snap.Info}, nil
+	return &Mounted{Store: snap.Graph, Index: snap.Index, Info: snap.Info}, nil
 }
 
-// MountGraphFile is OpenGraphFile's zero-copy sibling: a v2 snapshot maps
-// read-only, a v1 snapshot heap-opens, anything else parses as the text
-// exchange format. The one mapped-serving open path for catalog and CLI.
+// MountGraphFile is OpenGraphFile's zero-copy sibling: an aligned v2
+// snapshot maps read-only, a legacy one heap-opens, anything else parses as
+// the text exchange format. The one mapped-serving open path for catalog and
+// CLI.
 func MountGraphFile(path string) (*Mounted, error) {
 	info, err := DetectFile(path)
 	if err != nil {
@@ -179,16 +180,6 @@ func castI32s(b []byte) []int32 {
 		return decodeI32s(b)
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), len(b)/4)
-}
-
-func castI64s(b []byte) []int64 {
-	if len(b) == 0 {
-		return nil
-	}
-	if uintptr(unsafe.Pointer(&b[0]))%8 != 0 || !hostLittleEndian() {
-		return decodeI64s(b)
-	}
-	return unsafe.Slice((*int64)(unsafe.Pointer(&b[0])), len(b)/8)
 }
 
 func castF64s(b []byte) []float64 {

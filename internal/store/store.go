@@ -8,11 +8,11 @@
 // snapshot is the serving form.
 //
 // WriteSnapshot emits one layout: the version-2 aligned section table
-// (format2.go), which OpenMapped serves zero-copy from the page cache and
-// which optionally stores the adjacency delta+varint compressed
-// (PackedGraph). The version-1 stream of earlier builds is read-only legacy:
-// every open path still decodes it (decodeV1 below), nothing writes it, and
-// `seacli pack -load old.snap -out new.snap` repacks one as v2.
+// (format2.go), which OpenMapped serves zero-copy from the page cache. Two
+// forms of earlier builds are read-only legacy: the version-1 stream
+// (decodeV1 below) and the v2 layout with compressed adjacency. Every open
+// path still decodes both into a heap *graph.Graph, nothing writes either,
+// and `seacli pack -load old.snap -out new.snap` repacks one as aligned v2.
 //
 // # Guarantees
 //
@@ -69,32 +69,15 @@ type Index struct {
 	NormMin, NormMax []float64
 }
 
-// Snapshot is the reopened serving state: the graph backing and, when the
-// snapshot carried one, the precomputed index.
+// Snapshot is the reopened serving state: the graph and, when the snapshot
+// carried one, the precomputed index.
 type Snapshot struct {
-	// Graph is the heap CSR graph, or nil when the backing is not a
-	// materialized *graph.Graph (a compressed open serves a PackedGraph —
-	// use Store, or graph.CopyStore to materialize).
+	// Graph is the CSR graph, on the heap or over a mapping.
 	Graph *graph.Graph
-	// Store is the serving backing every open path fills: identical to
-	// Graph for heap CSR opens, a *PackedGraph for compressed ones.
-	Store graph.Store
 	Index *Index // nil when the snapshot has no index section
 	// Info describes the on-disk form the snapshot came from (zero value
 	// for text-format opens).
 	Info SnapshotInfo
-}
-
-// Backing returns the serving store of the snapshot, tolerating
-// hand-assembled Snapshots that only set Graph.
-func (s *Snapshot) Backing() graph.Store {
-	if s.Store != nil {
-		return s.Store
-	}
-	if s.Graph != nil {
-		return s.Graph
-	}
-	return nil
 }
 
 // Open reads one snapshot from r, verifying version, checksum and structure,
@@ -149,7 +132,7 @@ func OpenGraphFile(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &Snapshot{Graph: g, Store: g}, nil
+	return &Snapshot{Graph: g}, nil
 }
 
 // Decode is Open over bytes already in memory. It dispatches on the format
@@ -272,7 +255,7 @@ func decodeV1(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, err)
 	}
 	info := SnapshotInfo{Version: Version, Index: idx != nil, Bytes: int64(len(data))}
-	return &Snapshot{Graph: g, Store: g, Index: idx, Info: info}, nil
+	return &Snapshot{Graph: g, Index: idx, Info: info}, nil
 }
 
 // encoder writes fixed-width little-endian values, latching the first error.
@@ -322,21 +305,6 @@ func (e *encoder) f64s(xs []float64) {
 		buf = buf[:8*nn]
 		for i, x := range xs[:nn] {
 			binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-		}
-		e.bytes(buf)
-		xs = xs[nn:]
-	}
-}
-
-// i64s is i32s for int64 values.
-func (e *encoder) i64s(xs []int64) {
-	const chunk = 8 * 1024
-	buf := make([]byte, 0, 8*min(len(xs), chunk))
-	for len(xs) > 0 && e.err == nil {
-		nn := min(len(xs), chunk)
-		buf = buf[:8*nn]
-		for i, x := range xs[:nn] {
-			binary.LittleEndian.PutUint64(buf[8*i:], uint64(x))
 		}
 		e.bytes(buf)
 		xs = xs[nn:]

@@ -34,11 +34,14 @@ func buildEngine(t testing.TB, name string, scale float64) (*dataset.Generated, 
 	return d, eng
 }
 
-// snapshotBytes serializes the engine state in the default (uncompressed)
-// layout.
+// snapshotBytes serializes the engine state.
 func snapshotBytes(t testing.TB, eng *engine.Engine) []byte {
 	t.Helper()
-	return v2Bytes(t, eng, store.PackOptions{})
+	var buf bytes.Buffer
+	if _, err := eng.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // TestRoundTripOutcomes is the acceptance criterion: a graph + index written
@@ -127,7 +130,7 @@ func TestRoundTripIndex(t *testing.T) {
 func TestGraphOnlySnapshot(t *testing.T) {
 	d, _ := buildEngine(t, "facebook", 0.2)
 	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, d.Graph, nil, store.PackOptions{}); err != nil {
+	if err := store.WriteSnapshot(&buf, d.Graph, nil); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := store.Open(&buf)
@@ -222,7 +225,7 @@ func TestWriteRejectsShapeMismatch(t *testing.T) {
 	idx := eng.ExportIndex()
 	idx.Coreness = idx.Coreness[:len(idx.Coreness)-1]
 	var buf bytes.Buffer
-	if err := store.WriteSnapshot(&buf, d.Graph, idx, store.PackOptions{}); err == nil {
+	if err := store.WriteSnapshot(&buf, d.Graph, idx); err == nil {
 		t.Fatal("mismatched index accepted")
 	}
 }

@@ -79,9 +79,9 @@ type Workspace struct {
 	Probs, Vals               []float64
 
 	// NbrA and NbrB are neighbor-decode scratch for graph.Adjacency
-	// backings that cannot return aliased neighbor lists (compressed
-	// adjacency, overlays). Heap CSR backings never touch them. Two buffers
-	// because triangle-style loops hold two lists at once.
+	// backings that cannot return aliased neighbor lists (overlays). CSR
+	// backings never touch them. Two buffers because triangle-style loops
+	// hold two lists at once.
 	NbrA, NbrB []graph.NodeID
 
 	// Sub builds induced CSR subgraphs into preallocated arrays.

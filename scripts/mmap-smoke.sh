@@ -1,10 +1,11 @@
 #!/bin/sh
-# End-to-end zero-copy serving smoke: pack a compressed v2 snapshot, boot
-# seaserve on it with the default -mmap serving path, verify /graphs reports
-# the dataset as mapped, exercise /search and /admin/mutate against the
-# mapped base, SIGTERM-drain, then boot a 4×-larger snapshot and verify the
-# mapped boot wall-time stays scale-independent (the heap path grows
-# linearly with the file; the mapped open touches only header + dictionary).
+# End-to-end zero-copy serving smoke: pack a v2 snapshot, boot seaserve on
+# it with the default -mmap serving path, verify /graphs reports the dataset
+# as mapped, exercise /search and /admin/mutate against the mapped base,
+# SIGTERM-drain, then boot a 4×-larger snapshot and verify the mapped boot
+# wall-time stays scale-independent (the heap path grows linearly with the
+# file; the mapped open touches only header + dictionary). Last, repack the
+# legacy compressed fixture and verify the result serves mapped.
 #
 # Expects: $SMOKE_DIR containing datagen/seacli/seaserve binaries.
 # Port: $SMOKE_PORT (default 8973).
@@ -54,8 +55,8 @@ boot_ms() {
 
 "$DIR/datagen" -dataset facebook -scale 0.5 -out "$DIR/small.txt"
 "$DIR/datagen" -dataset facebook -scale 2.0 -out "$DIR/big.txt"
-"$DIR/seacli" pack -load "$DIR/small.txt" -compress -out "$DIR/small.snap"
-"$DIR/seacli" pack -load "$DIR/big.txt" -compress -out "$DIR/big.snap"
+"$DIR/seacli" pack -load "$DIR/small.txt" -out "$DIR/small.snap"
+"$DIR/seacli" pack -load "$DIR/big.txt" -out "$DIR/big.snap"
 
 # --- Small snapshot: the full serving surface over a mapped base. ---
 boot "$DIR/small.snap" "$DIR/small.log"
@@ -103,4 +104,21 @@ if [ "$BIG_MS" -gt "$LIMIT" ]; then
   echo "mmap-smoke: mapped boot grew with graph size: ${SMALL_MS}ms -> ${BIG_MS}ms (limit ${LIMIT}ms)" >&2
   exit 1
 fi
-echo "mmap-smoke OK (boot ${SMALL_MS}ms small, ${BIG_MS}ms at 4x)"
+
+# --- Legacy compressed file: repacking it yields a mapped-serving snapshot. ---
+LEGACY="$(dirname "$0")/../internal/store/testdata/v2c-figure1.snap"
+"$DIR/seacli" pack -load "$LEGACY" -out "$DIR/repacked.snap"
+boot "$DIR/repacked.snap" "$DIR/repacked.log"
+trap 'kill $PID 2>/dev/null || true' EXIT
+curl -sf "$BASE/graphs" | grep -q '"mapped":true' || {
+  echo "mmap-smoke: repacked legacy snapshot does not serve mapped" >&2
+  exit 1
+}
+curl -sf -X POST "$BASE/search" -d '{"q":0,"method":"structural","k":2}' | grep -q '"query":0' || {
+  echo "mmap-smoke: /search on the repacked legacy snapshot failed" >&2
+  exit 1
+}
+kill -TERM $PID
+wait $PID || true
+trap - EXIT
+echo "mmap-smoke OK (boot ${SMALL_MS}ms small, ${BIG_MS}ms at 4x; legacy repack mapped)"
