@@ -11,8 +11,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The second and third lines repeat the tests of the lock-free paths — the
+# striped histogram and span ring, and the CLOCK cache whose hits read a
+# published table while puts and sweeps replace it — so a rare interleaving
+# of a publish against a hit gets twenty chances to show.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run '^(TestRing.*|TestHistogramStripesExact|TestConcurrentRecordSnapshot)$$' ./internal/obs
+	$(GO) test -race -count=20 -run '^(TestClock.*|TestHitTakesNoShardLock|TestLRU.*)$$' ./internal/engine
 
 # Non-test Go lines outside the frozen benchmark/ module (and its build
 # directory): the one number every simplicity PR reports, counted one way.

@@ -192,9 +192,10 @@ func MaximalConnectedKTruss(g *Graph, q NodeID, k int) []NodeID {
 
 // Engine is a long-lived, concurrency-safe query-serving layer over one
 // graph: it precomputes and shares the attribute metric and the structural
-// decompositions across queries, caches full Outcomes in a sharded LRU, and
-// coalesces concurrent identical queries single-flight style. Nothing is
-// kept per query node: a cache miss computes f(·,q) inside the search.
+// decompositions across queries, caches full Outcomes in a sharded CLOCK
+// cache whose hits take no lock, and coalesces concurrent identical queries
+// single-flight style. Nothing is kept per query node: a cache miss computes
+// f(·,q) inside the search.
 // Every request is one Request, whatever the method; Engine.Query is the
 // unified entry point and Engine.Batch its worker-pool form (Engine.Answer
 // the same over items the caller owns), the pool as wide as MaxConcurrent.

@@ -796,6 +796,50 @@ func BenchmarkServeHitParallel(b *testing.B) {
 	wg.Wait()
 }
 
+// BenchmarkServeHitParallelHotSet is BenchmarkServeHitParallel over the
+// benchmark's hot-read traffic shape: 256 cached /search bodies, each of the
+// two callers drawing them zipf(1.1) in its own order. Distinct keys land on
+// different cache shards and entries, so this shows what lines moving
+// between cores on different keys cost, which one repeated key cannot.
+func BenchmarkServeHitParallelHotSet(b *testing.B) {
+	const hotSet, draws = 256, 1 << 12
+	first := serveHitCaller(b, "/search")
+	nodes := benchData.QueryNodes(hotSet, 6, 3)
+	bodies := make([][]byte, hotSet)
+	for i := range bodies {
+		// Fewer nodes than bodies: the SEA seed tells the repeats apart.
+		bodies[i] = fmt.Appendf(nil, `{"graph":"bench","q":%d,"method":"sea","k":6,"model":"core","e":0.02,"confidence":0.95,"seed":%d}`,
+			nodes[i%len(nodes)], 1+i/len(nodes))
+		first.body = bodies[i]
+		first.call()
+		first.call()
+		if first.w.status != http.StatusOK || !bytes.Contains(first.w.buf.Bytes(), []byte(`"result_hit":true`)) {
+			b.Fatalf("repeat of %s is not a hit: status %d: %s", bodies[i], first.w.status, first.w.buf.Bytes())
+		}
+	}
+	callers := []*hitCaller{first, {h: first.h, url: first.url, hdr: first.hdr.Clone()}}
+	callers[1].w.hdr = make(http.Header)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g, c := range callers {
+		zipf := rand.NewZipf(rand.New(rand.NewSource(int64(g+1))), 1.1, 1, hotSet-1)
+		seq := make([]uint16, draws)
+		for i := range seq {
+			seq[i] = uint16(zipf.Uint64())
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < b.N; i += 2 {
+				c.body = bodies[seq[(i/2)%draws]]
+				c.call()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // --- Substrate micro-benchmarks ------------------------------------------
 
 func BenchmarkCoreDecompose(b *testing.B) {

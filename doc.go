@@ -66,7 +66,7 @@
 // computed (or adopted from a snapshot) once, at construction, maintained by
 // every mutation, and shared (the decompositions double as an admission
 // index that proves the absence of a community for any method without
-// searching), full Outcomes are held in a sharded LRU cache keyed by the
+// searching), full Outcomes are held in a sharded CLOCK cache keyed by the
 // canonical Request, and concurrent identical requests are coalesced so the
 // work happens once. Nothing is kept per query node, and a cache miss builds
 // nothing of size |V|: SEA evaluates f(·,q) at the nodes the search touches

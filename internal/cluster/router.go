@@ -231,7 +231,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		members:  make(map[string]*memberState, len(members)),
 		shardLat: make(map[string]*obs.Histogram, len(routerPaths)),
 		fanWidth: make(map[string]*obs.Histogram, 2),
-		trace:    obs.NewRing[RouterSpan](256),
+		trace:    obs.NewStripedRing(256, func(s *RouterSpan) int64 { return s.StartNS + s.TotalNS }),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}

@@ -14,6 +14,7 @@ import (
 	"io"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -59,11 +60,12 @@ func (e *Engine) Answer(ctx context.Context, items []BatchItem) error {
 			return err
 		}
 	}
-	var pending []int // indexes the cache did not answer
+	st := obs.TakeStripe() // one for the whole batch
+	var pending []int      // indexes the cache did not answer
 	for i := range items {
 		it := &items[i]
 		var err error
-		if it.Outcome, err = e.answer(ctx, &it.Request, true, &it.Metrics); err == errUncached {
+		if it.Outcome, err = e.answer(ctx, &it.Request, true, &it.Metrics, st); err == errUncached {
 			pending = append(pending, i)
 			continue
 		}
@@ -82,7 +84,7 @@ func (e *Engine) Answer(ctx context.Context, items []BatchItem) error {
 				// The full path, lookup included: a duplicate of an item
 				// computed earlier in this batch is a hit by now.
 				it := &items[i]
-				it.Outcome, it.Err = e.answer(ctx, &it.Request, false, &it.Metrics)
+				it.Outcome, it.Err = e.answer(ctx, &it.Request, false, &it.Metrics, st)
 			}
 		}()
 	}

@@ -1,136 +1,151 @@
 package engine
 
-import "sync"
+import (
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
 
-// Sharded LRU cache. Each shard is an independent mutex-protected LRU so
-// concurrent queries touching different keys rarely contend. Capacity is
-// divided across shards so the slots add up to it exactly; eviction is
-// strictly least-recently-used within a shard.
+	"repro/internal/obs"
+)
+
+// Sharded CLOCK cache whose hits take no lock and write nothing a hit on
+// another core writes. Each shard publishes an immutable hash table behind
+// an atomic pointer; a hit reads it, records recency in the entry's
+// reference bit — storing the bit only when it is clear, so a hot entry is
+// written once per pass of the hand, not once per hit — and counts itself on
+// the caller's obs.Stripe. Puts and sweeps take the shard's mutex, copy its
+// table (twice capacity/shards pointers at most), change the copy and
+// publish it.
 //
-// A key is hashed once per operation: the hash picks the shard and is the
-// shard map's key, and the keys sharing a hash are chained and told apart by
-// ==, so the hash only has to spread keys, never to separate them.
+// Eviction is CLOCK (second chance), an approximation of least-recently-used:
+// the shard's entries sit on a circle in insertion order; the hand clears
+// the set bits it passes and evicts the first entry whose bit is clear. A new
+// entry takes its slot with the bit clear, just behind the hand, so it is the
+// last the hand reaches. Capacity is divided across shards so the slots add
+// up to it exactly.
+//
+// A key is hashed once per operation: the hash picks the shard and the
+// entry's home slot in the shard's table, and the keys sharing a hash are
+// told apart by ==, so the hash only has to spread keys, never to separate
+// them.
 
 type lruEntry[K comparable, V any] struct {
-	key        K
-	val        V
-	hash       uint64
-	prev, next *lruEntry[K, V]
-	same       *lruEntry[K, V] // the next entry whose key shares hash
+	key  K
+	val  V
+	hash uint64
+	ref  atomic.Bool // set by a hit, cleared by the passing hand
+}
+
+// lruTable is an open-addressing table of entries: linear probing from a
+// home slot, a power-of-two length, never more than half full, so every
+// probe ends at a nil slot. A published table is never written again; a
+// put or a sweep changes a copy, a pointer array of 4 KB per 256 entries.
+type lruTable[K comparable, V any] []*lruEntry[K, V]
+
+// home is h's first probe slot. The multiply spreads hashes whose low bits
+// all agree, as those of one shard do.
+func (t lruTable[K, V]) home(h uint64) int {
+	return int((h * 0x9E3779B97F4A7C15) >> (64 - bits.Len(uint(len(t)-1))))
+}
+
+// find returns key's entry, nil when the table holds none.
+func (t lruTable[K, V]) find(key *K, h uint64) *lruEntry[K, V] {
+	mask := len(t) - 1
+	for i := t.home(h); ; i = (i + 1) & mask {
+		if e := t[i]; e == nil || e.hash == h && e.key == *key {
+			return e
+		}
+	}
+}
+
+func (t lruTable[K, V]) insert(e *lruEntry[K, V]) {
+	mask := len(t) - 1
+	i := t.home(e.hash)
+	for t[i] != nil {
+		i = (i + 1) & mask
+	}
+	t[i] = e
+}
+
+// remove deletes e and shifts back each later entry of its run whose probe
+// passes the hole, so no probe stops early at it.
+func (t lruTable[K, V]) remove(e *lruEntry[K, V]) {
+	mask := len(t) - 1
+	i := t.home(e.hash)
+	for t[i] != e {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t[j] != nil; j = (j + 1) & mask {
+		if k := t.home(t[j].hash); (j-k)&mask >= (j-i)&mask { // i lies in [k, j)
+			t[i], i = t[j], j
+		}
+	}
+	t[i] = nil
 }
 
 type lruShard[K comparable, V any] struct {
+	table atomic.Pointer[lruTable[K, V]] // what hits read; len ≥ 2·capacity
+	// mu serializes puts and sweeps; hits never take it.
 	mu       sync.Mutex
 	capacity int
-	n        int // entries held
-	items    map[uint64]*lruEntry[K, V]
-	// head.next is most recently used; tail.prev least recently used.
-	head, tail lruEntry[K, V]
+	clock    []*lruEntry[K, V] // held entries, hand order; len ≤ capacity
+	hand     int
 
-	hits, misses, evictions uint64
+	evictions uint64
+	_         [64]byte // keeps this shard's mutex off the next one's table line
 }
 
 func (s *lruShard[K, V]) init(capacity int) {
 	s.capacity = capacity
-	s.items = make(map[uint64]*lruEntry[K, V], capacity)
-	s.head.next = &s.tail
-	s.tail.prev = &s.head
+	t := make(lruTable[K, V], 2<<bits.Len(uint(capacity-1)))
+	s.table.Store(&t)
+	s.clock = make([]*lruEntry[K, V], 0, capacity)
 }
 
-func (s *lruShard[K, V]) unlink(e *lruEntry[K, V]) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
-}
-
-func (s *lruShard[K, V]) pushFront(e *lruEntry[K, V]) {
-	e.next = s.head.next
-	e.prev = &s.head
-	e.next.prev = e
-	s.head.next = e
-}
-
-// touch makes e the most recently used entry; one that already is stays put.
-func (s *lruShard[K, V]) touch(e *lruEntry[K, V]) {
-	if s.head.next != e {
-		s.unlink(e)
-		s.pushFront(e)
-	}
-}
-
-// find returns key's entry, nil when the shard does not hold it.
+// find returns key's entry in the published table, nil when it holds none.
 func (s *lruShard[K, V]) find(key *K, h uint64) *lruEntry[K, V] {
-	e := s.items[h]
-	for e != nil && e.key != *key {
-		e = e.same
-	}
-	return e
-}
-
-// remove drops e from the recency list and from its hash chain.
-func (s *lruShard[K, V]) remove(e *lruEntry[K, V]) {
-	s.unlink(e)
-	s.n--
-	if p := s.items[e.hash]; p != e {
-		for p.same != e {
-			p = p.same
-		}
-		p.same = e.same
-	} else if e.same != nil {
-		s.items[e.hash] = e.same
-	} else {
-		delete(s.items, e.hash)
-	}
-}
-
-// get returns key's value and marks it most recently used; an absent key
-// counts as a miss only when countMiss is set.
-func (s *lruShard[K, V]) get(key *K, h uint64, countMiss bool) (V, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e := s.find(key, h)
-	if e == nil {
-		if countMiss {
-			s.misses++
-		}
-		var zero V
-		return zero, false
-	}
-	s.hits++
-	s.touch(e)
-	return e.val, true
+	return s.table.Load().find(key, h)
 }
 
 func (s *lruShard[K, V]) put(key *K, h uint64, val V) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.find(key, h); e != nil {
-		e.val = val
-		s.touch(e)
-		return
-	}
-	if s.n >= s.capacity {
-		s.remove(s.tail.prev)
+	t := slices.Clone(*s.table.Load())
+	e := &lruEntry[K, V]{key: *key, val: val, hash: h}
+	switch old := s.find(key, h); {
+	case old != nil:
+		// A replaced value counts as a use, as a hit would.
+		e.ref.Store(true)
+		t.remove(old)
+		s.clock[slices.Index(s.clock, old)] = e
+	case len(s.clock) < s.capacity:
+		s.clock = slices.Insert(s.clock, s.hand, e)
+		s.hand = (s.hand + 1) % len(s.clock)
+	default:
+		// Hits keep setting bits while the hand moves; after two turns
+		// the hand takes whatever it points at.
+		for turn := 0; s.clock[s.hand].ref.Load() && turn < 2*len(s.clock); turn++ {
+			s.clock[s.hand].ref.Store(false)
+			s.hand = (s.hand + 1) % len(s.clock)
+		}
+		t.remove(s.clock[s.hand])
 		s.evictions++
+		s.clock[s.hand] = e
+		s.hand = (s.hand + 1) % len(s.clock)
 	}
-	e := &lruEntry[K, V]{key: *key, val: val, hash: h, same: s.items[h]}
-	s.items[h] = e
-	s.n++
-	s.pushFront(e)
-}
-
-func (s *lruShard[K, V]) stats() (hits, misses, evictions uint64, entries int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses, s.evictions, s.n
+	t.insert(e)
+	s.table.Store(&t)
 }
 
 // cacheShards is the result cache's shard count, clamped to its capacity.
 const cacheShards = 16
 
-// shardedLRU distributes keys over shards by a caller-supplied hash.
+// shardedLRU distributes keys over CLOCK shards by a caller-supplied hash.
 type shardedLRU[K comparable, V any] struct {
-	shards []lruShard[K, V]
-	hash   func(K) uint64
+	shards       []lruShard[K, V]
+	hash         func(K) uint64
+	hits, misses obs.Counter
 }
 
 // newShardedLRU builds a cache holding up to capacity entries in total,
@@ -161,15 +176,30 @@ func (c *shardedLRU[K, V]) shard(h uint64) *lruShard[K, V] {
 	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// lookup is get for a caller that has hashed key already (h is c.hash of
-// it). With countMiss unset an absent key counts nothing: the caller will
-// look it up again before computing it (Answer's inline pass), and that
-// second lookup counts the miss, so every request is counted once.
-func (c *shardedLRU[K, V]) lookup(key *K, h uint64, countMiss bool) (V, bool) {
-	return c.shard(h).get(key, h, countMiss)
+// lookup returns key's value for a caller that has hashed key already (h
+// is c.hash of it) and counts the hit or miss on stripe st. With countMiss
+// unset an absent key counts nothing: the caller will look it up again
+// before computing it (Answer's inline pass), and that second lookup counts
+// the miss, so every request is counted once.
+func (c *shardedLRU[K, V]) lookup(key *K, h uint64, countMiss bool, st obs.Stripe) (V, bool) {
+	e := c.shard(h).find(key, h)
+	if e == nil {
+		if countMiss {
+			c.misses.Add(st, 1)
+		}
+		var zero V
+		return zero, false
+	}
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+	c.hits.Add(st, 1)
+	return e.val, true
 }
 
-func (c *shardedLRU[K, V]) get(key K) (V, bool) { return c.lookup(&key, c.hash(key), true) }
+func (c *shardedLRU[K, V]) get(key K) (V, bool) {
+	return c.lookup(&key, c.hash(key), true, obs.TakeStripe())
+}
 
 func (c *shardedLRU[K, V]) put(key K, val V) {
 	h := c.hash(key)
@@ -179,18 +209,33 @@ func (c *shardedLRU[K, V]) put(key K, val V) {
 // sweep visits every cached entry under the shard locks and removes those
 // for which drop reports true. It is the scoped-invalidation primitive:
 // unlike a flush, it removes exactly the entries drop condemns and leaves the
-// rest warm.
+// rest warm, in their clock order.
 func (c *shardedLRU[K, V]) sweep(drop func(K, V) bool) (dropped int) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for e := s.head.next; e != &s.tail; {
-			next := e.next
-			if drop(e.key, e.val) {
-				s.remove(e)
-				dropped++
+		// Turn the circle so the hand is at 0, then compact it in place.
+		slices.Reverse(s.clock[:s.hand])
+		slices.Reverse(s.clock[s.hand:])
+		slices.Reverse(s.clock)
+		s.hand = 0
+		var t lruTable[K, V]
+		kept := s.clock[:0]
+		for _, e := range s.clock {
+			if !drop(e.key, e.val) {
+				kept = append(kept, e)
+				continue
 			}
-			e = next
+			if t == nil {
+				t = slices.Clone(*s.table.Load())
+			}
+			t.remove(e)
+			dropped++
+		}
+		if t != nil {
+			clear(s.clock[len(kept):])
+			s.clock = kept
+			s.table.Store(&t)
 		}
 		s.mu.Unlock()
 	}
@@ -199,11 +244,11 @@ func (c *shardedLRU[K, V]) sweep(drop func(K, V) bool) (dropped int) {
 
 func (c *shardedLRU[K, V]) stats() (hits, misses, evictions uint64, entries int) {
 	for i := range c.shards {
-		h, m, e, n := c.shards[i].stats()
-		hits += h
-		misses += m
-		evictions += e
-		entries += n
+		s := &c.shards[i]
+		s.mu.Lock()
+		evictions += s.evictions
+		entries += len(s.clock)
+		s.mu.Unlock()
 	}
-	return hits, misses, evictions, entries
+	return c.hits.Load(), c.misses.Load(), evictions, entries
 }

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"math/rand"
 	"slices"
+	"sync"
 	"testing"
+	"time"
 )
 
 func identHash(k int) uint64 { return uint64(k) }
@@ -85,49 +88,147 @@ func TestLRUDegenerateSizes(t *testing.T) {
 	}
 }
 
-// TestLRUStrictUnderHitFastPath: a hit on the entry that is already the most
-// recent leaves the list alone, and a hit on an older one moves it to the
-// front, so the puts that follow evict exactly the strict-LRU victims in
-// order; hits, misses and evictions count as they always did. Keys sharing
-// one hash (here all of them, in one shard) are told apart by ==.
-func TestLRUStrictUnderHitFastPath(t *testing.T) {
+// TestClockEvictionOrder scripts puts and hits on a one-shard CLOCK of
+// three and checks the exact victims in order: a hit sets an entry's
+// reference bit, the hand clears set bits as it passes and evicts the first
+// entry whose bit is clear, and a new entry lands just behind the hand.
+// Strict LRU would evict 3 at the second put; its bit spares it, twice.
+// Keys sharing one hash (here all of them, in one shard) are told apart by
+// ==.
+func TestClockEvictionOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		hash func(int) uint64
 	}{{"distinct hashes", identHash}, {"one shared hash", func(int) uint64 { return 7 }}} {
 		c := newShardedLRU[int, int](3, 1, tc.hash)
+		held := func() (keys []int) { // counts nothing, sets no bit
+			for _, k := range []int{1, 2, 3, 100, 101, 102, 103} {
+				if c.shards[0].find(&k, tc.hash(k)) != nil {
+					keys = append(keys, k)
+				}
+			}
+			return keys
+		}
+		hit := func(k int) {
+			if v, ok := c.get(k); !ok || v != 10*k {
+				t.Fatalf("%s: get(%d) = %d,%v", tc.name, k, v, ok)
+			}
+		}
 		for k := 1; k <= 3; k++ {
 			c.put(k, 10*k)
 		}
-		// Recency, newest first: 3 2 1. Hits on the newest change nothing.
+		// Hand order from the hand: 1 2 3, no bit set.
 		for range 3 {
-			if v, ok := c.get(3); !ok || v != 30 {
-				t.Fatalf("%s: get(3) = %d,%v", tc.name, v, ok)
-			}
+			hit(3) // sets 3's bit once
 		}
-		// A hit on the oldest makes it the newest: 1 3 2; then on 2: 2 1 3.
-		for _, k := range []int{1, 2} {
-			if _, ok := c.get(k); !ok {
-				t.Fatalf("%s: get(%d) missed", tc.name, k)
-			}
-		}
+		hit(1)
 		if _, ok := c.get(9); ok {
 			t.Fatalf("%s: get(9) hit", tc.name)
 		}
-		// Each put now evicts the least recently used: 3, then 1, then 2.
-		victims := []int{3, 1, 2}
-		for i := range victims {
-			c.put(100+i, i)
-			for k := 1; k <= 3; k++ {
-				held := c.shards[0].find(&k, tc.hash(k)) != nil // counts nothing, moves nothing
-				if evicted := slices.Contains(victims[:i+1], k); held == evicted {
-					t.Fatalf("%s: after put %d key %d held=%v, want evicted=%v", tc.name, i, k, held, evicted)
-				}
+		for _, step := range []struct {
+			hitFirst int // key hit before the put, 0 for none
+			put      int
+			victim   int
+			want     []int
+		}{
+			{0, 100, 2, []int{1, 3, 100}},   // clears 1, evicts 2
+			{0, 101, 1, []int{3, 100, 101}}, // clears 3, evicts 1
+			{3, 102, 100, []int{3, 101, 102}},
+			{0, 103, 101, []int{3, 102, 103}}, // clears 3 again
+		} {
+			if step.hitFirst != 0 {
+				hit(step.hitFirst)
+			}
+			c.put(step.put, 10*step.put)
+			if got := held(); !slices.Equal(got, step.want) {
+				t.Fatalf("%s: after put %d held %v, want %v (victim %d)", tc.name, step.put, got, step.want, step.victim)
 			}
 		}
 		hits, misses, evictions, n := c.stats()
-		if hits != 5 || misses != 1 || evictions != 3 || n != 3 {
-			t.Fatalf("%s: hits=%d misses=%d evictions=%d entries=%d, want 5 1 3 3", tc.name, hits, misses, evictions, n)
+		if hits != 5 || misses != 1 || evictions != 4 || n != 3 {
+			t.Fatalf("%s: hits=%d misses=%d evictions=%d entries=%d, want 5 1 4 3", tc.name, hits, misses, evictions, n)
+		}
+	}
+}
+
+// TestHitTakesNoShardLock holds each shard's mutex, as a put or a sweep
+// would, and requires a hit and a miss on that shard to return anyway.
+func TestHitTakesNoShardLock(t *testing.T) {
+	c := newShardedLRU[int, int](16, 4, identHash)
+	for k := 0; k < 16; k++ {
+		c.put(k, k)
+	}
+	for i := range c.shards {
+		func() {
+			c.shards[i].mu.Lock()
+			defer c.shards[i].mu.Unlock()
+			done := make(chan bool)
+			go func() {
+				_, hit := c.get(i)
+				_, miss := c.get(i + 16)
+				done <- hit && !miss
+			}()
+			select {
+			case ok := <-done:
+				if !ok {
+					t.Fatalf("shard %d: want a hit on %d and a miss on %d", i, i, i+16)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("shard %d: a lookup waited on the shard mutex", i)
+			}
+		}()
+	}
+}
+
+// TestClockConcurrent races hits against puts and sweeps that republish the
+// shards' tables: every hit must read the value its key was put with, every
+// get is counted once, and afterwards each shard's clock and table hold
+// exactly the same entries. Run under -race it checks that a hit reads only
+// what a publish has finished writing.
+func TestClockConcurrent(t *testing.T) {
+	c := newShardedLRU[int, int](64, 4, identHash)
+	const workers, perWorker = 4, 20_000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				k := rng.Intn(128)
+				switch v, ok := c.get(k); {
+				case ok && v != k*k:
+					t.Errorf("get(%d) = %d", k, v)
+					return
+				case !ok:
+					c.put(k, k*k)
+				}
+				if w == 0 && i%500 == 0 {
+					c.sweep(func(k, _ int) bool { return k%7 == i%7 })
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	hits, misses, _, n := c.stats()
+	if hits+misses != workers*perWorker || n > 64 {
+		t.Fatalf("hits %d + misses %d != %d gets, or %d entries > 64", hits, misses, workers*perWorker, n)
+	}
+	for i := range c.shards {
+		s := &c.shards[i]
+		held := 0
+		for _, e := range *s.table.Load() {
+			if e != nil {
+				held++
+			}
+		}
+		if held != len(s.clock) {
+			t.Fatalf("shard %d: table holds %d entries, clock %d", i, held, len(s.clock))
+		}
+		for _, e := range s.clock {
+			if s.find(&e.key, e.hash) != e {
+				t.Fatalf("shard %d: clock entry %d is not in the table", i, e.key)
+			}
 		}
 	}
 }

@@ -10,7 +10,7 @@
 //     index: a query node whose coreness (or incident trussness) is below k
 //     provably has no community, so the engine answers ErrNoCommunity
 //     without running a search — for every method;
-//   - full Outcomes are held in a sharded LRU cache, keyed by the canonical
+//   - full Outcomes are held in a sharded CLOCK cache, keyed by the canonical
 //     query.Request;
 //   - concurrent identical queries are coalesced single-flight style, so the
 //     work happens once while every caller gets the answer.
@@ -224,7 +224,7 @@ func newEngine(cfg Config, st *engState) *Engine {
 	e := &Engine{
 		cfg:   cfg,
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
-		trace: obs.NewRing[Span](traceSpans),
+		trace: obs.NewStripedRing(traceSpans, func(s *Span) int64 { return s.StartNS + s.TotalNS }),
 	}
 	e.st.Store(st)
 	e.results = newShardedLRU[query.Request, *query.Outcome](
@@ -259,7 +259,7 @@ func (e *Engine) Query(ctx context.Context, req query.Request) (*query.Outcome, 
 // the outcome. The metrics row is valid on error paths too (Err is set).
 func (e *Engine) QueryWithMetrics(ctx context.Context, req query.Request) (*query.Outcome, QueryMetrics, error) {
 	var qm QueryMetrics
-	out, err := e.answer(ctx, &req, false, &qm)
+	out, err := e.answer(ctx, &req, false, &qm, obs.TakeStripe())
 	return out, qm, err
 }
 
@@ -271,8 +271,9 @@ var errUncached = errors.New("engine: not cached")
 // cachedOnly set, a request the result cache does not hold returns
 // errUncached and leaves nothing behind — no counter, histogram sample or
 // span — so Answer can answer what is cached inline and hand the rest to
-// the full path with every item still counted exactly once.
-func (e *Engine) answer(ctx context.Context, given *query.Request, cachedOnly bool, qm *QueryMetrics) (*query.Outcome, error) {
+// the full path with every item still counted exactly once. Every count,
+// sample and span the request records goes to stripe st.
+func (e *Engine) answer(ctx context.Context, given *query.Request, cachedOnly bool, qm *QueryMetrics, st obs.Stripe) (*query.Outcome, error) {
 	t0 := time.Now()
 	req := given.WithDefaults()
 	// Graph is routing metadata for multi-dataset servers; this engine IS
@@ -283,7 +284,7 @@ func (e *Engine) answer(ctx context.Context, given *query.Request, cachedOnly bo
 	// Validate/Options projection entirely; anything malformed misses and
 	// is rejected in miss before reaching the indexes. The lookup counts
 	// the request: Stats.Queries is the cache's hits plus misses.
-	out, hit := e.results.lookup(&req, requestHash(&req), !cachedOnly)
+	out, hit := e.results.lookup(&req, requestHash(&req), !cachedOnly, st)
 	if cachedOnly && !hit {
 		return nil, errUncached
 	}
@@ -297,7 +298,7 @@ func (e *Engine) answer(ctx context.Context, given *query.Request, cachedOnly bo
 		qm.Err = err.Error()
 		e.ctr.errors.Add(1)
 	}
-	e.recordQuery(RequestIDFromContext(ctx), t0, qm)
+	e.recordQuery(RequestIDFromContext(ctx), t0, qm, st)
 	return out, err
 }
 

@@ -7,9 +7,13 @@ package engine
 //
 // Histograms are obs.Histogram — the record path is two atomic adds, so
 // every stage of every request is recorded unconditionally. The trace ring
-// keeps the last traceSpans spans (request id, stage timings, cache
-// provenance) in fixed memory, readable at GET /debug/trace. The slow-query
-// log writes one JSON line per request slower than Config.SlowQuery.
+// keeps the newest traceSpans spans (request id, stage timings, cache
+// provenance) in fixed memory, readable at GET /debug/trace. Both are
+// striped: a request takes its obs.Stripe once and records every sample and
+// its span there, so requests on different cores write different cache
+// lines; the ring orders spans by their end (StartNS + TotalNS). The
+// slow-query log writes one JSON line per request slower than
+// Config.SlowQuery.
 
 import (
 	"context"
@@ -128,8 +132,9 @@ func (l LatencyStats) Summary() LatencySummary {
 	return out
 }
 
-// Latency snapshots every stage histogram at once: ≈2 000 atomic loads and
-// ≈16 KB copied, the price of a /stats or /metrics answer. Pollers that only
+// Latency snapshots every stage histogram at once: ≈14 000 atomic loads
+// (each histogram's ≈200 counters in each of its obs.Stripes) summed into
+// ≈16 KB, the price of a /stats or /metrics answer. Pollers that only
 // need a name, version or journal position (follower ticks, router probes)
 // must not pay it; LatencySnapshots lets tests hold them to that.
 func (e *Engine) Latency() LatencyStats {
@@ -180,7 +185,8 @@ func (e *Engine) Name() string {
 }
 
 // traceSpans is the span ring's capacity: the newest requests GET
-// /debug/trace can show, in fixed memory.
+// /debug/trace can show. Each stripe holds that many, so the newest are
+// always held, in fixed memory.
 const traceSpans = 256
 
 // Span is one request's trace record: correlation id, dataset attribution,
@@ -199,19 +205,19 @@ func (e *Engine) Trace(n int) []Span { return e.trace.Last(n) }
 
 // recordQuery is the per-request observability tail, called once per
 // QueryWithMetrics: stage histograms, the span ring, and the slow-query log.
-func (e *Engine) recordQuery(requestID string, start time.Time, qm *QueryMetrics) {
+func (e *Engine) recordQuery(requestID string, start time.Time, qm *QueryMetrics, st obs.Stripe) {
 	switch {
 	case qm.Shed:
 		// Shed requests get their own outcome series: their point is that
 		// they stay fast, and folding them into the miss histogram would
 		// fake a p50 improvement exactly when the node is overloaded.
-		e.lat[StageTotalShed].Observe(qm.TotalNS)
+		e.lat[StageTotalShed].ObserveAt(st, qm.TotalNS)
 	case qm.Coalesced:
-		e.lat[StageTotalCoalesced].Observe(qm.TotalNS)
+		e.lat[StageTotalCoalesced].ObserveAt(st, qm.TotalNS)
 	case qm.ResultHit:
-		e.lat[StageTotalHit].Observe(qm.TotalNS)
+		e.lat[StageTotalHit].ObserveAt(st, qm.TotalNS)
 	default:
-		e.lat[StageTotalMiss].Observe(qm.TotalNS)
+		e.lat[StageTotalMiss].ObserveAt(st, qm.TotalNS)
 	}
 	// Stage histograms only count requests where the stage actually ran:
 	// admission is skipped on a result-cache hit or a malformed request, and
@@ -219,10 +225,10 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm *QueryMetrics
 	// which the executing request already recorded.
 	ranSearch := qm.SearchNS > 0
 	if !qm.ResultHit && (qm.IndexHit || ranSearch || qm.Err == "") {
-		e.lat[StageAdmission].Observe(qm.IndexNS)
+		e.lat[StageAdmission].ObserveAt(st, qm.IndexNS)
 	}
 	if ranSearch && !qm.Coalesced {
-		e.lat[StageSearch].Observe(qm.SearchNS)
+		e.lat[StageSearch].ObserveAt(st, qm.SearchNS)
 	}
 
 	span := Span{
@@ -231,7 +237,7 @@ func (e *Engine) recordQuery(requestID string, start time.Time, qm *QueryMetrics
 		StartNS:      start.UnixNano(),
 		QueryMetrics: *qm,
 	}
-	e.trace.Add(span)
+	e.trace.AddAt(st, span)
 	if e.cfg.SlowQuery > 0 && qm.TotalNS >= e.cfg.SlowQuery.Nanoseconds() {
 		e.logSlow(span)
 	}
