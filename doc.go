@@ -269,12 +269,12 @@
 // epoch-stamped visited/membership sets reset by an epoch bump instead of
 // reallocation, reusable frontier/sampling buffers, the f(·,q) values a
 // search has evaluated (attr.View, which evaluates f on first touch), and the
-// sample of a search, kept on the graph's own node IDs with, under k-core,
-// its core grown by insertion (kcore.SampleCore) — so the substrate
-// operations of the sampling → extraction → estimation loop run with ~zero
-// allocations (CI-enforced by the BenchmarkSubstrate* guards) and a round
-// costs what it added to the sample, not the sample — under k-truss, what q
-// reaches in the sample, not the sample. A search evaluates f only at Gq, its
+// sample of a search, kept as a membership on the graph's own node IDs that
+// each model's extraction (kcore.MaximalSubIn, truss.MaximalSubIn) walks from
+// q — so the substrate operations of the sampling → extraction → estimation
+// loop run with ~zero allocations (CI-enforced by the BenchmarkSubstrate*
+// guards) and a round costs what q reaches in the sample, not the sample. A
+// search evaluates f only at Gq, its
 // frontier and its candidates: a million unreachable nodes change neither
 // its answer nor its work (TestPaddingAddsNoWork). The induced-subgraph
 // builder that writes into preallocated CSR arrays (graph.InducedStructureOf)

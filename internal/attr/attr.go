@@ -208,9 +208,15 @@ func (m *Metric) QueryDist(q graph.NodeID) []float64 {
 // so both give the same bits.
 type View struct {
 	m    *Metric
-	q    graph.NodeID
 	vals []float64
 	done *graph.NodeSet // nil: vals is a whole vector
+
+	// q's side of f, read once per view: its tokens, and its numerical
+	// attributes scaled (on the scratch). g is the metric's backing when it
+	// is a *graph.Graph, whose attribute reads then need no interface call.
+	qText []int32
+	qNum  []float64
+	g     *graph.Graph
 }
 
 // View starts a lazy view of f(·,q) on sc, in O(1) once sc has served a
@@ -219,7 +225,12 @@ func (m *Metric) View(q graph.NodeID, sc *ws.DistScratch) View {
 	n := m.g.NumNodes()
 	sc.Done.Reset(n)
 	sc.Vals = ws.F64(sc.Vals, n)
-	return View{m: m, q: q, vals: sc.Vals, done: &sc.Done}
+	sc.Q = ws.F64(sc.Q, m.g.NumDim())
+	for i, x := range m.g.NumAttrs(q) {
+		sc.Q[i] = m.norm.Scale(i, x)
+	}
+	g, _ := m.g.(*graph.Graph)
+	return View{m: m, vals: sc.Vals, done: &sc.Done, qText: m.g.TextAttrs(q), qNum: sc.Q, g: g}
 }
 
 // VectorView views dist, which holds f(v,q) for every node v.
@@ -228,9 +239,30 @@ func VectorView(dist []float64) View { return View{vals: dist} }
 // At returns f(v,q).
 func (f *View) At(v graph.NodeID) float64 {
 	if f.done != nil && f.done.Add(v) {
-		f.vals[v] = f.m.Distance(v, f.q)
+		f.vals[v] = f.distance(v)
 	}
 	return f.vals[v]
+}
+
+// distance is Metric.Distance(v, q) with q's side read once: the same float
+// operations in the same order, so the same bits.
+func (f *View) distance(v graph.NodeID) float64 {
+	var text []int32
+	var num []float64
+	if f.g != nil {
+		text, num = f.g.TextAttrs(v), f.g.NumAttrs(v)
+	} else {
+		text, num = f.m.g.TextAttrs(v), f.m.g.NumAttrs(v)
+	}
+	manhattan := 0.0
+	if d := len(f.qNum); d > 0 {
+		sum := 0.0
+		for i, x := range f.qNum {
+			sum += math.Abs(f.m.norm.Scale(i, num[i]) - x)
+		}
+		manhattan = sum / float64(d)
+	}
+	return f.m.gamma*JaccardTokens(text, f.qText) + (1-f.m.gamma)*manhattan
 }
 
 // Delta computes the q-centric attribute distance δ(H) of Definition 4: the

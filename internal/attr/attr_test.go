@@ -1,12 +1,14 @@
 package attr
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/ws"
 )
 
 // imdbFixture reproduces the node attributes of Figure 1 (v1..v5).
@@ -192,5 +194,47 @@ func TestPropertyDistanceRangeSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wrapped is a Store that is not a *graph.Graph, so a View reads it through
+// the interface.
+type wrapped struct{ *graph.Graph }
+
+// TestViewMatchesDistance: a lazy View's f(v,q) is Metric.Distance(v, q) bit
+// for bit, on random graphs with and without numerical dimensions, with
+// empty token sets, on a *graph.Graph backing and on any other Store.
+func TestViewMatchesDistance(t *testing.T) {
+	var sc ws.DistScratch
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n, dim := 2+rng.Intn(60), int(seed%4)
+		b := graph.NewBuilder(n, dim)
+		for v := range graph.NodeID(n) {
+			var toks []string
+			for range rng.Intn(5) { // none at all one time in five
+				toks = append(toks, fmt.Sprintf("t%d", rng.Intn(8)))
+			}
+			b.SetTextAttrs(v, toks...)
+			vals := make([]float64, dim)
+			for i := range vals {
+				vals[i] = float64(rng.Intn(5)) * rng.NormFloat64() // repeats and zero spans too
+			}
+			b.SetNumAttrs(v, vals...)
+		}
+		g := b.MustBuild()
+		for _, store := range []graph.Store{g, wrapped{g}} {
+			m, err := NewMetric(store, rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			q := graph.NodeID(rng.Intn(n))
+			f := m.View(q, &sc)
+			for _, v := range rng.Perm(n) {
+				if got, want := f.At(graph.NodeID(v)), m.Distance(graph.NodeID(v), q); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d dim %d %T: f(%d,%d) = %v, Distance %v", seed, dim, store, v, q, got, want)
+				}
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ package cohesive_test
 // behavioural contract, checked for k-core and k-truss.
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,25 +38,26 @@ func factories() []factory {
 			m := kcore.MaximalSub(g, q, 3, new(ws.Workspace))
 			return m, m != nil
 		}},
-		// The pooled constructor, on a scratch that has already served another
+		// The pooled extraction, on a workspace that has already served another
 		// universe: nothing of the first may be alive in the second.
 		{"kcore-pooled", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
-			var sc ws.KCoreScratch
+			w := new(ws.Workspace)
+			all := func(g *graph.Graph) *graph.NodeSet {
+				in := new(graph.NodeSet)
+				in.Reset(g.NumNodes())
+				for v := range graph.NodeID(g.NumNodes()) {
+					in.Add(v)
+				}
+				return in
+			}
 			other := randomDense(int64(q)+100, g.NumNodes())
 			for oq := graph.NodeID(0); int(oq) < other.NumNodes(); oq++ {
-				if first := kcore.MaximalConnectedKCore(other, oq, 3); first != nil {
-					if _, err := kcore.NewSubOn(&sc, other, oq, 3, first); err != nil {
-						return nil, false
-					}
+				if kcore.MaximalSubIn(context.Background(), other, oq, 3, all(other), w) != nil {
 					break
 				}
 			}
-			members := kcore.MaximalConnectedKCore(g, q, 3)
-			if members == nil {
-				return nil, false
-			}
-			m, err := kcore.NewSubOn(&sc, g, q, 3, members)
-			return m, err == nil
+			m := kcore.MaximalSubIn(context.Background(), g, q, 3, all(g), w)
+			return m, m != nil
 		}},
 		{"truss", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
 			members := truss.MaximalConnectedKTruss(g, q, 3)

@@ -302,11 +302,10 @@ func clamp01(x float64) float64 {
 	return x
 }
 
-// QueryNodes picks n deterministic query nodes among core members of
-// communities large enough to host a (k+1)-node community, mirroring how the
-// paper selects random query nodes that actually belong to k-cores.
-func (d *Generated) QueryNodes(n, k int, seed int64) []graph.NodeID {
-	rng := rand.New(rand.NewSource(seed))
+// Eligible lists, in community order, the core members of communities large
+// enough to host a (k+1)-node community that have degree at least k: the
+// nodes QueryNodes draws from.
+func (d *Generated) Eligible(k int) []graph.NodeID {
 	var eligible []graph.NodeID
 	for _, members := range d.Communities {
 		if len(members) < k+1 {
@@ -318,6 +317,15 @@ func (d *Generated) QueryNodes(n, k int, seed int64) []graph.NodeID {
 			}
 		}
 	}
+	return eligible
+}
+
+// QueryNodes picks n deterministic query nodes among the Eligible ones,
+// mirroring how the paper selects random query nodes that actually belong to
+// k-cores.
+func (d *Generated) QueryNodes(n, k int, seed int64) []graph.NodeID {
+	rng := rand.New(rand.NewSource(seed))
+	eligible := d.Eligible(k)
 	if len(eligible) == 0 {
 		eligible = append(eligible, 0)
 	}

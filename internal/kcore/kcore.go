@@ -4,6 +4,8 @@
 package kcore
 
 import (
+	"context"
+
 	"repro/internal/graph"
 	"repro/internal/ws"
 )
@@ -148,6 +150,111 @@ func MaximalSub(g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) *Sub 
 		// NewSub rejects only a member set that is not a k-core around q.
 		return nil
 	}
+	return s
+}
+
+// MaximalSubIn is MaximalSub over G[in] on w's scratch, the mirror of
+// truss.MaximalSubIn. It reads only what q reaches: a BFS from q through the
+// members of in whose degree in G[in] is at least k (R), a peel of R to its
+// k-core, and q's component of that in BFS order from q with neighbours in
+// g's order — MaximalConnectedKCoreInto's order on G[in]. That is exact: a
+// node below k in G[in] is in no k-core of it, and a k-core is the union of
+// its components' cores. The Sub is the one NewSub builds over that
+// component, on w.KCore and valid until the next one built there; w.Visited
+// and w.DegS are scratch. A cancelled ctx ends the reach with a nil result.
+func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
+	n, sc := g.NumNodes(), &w.KCore
+	resize(sc, n)
+	if !in.Has(q) {
+		return nil
+	}
+	// Reach: popping a member reads its list once, counts its degree in
+	// G[in] into cnt and, at k or more, queues its unseen members and joins
+	// R; below k it is out.
+	const out = -1
+	seen, cnt := &w.Visited, ws.I32(w.DegS, n)
+	w.DegS = cnt
+	seen.Reset(n)
+	seen.Add(q)
+	queue := append(sc.Comp[:0], q)
+	r := 0 // R is queue[:r], compacted as the BFS passes
+	for i := 0; i < len(queue); i++ {
+		if i&255 == 255 && ctx.Err() != nil {
+			sc.Comp = queue[:0]
+			return nil
+		}
+		x := queue[i]
+		nbrs := g.NeighborsInto(&w.NbrA, x)
+		d := int32(0)
+		for _, u := range nbrs {
+			if in.Has(u) {
+				d++
+			}
+		}
+		if int(d) < k {
+			cnt[x] = out
+			continue
+		}
+		cnt[x] = d
+		for _, u := range nbrs {
+			if in.Has(u) && seen.Add(u) {
+				queue = append(queue, u)
+			}
+		}
+		queue[r] = x
+		r++
+	}
+	reached := queue[:r]
+	sc.Comp = queue[:0]
+
+	// Peel: each node of R counts its neighbours in R, and one below k is
+	// stacked, as is one whose count drops to k−1; a popped node is out.
+	alive := func(u graph.NodeID) bool { return seen.Has(u) && cnt[u] != out }
+	stack := sc.Stack[:0]
+	for _, x := range reached {
+		d := int32(0)
+		for _, u := range g.NeighborsInto(&w.NbrA, x) {
+			if alive(u) {
+				d++
+			}
+		}
+		if cnt[x] = d; int(d) < k {
+			stack = append(stack, x)
+		}
+	}
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		cnt[x] = out
+		for _, u := range g.NeighborsInto(&w.NbrA, x) {
+			if alive(u) {
+				if cnt[u]--; int(cnt[u]) == k-1 {
+					stack = append(stack, u)
+				}
+			}
+		}
+	}
+	sc.Stack = stack
+	if cnt[q] == out {
+		return nil
+	}
+
+	// Order: q's component; a node's degree in the core is its degree in
+	// the component, which is what NewSub counts.
+	s := &Sub{g: g, k: k, q: q, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, sc: sc}
+	comp := append(sc.Universe[:0], q)
+	s.alive[q] = true
+	for i := 0; i < len(comp); i++ {
+		x := comp[i]
+		s.deg[x] = cnt[x]
+		for _, u := range g.NeighborsInto(&w.NbrA, x) {
+			if alive(u) && !s.alive[u] {
+				s.alive[u] = true
+				comp = append(comp, u)
+			}
+		}
+	}
+	sc.Universe, s.universe, s.size = comp, comp, len(comp)
 	return s
 }
 

@@ -31,20 +31,8 @@ type Sub struct {
 // already form a connected k-core containing q (e.g. the output of
 // MaximalConnectedKCore). The structure owns its arrays.
 func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
-	return NewSubOn(new(ws.KCoreScratch), g, q, k, members)
-}
-
-// NewSubOn is NewSub with every array drawn from sc, sized to the graph once
-// and reused: the returned Sub is valid until the next NewSubOn on sc, which
-// clears the flags this one leaves behind.
-func NewSubOn(sc *ws.KCoreScratch, g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
-	if n := g.NumNodes(); len(sc.Alive) < n {
-		sc.Alive, sc.Mark, sc.Deg = make([]bool, n), make([]bool, n), make([]int32, n)
-	} else {
-		for _, v := range sc.Universe {
-			sc.Alive[v] = false
-		}
-	}
+	sc := new(ws.KCoreScratch)
+	resize(sc, g.NumNodes())
 	sc.Universe = append(sc.Universe[:0], members...)
 	s := &Sub{g: g, k: k, q: q, universe: sc.Universe, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, sc: sc}
 	for _, v := range members {
@@ -67,6 +55,19 @@ func NewSubOn(sc *ws.KCoreScratch, g graph.Adjacency, q graph.NodeID, k int, mem
 	}
 	s.size = len(members)
 	return s, nil
+}
+
+// resize sizes sc's per-node arrays to a graph of n nodes and clears the
+// flags the previous structure on sc left behind, emptying its universe.
+func resize(sc *ws.KCoreScratch, n int) {
+	if len(sc.Alive) < n {
+		sc.Alive, sc.Mark, sc.Deg = make([]bool, n), make([]bool, n), make([]int32, n)
+	} else {
+		for _, v := range sc.Universe {
+			sc.Alive[v] = false
+		}
+	}
+	sc.Universe = sc.Universe[:0]
 }
 
 // Query returns the query node.

@@ -21,11 +21,11 @@ import (
 	"repro/internal/ws"
 )
 
-// The frontier heap is a hand-rolled binary min-heap over ws.NodeDist with
-// exactly container/heap's sift rules, so pop order (and therefore every
-// sampling outcome for a fixed seed) is identical to the historical
-// container/heap implementation — without the per-push interface boxing
-// allocation.
+// The frontier heap is a hand-rolled binary min-heap over ws.NodeDist that
+// puts every element where container/heap's sift rules put it, so pop order
+// (and therefore every sampling outcome for a fixed seed) is identical to the
+// historical container/heap implementation — without the per-push interface
+// boxing allocation.
 
 func heapPush(h []ws.NodeDist, x ws.NodeDist) []ws.NodeDist {
 	h = append(h, x)
@@ -41,27 +41,38 @@ func heapPush(h []ws.NodeDist, x ws.NodeDist) []ws.NodeDist {
 	return h
 }
 
+// heapPop removes the minimum by Floyd's method: the hole left at the root
+// walks down to a leaf along the smaller child (the left one on a tie),
+// moving each child up, and the last element x climbs back from that leaf
+// while its parent is not below x. The children along the walk never
+// decrease, so x stops where sifting it down from the root stops — the
+// container/heap position, ties included — at about one comparison per
+// level instead of two.
 func heapPop(h []ws.NodeDist) ([]ws.NodeDist, ws.NodeDist) {
 	n := len(h) - 1
-	h[0], h[n] = h[n], h[0]
-	// Sift down over h[:n].
+	top, x := h[0], h[n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h[j2].D < h[j1].D {
+		if j2 := j + 1; j2 < n && h[j2].D < h[j].D {
 			j = j2
 		}
-		if !(h[j].D < h[i].D) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
-	return h[:n], h[n]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].D < x.D {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	return h[:n], top
 }
 
 // BuildGqView expands a best-first search from q, always visiting the

@@ -33,24 +33,34 @@ func (h *refHeap) Pop() interface{} {
 
 // TestHeapMatchesContainerHeap drives both heaps with the same random
 // push/pop schedule and demands identical pop order — the property that
-// keeps BuildGqInto's output stable across the substrate rewrite.
+// keeps BuildGqInto's output stable across the substrate rewrite. The
+// tie-heavy leg draws keys from a handful of values, where which of two
+// equal keys pops first depends on every sift decision.
 func TestHeapMatchesContainerHeap(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var ours []ws.NodeDist
-	ref := &refHeap{}
-	for step := 0; step < 5000; step++ {
-		if len(ours) == 0 || rng.Intn(3) != 0 {
-			v, d := graph.NodeID(rng.Intn(1000)), rng.Float64()
-			ours = heapPush(ours, ws.NodeDist{V: v, D: d})
-			heap.Push(ref, refEntry{v, d})
-		} else {
-			var got ws.NodeDist
-			ours, got = heapPop(ours)
-			want := heap.Pop(ref).(refEntry)
-			if got.V != want.v || got.D != want.d {
-				t.Fatalf("step %d: pop (%d,%v), want (%d,%v)", step, got.V, got.D, want.v, want.d)
+	run := func(t *testing.T, rng *rand.Rand, steps int, key func() float64) {
+		var ours []ws.NodeDist
+		ref := &refHeap{}
+		for step := 0; step < steps; step++ {
+			if len(ours) == 0 || rng.Intn(3) != 0 {
+				v, d := graph.NodeID(rng.Intn(1000)), key()
+				ours = heapPush(ours, ws.NodeDist{V: v, D: d})
+				heap.Push(ref, refEntry{v, d})
+			} else {
+				var got ws.NodeDist
+				ours, got = heapPop(ours)
+				want := heap.Pop(ref).(refEntry)
+				if got.V != want.v || got.D != want.d {
+					t.Fatalf("step %d: pop (%d,%v), want (%d,%v)", step, got.V, got.D, want.v, want.d)
+				}
 			}
 		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	run(t, rng, 5000, rng.Float64)
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		values := 1 + rng.Intn(6)
+		run(t, rng, 1000, func() float64 { return float64(rng.Intn(values)) })
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,12 +38,27 @@ type goldenRound struct {
 	DeltaS     int
 }
 
-// goldenAnswers runs the 64 fixed (q, seed) searches of one model on twitch
-// at scale 0.25 and returns them as one JSON object per line, floats in Go's
-// shortest round-tripping form — so equal bytes mean bit-equal answers.
-func goldenAnswers(t *testing.T, model Model, k int) []byte {
+// twitchNodes are the 64 query nodes of the twitch goldens.
+func twitchNodes(d *dataset.Generated, k int) []graph.NodeID { return d.QueryNodes(64, k, 13) }
+
+// coldCoreNodes are the first 32 query nodes of the benchmark's cold-core
+// workload, whose i-th request at seed 1 has SEA seed 1_000_004 + i: the
+// Eligible nodes shuffled by a generator seeded 7. On twitter at scale 1.0
+// their Gq is a small part of the graph, a regime the twitch goldens (Gq is
+// all of it) never reach.
+func coldCoreNodes(d *dataset.Generated, k int) []graph.NodeID {
+	el := d.Eligible(k)
+	rand.New(rand.NewSource(7)).Shuffle(len(el), func(i, j int) { el[i], el[j] = el[j], el[i] })
+	return el[:32]
+}
+
+// goldenAnswers runs one model's searches on a generated dataset, for the
+// i-th query node with SEA seed seed0+i, and returns them as one JSON object
+// per line, floats in Go's shortest round-tripping form — so equal bytes
+// mean bit-equal answers.
+func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset.Generated, int) []graph.NodeID, seed0 int64, model Model, k int) []byte {
 	t.Helper()
-	d, err := dataset.Homogeneous("twitch", 0.25)
+	d, err := dataset.Homogeneous(name, scale)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,8 +70,8 @@ func goldenAnswers(t *testing.T, model Model, k int) []byte {
 	opts.Model = model
 	opts.K = k
 	var out bytes.Buffer
-	for i, q := range d.QueryNodes(64, k, 13) {
-		opts.Seed = int64(1000 + i)
+	for i, q := range nodes(d, k) {
+		opts.Seed = seed0 + int64(i)
 		a := goldenAnswer{Q: q, Seed: opts.Seed}
 		res, err := search(d.Graph, m, q, opts)
 		switch {
@@ -86,21 +102,28 @@ func goldenAnswers(t *testing.T, model Model, k int) []byte {
 // at commit 4a5ddf3 (before the one-pass k-truss extraction, which kept them
 // byte for byte) and re-recorded once, when BLB started drawing from the
 // search's own generator and the loop stopped running rounds with nothing to
-// draw. A deliberate change of the algorithm's trajectory re-records them:
+// draw. The twitter file was recorded before the k-core round stopped
+// maintaining the whole sample's core. A deliberate change of the
+// algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {
 	for _, tc := range []struct {
-		file  string
-		model Model
-		k     int
+		file    string
+		dataset string
+		scale   float64
+		nodes   func(*dataset.Generated, int) []graph.NodeID
+		seed0   int64
+		model   Model
+		k       int
 	}{
-		{"golden-twitch-truss-k5.json", KTruss, 5},
-		{"golden-twitch-core-k6.json", KCore, 6},
+		{"golden-twitch-truss-k5.json", "twitch", 0.25, twitchNodes, 1000, KTruss, 5},
+		{"golden-twitch-core-k6.json", "twitch", 0.25, twitchNodes, 1000, KCore, 6},
+		{"golden-twitter-core-k6.json", "twitter", 1.0, coldCoreNodes, 1_000_004, KCore, 6},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
-			got := goldenAnswers(t, tc.model, tc.k)
+			got := goldenAnswers(t, tc.dataset, tc.scale, tc.nodes, tc.seed0, tc.model, tc.k)
 			if *updateGolden {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)

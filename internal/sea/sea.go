@@ -262,18 +262,12 @@ type seaRun struct {
 	// w is the pooled scratch substrate threaded through every hot loop:
 	// stamped visited/membership sets, the evaluated f values, the frontier
 	// heap and visited set of Gq's expansion, sampling keys, the sample's
-	// membership and core and the round's maintainer, and the round loop's
-	// own population/sample/candidate buffers. What a warm search still
+	// membership and the round's maintainer, and the round loop's own
+	// population/sample/candidate buffers. What a warm search still
 	// allocates is the generator, each round's maintainer header, three
 	// small buffers per BLB call, the removed-node lists of the peel and the
 	// returned community.
 	w *ws.Workspace
-	// core is the sample's K-core on g's own node IDs, maintained by
-	// insertion beside the sample's membership (w.Sampled). Only the k-core
-	// model has one: a k-truss lies inside the (k−1)-core of the sample, so
-	// the truss extraction finds the same truss in the sample itself, and a
-	// k-truss round keeps the membership alone.
-	core kcore.SampleCore
 
 	res Result
 }
@@ -327,11 +321,7 @@ func (s *seaRun) run() (*Result, error) {
 	}
 	sample := sampling.WeightedSampleInto(s.w.Sample[:0], gq, probs, sampleSize, s.q, s.rng, s.w)
 	s.w.Sample = sample // keep the backing array pooled even on round-1 exits
-	if s.opts.Model == KTruss {
-		s.w.Sampled.Reset(s.g.NumNodes())
-	} else {
-		s.core = kcore.NewSampleCore(s.g, s.opts.K, s.w)
-	}
+	s.w.Sampled.Reset(s.g.NumNodes())
 	s.res.Steps.Sampling += time.Since(t0)
 
 	var lastMoE, lastTarget float64
@@ -476,38 +466,27 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 	return sampling.WeightedSampleInto(sample, restNodes, restProbs, deltaS, -1, s.rng, s.w)
 }
 
-// extract inserts added into the sample and returns the maintenance
-// structure over the model's maximal connected structure containing q in the
-// subgraph the sample induces, valid until the next extract, or nil when
-// there is none or ctx was cancelled. The k-truss round adds to the sample's
-// membership and hands it to truss.MaximalSubIn, which indexes only what q
-// reaches in it over edges closing k−2 triangles: when the sample around q
-// joins a component of thousands of nodes, that is still the few dozen
-// around q, and neither the component nor a core of it is ever walked. The
-// k-core round repairs the sample's core, and q's component of it, in BFS
-// order from q, is the maintainer's universe.
+// extract adds added to the sample's membership (w.Sampled) and returns the
+// maintenance structure over the model's maximal connected structure
+// containing q in the subgraph the sample induces, valid until the next
+// extract, or nil when there is none or ctx was cancelled. Both models read
+// only what q reaches in the sample: kcore.MaximalSubIn walks the members
+// whose degree in the sample is at least k, truss.MaximalSubIn the edges
+// closing k−2 triangles in it. When the sample around q joins a component of
+// thousands of nodes, that is still the few dozen around q, and neither the
+// component nor a core of it is ever walked.
 func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	t1 := time.Now()
 	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
+	for _, v := range added {
+		s.w.Sampled.Add(v)
+	}
+	// A nil *Sub must come back as a nil interface.
 	if s.opts.Model == KTruss {
-		for _, v := range added {
-			s.w.Sampled.Add(v)
-		}
-		// A nil *Sub must come back as a nil interface.
 		if maint := truss.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, &s.w.Sampled, s.w); maint != nil {
 			return maint
 		}
-		return nil
-	}
-	if s.core.Insert(s.ctx, added) != nil {
-		return nil
-	}
-	comp := s.core.ComponentInto(s.w.Nodes[:0], s.q)
-	if comp == nil {
-		return nil
-	}
-	s.w.Nodes = comp[:0]
-	if maint, err := kcore.NewSubOn(&s.w.KCore, s.g, s.q, s.opts.K, comp); err == nil {
+	} else if maint := kcore.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, &s.w.Sampled, s.w); maint != nil {
 		return maint
 	}
 	return nil

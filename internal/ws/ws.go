@@ -10,10 +10,9 @@
 // reallocation), a best-first frontier heap, weighted-sampling key arrays,
 // int32 quadruples for the bin-sort core decomposition, a DistScratch
 // holding the f(·,q) values a search has evaluated so far, the membership of
-// a search's sample and, beside it under the k-core model, a
-// SampleCoreScratch with the sample's core on the graph's own node IDs, and
-// a KCoreScratch and a TrussScratch holding the maintainer of a round (for
-// k-truss also the edge index, supports, peel state and rollback logs). No
+// a search's sample, and a KCoreScratch and a TrussScratch holding the
+// maintainer of a round (for k-truss also the edge index, supports, peel
+// state and rollback logs). No
 // serving path induces a subgraph any more: graph.InducedStructureOf,
 // graph.SubScratch and Workspace.Sub are kept for benchmark/trace.go's
 // primitive timings and as the reference the tests hold the incremental
@@ -88,37 +87,26 @@ type Workspace struct {
 	Sub graph.SubScratch
 
 	// Sampled is the membership of a search's sample, by the graph's node
-	// IDs. Under the k-core model kcore.SampleCore adds to it and keeps the
-	// sample's core beside it; a k-truss round adds to it directly and
-	// hands it to the truss extraction.
+	// IDs. A round adds what it drew and hands it to the model's extraction
+	// (kcore.MaximalSubIn, truss.MaximalSubIn).
 	Sampled graph.NodeSet
 
-	// Dist backs a search's lazy view of f(·,q), SampleCore the sample's
-	// maintained core, KCore and Truss the maintainer of a round. Unlike the
-	// buffers above, these belong to the structure built on them until the
-	// next one is built there.
-	Dist       DistScratch
-	SampleCore SampleCoreScratch
-	KCore      KCoreScratch
-	Truss      TrussScratch
+	// Dist backs a search's lazy view of f(·,q), KCore and Truss the
+	// maintainer of a round. Unlike the buffers above, these belong to the
+	// structure built on them until the next one is built there.
+	Dist  DistScratch
+	KCore KCoreScratch
+	Truss TrussScratch
 }
 
 // DistScratch holds attr.View's lazy f(·,q): the nodes evaluated so far and
-// each one's value. Starting a search bumps one epoch. The zero value is
-// ready to use; package attr owns the layout.
+// each one's value, and q's scaled numerical attributes. Starting a search
+// bumps one epoch. The zero value is ready to use; package attr owns the
+// layout.
 type DistScratch struct {
 	Done graph.NodeSet
 	Vals []float64 // per node: f(v,q); valid for members of Done
-}
-
-// SampleCoreScratch holds kcore.SampleCore: each sampled node's degree
-// within the sample (Workspace.Sampled) and the sample's core, by the
-// graph's node IDs. Starting a search bumps two epochs. The zero value is
-// ready to use; package kcore owns the layout.
-type SampleCoreScratch struct {
-	Core  graph.NodeSet
-	Deg   []int32        // per node: sampled neighbours; valid for sampled nodes
-	Queue []graph.NodeID // candidates of one insertion, in discovery order
+	Q    []float64 // per dimension: q's attribute, normalized
 }
 
 // KCoreScratch holds every array of one k-core maintainer (kcore.Sub), one
@@ -129,7 +117,7 @@ type KCoreScratch struct {
 	Universe    []graph.NodeID // the maintainer's member order
 	Alive, Mark []bool         // per node; Mark is all false between calls
 	Deg         []int32        // per node: alive neighbours; valid for alive nodes
-	Stack, Comp []graph.NodeID // cascade work stack, BFS queue of the query's component
+	Stack, Comp []graph.NodeID // cascade stack, component BFS queue; MaximalSubIn's peel stack, reach queue
 	Nbr         []graph.NodeID // neighbor-decode scratch for non-aliasing backings
 }
 

@@ -171,9 +171,9 @@ func TestOneGeneratorPerSearch(t *testing.T) {
 }
 
 // TestSEAHasOneExtractionPath keeps SEA's way from a sample to a maintainer
-// single: the sample's core is maintained on the graph's own node IDs
-// (kcore.SampleCore), so no non-test file of internal/sea induces a subgraph
-// or maps induced IDs back. graph.InducedStructureOf stays, as the reference
+// single: both models extract from the sample's membership on the graph's
+// own node IDs (kcore.MaximalSubIn, truss.MaximalSubIn), so no non-test file
+// of internal/sea induces a subgraph or maps induced IDs back. graph.InducedStructureOf stays, as the reference
 // the tests compare against and for benchmark/trace.go.
 func TestSEAHasOneExtractionPath(t *testing.T) {
 	for _, path := range sourceFiles(t, "sea") {
@@ -183,7 +183,7 @@ func TestSEAHasOneExtractionPath(t *testing.T) {
 		}
 		for _, name := range []string{"InducedStructureOf", "identityMap"} {
 			if strings.Contains(string(src), name) {
-				t.Errorf("%s names %s; extraction goes through the maintained sample core", filepath.ToSlash(path), name)
+				t.Errorf("%s names %s; extraction reads the sample's membership", filepath.ToSlash(path), name)
 			}
 		}
 	}
