@@ -212,11 +212,9 @@ type View struct {
 	done *graph.NodeSet // nil: vals is a whole vector
 
 	// q's side of f, read once per view: its tokens, and its numerical
-	// attributes scaled (on the scratch). g is the metric's backing when it
-	// is a *graph.Graph, whose attribute reads then need no interface call.
+	// attributes scaled (on the scratch).
 	qText []int32
 	qNum  []float64
-	g     *graph.Graph
 }
 
 // View starts a lazy view of f(·,q) on sc, in O(1) once sc has served a
@@ -229,8 +227,7 @@ func (m *Metric) View(q graph.NodeID, sc *ws.DistScratch) View {
 	for i, x := range m.g.NumAttrs(q) {
 		sc.Q[i] = m.norm.Scale(i, x)
 	}
-	g, _ := m.g.(*graph.Graph)
-	return View{m: m, vals: sc.Vals, done: &sc.Done, qText: m.g.TextAttrs(q), qNum: sc.Q, g: g}
+	return View{m: m, vals: sc.Vals, done: &sc.Done, qText: m.g.TextAttrs(q), qNum: sc.Q}
 }
 
 // VectorView views dist, which holds f(v,q) for every node v.
@@ -247,13 +244,7 @@ func (f *View) At(v graph.NodeID) float64 {
 // distance is Metric.Distance(v, q) with q's side read once: the same float
 // operations in the same order, so the same bits.
 func (f *View) distance(v graph.NodeID) float64 {
-	var text []int32
-	var num []float64
-	if f.g != nil {
-		text, num = f.g.TextAttrs(v), f.g.NumAttrs(v)
-	} else {
-		text, num = f.m.g.TextAttrs(v), f.m.g.NumAttrs(v)
-	}
+	num := f.m.g.NumAttrs(v)
 	manhattan := 0.0
 	if d := len(f.qNum); d > 0 {
 		sum := 0.0
@@ -262,7 +253,7 @@ func (f *View) distance(v graph.NodeID) float64 {
 		}
 		manhattan = sum / float64(d)
 	}
-	return f.m.gamma*JaccardTokens(text, f.qText) + (1-f.m.gamma)*manhattan
+	return f.m.gamma*JaccardTokens(f.m.g.TextAttrs(v), f.qText) + (1-f.m.gamma)*manhattan
 }
 
 // Delta computes the q-centric attribute distance δ(H) of Definition 4: the

@@ -197,13 +197,9 @@ func TestPropertyDistanceRangeSymmetry(t *testing.T) {
 	}
 }
 
-// wrapped is a Store that is not a *graph.Graph, so a View reads it through
-// the interface.
-type wrapped struct{ *graph.Graph }
-
 // TestViewMatchesDistance: a lazy View's f(v,q) is Metric.Distance(v, q) bit
-// for bit, on random graphs with and without numerical dimensions, with
-// empty token sets, on a *graph.Graph backing and on any other Store.
+// for bit, on random graphs with and without numerical dimensions, and with
+// empty token sets.
 func TestViewMatchesDistance(t *testing.T) {
 	var sc ws.DistScratch
 	for seed := int64(0); seed < 60; seed++ {
@@ -223,17 +219,15 @@ func TestViewMatchesDistance(t *testing.T) {
 			b.SetNumAttrs(v, vals...)
 		}
 		g := b.MustBuild()
-		for _, store := range []graph.Store{g, wrapped{g}} {
-			m, err := NewMetric(store, rng.Float64())
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := graph.NodeID(rng.Intn(n))
-			f := m.View(q, &sc)
-			for _, v := range rng.Perm(n) {
-				if got, want := f.At(graph.NodeID(v)), m.Distance(graph.NodeID(v), q); math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("seed %d dim %d %T: f(%d,%d) = %v, Distance %v", seed, dim, store, v, q, got, want)
-				}
+		m, err := NewMetric(g, rng.Float64())
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := graph.NodeID(rng.Intn(n))
+		f := m.View(q, &sc)
+		for _, v := range rng.Perm(n) {
+			if got, want := f.At(graph.NodeID(v)), m.Distance(graph.NodeID(v), q); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d dim %d: f(%d,%d) = %v, Distance %v", seed, dim, v, q, got, want)
 			}
 		}
 	}

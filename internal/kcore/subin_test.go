@@ -138,3 +138,31 @@ func TestMaximalSubInMatchesScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestReachStopsOnCancel: the reach can span a whole core, so it checks ctx
+// between blocks of nodes. Here it would span all of a 2 000-node ring that
+// is one 8-core. A cancelled round returns nil and leaves the workspace
+// ready for the next one.
+func TestReachStopsOnCancel(t *testing.T) {
+	const n = 2000
+	b := graph.NewBuilder(n, 0)
+	var in graph.NodeSet
+	in.Reset(n)
+	for v := range n {
+		for j := 1; j <= 4; j++ {
+			b.AddEdge(graph.NodeID(v), graph.NodeID((v+j)%n))
+		}
+		in.Add(graph.NodeID(v))
+	}
+	g := b.MustBuild()
+	w := ws.Get()
+	defer w.Release()
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	if s := MaximalSubIn(ctx, g, 0, 6, &in, w); s != nil {
+		t.Fatalf("cancelled extraction returned %d nodes", s.Size())
+	}
+	if s := MaximalSubIn(t.Context(), g, 0, 6, &in, w); s == nil || s.Size() != n {
+		t.Fatal("the ring is one 8-core")
+	}
+}

@@ -41,16 +41,19 @@ type goldenRound struct {
 // twitchNodes are the 64 query nodes of the twitch goldens.
 func twitchNodes(d *dataset.Generated, k int) []graph.NodeID { return d.QueryNodes(64, k, 13) }
 
-// coldCoreNodes are the first 32 query nodes of the benchmark's cold-core
-// workload, whose i-th request at seed 1 has SEA seed 1_000_004 + i: the
-// Eligible nodes shuffled by a generator seeded 7. On twitter at scale 1.0
-// their Gq is a small part of the graph, a regime the twitch goldens (Gq is
-// all of it) never reach.
-func coldCoreNodes(d *dataset.Generated, k int) []graph.NodeID {
+// population is the benchmark's query order for a cold workload at k: the
+// Eligible nodes shuffled by a generator seeded 7.
+func population(d *dataset.Generated, k int) []graph.NodeID {
 	el := d.Eligible(k)
 	rand.New(rand.NewSource(7)).Shuffle(len(el), func(i, j int) { el[i], el[j] = el[j], el[i] })
-	return el[:32]
+	return el
 }
+
+// coldCoreNodes are the first 32 query nodes of the benchmark's cold-core
+// workload, whose i-th request at seed 1 has SEA seed 1_000_004 + i. On
+// twitter at scale 1.0 their Gq is a small part of the graph, a regime the
+// twitch goldens (Gq is all of it) never reach.
+func coldCoreNodes(d *dataset.Generated, k int) []graph.NodeID { return population(d, k)[:32] }
 
 // goldenAnswers runs one model's searches on a generated dataset, for the
 // i-th query node with SEA seed seed0+i, and returns them as one JSON object

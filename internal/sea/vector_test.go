@@ -4,12 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 )
 
 // TestVectorPathMatchesLazy holds SearchWithDistContext to SearchContext on
@@ -44,21 +42,7 @@ func TestVectorPathMatchesLazy(t *testing.T) {
 		model Model
 		k     int
 	}{{KTruss, 5}, {KCore, 6}} {
-		// The benchmark's population: core members of planted communities
-		// that can host a (k+1)-node community, with degree ≥ k, shuffled
-		// with seed 7.
-		var nodes []graph.NodeID
-		for _, members := range d.Communities {
-			if len(members) < mk.k+1 {
-				continue
-			}
-			for _, v := range members {
-				if d.IsCore[v] && g.Degree(v) >= mk.k {
-					nodes = append(nodes, v)
-				}
-			}
-		}
-		rand.New(rand.NewSource(7)).Shuffle(len(nodes), func(i, j int) { nodes[i], nodes[j] = nodes[j], nodes[i] })
+		nodes := population(d, mk.k)
 		opts := DefaultOptions()
 		opts.Model, opts.K = mk.model, mk.k
 		for i := range requests {

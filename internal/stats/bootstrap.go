@@ -17,11 +17,10 @@ func bootstrapNInto(values []float64, resampleN, r int, rng *rand.Rand, means []
 		return 0, 0
 	}
 	means = means[:r]
-	bound := intnBound(n)
 	for i := 0; i < r; i++ {
 		sum := 0.0
 		for j := 0; j < resampleN; j++ {
-			sum += values[intn(rng, int32(n), bound)]
+			sum += values[rng.Intn(n)]
 		}
 		means[i] = sum / float64(resampleN)
 	}
@@ -36,24 +35,6 @@ func bootstrapNInto(values []float64, resampleN, r int, rng *rand.Rand, means []
 	}
 	sigma = math.Sqrt(ss / float64(r-1))
 	return mean, sigma
-}
-
-// intnBound is rng.Intn(n)'s rejection bound for 0 < n < 2³¹ (a resample
-// draws from a little subsample, far below that): Intn redraws an Int31
-// above it and returns the first one that is not, modulo n. For a power of
-// two the bound is 2³¹−1, so nothing is redrawn, and the modulo is Intn's
-// mask. A caller drawing many times from one n computes it once, which
-// saves a division per draw.
-func intnBound(n int) int32 { return int32(1<<31 - 1 - (1<<31)%uint32(n)) }
-
-// intn is rng.Intn(n) with its bound given: the same value from the same
-// stream.
-func intn(rng *rand.Rand, n, bound int32) int32 {
-	v := rng.Int31()
-	for v > bound {
-		v = rng.Int31()
-	}
-	return v % n
 }
 
 // BLBConfig configures a Bag of Little Bootstraps estimation.

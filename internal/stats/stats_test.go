@@ -303,20 +303,3 @@ func TestMeanStdDev(t *testing.T) {
 		t.Error("degenerate inputs")
 	}
 }
-
-// TestIntnMatchesRand: with its bound computed once, intn draws what
-// rng.Intn draws from the same seeded stream: for n = 1, for powers of two,
-// and for n just past a power of two, where the bound rejects most.
-func TestIntnMatchesRand(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7, 8, 1000, 1<<20 + 1, 1<<30 + 1} {
-		for seed := int64(0); seed < 4; seed++ {
-			want, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			bound := intnBound(n)
-			for i := 0; i < 10000; i++ {
-				if w, g := want.Intn(n), intn(got, int32(n), bound); int(g) != w {
-					t.Fatalf("n %d seed %d draw %d: %d, rng.Intn %d", n, seed, i, g, w)
-				}
-			}
-		}
-	}
-}
