@@ -25,8 +25,10 @@
 // Registered methods (Request.Method / NewSearcher):
 //
 //   - MethodSEA — the index-free sampling-estimation pipeline (§V), fast,
-//     with a Bag-of-Little-Bootstraps confidence interval certifying the
-//     relative error of the reported attribute distance (Theorem 11);
+//     with a confidence interval certifying the relative error of the
+//     reported attribute distance (Theorem 11): the closed form, z·σ̂/√n,
+//     of the margin the paper's Bag of Little Bootstraps estimates by
+//     resampling;
 //   - MethodExact — the branch-and-bound baseline with the paper's three
 //     pruning strategies (§IV); Request.MaxStates bounds the search tree,
 //     returning the best-so-far with ErrBudgetExhausted;
@@ -284,25 +286,27 @@
 // a twitch k-truss search 617 KB while BLB seeded a generator per subsample
 // and the loop repeated rounds that had nothing to draw; 1 449 and 199 KB
 // without those rounds; 405 and 27 KB since BLB draws from the search's
-// generator; 60 and 18 KB since the k-core maintainer's arrays are pooled.
+// generator; 60 and 18 KB since the k-core maintainer's arrays are pooled;
+// 23 and 9 KB since S2's interval is a closed form.
 // The engine's miss used to add an f(·,q) vector of 8·n bytes to that (375
 // and 63 KB); it adds none now (BenchmarkSubstrateSEAMiss guards it).
-// What is left is the generator, each round's maintainer header, three small
-// buffers per BLB call, the peel's removed-node lists and the returned
-// community. Parallelism is between
+// What is left is the generator, each round's maintainer header, the peel's
+// removed-node lists and the returned community; S2's interval
+// (stats.MeanCI) allocates nothing and draws nothing. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
 // Batch's pool is that wide (for what it has to compute; cached items it
 // answers inline and a fully cached batch starts no goroutine), while
 // each search runs on the goroutine that was handed it: no request fans
-// out. BLB and the peel scan lost their fan-outs when a probe of the
+// out. BLB (since replaced in the search by its closed form) and the peel
+// scan lost their fan-outs when a probe of the
 // benchmark's workloads found candidates of at most 48 members and BLB calls
 // over at most 47 values — ~40 µs of work each; Metric.QueryDist, which only
 // MethodExact runs, lost its node-range fan-out when it measured no faster
 // than the serial loop (0.67 vs 0.64 ms on a 12k-node twitter analog, 2.40
 // vs 2.41 ms at 48k nodes, 2 vCPUs), under 1% of one budgeted exact search.
 // A result depends on the Request alone: a search builds one generator
-// from its seed and the sample, every S3 draw and every BLB subsample and
-// resample take from it in order, so for a fixed seed the Outcome is
+// from its seed, and the first sample and every S3 draw take from it in
+// order, so for a fixed seed the Outcome is
 // byte-identical whatever GOMAXPROCS is and however many searches run beside
 // it. A round runs only if S3 added something to the sample: once the sample
 // is all of q's component the loop ends instead of repeating the round until

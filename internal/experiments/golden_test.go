@@ -49,8 +49,8 @@ func lineupGolden(t *testing.T) []byte {
 // TestLineupMatchesGolden pins every line-up row: a change to how the line-up
 // is written must not change what it reports. First recorded at commit
 // 243d41e, when each method was a hand-written closure over the solver
-// packages; the SEA rows were re-recorded once, with internal/sea's golden
-// answers. A deliberate change of a method's answers re-records the file:
+// packages; the SEA rows were re-recorded twice, each time with
+// internal/sea's golden answers. A deliberate change of a method's answers re-records the file:
 //
 //	go test ./internal/experiments -run TestLineupMatchesGolden -update-golden
 func TestLineupMatchesGolden(t *testing.T) {

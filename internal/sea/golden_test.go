@@ -105,9 +105,10 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // at commit 4a5ddf3 (before the one-pass k-truss extraction, which kept them
 // byte for byte) and re-recorded once, when BLB started drawing from the
 // search's own generator and the loop stopped running rounds with nothing to
-// draw. The twitter file was recorded before the k-core round stopped
-// maintaining the whole sample's core. A deliberate change of the
-// algorithm's trajectory re-records them:
+// draw, and again when S2's interval became a closed form (stats.MeanCI)
+// and stopped drawing from the generator. The twitter file was first
+// recorded before the k-core round stopped maintaining the whole sample's
+// core. A deliberate change of the algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {

@@ -10,10 +10,12 @@
 //     Hoeffding bound (Theorem 10), build Gq best-first around q, draw an
 //     attribute-aware weighted sample S, and extract the maximal connected
 //     k-core (or k-truss) of the induced subgraph Gq[S].
-//  2. Estimation (S2): estimate δ of the candidate with a Bag of Little
-//     Bootstraps confidence interval; terminate early once the Theorem-11
-//     stopping rule ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most
-//     dissimilar node and re-estimate.
+//  2. Estimation (S2): estimate δ of the candidate with the interval of the
+//     mean of its members' f values, in closed form (stats.MeanCI: the
+//     margin the paper's Bag of Little Bootstraps approximates by Monte
+//     Carlo); terminate early once the Theorem-11 stopping rule
+//     ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most dissimilar node
+//     and re-estimate. This step draws nothing from the search's generator.
 //  3. Incremental sampling (S3): if no candidate satisfies the rule, enlarge
 //     the sample by the error-driven |ΔS| of Eq. 12 and repeat, and stop when
 //     there is nothing left to draw.
@@ -107,7 +109,10 @@ type Options struct {
 	// SizeLo and SizeHi, when SizeHi > 0, activate size-bounded search
 	// (§VI-B): the returned community has between SizeLo and SizeHi nodes.
 	SizeLo, SizeHi int
-	BLB            stats.BLBConfig
+	// BLB is validated but not read: S2's interval is stats.MeanCI's closed
+	// form. The field stays while benchmark/trace.go times stats.BLB with it,
+	// and goes with that timing (ROADMAP item 9(c)).
+	BLB stats.BLBConfig
 	// MaxRounds caps the sampling→estimation→incremental-sampling loop.
 	// The paper observes convergence within 2 rounds, 5 in the worst case.
 	MaxRounds int
@@ -175,7 +180,7 @@ func (o Options) Validate() error {
 }
 
 // StepTimes records per-step wall time: S1 sampling-based maximal structure
-// finding, S2 BLB estimation, S3 error-based incremental sampling.
+// finding, S2 interval estimation, S3 error-based incremental sampling.
 type StepTimes struct {
 	Sampling    time.Duration // S1
 	Estimation  time.Duration // S2
@@ -264,9 +269,9 @@ type seaRun struct {
 	// heap and visited set of Gq's expansion, sampling keys, the sample's
 	// membership and the round's maintainer, and the round loop's own
 	// population/sample/candidate buffers. What a warm search still
-	// allocates is the generator, each round's maintainer header, three
-	// small buffers per BLB call, the removed-node lists of the peel and the
-	// returned community.
+	// allocates is the generator, each round's maintainer header, the
+	// removed-node lists of the peel, the round trace and the returned
+	// community.
 	w *ws.Workspace
 
 	res Result
@@ -324,8 +329,10 @@ func (s *seaRun) run() (*Result, error) {
 	s.w.Sampled.Reset(s.g.NumNodes())
 	s.res.Steps.Sampling += time.Since(t0)
 
-	var lastMoE, lastTarget float64
-	var lastBLBTotal int
+	// The last estimated round's best interval and its number of values,
+	// Eq. 12's inputs; n is 0 after a round that estimated nothing.
+	var last stats.CI
+	var lastN int
 	for round := 1; round <= s.opts.MaxRounds; round++ {
 		if s.ctx.Err() != nil {
 			return s.interrupted()
@@ -335,7 +342,7 @@ func (s *seaRun) run() (*Result, error) {
 		if round > 1 {
 			// S3: error-based incremental sampling (Eq. 12).
 			t3 := time.Now()
-			ask := stats.IncrementalSampleSize(lastMoE, lastTarget, lastBLBTotal, s.opts.BLB.Scale)
+			ask := stats.IncrementalSampleSize(last.MoE, stats.MoETarget(last.Center, s.opts.ErrorBound), lastN)
 			if ask == 0 {
 				// Structural miss: no candidate was even estimated, so
 				// Eq. 12 has no error signal. Double the sample — small
@@ -373,14 +380,14 @@ func (s *seaRun) run() (*Result, error) {
 		}
 		if maint == nil {
 			// No structure containing q in this sample; try a larger one.
-			lastMoE, lastTarget, lastBLBTotal = 0, 0, 0
+			lastN = 0
 			s.res.Rounds = append(s.res.Rounds, Round{Round: round, DeltaS: deltaS, Time: time.Since(roundStart)})
 			continue
 		}
 
-		// S2: greedy candidate search with BLB estimation.
+		// S2: greedy candidate search with interval estimation.
 		t2 := time.Now()
-		done, ci, moe, target, blbTotal := s.estimate(maint)
+		done, ci, n := s.estimate(maint)
 		s.res.Steps.Estimation += time.Since(t2)
 		s.res.Rounds = append(s.res.Rounds, Round{
 			Round: round, Delta: ci.Center, MoE: ci.MoE, DeltaS: deltaS, Time: time.Since(roundStart),
@@ -394,7 +401,7 @@ func (s *seaRun) run() (*Result, error) {
 			return s.result(), nil
 		}
 		s.res.CI = ci
-		lastMoE, lastTarget, lastBLBTotal = moe, target, blbTotal
+		last, lastN = ci, n
 	}
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
@@ -416,7 +423,7 @@ func (s *seaRun) run() (*Result, error) {
 			return nil, ErrNoCommunity
 		}
 		t2 := time.Now()
-		done, ci, _, _, _ := s.estimate(maint)
+		done, ci, _ := s.estimate(maint)
 		s.res.Steps.Estimation += time.Since(t2)
 		s.res.Satisfied = done
 		s.res.CI = ci
@@ -503,7 +510,8 @@ func (s *seaRun) minCommunitySize() int {
 }
 
 // estimate runs the greedy candidate search of §V-B on maint: estimate δ of
-// the current candidate with BLB, peel the most dissimilar member, repeat.
+// the current candidate with stats.MeanCI over its members' f values (q's
+// own is 0 and left out), peel the most dissimilar member, repeat.
 //
 // In the default mode the search walks the full greedy trajectory —
 // estimating candidates at log-spaced sizes plus the final one — and keeps
@@ -528,8 +536,9 @@ func (s *seaRun) minCommunitySize() int {
 // comparison (BenchmarkAblationStoppingRule, the request's no_refine field),
 // not a mode any line-up uses.
 //
-// On failure the best candidate's MoE/target/BLB-total feed Eq. 12.
-func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, moe, target float64, blbTotal int) {
+// On failure the best candidate's interval and its number of values n feed
+// Eq. 12; n is 0 when no candidate was estimated.
+func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, n int) {
 	members := s.w.Members[:0]
 	values := s.w.Vals[:0]
 	bestSet := s.w.Best[:0]
@@ -564,28 +573,16 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 					values = append(values, s.f.At(v))
 				}
 			}
-			res, err := stats.BLB(values, blbConfig(s.opts), s.rng)
-			if err == nil {
-				ci := res.CI
-				satisfied := ci.SatisfiesErrorBound(s.opts.ErrorBound)
-				if s.opts.NoRefine {
-					// Paper-literal rule: first satisfying candidate wins.
-					best, haveBest = ci, true
-					bestSet = append(bestSet[:0], members...)
-					moe = ci.MoE
-					target = stats.MoETarget(ci.Center, s.opts.ErrorBound)
-					blbTotal = res.Total
-					if satisfied {
-						done = true
-						break
-					}
-				} else if !haveBest || ci.Center < best.Center {
-					best, haveBest = ci, true
-					bestSet = append(bestSet[:0], members...)
-					done = satisfied
-					moe = ci.MoE
-					target = stats.MoETarget(ci.Center, s.opts.ErrorBound)
-					blbTotal = res.Total
+			ci, err := stats.MeanCI(values, s.opts.Confidence)
+			// The paper-literal rule (NoRefine) keeps the latest candidate
+			// and stops at the first that satisfies; the default keeps the
+			// smallest δ*.
+			if err == nil && (s.opts.NoRefine || !haveBest || ci.Center < best.Center) {
+				best, haveBest, n = ci, true, len(values)
+				bestSet = append(bestSet[:0], members...)
+				done = ci.SatisfiesErrorBound(s.opts.ErrorBound)
+				if done && s.opts.NoRefine {
+					break
 				}
 			}
 		}
@@ -604,7 +601,7 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 		s.res.Community = slices.Clone(bestSet)
 		s.res.Delta = s.f.Delta(s.res.Community, s.q)
 	}
-	return done, best, moe, target, blbTotal
+	return done, best, n
 }
 
 // mostDissimilar returns the first member with the maximal f(·,q), never q
@@ -622,11 +619,4 @@ func (s *seaRun) mostDissimilar(members []graph.NodeID) graph.NodeID {
 		}
 	}
 	return worst
-}
-
-// blbConfig clones the BLB options with the run's confidence level.
-func blbConfig(o Options) stats.BLBConfig {
-	cfg := o.BLB
-	cfg.Confidence = o.Confidence
-	return cfg
 }

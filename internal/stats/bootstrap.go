@@ -80,6 +80,9 @@ type BLBResult struct {
 // subsamples of size n^m, bootstrap each to get an MoE ε_i = z_{α/2}·σ_i,
 // and average. The returned CI centers on the mean of values (δ* is computed
 // over the full candidate community, the bootstrap only sizes the MoE).
+// SEA's estimation step does not call it: for a mean, MeanCI gives in closed
+// form what these s·r·n draws approximate. It stays as the paper's reference
+// estimator, which the tests hold MeanCI against.
 //
 // The subsamples run one after another on the caller's goroutine, and every
 // draw — subsample and resamples alike — comes from rng, in order: a

@@ -60,16 +60,19 @@ func minGqSize(eps, beta float64, m, n int) (int, error) {
 	return size, nil
 }
 
-// IncrementalSampleSize implements Eq. 12: given the current MoE ε, its
-// Theorem-11 target, the BLB subsample total |S_blb| and the BLB scale factor
-// m ∈ [0.5,1), it returns the number of additional samples
-// |ΔS| = |S_blb|·[(ε/target)^(2m) − 1], at least 1 when ε exceeds the target.
-func IncrementalSampleSize(moe, target float64, blbTotal int, scale float64) int {
-	if moe <= target || target <= 0 || blbTotal <= 0 {
+// IncrementalSampleSize implements Eq. 12 for MeanCI's interval: given the
+// current MoE ε of a mean over n values and its Theorem-11 target, it returns
+// |ΔS| = n·[(ε/target)² − 1], the fewest further values that bring
+// ε·√(n/(n+ΔS)) down to the target — the paper's |S_blb|·[(ε/target)^(2m) − 1]
+// with the 1/√n scaling of a closed-form margin in place of BLB's n^m
+// subsamples. It is in candidate units, at least 1 when ε exceeds the target,
+// 0 when it does not, and capped at 2³⁰.
+func IncrementalSampleSize(moe, target float64, n int) int {
+	if moe <= target || target <= 0 || n <= 0 {
 		return 0
 	}
 	ratio := moe / target
-	delta := float64(blbTotal) * (math.Pow(ratio, 2*scale) - 1)
+	delta := float64(n) * (ratio*ratio - 1)
 	if delta < 1 {
 		return 1
 	}

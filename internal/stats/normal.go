@@ -1,9 +1,10 @@
 // Package stats provides the statistical machinery behind the paper's
 // accuracy guarantee: standard-normal quantiles for confidence intervals,
 // the Hoeffding-inequality population bounds of §V-A (Theorems 9–10), the
-// bootstrap and Bag of Little Bootstraps estimators of §V-B, and the
-// Theorem-11 stopping rule together with the error-based incremental sample
-// sizing of §V-C (Eq. 12).
+// closed-form interval of a mean that SEA's estimation step uses (MeanCI),
+// the paper's Bag of Little Bootstraps (BLB), kept as the reference MeanCI
+// is checked against, and the Theorem-11 stopping rule together with the
+// error-based incremental sample sizing of §V-C (Eq. 12).
 package stats
 
 import (
@@ -88,6 +89,37 @@ func (ci CI) String() string {
 // ε ≤ δ*·e/(1+e).
 func (ci CI) SatisfiesErrorBound(e float64) bool {
 	return ci.MoE <= MoETarget(ci.Center, e)
+}
+
+// MeanCI is the interval of the mean of values at the given confidence, in
+// closed form: centre x̄ and margin z_{α/2}·σ̂/√n, where σ̂ is the sample
+// standard deviation (divisor n−1). The centre is Mean(values), summed in
+// order and divided once, so it is the same float as a δ* summed over the
+// same values; σ̂ comes from a second pass over the deviations from it.
+//
+// It is what BLB approximates by Monte Carlo when the estimator is a mean: a
+// bootstrap resample of size n from a subsample of size b has a mean whose
+// variance is the subsample's plug-in variance over n, so BLB's margin is a
+// noisy copy of √((b−1)/b)·z·σ̂/√n (TestBLBConvergesToMeanCI). One value has
+// no spread to estimate, and its margin is 0.
+func MeanCI(values []float64, confidence float64) (CI, error) {
+	z, err := ZAlphaHalf(confidence)
+	if err != nil {
+		return CI{}, err
+	}
+	if len(values) == 0 {
+		return CI{}, fmt.Errorf("stats: interval of an empty value set")
+	}
+	ci := CI{Center: Mean(values), Confidence: confidence}
+	var ss float64
+	for _, v := range values {
+		d := v - ci.Center
+		ss += d * d
+	}
+	if n := float64(len(values)); n > 1 {
+		ci.MoE = z * math.Sqrt(ss/(n-1)/n)
+	}
+	return ci, nil
 }
 
 // MoETarget returns the Theorem-11 threshold δ*·e/(1+e).

@@ -188,3 +188,55 @@ func TestSEAHasOneExtractionPath(t *testing.T) {
 		}
 	}
 }
+
+// TestNoSearchCallsBLB keeps the Bag of Little Bootstraps out of the program:
+// SEA's estimation step takes stats.MeanCI's closed form, and stats.BLB
+// stays only as the reference the tests and benchmarks compare it against.
+// No non-test file of this module (benchmark/ is its own) calls it.
+func TestNoSearchCallsBLB(t *testing.T) {
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (path == "benchmark" || path == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files++
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := fn.X.(*ast.Ident); ok && x.Name == "stats" && fn.Sel.Name == "BLB" {
+					t.Errorf("%s: calls stats.BLB; the interval of a mean is stats.MeanCI", fset.Position(call.Pos()))
+				}
+			case *ast.Ident:
+				if file.Name.Name == "stats" && fn.Name == "BLB" {
+					t.Errorf("%s: calls BLB; the interval of a mean is MeanCI", fset.Position(call.Pos()))
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files == 0 {
+		t.Fatal("no non-test Go file inspected")
+	}
+}
