@@ -486,6 +486,12 @@ func BenchmarkSubstrateBLB(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateKCoreExtract is the extraction of q's maximal connected
+// 6-core from all of g, the walk out from q: everything comes from the
+// workspace. The guard also covers a q/k with no core — one above q's
+// coreness, so the walk reaches and peels before it answers none — in the
+// node-set form and in MaximalSubIn, which allocates its maintainer's header
+// only for a core it found.
 func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
@@ -494,8 +500,17 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	if dst = kcore.MaximalConnectedKCoreInto(dst[:0], benchData.Graph, benchQ, 6, w); dst == nil {
 		b.Skip("query hosts no 6-core")
 	}
+	noCore := int(kcore.Decompose(benchData.Graph)[benchQ]) + 1
 	guardAllocs(b, 0, func() {
 		dst = kcore.MaximalConnectedKCoreInto(dst[:0], benchData.Graph, benchQ, 6, w)
+	})
+	guardAllocs(b, 0, func() {
+		if kcore.MaximalConnectedKCoreInto(dst[:0], benchData.Graph, benchQ, noCore, w) != nil {
+			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
+		}
+		if kcore.MaximalSubIn(context.Background(), benchData.Graph, benchQ, noCore, nil, w) != nil {
+			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
+		}
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -504,24 +519,25 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateKTrussExtract is one warm k-truss round of SEA's S1:
-// (k−1)-core prefilter, the reach from q, edge index, supports, threshold
-// peel, maintainer.
-// Everything but the maintainer's header comes from the workspace.
+// BenchmarkSubstrateKTrussExtract is the extraction of q's maximal connected
+// 5-truss from all of g: the reach from q, edge index, supports, threshold
+// peel, maintainer. Everything but the maintainer's header comes from the
+// workspace.
 func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
 	defer w.Release()
-	if truss.MaximalSub(benchData.Graph, benchQ, 5, w) == nil {
-		b.Fatal("query hosts no 5-truss: the guard would measure the prefilter alone")
+	extract := func() *truss.Sub {
+		return truss.MaximalSubIn(context.Background(), benchData.Graph, benchQ, 5, nil, w)
 	}
-	guardAllocs(b, 1, func() {
-		truss.MaximalSub(benchData.Graph, benchQ, 5, w)
-	})
+	if extract() == nil {
+		b.Fatal("query hosts no 5-truss: the guard would measure the reach alone")
+	}
+	guardAllocs(b, 1, func() { extract() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		truss.MaximalSub(benchData.Graph, benchQ, 5, w)
+		extract()
 	}
 }
 

@@ -53,12 +53,12 @@
 // (NewHetGraphBuilder / Project), size-bounded search through
 // Request.SizeLo/SizeHi, and the k-truss model through Request.Model. Under
 // the k-truss model a SEA round extracts the maximal connected k-truss of
-// the sample for the request's fixed k in one pass — within the sample's
-// maintained (k−1)-core, only the nodes q reaches over edges that close
-// k−2 triangles there, one edge index over those, supports counted once per
-// triangle, a threshold peel whose surviving state becomes the round's
-// maintenance structure — and never computes trussness levels; the full
-// truss decomposition is run only to build the engine's admission index.
+// the sample for the request's fixed k in one pass — only the nodes q
+// reaches over edges that close k−2 triangles in the sample, one edge
+// index over those, supports counted once per triangle, a threshold peel
+// whose surviving state becomes the round's maintenance structure — and
+// never computes trussness levels; the full truss decomposition is run
+// only to build the engine's admission index.
 //
 // # Serving
 //

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"repro/internal/attr"
-	"repro/internal/cohesive"
 	"repro/internal/cserr"
 	"repro/internal/graph"
 	"repro/internal/kcore"
@@ -145,24 +144,6 @@ func MaximalMembers(g graph.Store, q graph.NodeID, k int, model sea.Model) []gra
 	return kcore.MaximalConnectedKCore(g, q, k)
 }
 
-// maximal returns the maintenance structure over the same structure as
-// MaximalMembers, or nil when q has none: what the peeling baselines peel.
-// The extraction's scratch is w's, and the k-truss maintainer lives in w
-// too: it is valid until the next k-truss extraction on w or w's release.
-func maximal(g graph.CSR, q graph.NodeID, k int, model sea.Model, w *ws.Workspace) cohesive.Maintainer {
-	// A nil *Sub must come back as a nil interface.
-	if model == sea.KTruss {
-		if maint := truss.MaximalSub(g, q, k, w); maint != nil {
-			return maint
-		}
-		return nil
-	}
-	if maint := kcore.MaximalSub(g, q, k, w); maint != nil {
-		return maint
-	}
-	return nil
-}
-
 // CoverageScore computes the LocATC objective over q's attributes:
 // Σ_a |V_a ∩ V_H|² / |V_H|.
 func CoverageScore(g graph.Store, q graph.NodeID, members []graph.NodeID) float64 {
@@ -188,8 +169,8 @@ func CoverageScore(g graph.Store, q graph.NodeID, members []graph.NodeID) float6
 // improves the attribute coverage score, stopping at a local optimum.
 func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
 	w := ws.Get()
-	defer w.Release() // the k-truss maintainer lives in w
-	maint := maximal(g, q, k, model, w)
+	defer w.Release() // the maintainer lives in w
+	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
@@ -257,8 +238,8 @@ func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea
 // to the farthest member as the vertex score.
 func VAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
 	w := ws.Get()
-	defer w.Release() // the k-truss maintainer lives in w
-	maint := maximal(g, q, k, model, w)
+	defer w.Release() // the maintainer lives in w
+	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
@@ -326,8 +307,8 @@ func worstPair(m *attr.Metric, members []graph.NodeID) (graph.NodeID, graph.Node
 // exact.SearchContext. ctx is checked on every state.
 func EVAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model, maxStates int) ([]graph.NodeID, error) {
 	w := ws.Get()
-	defer w.Release() // the k-truss maintainer lives in w
-	maint := maximal(g, q, k, model, w)
+	defer w.Release() // the maintainer lives in w
+	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}

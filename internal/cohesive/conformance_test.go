@@ -35,28 +35,27 @@ type factory struct {
 func factories() []factory {
 	return []factory{
 		{"kcore", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
-			m := kcore.MaximalSub(g, q, 3, new(ws.Workspace))
-			return m, m != nil
+			members := kcore.MaximalConnectedKCore(g, q, 3)
+			if members == nil {
+				return nil, false
+			}
+			m, err := kcore.NewSub(g, q, 3, members)
+			if err != nil {
+				return nil, false
+			}
+			return m, true
 		}},
 		// The pooled extraction, on a workspace that has already served another
 		// universe: nothing of the first may be alive in the second.
 		{"kcore-pooled", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {
 			w := new(ws.Workspace)
-			all := func(g *graph.Graph) *graph.NodeSet {
-				in := new(graph.NodeSet)
-				in.Reset(g.NumNodes())
-				for v := range graph.NodeID(g.NumNodes()) {
-					in.Add(v)
-				}
-				return in
-			}
 			other := randomDense(int64(q)+100, g.NumNodes())
 			for oq := graph.NodeID(0); int(oq) < other.NumNodes(); oq++ {
-				if kcore.MaximalSubIn(context.Background(), other, oq, 3, all(other), w) != nil {
+				if kcore.MaximalSubIn(context.Background(), other, oq, 3, nil, w) != nil {
 					break
 				}
 			}
-			m := kcore.MaximalSubIn(context.Background(), g, q, 3, all(g), w)
+			m := kcore.MaximalSubIn(context.Background(), g, q, 3, nil, w)
 			return m, m != nil
 		}},
 		{"truss", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {

@@ -89,13 +89,17 @@ const ctxCheckMask = 63
 // search stops promptly and returns the best community found so far together
 // with an error wrapping ctx's error — symmetric with the ErrBudgetExhausted
 // contract, so a deadline behaves like a budget that ran out mid-search.
+// The maintainer the search peels lives in a pooled workspace held for the
+// whole search.
 func SearchContext(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, dist []float64, cfg Config) (Result, error) {
 	if k < 1 {
 		return Result{}, cserr.Invalidf("exact: k must be ≥ 1, got %d", k)
 	}
 	w := ws.Get()
-	sub := kcore.MaximalSub(g, q, k, w)
-	w.Release()
+	defer w.Release() // the maintainer lives in w
+	// Not ctx: a cancelled extraction returns nil, which would read as
+	// ErrNoCommunity. The enumeration below reports the cancellation.
+	sub := kcore.MaximalSubIn(context.Background(), g, q, k, nil, w)
 	if sub == nil {
 		return Result{}, ErrNoCommunity
 	}

@@ -248,3 +248,32 @@ func TestSearchContextCancellation(t *testing.T) {
 		t.Fatal("search did not explore any states before cancellation")
 	}
 }
+
+// TestSearchContextAlreadyCancelled: a cancelled ctx never comes back as
+// ErrNoCommunity, which callers take for a definitive answer. q's core here
+// is a 300-node ring in which each node links to the four on either side,
+// large enough that a reach polling ctx every 256 nodes would notice the
+// cancellation; the extraction runs to its end and the enumeration reports
+// the interruption.
+func TestSearchContextAlreadyCancelled(t *testing.T) {
+	const n = 300
+	b := graph.NewBuilder(n, 0)
+	for v := range n {
+		for j := 1; j <= 4; j++ {
+			b.AddEdge(graph.NodeID(v), graph.NodeID((v+j)%n))
+		}
+	}
+	g := b.MustBuild()
+	dist := make([]float64, n)
+	rng := rand.New(rand.NewSource(3))
+	for v := 1; v < n; v++ {
+		dist[v] = rng.Float64()
+	}
+	ctx, cancel := context.WithCancel(t.Context())
+	cancel()
+	// The budget only keeps a search that ignores ctx from running forever.
+	_, err := SearchContext(ctx, g, 0, 6, dist, Config{MaxStates: 1 << 20})
+	if errors.Is(err, ErrNoCommunity) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled search returned %v, want an error wrapping context.Canceled", err)
+	}
+}

@@ -1,6 +1,9 @@
-// Package kcore implements k-core decomposition (Batagelj–Zaversnik, O(m)),
-// maximal connected k-core extraction, and an incremental connected-k-core
-// maintenance structure with rollback used by the enumeration algorithms.
+// Package kcore implements k-core decomposition (Batagelj–Zaversnik, O(m))
+// for callers that index all of g, the extraction of q's maximal connected
+// k-core by a walk out from q (MaximalSubIn), and an incremental
+// connected-k-core maintenance structure with rollback used by the
+// enumeration algorithms. Every extraction is MaximalSubIn's: over a node
+// set or, with a nil set, over all of g, it reads only what q reaches.
 package kcore
 
 import (
@@ -16,15 +19,8 @@ import (
 // index).
 func Decompose(g graph.Adjacency) []int32 {
 	n := g.NumNodes()
+	deg, vert, pos := make([]int32, n), make([]int32, n), make([]int32, n)
 	var nbr []graph.NodeID
-	return decompose(g, make([]int32, n), make([]int32, n), make([]int32, n), nil, &nbr)
-}
-
-// decompose is the shared bin-sort peeling. deg doubles as the output
-// coreness array; binBuf, when non-nil, recycles the degree-bucket array
-// (its needed length depends on the max degree, so it is resized here).
-func decompose(g graph.Adjacency, deg, vert, pos []int32, binBuf *[]int32, nbr *[]graph.NodeID) []int32 {
-	n := g.NumNodes()
 	maxDeg := int32(0)
 	for v := 0; v < n; v++ {
 		deg[v] = int32(g.Degree(graph.NodeID(v)))
@@ -33,16 +29,7 @@ func decompose(g graph.Adjacency, deg, vert, pos []int32, binBuf *[]int32, nbr *
 		}
 	}
 	// bin[d] = start index in vert of nodes with degree d.
-	var bin []int32
-	if binBuf != nil {
-		*binBuf = ws.I32(*binBuf, int(maxDeg)+2)
-		bin = *binBuf
-		for i := range bin {
-			bin[i] = 0
-		}
-	} else {
-		bin = make([]int32, maxDeg+2)
-	}
+	bin := make([]int32, maxDeg+2)
 	for v := 0; v < n; v++ {
 		bin[deg[v]]++
 	}
@@ -65,7 +52,7 @@ func decompose(g graph.Adjacency, deg, vert, pos []int32, binBuf *[]int32, nbr *
 	core := deg // reuse; peeled in order
 	for i := 0; i < n; i++ {
 		v := vert[i]
-		for _, u := range g.NeighborsInto(nbr, v) {
+		for _, u := range g.NeighborsInto(&nbr, v) {
 			if core[u] > core[v] {
 				du, pu := core[u], pos[u]
 				pw := bin[du]
@@ -108,64 +95,45 @@ func MaximalConnectedKCore(g graph.Adjacency, q graph.NodeID, k int) []graph.Nod
 }
 
 // MaximalConnectedKCoreInto is MaximalConnectedKCore appending to dst, with
-// the decomposition and traversal scratch drawn from w. It returns nil (not
-// dst) when q is in no k-core, preserving the nil-means-absent contract.
+// the traversal scratch drawn from w: the members of MaximalSubIn over all
+// of g, built with no maintainer. The walk runs on w.KCore, so a maintainer
+// built there does not survive it. It returns nil (not dst) when q is in no
+// k-core, preserving the nil-means-absent contract.
 func MaximalConnectedKCoreInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	n := g.NumNodes()
-	w.DegS = ws.I32(w.DegS, n)
-	w.VertS = ws.I32(w.VertS, n)
-	w.PosS = ws.I32(w.PosS, n)
-	core := decompose(g, w.DegS, w.VertS, w.PosS, &w.BinS, &w.NbrA)
-	if int(core[q]) < k {
+	comp := extract(context.Background(), g, q, k, nil, w)
+	if comp == nil {
 		return nil
 	}
-	// BFS over nodes of coreness ≥ k, visited tracked by epoch stamp.
-	w.Visited.Reset(n)
-	w.Visited.Add(q)
-	start := len(dst)
-	dst = append(dst, q)
-	for i := start; i < len(dst); i++ {
-		for _, u := range g.NeighborsInto(&w.NbrA, dst[i]) {
-			if int(core[u]) >= k && w.Visited.Add(u) {
-				dst = append(dst, u)
-			}
-		}
-	}
-	return dst
+	return append(dst, comp...)
 }
 
-// MaximalSub returns the maintenance structure over the maximal connected
-// k-core of g containing q, or nil if q is in no k-core: the mirror of
-// truss.MaximalSub. Its Universe is MaximalConnectedKCoreInto's member order
-// (BFS from q). Only the extraction's scratch is w's — w.Nodes included; the
-// returned Sub owns its arrays and outlives w.
-func MaximalSub(g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) *Sub {
-	members := MaximalConnectedKCoreInto(w.Nodes[:0], g, q, k, w)
-	if members == nil {
-		return nil
-	}
-	w.Nodes = members[:0]
-	s, err := NewSub(g, q, k, members)
-	if err != nil {
-		// NewSub rejects only a member set that is not a k-core around q.
-		return nil
-	}
-	return s
-}
-
-// MaximalSubIn is MaximalSub over G[in] on w's scratch, the mirror of
-// truss.MaximalSubIn. It reads only what q reaches: a BFS from q through the
-// members of in whose degree in G[in] is at least k (R), a peel of R to its
-// k-core, and q's component of that in BFS order from q with neighbours in
-// g's order — MaximalConnectedKCoreInto's order on G[in]. That is exact: a
+// MaximalSubIn returns the maintenance structure over the maximal connected
+// k-core containing q of G[in] — of all of g when in is nil — or nil when q
+// is in no k-core of it, the mirror of truss.MaximalSubIn. It reads only
+// what q reaches: a BFS from q through the members of in whose degree in
+// G[in] is at least k (R), a peel of R to its k-core, and q's component of
+// that in BFS order from q with neighbours in g's order. That is exact: a
 // node below k in G[in] is in no k-core of it, and a k-core is the union of
 // its components' cores. The Sub is the one NewSub builds over that
 // component, on w.KCore and valid until the next one built there; w.Visited
 // and w.DegS are scratch. A cancelled ctx ends the reach with a nil result.
 func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
+	comp := extract(ctx, g, q, k, in, w)
+	if comp == nil {
+		return nil
+	}
+	sc := &w.KCore
+	return &Sub{g: g, k: k, q: q, universe: comp, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, size: len(comp), sc: sc}
+}
+
+// extract is MaximalSubIn without the maintainer's header: it leaves q's
+// component in w.KCore — the member order in Universe, flagged in Alive,
+// each member's degree in it in Deg — and returns the order, or nil.
+func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) []graph.NodeID {
 	n, sc := g.NumNodes(), &w.KCore
 	resize(sc, n)
-	if !in.Has(q) {
+	member := func(u graph.NodeID) bool { return in == nil || in.Has(u) }
+	if !member(q) {
 		return nil
 	}
 	// Reach: popping a member reads its list once, counts its degree in
@@ -187,7 +155,7 @@ func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int,
 		nbrs := g.NeighborsInto(&w.NbrA, x)
 		d := int32(0)
 		for _, u := range nbrs {
-			if in.Has(u) {
+			if member(u) {
 				d++
 			}
 		}
@@ -197,7 +165,7 @@ func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int,
 		}
 		cnt[x] = d
 		for _, u := range nbrs {
-			if in.Has(u) && seen.Add(u) {
+			if member(u) && seen.Add(u) {
 				queue = append(queue, u)
 			}
 		}
@@ -241,21 +209,20 @@ func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int,
 
 	// Order: q's component; a node's degree in the core is its degree in
 	// the component, which is what NewSub counts.
-	s := &Sub{g: g, k: k, q: q, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, sc: sc}
 	comp := append(sc.Universe[:0], q)
-	s.alive[q] = true
+	sc.Alive[q] = true
 	for i := 0; i < len(comp); i++ {
 		x := comp[i]
-		s.deg[x] = cnt[x]
+		sc.Deg[x] = cnt[x]
 		for _, u := range g.NeighborsInto(&w.NbrA, x) {
-			if alive(u) && !s.alive[u] {
-				s.alive[u] = true
+			if alive(u) && !sc.Alive[u] {
+				sc.Alive[u] = true
 				comp = append(comp, u)
 			}
 		}
 	}
-	sc.Universe, s.universe, s.size = comp, comp, len(comp)
-	return s
+	sc.Universe = comp
+	return comp
 }
 
 // InKCoreSet reports whether every node of members has at least k neighbors

@@ -2,13 +2,11 @@ package kcore
 
 import (
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/ws"
 )
 
 // figure2Graph builds the 12-node graph of Figure 2 of the paper.
@@ -137,31 +135,6 @@ func TestMaximalConnectedKCore(t *testing.T) {
 	// v12 (index 11) is in no 2-core.
 	if got := MaximalConnectedKCore(g, 11, 2); got != nil {
 		t.Errorf("2-core of v12 = %v, want nil", got)
-	}
-}
-
-// TestMaximalSub: the one-call form is MaximalConnectedKCore followed by
-// NewSub — same members in the same order, nil where there is no k-core —
-// and does not keep the workspace.
-func TestMaximalSub(t *testing.T) {
-	g := figure2Graph(t)
-	w := new(ws.Workspace)
-	sub := MaximalSub(g, 4, 3, w)
-	if sub == nil {
-		t.Fatal("no 3-core around v5")
-	}
-	if sub.Query() != 4 || sub.k != 3 {
-		t.Errorf("q=%d k=%d, want 4 and 3", sub.Query(), sub.k)
-	}
-	if got, want := sub.Universe(), MaximalConnectedKCore(g, 4, 3); !slices.Equal(got, want) {
-		t.Errorf("universe = %v, want %v", got, want)
-	}
-	other := MaximalSub(g, 7, 3, w) // reuses w's scratch
-	if other == nil || sub.Size() != 6 || !sub.Alive(0) || sub.Alive(7) {
-		t.Errorf("first Sub changed after w was reused: size %d", sub.Size())
-	}
-	if MaximalSub(g, 4, 5, w) != nil || MaximalSub(g, 11, 2, w) != nil {
-		t.Error("want nil where q is in no k-core")
 	}
 }
 

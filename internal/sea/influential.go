@@ -8,6 +8,7 @@ package sea
 // estimation of influence-vector elements).
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/graph"
@@ -33,13 +34,15 @@ type InfluentialResult struct {
 // structure survives — the standard influential-community peeling, which is
 // exact for the max-min objective. influence[v] is v's influence score
 // (e.g. an h-index or PageRank); len(influence) must equal g.NumNodes().
+// The maintainer it peels lives in a pooled workspace held for the whole
+// search.
 func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []float64) (*InfluentialResult, error) {
 	if len(influence) != g.NumNodes() {
 		return nil, fmt.Errorf("sea: influence vector has %d entries for %d nodes", len(influence), g.NumNodes())
 	}
 	w := ws.Get()
-	sub := kcore.MaximalSub(g, q, k, w)
-	w.Release()
+	defer w.Release() // the maintainer lives in w
+	sub := kcore.MaximalSubIn(context.Background(), g, q, k, nil, w)
 	if sub == nil {
 		return nil, ErrNoCommunity
 	}

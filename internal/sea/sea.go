@@ -488,12 +488,23 @@ func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	for _, v := range added {
 		s.w.Sampled.Add(v)
 	}
+	return Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
+}
+
+// Maximal returns the maintenance structure over q's maximal connected
+// k-core or k-truss (per model) in G[in] — in all of g when in is nil — or
+// nil when q has none or ctx was cancelled: the start of SEA's every round
+// and of every peeling baseline. The maintainer lives in w (w.KCore,
+// w.Truss) until the next extraction of its model there or w's release. A
+// caller that answers ErrNoCommunity on nil passes context.Background():
+// a nil from a cancelled ctx is no proof that q has no community.
+func Maximal(ctx context.Context, g graph.CSR, q graph.NodeID, k int, model Model, in *graph.NodeSet, w *ws.Workspace) cohesive.Maintainer {
 	// A nil *Sub must come back as a nil interface.
-	if s.opts.Model == KTruss {
-		if maint := truss.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, &s.w.Sampled, s.w); maint != nil {
+	if model == KTruss {
+		if maint := truss.MaximalSubIn(ctx, g, q, k, in, w); maint != nil {
 			return maint
 		}
-	} else if maint := kcore.MaximalSubIn(s.ctx, s.g, s.q, s.opts.K, &s.w.Sampled, s.w); maint != nil {
+	} else if maint := kcore.MaximalSubIn(ctx, g, q, k, in, w); maint != nil {
 		return maint
 	}
 	return nil

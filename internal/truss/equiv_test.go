@@ -1,6 +1,7 @@
 package truss
 
 import (
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
@@ -92,9 +93,9 @@ func TestExtractionMatchesOracle(t *testing.T) {
 		for k := 3; k <= 6; k++ {
 			q := graph.NodeID(rng.Intn(n))
 			members := oracleMaximal(nil, g, q, k, w)
-			pooled := MaximalSub(g, q, k, w)
+			pooled := MaximalSubIn(context.Background(), g, q, k, nil, w)
 			if (members == nil) != (pooled == nil) {
-				t.Fatalf("seed %d k %d q %d: oracle members %v, MaximalSub nil=%v", seed, k, q, members, pooled == nil)
+				t.Fatalf("seed %d k %d q %d: oracle members %v, MaximalSubIn nil=%v", seed, k, q, members, pooled == nil)
 			}
 			if got := MaximalConnectedKTruss(g, q, k); !slices.Equal(got, members) {
 				t.Fatalf("seed %d k %d q %d: MaximalConnectedKTruss %v, oracle %v", seed, k, q, got, members)
@@ -111,7 +112,7 @@ func TestExtractionMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, got := range map[string]*Sub{"MaximalSub": pooled, "NewSub": owned} {
+			for name, got := range map[string]*Sub{"MaximalSubIn": pooled, "NewSub": owned} {
 				sameState(t, name+" built", got, want, n)
 			}
 
@@ -127,7 +128,7 @@ func TestExtractionMatchesOracle(t *testing.T) {
 				} else {
 					v := members[rng.Intn(len(members))] // dead nodes and q included
 					removed, qAlive := want.RemoveCascade(v)
-					for name, got := range map[string]*Sub{"MaximalSub": pooled, "NewSub": owned} {
+					for name, got := range map[string]*Sub{"MaximalSubIn": pooled, "NewSub": owned} {
 						r, a := got.RemoveCascade(v)
 						if a != qAlive || !slices.Equal(r, removed) {
 							t.Fatalf("seed %d k %d q %d step %d %s: RemoveCascade(%d) = %v,%v, oracle %v,%v",
@@ -136,7 +137,7 @@ func TestExtractionMatchesOracle(t *testing.T) {
 					}
 					open = append(open, removed)
 				}
-				sameState(t, "MaximalSub mid-script", pooled, want, n)
+				sameState(t, "MaximalSubIn mid-script", pooled, want, n)
 				sameState(t, "NewSub mid-script", owned, want, n)
 			}
 			for len(open) > 0 {
@@ -146,7 +147,7 @@ func TestExtractionMatchesOracle(t *testing.T) {
 				pooled.Restore(removed)
 				owned.Restore(removed)
 			}
-			sameState(t, "MaximalSub unwound", pooled, want, n)
+			sameState(t, "MaximalSubIn unwound", pooled, want, n)
 			if got := pooled.Members(nil); !slices.Equal(got, members) {
 				t.Fatalf("seed %d k %d q %d: unwound to %v, built from %v", seed, k, q, got, members)
 			}

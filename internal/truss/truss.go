@@ -9,13 +9,14 @@
 // nodes' adjacency with a dense ID per undirected edge. Supports are counted
 // once per triangle (EdgeIndex.supportsInto), triangles through one edge are
 // listed by one merge (EdgeIndex.triangles), and edges are peeled at a fixed
-// threshold by one work-stack loop (Sub.drain). Extraction for a given k
-// (MaximalSub, MaximalSubIn, MaximalConnectedKTruss, NewSub) never computes
-// trussness, and it indexes only the nodes q reaches over edges that close
-// at least k−2 triangles among the candidate nodes (reach): q's truss lies
-// among them, so an extraction costs the neighbourhood of that truss, not
-// the core around it, and clears only the previous index's per-node entries.
-// Decompose, the level-by-level peel, is for callers that index all of g.
+// threshold by one work-stack loop (Sub.drain). Every extraction for a given
+// k (MaximalSubIn, MaximalConnectedKTruss, NewSub) is MaximalSubIn's: it
+// never computes trussness, and it indexes only the nodes q reaches over
+// edges that close at least k−2 triangles among the candidate nodes — a node
+// set, or all of g (reach): q's truss lies among them, so an extraction
+// costs the neighbourhood of that truss, not the component around it, and
+// clears only the previous index's per-node entries. Decompose, the
+// level-by-level peel, is for callers that index all of g.
 package truss
 
 import (
@@ -24,7 +25,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/kcore"
 	"repro/internal/ws"
 )
 
@@ -247,41 +247,21 @@ func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 	return ix, truss
 }
 
-// MaximalSub returns the maintenance structure over the maximal connected
-// k-truss of g containing q, or nil if q has no edge in any k-truss. Its
-// members come in BFS order from q over the truss's edges.
-//
-// Every node of a k-truss has k−1 neighbours inside it, so the truss lies
-// within q's connected (k−1)-core: the O(m) core peel runs first and answers
-// "none" before any triangle is looked at when q is not in that core;
-// MaximalSubIn does the rest. All storage is w's (w.Truss, plus the core
-// peel's scratch): the returned Sub is valid until the next k-truss
-// extraction on w or w's release.
-func MaximalSub(g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) *Sub {
-	core := kcore.MaximalConnectedKCoreInto(w.Nodes[:0], g, q, k-1, w)
-	if core == nil {
-		return nil
-	}
-	w.Nodes = core[:0]
-	w.Member.Reset(g.NumNodes())
-	for _, v := range core {
-		w.Member.Add(v)
-	}
-	return MaximalSubIn(context.Background(), g, q, k, &w.Member, w)
-}
-
-// MaximalSubIn is MaximalSub for a caller that holds a node set in of g that
-// contains q's k-truss — the (k−1)-core of g or of a sample of it, for one.
-// It indexes, counts and peels only what q reaches over edges that close at
-// least k−2 triangles in G[in] (reach), not all of G[in]: on a SEA round that
-// merges q into a core component of thousands of nodes, that is the few
-// dozen around q. The answer is the one a build over all of G[in] gives: q's
-// truss T lies in G[R] for the reached set R, so T is within the k-truss of
-// G[R], which in turn lies within the k-truss of G[in], whose q-component is
-// T. Edge IDs ascend with (U,V) either way, so the member order, the supports
-// and every removal sequence of the maintainer are the same too. Storage is
-// as for MaximalSub; w.Visited holds R afterwards. A cancelled ctx ends the
-// reach between blocks of nodes with a nil result.
+// MaximalSubIn returns the maintenance structure over the maximal connected
+// k-truss containing q of G[in] — of all of g when in is nil — or nil if q
+// has no edge in any k-truss of it. Its members come in BFS order from q
+// over the truss's edges. It indexes, counts and peels only what q reaches
+// over edges that close at least k−2 triangles in G[in] (reach), not all of
+// G[in]: on a SEA round that merges q into a core component of thousands of
+// nodes, that is the few dozen around q. The answer is the one a build over
+// all of G[in] gives: q's truss T lies in G[R] for the reached set R, so T
+// is within the k-truss of G[R], which in turn lies within the k-truss of
+// G[in], whose q-component is T. Edge IDs ascend with (U,V) either way, so
+// the member order, the supports and every removal sequence of the
+// maintainer are the same too. All storage is w's (w.Truss): the returned
+// Sub is valid until the next k-truss extraction on w or w's release;
+// w.Visited holds R afterwards. A cancelled ctx ends the reach between
+// blocks of nodes with a nil result.
 func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
 	return extract(ctx, g, q, k, in, w, &w.Truss)
 }
@@ -290,7 +270,7 @@ func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *g
 // buffers as temporaries only.
 func extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) *Sub {
 	clean(sc, g.NumNodes())
-	if !in.Has(q) {
+	if in != nil && !in.Has(q) {
 		return nil
 	}
 	nodes := reach(ctx, g, q, k, in, w, sc)
@@ -302,10 +282,10 @@ func extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.
 }
 
 // reach returns in sc.Nodes, and marks in w.Visited, the nodes of q's
-// component over the edges of G[in] that close at least k−2 triangles in
-// G[in]: for each node x reached it marks x's neighbours in in, and takes an
-// edge (x,y) to a node y not reached yet when k−2 of y's neighbours are
-// marked. Every edge of q's truss closes k−2 triangles inside the truss,
+// component over the edges of G[in] (in nil: of g) that close at least k−2
+// triangles in G[in]: for each node x reached it marks x's neighbours in
+// in, and takes an edge (x,y) to a node y not reached yet when k−2 of y's
+// neighbours are marked. Every edge of q's truss closes k−2 triangles inside the truss,
 // hence in G[in], and the truss is connected, so every one of its nodes is
 // reached. Returns nil when ctx is cancelled.
 func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
@@ -320,7 +300,7 @@ func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.No
 		}
 		nx := g.NeighborsInto(&w.NbrA, nodes[i])
 		for _, y := range nx {
-			mark[y] = in.Has(y)
+			mark[y] = in == nil || in.Has(y)
 		}
 		for _, y := range nx {
 			if !mark[y] || seen.Has(y) {
@@ -357,11 +337,11 @@ func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
 }
 
 // MaximalConnectedKTrussInto is MaximalConnectedKTruss appending to dst,
-// with all working storage drawn from w: the members of MaximalSub, for
-// callers that want the node set and not the maintainer. Returns nil when q
-// has no qualifying edge.
+// with all working storage drawn from w: the members of MaximalSubIn over
+// all of g, for callers that want the node set and not the maintainer.
+// Returns nil when q has no qualifying edge.
 func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	s := MaximalSub(g, q, k, w)
+	s := MaximalSubIn(context.Background(), g, q, k, nil, w)
 	if s == nil {
 		return nil
 	}

@@ -8,7 +8,7 @@
 // A Workspace bundles every scratch structure the hot loops need — epoch-
 // stamped visited/membership sets (graph.NodeSet: reset by epoch bump, not
 // reallocation), a best-first frontier heap, weighted-sampling key arrays,
-// int32 quadruples for the bin-sort core decomposition, a DistScratch
+// the per-node counts of the k-core extraction's walk from q, a DistScratch
 // holding the f(·,q) values a search has evaluated so far, the membership of
 // a search's sample, and a KCoreScratch and a TrussScratch holding the
 // maintainer of a round (for k-truss also the edge index, supports, peel
@@ -68,8 +68,9 @@ type Workspace struct {
 	Nodes  []graph.NodeID
 	Floats []float64
 
-	// DegS, BinS, VertS, PosS back the O(m) bin-sort core decomposition.
-	DegS, BinS, VertS, PosS []int32
+	// DegS is kcore.MaximalSubIn's per-node count: a reached node's degree
+	// in the candidate set, then in the peeled core.
+	DegS []int32
 
 	// Gq, Sample, Members, Best and Probs, Vals are the SEA round loop's
 	// population/sample/candidate buffers, pooled here so steady-state

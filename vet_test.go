@@ -189,6 +189,38 @@ func TestSEAHasOneExtractionPath(t *testing.T) {
 	}
 }
 
+// TestNoWholeGraphPeelPerQuery keeps a query's work bounded by what it
+// explores: no non-test file of a package a query runs through calls
+// kcore.Decompose, truss.Decompose or kcore.MaxCoreness, which peel all of
+// g. Every solver starts from kcore.MaximalSubIn or truss.MaximalSubIn,
+// which walk out from q. The engine's admission indexes, the experiments'
+// dataset tables and the library's CoreDecompose (api.go) index all of g on
+// purpose and are not checked.
+func TestNoWholeGraphPeelPerQuery(t *testing.T) {
+	fset := token.NewFileSet()
+	peels := map[string][]string{"kcore": {"Decompose", "MaxCoreness"}, "truss": {"Decompose"}}
+	for _, pkg := range []string{"sea", "exact", "baselines", "query", "hetgraph"} {
+		for _, path := range sourceFiles(t, pkg) {
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				if fn, ok := call.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := fn.X.(*ast.Ident); ok && slices.Contains(peels[x.Name], fn.Sel.Name) {
+						t.Errorf("%s: calls %s.%s, a peel of all of g; extract from q with MaximalSubIn", fset.Position(call.Pos()), x.Name, fn.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
 // TestNoSearchCallsBLB keeps the Bag of Little Bootstraps out of the program:
 // SEA's estimation step takes stats.MeanCI's closed form, and stats.BLB
 // stays only as the reference the tests and benchmarks compare it against.
