@@ -521,31 +521,31 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 
 // BenchmarkSubstrateKTrussExtract is the extraction of q's maximal connected
 // 5-truss from all of g: the reach from q, edge index, supports, threshold
-// peel, maintainer. Everything but the maintainer's header comes from the
-// workspace.
+// peel, maintainer. Everything comes from the workspace; the maintainer's
+// header is MaximalConnectedKTrussInto's own.
 func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
 	defer w.Release()
-	extract := func() *truss.Sub {
-		return truss.MaximalSubIn(context.Background(), benchData.Graph, benchQ, 5, nil, w)
-	}
-	if extract() == nil {
+	var dst []graph.NodeID
+	if dst = truss.MaximalConnectedKTrussInto(dst[:0], benchData.Graph, benchQ, 5, w); dst == nil {
 		b.Fatal("query hosts no 5-truss: the guard would measure the reach alone")
 	}
-	guardAllocs(b, 1, func() { extract() })
+	guardAllocs(b, 0, func() {
+		dst = truss.MaximalConnectedKTrussInto(dst[:0], benchData.Graph, benchQ, 5, w)
+	})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		extract()
+		dst = truss.MaximalConnectedKTrussInto(dst[:0], benchData.Graph, benchQ, 5, w)
 	}
 }
 
-// BenchmarkSubstrateSEASearch is one warm search at the default options: what
-// is left once the sample, its core and the maintainers are pooled is the
-// generator, a maintainer header per round, RemoveCascade's result slices,
-// the round trace and the answer (40 allocations; the interval of each
-// estimate allocates nothing).
+// BenchmarkSubstrateSEASearch is one warm search at the default options,
+// under each model: what is left once the sample, its extraction, the
+// maintainers and their rollback logs are pooled is the generator, a
+// maintainer header per round, the round trace and the answer (11
+// allocations for the k-core search, 13 for the k-truss one).
 func BenchmarkSubstrateSEASearch(b *testing.B) {
 	benchSetup(b)
 	opts := internalsea.DefaultOptions()
@@ -555,7 +555,14 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	guardAllocs(b, 48, search)
+	trussOpts := opts
+	trussOpts.K, trussOpts.Model = 5, internalsea.KTruss // benchQ hosts a 5-truss, no 6-truss
+	guardAllocs(b, 13, func() {
+		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, trussOpts); err != nil {
+			b.Fatal(err)
+		}
+	})
+	guardAllocs(b, 11, search)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -290,9 +290,10 @@
 // 23 and 9 KB since S2's interval is a closed form.
 // The engine's miss used to add an f(·,q) vector of 8·n bytes to that (375
 // and 63 KB); it adds none now (BenchmarkSubstrateSEAMiss guards it).
-// What is left is the generator, each round's maintainer header, the peel's
-// removed-node lists and the returned community; S2's interval
-// (stats.MeanCI) allocates nothing and draws nothing. Parallelism is between
+// What is left is the generator, each round's maintainer header and the
+// returned community: the peel's removals are windows of the maintainer's
+// pooled log, and S2's interval (stats.MeanCI) allocates nothing and draws
+// nothing. Parallelism is between
 // requests: the engine runs up to MaxConcurrent searches side by side and
 // Batch's pool is that wide (for what it has to compute; cached items it
 // answers inline and a fully cached batch starts no goroutine), while

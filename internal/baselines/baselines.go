@@ -24,9 +24,7 @@ import (
 	"repro/internal/attr"
 	"repro/internal/cserr"
 	"repro/internal/graph"
-	"repro/internal/kcore"
 	"repro/internal/sea"
-	"repro/internal/truss"
 	"repro/internal/ws"
 )
 
@@ -90,34 +88,27 @@ func ACQ(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Mo
 	return best, nil
 }
 
-// communityWithAttrs returns the maximal connected structure containing q
-// restricted to nodes having every attribute in attrs, or nil.
+// communityWithAttrs returns the members of the maximal connected structure
+// containing q restricted to nodes having every attribute in attrs, or nil.
+// With no attrs that is every node, and the extraction reads only what q
+// reaches.
 func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model sea.Model, attrs []int32) []graph.NodeID {
-	keep := make([]graph.NodeID, 0, g.NumNodes())
-	for v := 0; v < g.NumNodes(); v++ {
-		if hasAll(g.TextAttrs(graph.NodeID(v)), attrs) {
-			keep = append(keep, graph.NodeID(v))
+	w := ws.Get()
+	defer w.Release()
+	var in *graph.NodeSet
+	if len(attrs) > 0 {
+		in = &w.Member
+		in.Reset(g.NumNodes())
+		for v := range graph.NodeID(g.NumNodes()) {
+			if hasAll(g.TextAttrs(v), attrs) {
+				in.Add(v)
+			}
 		}
 	}
-	sub, orig := graph.InducedSubgraphOf(g, keep)
-	var subQ graph.NodeID = -1
-	for i, v := range orig {
-		if v == q {
-			subQ = graph.NodeID(i)
-		}
+	if maint := sea.Maximal(context.Background(), g, q, k, model, in, w); maint != nil {
+		return maint.Members(nil)
 	}
-	if subQ < 0 {
-		return nil
-	}
-	members := MaximalMembers(sub, subQ, k, model)
-	if members == nil {
-		return nil
-	}
-	out := make([]graph.NodeID, len(members))
-	for i, v := range members {
-		out[i] = orig[v]
-	}
-	return out
+	return nil
 }
 
 // hasAll reports whether the sorted token set have contains every want token.
@@ -138,10 +129,7 @@ func hasAll(have, want []int32) bool {
 // k-truss (per model), or nil when q has none: the structural baseline, and
 // the start of every peeling baseline.
 func MaximalMembers(g graph.Store, q graph.NodeID, k int, model sea.Model) []graph.NodeID {
-	if model == sea.KTruss {
-		return truss.MaximalConnectedKTruss(g, q, k)
-	}
-	return kcore.MaximalConnectedKCore(g, q, k)
+	return communityWithAttrs(g, q, k, model, nil)
 }
 
 // CoverageScore computes the LocATC objective over q's attributes:
@@ -205,8 +193,7 @@ func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea
 			if v == maint.Query() {
 				continue
 			}
-			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= model.MinSize(k) {
+			if _, qAlive := maint.RemoveCascade(v); qAlive && maint.Size() >= model.MinSize(k) {
 				trialMembers := maint.Members(nil)
 				score := CoverageScore(g, q, trialMembers)
 				if score > bestTrial {
@@ -215,16 +202,15 @@ func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea
 					bestRemoved = trialMembers
 				}
 			}
-			maint.Restore(removed)
+			maint.Restore()
 		}
 		if bestV < 0 || bestTrial <= bestScore {
 			break
 		}
 		bestScore = bestTrial
 		best = bestRemoved
-		removed, qAlive := maint.RemoveCascade(bestV)
-		if !qAlive {
-			maint.Restore(removed)
+		if _, qAlive := maint.RemoveCascade(bestV); !qAlive {
+			maint.Restore()
 			break
 		}
 	}
@@ -265,8 +251,7 @@ func VAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k i
 			if v == maint.Query() || v < 0 {
 				continue
 			}
-			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= model.MinSize(k) {
+			if _, qAlive := maint.RemoveCascade(v); qAlive && maint.Size() >= model.MinSize(k) {
 				trial := maint.Members(nil)
 				obj := m.MaxPairwise(trial)
 				if obj < bestObj {
@@ -276,7 +261,7 @@ func VAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k i
 					break // keep the deletion
 				}
 			}
-			maint.Restore(removed)
+			maint.Restore()
 		}
 		if !improved {
 			break
@@ -343,11 +328,10 @@ func EVAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k 
 			if v == maint.Query() || v < 0 || exceeded() || cancelled {
 				continue
 			}
-			removed, qAlive := maint.RemoveCascade(v)
-			if qAlive && maint.Size() >= model.MinSize(k) {
+			if _, qAlive := maint.RemoveCascade(v); qAlive && maint.Size() >= model.MinSize(k) {
 				rec()
 			}
-			maint.Restore(removed)
+			maint.Restore()
 		}
 	}
 	rec()

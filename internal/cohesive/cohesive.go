@@ -2,7 +2,9 @@
 // maintenance structures. Community-search algorithms peel nodes from a
 // cohesive subgraph one at a time; deleting a node may cascade (other nodes
 // or edges drop below the structural threshold) and must be reversible so
-// that branch-and-bound enumeration can backtrack.
+// that branch-and-bound enumeration can backtrack. Both maintainers roll back
+// one way: a removal is a window of one pooled log, and Restore pops the
+// most recent (see Maintainer).
 package cohesive
 
 import "repro/internal/graph"
@@ -20,10 +22,13 @@ type Maintainer interface {
 	Members(dst []graph.NodeID) []graph.NodeID
 	// RemoveCascade deletes v, cascades structural violations, and restricts
 	// the subgraph to the query's connected component. It returns every node
-	// removed (v first) and whether the query survived. If the query did not
-	// survive the caller must still Restore the returned nodes.
+	// removed (v first) and whether the query survived; removing a node that
+	// is not alive removes nothing. Every call, whatever it removed, stays
+	// open until a Restore undoes it. The removed slice is a capped window
+	// of the maintainer's log: it holds what it returned while the call is
+	// open, and appending to it never writes into the log.
 	RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool)
-	// Restore re-inserts nodes previously returned by RemoveCascade. The
-	// slice must be passed back unmodified, most recent removal first.
-	Restore(removed []graph.NodeID)
+	// Restore undoes the most recent open RemoveCascade, re-inserting what
+	// it removed. It panics when no call is open.
+	Restore()
 }

@@ -73,26 +73,9 @@ func factories() []factory {
 }
 
 func TestConformance(t *testing.T) {
-	for _, f := range factories() {
-		f := f
-		t.Run(f.name, func(t *testing.T) {
-			found := 0
-			for seed := int64(0); seed < 20; seed++ {
-				g := randomDense(seed, 14)
-				rng := rand.New(rand.NewSource(seed))
-				q := graph.NodeID(rng.Intn(g.NumNodes()))
-				m, ok := f.build(g, q)
-				if !ok {
-					continue
-				}
-				found++
-				checkContract(t, m, q, rng)
-			}
-			if found == 0 {
-				t.Fatalf("%s: no structure found on any seed", f.name)
-			}
-		})
-	}
+	eachInstance(t, func(t *testing.T, _ int64, q graph.NodeID, m cohesive.Maintainer, rng *rand.Rand) {
+		checkContract(t, m, q, rng)
+	})
 }
 
 // checkContract exercises the Maintainer contract on one instance.
@@ -121,35 +104,25 @@ func checkContract(t *testing.T, m cohesive.Maintainer, q graph.NodeID, rng *ran
 	}
 
 	// Nested remove/restore must be an exact inverse (LIFO discipline).
-	type frame struct{ removed []graph.NodeID }
-	var stack []frame
+	open := 0
 	sizes := []int{m.Size()}
 	depth := 3
 	for d := 0; d < depth; d++ {
-		cur := m.Members(nil)
-		var v graph.NodeID = -1
-		for _, cand := range cur {
-			if cand != q {
-				v = cand
-				break
-			}
-		}
+		v := firstOther(m, q)
 		if v < 0 {
 			break
 		}
-		removed, qAlive := m.RemoveCascade(v)
-		stack = append(stack, frame{removed})
+		_, qAlive := m.RemoveCascade(v)
+		open++
 		if !qAlive {
 			break
 		}
 		sizes = append(sizes, m.Size())
 	}
-	for len(stack) > 0 {
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		m.Restore(f.removed)
-		if m.Size() != sizes[len(stack)] {
-			t.Fatalf("size after restore = %d, want %d", m.Size(), sizes[len(stack)])
+	for ; open > 0; open-- {
+		m.Restore()
+		if m.Size() != sizes[open-1] {
+			t.Fatalf("size after restore = %d, want %d", m.Size(), sizes[open-1])
 		}
 	}
 	after := m.Members(nil)
@@ -170,9 +143,109 @@ func checkContract(t *testing.T, m cohesive.Maintainer, q graph.NodeID, rng *ran
 		if len(removed) != 0 {
 			t.Fatalf("removing dead node removed %v", removed)
 		}
-		m.Restore(removed)
+		m.Restore()
 		if m.Size() != len(all) {
 			t.Fatal("no-op remove/restore changed size")
 		}
 	}
+}
+
+// firstOther returns the first member other than q, or -1.
+func firstOther(m cohesive.Maintainer, q graph.NodeID) graph.NodeID {
+	for _, v := range m.Members(nil) {
+		if v != q {
+			return v
+		}
+	}
+	return -1
+}
+
+// eachInstance runs fn on every factory's maintainer for each of the suite's
+// seeds that hosts one.
+func eachInstance(t *testing.T, fn func(t *testing.T, seed int64, q graph.NodeID, m cohesive.Maintainer, rng *rand.Rand)) {
+	for _, f := range factories() {
+		t.Run(f.name, func(t *testing.T) {
+			found := 0
+			for seed := int64(0); seed < 20; seed++ {
+				g := randomDense(seed, 14)
+				rng := rand.New(rand.NewSource(seed))
+				q := graph.NodeID(rng.Intn(g.NumNodes()))
+				if m, ok := f.build(g, q); ok {
+					found++
+					fn(t, seed, q, m, rng)
+				}
+			}
+			if found == 0 {
+				t.Fatalf("%s: no structure found on any seed", f.name)
+			}
+		})
+	}
+}
+
+// TestConformanceWindowsOutliveNestedCalls peels q's structure call by call,
+// with a remove/restore pair on a random member before each call, so the log
+// grows past its capacity while calls are open. Every open call's window
+// must keep what it returned, also when the caller appends to an older
+// window (as a caller may: the window is capped, so the append cannot write
+// over the newer call's entries), and unwinding must rebuild the structure.
+func TestConformanceWindowsOutliveNestedCalls(t *testing.T) {
+	eachInstance(t, func(t *testing.T, seed int64, q graph.NodeID, m cohesive.Maintainer, rng *rand.Rand) {
+		start := m.Members(nil)
+		var windows, want [][]graph.NodeID
+		check := func(when string) {
+			t.Helper()
+			for i := range windows {
+				if !slices.Equal(windows[i], want[i]) {
+					t.Fatalf("seed %d, %s: open call %d holds %v, returned %v", seed, when, i, windows[i], want[i])
+				}
+			}
+		}
+		for v := firstOther(m, q); v >= 0; v = firstOther(m, q) {
+			alive := m.Members(nil)
+			m.RemoveCascade(alive[rng.Intn(len(alive))])
+			m.Restore()
+			check("after a pair")
+			removed, qAlive := m.RemoveCascade(v)
+			windows, want = append(windows, removed), append(want, slices.Clone(removed))
+			if n := len(windows); n > 1 {
+				if grown := append(windows[n-2], -1); grown[len(grown)-1] != -1 {
+					t.Fatal("append to a window lost its element")
+				}
+			}
+			check("after a removal")
+			if !qAlive {
+				break
+			}
+		}
+		for len(windows) > 0 {
+			check("before a restore")
+			m.Restore()
+			windows, want = windows[:len(windows)-1], want[:len(want)-1]
+		}
+		if got := m.Members(nil); !slices.Equal(got, start) {
+			t.Fatalf("seed %d: unwound to %v, built with %v", seed, got, start)
+		}
+	})
+}
+
+// TestConformanceRemoveRestoreAllocatesNothing: once the maintainer's
+// scratch is warm, a RemoveCascade and its Restore allocate nothing, for
+// every member removed (q included, whose removal ends the structure). The
+// pairs repeat 64 times in the measured run, so a log that keeps entries
+// Restore should have popped outgrows its capacity and shows.
+func TestConformanceRemoveRestoreAllocatesNothing(t *testing.T) {
+	eachInstance(t, func(t *testing.T, seed int64, _ graph.NodeID, m cohesive.Maintainer, _ *rand.Rand) {
+		members := m.Members(nil)
+		pairs := func() {
+			for range 64 {
+				for _, v := range members {
+					m.RemoveCascade(v)
+					m.Restore()
+				}
+			}
+		}
+		if allocs := testing.AllocsPerRun(1, pairs); allocs != 0 {
+			t.Fatalf("seed %d: %v allocs in 64 rounds of %d remove/restore pairs, want 0", seed, allocs, len(members))
+		}
+	})
 }

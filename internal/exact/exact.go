@@ -69,7 +69,8 @@ type searcher struct {
 	cfg   Config
 	stats Stats
 
-	sumDist     float64 // Σ f(v,q) over alive nodes (f(q,q)=0 contributes nothing)
+	sumDist     float64        // Σ f(v,q) over alive nodes (f(q,q)=0 contributes nothing)
+	cands       []graph.NodeID // candidates of every open state, deepest last
 	bestSet     []graph.NodeID
 	best        float64
 	exceeded    bool
@@ -220,7 +221,7 @@ func (s *searcher) enumerate(fuq float64) {
 	}
 	// P2: only delete nodes with f(·,q) > δ(current) (Theorem 5).
 	curDelta := s.delta()
-	var candidates []graph.NodeID
+	base := len(s.cands)
 	for _, id := range s.sub.Universe() {
 		if id == s.q || !s.sub.Alive(id) {
 			continue
@@ -228,8 +229,9 @@ func (s *searcher) enumerate(fuq float64) {
 		if s.cfg.PruneUnnecessary && s.dist[id] <= curDelta {
 			continue
 		}
-		candidates = append(candidates, id)
+		s.cands = append(s.cands, id)
 	}
+	candidates := s.cands[base:]
 	if s.cfg.PruneDuplicates {
 		// Priority enumeration: descending f(·,q).
 		sort.Slice(candidates, func(i, j int) bool {
@@ -238,7 +240,7 @@ func (s *searcher) enumerate(fuq float64) {
 	}
 	for _, v := range candidates {
 		if s.exceeded || s.interrupted {
-			return
+			break
 		}
 		if !s.sub.Alive(v) {
 			// A sibling subtree is explored and restored before the next
@@ -247,7 +249,7 @@ func (s *searcher) enumerate(fuq float64) {
 		}
 		removed, qAlive := s.sub.RemoveCascade(v)
 		if !qAlive || s.sub.Size() < s.k+1 {
-			s.sub.Restore(removed)
+			s.sub.Restore()
 			continue
 		}
 		// P1 (Theorem 4): vm = removed node with the largest f(·,q).
@@ -260,7 +262,7 @@ func (s *searcher) enumerate(fuq float64) {
 			}
 			if fm > fuq {
 				s.stats.PrunedDuplicate++
-				s.sub.Restore(removed)
+				s.sub.Restore()
 				continue
 			}
 		}
@@ -269,11 +271,12 @@ func (s *searcher) enumerate(fuq float64) {
 		}
 		s.record()
 		s.enumerate(s.dist[v])
-		for _, w := range removed {
+		for _, w := range removed { // still this call's window
 			s.sumDist += s.dist[w]
 		}
-		s.sub.Restore(removed)
+		s.sub.Restore()
 	}
+	s.cands = s.cands[:base]
 }
 
 // BruteForce enumerates every subset of g's nodes that contains q and forms a

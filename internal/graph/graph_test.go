@@ -104,6 +104,36 @@ func TestComponentWithFilter(t *testing.T) {
 	}
 }
 
+// InducedSubgraphOf returns the subgraph of any Store backing induced by
+// nodes, with attributes copied and the dictionary shared, plus the mapping
+// from new IDs to original IDs: the reference InducedStructureOf is held to
+// (TestInducedStructureMatchesInducedSubgraph).
+func InducedSubgraphOf(g Store, nodes []NodeID) (*Graph, []NodeID) {
+	remap := make(map[NodeID]NodeID, len(nodes))
+	orig := make([]NodeID, len(nodes))
+	for i, v := range nodes {
+		remap[v] = NodeID(i)
+		orig[i] = v
+	}
+	dim := g.NumDim()
+	b := NewBuilder(len(nodes), dim)
+	b.dict = g.Dict()
+	var nbr []NodeID
+	for i, v := range nodes {
+		b.SetTextTokens(NodeID(i), g.TextAttrs(v))
+		if dim > 0 {
+			b.SetNumAttrs(NodeID(i), g.NumAttrs(v)...)
+		}
+		for _, u := range g.NeighborsInto(&nbr, v) {
+			if j, ok := remap[u]; ok && j > NodeID(i) {
+				b.AddEdge(NodeID(i), j)
+			}
+		}
+	}
+	sub := b.MustBuild()
+	return sub, orig
+}
+
 func TestInducedSubgraph(t *testing.T) {
 	b := NewBuilder(5, 1)
 	edges := [][2]NodeID{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}}

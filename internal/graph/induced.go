@@ -21,10 +21,10 @@ type SubScratch struct {
 }
 
 // InducedStructureOf builds the structure-only subgraph of any Adjacency
-// backing induced by nodes: the edges InducedSubgraphOf keeps, as CSR
-// adjacency, but no attribute copying and a nil dictionary (extraction only
-// ever reads adjacency from an induced graph — attribute distances are looked
-// up through the returned orig mapping on the parent graph). SEA no longer
+// backing induced by nodes: its edges as CSR adjacency, but no attribute
+// copying and a nil dictionary (extraction only ever reads adjacency from an
+// induced graph — attribute distances are looked up through the returned
+// orig mapping on the parent graph). SEA no longer
 // induces its sample (kcore.MaximalSubIn and truss.MaximalSubIn extract from
 // its membership on the parent's IDs); this is the from-scratch reference its
 // tests compare against, and what benchmark/trace.go times. All storage comes from sc — the neighbor lists of a decoding

@@ -21,32 +21,3 @@ func (g *Graph) Component(src NodeID, keep func(NodeID) bool) []NodeID {
 	}
 	return out
 }
-
-// InducedSubgraphOf returns the subgraph of any Store backing induced by
-// nodes, with attributes copied and the dictionary shared, plus the mapping
-// from new IDs to original IDs.
-func InducedSubgraphOf(g Store, nodes []NodeID) (*Graph, []NodeID) {
-	remap := make(map[NodeID]NodeID, len(nodes))
-	orig := make([]NodeID, len(nodes))
-	for i, v := range nodes {
-		remap[v] = NodeID(i)
-		orig[i] = v
-	}
-	dim := g.NumDim()
-	b := NewBuilder(len(nodes), dim)
-	b.dict = g.Dict()
-	var nbr []NodeID
-	for i, v := range nodes {
-		b.SetTextTokens(NodeID(i), g.TextAttrs(v))
-		if dim > 0 {
-			b.SetNumAttrs(NodeID(i), g.NumAttrs(v)...)
-		}
-		for _, u := range g.NeighborsInto(&nbr, v) {
-			if j, ok := remap[u]; ok && j > NodeID(i) {
-				b.AddEdge(NodeID(i), j)
-			}
-		}
-	}
-	sub := b.MustBuild()
-	return sub, orig
-}

@@ -61,8 +61,8 @@ func BenchmarkAblationCloneVsRollback(b *testing.B) {
 	}
 	b.Run("rollback", func(b *testing.B) {
 		run(b, func(sub *Sub, v graph.NodeID) {
-			removed, _ := sub.RemoveCascade(v)
-			sub.Restore(removed)
+			sub.RemoveCascade(v)
+			sub.Restore()
 		})
 	})
 	b.Run("clone", func(b *testing.B) {

@@ -168,7 +168,7 @@ func TestSubRemoveRestoreRoundTrip(t *testing.T) {
 	if !InKCoreSet(g, mem, 3) {
 		t.Errorf("after removal, members %v are not a 3-core", mem)
 	}
-	sub.Restore(removed)
+	sub.Restore()
 	after := snapshot(sub, g.NumNodes())
 	if before != after {
 		t.Errorf("restore mismatch:\nbefore %v\nafter  %v", before, after)
@@ -209,7 +209,7 @@ func TestSubCascadeCollapse(t *testing.T) {
 	if len(removed) != 4 {
 		t.Errorf("removed %d nodes, want 4", len(removed))
 	}
-	sub.Restore(removed)
+	sub.Restore()
 	if sub.Size() != 4 || !sub.Alive(0) {
 		t.Errorf("restore failed: size=%d", sub.Size())
 	}
@@ -228,7 +228,7 @@ func TestSubComponentRestriction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed, qAlive := sub.RemoveCascade(2)
+	_, qAlive := sub.RemoveCascade(2)
 	if !qAlive {
 		t.Fatal("q must survive")
 	}
@@ -241,7 +241,7 @@ func TestSubComponentRestriction(t *testing.T) {
 			t.Errorf("disconnected node %d kept", v)
 		}
 	}
-	sub.Restore(removed)
+	sub.Restore()
 	if sub.Size() != 5 {
 		t.Errorf("size after restore = %d, want 5", sub.Size())
 	}
@@ -274,8 +274,7 @@ func TestPropertyRemoveRestoreRandom(t *testing.T) {
 				continue
 			}
 			sizeBefore := sub.Size()
-			removed, qAlive := sub.RemoveCascade(v)
-			if qAlive {
+			if _, qAlive := sub.RemoveCascade(v); qAlive {
 				// Survivors must form a connected k-core containing q.
 				cur := sub.Members(nil)
 				if !InKCoreSet(g, cur, k) {
@@ -285,7 +284,7 @@ func TestPropertyRemoveRestoreRandom(t *testing.T) {
 					return false
 				}
 			}
-			sub.Restore(removed)
+			sub.Restore()
 			if sub.Size() != sizeBefore {
 				return false
 			}

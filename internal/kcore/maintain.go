@@ -57,8 +57,8 @@ func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*
 	return s, nil
 }
 
-// resize sizes sc's per-node arrays to a graph of n nodes and clears the
-// flags the previous structure on sc left behind, emptying its universe.
+// resize sizes sc's per-node arrays to a graph of n nodes and clears what the
+// previous structure on sc left behind: its flags, universe and rollback log.
 func resize(sc *ws.KCoreScratch, n int) {
 	if len(sc.Alive) < n {
 		sc.Alive, sc.Mark, sc.Deg = make([]bool, n), make([]bool, n), make([]int32, n)
@@ -67,7 +67,7 @@ func resize(sc *ws.KCoreScratch, n int) {
 			sc.Alive[v] = false
 		}
 	}
-	sc.Universe = sc.Universe[:0]
+	sc.Universe, sc.Removed, sc.Open = sc.Universe[:0], sc.Removed[:0], sc.Open[:0]
 }
 
 // Query returns the query node.
@@ -94,12 +94,12 @@ func (s *Sub) Members(dst []graph.NodeID) []graph.NodeID {
 // The returned slice must not be modified.
 func (s *Sub) Universe() []graph.NodeID { return s.universe }
 
-// kill removes v from the alive set, decrements neighbor degrees, and pushes
-// neighbors that fell below k onto the cascade stack.
-func (s *Sub) kill(v graph.NodeID, removed *[]graph.NodeID) {
+// kill removes v from the alive set and logs it, decrements neighbor
+// degrees, and pushes neighbors that fell below k onto the cascade stack.
+func (s *Sub) kill(v graph.NodeID) {
 	s.alive[v] = false
 	s.size--
-	*removed = append(*removed, v)
+	s.sc.Removed = append(s.sc.Removed, v)
 	for _, u := range s.g.NeighborsInto(&s.sc.Nbr, v) {
 		if !s.alive[u] {
 			continue
@@ -114,23 +114,30 @@ func (s *Sub) kill(v graph.NodeID, removed *[]graph.NodeID) {
 // RemoveCascade deletes v, cascades degree violations, and restricts the
 // result to the query's connected component. See cohesive.Maintainer.
 func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool) {
-	if !s.alive[v] {
-		return nil, s.alive[s.q]
-	}
 	sc := s.sc
-	sc.Stack = sc.Stack[:0]
-	s.kill(v, &removed)
-	for len(sc.Stack) > 0 {
-		u := sc.Stack[len(sc.Stack)-1]
-		sc.Stack = sc.Stack[:len(sc.Stack)-1]
-		if s.alive[u] {
-			s.kill(u, &removed)
+	start := len(sc.Removed)
+	sc.Open = append(sc.Open, int32(start))
+	if s.alive[v] {
+		sc.Stack = append(sc.Stack[:0], v)
+		for len(sc.Stack) > 0 {
+			u := sc.Stack[len(sc.Stack)-1]
+			sc.Stack = sc.Stack[:len(sc.Stack)-1]
+			if s.alive[u] {
+				s.kill(u)
+			}
+		}
+		if s.alive[s.q] {
+			s.restrictToQueryComponent()
 		}
 	}
-	if !s.alive[s.q] {
-		return removed, false
-	}
-	// Restrict to q's component: mark reachable alive nodes, kill the rest.
+	end := len(sc.Removed)
+	return sc.Removed[start:end:end], s.alive[s.q]
+}
+
+// restrictToQueryComponent marks the alive nodes q reaches and kills the
+// rest, logging them.
+func (s *Sub) restrictToQueryComponent() {
+	sc := s.sc
 	comp := append(sc.Comp[:0], s.q)
 	s.mark[s.q] = true
 	for i := 0; i < len(comp); i++ {
@@ -144,35 +151,34 @@ func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool
 	sc.Comp = comp
 	if len(comp) != s.size {
 		// Kill alive nodes outside the component. Their removal cannot push
-		// component members below k (no edges cross between components), but
-		// cascades inside the discarded part are irrelevant: kill them all.
+		// component members below k (no edges cross between components), and
+		// the cascades it stacks inside the discarded part are never popped.
 		for _, w := range s.universe {
 			if s.alive[w] && !s.mark[w] {
-				s.alive[w] = false
-				s.size--
-				removed = append(removed, w)
-				for _, u := range s.g.NeighborsInto(&sc.Nbr, w) {
-					if s.alive[u] {
-						s.deg[u]--
-					}
-				}
+				s.kill(w)
 			}
 		}
 	}
 	for _, u := range comp {
 		s.mark[u] = false
 	}
-	return removed, true
 }
 
-// Restore re-inserts nodes removed by RemoveCascade, most recent first.
-func (s *Sub) Restore(removed []graph.NodeID) {
-	for i := len(removed) - 1; i >= 0; i-- {
-		w := removed[i]
+// Restore undoes the most recent open RemoveCascade, re-inserting its nodes
+// most recent first. See cohesive.Maintainer.
+func (s *Sub) Restore() {
+	sc := s.sc
+	if len(sc.Open) == 0 {
+		panic("kcore: Restore with empty log stack")
+	}
+	start := sc.Open[len(sc.Open)-1]
+	sc.Open = sc.Open[:len(sc.Open)-1]
+	for i := len(sc.Removed) - 1; i >= int(start); i-- {
+		w := sc.Removed[i]
 		s.alive[w] = true
 		s.size++
 		d := int32(0)
-		for _, u := range s.g.NeighborsInto(&s.sc.Nbr, w) {
+		for _, u := range s.g.NeighborsInto(&sc.Nbr, w) {
 			if s.alive[u] {
 				d++
 				if u != w {
@@ -182,4 +188,5 @@ func (s *Sub) Restore(removed []graph.NodeID) {
 		}
 		s.deg[w] = d
 	}
+	sc.Removed = sc.Removed[:start]
 }

@@ -67,9 +67,8 @@ func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []flo
 		if worst < 0 {
 			break
 		}
-		removed, qAlive := sub.RemoveCascade(worst)
-		if !qAlive || sub.Size() < k+1 {
-			sub.Restore(removed)
+		if _, qAlive := sub.RemoveCascade(worst); !qAlive || sub.Size() < k+1 {
+			sub.Restore()
 			break
 		}
 		cur := sub.Members(nil)

@@ -270,8 +270,7 @@ type seaRun struct {
 	// membership and the round's maintainer, and the round loop's own
 	// population/sample/candidate buffers. What a warm search still
 	// allocates is the generator, each round's maintainer header, the
-	// removed-node lists of the peel, the round trace and the returned
-	// community.
+	// round trace and the returned community.
 	w *ws.Workspace
 
 	res Result
@@ -602,9 +601,8 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 		if worst < 0 {
 			break
 		}
-		removed, qAlive := maint.RemoveCascade(worst)
-		if !qAlive || maint.Size() < minSize {
-			maint.Restore(removed)
+		if _, qAlive := maint.RemoveCascade(worst); !qAlive || maint.Size() < minSize {
+			maint.Restore()
 			break
 		}
 	}

@@ -123,8 +123,8 @@ func TestExtractionMatchesOracle(t *testing.T) {
 					removed := open[len(open)-1]
 					open = open[:len(open)-1]
 					want.Restore(removed)
-					pooled.Restore(removed)
-					owned.Restore(removed)
+					pooled.Restore()
+					owned.Restore()
 				} else {
 					v := members[rng.Intn(len(members))] // dead nodes and q included
 					removed, qAlive := want.RemoveCascade(v)
@@ -144,8 +144,8 @@ func TestExtractionMatchesOracle(t *testing.T) {
 				removed := open[len(open)-1]
 				open = open[:len(open)-1]
 				want.Restore(removed)
-				pooled.Restore(removed)
-				owned.Restore(removed)
+				pooled.Restore()
+				owned.Restore()
 			}
 			sameState(t, "MaximalSubIn unwound", pooled, want, n)
 			if got := pooled.Members(nil); !slices.Equal(got, members) {

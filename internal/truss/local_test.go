@@ -23,7 +23,11 @@ func wholeIn(g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet) *Sub {
 		}
 	}
 	var nbr []graph.NodeID
-	return build(g, q, k, sc.Nodes, in, &nbr, sc)
+	s := new(Sub)
+	if !s.build(g, q, k, sc.Nodes, in, &nbr, sc) {
+		return nil
+	}
+	return s
 }
 
 // localGraph draws one of five shapes: dense, sparse, planted near-cliques,
@@ -163,12 +167,12 @@ func TestLocalExtractionMatchesFull(t *testing.T) {
 			}
 			sameSub(t, at("built"), got, want, n)
 
-			var openGot, openWant [][]graph.NodeID
+			open := 0
 			for step := 0; step < 24; step++ {
-				if len(openGot) > 0 && rng.Intn(3) == 0 {
-					got.Restore(openGot[len(openGot)-1])
-					want.Restore(openWant[len(openWant)-1])
-					openGot, openWant = openGot[:len(openGot)-1], openWant[:len(openWant)-1]
+				if open > 0 && rng.Intn(3) == 0 {
+					got.Restore()
+					want.Restore()
+					open--
 				} else {
 					v := graph.NodeID(rng.Intn(n)) // dead nodes, outsiders and q included
 					if rng.Intn(2) == 0 {
@@ -179,14 +183,13 @@ func TestLocalExtractionMatchesFull(t *testing.T) {
 					if a != wa || !slices.Equal(r, wr) {
 						t.Fatalf("%s: RemoveCascade(%d) = %v,%v, whole-in %v,%v", at("script"), v, r, a, wr, wa)
 					}
-					openGot, openWant = append(openGot, r), append(openWant, wr)
+					open++
 				}
 				sameSub(t, at(fmt.Sprint("step ", step)), got, want, n)
 			}
-			for len(openGot) > 0 {
-				got.Restore(openGot[len(openGot)-1])
-				want.Restore(openWant[len(openWant)-1])
-				openGot, openWant = openGot[:len(openGot)-1], openWant[:len(openWant)-1]
+			for ; open > 0; open-- {
+				got.Restore()
+				want.Restore()
 			}
 			sameSub(t, at("unwound"), got, want, n)
 		}

@@ -31,10 +31,9 @@ type Sub struct {
 
 	// sc owns every array above and the buffers that grow while the
 	// structure is in use — the peel stack, the triangle list, the component
-	// queue and the rollback log (per RemoveCascade the edges removed, in
-	// order, and the count of removed nodes; Restore must be called LIFO,
-	// which is how every enumeration in this repository backtracks). Those
-	// are reached through sc so that growth lands in the pooled scratch.
+	// queue and the rollback logs of the edges and of the nodes every open
+	// RemoveCascade removed. Those are reached through sc so that growth
+	// lands in the pooled scratch.
 	sc *ws.TrussScratch
 }
 
@@ -53,8 +52,8 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 		return nil, fmt.Errorf("truss: query node %d not in member set", q)
 	}
 	// The scratch is the structure's own: it outlives this call.
-	s := extract(context.Background(), g, q, k, in, w, new(ws.TrussScratch))
-	if s == nil {
+	s := new(Sub)
+	if !s.extract(context.Background(), g, q, k, in, w, new(ws.TrussScratch)) {
 		return nil, fmt.Errorf("truss: query node %d has no k-truss edge within the member set", q)
 	}
 	s.universe = append([]graph.NodeID(nil), members...)
@@ -64,10 +63,11 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 // build indexes the subgraph of g induced by nodes (ascending, membership
 // in; nil for all of g) on the cleaned scratch sc, counts supports once,
 // peels every edge below k−2, and keeps q's component: the index and the
-// surviving alive/support/degree state are the maintainer. Returns nil when
-// no edge of q survives. The universe is q's component in BFS order.
-func build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) *Sub {
-	s := &Sub{k: k, q: q, sc: sc}
+// surviving alive/support/degree state are the maintainer, written into s.
+// Reports whether an edge of q survives. The universe is q's component in
+// BFS order.
+func (s *Sub) build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) bool {
+	*s = Sub{k: k, q: q, sc: sc}
 	s.ix.build(g, nodes, in, nbr, sc)
 	sc.Sup = s.ix.supportsInto(sc.Sup)
 	sc.Alive = bools(sc.Alive, s.ix.NumEdges(), true)
@@ -79,17 +79,17 @@ func build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.N
 		}
 	}
 
-	sc.Stack, sc.Log, sc.Marks = sc.Stack[:0], sc.Log[:0], sc.Marks[:0]
+	sc.Stack, sc.Log, sc.Removed, sc.Open = sc.Stack[:0], sc.Log[:0], sc.Removed[:0], sc.Open[:0]
 	for e, c := range s.sup {
 		if int(c) < k-2 {
 			sc.Stack = append(sc.Stack, int32(e))
 		}
 	}
-	s.drain(nil)
+	s.drain()
 	if s.nodeDeg[q] == 0 {
-		return nil
+		return false
 	}
-	sc.Log = sc.Log[:0] // construction is not undoable
+	sc.Log, sc.Removed = sc.Log[:0], sc.Removed[:0] // construction is not undoable
 
 	// Keep q's component. What lies outside — other trusses among the
 	// indexed nodes — is dropped without the support bookkeeping of
@@ -109,7 +109,7 @@ func build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.N
 	s.unmark(comp)
 	sc.Universe = append(sc.Universe[:0], comp...)
 	s.universe = sc.Universe
-	return s
+	return true
 }
 
 // bools returns buf resized to n with every element set to v.
@@ -146,9 +146,9 @@ func (s *Sub) Members(dst []graph.NodeID) []graph.NodeID {
 
 // killEdge deactivates the alive edge e, logs it, and takes it out of its
 // endpoints' degrees and its triangles' supports. Nodes left without an edge
-// are appended to removed (when non-nil); with cascade set, edges whose
-// support drops below k−2 go on the peel stack.
-func (s *Sub) killEdge(e int32, removed *[]graph.NodeID, cascade bool) {
+// are logged too; with cascade set, edges whose support drops below k−2 go
+// on the peel stack.
+func (s *Sub) killEdge(e int32, cascade bool) {
 	sc := s.sc
 	s.edgeAlive[e] = false
 	sc.Log = append(sc.Log, e)
@@ -156,9 +156,7 @@ func (s *Sub) killEdge(e int32, removed *[]graph.NodeID, cascade bool) {
 		s.nodeDeg[end]--
 		if s.nodeDeg[end] == 0 {
 			s.size--
-			if removed != nil {
-				*removed = append(*removed, end)
-			}
+			sc.Removed = append(sc.Removed, end)
 		}
 	}
 	sc.Tri = s.ix.triangles(sc.Tri[:0], e, s.edgeAlive)
@@ -172,13 +170,13 @@ func (s *Sub) killEdge(e int32, removed *[]graph.NodeID, cascade bool) {
 
 // drain is the threshold peel: it kills stacked edges, and whatever their
 // removal pushes below k−2, until the stack is empty.
-func (s *Sub) drain(removed *[]graph.NodeID) {
+func (s *Sub) drain() {
 	sc := s.sc
 	for len(sc.Stack) > 0 {
 		e := sc.Stack[len(sc.Stack)-1]
 		sc.Stack = sc.Stack[:len(sc.Stack)-1]
 		if s.edgeAlive[e] {
-			s.killEdge(e, removed, true)
+			s.killEdge(e, true)
 		}
 	}
 }
@@ -211,12 +209,12 @@ func (s *Sub) unmark(comp []graph.NodeID) {
 // restrictToQueryComponent kills every alive edge outside q's component. No
 // cascade: a triangle is connected, so the edges killed share none with the
 // component.
-func (s *Sub) restrictToQueryComponent(removed *[]graph.NodeID) {
+func (s *Sub) restrictToQueryComponent() {
 	comp := s.markQueryComponent()
 	if len(comp) != s.size {
 		for e, alive := range s.edgeAlive {
 			if alive && !s.mark[s.ix.U[e]] {
-				s.killEdge(int32(e), removed, false)
+				s.killEdge(int32(e), false)
 			}
 		}
 	}
@@ -224,40 +222,37 @@ func (s *Sub) restrictToQueryComponent(removed *[]graph.NodeID) {
 }
 
 // RemoveCascade deletes node v (all its alive edges), cascades support
-// violations, and restricts alive edges to the query's component.
+// violations, and restricts alive edges to the query's component. See
+// cohesive.Maintainer.
 func (s *Sub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAlive bool) {
 	sc := s.sc
-	logStart := int32(len(sc.Log))
+	start := len(sc.Removed)
+	sc.Open = append(sc.Open, [2]int32{int32(len(sc.Log)), int32(start)})
 	if s.nodeDeg[v] > 0 {
 		sc.Stack = sc.Stack[:0]
 		for p := s.ix.lo[v]; p < s.ix.end[v]; p++ {
 			if e := s.ix.eid[p]; s.edgeAlive[e] {
-				s.killEdge(e, &removed, true)
+				s.killEdge(e, true)
 			}
 		}
-		s.drain(&removed)
+		s.drain()
 		if s.nodeDeg[s.q] > 0 {
-			s.restrictToQueryComponent(&removed)
+			s.restrictToQueryComponent()
 		}
 	}
-	// A no-op removal still pushes a log entry so Restore stays aligned.
-	sc.Marks = append(sc.Marks, [2]int32{logStart, int32(len(removed))})
-	return removed, s.nodeDeg[s.q] > 0
+	end := len(sc.Removed)
+	return sc.Removed[start:end:end], s.nodeDeg[s.q] > 0
 }
 
-// Restore re-inserts the edges and nodes removed by the most recent
-// RemoveCascade. Restores must proceed LIFO; removed must be the slice
-// returned by that call.
-func (s *Sub) Restore(removed []graph.NodeID) {
+// Restore undoes the most recent open RemoveCascade, re-inserting its edges
+// most recent first, and with them its nodes. See cohesive.Maintainer.
+func (s *Sub) Restore() {
 	sc := s.sc
-	if len(sc.Marks) == 0 {
+	if len(sc.Open) == 0 {
 		panic("truss: Restore with empty log stack")
 	}
-	top := sc.Marks[len(sc.Marks)-1]
-	sc.Marks = sc.Marks[:len(sc.Marks)-1]
-	if int(top[1]) != len(removed) {
-		panic("truss: Restore out of LIFO order")
-	}
+	top := sc.Open[len(sc.Open)-1]
+	sc.Open = sc.Open[:len(sc.Open)-1]
 	for i := len(sc.Log) - 1; i >= int(top[0]); i-- {
 		e := sc.Log[i]
 		s.edgeAlive[e] = true
@@ -273,5 +268,5 @@ func (s *Sub) Restore(removed []graph.NodeID) {
 			s.nodeDeg[end]++
 		}
 	}
-	sc.Log = sc.Log[:top[0]]
+	sc.Log, sc.Removed = sc.Log[:top[0]], sc.Removed[:top[1]]
 }

@@ -263,22 +263,25 @@ func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 // w.Visited holds R afterwards. A cancelled ctx ends the reach between
 // blocks of nodes with a nil result.
 func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
-	return extract(ctx, g, q, k, in, w, &w.Truss)
+	if s := new(Sub); s.extract(ctx, g, q, k, in, w, &w.Truss) {
+		return s
+	}
+	return nil
 }
 
-// extract is MaximalSubIn on the scratch sc, with w's sets and neighbour
-// buffers as temporaries only.
-func extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) *Sub {
+// extract is MaximalSubIn into s on the scratch sc, with w's sets and
+// neighbour buffers as temporaries only. Reports whether q has a truss.
+func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) bool {
 	clean(sc, g.NumNodes())
 	if in != nil && !in.Has(q) {
-		return nil
+		return false
 	}
 	nodes := reach(ctx, g, q, k, in, w, sc)
 	if nodes == nil {
-		return nil
+		return false
 	}
 	slices.Sort(nodes)
-	return build(g, q, k, nodes, &w.Visited, &w.NbrA, sc)
+	return s.build(g, q, k, nodes, &w.Visited, &w.NbrA, sc)
 }
 
 // reach returns in sc.Nodes, and marks in w.Visited, the nodes of q's
@@ -337,12 +340,12 @@ func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
 }
 
 // MaximalConnectedKTrussInto is MaximalConnectedKTruss appending to dst,
-// with all working storage drawn from w: the members of MaximalSubIn over
-// all of g, for callers that want the node set and not the maintainer.
-// Returns nil when q has no qualifying edge.
+// with all working storage drawn from w and the maintainer's header held
+// here: the members of MaximalSubIn over all of g. Returns nil when q has
+// no qualifying edge.
 func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	s := MaximalSubIn(context.Background(), g, q, k, nil, w)
-	if s == nil {
+	var s Sub
+	if !s.extract(context.Background(), g, q, k, nil, w, &w.Truss) {
 		return nil
 	}
 	return append(dst, s.universe...)

@@ -144,7 +144,7 @@ func TestSubRemoveRestore(t *testing.T) {
 	if !InKTrussSet(g, mem, 4) {
 		t.Errorf("members %v are not a 4-truss", mem)
 	}
-	sub.Restore(removed)
+	sub.Restore()
 	if sub.Size() != 5 {
 		t.Errorf("size after restore = %d, want 5", sub.Size())
 	}
@@ -153,7 +153,7 @@ func TestSubRemoveRestore(t *testing.T) {
 	if len(removed2) != len(removed) {
 		t.Errorf("second removal differs: %v vs %v", removed2, removed)
 	}
-	sub.Restore(removed2)
+	sub.Restore()
 }
 
 func TestSubCollapse(t *testing.T) {
@@ -164,11 +164,10 @@ func TestSubCollapse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed, qAlive := sub.RemoveCascade(1)
-	if qAlive {
+	if _, qAlive := sub.RemoveCascade(1); qAlive {
 		t.Error("q should die when K4 collapses under k=4")
 	}
-	sub.Restore(removed)
+	sub.Restore()
 	if sub.Size() != 4 {
 		t.Errorf("size after restore = %d, want 4", sub.Size())
 	}
@@ -206,11 +205,10 @@ func TestPropertyTrussInvariant(t *testing.T) {
 				continue
 			}
 			size := sub.Size()
-			removed, qAlive := sub.RemoveCascade(v)
-			if qAlive && !InKTrussSet(g, sub.Members(nil), k) {
+			if _, qAlive := sub.RemoveCascade(v); qAlive && !InKTrussSet(g, sub.Members(nil), k) {
 				return false
 			}
-			sub.Restore(removed)
+			sub.Restore()
 			if sub.Size() != size {
 				return false
 			}

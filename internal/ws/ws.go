@@ -112,14 +112,16 @@ type DistScratch struct {
 
 // KCoreScratch holds every array of one k-core maintainer (kcore.Sub), one
 // live maintainer at a time: the next built on it clears the previous
-// universe's flags. The zero value is ready to use; package kcore owns the
-// layout.
+// universe's flags and empties its rollback log. The zero value is ready to
+// use; package kcore owns the layout.
 type KCoreScratch struct {
 	Universe    []graph.NodeID // the maintainer's member order
 	Alive, Mark []bool         // per node; Mark is all false between calls
 	Deg         []int32        // per node: alive neighbours; valid for alive nodes
 	Stack, Comp []graph.NodeID // cascade stack, component BFS queue; MaximalSubIn's peel stack, reach queue
 	Nbr         []graph.NodeID // neighbor-decode scratch for non-aliasing backings
+	Removed     []graph.NodeID // removed nodes of every open RemoveCascade, flat
+	Open        []int32        // per open RemoveCascade: where it starts in Removed
 }
 
 // TrussScratch holds every array of one k-truss extraction and of the
@@ -146,7 +148,8 @@ type TrussScratch struct {
 	Stack    []int32        // peel work stack of edge IDs
 	Tri      []int32        // partner pairs of the triangles through one edge
 	Log      []int32        // removed edges of every open RemoveCascade, flat
-	Marks    [][2]int32     // per open RemoveCascade: offset into Log, nodes removed
+	Removed  []graph.NodeID // removed nodes of every open RemoveCascade, flat
+	Open     [][2]int32     // per open RemoveCascade: where it starts in Log and in Removed
 	Comp     []graph.NodeID // BFS queue of the query's component
 }
 
