@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -59,6 +60,30 @@ var (
 	benchQ    graph.NodeID
 	benchDist []float64
 )
+
+var (
+	twitterOnce sync.Once
+	twitterData *dataset.Generated
+	twitterM    *attr.Metric
+)
+
+// benchTwitter generates the twitter analog (48 000 nodes) once, with the
+// engine's default metric.
+func benchTwitter(b *testing.B) (*dataset.Generated, *attr.Metric) {
+	b.Helper()
+	twitterOnce.Do(func() {
+		d, err := dataset.Homogeneous("twitter", 1.0)
+		if err != nil {
+			panic(err)
+		}
+		m, err := attr.NewMetric(d.Graph, query.DefaultGamma)
+		if err != nil {
+			panic(err)
+		}
+		twitterData, twitterM = d, m
+	})
+	return twitterData, twitterM
+}
 
 // benchSetup generates one shared mid-size dataset for the micro and
 // ablation benchmarks.
@@ -377,13 +402,35 @@ func BenchmarkEngineThroughput(b *testing.B) {
 // bench-substrate).
 
 // guardAllocs fails the benchmark when fn allocates more than limit per run
-// in the steady state.
+// in the steady state. It counts every allocation of 20 runs, after two
+// warm-up runs, and compares the total with limit×20: testing.AllocsPerRun
+// divides before it compares, so under a ceiling of 0 it would pass up to 19
+// allocations in 20 runs, a buffer grown every few runs. The collector is
+// off while it measures, and a window over the limit is measured again, up
+// to three times: a collection wakes runtime cleanups that allocate on
+// their own goroutine (the unique package's, which net/netip uses), and one
+// window in twenty of BenchmarkSubstrateSEASearch's caught one. An
+// allocation fn makes per run shows in every window.
 func guardAllocs(b *testing.B, limit float64, fn func()) {
 	b.Helper()
+	const runs = 20
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn() // warm buffers and pools outside the measurement
-	if allocs := testing.AllocsPerRun(20, fn); allocs > limit {
-		b.Fatalf("allocs/op = %v, regression guard is %v", allocs, limit)
+	fn()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun: no other goroutine's allocations
+	var total uint64
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			fn()
+		}
+		runtime.ReadMemStats(&after)
+		if total = after.Mallocs - before.Mallocs; float64(total) <= limit*runs {
+			return
+		}
 	}
+	b.Fatalf("%d allocs in %d runs (%.2f/op), regression guard is %v/op", total, runs, float64(total)/runs, limit)
 }
 
 // guardBytes fails the benchmark when fn allocates more than limit bytes per
@@ -402,20 +449,56 @@ func guardBytes(b *testing.B, limit int64, fn func()) {
 	}
 }
 
+// BenchmarkSubstrateBuildGq is Gq's best-first expansion. The repeat leg
+// expands one q to 800 nodes over and over. The cold leg is what a search
+// that misses every cache expands: a distinct q of the twitter analog each
+// time, through a lazy f view, to Theorem 10's size at k = 6 and then on to
+// twice that, as when the sample uses up Gq. Before its guard the workspace
+// serves 64 other q, as a serving workspace has: its frontier then holds
+// the largest frontier of that population, and a new q's must fit.
 func BenchmarkSubstrateBuildGq(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
 	defer w.Release()
-	const size = 800
-	dst := make([]graph.NodeID, 0, size)
-	guardAllocs(b, 0, func() {
-		dst = sampling.BuildGqInto(dst[:0], benchData.Graph, benchQ, benchDist, size, w)
+	b.Run("repeat", func(b *testing.B) {
+		const size = 800
+		dst := make([]graph.NodeID, 0, size)
+		guardAllocs(b, 0, func() {
+			dst = sampling.BuildGqInto(dst[:0], benchData.Graph, benchQ, benchDist, size, w)
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = sampling.BuildGqInto(dst[:0], benchData.Graph, benchQ, benchDist, size, w)
+		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = sampling.BuildGqInto(dst[:0], benchData.Graph, benchQ, benchDist, size, w)
-	}
+	b.Run("cold", func(b *testing.B) {
+		d, m := benchTwitter(b)
+		size, err := stats.MinGqSizeCore(0.05, 0.05, 6, d.Graph.NumNodes()) // SEA's default ε and β
+		if err != nil {
+			b.Fatal(err)
+		}
+		qs := d.Eligible(6)
+		rand.New(rand.NewSource(7)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+		gq := make([]graph.NodeID, 0, 2*size)
+		next := 0
+		expand := func() {
+			q := qs[next%len(qs)]
+			next++
+			f := m.View(q, &w.Dist)
+			gq = sampling.BuildGqView(gq[:0], d.Graph, q, &f, size, w)
+			gq = sampling.BuildGqView(gq, d.Graph, q, &f, 2*size, w)
+		}
+		for range 64 {
+			expand()
+		}
+		guardAllocs(b, 0, expand)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			expand()
+		}
+	})
 }
 
 func BenchmarkSubstrateInducedCSR(b *testing.B) {
@@ -579,14 +662,7 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 // coming back — a vector filled up front, a per-search set sized to the
 // graph — fails it.
 func BenchmarkSubstrateSEAMiss(b *testing.B) {
-	d, err := dataset.Homogeneous("twitter", 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := attr.NewMetric(d.Graph, query.DefaultGamma)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d, m := benchTwitter(b)
 	req := query.Request{Query: d.QueryNodes(1, 6, 3)[0], K: 6}
 	ctx := context.Background()
 	search := func() {
@@ -606,6 +682,32 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		search()
+	}
+}
+
+// BenchmarkSubstrateExactSearch is one exact search (k = 6) on the bench
+// graph that runs out of its state budget. A state allocates nothing — its
+// candidates sort in place and Theorem 6's bound keeps its heap in the
+// searcher — so the guard is the same at a budget of 1 000 states and of
+// 5 000: what is left is the workspace's maintainer header, the winner's
+// node list as it grows, and the candidate stack's growth.
+func BenchmarkSubstrateExactSearch(b *testing.B) {
+	benchSetup(b)
+	search := func(states int64) func() {
+		cfg := exact.DefaultConfig()
+		cfg.MaxStates = states
+		return func() {
+			if _, err := exact.SearchContext(context.Background(), benchData.Graph, benchQ, 6, benchDist, cfg); err != exact.ErrBudgetExhausted {
+				b.Fatalf("budget %d: %v, want the budget to run out", states, err)
+			}
+		}
+	}
+	guardAllocs(b, 15, search(1000))
+	guardAllocs(b, 15, search(5000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search(5000)()
 	}
 }
 

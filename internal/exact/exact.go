@@ -9,10 +9,11 @@
 package exact
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cserr"
@@ -71,6 +72,7 @@ type searcher struct {
 
 	sumDist     float64        // Σ f(v,q) over alive nodes (f(q,q)=0 contributes nothing)
 	cands       []graph.NodeID // candidates of every open state, deepest last
+	lb          []float64      // lowerBound's heap, k long
 	bestSet     []graph.NodeID
 	best        float64
 	exceeded    bool
@@ -104,7 +106,7 @@ func SearchContext(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int
 	if sub == nil {
 		return Result{}, ErrNoCommunity
 	}
-	s := &searcher{ctx: ctx, sub: sub, dist: dist, q: q, k: k, cfg: cfg, best: math.Inf(1)}
+	s := &searcher{ctx: ctx, sub: sub, dist: dist, q: q, k: k, cfg: cfg, best: math.Inf(1), lb: make([]float64, 0, k)}
 	for _, v := range sub.Universe() {
 		s.sumDist += dist[v]
 	}
@@ -149,7 +151,7 @@ func (s *searcher) delta() float64 {
 // f(·,q) among alive nodes other than q (Eqs. 3–4).
 func (s *searcher) lowerBound() float64 {
 	// Max-heap of size k over the smallest distances.
-	heap := make([]float64, 0, s.k)
+	heap := s.lb[:0]
 	push := func(x float64) {
 		if len(heap) < s.k {
 			heap = append(heap, x)
@@ -189,6 +191,7 @@ func (s *searcher) lowerBound() float64 {
 			push(s.dist[v])
 		}
 	}
+	s.lb = heap
 	sum := 0.0
 	for _, x := range heap {
 		sum += x
@@ -234,8 +237,8 @@ func (s *searcher) enumerate(fuq float64) {
 	candidates := s.cands[base:]
 	if s.cfg.PruneDuplicates {
 		// Priority enumeration: descending f(·,q).
-		sort.Slice(candidates, func(i, j int) bool {
-			return s.dist[candidates[i]] > s.dist[candidates[j]]
+		slices.SortFunc(candidates, func(a, b graph.NodeID) int {
+			return cmp.Compare(s.dist[b], s.dist[a])
 		})
 	}
 	for _, v := range candidates {

@@ -5,7 +5,7 @@
 // weighted sampling without replacement.
 //
 // The operations thread a ws.Workspace for their scratch state — visited
-// sets, the frontier heap, the sampling-key array — and append results to
+// sets, the frontier, the sampling-key array — and append results to
 // caller-owned slices, so they allocate nothing once both have warmed to the
 // working size. They read f(·,q) through an attr.View, so a lazy view
 // evaluates f only at the nodes Gq's frontier reaches.
@@ -13,6 +13,7 @@ package sampling
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -21,92 +22,207 @@ import (
 	"repro/internal/ws"
 )
 
-// The frontier heap is a hand-rolled binary min-heap over ws.NodeDist that
-// puts every element where container/heap's sift rules put it, so pop order
-// (and therefore every sampling outcome for a fixed seed) is identical to the
-// historical container/heap implementation — without the per-push interface
-// boxing allocation.
+// The frontier (ws.Frontier) pops in ascending (f, node ID) order, a total
+// order, so an expansion's list follows from g, q and f alone. f ∈ [0,1]
+// splits into ws.FrontierBuckets buckets, and a pop takes the lowest
+// non-empty one from the occupancy bitmap and scans its list for the
+// (f, ID)-least entry. A pop that finds more than longBucket entries in the
+// bucket moves them all to the frontier's heap, which is ordered by (f, ID)
+// too; the next pops compare its top with the lowest list's least. Every
+// entry moves at most once, so when f is constant — a graph without
+// attributes, where every entry lands in bucket 0 — a pop costs O(log F),
+// not O(F). An entry keeps its slab slot in the heap, which holds slot
+// numbers, so the slab is never larger than the frontier was.
+const longBucket = 16
 
-func heapPush(h []ws.NodeDist, x ws.NodeDist) []ws.NodeDist {
-	h = append(h, x)
-	j := len(h) - 1
-	for {
-		i := (j - 1) / 2
-		if i == j || !(h[j].D < h[i].D) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
+// bucketOf is f's bucket: ⌊f·ws.FrontierBuckets⌋, clamped to the table
+// (f = 1 and anything above it land in the last bucket, anything below 0 in
+// the first). It is monotone in f.
+func bucketOf(f float64) int {
+	x := f * ws.FrontierBuckets
+	if !(x > 0) {
+		return 0
 	}
-	return h
+	if x >= ws.FrontierBuckets-1 {
+		return ws.FrontierBuckets - 1
+	}
+	return int(x)
 }
 
-// heapPop removes the minimum by Floyd's method: the hole left at the root
-// walks down to a leaf along the smaller child (the left one on a tie),
-// moving each child up, and the last element x climbs back from that leaf
-// while its parent is not below x. The children along the walk never
-// decrease, so x stops where sifting it down from the root stops — the
-// container/heap position, ties included — at about one comparison per
-// level instead of two.
-func heapPop(h []ws.NodeDist) ([]ws.NodeDist, ws.NodeDist) {
+// before orders slab entries by (f, node ID).
+func before(a, b *ws.FrontierEntry) bool {
+	return a.D < b.D || a.D == b.D && a.V < b.V
+}
+
+func frontierReset(fr *ws.Frontier) {
+	clear(fr.Occ[:])
+	fr.Summary = 0
+	fr.Slab, fr.Free = fr.Slab[:0], -1
+	fr.Heap = fr.Heap[:0]
+	fr.Len, fr.Scanned = 0, 0
+}
+
+func frontierPush(fr *ws.Frontier, v graph.NodeID, f float64) {
+	i := fr.Free
+	if i >= 0 {
+		fr.Free = fr.Slab[i].Next
+	} else {
+		i = int32(len(fr.Slab))
+		fr.Slab = append(fr.Slab, ws.FrontierEntry{})
+	}
+	b := bucketOf(f)
+	word, bit := b>>6, uint64(1)<<(b&63)
+	next := int32(-1)
+	if fr.Occ[word]&bit != 0 {
+		next = fr.Heads[b]
+	} else {
+		fr.Occ[word] |= bit
+		fr.Summary |= 1 << word
+	}
+	fr.Slab[i] = ws.FrontierEntry{D: f, V: v, Next: next}
+	fr.Heads[b] = i
+	fr.Len++
+}
+
+// frontierPop removes and returns the (f, ID)-least entry; fr must not be
+// empty.
+func frontierPop(fr *ws.Frontier) ws.NodeDist {
+	fr.Len--
+	if fr.Summary == 0 {
+		return release(fr, popSlot(fr))
+	}
+	word := bits.TrailingZeros64(fr.Summary)
+	b := word<<6 | bits.TrailingZeros64(fr.Occ[word])
+	slab := fr.Slab
+	best, bestPrev := fr.Heads[b], int32(-1)
+	n := 1
+	for prev, i := best, slab[best].Next; i >= 0; prev, i = i, slab[i].Next {
+		if n == longBucket {
+			fr.Scanned += n
+			toHeap(fr, b)
+			return release(fr, popSlot(fr))
+		}
+		n++
+		if before(&slab[i], &slab[best]) {
+			best, bestPrev = i, prev
+		}
+	}
+	fr.Scanned += n
+	if len(fr.Heap) > 0 && before(&slab[fr.Heap[0]], &slab[best]) {
+		return release(fr, popSlot(fr))
+	}
+	next := slab[best].Next
+	switch {
+	case bestPrev >= 0:
+		slab[bestPrev].Next = next
+	case next >= 0:
+		fr.Heads[b] = next
+	default:
+		unmark(fr, b)
+	}
+	return release(fr, best)
+}
+
+// release frees slab entry i, unlinked from every list, and returns it.
+func release(fr *ws.Frontier, i int32) ws.NodeDist {
+	e := &fr.Slab[i]
+	e.Next, fr.Free = fr.Free, i
+	return ws.NodeDist{V: e.V, D: e.D}
+}
+
+// unmark records that bucket b's list is empty.
+func unmark(fr *ws.Frontier, b int) {
+	word := b >> 6
+	if fr.Occ[word] &^= 1 << (b & 63); fr.Occ[word] == 0 {
+		fr.Summary &^= 1 << word
+	}
+}
+
+// toHeap moves bucket b's list into the heap.
+func toHeap(fr *ws.Frontier, b int) {
+	for i := fr.Heads[b]; i >= 0; i = fr.Slab[i].Next {
+		pushSlot(fr, i)
+		fr.Scanned++
+	}
+	unmark(fr, b)
+}
+
+// pushSlot and popSlot keep fr.Heap, slab slots in (f, ID) order, a binary
+// heap.
+func pushSlot(fr *ws.Frontier, i int32) {
+	h, slab := append(fr.Heap, i), fr.Slab
+	x := &slab[i]
+	j := len(h) - 1
+	for j > 0 {
+		p := (j - 1) / 2
+		if !before(x, &slab[h[p]]) {
+			break
+		}
+		h[j] = h[p]
+		j = p
+	}
+	h[j] = i
+	fr.Heap = h
+}
+
+func popSlot(fr *ws.Frontier) int32 {
+	h, slab := fr.Heap, fr.Slab
 	n := len(h) - 1
-	top, x := h[0], h[n]
+	top, last := h[0], h[n]
+	x := &slab[last]
 	i := 0
 	for {
 		j := 2*i + 1
 		if j >= n {
 			break
 		}
-		if j2 := j + 1; j2 < n && h[j2].D < h[j].D {
+		if j2 := j + 1; j2 < n && before(&slab[h[j2]], &slab[h[j]]) {
 			j = j2
+		}
+		if !before(&slab[h[j]], x) {
+			break
 		}
 		h[i] = h[j]
 		i = j
 	}
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p].D < x.D {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = x
-	return h[:n], top
+	h[i] = last
+	fr.Heap = h[:n]
+	return top
 }
 
 // BuildGqView expands a best-first search from q, always visiting the
-// frontier node with the smallest composite distance to q first, until
-// minSize nodes are collected (or the component of q is exhausted), and
-// appends them to dst. f is read once per node the frontier reaches. q is
-// always the first element appended. All scratch state (visited set,
-// frontier heap) is drawn from w.
+// frontier node with the smallest composite distance to q first (the
+// smallest node ID among equal distances), until minSize nodes are
+// collected (or the component of q is exhausted), and appends them to dst.
+// f is read once per node the frontier reaches. q is always the first
+// element appended. All scratch state (visited set, frontier) is drawn from
+// w.
 //
 // An empty dst starts a fresh expansion. A non-empty dst must be what the
 // last call on w returned for the same g, q and f: the expansion goes on
-// from the frontier that call left in w.Heap and w.GqSeen, and the pop order
-// being deterministic, the result is the list a fresh expansion builds.
+// from the frontier that call left in w.Frontier and w.GqSeen, and the pop
+// order being a total order, the result is the list a fresh expansion
+// builds.
 func BuildGqView(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, f *attr.View, minSize int, w *ws.Workspace) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
 	}
-	h := w.Heap
+	fr := &w.Frontier
 	if len(dst) == 0 {
 		w.GqSeen.Reset(g.NumNodes())
-		h = heapPush(h[:0], ws.NodeDist{V: q, D: 0})
+		frontierReset(fr)
+		frontierPush(fr, q, 0)
 		w.GqSeen.Add(q)
 	}
-	for len(h) > 0 && len(dst) < minSize {
-		var nd ws.NodeDist
-		h, nd = heapPop(h)
-		dst = append(dst, nd.V)
-		for _, u := range g.NeighborsInto(&w.NbrA, nd.V) {
+	for fr.Len > 0 && len(dst) < minSize {
+		v := frontierPop(fr).V
+		dst = append(dst, v)
+		for _, u := range g.NeighborsInto(&w.NbrA, v) {
 			if w.GqSeen.Add(u) {
-				h = heapPush(h, ws.NodeDist{V: u, D: f.At(u)})
+				frontierPush(fr, u, f.At(u))
 			}
 		}
 	}
-	w.Heap = h
 	return dst
 }
 

@@ -266,7 +266,7 @@ type seaRun struct {
 
 	// w is the pooled scratch substrate threaded through every hot loop:
 	// stamped visited/membership sets, the evaluated f values, the frontier
-	// heap and visited set of Gq's expansion, sampling keys, the sample's
+	// and visited set of Gq's expansion, sampling keys, the sample's
 	// membership and the round's maintainer, and the round loop's own
 	// population/sample/candidate buffers. What a warm search still
 	// allocates is the generator, each round's maintainer header, the

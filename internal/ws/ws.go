@@ -7,7 +7,7 @@
 //
 // A Workspace bundles every scratch structure the hot loops need — epoch-
 // stamped visited/membership sets (graph.NodeSet: reset by epoch bump, not
-// reallocation), a best-first frontier heap, weighted-sampling key arrays,
+// reallocation), a best-first frontier, weighted-sampling key arrays,
 // the per-node counts of the k-core extraction's walk from q, a DistScratch
 // holding the f(·,q) values a search has evaluated so far, the membership of
 // a search's sample, and a KCoreScratch and a TrussScratch holding the
@@ -37,8 +37,8 @@ import (
 	"repro/internal/graph"
 )
 
-// NodeDist pairs a node with a float key: a frontier entry ordered by
-// composite distance, or a weighted-sampling key.
+// NodeDist pairs a node with a float key: a frontier entry as it pops, in
+// (composite distance, node ID) order, or a weighted-sampling key.
 type NodeDist struct {
 	V graph.NodeID
 	D float64
@@ -56,12 +56,12 @@ type Workspace struct {
 	Visited graph.NodeSet
 	Member  graph.NodeSet
 
-	// Heap and GqSeen are BuildGq's frontier and visited set and nothing
-	// else's: a later call continues the expansion they hold. Keys is the
-	// exponential-keys array of WeightedSample.
-	Heap   []NodeDist
-	GqSeen graph.NodeSet
-	Keys   []NodeDist
+	// Frontier and GqSeen are BuildGq's frontier and visited set and
+	// nothing else's: a later call continues the expansion they hold. Keys
+	// is the exponential-keys array of WeightedSample.
+	Frontier Frontier
+	GqSeen   graph.NodeSet
+	Keys     []NodeDist
 
 	// Nodes and Floats are general node/float scratch (enlarge's rest pool,
 	// component output, ...).
@@ -98,6 +98,36 @@ type Workspace struct {
 	Dist  DistScratch
 	KCore KCoreScratch
 	Truss TrussScratch
+}
+
+// FrontierBuckets is the number of buckets Frontier splits f ∈ [0,1] into.
+const FrontierBuckets = 4096
+
+// Frontier is BuildGq's best-first frontier: a bucket queue over f ∈ [0,1],
+// bucket ⌊f·FrontierBuckets⌋, that pops in ascending (f, node ID) order. Its
+// entries live in one slab; each bucket is a list threaded through it, and
+// a bucket found long moves into Heap, a binary heap of slab entries in
+// (D, V) order, so a graph whose f is constant does not scan its whole
+// frontier per pop. The slab holds at most as many entries as the frontier
+// held at once; with the heap's slot numbers and the fixed tables (16 KB)
+// that is all it keeps. The zero value is ready to use; package sampling
+// owns the layout.
+type Frontier struct {
+	Heads   [FrontierBuckets]int32       // per bucket: first slab entry; valid where Occ has its bit
+	Occ     [FrontierBuckets / 64]uint64 // bit b: bucket b's list is non-empty
+	Summary uint64                       // bit i: Occ[i] != 0
+	Slab    []FrontierEntry
+	Free    int32   // first free slab entry, -1 when none
+	Heap    []int32 // slab entries moved out of long buckets
+	Len     int     // entries in the lists and the heap
+	Scanned int     // list entries pops have visited since the expansion started
+}
+
+// FrontierEntry is a frontier entry of Frontier's slab.
+type FrontierEntry struct {
+	D    float64
+	V    graph.NodeID
+	Next int32 // the next entry of the same bucket (or of the free slab entries); -1 ends
 }
 
 // DistScratch holds attr.View's lazy f(·,q): the nodes evaluated so far and
