@@ -50,6 +50,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadGraph$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzSamplePrefix$$' -fuzztime $(FUZZTIME) ./internal/sampling
 
 # The canonical perf-trajectory record. Each performance-relevant PR runs
 # this and commits the output as BENCH_<pr>.json (see README "Performance").

@@ -529,22 +529,51 @@ func BenchmarkSubstrateQueryDist(b *testing.B) {
 	}
 }
 
+// BenchmarkSubstrateWeightedSample is one A-ES draw. The repeat leg draws
+// 160 of an 800-node Gq of the bench graph. The cold leg is a round of a
+// search that misses every cache: S3's draw from the rest of a twitter Gq
+// of Theorem 10's size at k = 6 (q not in the pool), weights near 1/|Gq| so
+// most keys underflow to 0, a sample of 20% of the pool.
 func BenchmarkSubstrateWeightedSample(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
 	defer w.Release()
-	gq := sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, 800, w)
-	probs := sampling.ProbabilitiesInto(nil, gq, benchDist)
-	rng := rand.New(rand.NewSource(1))
-	dst := make([]graph.NodeID, 0, 160)
-	guardAllocs(b, 0, func() {
-		dst = sampling.WeightedSampleInto(dst[:0], gq, probs, 160, benchQ, rng, w)
+	b.Run("repeat", func(b *testing.B) {
+		gq := sampling.BuildGqInto(nil, benchData.Graph, benchQ, benchDist, 800, w)
+		probs := sampling.ProbabilitiesInto(nil, gq, benchDist)
+		rng := rand.New(rand.NewSource(1))
+		dst := make([]graph.NodeID, 0, 160)
+		guardAllocs(b, 0, func() {
+			dst = sampling.WeightedSampleInto(dst[:0], gq, probs, 160, benchQ, rng, w)
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dst = sampling.WeightedSampleInto(dst[:0], gq, probs, 160, benchQ, rng, w)
+		}
 	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = sampling.WeightedSampleInto(dst[:0], gq, probs, 160, benchQ, rng, w)
-	}
+	b.Run("cold", func(b *testing.B) {
+		d, m := benchTwitter(b)
+		size, err := stats.MinGqSizeCore(0.05, 0.05, 6, d.Graph.NumNodes()) // SEA's default ε and β
+		if err != nil {
+			b.Fatal(err)
+		}
+		q := d.Eligible(6)[0]
+		f := m.View(q, &w.Dist)
+		pool := sampling.BuildGqView(nil, d.Graph, q, &f, size, w)[1:] // the rest: q is drawn
+		probs := sampling.ProbabilitiesView(nil, pool, &f)
+		rng := rand.New(rand.NewSource(1))
+		dst := make([]graph.NodeID, 0, len(pool)/5)
+		draw := func() {
+			dst = sampling.WeightedSampleInto(dst[:0], pool, probs, len(pool)/5, -1, rng, w)
+		}
+		guardAllocs(b, 0, draw)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			draw()
+		}
+	})
 }
 
 // BenchmarkSubstrateBLB is one Bag of Little Bootstraps estimate over a

@@ -9,6 +9,7 @@ package attr
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ws"
@@ -18,28 +19,62 @@ import (
 // min and max observed over a graph (the Z(·) of §II).
 type Normalizer struct {
 	min, max []float64
+	dims     []dimScale // per dimension, derived from min and max once
+}
+
+// dimScale is what Scale reads of one dimension: its min, its span max−min,
+// and whether that span is zero, negative or infinite (flat), which maps the
+// whole dimension to 0.
+type dimScale struct {
+	min, span float64
+	flat      bool
+}
+
+// scale is Normalizer.Scale of x in this dimension.
+func (d *dimScale) scale(x float64) float64 {
+	if d.flat {
+		return 0
+	}
+	s := (x - d.min) / d.span
+	if s < 0 {
+		return 0
+	}
+	if s > 1 {
+		return 1
+	}
+	return s
+}
+
+// newNormalizer takes ownership of min and max.
+func newNormalizer(min, max []float64) *Normalizer {
+	nz := &Normalizer{min: min, max: max, dims: make([]dimScale, len(min))}
+	for i := range nz.dims {
+		span := max[i] - min[i]
+		nz.dims[i] = dimScale{min: min[i], span: span, flat: span <= 0 || math.IsInf(span, 0)}
+	}
+	return nz
 }
 
 // NewNormalizer computes per-dimension min/max over all nodes of g.
 func NewNormalizer(g graph.Store) *Normalizer {
 	d := g.NumDim()
-	nz := &Normalizer{min: make([]float64, d), max: make([]float64, d)}
+	min, max := make([]float64, d), make([]float64, d)
 	for i := 0; i < d; i++ {
-		nz.min[i] = math.Inf(1)
-		nz.max[i] = math.Inf(-1)
+		min[i] = math.Inf(1)
+		max[i] = math.Inf(-1)
 	}
 	for v := 0; v < g.NumNodes(); v++ {
 		vals := g.NumAttrs(graph.NodeID(v))
 		for i, x := range vals {
-			if x < nz.min[i] {
-				nz.min[i] = x
+			if x < min[i] {
+				min[i] = x
 			}
-			if x > nz.max[i] {
-				nz.max[i] = x
+			if x > max[i] {
+				max[i] = x
 			}
 		}
 	}
-	return nz
+	return newNormalizer(min, max)
 }
 
 // Bounds returns copies of the per-dimension min and max the normalizer was
@@ -55,27 +90,13 @@ func NewNormalizerFromBounds(min, max []float64) (*Normalizer, error) {
 	if len(min) != len(max) {
 		return nil, fmt.Errorf("attr: bounds length mismatch: %d min, %d max", len(min), len(max))
 	}
-	return &Normalizer{
-		min: append([]float64(nil), min...),
-		max: append([]float64(nil), max...),
-	}, nil
+	return newNormalizer(append([]float64(nil), min...), append([]float64(nil), max...)), nil
 }
 
 // Scale maps value x in dimension i to [0,1]. Dimensions with zero range map
 // to 0 so they contribute no distance.
 func (nz *Normalizer) Scale(i int, x float64) float64 {
-	span := nz.max[i] - nz.min[i]
-	if span <= 0 || math.IsInf(span, 0) {
-		return 0
-	}
-	s := (x - nz.min[i]) / span
-	if s < 0 {
-		return 0
-	}
-	if s > 1 {
-		return 1
-	}
-	return s
+	return nz.dims[i].scale(x)
 }
 
 // Metric evaluates the composite attribute distance of §II on a fixed graph.
@@ -191,11 +212,15 @@ func (m *Metric) Distance(u, v graph.NodeID) float64 {
 // calling goroutine. Index with the node ID. The query's own entry is 0. A
 // search reads f through a View instead, which evaluates only the nodes it
 // touches; the whole vector is for the exact solver, whose bounds read every
-// node.
+// node. Each entry is the view's kernel, so q's side is read once, on a
+// pooled workspace, and the vector is all the call allocates.
 func (m *Metric) QueryDist(q graph.NodeID) []float64 {
+	w := ws.Get()
+	defer w.Release()
+	f := m.query(q, &w.Dist)
 	dst := make([]float64, m.g.NumNodes())
 	for v := range dst {
-		dst[v] = m.Distance(graph.NodeID(v), q)
+		dst[v] = f.distance(graph.NodeID(v))
 	}
 	return dst
 }
@@ -211,10 +236,12 @@ type View struct {
 	vals []float64
 	done *graph.NodeSet // nil: vals is a whole vector
 
-	// q's side of f, read once per view: its tokens, and its numerical
-	// attributes scaled (on the scratch).
-	qText []int32
-	qNum  []float64
+	// q's side of f, read once per view (on the scratch): how many tokens it
+	// has, the tokens as a bitmap of as many words as its largest needs, and
+	// its numerical attributes scaled.
+	qTokens int
+	qBits   []uint64
+	qNum    []float64
 }
 
 // View starts a lazy view of f(·,q) on sc, in O(1) once sc has served a
@@ -223,11 +250,34 @@ func (m *Metric) View(q graph.NodeID, sc *ws.DistScratch) View {
 	n := m.g.NumNodes()
 	sc.Done.Reset(n)
 	sc.Vals = ws.F64(sc.Vals, n)
+	f := m.query(q, sc)
+	f.vals, f.done = sc.Vals, &sc.Done
+	return f
+}
+
+// query reads q's side of f onto sc: q's tokens into sc.Bits, once the
+// previous q's are cleared, and q's numerical attributes scaled into sc.Q.
+// The view it returns evaluates distance and nothing else.
+func (m *Metric) query(q graph.NodeID, sc *ws.DistScratch) View {
 	sc.Q = ws.F64(sc.Q, m.g.NumDim())
 	for i, x := range m.g.NumAttrs(q) {
 		sc.Q[i] = m.norm.Scale(i, x)
 	}
-	return View{m: m, vals: sc.Vals, done: &sc.Done, qText: m.g.TextAttrs(q), qNum: sc.Q}
+	// Token IDs index the dictionary; the checks for < 0 keep a corrupt
+	// column from indexing outside the bitmap.
+	text := m.g.TextAttrs(q)
+	clear(sc.Bits) // every word past len(sc.Bits) is zero already
+	words := 0
+	if n := len(text); n > 0 && text[n-1] >= 0 {
+		words = int(text[n-1])>>6 + 1
+	}
+	sc.Bits = slices.Grow(sc.Bits[:0], words)[:words]
+	for _, t := range text {
+		if t >= 0 {
+			sc.Bits[t>>6] |= 1 << (t & 63)
+		}
+	}
+	return View{m: m, qTokens: len(text), qBits: sc.Bits, qNum: sc.Q}
 }
 
 // VectorView views dist, which holds f(v,q) for every node v.
@@ -244,16 +294,36 @@ func (f *View) At(v graph.NodeID) float64 {
 // distance is Metric.Distance(v, q) with q's side read once: the same float
 // operations in the same order, so the same bits.
 func (f *View) distance(v graph.NodeID) float64 {
-	num := f.m.g.NumAttrs(v)
 	manhattan := 0.0
 	if d := len(f.qNum); d > 0 {
+		num, dims := f.m.g.NumAttrs(v)[:d], f.m.norm.dims[:d]
 		sum := 0.0
 		for i, x := range f.qNum {
-			sum += math.Abs(f.m.norm.Scale(i, num[i]) - x)
+			sum += math.Abs(dims[i].scale(num[i]) - x)
 		}
 		manhattan = sum / float64(d)
 	}
-	return f.m.gamma*JaccardTokens(f.m.g.TextAttrs(v), f.qText) + (1-f.m.gamma)*manhattan
+	return f.m.gamma*f.jaccard(v) + (1-f.m.gamma)*manhattan
+}
+
+// jaccard is JaccardTokens(TextAttrs(v), q's tokens): it counts v's tokens
+// whose bit is set in q's bitmap (v's tokens are sorted, so the first one
+// past the bitmap ends the count) and divides the same integers.
+func (f *View) jaccard(v graph.NodeID) float64 {
+	text, bits := f.m.g.TextAttrs(v), f.qBits
+	if len(text) == 0 && f.qTokens == 0 {
+		return 0
+	}
+	inter := 0
+	for _, t := range text {
+		w := uint(t) >> 6
+		if w >= uint(len(bits)) {
+			break
+		}
+		inter += int(bits[w] >> (uint(t) & 63) & 1)
+	}
+	union := len(text) + f.qTokens - inter
+	return 1 - float64(inter)/float64(union)
 }
 
 // Delta computes the q-centric attribute distance δ(H) of Definition 4: the

@@ -198,36 +198,70 @@ func TestPropertyDistanceRangeSymmetry(t *testing.T) {
 }
 
 // TestViewMatchesDistance: a lazy View's f(v,q) is Metric.Distance(v, q) bit
-// for bit, on random graphs with and without numerical dimensions, and with
-// empty token sets.
+// for bit. The cases cover vocabularies past 128 tokens, so q's token bitmap
+// spans several words and other nodes hold tokens above q's largest; zero-span
+// numerical dimensions and none at all; and empty token sets on q, on v and
+// on both. One DistScratch serves every q of every case in turn, so a bit
+// the previous q left in the bitmap shows as a wrong count.
 func TestViewMatchesDistance(t *testing.T) {
+	cases := []struct {
+		name       string
+		vocab, dim int
+		emptyEvery int  // a node has no tokens one time in emptyEvery
+		flat       bool // dimension 0 is one value on every node
+	}{
+		{name: "small vocabulary", vocab: 8, dim: 2, emptyEvery: 5},
+		{name: "vocabulary past 128", vocab: 300, dim: 2, emptyEvery: 5},
+		{name: "no numerical dimensions", vocab: 300, dim: 0, emptyEvery: 5},
+		{name: "zero-span dimension", vocab: 40, dim: 3, emptyEvery: 5, flat: true},
+		{name: "mostly empty token sets", vocab: 200, dim: 1, emptyEvery: 2},
+		{name: "no tokens at all", vocab: 0, dim: 1},
+	}
 	var sc ws.DistScratch
-	for seed := int64(0); seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n, dim := 2+rng.Intn(60), int(seed%4)
-		b := graph.NewBuilder(n, dim)
-		for v := range graph.NodeID(n) {
-			var toks []string
-			for range rng.Intn(5) { // none at all one time in five
-				toks = append(toks, fmt.Sprintf("t%d", rng.Intn(8)))
+	for seed := int64(0); seed < 12; seed++ {
+		for _, c := range cases {
+			rng := rand.New(rand.NewSource(seed))
+			n := 2 + rng.Intn(60)
+			b := graph.NewBuilder(n, c.dim)
+			for i := range c.vocab {
+				b.Dict().Intern(fmt.Sprintf("t%d", i)) // token ID i
 			}
-			b.SetTextAttrs(v, toks...)
-			vals := make([]float64, dim)
-			for i := range vals {
-				vals[i] = float64(rng.Intn(5)) * rng.NormFloat64() // repeats and zero spans too
+			for v := range graph.NodeID(n) {
+				var toks []string
+				// Node 0 draws from the lowest tokens only, so as q it
+				// has others' tokens above its largest.
+				vocab := c.vocab
+				if v == 0 {
+					vocab = min(vocab, 70)
+				}
+				if vocab > 0 && (c.emptyEvery == 0 || rng.Intn(c.emptyEvery) != 0) {
+					for range 1 + rng.Intn(6) {
+						toks = append(toks, fmt.Sprintf("t%d", rng.Intn(vocab)))
+					}
+				}
+				b.SetTextAttrs(v, toks...)
+				vals := make([]float64, c.dim)
+				for i := range vals {
+					vals[i] = float64(rng.Intn(5)) * rng.NormFloat64() // repeats too
+				}
+				if c.flat {
+					vals[0] = 3.5
+				}
+				b.SetNumAttrs(v, vals...)
 			}
-			b.SetNumAttrs(v, vals...)
-		}
-		g := b.MustBuild()
-		m, err := NewMetric(g, rng.Float64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		q := graph.NodeID(rng.Intn(n))
-		f := m.View(q, &sc)
-		for _, v := range rng.Perm(n) {
-			if got, want := f.At(graph.NodeID(v)), m.Distance(graph.NodeID(v), q); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("seed %d dim %d: f(%d,%d) = %v, Distance %v", seed, dim, v, q, got, want)
+			g := b.MustBuild()
+			m, err := NewMetric(g, rng.Float64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range rng.Perm(n) {
+				f := m.View(graph.NodeID(q), &sc)
+				for _, v := range rng.Perm(n) {
+					got, want := f.At(graph.NodeID(v)), m.Distance(graph.NodeID(v), graph.NodeID(q))
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, seed %d: f(%d,%d) = %v, Distance %v", c.name, seed, v, q, got, want)
+					}
+				}
 			}
 		}
 	}

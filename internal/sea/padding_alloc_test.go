@@ -21,7 +21,7 @@ func TestPaddingAddsNoBytes(t *testing.T) {
 	c := sea.PaddedTwitch(t)
 	ctx := context.Background()
 	request := func(pq sea.PaddingQuery) query.Request {
-		return query.Request{Query: pq.Q, Model: pq.Model, K: pq.K, Seed: pq.Seed}
+		return query.Request{Query: pq.Q, Model: pq.Model, K: pq.K, Seed: pq.Seed, MaxRounds: pq.MaxRounds}
 	}
 	run := func(g graph.Store, m *attr.Metric, req query.Request) {
 		if _, err := query.Run(ctx, g, m, req); err != nil {
@@ -45,12 +45,16 @@ func TestPaddingAddsNoBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc-before.TotalAlloc) / reps
 	}
-	for _, pq := range c.Queries {
-		req := request(pq)
-		base := allocated(c.Base, c.MBase, req)
-		pad := allocated(c.Padded, c.MPadded, req)
-		if d := pad - base; d >= 64<<10 || d <= -64<<10 {
-			t.Errorf("%+v: query.Run allocates %d B per search on twitch, %d B padded", pq, base, pad)
+	// MaxRounds 1 ends the searches in the last resort (TestPaddingAddsNoWork).
+	for _, rounds := range []int{0, 1} {
+		for _, pq := range c.Queries {
+			pq.MaxRounds = rounds
+			req := request(pq)
+			base := allocated(c.Base, c.MBase, req)
+			pad := allocated(c.Padded, c.MPadded, req)
+			if d := pad - base; d >= 64<<10 || d <= -64<<10 {
+				t.Errorf("%+v: query.Run allocates %d B per search on twitch, %d B padded", pq, base, pad)
+			}
 		}
 	}
 }

@@ -81,12 +81,17 @@ type PaddingQuery struct {
 	Model Model
 	K     int
 	Seed  int64
+	// MaxRounds, when positive, replaces the default cap on rounds.
+	MaxRounds int
 }
 
 // Options returns the search's options.
 func (pq PaddingQuery) Options() Options {
 	opts := DefaultOptions()
 	opts.Model, opts.K, opts.Seed = pq.Model, pq.K, pq.Seed
+	if pq.MaxRounds > 0 {
+		opts.MaxRounds = pq.MaxRounds
+	}
 	return opts
 }
 
@@ -122,14 +127,14 @@ func PaddedTwitch(t testing.TB) *PaddingCase {
 
 // searchWork is what one search returned and what it cost.
 type searchWork struct {
-	answer []byte // the Result without its wall times
-	evals  int    // f(·,q) evaluations: the lazy view's computed set
-	reads  int    // neighbour lists read
+	answer     []byte // the Result without its wall times
+	evals      int    // f(·,q) evaluations: the lazy view's computed set
+	reads      int    // neighbour lists read
+	sampled    int    // nodes in the sample's membership
+	lastResort bool   // no round estimated a candidate
 }
 
-// work runs pq on g with f from m, checking that Gq is q's whole component
-// and that the search never takes the last-resort path, which visits every
-// node by design.
+// work runs pq on g with f from m, checking that Gq is q's whole component.
 func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWork {
 	t.Helper()
 	cg := &countingCSR{CSR: g}
@@ -147,37 +152,52 @@ func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWo
 	if res.GqSize >= minGq {
 		t.Fatalf("%+v: |Gq| = %d of the %d Theorem 10 asks for; the case needs q's whole component", pq, res.GqSize, minGq)
 	}
-	if len(s.w.Sample) != res.SampleSize {
-		t.Fatalf("%+v: the search took the last-resort path", pq)
-	}
+	lastResort := true
 	res.Steps = StepTimes{}
-	for i := range res.Rounds {
+	for i, r := range res.Rounds {
 		res.Rounds[i].Time = 0
+		if r.MoE != 0 || r.Delta != 0 {
+			lastResort = false
+		}
 	}
 	answer, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return searchWork{answer: answer, evals: s.w.Dist.Done.Len(), reads: cg.reads}
+	return searchWork{answer: answer, evals: s.w.Dist.Done.Len(), reads: cg.reads, sampled: s.w.Sampled.Len(), lastResort: lastResort}
 }
 
 // TestPaddingAddsNoWork: a million nodes no search reaches change neither a
-// search's answer nor its work — its f(·,q) evaluations and its neighbour
-// reads. Evaluating f over all of V, or any other per-search pass over V,
-// fails it.
+// search's answer nor its work — its f(·,q) evaluations, its neighbour
+// reads and the nodes it puts in its sample. Evaluating f over all of V, or
+// any other per-search pass over V, fails it. The MaxRounds = 1 leg ends
+// the searches in the last resort, which finds q's structure in all of g:
+// a pass over V there fails it too.
 func TestPaddingAddsNoWork(t *testing.T) {
 	c := PaddedTwitch(t)
-	for _, pq := range c.Queries {
-		base := work(t, c.Base, c.MBase, pq)
-		pad := work(t, c.Padded, c.MPadded, pq)
-		if string(base.answer) != string(pad.answer) {
-			t.Errorf("%+v: answers differ:\n  twitch: %s\n  padded: %s", pq, base.answer, pad.answer)
+	for _, rounds := range []int{0, 1} {
+		lastResorts := 0
+		for _, pq := range c.Queries {
+			pq.MaxRounds = rounds
+			base := work(t, c.Base, c.MBase, pq)
+			pad := work(t, c.Padded, c.MPadded, pq)
+			if string(base.answer) != string(pad.answer) {
+				t.Errorf("%+v: answers differ:\n  twitch: %s\n  padded: %s", pq, base.answer, pad.answer)
+			}
+			if base.evals != pad.evals || base.reads != pad.reads || base.sampled != pad.sampled {
+				t.Errorf("%+v: f evaluations %d → %d, neighbour reads %d → %d, sampled nodes %d → %d",
+					pq, base.evals, pad.evals, base.reads, pad.reads, base.sampled, pad.sampled)
+			}
+			if base.evals >= c.Base.NumNodes() {
+				t.Errorf("%+v: %d f evaluations on a %d-node graph", pq, base.evals, c.Base.NumNodes())
+			}
+			if base.lastResort {
+				lastResorts++
+			}
 		}
-		if base.evals != pad.evals || base.reads != pad.reads {
-			t.Errorf("%+v: f evaluations %d → %d, neighbour reads %d → %d", pq, base.evals, pad.evals, base.reads, pad.reads)
-		}
-		if base.evals >= c.Base.NumNodes() {
-			t.Errorf("%+v: %d f evaluations on a %d-node graph", pq, base.evals, c.Base.NumNodes())
+		t.Logf("MaxRounds %d: %d of %d searches took the last resort", rounds, lastResorts, len(c.Queries))
+		if rounds == 1 && lastResorts == 0 {
+			t.Errorf("MaxRounds 1: no search took the last resort; the leg checks nothing")
 		}
 	}
 }

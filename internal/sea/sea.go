@@ -405,16 +405,12 @@ func (s *seaRun) run() (*Result, error) {
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
 		// (typical when community cores are small relative to λ·|Gq|), so
-		// sample the rest of the graph and run the greedy estimation on its
-		// maximal structure. SampleSize stays what the rounds drew.
-		rest := len(sample)
-		for v := graph.NodeID(0); int(v) < s.g.NumNodes(); v++ {
-			if !s.w.Sampled.Has(v) {
-				sample = append(sample, v)
-			}
-		}
-		s.w.Sample = sample
-		maint := s.extract(sample[rest:])
+		// run the greedy estimation on q's maximal structure in all of g,
+		// found by walking out from q, as if the sample were all of V.
+		// SampleSize stays what the rounds drew.
+		t1 := time.Now()
+		maint := Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, nil, s.w)
+		s.res.Steps.Sampling += time.Since(t1)
 		if s.ctx.Err() != nil {
 			return s.interrupted()
 		}

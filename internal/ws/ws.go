@@ -131,13 +131,15 @@ type FrontierEntry struct {
 }
 
 // DistScratch holds attr.View's lazy f(·,q): the nodes evaluated so far and
-// each one's value, and q's scaled numerical attributes. Starting a search
-// bumps one epoch. The zero value is ready to use; package attr owns the
+// each one's value, q's scaled numerical attributes and q's tokens as a
+// bitmap. Starting a search bumps one epoch and clears the previous q's
+// bitmap words. The zero value is ready to use; package attr owns the
 // layout.
 type DistScratch struct {
 	Done graph.NodeSet
 	Vals []float64 // per node: f(v,q); valid for members of Done
 	Q    []float64 // per dimension: q's attribute, normalized
+	Bits []uint64  // q's tokens as a bitmap, as many words as its largest needs; zero past len
 }
 
 // KCoreScratch holds every array of one k-core maintainer (kcore.Sub), one
