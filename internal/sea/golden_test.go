@@ -50,9 +50,11 @@ func population(d *dataset.Generated, k int) []graph.NodeID {
 }
 
 // coldCoreNodes are the first 32 query nodes of the benchmark's cold-core
-// workload, whose i-th request at seed 1 has SEA seed 1_000_004 + i. On
+// workload at k, whose i-th request at seed 1 has SEA seed 1_000_004 + i. On
 // twitter at scale 1.0 their Gq is a small part of the graph, a regime the
-// twitch goldens (Gq is all of it) never reach.
+// twitch goldens (Gq is all of it) never reach. At k = 6 q's maximal
+// structure is its planted community of a few dozen nodes; at k = 4 it is,
+// for most of them, a giant core of thousands (README, "Golden populations").
 func coldCoreNodes(d *dataset.Generated, k int) []graph.NodeID { return population(d, k)[:32] }
 
 // goldenAnswers runs one model's searches on a generated dataset, for the
@@ -124,6 +126,7 @@ func TestGoldenAnswers(t *testing.T) {
 		{"golden-twitch-truss-k5.json", "twitch", 0.25, twitchNodes, 1000, KTruss, 5},
 		{"golden-twitch-core-k6.json", "twitch", 0.25, twitchNodes, 1000, KCore, 6},
 		{"golden-twitter-core-k6.json", "twitter", 1.0, coldCoreNodes, 1_000_004, KCore, 6},
+		{"golden-twitter-core-k4.json", "twitter", 1.0, coldCoreNodes, 1_000_004, KCore, 4},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
