@@ -603,7 +603,8 @@ func BenchmarkSubstrateBLB(b *testing.B) {
 // workspace. The guard also covers a q/k with no core — one above q's
 // coreness, so the walk reaches and peels before it answers none — in the
 // node-set form and in MaximalSubIn, which allocates its maintainer's header
-// only for a core it found.
+// only for a core it found, and the maintainer's certificate
+// (Sub.ProvesMaximal) over the core it found.
 func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
@@ -624,6 +625,8 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
 		}
 	})
+	sub := kcore.MaximalSubIn(context.Background(), benchData.Graph, benchQ, 6, nil, w)
+	guardAllocs(b, 0, func() { sub.ProvesMaximal() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -683,34 +686,53 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 }
 
 // BenchmarkSubstrateSEAMiss is the engine's result-cache miss on the
-// twitter analog (48 000 nodes, k-core at k=6): query.Run, a fresh seed per
-// search. Its guard is on bytes, not allocations:
-// a search evaluates f at the nodes it touches, and its per-node arrays come
-// from pooled workspaces, so it allocates ~70 KB, under the 4·n = 192 KB
-// ceiling, where one f(·,q) vector is 8·n. An O(|V|) allocation per search
-// coming back — a vector filled up front, a per-search set sized to the
-// graph — fails it.
+// twitter analog (48 000 nodes): query.Run, a fresh seed per search, in two
+// legs. k6 is a k-core search at k = 6, where q's maximal core is its
+// planted community of a few dozen nodes. giant is one at k = 4 for the
+// first query node of internal/sea's twitter k = 4 golden, whose maximal
+// core holds over 1 000 nodes (29 262), the regime the paper's sampling is
+// for. Its guard is on bytes, not allocations: a search evaluates f at the
+// nodes it touches, and its per-node arrays come from pooled workspaces, so
+// it allocates ~8 KB, under the 4·n = 192 KB ceiling, where one f(·,q)
+// vector is 8·n. An O(|V|) allocation per search coming back — a vector
+// filled up front, a per-search set sized to the graph — fails it.
 func BenchmarkSubstrateSEAMiss(b *testing.B) {
 	d, m := benchTwitter(b)
-	req := query.Request{Query: d.QueryNodes(1, 6, 3)[0], K: 6}
-	ctx := context.Background()
-	search := func() {
-		req.Seed++ // a distinct request each time, as on a miss
-		if _, err := query.Run(ctx, d.Graph, m, req); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// Serial searches take the free list's workspaces in turn; each grows
-	// its per-node arrays to the graph once.
-	for range 2*runtime.GOMAXPROCS(0) + 1 {
-		search()
-	}
-	n := int64(d.Graph.NumNodes())
-	guardBytes(b, 4*n, search)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		search()
+	for _, leg := range []struct {
+		name string
+		q    graph.NodeID
+		k    int
+	}{
+		{"k6", d.QueryNodes(1, 6, 3)[0], 6},
+		{"giant", 31770, 4},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if leg.name == "giant" {
+				if core := kcore.MaximalConnectedKCore(d.Graph, leg.q, leg.k); len(core) <= 1000 {
+					b.Fatalf("q %d's maximal %d-core has %d nodes; the leg needs a giant one", leg.q, leg.k, len(core))
+				}
+			}
+			req := query.Request{Query: leg.q, K: leg.k}
+			ctx := context.Background()
+			search := func() {
+				req.Seed++ // a distinct request each time, as on a miss
+				if _, err := query.Run(ctx, d.Graph, m, req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Serial searches take the free list's workspaces in turn; each
+			// grows its per-node arrays to the graph once.
+			for range 2*runtime.GOMAXPROCS(0) + 1 {
+				search()
+			}
+			n := int64(d.Graph.NumNodes())
+			guardBytes(b, 4*n, search)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search()
+			}
+		})
 	}
 }
 

@@ -110,7 +110,13 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // draw, and again when S2's interval became a closed form (stats.MeanCI)
 // and stopped drawing from the generator. The twitter file was first
 // recorded before the k-core round stopped maintaining the whole sample's
-// core. A deliberate change of the algorithm's trajectory re-records them:
+// core, the twitter k = 4 file before the stop below. The three k-core
+// files were re-recorded when the loop began to stop after a k-core round
+// whose structure is provably q's whole maximal k-core in G, and Gq to
+// double only for a round that draws from it. No answer changed then:
+// Community, δ, the interval and Satisfied kept their bytes, Rounds became
+// a prefix of what it was, and GqSize and SampleSize could only fall. A
+// deliberate change of the algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {

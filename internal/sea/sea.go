@@ -17,8 +17,14 @@
 //     ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most dissimilar node
 //     and re-estimate. This step draws nothing from the search's generator.
 //  3. Incremental sampling (S3): if no candidate satisfies the rule, enlarge
-//     the sample by the error-driven |ΔS| of Eq. 12 and repeat, and stop when
-//     there is nothing left to draw.
+//     the sample by the error-driven |ΔS| of Eq. 12 and repeat. Gq doubles
+//     when the sample has used it up, at the start of the round that draws
+//     from it. The loop stops when there is nothing left to draw, and after
+//     a k-core round whose structure is provably q's maximal connected
+//     k-core in all of G (kcore.Sub.ProvesMaximal): every larger sample
+//     holds that same core in the same order, and S2 draws nothing, so
+//     every later round would return this round's answer. Only the trace
+//     (Rounds, GqSize, SampleSize) is shorter for it.
 package sea
 
 import (
@@ -194,7 +200,10 @@ type Round struct {
 	MoE   float64 // its margin of error ε
 	// DeltaS is how many nodes S3 added to the sample before this round: what
 	// was drawn, not what Eq. 12 asked for. It is 0 for round 1 and positive
-	// for every later round — a round with nothing new to draw is not run.
+	// for every later round — a round with nothing new to draw is not run,
+	// and neither is any round after a k-core round whose structure was
+	// proved to be q's maximal k-core in G, since it would repeat that
+	// round's Delta and MoE.
 	DeltaS int
 	Time   time.Duration // wall time of the round
 }
@@ -207,7 +216,7 @@ type Result struct {
 	Satisfied  bool           // Theorem-11 stopping rule achieved
 	Rounds     []Round        // per-round trace
 	Steps      StepTimes
-	GqSize     int // |Gq| population size
+	GqSize     int // |Gq|: the population the rounds drew from
 	SampleSize int // final |S|
 }
 
@@ -339,6 +348,16 @@ func (s *seaRun) run() (*Result, error) {
 		roundStart := time.Now()
 		deltaS := 0
 		if round > 1 {
+			if len(sample) >= len(gq) && len(gq) == minGq {
+				// The sample exhausted the population: enlarge Gq itself,
+				// now that a round will draw from it. A Gq shorter than it
+				// was asked to be is q's whole component and is never
+				// rebuilt.
+				t1 := time.Now()
+				minGq *= 2
+				gq, probs = s.buildGq(minGq)
+				s.res.Steps.Sampling += time.Since(t1)
+			}
 			// S3: error-based incremental sampling (Eq. 12).
 			t3 := time.Now()
 			ask := stats.IncrementalSampleSize(last.MoE, stats.MoETarget(last.Center, s.opts.ErrorBound), lastN)
@@ -353,27 +372,18 @@ func (s *seaRun) run() (*Result, error) {
 			deltaS = len(sample) - s.res.SampleSize
 			s.res.Steps.Incremental += time.Since(t3)
 			if deltaS == 0 {
-				// The one stop rule besides Theorem 11 and MaxRounds: S3 drew
-				// nothing, so the sample is all of a Gq that cannot grow — q's
-				// whole component — and this round would estimate exactly what
-				// the last one did.
+				// S3 drew nothing, so the sample is all of a Gq that cannot
+				// grow — q's whole component — and this round would estimate
+				// exactly what the last one did. (The other stop besides
+				// Theorem 11 and MaxRounds is a proved whole k-core, below.)
 				break
 			}
 		}
 		added := sample[s.res.SampleSize:] // round 1: the whole first sample
 		s.res.SampleSize = len(sample)
-		if len(sample) >= len(gq) && len(gq) == minGq {
-			// Sample exhausted the population: enlarge Gq itself for the next
-			// round to draw from. A Gq shorter than it was asked to be is
-			// q's whole component and is never rebuilt.
-			t1 := time.Now()
-			minGq *= 2
-			gq, probs = s.buildGq(minGq)
-			s.res.Steps.Sampling += time.Since(t1)
-		}
 
 		// S1: maximal connected structure within the induced sample.
-		maint := s.extract(added)
+		maint, whole := s.extract(added)
 		if s.ctx.Err() != nil {
 			return s.interrupted()
 		}
@@ -401,6 +411,11 @@ func (s *seaRun) run() (*Result, error) {
 		}
 		s.res.CI = ci
 		last, lastN = ci, n
+		if whole {
+			// q's whole maximal k-core in G: every later round would
+			// return this round's answer (package comment, step 3).
+			break
+		}
 	}
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
@@ -477,13 +492,23 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 // closing k−2 triangles in it. When the sample around q joins a component of
 // thousands of nodes, that is still the few dozen around q, and neither the
 // component nor a core of it is ever walked.
-func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
+//
+// whole reports that a k-core structure is provably q's maximal connected
+// k-core in all of g (kcore.Sub.ProvesMaximal, which reads the structure's
+// lists and one hop more). A k-truss structure is never reported whole: its
+// loop already ends by exhausting Gq, and an exact check saved 0.2% of
+// cold-truss rounds.
+func (s *seaRun) extract(added []graph.NodeID) (maint cohesive.Maintainer, whole bool) {
 	t1 := time.Now()
 	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
 	for _, v := range added {
 		s.w.Sampled.Add(v)
 	}
-	return Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
+	maint = Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
+	if sub, ok := maint.(*kcore.Sub); ok {
+		whole = sub.ProvesMaximal()
+	}
+	return maint, whole
 }
 
 // Maximal returns the maintenance structure over q's maximal connected
