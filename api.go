@@ -228,7 +228,8 @@ type Snapshot = store.Snapshot
 
 // SnapshotIndex is the serializable precomputed per-graph state a snapshot
 // persists alongside the graph: the coreness and node-trussness admission
-// indexes and the attribute-metric normalization table.
+// indexes, the per-edge trussness, and the attribute-metric normalization
+// table.
 type SnapshotIndex = store.Index
 
 // PackOptions selects nothing: every written snapshot is the aligned v2
@@ -289,8 +290,9 @@ func OpenGraphFile(path string) (*Snapshot, error) { return store.OpenGraphFile(
 
 // NewEngineFromSnapshot builds an Engine directly from a reopened snapshot,
 // skipping the construction-time metric scan and core/truss decompositions
-// when the snapshot carries an index (a legacy index without the truss
-// section pays the truss decomposition).
+// when the snapshot carries an index (an index without the edgetruss
+// section — v1, legacy compressed, or a v2 file written before it — pays
+// the truss decomposition).
 func NewEngineFromSnapshot(snap *Snapshot, cfg EngineConfig) (*Engine, error) {
 	return engine.NewFromSnapshot(snap, cfg)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -16,7 +17,9 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mutate"
 	"repro/internal/query"
+	"repro/internal/sea"
 	"repro/internal/store"
+	"repro/internal/truss"
 )
 
 // liveFixture packs a small graph into a snapshot and returns its path plus
@@ -263,6 +266,89 @@ func TestConcurrentQueryMutateCompact(t *testing.T) {
 	wg.Wait()
 	if v := d.Engine().Version(); v != 20 {
 		t.Fatalf("version = %d, want 20", v)
+	}
+}
+
+// TestBackgroundCompactionCarriesEdgeTruss streams edge insertions and
+// removals into a journaled dataset that compacts in the background after
+// every batch, with k-truss queries running beside them. A compaction writes
+// its snapshot without the dataset lock while the next batch rewrites the
+// engine's per-edge trussness table, so under -race this is the check that
+// a snapshot reads the table only together with the generation it belongs
+// to. Remounted, the snapshot and journal must give the live engine's index
+// exactly, per-edge trussness included, equal to a decomposition of the
+// served graph.
+func TestBackgroundCompactionCarriesEdgeTruss(t *testing.T) {
+	snapPath, journalPath := liveFixture(t)
+	c := New()
+	d, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetCompactEvery(1)
+
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			eng := d.Engine()
+			req := query.Request{Query: graph.NodeID(i % 12), Method: query.MethodStructural, Model: sea.KTruss, K: 3 + i%2}.WithDefaults()
+			if _, err := eng.Query(ctx, req); err != nil && !errors.Is(err, cserr.ErrNoCommunity) {
+				t.Errorf("query: %v", err)
+				return
+			}
+		}
+	}()
+	rng := rand.New(rand.NewSource(49))
+	compactions := 0
+	for i := 0; i < 40; i++ {
+		g := d.Engine().Graph()
+		u, v := graph.NodeID(rng.Intn(12)), graph.NodeID(rng.Intn(12))
+		if u == v {
+			continue
+		}
+		dl := mutate.AddEdge(u, v)
+		if g.HasEdge(u, v) {
+			dl = mutate.RemoveEdge(u, v)
+		}
+		res, err := c.Mutate("g", []mutate.Delta{dl})
+		if err != nil {
+			t.Fatalf("mutate %d: %v", i, err)
+		}
+		if res.Compacting {
+			compactions++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	want := d.Engine().ExportIndex()
+	if err := c.Close(); err != nil { // waits for the background compactor
+		t.Fatal(err)
+	}
+	if compactions == 0 {
+		t.Fatal("no batch started a background compaction")
+	}
+
+	re := New()
+	defer re.Close()
+	rd, _, err := re.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := rd.Engine().ExportIndex()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("remounted index differs from the live one:\n got %+v\nwant %+v", got, want)
+	}
+	if _, tr := truss.Decompose(rd.Engine().Graph()); !reflect.DeepEqual(got.EdgeTruss, tr) {
+		t.Fatalf("remounted edge trussness %v, a decomposition gives %v", got.EdgeTruss, tr)
 	}
 }
 

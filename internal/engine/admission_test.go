@@ -30,8 +30,9 @@ func scratchNodeTruss(g graph.CSR) []int32 {
 }
 
 // TestAdmissionIndexWholeAtConstruction: every construction route yields an
-// engine whose node-truss index exists and is exact before the first
-// request, and mutations maintain it even when no k-truss query has run.
+// engine whose node-truss index and per-edge trussness exist and are exact
+// before the first request, and mutations maintain the node-truss index
+// even when no k-truss query has run.
 func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 	d := testDataset(t)
 	cfg := DefaultConfig()
@@ -44,6 +45,7 @@ func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := scratchNodeTruss(d.Graph)
+	_, wantEdges := truss.Decompose(d.Graph)
 
 	routes := []struct {
 		name  string
@@ -57,6 +59,24 @@ func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 			return e
 		}},
 		{"index-without-truss", func(t *testing.T) *Engine {
+			legacy := *base.ExportIndex()
+			legacy.NodeTruss, legacy.EdgeTruss = nil, nil
+			e, err := NewFromIndex(d.Graph, cfg, &legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{"index-without-edge-truss", func(t *testing.T) *Engine {
+			legacy := *base.ExportIndex()
+			legacy.EdgeTruss = nil
+			e, err := NewFromIndex(d.Graph, cfg, &legacy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{"index-without-node-truss", func(t *testing.T) *Engine {
 			legacy := *base.ExportIndex()
 			legacy.NodeTruss = nil
 			e, err := NewFromIndex(d.Graph, cfg, &legacy)
@@ -91,8 +111,12 @@ func TestAdmissionIndexWholeAtConstruction(t *testing.T) {
 	}
 	for _, r := range routes {
 		t.Run(r.name, func(t *testing.T) {
-			if got := r.build(t).ExportIndex().NodeTruss; !reflect.DeepEqual(got, want) {
+			idx := r.build(t).ExportIndex()
+			if !reflect.DeepEqual(idx.NodeTruss, want) {
 				t.Fatalf("node truss differs from a from-scratch decomposition")
+			}
+			if !reflect.DeepEqual(idx.EdgeTruss, wantEdges) {
+				t.Fatalf("edge truss differs from a from-scratch decomposition")
 			}
 		})
 	}

@@ -5,8 +5,9 @@
 // across queries:
 //
 //   - the attribute Metric (min/max normalizer scan) is built at construction;
-//   - the core and truss-level decompositions are built (or adopted from a
-//     snapshot) at construction, and both serve as a shared admission
+//   - the core and truss decompositions are built (or adopted from a
+//     snapshot) at construction — the truss one per edge, which the
+//     mutations are maintained from — and both serve as a shared admission
 //     index: a query node whose coreness (or incident trussness) is below k
 //     provably has no community, so the engine answers ErrNoCommunity
 //     without running a search — for every method;
@@ -145,11 +146,16 @@ type searchOutcome struct {
 // engState per mutation batch; the old one keeps serving in-flight requests.
 // Every field is set before the state is published and never written after.
 type engState struct {
-	g       graph.Store
-	metric  *attr.Metric
-	core    []int32 // coreness per node
-	truss   []int32 // node trussness: max trussness over incident edges
-	version uint64  // increments once per applied mutation batch
+	g      graph.Store
+	metric *attr.Metric
+	core   []int32 // coreness per node
+	truss  []int32 // node trussness: max trussness over incident edges
+	// etruss is g's per-edge trussness in ascending (U,V) order (see
+	// store.Index.EdgeTruss). Only the construction generation carries it,
+	// never nil there; a generation a mutation built has none, its edges'
+	// trussness being the table Engine.etruss.
+	etruss  []int32
+	version uint64 // increments once per applied mutation batch
 }
 
 // Engine is a concurrency-safe query-serving layer over one live graph.
@@ -173,8 +179,12 @@ type Engine struct {
 	pubMu sync.RWMutex
 
 	// mu serializes mutation batches; etruss is the per-edge trussness
-	// table maintained incrementally under it (nil until the first mutation
-	// seeds it), and sweep is the scoped invalidation's scratch.
+	// table maintained incrementally under it, and sweep is the scoped
+	// invalidation's scratch. Until the first mutation etruss is nil and the
+	// construction generation's column (engState.etruss) holds the same
+	// values; that mutation fills the table from the column, an O(m) walk
+	// with no decomposition. The table is rewritten in place, so it is read
+	// only under mu.
 	mu     sync.Mutex
 	etruss map[mutate.Edge]int32
 	sweep  sweepScratch

@@ -33,6 +33,7 @@ package engine
 
 import (
 	"fmt"
+	"iter"
 	"time"
 
 	"repro/internal/attr"
@@ -41,7 +42,6 @@ import (
 	"repro/internal/mutate"
 	"repro/internal/query"
 	"repro/internal/sea"
-	"repro/internal/truss"
 )
 
 // ApplyResult reports what one mutation batch did.
@@ -159,10 +159,11 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 		return nil, outs, firstGroupErr(outs, nil)
 	}
 
-	// Seed the per-edge trussness table the first time a mutation arrives;
-	// from then on it is maintained incrementally.
+	// The first mutation fills the per-edge trussness table from the
+	// construction generation's column (old is that generation until a
+	// batch applies); from then on it is maintained incrementally.
 	if e.etruss == nil {
-		e.etruss = edgeTrussTable(old.g)
+		e.etruss = edgeTrussMap(old.g, old.etruss)
 	}
 
 	// Maintain: one session folds every admitted group; the admission
@@ -243,15 +244,35 @@ func firstGroupErr(outs []GroupOutcome, fallback error) error {
 	return cserr.Invalidf("engine: no group in the commit batch applied")
 }
 
-// edgeTrussTable runs one full truss decomposition and keys it by endpoint
-// pair, the persistent form the incremental maintenance works on.
-func edgeTrussTable(g graph.CSR) map[mutate.Edge]int32 {
-	ix, tr := truss.Decompose(g)
-	out := make(map[mutate.Edge]int32, ix.NumEdges())
-	for e := range tr {
-		out[mutate.EdgeOf(ix.U[e], ix.V[e])] = tr[e]
+// edgeTrussMap keys g's per-edge trussness column by endpoint pair, the
+// form the incremental maintenance works on.
+func edgeTrussMap(g graph.CSR, col []int32) map[mutate.Edge]int32 {
+	out := make(map[mutate.Edge]int32, len(col))
+	for i, e := range edges(g) {
+		out[e] = col[i]
 	}
 	return out
+}
+
+// edges yields every undirected edge of g once, as (i, (u,v)) with u < v,
+// in ascending (u,v) order: i is the edge's place in a per-edge column,
+// and its ID in truss.EdgeIndex.
+func edges(g graph.CSR) iter.Seq2[int, mutate.Edge] {
+	return func(yield func(int, mutate.Edge) bool) {
+		var nbr []graph.NodeID
+		i := 0
+		for u := range graph.NodeID(g.NumNodes()) {
+			for _, v := range g.NeighborsInto(&nbr, u) {
+				if v <= u {
+					continue
+				}
+				if !yield(i, mutate.Edge{U: u, V: v}) {
+					return
+				}
+				i++
+			}
+		}
+	}
 }
 
 // sweepResult reports what one scoped invalidation pass did: result entries

@@ -1,13 +1,17 @@
 package engine
 
 // Snapshot integration: an Engine's precomputed per-graph state — the core
-// and node-truss admission indexes and the attribute-metric normalization
-// table — exports as a store.Index so store.WriteSnapshot can persist it, and
-// an Engine reopens from a store.Snapshot with zero recomputation: no text
-// parse, no min/max attribute scan, no core or truss decomposition at boot.
+// and node-truss admission indexes, the per-edge trussness they are
+// maintained from, and the attribute-metric normalization table — exports
+// as a store.Index so store.WriteSnapshot can persist it, and an Engine
+// reopens from a store.Snapshot with zero recomputation: no text parse, no
+// min/max attribute scan, no core or truss decomposition at boot, and none
+// at the first mutation either.
 
 import (
+	"cmp"
 	"io"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/cserr"
@@ -18,21 +22,65 @@ import (
 )
 
 // exportIndex flattens one state generation into a store.Index: the
-// complete admission state and the metric's normalization table.
-func exportIndex(st *engState) *store.Index {
+// complete admission state, etruss as its per-edge trussness, and the
+// metric's normalization table.
+func exportIndex(st *engState, etruss []int32) *store.Index {
 	min, max := st.metric.Normalizer().Bounds()
 	return &store.Index{
 		Coreness:  st.core,
 		NodeTruss: st.truss,
+		EdgeTruss: etruss,
 		NormMin:   min,
 		NormMax:   max,
 	}
 }
 
+// capture returns the current generation with its complete store.Index.
+// The construction generation carries its per-edge column. A later one's
+// edge trussness is the table e.etruss, which the next mutation rewrites in
+// place, so the table's entries are copied out under e.mu, where the
+// current generation is the one the table belongs to, and ordered into the
+// column after the lock is released: mutations wait for one sequential pass
+// over the table, not for the sort (or for a lookup per edge, ten times
+// the pass on the twitter analog).
+func (e *Engine) capture() (*engState, *store.Index) {
+	if st := e.st.Load(); st.etruss != nil {
+		return st, exportIndex(st, st.etruss)
+	}
+	e.mu.Lock()
+	st := e.st.Load()
+	entries := make([]edgeTruss, 0, len(e.etruss))
+	for ed, t := range e.etruss {
+		entries = append(entries, edgeTruss{uint64(ed.U)<<32 | uint64(ed.V), t})
+	}
+	e.mu.Unlock()
+	return st, exportIndex(st, edgeTrussColumn(entries))
+}
+
+// edgeTruss is one entry of the per-edge trussness table, its endpoint pair
+// packed so that the packed keys ascend with (U,V).
+type edgeTruss struct {
+	key uint64
+	t   int32
+}
+
+// edgeTrussColumn orders the entries of a generation's table into that
+// generation's per-edge column. The table holds exactly the generation's
+// edges, so ascending (U,V) is the column's order.
+func edgeTrussColumn(entries []edgeTruss) []int32 {
+	slices.SortFunc(entries, func(a, b edgeTruss) int { return cmp.Compare(a.key, b.key) })
+	col := make([]int32, len(entries))
+	for i, x := range entries {
+		col[i] = x.t
+	}
+	return col
+}
+
 // ExportIndex flattens the engine's precomputed state into a store.Index.
-// The returned slices alias the engine's own and must not be modified.
+// The returned slices may alias the engine's own and must not be modified.
 func (e *Engine) ExportIndex() *store.Index {
-	return exportIndex(e.st.Load())
+	_, idx := e.capture()
+	return idx
 }
 
 // WriteSnapshot serializes the engine's current graph and precomputed index
@@ -43,10 +91,10 @@ func (e *Engine) ExportIndex() *store.Index {
 // snapshot, and the returned version is the generation actually written —
 // replication bootstrap relies on that pair cohering.
 func (e *Engine) WriteSnapshot(w io.Writer) (uint64, error) {
-	st := e.st.Load()
+	st, idx := e.capture()
 	// Snapshot writing needs the materialized CSR arrays; any other backing
 	// is copied to the heap first (a *Graph passes through unchanged).
-	return st.version, store.WriteSnapshot(w, graph.CopyStore(st.g), exportIndex(st))
+	return st.version, store.WriteSnapshot(w, graph.CopyStore(st.g), idx)
 }
 
 // WriteSnapshotFile writes the snapshot to path atomically (temp file in the
@@ -62,7 +110,7 @@ func (e *Engine) WriteSnapshotFile(path string) (int64, error) {
 // NewFromSnapshot builds an Engine directly from a reopened snapshot: the
 // graph is adopted as-is and the index section (when present) replaces the
 // construction-time core decomposition, metric scan and (when it carries
-// one) the truss build.
+// the per-edge trussness) the truss decomposition.
 func NewFromSnapshot(snap *store.Snapshot, cfg Config) (*Engine, error) {
 	if snap == nil {
 		return nil, cserr.Invalidf("engine: nil snapshot")
@@ -77,10 +125,11 @@ func NewFromSnapshot(snap *store.Snapshot, cfg Config) (*Engine, error) {
 // complete per-graph state, adopting what idx carries and computing what it
 // lacks. With idx nil it scans the attribute metric and decomposes g into
 // cores and trusses; otherwise idx's arrays are validated against the graph
-// shape and adopted (not copied — the caller must not modify them), and only
-// a missing NodeTruss (a snapshot written before the truss index was always
-// packed) is computed. g may be any graph.Store backing, most importantly a
-// zero-copy mapped snapshot.
+// shape and adopted (not copied — the caller must not modify them). A
+// missing EdgeTruss (a snapshot written before it was packed: v1, legacy
+// compressed, or an older v2) costs the one truss decomposition, and a
+// missing NodeTruss is projected from the per-edge trussness. g may be any
+// graph.Store backing, most importantly a zero-copy mapped snapshot.
 func NewFromIndex(g graph.Store, cfg Config, idx *store.Index) (*Engine, error) {
 	if g == nil {
 		return nil, cserr.Invalidf("engine: nil graph")
@@ -95,8 +144,13 @@ func NewFromIndex(g graph.Store, cfg Config, idx *store.Index) (*Engine, error) 
 	} else if err := adoptIndex(st, cfg, idx); err != nil {
 		return nil, err
 	}
+	if st.etruss == nil {
+		// The engine's one truss decomposition of all of g; Decompose's
+		// edge IDs are the column's order.
+		_, st.etruss = truss.Decompose(g)
+	}
 	if st.truss == nil {
-		st.truss = nodeTruss(g)
+		st.truss = nodeTruss(g, st.etruss)
 	}
 	return newEngine(cfg, st), nil
 }
@@ -113,6 +167,10 @@ func adoptIndex(st *engState, cfg Config, idx *store.Index) error {
 		return cserr.Invalidf("engine: index truss length %d, graph has %d nodes",
 			len(idx.NodeTruss), g.NumNodes())
 	}
+	if idx.EdgeTruss != nil && len(idx.EdgeTruss) != g.NumEdges() {
+		return cserr.Invalidf("engine: index edge truss length %d, graph has %d edges",
+			len(idx.EdgeTruss), g.NumEdges())
+	}
 	nz, err := attr.NewNormalizerFromBounds(idx.NormMin, idx.NormMax)
 	if err != nil {
 		return cserr.Invalidf("engine: %v", err)
@@ -121,24 +179,18 @@ func adoptIndex(st *engState, cfg Config, idx *store.Index) error {
 	if err != nil {
 		return err
 	}
-	st.metric, st.core, st.truss = m, idx.Coreness, idx.NodeTruss
+	st.metric, st.core, st.truss, st.etruss = m, idx.Coreness, idx.NodeTruss, idx.EdgeTruss
 	return nil
 }
 
-// nodeTruss runs one full truss decomposition of g and projects it onto
-// nodes: each node's maximum trussness over its incident edges.
-func nodeTruss(g graph.CSR) []int32 {
-	ix, tr := truss.Decompose(g)
+// nodeTruss projects g's per-edge trussness column onto nodes: each node's
+// maximum trussness over its incident edges, 0 for an isolated node.
+func nodeTruss(g graph.CSR, etruss []int32) []int32 {
 	nt := make([]int32, g.NumNodes())
-	for eid, t := range tr {
-		if t > 0 {
-			if u := ix.U[eid]; t > nt[u] {
-				nt[u] = t
-			}
-			if v := ix.V[eid]; t > nt[v] {
-				nt[v] = t
-			}
-		}
+	for i, e := range edges(g) {
+		t := etruss[i]
+		nt[e.U] = max(nt[e.U], t)
+		nt[e.V] = max(nt[e.V], t)
 	}
 	return nt
 }

@@ -42,7 +42,10 @@ type Session struct {
 // graph.Store backing (heap CSR or mapped snapshot).
 // core is the base graph's coreness (copied); etruss is the base graph's
 // per-edge trussness table, which must be non-nil: the session adopts it and
-// maintains it in place.
+// maintains it in place. The engine builds the table once, at its first
+// mutation, by keying the per-edge trussness column it was constructed with
+// (store.Index.EdgeTruss), and hands the same table to every later session;
+// nothing here decomposes the graph.
 func NewSession(base graph.Store, core []int32, etruss map[Edge]int32) *Session {
 	return &Session{
 		ov:         graph.NewOverlay(base),

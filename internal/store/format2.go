@@ -38,6 +38,13 @@ package store
 //	11 nodetruss  [n]int32     (index only, optional)
 //	12 normmin    [numDim]float64 (index only)
 //	13 normmax    [numDim]float64 (index only)
+//	14 edgetruss  [edges]int32 (index only, optional)
+//
+// edgetruss is the trussness of every undirected edge, in ascending (U,V)
+// order with U < V — the edge order of truss.EdgeIndex, and of a walk over
+// each node's higher neighbours in node order. Files written before it
+// existed lack it; an engine built over such an index derives it at
+// construction. In the file it sits after nodetruss, ahead of normmin.
 //
 // Earlier builds could write the adjacency compressed instead (flag bit 1):
 // packoff and packblob in place of adj, each node's sorted neighbor list
@@ -89,6 +96,7 @@ const (
 	secNodeTruss
 	secNormMin
 	secNormMax
+	secEdgeTruss
 )
 
 var sectionNames = map[uint32]string{
@@ -105,6 +113,7 @@ var sectionNames = map[uint32]string{
 	secNodeTruss: "nodetruss",
 	secNormMin:   "normmin",
 	secNormMax:   "normmax",
+	secEdgeTruss: "edgetruss",
 }
 
 func sectionName(id uint32) string {
@@ -136,6 +145,9 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index) error {
 		}
 		if idx.NodeTruss != nil && len(idx.NodeTruss) != n {
 			return fmt.Errorf("store: index truss length %d, graph has %d nodes", len(idx.NodeTruss), n)
+		}
+		if idx.EdgeTruss != nil && len(idx.EdgeTruss) != g.NumEdges() {
+			return fmt.Errorf("store: index edge truss length %d, graph has %d edges", len(idx.EdgeTruss), g.NumEdges())
 		}
 		if len(idx.NormMin) != raw.NumDim || len(idx.NormMax) != raw.NumDim {
 			return fmt.Errorf("store: index bounds width %d/%d, graph NumDim %d",
@@ -182,6 +194,9 @@ func WriteSnapshot(w io.Writer, g *graph.Graph, idx *Index) error {
 		secs = append(secs, sec{secCoreness, 4 * int64(len(idx.Coreness)), func(e *encoder) { e.i32s(idx.Coreness) }})
 		if idx.NodeTruss != nil {
 			secs = append(secs, sec{secNodeTruss, 4 * int64(len(idx.NodeTruss)), func(e *encoder) { e.i32s(idx.NodeTruss) }})
+		}
+		if idx.EdgeTruss != nil {
+			secs = append(secs, sec{secEdgeTruss, 4 * int64(len(idx.EdgeTruss)), func(e *encoder) { e.i32s(idx.EdgeTruss) }})
 		}
 		secs = append(secs,
 			sec{secNormMin, 8 * int64(len(idx.NormMin)), func(e *encoder) { e.f64s(idx.NormMin) }},
@@ -452,11 +467,21 @@ func openV2(data []byte, mapped bool) (*Snapshot, error) {
 				return nil, err
 			}
 		}
+		if _, ok := findSection(secs, secEdgeTruss); ok {
+			if idx.EdgeTruss, err = i32sec(secEdgeTruss, meta.edges); err != nil {
+				return nil, err
+			}
+		}
 		if idx.NormMin, err = f64sec(secNormMin, meta.numDim); err != nil {
 			return nil, err
 		}
 		if idx.NormMax, err = f64sec(secNormMax, meta.numDim); err != nil {
 			return nil, err
+		}
+		if !mapped {
+			if err := checkIndex(idx); err != nil {
+				return nil, err
+			}
 		}
 	}
 

@@ -12,10 +12,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -188,9 +190,10 @@ var v2SectionNames = map[uint32]string{
 	1: "meta", 2: "offsets", 3: "adj", 4: "packoff", 5: "packblob",
 	6: "textoff", 7: "text", 8: "num", 9: "dict",
 	10: "coreness", 11: "nodetruss", 12: "normmin", 13: "normmax",
+	14: "edgetruss",
 }
 
-func parseV2SectionTable(t *testing.T, data []byte) []v2Section {
+func parseV2SectionTable(t testing.TB, data []byte) []v2Section {
 	t.Helper()
 	if string(data[:8]) != "SEASNAP\x00" || binary.LittleEndian.Uint32(data[8:]) != store.Version2 {
 		t.Fatal("not a v2 snapshot")
@@ -262,6 +265,70 @@ func TestV2TruncationNamesSection(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// resign replaces data's trailing checksum with the one its body now has,
+// so a damaged section reaches the decoder's own checks.
+func resign(data []byte) {
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+}
+
+// TestV2EdgeTrussSectionChecked: an edgetruss section one edge short of the
+// meta section's edge count is rejected by both opens as ErrSnapshotCorrupt
+// naming the section, and the heap open's element check rejects an edge
+// trussness below 2 (and a negative coreness or node trussness), which the
+// writer, checking only lengths, lets through.
+func TestV2EdgeTrussSectionChecked(t *testing.T) {
+	d, eng := buildEngine(t, "facebook", 0.2)
+	good := snapshotBytes(t, eng)
+	if snap := mustDecode(t, good); len(snap.Index.EdgeTruss) != snap.Graph.NumEdges() {
+		t.Fatalf("written edgetruss has %d entries for %d edges", len(snap.Index.EdgeTruss), snap.Graph.NumEdges())
+	}
+
+	t.Run("length", func(t *testing.T) {
+		bad := append([]byte(nil), good...)
+		found := false
+		for i, s := range parseV2SectionTable(t, bad) {
+			if s.name == "edgetruss" {
+				binary.LittleEndian.PutUint64(bad[24+24*i+16:], uint64(s.size-4))
+				found = true
+			}
+		}
+		if !found {
+			t.Fatal("no edgetruss section written")
+		}
+		resign(bad)
+		_, heapErr := store.Decode(bad)
+		_, mapErr := store.OpenMapped(writeTemp(t, "short.snap", bad))
+		for name, err := range map[string]error{"Decode": heapErr, "OpenMapped": mapErr} {
+			if !errors.Is(err, cserr.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), `"edgetruss"`) {
+				t.Errorf("%s: got %v, want ErrSnapshotCorrupt naming \"edgetruss\"", name, err)
+			}
+		}
+	})
+
+	for _, c := range []struct {
+		section string
+		set     func(idx *store.Index)
+	}{
+		{"edgetruss", func(idx *store.Index) { idx.EdgeTruss[len(idx.EdgeTruss)/2] = 1 }},
+		{"edgetruss", func(idx *store.Index) { idx.EdgeTruss[0] = 0 }},
+		{"nodetruss", func(idx *store.Index) { idx.NodeTruss[3] = -1 }},
+		{"coreness", func(idx *store.Index) { idx.Coreness[5] = -2 }},
+	} {
+		idx := *eng.ExportIndex()
+		idx.Coreness, idx.NodeTruss, idx.EdgeTruss = slices.Clone(idx.Coreness), slices.Clone(idx.NodeTruss), slices.Clone(idx.EdgeTruss)
+		c.set(&idx)
+		var buf bytes.Buffer
+		if err := store.WriteSnapshot(&buf, d.Graph, &idx); err != nil {
+			t.Fatal(err)
+		}
+		_, err := store.Decode(buf.Bytes())
+		if !errors.Is(err, cserr.ErrSnapshotCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("%q", c.section)) {
+			t.Errorf("%s below its floor: got %v, want ErrSnapshotCorrupt naming %q", c.section, err, c.section)
+		}
 	}
 }
 
@@ -447,6 +514,12 @@ func FuzzDecode(f *testing.F) {
 		bad[at] ^= 0xff
 		f.Add(bad)
 	}
+	// Cut inside the per-edge trussness section.
+	for _, s := range parseV2SectionTable(f, aligned) {
+		if s.name == "edgetruss" {
+			f.Add(append([]byte(nil), aligned[:s.off+s.size/2]...))
+		}
+	}
 	f.Add([]byte("SEASNAP\x00"))
 	f.Add([]byte("n 10 2\nv 0 a,b 0.5,0.5\n"))
 
@@ -468,6 +541,14 @@ func FuzzDecode(f *testing.F) {
 		var buf []graph.NodeID
 		for v := 0; v < g.NumNodes(); v++ {
 			g.NeighborsInto(&buf, graph.NodeID(v))
+		}
+		if idx := snap.Index; idx != nil && idx.EdgeTruss != nil {
+			if len(idx.EdgeTruss) != g.NumEdges() {
+				t.Fatalf("edgetruss has %d entries for %d edges", len(idx.EdgeTruss), g.NumEdges())
+			}
+			if i := slices.IndexFunc(idx.EdgeTruss, func(x int32) bool { return x < 2 }); i >= 0 {
+				t.Fatalf("edge %d has trussness %d", i, idx.EdgeTruss[i])
+			}
 		}
 	})
 }

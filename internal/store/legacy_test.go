@@ -3,13 +3,13 @@ package store_test
 // Two on-disk forms are read-only legacy: the version-1 stream and the v2
 // layout with compressed adjacency. Nothing in this build writes either, so
 // the golden files below — packed by the last builds that had each encoder
-// — are what keep every open path honest about still reading them.
+// — are what keep every open path honest about still reading them. A third
+// file is the aligned v2 layout as written before the edgetruss section
+// existed, which every build must still mount.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"reflect"
 	"testing"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/cserr"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/mutate"
 	"repro/internal/store"
 )
 
@@ -151,6 +152,7 @@ func TestLegacyV1Fixture(t *testing.T) {
 					t.Errorf("request %d: v1 %s\nv2 pack %s", i, got, want[i])
 				}
 			}
+			mutatesLike(t, eng, ref)
 		})
 	}
 
@@ -209,12 +211,23 @@ func TestLegacyCompressedFixtures(t *testing.T) {
 				if !reflect.DeepEqual(snap.Graph.Export(), wantRaw) {
 					t.Fatal("decoded CSR differs from the reference graph")
 				}
-				if !reflect.DeepEqual(snap.Index, fx.ref.ExportIndex()) {
+				// The file predates the edgetruss section; the engine
+				// derives it at construction.
+				wantIdx := fx.ref.ExportIndex()
+				if snap.Index.EdgeTruss != nil {
+					t.Fatal("legacy file decoded with an edgetruss section")
+				}
+				fileIdx := *wantIdx
+				fileIdx.EdgeTruss = nil
+				if !reflect.DeepEqual(*snap.Index, fileIdx) {
 					t.Fatal("decoded index differs from the reference index")
 				}
 				eng, err := engine.NewFromSnapshot(snap, engine.DefaultConfig())
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(eng.ExportIndex(), wantIdx) {
+					t.Fatal("engine over the legacy file exports another index than the reference")
 				}
 				for i, got := range outcomes(t, eng, fx.q, fx.k) {
 					if !bytes.Equal(want[i], got) {
@@ -224,6 +237,7 @@ func TestLegacyCompressedFixtures(t *testing.T) {
 				if !bytes.Equal(snapshotBytes(t, eng), fresh) {
 					t.Error("repacking the legacy file differs from packing the reference")
 				}
+				mutatesLike(t, eng, fx.ref)
 			})
 		}
 	}
@@ -239,12 +253,112 @@ func TestLegacyCompressedFixtures(t *testing.T) {
 	}
 }
 
+// legacyNodeTrussFixture is Figure 1's graph with its full index, as the
+// aligned v2 layout written before the edgetruss section existed: the
+// index carries coreness, node trussness and the normalizer table only.
+const legacyNodeTrussFixture = "testdata/v2-figure1-nodetruss.snap"
+
+// TestV2WithoutEdgeTrussFixture proves a v2 file written before the
+// edgetruss section still opens through every path — mapped, since it is
+// aligned — and that the engine over it derives the per-edge trussness at
+// construction: it exports the reference's index, answers byte-identically,
+// repacks to the bytes of packing the reference fresh, and mutates alike.
+func TestV2WithoutEdgeTrussFixture(t *testing.T) {
+	ref := figure1Engine(t)
+	want := outcomes(t, ref, 0, 3)
+	fresh := snapshotBytes(t, ref)
+	data := readFile(t, legacyNodeTrussFixture)
+	for _, s := range parseV2SectionTable(t, data) {
+		if s.name == "edgetruss" {
+			t.Fatal("fixture carries an edgetruss section")
+		}
+	}
+	mounted := func(m *store.Mounted, err error) (*store.Snapshot, error) {
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { m.Close() })
+		if m.Mapped() != mmapExpected() {
+			return nil, errors.New("aligned file not served as the platform maps")
+		}
+		return m.Snapshot(), nil
+	}
+	for _, path := range []struct {
+		name string
+		open func() (*store.Snapshot, error)
+	}{
+		{"Decode", func() (*store.Snapshot, error) { return store.Decode(data) }},
+		{"OpenFile", func() (*store.Snapshot, error) { return store.OpenFile(legacyNodeTrussFixture) }},
+		{"OpenMapped", func() (*store.Snapshot, error) { return mounted(store.OpenMapped(legacyNodeTrussFixture)) }},
+		{"MountGraphFile", func() (*store.Snapshot, error) { return mounted(store.MountGraphFile(legacyNodeTrussFixture)) }},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			snap, err := path.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snap.Index == nil || snap.Index.NodeTruss == nil || snap.Index.EdgeTruss != nil {
+				t.Fatalf("fixture opened with index %+v", snap.Index)
+			}
+			eng, err := engine.NewFromSnapshot(snap, engine.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(eng.ExportIndex(), ref.ExportIndex()) {
+				t.Fatal("engine over the fixture exports another index than the reference")
+			}
+			for i, got := range outcomes(t, eng, 0, 3) {
+				if !bytes.Equal(want[i], got) {
+					t.Errorf("request %d: fixture %s\nreference %s", i, got, want[i])
+				}
+			}
+			if !bytes.Equal(snapshotBytes(t, eng), fresh) {
+				t.Error("repacking the fixture differs from packing the reference")
+			}
+			mutatesLike(t, eng, ref)
+		})
+	}
+}
+
+// mutatesLike applies the same three batches — remove one of node 0's
+// edges, add an edge from node 0, set node 1's text — to eng and to an
+// engine reopened from ref's current snapshot, and requires the two to
+// pack to the same bytes after each: an engine over a legacy file
+// maintains its indexes exactly as one over a fresh pack does. ref itself
+// is not mutated.
+func mutatesLike(t *testing.T, eng, ref *engine.Engine) {
+	t.Helper()
+	twin, err := engine.NewFromSnapshot(mustDecode(t, snapshotBytes(t, ref)), engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graph.CopyStore(eng.Graph())
+	nbrs := g.Neighbors(0)
+	far := graph.NodeID(1)
+	for far == 0 || g.HasEdge(0, far) {
+		far++
+	}
+	for i, batch := range [][]mutate.Delta{
+		{mutate.RemoveEdge(0, nbrs[len(nbrs)-1])},
+		{mutate.AddEdge(0, far)},
+		{mutate.SetAttr(1, []string{"drama"}, nil)},
+	} {
+		for _, e := range []*engine.Engine{eng, twin} {
+			if _, err := e.Apply(batch); err != nil {
+				t.Fatalf("batch %d: %v", i, err)
+			}
+		}
+		if !bytes.Equal(snapshotBytes(t, eng), snapshotBytes(t, twin)) {
+			t.Fatalf("batch %d: packs differ from the reference's after the same mutation", i)
+		}
+	}
+}
+
 // TestLegacyCompressedRunsChecked re-signs the compressed fixture after
 // damaging one byte of its packoff or packblob section, so the checksum
 // passes and the adjacency decoder itself must reject every such file.
 func TestLegacyCompressedRunsChecked(t *testing.T) {
 	good := readFile(t, legacyFigure1Fixture)
-	castagnoli := crc32.MakeTable(crc32.Castagnoli)
 	for _, s := range parseV2SectionTable(t, good) {
 		if s.name != "packoff" && s.name != "packblob" {
 			continue
@@ -253,8 +367,7 @@ func TestLegacyCompressedRunsChecked(t *testing.T) {
 			for _, mask := range []byte{0x01, 0x80} {
 				bad := append([]byte(nil), good...)
 				bad[at] ^= mask
-				body := bad[:len(bad)-4]
-				binary.LittleEndian.PutUint32(bad[len(body):], crc32.Checksum(body, castagnoli))
+				resign(bad)
 				if _, err := store.Decode(bad); !errors.Is(err, cserr.ErrSnapshotCorrupt) {
 					t.Fatalf("%s byte %d ^ %#x: got %v, want ErrSnapshotCorrupt", s.name, at-s.off, mask, err)
 				}

@@ -53,17 +53,21 @@ const flagIndex = 1 << 0
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Index is the serializable form of the Engine's precomputed per-graph
-// state: the structural admission indexes and the attribute-metric
-// normalization table. NodeTruss is optional on read, for files written
-// before the truss index was always packed: an engine constructed over an
-// index without it computes it at construction. NormMin/NormMax have the
-// graph's NumDim width.
+// state: the structural admission indexes, the per-edge trussness they
+// are maintained from, and the attribute-metric normalization table.
+// NodeTruss and EdgeTruss are optional on read, for files written before
+// each was packed: an engine constructed over an index without them derives
+// them at construction. NormMin/NormMax have the graph's NumDim width.
 type Index struct {
 	// Coreness holds each node's coreness, len NumNodes.
 	Coreness []int32
 	// NodeTruss holds each node's maximum incident-edge trussness, len
 	// NumNodes, or nil in a file that predates it.
 	NodeTruss []int32
+	// EdgeTruss holds the trussness of every undirected edge in ascending
+	// (U,V) order, U < V (truss.EdgeIndex's order), len NumEdges, or nil in
+	// a file that predates it.
+	EdgeTruss []int32
 	// NormMin/NormMax are the per-dimension numerical attribute bounds the
 	// metric normalizer scales by, len NumDim.
 	NormMin, NormMax []float64
@@ -244,6 +248,11 @@ func decodeV1(data []byte) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("%w: %v", cserr.ErrSnapshotCorrupt, d.err)
 	}
+	if idx != nil {
+		if err := checkIndex(idx); err != nil {
+			return nil, err
+		}
+	}
 	if d.off != len(body) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", cserr.ErrSnapshotCorrupt, len(body)-d.off)
 	}
@@ -256,6 +265,28 @@ func decodeV1(data []byte) (*Snapshot, error) {
 	}
 	info := SnapshotInfo{Version: Version, Index: idx != nil, Bytes: int64(len(data))}
 	return &Snapshot{Graph: g, Index: idx, Info: info}, nil
+}
+
+// checkIndex is the heap opens' element check of the index sections: no
+// coreness or node trussness is negative, and no edge has trussness below
+// 2, which every edge reaches as its own 2-truss.
+func checkIndex(idx *Index) error {
+	for _, c := range []struct {
+		name string
+		xs   []int32
+		min  int32
+	}{
+		{"coreness", idx.Coreness, 0},
+		{"nodetruss", idx.NodeTruss, 0},
+		{"edgetruss", idx.EdgeTruss, 2},
+	} {
+		for i, x := range c.xs {
+			if x < c.min {
+				return fmt.Errorf("%w: section %q: entry %d is %d, below %d", cserr.ErrSnapshotCorrupt, c.name, i, x, c.min)
+			}
+		}
+	}
+	return nil
 }
 
 // encoder writes fixed-width little-endian values, latching the first error.

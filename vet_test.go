@@ -221,6 +221,50 @@ func TestNoWholeGraphPeelPerQuery(t *testing.T) {
 	}
 }
 
+// TestOneTrussDecompositionPerEngine keeps the serving stack to the one
+// whole-graph truss decomposition an engine's construction runs, and only
+// for a graph whose index does not already carry the per-edge trussness: no
+// non-test file of engine, mutate, catalog or cluster calls truss.Decompose
+// except NewFromIndex in engine. A mutation, a mount, a replay or a
+// promotion reads the per-edge trussness the engine was built with, and
+// keeps it up to date incrementally.
+func TestOneTrussDecompositionPerEngine(t *testing.T) {
+	fset := token.NewFileSet()
+	allowed := 0
+	for _, pkg := range []string{"engine", "mutate", "catalog", "cluster"} {
+		for _, path := range sourceFiles(t, pkg) {
+			file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range file.Decls {
+				ast.Inspect(decl, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					fn, ok := call.Fun.(*ast.SelectorExpr)
+					if !ok || fn.Sel.Name != "Decompose" {
+						return true
+					}
+					if x, ok := fn.X.(*ast.Ident); !ok || x.Name != "truss" {
+						return true
+					}
+					if fd, ok := decl.(*ast.FuncDecl); ok && pkg == "engine" && fd.Recv == nil && fd.Name.Name == "NewFromIndex" {
+						allowed++
+						return true
+					}
+					t.Errorf("%s: calls truss.Decompose; the per-edge trussness is the engine's construction column", fset.Position(call.Pos()))
+					return true
+				})
+			}
+		}
+	}
+	if allowed != 1 {
+		t.Errorf("engine.NewFromIndex calls truss.Decompose %d times, want once", allowed)
+	}
+}
+
 // TestNoSearchCallsBLB keeps the Bag of Little Bootstraps out of the program:
 // SEA's estimation step takes stats.MeanCI's closed form, and stats.BLB
 // stays only as the reference the tests and benchmarks compare it against.
