@@ -49,13 +49,16 @@ func population(d *dataset.Generated, k int) []graph.NodeID {
 	return el
 }
 
-// coldCoreNodes are the first 32 query nodes of the benchmark's cold-core
+// coldNodes returns the first n query nodes of the benchmark's cold
 // workload at k, whose i-th request at seed 1 has SEA seed 1_000_004 + i. On
 // twitter at scale 1.0 their Gq is a small part of the graph, a regime the
-// twitch goldens (Gq is all of it) never reach. At k = 6 q's maximal
-// structure is its planted community of a few dozen nodes; at k = 4 it is,
-// for most of them, a giant core of thousands (README, "Golden populations").
-func coldCoreNodes(d *dataset.Generated, k int) []graph.NodeID { return population(d, k)[:32] }
+// twitch goldens (Gq is all of it) never reach. At k-core k = 6 q's maximal
+// structure is its planted community of a few dozen nodes; at k = 4 and 3 it
+// is, for most of them, a giant core of thousands (README, "Golden
+// populations").
+func coldNodes(n int) func(*dataset.Generated, int) []graph.NodeID {
+	return func(d *dataset.Generated, k int) []graph.NodeID { return population(d, k)[:n] }
+}
 
 // goldenAnswers runs one model's searches on a generated dataset, for the
 // i-th query node with SEA seed seed0+i, and returns them as one JSON object
@@ -115,8 +118,9 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // whose structure is provably q's whole maximal k-core in G, and Gq to
 // double only for a round that draws from it. No answer changed then:
 // Community, δ, the interval and Satisfied kept their bytes, Rounds became
-// a prefix of what it was, and GqSize and SampleSize could only fall. A
-// deliberate change of the algorithm's trajectory re-records them:
+// a prefix of what it was, and GqSize and SampleSize could only fall. The
+// twitter k-core k = 3 and k-truss k = 5 files were recorded before Gq
+// stopped doubling. A deliberate change of the algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {
@@ -131,8 +135,10 @@ func TestGoldenAnswers(t *testing.T) {
 	}{
 		{"golden-twitch-truss-k5.json", "twitch", 0.25, twitchNodes, 1000, KTruss, 5},
 		{"golden-twitch-core-k6.json", "twitch", 0.25, twitchNodes, 1000, KCore, 6},
-		{"golden-twitter-core-k6.json", "twitter", 1.0, coldCoreNodes, 1_000_004, KCore, 6},
-		{"golden-twitter-core-k4.json", "twitter", 1.0, coldCoreNodes, 1_000_004, KCore, 4},
+		{"golden-twitter-core-k6.json", "twitter", 1.0, coldNodes(32), 1_000_004, KCore, 6},
+		{"golden-twitter-core-k4.json", "twitter", 1.0, coldNodes(32), 1_000_004, KCore, 4},
+		{"golden-twitter-core-k3.json", "twitter", 1.0, coldNodes(16), 1_000_004, KCore, 3},
+		{"golden-twitter-truss-k5.json", "twitter", 1.0, coldNodes(32), 1_000_004, KTruss, 5},
 	} {
 		t.Run(tc.file, func(t *testing.T) {
 			path := filepath.Join("testdata", tc.file)
