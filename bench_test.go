@@ -454,10 +454,10 @@ func guardBytes(b *testing.B, limit int64, fn func()) {
 // BenchmarkSubstrateBuildGq is Gq's best-first expansion. The repeat leg
 // expands one q to 800 nodes over and over. The cold leg is what a search
 // that misses every cache expands: a distinct q of the twitter analog each
-// time, through a lazy f view, to Theorem 10's size at k = 6 and then on to
-// twice that, as when the sample uses up Gq. Before its guard the workspace
-// serves 64 other q, as a serving workspace has: its frontier then holds
-// the largest frontier of that population, and a new q's must fit.
+// time, through a lazy f view, to Theorem 10's size at k = 6. Before its
+// guard the workspace serves 64 other q, as a serving workspace has: its
+// frontier then holds the largest frontier of that population, and a new
+// q's must fit.
 func BenchmarkSubstrateBuildGq(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
@@ -482,14 +482,13 @@ func BenchmarkSubstrateBuildGq(b *testing.B) {
 		}
 		qs := d.Eligible(6)
 		rand.New(rand.NewSource(7)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
-		gq := make([]graph.NodeID, 0, 2*size)
+		gq := make([]graph.NodeID, 0, size)
 		next := 0
 		expand := func() {
 			q := qs[next%len(qs)]
 			next++
 			f := m.View(q, &w.Dist)
 			gq = sampling.BuildGqView(gq[:0], d.Graph, q, &f, size, w)
-			gq = sampling.BuildGqView(gq, d.Graph, q, &f, 2*size, w)
 		}
 		for range 64 {
 			expand()
@@ -680,6 +679,33 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 		}
 	})
 	guardAllocs(b, 11, search)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		search()
+	}
+}
+
+// BenchmarkSubstrateSEASearchGiant is one warm k-core search at k = 4 on
+// the twitter analog for the first query node of internal/sea's twitter
+// k = 4 golden, whose maximal core holds over 1 000 nodes (29 262): the
+// regime the paper's sampling is for, where every round draws from a Gq of
+// Theorem 10's size. Its guard is exactly what the warm search allocates
+// over its 4 rounds (9 allocations), as BenchmarkSubstrateSEASearch's are.
+func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
+	d, m := benchTwitter(b)
+	const q, k = 31770, 4
+	if core := kcore.MaximalConnectedKCore(d.Graph, q, k); len(core) <= 1000 {
+		b.Fatalf("q %d's maximal %d-core has %d nodes; the benchmark needs a giant one", q, k, len(core))
+	}
+	opts := internalsea.DefaultOptions()
+	opts.K, opts.Seed = k, 1_000_004 // the golden's seed for q
+	search := func() {
+		if _, err := internalsea.SearchContext(context.Background(), d.Graph, m, q, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	guardAllocs(b, 9, search)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

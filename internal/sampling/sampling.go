@@ -1,6 +1,7 @@
 // Package sampling implements the attribute-aware sampling step of the
-// paper (§V-A): construction of the query neighborhood Gq by best-first
-// expansion until the Hoeffding minimum size is reached, sampling
+// paper (§V-A): construction of the query neighborhood Gq, once per
+// search, by best-first expansion until the Hoeffding minimum size of
+// Theorem 10 is reached (every round's sample is drawn from it), sampling
 // probabilities Ps(v) proportional to attribute similarity (Eq. 5), and
 // weighted sampling without replacement.
 //
@@ -202,30 +203,23 @@ func popSlot(fr *ws.Frontier) int32 {
 // smallest node ID among equal distances), until minSize nodes are
 // collected (or the component of q is exhausted), and appends them to dst.
 // f is read once per node the frontier reaches. q is always the first
-// element appended. All scratch state (visited set, frontier) is drawn from
-// w.
-//
-// An empty dst starts a fresh expansion. A non-empty dst must be what the
-// last call on w returned for the same g, q and f: the expansion goes on
-// from the frontier that call left in w.Frontier and w.GqSeen, and the pop
-// order being a total order, the result is the list a fresh expansion
-// builds.
+// element appended. Every call is a fresh expansion; its scratch state (the
+// frontier, and w.Visited as its seen set) is drawn from w.
 func BuildGqView(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, f *attr.View, minSize int, w *ws.Workspace) []graph.NodeID {
 	if minSize < 1 {
 		minSize = 1
 	}
-	fr := &w.Frontier
-	if len(dst) == 0 {
-		w.GqSeen.Reset(g.NumNodes())
-		frontierReset(fr)
-		frontierPush(fr, q, 0)
-		w.GqSeen.Add(q)
-	}
-	for fr.Len > 0 && len(dst) < minSize {
+	fr, seen := &w.Frontier, &w.Visited
+	seen.Reset(g.NumNodes())
+	frontierReset(fr)
+	frontierPush(fr, q, 0)
+	seen.Add(q)
+	end := len(dst) + minSize
+	for fr.Len > 0 && len(dst) < end {
 		v := frontierPop(fr).V
 		dst = append(dst, v)
 		for _, u := range g.NeighborsInto(&w.NbrA, v) {
-			if w.GqSeen.Add(u) {
+			if seen.Add(u) {
 				frontierPush(fr, u, f.At(u))
 			}
 		}

@@ -45,31 +45,20 @@ func TestProbabilitiesIntoAppends(t *testing.T) {
 	}
 }
 
-// TestBuildGqContinuesWhereItStopped: growing a Gq in steps on one workspace
-// yields the list one fresh expansion to the final size builds, with other
-// users of the workspace's general scratch running in between. Each f is
-// tried as it comes, with most values tied, and constant — where the
-// (f, ID) order decides nearly every pop and the frontier's entries sit in
-// its heap when a call returns.
-func TestBuildGqContinuesWhereItStopped(t *testing.T) {
-	g, uniform := wsTestGraph(t)
-	ties := make([]float64, len(uniform))
-	for i := range ties {
-		ties[i] = float64(i%3) / 2
-	}
-	zero := make([]float64, len(uniform))
+// TestBuildGqAppendsAFreshExpansion: a non-empty dst is kept as it is and
+// the expansion appended after it is the one an empty dst gets, minSize
+// nodes long, whatever expansion ran on the workspace before.
+func TestBuildGqAppendsAFreshExpansion(t *testing.T) {
+	g, dist := wsTestGraph(t)
 	w := testWS(t)
-	for name, dist := range map[string][]float64{"uniform": uniform, "ties": ties, "zero": zero} {
-		for q := graph.NodeID(0); q < 20; q++ {
-			var grown []graph.NodeID
-			for _, size := range []int{1, 7, 14, 28, 56, 250, 1000} {
-				grown = BuildGqInto(grown, g, q, dist, size, w)
-				w.Visited.Reset(g.NumNodes()) // what an extraction between two rounds does
-				w.Visited.Add(q)
-				fresh := BuildGqInto(nil, g, q, dist, size, testWS(t))
-				if !slices.Equal(grown, fresh) {
-					t.Fatalf("%s: q %d size %d: continued expansion differs from a fresh one:\n%v\n%v", name, q, size, grown, fresh)
-				}
+	for q := graph.NodeID(0); q < 20; q++ {
+		for _, size := range []int{1, 7, 56, 1000} {
+			want := BuildGqInto(nil, g, q, dist, size, testWS(t))
+			BuildGqInto(nil, g, q+1, dist, 2*size, w)
+			prefix := []graph.NodeID{42, 43}
+			got := BuildGqInto(prefix, g, q, dist, size, w)
+			if !slices.Equal(got[:2], []graph.NodeID{42, 43}) || !slices.Equal(got[2:], want) {
+				t.Fatalf("q %d size %d: appended %v, want %v after [42 43]", q, size, got, want)
 			}
 		}
 	}

@@ -120,7 +120,10 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // Community, δ, the interval and Satisfied kept their bytes, Rounds became
 // a prefix of what it was, and GqSize and SampleSize could only fall. The
 // twitter k-core k = 3 and k-truss k = 5 files were recorded before Gq
-// stopped doubling. A deliberate change of the algorithm's trajectory re-records them:
+// stopped doubling once the sample had used it up, and the four twitter
+// files re-recorded after, under the same rule: no answer changed, and the
+// twitch files kept their bytes (Gq is q's whole component there). A
+// deliberate change of the algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {

@@ -17,14 +17,17 @@
 //     ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most dissimilar node
 //     and re-estimate. This step draws nothing from the search's generator.
 //  3. Incremental sampling (S3): if no candidate satisfies the rule, enlarge
-//     the sample by the error-driven |ΔS| of Eq. 12 and repeat. Gq doubles
-//     when the sample has used it up, at the start of the round that draws
-//     from it. The loop stops when there is nothing left to draw, and after
-//     a k-core round whose structure is provably q's maximal connected
+//     the sample by the error-driven |ΔS| of Eq. 12 and repeat. Every round
+//     draws from the one Gq of step 1, which Theorem 10 sizes to hold q's
+//     community with probability ≥ 1−β; Gq is built once per search and
+//     never grows. The loop stops when the sample holds all of Gq, and
+//     after a k-core round whose structure is provably q's maximal connected
 //     k-core in all of G (kcore.Sub.ProvesMaximal): every larger sample
 //     holds that same core in the same order, and S2 draws nothing, so
 //     every later round would return this round's answer. Only the trace
-//     (Rounds, GqSize, SampleSize) is shorter for it.
+//     (Rounds, GqSize, SampleSize) is shorter for it. A search whose rounds
+//     found no structure in Gq ends in the last resort, q's maximal
+//     structure in all of G.
 package sea
 
 import (
@@ -199,11 +202,11 @@ type Round struct {
 	Delta float64 // δ* of the best candidate estimated this round
 	MoE   float64 // its margin of error ε
 	// DeltaS is how many nodes S3 added to the sample before this round: what
-	// was drawn, not what Eq. 12 asked for. It is 0 for round 1 and positive
-	// for every later round — a round with nothing new to draw is not run,
-	// and neither is any round after a k-core round whose structure was
-	// proved to be q's maximal k-core in G, since it would repeat that
-	// round's Delta and MoE.
+	// was drawn from the rest of Gq, not what Eq. 12 asked for. It is 0 for
+	// round 1 and positive for every later round — a round with nothing new
+	// to draw (the sample is all of Gq) is not run, and neither is any round
+	// after a k-core round whose structure was proved to be q's maximal
+	// k-core in G, since it would repeat that round's Delta and MoE.
 	DeltaS int
 	Time   time.Duration // wall time of the round
 }
@@ -216,7 +219,7 @@ type Result struct {
 	Satisfied  bool           // Theorem-11 stopping rule achieved
 	Rounds     []Round        // per-round trace
 	Steps      StepTimes
-	GqSize     int // |Gq|: the population the rounds drew from
+	GqSize     int // |Gq|: Theorem 10's size, or q's whole component when smaller
 	SampleSize int // final |S|
 }
 
@@ -323,7 +326,12 @@ func (s *seaRun) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gq, probs := s.buildGq(minGq)
+	// Gq and its sampling probabilities (Eq. 5), the population of every
+	// round, live in the workspace.
+	gq := sampling.BuildGqView(s.w.Gq[:0], s.g, s.q, &s.f, minGq, s.w)
+	probs := sampling.ProbabilitiesView(s.w.Probs[:0], gq, &s.f)
+	s.w.Gq, s.w.Probs = gq, probs
+	s.res.GqSize = len(gq)
 	if s.ctx.Err() != nil {
 		return s.interrupted()
 	}
@@ -348,16 +356,6 @@ func (s *seaRun) run() (*Result, error) {
 		roundStart := time.Now()
 		deltaS := 0
 		if round > 1 {
-			if len(sample) >= len(gq) && len(gq) == minGq {
-				// The sample exhausted the population: enlarge Gq itself,
-				// now that a round will draw from it. A Gq shorter than it
-				// was asked to be is q's whole component and is never
-				// rebuilt.
-				t1 := time.Now()
-				minGq *= 2
-				gq, probs = s.buildGq(minGq)
-				s.res.Steps.Sampling += time.Since(t1)
-			}
 			// S3: error-based incremental sampling (Eq. 12).
 			t3 := time.Now()
 			ask := stats.IncrementalSampleSize(last.MoE, stats.MoETarget(last.Center, s.opts.ErrorBound), lastN)
@@ -372,10 +370,10 @@ func (s *seaRun) run() (*Result, error) {
 			deltaS = len(sample) - s.res.SampleSize
 			s.res.Steps.Incremental += time.Since(t3)
 			if deltaS == 0 {
-				// S3 drew nothing, so the sample is all of a Gq that cannot
-				// grow — q's whole component — and this round would estimate
-				// exactly what the last one did. (The other stop besides
-				// Theorem 11 and MaxRounds is a proved whole k-core, below.)
+				// S3 drew nothing, so the sample is all of Gq and this round
+				// would extract and estimate exactly what the last one did.
+				// (The other stop besides Theorem 11 and MaxRounds is a
+				// proved whole k-core, below.)
 				break
 			}
 		}
@@ -448,17 +446,6 @@ func (s *seaRun) run() (*Result, error) {
 		return s.interrupted()
 	}
 	return s.result(), nil
-}
-
-// buildGq expands Gq best-first around q until it holds size nodes or all of
-// q's component, and computes its sampling probabilities (Eq. 5). Both live
-// in the workspace, and so does the frontier: the first call (GqSize still 0)
-// starts the expansion, a second one continues it.
-func (s *seaRun) buildGq(size int) ([]graph.NodeID, []float64) {
-	s.w.Gq = sampling.BuildGqView(s.w.Gq[:s.res.GqSize], s.g, s.q, &s.f, size, s.w)
-	s.w.Probs = sampling.ProbabilitiesView(s.w.Probs[:0], s.w.Gq, &s.f)
-	s.res.GqSize = len(s.w.Gq)
-	return s.w.Gq, s.w.Probs
 }
 
 // enlarge adds up to deltaS fresh weighted samples from gq to sample. The

@@ -16,6 +16,7 @@ import (
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/kcore"
+	"repro/internal/stats"
 	"repro/internal/truss"
 	"repro/internal/ws"
 )
@@ -591,5 +592,58 @@ func TestTrussRoundReadsWhatQReaches(t *testing.T) {
 	if limit := res.GqSize + res.SampleSize/8; reads > limit {
 		t.Errorf("%d neighbour lists read for |Gq| = %d, |S| = %d over %d rounds; limit %d",
 			reads, res.GqSize, res.SampleSize, len(res.Rounds), limit)
+	}
+}
+
+// TestGqIsTheorem10Population is the gate on Gq's size that counts work
+// instead of timing it. Over the twitter k-core goldens' searches, every Gq
+// holds at most the nodes Theorem 10 asks for: S3 draws from that one
+// population and never grows it. At k = 6 the search's neighbour-list reads
+// are also bounded by that size + |S|/4: Gq's expansion reads one list per
+// node, and a round reads what q reaches in the sample (up to 0.93 of the
+// limit). Growing Gq to twice Theorem 10's size once the sample has used it
+// up reads up to 1.93 times the limit on these searches. At k = 4 only the
+// size is bounded: there a round's peel reads the giant core (ROADMAP item
+// 3).
+func TestGqIsTheorem10Population(t *testing.T) {
+	d, err := dataset.Homogeneous("twitter", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{6, 4} {
+		opts := DefaultOptions()
+		opts.K = k
+		minGq, err := stats.MinGqSizeCore(opts.Eps, opts.Beta, k, d.Graph.NumNodes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		worst := 0.0
+		for i, q := range coldNodes(32)(d, k) {
+			opts.Seed = 1_000_004 + int64(i)
+			g := &countingCSR{CSR: d.Graph}
+			res, err := search(g, m, q, opts)
+			if err != nil {
+				t.Fatalf("k %d q %d: %v", k, q, err)
+			}
+			if res.GqSize > minGq {
+				t.Errorf("k %d q %d: |Gq| = %d, Theorem 10 asks for %d", k, q, res.GqSize, minGq)
+			}
+			if k != 6 {
+				continue
+			}
+			limit := minGq + res.SampleSize/4
+			worst = max(worst, float64(g.reads)/float64(limit))
+			if g.reads > limit {
+				t.Errorf("k %d q %d: %d neighbour lists read for |Gq| = %d, |S| = %d over %d rounds; limit %d",
+					k, q, g.reads, res.GqSize, res.SampleSize, len(res.Rounds), limit)
+			}
+		}
+		if k == 6 {
+			t.Logf("k %d: reads reach %.2f of the limit", k, worst)
+		}
 	}
 }

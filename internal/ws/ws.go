@@ -56,11 +56,9 @@ type Workspace struct {
 	Visited graph.NodeSet
 	Member  graph.NodeSet
 
-	// Frontier and GqSeen are BuildGq's frontier and visited set and
-	// nothing else's: a later call continues the expansion they hold. Keys
-	// is the exponential-keys array of WeightedSample.
+	// Frontier is BuildGq's frontier. Keys is the exponential-keys array of
+	// WeightedSample.
 	Frontier Frontier
-	GqSeen   graph.NodeSet
 	Keys     []NodeDist
 
 	// Nodes and Floats are general node/float scratch (enlarge's rest pool,
