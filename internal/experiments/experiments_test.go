@@ -65,56 +65,3 @@ func TestTableRender(t *testing.T) {
 		}
 	}
 }
-
-func TestTable1Smoke(t *testing.T) {
-	rows, err := Table1(Quick(), quietOrVerbose(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 10 {
-		t.Fatalf("rows = %d, want 10 datasets", len(rows))
-	}
-	for _, r := range rows {
-		if r.Nodes == 0 || r.Edges == 0 {
-			t.Errorf("%s: empty stats", r.Name)
-		}
-	}
-	// Heterogeneous analogs must report multiple node types.
-	if rows[5].NTypes < 2 {
-		t.Errorf("%s: NTypes = %d", rows[5].Name, rows[5].NTypes)
-	}
-}
-
-func TestRunMethodsSmoke(t *testing.T) {
-	cfg := Quick()
-	rows, err := runQuickFacebook(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMethod := map[string]MethodRow{}
-	for _, r := range rows {
-		byMethod[r.Method] = r
-	}
-	seaRow, ok := byMethod["SEA"]
-	if !ok {
-		t.Fatal("no SEA row")
-	}
-	if seaRow.Failures == cfg.Queries {
-		t.Error("SEA failed on every query")
-	}
-	if seaRow.Delta <= 0 {
-		t.Errorf("SEA δ = %v", seaRow.Delta)
-	}
-	// SEA's relative error should be small on the quick config.
-	if seaRow.RelErr > 25 {
-		t.Errorf("SEA rel err = %v%%, suspiciously high", seaRow.RelErr)
-	}
-}
-
-func runQuickFacebook(cfg Config) ([]MethodRow, error) {
-	d, err := quickFacebook(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return cfg.RunMethods(d, true)
-}

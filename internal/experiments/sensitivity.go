@@ -61,6 +61,9 @@ type SweepPoint struct {
 	RelErr  float64 // % vs budgeted exact (only for the e and 1−α sweeps)
 }
 
+// fig8Names orders the datasets of Figures 8 and 10.
+var fig8Names = []string{"dblp", "twitter"}
+
 // fig8Datasets: the paper sweeps DBLP and Twitter; we use their analogs
 // (DBLP via projection, Twitter homogeneous).
 func fig8Datasets(cfg Config) (map[string]*graph.Graph, map[string][]graph.NodeID, error) {
@@ -107,7 +110,8 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 		{"k", []float64{4, 5, 6, 7, 8}, func(r *query.Request, x float64) { r.K = int(x) }},
 	}
 	var points []SweepPoint
-	for name, g := range graphs {
+	for _, name := range fig8Names {
+		g := graphs[name]
 		m, err := attr.NewMetric(g, cfg.Gamma)
 		if err != nil {
 			return nil, err
@@ -184,7 +188,8 @@ func Fig10(cfg Config, w io.Writer) ([]Fig10Row, error) {
 	}
 	gammas := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
 	var rows []Fig10Row
-	for name, g := range graphs {
+	for _, name := range fig8Names {
+		g := graphs[name]
 		for _, gamma := range gammas {
 			m, err := attr.NewMetric(g, gamma)
 			if err != nil {
