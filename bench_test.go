@@ -126,11 +126,9 @@ func BenchmarkTable1DatasetStats(b *testing.B) {
 // dataset so the a/b/c views stay cheap.
 func fig5Rows(b *testing.B) []experiments.MethodRow {
 	b.Helper()
-	d, err := dataset.Homogeneous("facebook", 0.15)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows, err := benchCfg().RunMethods(d, false)
+	cfg := benchCfg()
+	cfg.Scale = 0.15
+	rows, err := cfg.RunMethods("facebook", false)
 	if err != nil {
 		b.Fatal(err)
 	}

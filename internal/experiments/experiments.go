@@ -1,22 +1,25 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VII) on the synthetic dataset analogs. Each runner returns
 // structured rows and renders a plain-text table, so the same code backs the
-// seabench command, the benchmark suite, and EXPERIMENTS.md.
+// seabench command and the benchmark suite.
+//
+// Every runner has the same shape. A population is one graph — a
+// homogeneous analog, an ego network or a meta-path projection — with its
+// metric at one γ and the query nodes the Config draws on it. A line-up is a
+// list of query.Request rows; population.lineup runs it over every query
+// node and yields one record per search (q, row, outcome or nil, wall time,
+// and the δ of a reference row where the runner names one). A runner is a
+// reduction of those records to its rows. Table IV alone calls exact
+// directly, because a Request cannot carry the pruning switches.
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strings"
-	"time"
 
-	"repro/internal/attr"
-	"repro/internal/cserr"
-	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/sea"
@@ -74,110 +77,6 @@ func (c Config) request(method query.Method, model sea.Model) query.Request {
 		MaxRounds:  3,
 		MaxStates:  c.ExactBudget,
 	}
-}
-
-// lineupRow is one method of a §VII line-up: its display name and the
-// Request that runs it, Query left for answer to fill per query node.
-type lineupRow struct {
-	name string
-	req  query.Request
-}
-
-// answer runs req for query node q on g through query.Run, sharing the
-// caller's metric; the solver computes f(·,q) itself, inside the caller's
-// timer, as a served query does. ok is false when the method returned no
-// community. A search that exhausted its state budget counts with the
-// best-so-far it returned, as the paper's budgeted exact reference does.
-func answer(g graph.Store, m *attr.Metric, q graph.NodeID, req query.Request) (*query.Outcome, bool) {
-	// The paper's '-' cells: ACQ maximizes the attributes shared with q, so a
-	// query node without textual attributes has no attributed community —
-	// the solver would hand back the plain maximal structure.
-	if req.Method == query.MethodACQ && len(g.TextAttrs(q)) == 0 {
-		return nil, false
-	}
-	req.Query = q
-	out, err := query.Run(context.Background(), g, m, req)
-	if err != nil && !errors.Is(err, cserr.ErrBudgetExhausted) {
-		return nil, false
-	}
-	return out, out != nil
-}
-
-// MethodRow aggregates one method's behaviour over all queries of a dataset.
-type MethodRow struct {
-	Dataset  string
-	Method   string
-	Delta    float64 // mean δ over queries
-	RelErr   float64 // mean relative error of δ vs the exact reference (%)
-	TimeMS   float64 // mean response time in milliseconds
-	Failures int     // queries where the method found no community
-}
-
-// homogeneousMethods enumerates the §VII-A method lineup for k-core.
-func (c Config) homogeneousMethods(withEVAC bool) []lineupRow {
-	rows := []lineupRow{
-		{"SEA", c.request(query.MethodSEA, sea.KCore)},
-		{"Exact", c.request(query.MethodExact, sea.KCore)},
-		{"LocATC-Core", c.request(query.MethodLocATC, sea.KCore)},
-		{"ACQ-Core", c.request(query.MethodACQ, sea.KCore)},
-		{"VAC-Core", c.request(query.MethodVAC, sea.KCore)},
-	}
-	if withEVAC {
-		rows = append(rows, lineupRow{"E-VAC-Core", c.request(query.MethodEVAC, sea.KCore)})
-	}
-	return rows
-}
-
-// RunMethods evaluates every method on every query of d and aggregates.
-// The "Exact" row is the relative-error reference for the others.
-func (c Config) RunMethods(d *dataset.Generated, withEVAC bool) ([]MethodRow, error) {
-	m, err := attr.NewMetric(d.Graph, c.Gamma)
-	if err != nil {
-		return nil, err
-	}
-	queries := d.QueryNodes(c.Queries, c.K, c.Seed)
-	lineup := c.homogeneousMethods(withEVAC)
-	rows := make([]MethodRow, len(lineup))
-	for i := range rows {
-		rows[i] = MethodRow{Dataset: d.Spec.Name, Method: lineup[i].name}
-	}
-	counts := make([]int, len(lineup))
-	for _, q := range queries {
-		exactDelta := math.NaN()
-		outs := make([]*query.Outcome, len(lineup))
-		for i, row := range lineup {
-			start := time.Now()
-			out, ok := answer(d.Graph, m, q, row.req)
-			elapsed := time.Since(start)
-			if !ok {
-				rows[i].Failures++
-				continue
-			}
-			outs[i] = out
-			rows[i].TimeMS += ms(elapsed)
-			counts[i]++
-			if row.req.Method == query.MethodExact {
-				exactDelta = out.Delta
-			}
-		}
-		for i, out := range outs {
-			if out == nil {
-				continue
-			}
-			rows[i].Delta += out.Delta
-			if !math.IsNaN(exactDelta) && exactDelta > 0 {
-				rows[i].RelErr += 100 * math.Abs(out.Delta-exactDelta) / exactDelta
-			}
-		}
-	}
-	for i := range rows {
-		if counts[i] > 0 {
-			rows[i].Delta /= float64(counts[i])
-			rows[i].RelErr /= float64(counts[i])
-			rows[i].TimeMS /= float64(counts[i])
-		}
-	}
-	return rows, nil
 }
 
 // F1 computes the F1-score of a community against a ground-truth set.

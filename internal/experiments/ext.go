@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
-	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/sea"
 )
@@ -26,25 +23,26 @@ type Table5Row struct {
 // via the meta-path projection (§VI-A). ACQ rows on the numerical-only
 // knowledge-graph analogs report failures, matching the paper's '-' cells.
 func Table5(cfg Config, w io.Writer) ([]Table5Row, error) {
+	lineup := []lineupRow{
+		{"SEA", cfg.request(query.MethodSEA, sea.KCore)},
+		{"ACQ-Core", cfg.request(query.MethodACQ, sea.KCore)},
+		{"LocATC-Core", cfg.request(query.MethodLocATC, sea.KCore)},
+		{"VAC-Core", cfg.request(query.MethodVAC, sea.KCore)},
+		{"SEA-Truss", cfg.request(query.MethodSEA, sea.KTruss)},
+		{"LocATC-Truss", cfg.request(query.MethodLocATC, sea.KTruss)},
+		{"VAC-Truss", cfg.request(query.MethodVAC, sea.KTruss)},
+		{"reference", cfg.request(query.MethodExact, sea.KCore)}, // not reported
+	}
+	ref := len(lineup) - 1
 	var rows []Table5Row
 	for _, name := range dataset.HetNames {
-		d, err := dataset.Heterogeneous(name, cfg.Scale)
+		p, err := projected(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		proj, err := d.Het.Project(d.Path)
-		if err != nil {
-			return nil, err
+		for _, r := range methodRows(p, lineup, ref)[:ref] {
+			rows = append(rows, Table5Row{Dataset: r.Dataset, Method: r.Method, TimeMS: r.TimeMS, RelErr: r.RelErr, Fail: r.Failures})
 		}
-		m, err := attr.NewMetric(proj.Graph, cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		var queries []graph.NodeID
-		for _, hq := range d.QueryTargets(cfg.Queries, cfg.K, cfg.Seed) {
-			queries = append(queries, proj.FromHet[hq])
-		}
-		rows = append(rows, runHetMethods(cfg, name, proj.Graph, m, queries)...)
 	}
 	t := &Table{
 		Title:  "Table V: heterogeneous graphs, core- and truss-based methods",
@@ -59,46 +57,12 @@ func Table5(cfg Config, w io.Writer) ([]Table5Row, error) {
 	return rows, nil
 }
 
-// runHetMethods evaluates the Table-V method lineup on a projected graph.
-func runHetMethods(cfg Config, name string, g *graph.Graph, m *attr.Metric, queries []graph.NodeID) []Table5Row {
-	lineup := []lineupRow{
-		{"SEA", cfg.request(query.MethodSEA, sea.KCore)},
-		{"ACQ-Core", cfg.request(query.MethodACQ, sea.KCore)},
-		{"LocATC-Core", cfg.request(query.MethodLocATC, sea.KCore)},
-		{"VAC-Core", cfg.request(query.MethodVAC, sea.KCore)},
-		{"SEA-Truss", cfg.request(query.MethodSEA, sea.KTruss)},
-		{"LocATC-Truss", cfg.request(query.MethodLocATC, sea.KTruss)},
-		{"VAC-Truss", cfg.request(query.MethodVAC, sea.KTruss)},
-	}
-	rows := make([]Table5Row, len(lineup))
-	counts := make([]int, len(lineup))
-	for i := range rows {
-		rows[i] = Table5Row{Dataset: name, Method: lineup[i].name}
-	}
-	for _, q := range queries {
-		refDelta := math.NaN()
-		if ref, ok := answer(g, m, q, cfg.request(query.MethodExact, sea.KCore)); ok {
-			refDelta = ref.Delta
-		}
-		for i, meth := range lineup {
-			start := time.Now()
-			out, ok := answer(g, m, q, meth.req)
-			if !ok {
-				rows[i].Fail++
-				continue
-			}
-			rows[i].TimeMS += ms(time.Since(start))
-			if !math.IsNaN(refDelta) && refDelta > 0 {
-				rows[i].RelErr += 100 * math.Abs(out.Delta-refDelta) / refDelta
-			}
-			counts[i]++
-		}
-	}
-	for i := range rows {
-		if counts[i] > 0 {
-			rows[i].TimeMS /= float64(counts[i])
-			rows[i].RelErr /= float64(counts[i])
-		}
+// sizeBounded is one size-bounded SEA row (§VI-B) per [lo, hi] bound.
+func (c Config) sizeBounded(bounds [][2]int) []lineupRow {
+	rows := make([]lineupRow, len(bounds))
+	for i, b := range bounds {
+		rows[i] = lineupRow{fmt.Sprintf("[%d,%d]", b[0], b[1]), c.request(query.MethodSEA, sea.KCore)}
+		rows[i].req.SizeLo, rows[i].req.SizeHi = b[0], b[1]
 	}
 	return rows
 }
@@ -116,66 +80,32 @@ type Fig7Row struct {
 var fig7Bounds = [][2]int{{30, 35}, {35, 40}, {40, 45}, {45, 50}}
 
 // Fig7 runs size-bounded SEA over the size ranges of Figure 7 on the DBLP
-// projection and the GitHub analog.
+// projection and the GitHub analog, against unbounded SEA's δ.
 func Fig7(cfg Config, w io.Writer) ([]Fig7Row, error) {
+	pops, err := pair(cfg, "dblp", "github")
+	if err != nil {
+		return nil, err
+	}
+	lineup := append(cfg.sizeBounded(fig7Bounds), lineupRow{"unbounded", cfg.request(query.MethodSEA, sea.KCore)})
+	ref := len(fig7Bounds)
 	var rows []Fig7Row
-	// DBLP analog (projected) and GitHub analog.
-	dblp, err := dataset.Heterogeneous("dblp", cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	proj, err := dblp.Het.Project(dblp.Path)
-	if err != nil {
-		return nil, err
-	}
-	var dblpQ []graph.NodeID
-	for _, hq := range dblp.QueryTargets(cfg.Queries, cfg.K, cfg.Seed) {
-		dblpQ = append(dblpQ, proj.FromHet[hq])
-	}
-	gh, err := dataset.Homogeneous("github", cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	targets := []struct {
-		name    string
-		g       *graph.Graph
-		queries []graph.NodeID
-	}{
-		{"dblp", proj.Graph, dblpQ},
-		{"github", gh.Graph, gh.QueryNodes(cfg.Queries, cfg.K, cfg.Seed)},
-	}
-	for _, tgt := range targets {
-		m, err := attr.NewMetric(tgt.g, cfg.Gamma)
-		if err != nil {
-			return nil, err
+	for _, p := range pops {
+		pts := make([]Fig7Row, len(fig7Bounds))
+		for i, b := range fig7Bounds {
+			pts[i] = Fig7Row{Dataset: p.name, SizeLo: b[0], SizeHi: b[1]}
 		}
-		// Reference: unbounded SEA δ, once per query.
-		free := make([]*query.Outcome, len(tgt.queries))
-		for i, q := range tgt.queries {
-			free[i], _ = answer(tgt.g, m, q, cfg.request(query.MethodSEA, sea.KCore))
-		}
-		for _, bound := range fig7Bounds {
-			row := Fig7Row{Dataset: tgt.name, SizeLo: bound[0], SizeHi: bound[1]}
-			for i, q := range tgt.queries {
-				req := cfg.request(query.MethodSEA, sea.KCore)
-				req.SizeLo, req.SizeHi = bound[0], bound[1]
-				start := time.Now()
-				res, ok := answer(tgt.g, m, q, req)
-				if !ok {
-					continue
-				}
-				row.TimeMS += ms(time.Since(start))
-				if free[i] != nil && free[i].Delta > 0 {
-					row.RelErr += 100 * math.Abs(res.Delta-free[i].Delta) / free[i].Delta
-				}
-				row.Hits++
+		for _, r := range p.lineup(lineup, ref) {
+			if r.row == ref || r.out == nil {
+				continue
 			}
-			if row.Hits > 0 {
-				row.TimeMS /= float64(row.Hits)
-				row.RelErr /= float64(row.Hits)
-			}
-			rows = append(rows, row)
+			pts[r.row].TimeMS += r.ms
+			pts[r.row].RelErr += r.relErr()
+			pts[r.row].Hits++
 		}
+		for i := range pts {
+			pts[i].TimeMS, pts[i].RelErr = mean(pts[i].TimeMS, pts[i].Hits), mean(pts[i].RelErr, pts[i].Hits)
+		}
+		rows = append(rows, pts...)
 	}
 	t := &Table{
 		Title:  "Figure 7: size-bounded community search (SEA)",

@@ -3,13 +3,75 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
-	"repro/internal/attr"
 	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/sea"
 )
+
+// MethodRow aggregates one method's behaviour over all queries of a dataset.
+type MethodRow struct {
+	Dataset  string
+	Method   string
+	Delta    float64 // mean δ over queries
+	RelErr   float64 // mean relative error of δ vs the exact reference (%)
+	TimeMS   float64 // mean response time in milliseconds
+	Failures int     // queries where the method found no community
+}
+
+// homogeneousMethods enumerates the §VII-A method lineup for k-core; row 1,
+// Exact, is the relative-error reference of the others.
+func (c Config) homogeneousMethods(withEVAC bool) []lineupRow {
+	rows := []lineupRow{
+		{"SEA", c.request(query.MethodSEA, sea.KCore)},
+		{"Exact", c.request(query.MethodExact, sea.KCore)},
+		{"LocATC-Core", c.request(query.MethodLocATC, sea.KCore)},
+		{"ACQ-Core", c.request(query.MethodACQ, sea.KCore)},
+		{"VAC-Core", c.request(query.MethodVAC, sea.KCore)},
+	}
+	if withEVAC {
+		rows = append(rows, lineupRow{"E-VAC-Core", c.request(query.MethodEVAC, sea.KCore)})
+	}
+	return rows
+}
+
+// RunMethods evaluates the §VII-A line-up (with E-VAC when withEVAC) on
+// every query of the named homogeneous analog and aggregates. The "Exact"
+// row is the relative-error reference for the others.
+func (c Config) RunMethods(name string, withEVAC bool) ([]MethodRow, error) {
+	p, err := homogeneous(c, name)
+	if err != nil {
+		return nil, err
+	}
+	return methodRows(p, c.homogeneousMethods(withEVAC), 1), nil
+}
+
+// methodRows runs lineup over p and aggregates one row per method; row ref's
+// δ is the relative-error reference.
+func methodRows(p *population, lineup []lineupRow, ref int) []MethodRow {
+	rows := make([]MethodRow, len(lineup))
+	n := make([]int, len(lineup))
+	for i := range rows {
+		rows[i] = MethodRow{Dataset: p.name, Method: lineup[i].name}
+	}
+	for _, r := range p.lineup(lineup, ref) {
+		row := &rows[r.row]
+		if r.out == nil {
+			row.Failures++
+			continue
+		}
+		row.Delta += r.out.Delta
+		row.RelErr += r.relErr()
+		row.TimeMS += r.ms
+		n[r.row]++
+	}
+	for i := range rows {
+		rows[i].Delta = mean(rows[i].Delta, n[i])
+		rows[i].RelErr = mean(rows[i].RelErr, n[i])
+		rows[i].TimeMS = mean(rows[i].TimeMS, n[i])
+	}
+	return rows
+}
 
 // Fig5Result carries the per-dataset method rows backing Figures 5(a)-(c).
 type Fig5Result struct {
@@ -21,20 +83,14 @@ type Fig5Result struct {
 // time for every method on every homogeneous dataset analog. E-VAC runs only
 // on the two smallest datasets, as in the paper.
 func Fig5(cfg Config, w io.Writer) (*Fig5Result, error) {
-	var all []MethodRow
+	res := &Fig5Result{}
 	for i, name := range dataset.HomogeneousNames {
-		d, err := dataset.Homogeneous(name, cfg.Scale)
+		rows, err := cfg.RunMethods(name, i < 2) // Facebook and GitHub analogs only
 		if err != nil {
 			return nil, err
 		}
-		withEVAC := i < 2 // Facebook and GitHub analogs only
-		rows, err := cfg.RunMethods(d, withEVAC)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, rows...)
+		res.Rows = append(res.Rows, rows...)
 	}
-	res := &Fig5Result{Rows: all}
 	res.render(w)
 	return res, nil
 }
@@ -76,24 +132,20 @@ type Fig5dRow struct {
 // Fig5d measures SEA's three pipeline steps (S1 sampling, S2 estimation,
 // S3 incremental sampling) per dataset.
 func Fig5d(cfg Config, w io.Writer) ([]Fig5dRow, error) {
+	seaOnly := []lineupRow{{"SEA", cfg.request(query.MethodSEA, sea.KCore)}}
 	var rows []Fig5dRow
 	for _, name := range dataset.HomogeneousNames {
-		d, err := dataset.Homogeneous(name, cfg.Scale)
-		if err != nil {
-			return nil, err
-		}
-		m, err := attr.NewMetric(d.Graph, cfg.Gamma)
+		p, err := homogeneous(cfg, name)
 		if err != nil {
 			return nil, err
 		}
 		row := Fig5dRow{Dataset: name}
 		n := 0
-		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-			out, ok := answer(d.Graph, m, q, cfg.request(query.MethodSEA, sea.KCore))
-			if !ok {
+		for _, r := range p.lineup(seaOnly, -1) {
+			if r.out == nil {
 				continue
 			}
-			res := out.SEA
+			res := r.out.SEA
 			row.S1MS += ms(res.Steps.Sampling)
 			row.S2MS += ms(res.Steps.Estimation)
 			row.S3MS += ms(res.Steps.Incremental)
@@ -105,14 +157,8 @@ func Fig5d(cfg Config, w io.Writer) ([]Fig5dRow, error) {
 			}
 			n++
 		}
-		if n > 0 {
-			row.S1MS /= float64(n)
-			row.S2MS /= float64(n)
-			row.S3MS /= float64(n)
-			row.GqSize /= float64(n)
-			row.SampleSize /= float64(n)
-			row.Rounds /= float64(n)
-		}
+		row.S1MS, row.S2MS, row.S3MS = mean(row.S1MS, n), mean(row.S2MS, n), mean(row.S3MS, n)
+		row.GqSize, row.SampleSize, row.Rounds = mean(row.GqSize, n), mean(row.SampleSize, n), mean(row.Rounds, n)
 		rows = append(rows, row)
 	}
 	t := &Table{
@@ -129,5 +175,3 @@ func Fig5d(cfg Config, w io.Writer) ([]Fig5dRow, error) {
 	t.Render(w)
 	return rows, nil
 }
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

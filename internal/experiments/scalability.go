@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
+	"math"
 
-	"repro/internal/attr"
-	"repro/internal/dataset"
 	"repro/internal/query"
 	"repro/internal/sea"
 )
@@ -30,48 +28,38 @@ func Scalability(cfg Config, w io.Writer) ([]ScaleRow, error) {
 	if cfg.Scale >= 0.5 {
 		scales = []float64{0.2, 0.5, 1.0}
 	}
+	lineup := []lineupRow{
+		{"SEA", cfg.request(query.MethodSEA, sea.KCore)},
+		{"Exact", cfg.request(query.MethodExact, sea.KCore)},
+	}
 	var rows []ScaleRow
 	for _, scale := range scales {
-		d, err := dataset.Homogeneous("twitter", scale)
+		at := cfg
+		at.Scale = scale
+		p, err := homogeneous(at, "twitter")
 		if err != nil {
 			return nil, err
 		}
-		m, err := attr.NewMetric(d.Graph, cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		row := ScaleRow{Scale: scale, Nodes: d.Graph.NumNodes(), Edges: d.Graph.NumEdges()}
+		row := ScaleRow{Scale: scale, Nodes: p.g.NumNodes(), Edges: p.g.NumEdges()}
 		n := 0
-		for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-			start := time.Now()
-			res, ok := answer(d.Graph, m, q, cfg.request(query.MethodSEA, sea.KCore))
-			if !ok {
+		recs := p.lineup(lineup, 1)
+		for i := 0; i < len(recs); i += len(lineup) { // one query: SEA, then Exact
+			s, ex := recs[i], recs[i+1]
+			if s.out == nil || ex.out == nil {
 				continue
 			}
-			seaMS := ms(time.Since(start))
-			start = time.Now()
-			ex, ok := answer(d.Graph, m, q, cfg.request(query.MethodExact, sea.KCore))
-			if !ok {
-				continue
-			}
-			row.SEAMS += seaMS
-			row.ExactMS += ms(time.Since(start))
-			if ex.Delta > 0 {
-				rel := (res.Delta - ex.Delta) / ex.Delta
-				if rel < 0 {
-					rel = -rel
-				}
-				row.SEARelErr += 100 * rel
+			row.SEAMS += s.ms
+			row.ExactMS += ex.ms
+			if s.ref > 0 {
+				// 100·(|Δ|/ref), where relErr computes 100·|Δ|/ref: the
+				// recorded rows keep this order's last bit.
+				row.SEARelErr += 100 * (math.Abs(s.out.Delta-s.ref) / s.ref)
 			}
 			n++
 		}
-		if n > 0 {
-			row.SEAMS /= float64(n)
-			row.ExactMS /= float64(n)
-			row.SEARelErr /= float64(n)
-			if row.SEAMS > 0 {
-				row.Speedup = row.ExactMS / row.SEAMS
-			}
+		row.SEAMS, row.ExactMS, row.SEARelErr = mean(row.SEAMS, n), mean(row.ExactMS, n), mean(row.SEARelErr, n)
+		if row.SEAMS > 0 {
+			row.Speedup = row.ExactMS / row.SEAMS
 		}
 		rows = append(rows, row)
 	}

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
-	"time"
 
-	"repro/internal/attr"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/query"
 	"repro/internal/sea"
 )
@@ -22,32 +18,19 @@ type Fig6Row struct {
 // Fig6 computes per-ego-network F1 for SEA, Exact, and the baselines on the
 // ten generated ego networks.
 func Fig6(cfg Config, w io.Writer) ([]Fig6Row, error) {
-	var rows []Fig6Row
 	egoCfg := cfg
 	egoCfg.K = 4 // ego networks are small; use a gentler core
-	for i := 0; i < 10; i++ {
-		d, err := dataset.EgoNetwork(i)
+	var rows []Fig6Row
+	var f1s []map[string]float64
+	for i := range dataset.EgoNames {
+		p, err := ego(egoCfg, i)
 		if err != nil {
 			return nil, err
 		}
-		row, err := f1ForDataset(egoCfg, d)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Fig6Row{Ego: d.Spec.Name, F1: row.F1})
+		rows = append(rows, Fig6Row{Ego: p.name, F1: f1Means(egoCfg, p)})
+		f1s = append(f1s, rows[i].F1)
 	}
-	t := &Table{
-		Title:  "Figure 6: F1-score per ego network",
-		Header: append([]string{"method"}, dataset.EgoNames...),
-	}
-	for _, meth := range egoCfg.homogeneousMethods(false) {
-		cells := []string{meth.name}
-		for _, row := range rows {
-			cells = append(cells, fmtF(row.F1[meth.name]))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	t.Render(w)
+	renderF1(w, egoCfg, "Figure 6: F1-score per ego network", dataset.EgoNames, f1s)
 	return rows, nil
 }
 
@@ -61,39 +44,25 @@ type SweepPoint struct {
 	RelErr  float64 // % vs budgeted exact (only for the e and 1−α sweeps)
 }
 
-// fig8Names orders the datasets of Figures 8 and 10.
-var fig8Names = []string{"dblp", "twitter"}
-
-// fig8Datasets: the paper sweeps DBLP and Twitter; we use their analogs
-// (DBLP via projection, Twitter homogeneous).
-func fig8Datasets(cfg Config) (map[string]*graph.Graph, map[string][]graph.NodeID, error) {
-	graphs := map[string]*graph.Graph{}
-	queries := map[string][]graph.NodeID{}
-	dblp, err := dataset.Heterogeneous("dblp", cfg.Scale)
+// pair is the projection of one heterogeneous analog, then one homogeneous
+// analog: the two datasets of Figures 7, 8 and 10.
+func pair(cfg Config, het, hom string) ([]*population, error) {
+	p, err := projected(cfg, het)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	proj, err := dblp.Het.Project(dblp.Path)
+	h, err := homogeneous(cfg, hom)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	graphs["dblp"] = proj.Graph
-	for _, hq := range dblp.QueryTargets(cfg.Queries, cfg.K, cfg.Seed) {
-		queries["dblp"] = append(queries["dblp"], proj.FromHet[hq])
-	}
-	tw, err := dataset.Homogeneous("twitter", cfg.Scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	graphs["twitter"] = tw.Graph
-	queries["twitter"] = tw.QueryNodes(cfg.Queries, cfg.K, cfg.Seed)
-	return graphs, queries, nil
+	return []*population{p, h}, nil
 }
 
 // Fig8 sweeps λ, ϵ, 1−β, e, 1−α and k as in Figure 8, reporting efficiency
-// (time) and effectiveness (δ, and relative error for the accuracy sweeps).
+// (time) and effectiveness (δ, and relative error for the accuracy sweeps)
+// on the DBLP projection and the Twitter analog.
 func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
-	graphs, queries, err := fig8Datasets(cfg)
+	pops, err := pair(cfg, "dblp", "twitter")
 	if err != nil {
 		return nil, err
 	}
@@ -109,52 +78,39 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 		{"1-alpha", []float64{0.86, 0.90, 0.94, 0.98}, func(r *query.Request, x float64) { r.Confidence = x }},
 		{"k", []float64{4, 5, 6, 7, 8}, func(r *query.Request, x float64) { r.K = int(x) }},
 	}
+	var lineup []lineupRow
+	var params []SweepPoint
+	for _, sweep := range sweeps {
+		for _, x := range sweep.values {
+			req := cfg.request(query.MethodSEA, sea.KCore)
+			sweep.apply(&req, x)
+			lineup = append(lineup, lineupRow{sweep.param, req})
+			params = append(params, SweepPoint{Param: sweep.param, X: x})
+		}
+	}
+	ref := len(lineup)
+	lineup = append(lineup, lineupRow{"reference", cfg.request(query.MethodExact, sea.KCore)})
 	var points []SweepPoint
-	for _, name := range fig8Names {
-		g := graphs[name]
-		m, err := attr.NewMetric(g, cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		exacts := map[graph.NodeID]float64{}
-		for _, sweep := range sweeps {
-			for _, x := range sweep.values {
-				pt := SweepPoint{Dataset: name, Param: sweep.param, X: x}
-				n := 0
-				needRef := sweep.param == "e" || sweep.param == "1-alpha"
-				for _, q := range queries[name] {
-					req := cfg.request(query.MethodSEA, sea.KCore)
-					sweep.apply(&req, x)
-					start := time.Now()
-					res, ok := answer(g, m, q, req)
-					if !ok {
-						continue
-					}
-					pt.TimeMS += ms(time.Since(start))
-					pt.Delta += res.Delta
-					if needRef {
-						ref, ok := exacts[q]
-						if !ok {
-							ref = math.NaN()
-							if ex, ok := answer(g, m, q, cfg.request(query.MethodExact, sea.KCore)); ok {
-								ref = ex.Delta
-							}
-							exacts[q] = ref
-						}
-						if !math.IsNaN(ref) && ref > 0 && req.K == cfg.K {
-							pt.RelErr += 100 * math.Abs(res.Delta-ref) / ref
-						}
-					}
-					n++
-				}
-				if n > 0 {
-					pt.TimeMS /= float64(n)
-					pt.Delta /= float64(n)
-					pt.RelErr /= float64(n)
-				}
-				points = append(points, pt)
+	for _, p := range pops {
+		pts := append([]SweepPoint(nil), params...)
+		n := make([]int, len(pts))
+		for _, r := range p.lineup(lineup, ref) {
+			if r.row == ref || r.out == nil {
+				continue
 			}
+			pt := &pts[r.row]
+			pt.TimeMS += r.ms
+			pt.Delta += r.out.Delta
+			if pt.Param == "e" || pt.Param == "1-alpha" {
+				pt.RelErr += r.relErr()
+			}
+			n[r.row]++
 		}
+		for i := range pts {
+			pts[i].Dataset = p.name
+			pts[i].TimeMS, pts[i].Delta, pts[i].RelErr = mean(pts[i].TimeMS, n[i]), mean(pts[i].Delta, n[i]), mean(pts[i].RelErr, n[i])
+		}
+		points = append(points, pts...)
 	}
 	t := &Table{
 		Title:  "Figure 8: parameter sensitivity (dblp and twitter analogs)",
@@ -180,48 +136,43 @@ type Fig10Row struct {
 }
 
 // Fig10 sweeps the balance factor γ and reports the two independent
-// attribute-distance components of the returned communities.
+// attribute-distance components of the returned communities, on the DBLP
+// projection and the Twitter analog.
 func Fig10(cfg Config, w io.Writer) ([]Fig10Row, error) {
-	graphs, queries, err := fig8Datasets(cfg)
+	pops, err := pair(cfg, "dblp", "twitter")
 	if err != nil {
 		return nil, err
 	}
-	gammas := []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0}
+	seaOnly := []lineupRow{{"SEA", cfg.request(query.MethodSEA, sea.KCore)}}
 	var rows []Fig10Row
-	for _, name := range fig8Names {
-		g := graphs[name]
-		for _, gamma := range gammas {
-			m, err := attr.NewMetric(g, gamma)
+	for _, p := range pops {
+		for _, gamma := range []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0} {
+			pg, err := p.at(gamma)
 			if err != nil {
 				return nil, err
 			}
-			row := Fig10Row{Dataset: name, Gamma: gamma}
+			row := Fig10Row{Dataset: p.name, Gamma: gamma}
 			n := 0
-			for _, q := range queries[name] {
-				res, ok := answer(g, m, q, cfg.request(query.MethodSEA, sea.KCore))
-				if !ok {
+			for _, r := range pg.lineup(seaOnly, -1) {
+				if r.out == nil {
 					continue
 				}
 				var jd, md float64
 				cnt := 0
-				for _, v := range res.Community {
-					if v == q {
-						continue
+				for _, v := range r.out.Community {
+					if v != r.q {
+						jd += pg.m.Jaccard(v, r.q)
+						md += pg.m.Manhattan(v, r.q)
+						cnt++
 					}
-					jd += m.Jaccard(v, q)
-					md += m.Manhattan(v, q)
-					cnt++
 				}
 				if cnt > 0 {
-					row.Jaccard += jd / float64(cnt)
-					row.Manhattan += md / float64(cnt)
+					row.Jaccard += mean(jd, cnt)
+					row.Manhattan += mean(md, cnt)
 					n++
 				}
 			}
-			if n > 0 {
-				row.Jaccard /= float64(n)
-				row.Manhattan /= float64(n)
-			}
+			row.Jaccard, row.Manhattan = mean(row.Jaccard, n), mean(row.Manhattan, n)
 			rows = append(rows, row)
 		}
 	}

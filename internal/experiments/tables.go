@@ -13,8 +13,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/graph"
 	"repro/internal/kcore"
-	"repro/internal/query"
-	"repro/internal/sea"
 )
 
 // Table1Row is one dataset-statistics row of Table I.
@@ -32,40 +30,35 @@ type Table1Row struct {
 func Table1(cfg Config, w io.Writer) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, name := range dataset.HomogeneousNames {
-		d, err := dataset.Homogeneous(name, cfg.Scale)
+		p, err := homogeneous(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		kmax, kavg := kcore.MaxCoreness(d.Graph)
+		kmax, kavg := kcore.MaxCoreness(p.g)
 		rows = append(rows, Table1Row{
-			Name: name, Nodes: d.Graph.NumNodes(), Edges: d.Graph.NumEdges(),
+			Name: name, Nodes: p.g.NumNodes(), Edges: p.g.NumEdges(),
 			NTypes: 1, ETypes: 1,
-			DMax: d.Graph.MaxDegree(), DAvg: d.Graph.AvgDegree(),
+			DMax: p.g.MaxDegree(), DAvg: p.g.AvgDegree(),
 			KMax: kmax, KAvg: kavg,
 		})
 	}
 	for _, name := range dataset.HetNames {
-		d, err := dataset.Heterogeneous(name, cfg.Scale)
+		p, err := projected(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		proj, err := d.Het.Project(d.Path)
-		if err != nil {
-			return nil, err
-		}
-		kmax, kavg := kcore.MaxCoreness(proj.Graph)
+		h := p.het.Het
+		kmax, kavg := kcore.MaxCoreness(p.g)
 		maxDeg, sumDeg := 0, 0
-		for v := 0; v < d.Het.NumNodes(); v++ {
-			ns, _ := d.Het.Neighbors(graph.NodeID(v))
-			if len(ns) > maxDeg {
-				maxDeg = len(ns)
-			}
+		for v := 0; v < h.NumNodes(); v++ {
+			ns, _ := h.Neighbors(graph.NodeID(v))
+			maxDeg = max(maxDeg, len(ns))
 			sumDeg += len(ns)
 		}
 		rows = append(rows, Table1Row{
-			Name: name, Nodes: d.Het.NumNodes(), Edges: d.Het.NumEdges(),
-			NTypes: d.Het.NumNodeTypes(), ETypes: d.Het.NumEdgeTypes(),
-			DMax: maxDeg, DAvg: float64(sumDeg) / float64(d.Het.NumNodes()),
+			Name: name, Nodes: h.NumNodes(), Edges: h.NumEdges(),
+			NTypes: h.NumNodeTypes(), ETypes: h.NumEdgeTypes(),
+			DMax: maxDeg, DAvg: float64(sumDeg) / float64(h.NumNodes()),
 			KMax: kmax, KAvg: kavg,
 		})
 	}
@@ -101,55 +94,43 @@ type Table2Row struct {
 // Table2 evaluates every method's community under every metric on the
 // Facebook analog.
 func Table2(cfg Config, w io.Writer) ([]Table2Row, error) {
-	d, err := dataset.Homogeneous("facebook", cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	m, err := attr.NewMetric(d.Graph, cfg.Gamma)
+	p, err := homogeneous(cfg, "facebook")
 	if err != nil {
 		return nil, err
 	}
 	lineup := cfg.homogeneousMethods(true)
-	queries := d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed)
 	rows := make([]Table2Row, len(lineup))
 	counts := make([]int, len(lineup))
 	for i := range rows {
 		rows[i].Method = lineup[i].name
 	}
-	for _, q := range queries {
-		qAttrs := d.Graph.TextAttrs(q)
-		for i, row := range lineup {
-			out, ok := answer(d.Graph, m, q, row.req)
-			if !ok {
-				continue
-			}
-			members := out.Community
-			counts[i]++
-			rows[i].MinMax += m.MaxPairwise(members)
-			rows[i].Coverage += baselines.CoverageScore(d.Graph, q, members)
-			shared := 0
-			for _, v := range members {
-				if v != q {
-					shared += attr.SharedTokens(d.Graph.TextAttrs(v), qAttrs)
-				}
-			}
-			if len(members) > 1 {
-				rows[i].Shared += float64(shared) / float64(len(members)-1) / float64(maxInt(1, len(qAttrs)))
-			}
-			rows[i].Delta += out.Delta
+	for _, r := range p.lineup(lineup, -1) {
+		if r.out == nil {
+			continue
 		}
+		row, members, qAttrs := &rows[r.row], r.out.Community, p.g.TextAttrs(r.q)
+		counts[r.row]++
+		row.MinMax += p.m.MaxPairwise(members)
+		row.Coverage += baselines.CoverageScore(p.g, r.q, members)
+		shared := 0
+		for _, v := range members {
+			if v != r.q {
+				shared += attr.SharedTokens(p.g.TextAttrs(v), qAttrs)
+			}
+		}
+		if len(members) > 1 {
+			row.Shared += float64(shared) / float64(len(members)-1) / float64(max(1, len(qAttrs)))
+		}
+		row.Delta += r.out.Delta
 	}
 	minmax := make([]float64, len(rows))
 	cover := make([]float64, len(rows))
 	sharedV := make([]float64, len(rows))
 	deltas := make([]float64, len(rows))
 	for i := range rows {
-		if counts[i] > 0 {
-			rows[i].MinMax /= float64(counts[i])
-			rows[i].Coverage /= float64(counts[i])
-			rows[i].Shared /= float64(counts[i])
-			rows[i].Delta /= float64(counts[i])
-		}
+		n := counts[i]
+		rows[i].MinMax, rows[i].Coverage = mean(rows[i].MinMax, n), mean(rows[i].Coverage, n)
+		rows[i].Shared, rows[i].Delta = mean(rows[i].Shared, n), mean(rows[i].Delta, n)
 		minmax[i], cover[i], sharedV[i], deltas[i] = rows[i].MinMax, rows[i].Coverage, rows[i].Shared, rows[i].Delta
 	}
 	r1 := rank(minmax, true)
@@ -188,65 +169,52 @@ var table3Datasets = []string{"facebook", "livejournal", "orkut", "amazon"}
 // Table3 computes F1 against the planted ground-truth communities.
 func Table3(cfg Config, w io.Writer) ([]Table3Row, error) {
 	var rows []Table3Row
+	var f1s []map[string]float64
 	for _, name := range table3Datasets {
-		d, err := dataset.Homogeneous(name, cfg.Scale)
+		p, err := homogeneous(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		row, err := f1ForDataset(cfg, d)
-		if err != nil {
-			return nil, err
+		rows = append(rows, Table3Row{Dataset: name, F1: f1Means(cfg, p)})
+		f1s = append(f1s, rows[len(rows)-1].F1)
+	}
+	renderF1(w, cfg, "Table III: F1-score w.r.t. planted ground-truth communities", table3Datasets, f1s)
+	return rows, nil
+}
+
+// f1Means runs the method line-up on p and returns each method's mean F1
+// against q's planted community; a method that never answered has no entry.
+func f1Means(cfg Config, p *population) map[string]float64 {
+	lineup := cfg.homogeneousMethods(false)
+	sums := make([]float64, len(lineup))
+	n := make([]int, len(lineup))
+	for _, r := range p.lineup(lineup, -1) {
+		if r.out != nil {
+			sums[r.row] += F1(r.out.Community, p.gen.GroundTruth(r.q))
+			n[r.row]++
 		}
-		rows = append(rows, row)
 	}
-	t := &Table{
-		Title:  "Table III: F1-score w.r.t. planted ground-truth communities",
-		Header: append([]string{"method"}, table3Datasets...),
+	f1 := map[string]float64{}
+	for i, row := range lineup {
+		if n[i] > 0 {
+			f1[row.name] = mean(sums[i], n[i])
+		}
 	}
+	return f1
+}
+
+// renderF1 renders one row per line-up method over the F1 columns of
+// Table III or Figure 6.
+func renderF1(w io.Writer, cfg Config, title string, cols []string, f1s []map[string]float64) {
+	t := &Table{Title: title, Header: append([]string{"method"}, cols...)}
 	for _, meth := range cfg.homogeneousMethods(false) {
 		cells := []string{meth.name}
-		for _, row := range rows {
-			cells = append(cells, fmtF(row.F1[meth.name]))
+		for _, f1 := range f1s {
+			cells = append(cells, fmtF(f1[meth.name]))
 		}
 		t.Rows = append(t.Rows, cells)
 	}
 	t.Render(w)
-	return rows, nil
-}
-
-// f1ForDataset runs the method lineup and scores each against ground truth.
-func f1ForDataset(cfg Config, d *dataset.Generated) (Table3Row, error) {
-	m, err := attr.NewMetric(d.Graph, cfg.Gamma)
-	if err != nil {
-		return Table3Row{}, err
-	}
-	lineup := cfg.homogeneousMethods(false)
-	row := Table3Row{Dataset: d.Spec.Name, F1: map[string]float64{}}
-	counts := map[string]int{}
-	for _, q := range d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed) {
-		truth := d.GroundTruth(q)
-		for _, meth := range lineup {
-			out, ok := answer(d.Graph, m, q, meth.req)
-			if !ok {
-				continue
-			}
-			row.F1[meth.name] += F1(out.Community, truth)
-			counts[meth.name]++
-		}
-	}
-	for k, c := range counts {
-		if c > 0 {
-			row.F1[k] /= float64(c)
-		}
-	}
-	return row, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table4Row is one pruning-configuration row of Table IV.
@@ -275,21 +243,16 @@ func Table4(cfg Config, w io.Writer) ([]Table4Row, error) {
 	}
 	var rows []Table4Row
 	for _, name := range []string{"facebook", "github"} {
-		d, err := dataset.Homogeneous(name, cfg.Scale)
+		p, err := homogeneous(cfg, name)
 		if err != nil {
 			return nil, err
 		}
-		m, err := attr.NewMetric(d.Graph, cfg.Gamma)
-		if err != nil {
-			return nil, err
-		}
-		queries := d.QueryNodes(cfg.Queries, cfg.K, cfg.Seed)
 		for _, c := range configs {
 			row := Table4Row{Config: c.name, Dataset: name}
 			n := 0
-			for _, q := range queries {
+			for _, q := range p.qs {
 				start := time.Now()
-				res, err := exact.SearchContext(context.Background(), d.Graph, q, cfg.K, m.QueryDist(q), c.c)
+				res, err := exact.SearchContext(context.Background(), p.g, q, cfg.K, p.m.QueryDist(q), c.c)
 				if err != nil && !errors.Is(err, exact.ErrBudgetExhausted) {
 					continue
 				}
@@ -297,10 +260,7 @@ func Table4(cfg Config, w io.Writer) ([]Table4Row, error) {
 				row.States += float64(res.Stats.States)
 				n++
 			}
-			if n > 0 {
-				row.TimeMS /= float64(n)
-				row.States /= float64(n)
-			}
+			row.TimeMS, row.States = mean(row.TimeMS, n), mean(row.States, n)
 			rows = append(rows, row)
 		}
 	}
@@ -329,37 +289,23 @@ type Table6Row struct {
 // Table6 reproduces the case study: size-bounded SEA on the IMDB analog's
 // projection, reporting the round-by-round refinement trace.
 func Table6(cfg Config, w io.Writer) ([]Table6Row, error) {
-	d, err := dataset.Heterogeneous("imdb", cfg.Scale)
+	one := cfg
+	one.Queries = 1
+	p, err := projected(one, "imdb")
 	if err != nil {
 		return nil, err
 	}
-	proj, err := d.Het.Project(d.Path)
-	if err != nil {
-		return nil, err
-	}
-	m, err := attr.NewMetric(proj.Graph, cfg.Gamma)
-	if err != nil {
-		return nil, err
-	}
-	hetQ := d.QueryTargets(1, cfg.K, cfg.Seed)[0]
-	q := proj.FromHet[hetQ]
+	bounds := [][2]int{{10, 30}, {30, 50}}
 	var rows []Table6Row
-	for _, bound := range [][2]int{{10, 30}, {30, 50}} {
-		req := cfg.request(query.MethodSEA, sea.KCore)
-		req.Query = q
-		req.SizeLo, req.SizeHi = bound[0], bound[1]
-		out, err := query.Run(context.Background(), proj.Graph, m, req)
-		if errors.Is(err, sea.ErrNoCommunity) {
+	for _, r := range p.lineup(cfg.sizeBounded(bounds), -1) {
+		if r.out == nil {
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range out.SEA.Rounds {
+		for _, rd := range r.out.SEA.Rounds {
 			rows = append(rows, Table6Row{
-				SizeLo: bound[0], SizeHi: bound[1],
-				Round: r.Round, Delta: r.Delta, MoE: r.MoE,
-				DeltaS: r.DeltaS, TimeMS: ms(r.Time),
+				SizeLo: bounds[r.row][0], SizeHi: bounds[r.row][1],
+				Round: rd.Round, Delta: rd.Delta, MoE: rd.MoE,
+				DeltaS: rd.DeltaS, TimeMS: ms(rd.Time),
 			})
 		}
 	}
