@@ -27,6 +27,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -77,18 +78,28 @@ func meanDelta(result any) *float64 {
 	return &m
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout)) }
+
+// run is the whole command: it parses args, writes the tables and reports
+// to stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("seabench", flag.ContinueOnError)
 	var (
-		exps    = flag.String("exp", "all", "comma-separated experiments or 'all'")
-		scale   = flag.Float64("scale", 0.5, "dataset scale factor (1.0 = full profile sizes)")
-		queries = flag.Int("queries", 10, "queries per dataset (paper: 200)")
-		k       = flag.Int("k", 6, "structural parameter k")
-		seed    = flag.Int64("seed", 42, "random seed")
-		budget  = flag.Int64("budget", 30000, "state budget for the exact reference")
-		outFile = flag.String("out", "", "write machine-readable results to this file (convention: BENCH_<pr>.json)")
-		compare = flag.String("compare", "", "prior BENCH_*.json to print per-experiment wall-clock ratios against")
+		exps    = fs.String("exp", "all", "comma-separated experiments or 'all'")
+		scale   = fs.Float64("scale", 0.5, "dataset scale factor (1.0 = full profile sizes)")
+		queries = fs.Int("queries", 10, "queries per dataset (paper: 200)")
+		k       = fs.Int("k", 6, "structural parameter k")
+		seed    = fs.Int64("seed", 42, "random seed")
+		budget  = fs.Int64("budget", 30000, "state budget for the exact reference")
+		outFile = fs.String("out", "", "write machine-readable results to this file (convention: BENCH_<pr>.json)")
+		compare = fs.String("compare", "", "prior BENCH_*.json to print per-experiment wall-clock ratios against")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var oldRecords []benchRecord
 	if *compare != "" {
@@ -96,7 +107,7 @@ func main() {
 		oldRecords, err = readJSONRecords(*compare)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seabench: -compare: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
@@ -131,7 +142,7 @@ func main() {
 		for name := range want {
 			if !knownExperiment(runners, name) {
 				fmt.Fprintf(os.Stderr, "seabench: unknown experiment %q\n", name)
-				os.Exit(2)
+				return 2
 			}
 		}
 	}
@@ -141,15 +152,15 @@ func main() {
 		if *exps != "all" && !want[r.name] {
 			continue
 		}
-		fmt.Printf("\n### %s — %s\n", r.name, r.desc)
+		fmt.Fprintf(stdout, "\n### %s — %s\n", r.name, r.desc)
 		start := time.Now()
-		result, err := r.fn(cfg, os.Stdout)
+		result, err := r.fn(cfg, stdout)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seabench: %s: %v\n", r.name, err)
-			os.Exit(1)
+			return 1
 		}
 		wall := time.Since(start)
-		fmt.Printf("(%s completed in %v)\n", r.name, wall.Round(time.Millisecond))
+		fmt.Fprintf(stdout, "(%s completed in %v)\n", r.name, wall.Round(time.Millisecond))
 		records = append(records, benchRecord{
 			Experiment:  r.name,
 			WallSeconds: wall.Seconds(),
@@ -160,13 +171,14 @@ func main() {
 	if *outFile != "" {
 		if err := writeJSONRecords(*outFile, records); err != nil {
 			fmt.Fprintf(os.Stderr, "seabench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
-		fmt.Printf("\nwrote %d record(s) to %s\n", len(records), *outFile)
+		fmt.Fprintf(stdout, "\nwrote %d record(s) to %s\n", len(records), *outFile)
 	}
 	if *compare != "" {
-		printComparison(os.Stdout, *compare, oldRecords, records)
+		printComparison(stdout, *compare, oldRecords, records)
 	}
+	return 0
 }
 
 // printComparison renders the per-experiment wall-clock ratio table of this
