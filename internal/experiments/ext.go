@@ -61,7 +61,7 @@ func Table5(cfg Config, w io.Writer) ([]Table5Row, error) {
 func (c Config) sizeBounded(bounds [][2]int) []lineupRow {
 	rows := make([]lineupRow, len(bounds))
 	for i, b := range bounds {
-		rows[i] = lineupRow{fmt.Sprintf("[%d,%d]", b[0], b[1]), c.request(query.MethodSEA, sea.KCore)}
+		rows[i].req = c.request(query.MethodSEA, sea.KCore)
 		rows[i].req.SizeLo, rows[i].req.SizeHi = b[0], b[1]
 	}
 	return rows
