@@ -684,30 +684,46 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateSEASearchGiant is one warm k-core search at k = 4 on
-// the twitter analog for the first query node of internal/sea's twitter
-// k = 4 golden, whose maximal core holds over 1 000 nodes (29 262): the
+// BenchmarkSubstrateSEASearchGiant is one warm k-core search on the twitter
+// analog for q = 31770, the first query node of internal/sea's twitter
+// k = 4 and k = 3 goldens, at each k with the golden's seed. q's maximal
+// core holds over 1 000 nodes (29 262 at k = 4, 37 903 at k = 3): the
 // regime the paper's sampling is for, where every round draws from a Gq of
-// Theorem 10's size. Its guard is exactly what the warm search allocates
-// over its 4 rounds (9 allocations), as BenchmarkSubstrateSEASearch's are.
+// Theorem 10's size. The legs differ in where the time goes. At k4 the
+// sampled structures are small and S1 dominates. At k3 S2's greedy peel
+// does: the last of its 4 rounds peels a sampled structure of 9 857 nodes
+// in the order sorted once for it. Each guard is exactly what the warm
+// search allocates over its 4 rounds (9 allocations in each leg), as
+// BenchmarkSubstrateSEASearch's are.
 func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 	d, m := benchTwitter(b)
-	const q, k = 31770, 4
-	if core := kcore.MaximalConnectedKCore(d.Graph, q, k); len(core) <= 1000 {
-		b.Fatalf("q %d's maximal %d-core has %d nodes; the benchmark needs a giant one", q, k, len(core))
-	}
-	opts := internalsea.DefaultOptions()
-	opts.K, opts.Seed = k, 1_000_004 // the golden's seed for q
-	search := func() {
-		if _, err := internalsea.SearchContext(context.Background(), d.Graph, m, q, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-	guardAllocs(b, 9, search)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		search()
+	const q = 31770
+	for _, leg := range []struct {
+		name   string
+		k      int
+		allocs float64
+	}{
+		{"k4", 4, 9},
+		{"k3", 3, 9},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			if core := kcore.MaximalConnectedKCore(d.Graph, q, leg.k); len(core) <= 1000 {
+				b.Fatalf("q %d's maximal %d-core has %d nodes; the benchmark needs a giant one", q, leg.k, len(core))
+			}
+			opts := internalsea.DefaultOptions()
+			opts.K, opts.Seed = leg.k, 1_000_004 // the golden's seed for q
+			search := func() {
+				if _, err := internalsea.SearchContext(context.Background(), d.Graph, m, q, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			guardAllocs(b, leg.allocs, search)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search()
+			}
+		})
 	}
 }
 
@@ -764,10 +780,10 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 
 // BenchmarkSubstrateExactSearch is one exact search (k = 6) on the bench
 // graph that runs out of its state budget. A state allocates nothing — its
-// candidates sort in place and Theorem 6's bound keeps its heap in the
-// searcher — so the guard is the same at a budget of 1 000 states and of
-// 5 000: what is left is the workspace's maintainer header, the winner's
-// node list as it grows, and the candidate stack's growth.
+// candidates are read off the one order sorted per search into the
+// workspace, and so is Theorem 6's bound — so the guard is the same at a
+// budget of 1 000 states and of 5 000: what is left is the workspace's
+// maintainer header and the winner's node list as it grows.
 func BenchmarkSubstrateExactSearch(b *testing.B) {
 	benchSetup(b)
 	search := func(states int64) func() {

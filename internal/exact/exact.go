@@ -6,6 +6,12 @@
 //	P1 — duplicate states, via priority enumeration and Theorem 4;
 //	P2 — unnecessary states, via Theorem 5;
 //	P3 — unpromising states, via the lower bound of Theorem 6.
+//
+// f(·,q) is fixed for the whole search, so the root's members are sorted once
+// by descending f(·,q), ties in universe order. P1 enumerates a state's
+// candidates in that order, and under P2 stops at the first whose f is at
+// most the state's δ; P3 reads the k smallest alive values off its tail.
+// Without P1 the candidates are taken in universe order.
 package exact
 
 import (
@@ -70,9 +76,11 @@ type searcher struct {
 	cfg   Config
 	stats Stats
 
-	sumDist     float64        // Σ f(v,q) over alive nodes (f(q,q)=0 contributes nothing)
-	cands       []graph.NodeID // candidates of every open state, deepest last
-	lb          []float64      // lowerBound's heap, k long
+	sumDist float64 // Σ f(v,q) over alive nodes (f(q,q)=0 contributes nothing)
+	// order is the root's members other than q by descending f(·,q), ties
+	// in universe order, sorted once: P1's enumeration order and, read from
+	// the tail, P3's k smallest.
+	order       []graph.NodeID
 	bestSet     []graph.NodeID
 	best        float64
 	exceeded    bool
@@ -106,7 +114,10 @@ func SearchContext(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int
 	if sub == nil {
 		return Result{}, ErrNoCommunity
 	}
-	s := &searcher{ctx: ctx, sub: sub, dist: dist, q: q, k: k, cfg: cfg, best: math.Inf(1), lb: make([]float64, 0, k)}
+	order := slices.DeleteFunc(append(w.Nodes[:0], sub.Universe()...), func(v graph.NodeID) bool { return v == q })
+	slices.SortStableFunc(order, func(a, b graph.NodeID) int { return cmp.Compare(dist[b], dist[a]) })
+	defer func() { w.Nodes = order[:0] }()
+	s := &searcher{ctx: ctx, sub: sub, dist: dist, q: q, k: k, cfg: cfg, order: order, best: math.Inf(1)}
 	for _, v := range sub.Universe() {
 		s.sumDist += dist[v]
 	}
@@ -148,58 +159,20 @@ func (s *searcher) delta() float64 {
 }
 
 // lowerBound computes the Theorem-6 bound: the mean of the k smallest
-// f(·,q) among alive nodes other than q (Eqs. 3–4).
+// f(·,q) among alive nodes other than q (Eqs. 3–4), the first k alive nodes
+// of the order's tail.
 func (s *searcher) lowerBound() float64 {
-	// Max-heap of size k over the smallest distances.
-	heap := s.lb[:0]
-	push := func(x float64) {
-		if len(heap) < s.k {
-			heap = append(heap, x)
-			for i := len(heap) - 1; i > 0; {
-				p := (i - 1) / 2
-				if heap[p] >= heap[i] {
-					break
-				}
-				heap[p], heap[i] = heap[i], heap[p]
-				i = p
-			}
-			return
-		}
-		if x >= heap[0] {
-			return
-		}
-		heap[0] = x
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			big := i
-			if l < len(heap) && heap[l] > heap[big] {
-				big = l
-			}
-			if r < len(heap) && heap[r] > heap[big] {
-				big = r
-			}
-			if big == i {
-				break
-			}
-			heap[i], heap[big] = heap[big], heap[i]
-			i = big
+	sum, n := 0.0, 0
+	for i := len(s.order) - 1; i >= 0 && n < s.k; i-- {
+		if v := s.order[i]; s.sub.Alive(v) {
+			sum += s.dist[v]
+			n++
 		}
 	}
-	for _, v := range s.sub.Universe() {
-		if v != s.q && s.sub.Alive(v) {
-			push(s.dist[v])
-		}
-	}
-	s.lb = heap
-	sum := 0.0
-	for _, x := range heap {
-		sum += x
-	}
-	if len(heap) == 0 {
+	if n == 0 {
 		return 0
 	}
-	return sum / float64(len(heap))
+	return sum / float64(n)
 }
 
 // enumerate implements the Enumerate procedure of Algorithm 1. fuq is the
@@ -222,32 +195,25 @@ func (s *searcher) enumerate(fuq float64) {
 			return
 		}
 	}
-	// P2: only delete nodes with f(·,q) > δ(current) (Theorem 5).
+	// P2: only delete nodes with f(·,q) > δ(current) (Theorem 5). Every
+	// sibling subtree is explored and restored before the next candidate, so
+	// the alive set, and with it the candidates, are this state's throughout.
 	curDelta := s.delta()
-	base := len(s.cands)
-	for _, id := range s.sub.Universe() {
-		if id == s.q || !s.sub.Alive(id) {
-			continue
-		}
-		if s.cfg.PruneUnnecessary && s.dist[id] <= curDelta {
-			continue
-		}
-		s.cands = append(s.cands, id)
-	}
-	candidates := s.cands[base:]
+	walk := s.sub.Universe()
 	if s.cfg.PruneDuplicates {
-		// Priority enumeration: descending f(·,q).
-		slices.SortFunc(candidates, func(a, b graph.NodeID) int {
-			return cmp.Compare(s.dist[b], s.dist[a])
-		})
+		walk = s.order // priority enumeration: descending f(·,q)
 	}
-	for _, v := range candidates {
+	for _, v := range walk {
 		if s.exceeded || s.interrupted {
 			break
 		}
-		if !s.sub.Alive(v) {
-			// A sibling subtree is explored and restored before the next
-			// candidate, so v is always alive again here; guard anyway.
+		if v == s.q || !s.sub.Alive(v) {
+			continue
+		}
+		if s.cfg.PruneUnnecessary && s.dist[v] <= curDelta {
+			if s.cfg.PruneDuplicates {
+				break // the rest of the order is no farther from q
+			}
 			continue
 		}
 		removed, qAlive := s.sub.RemoveCascade(v)
@@ -279,7 +245,6 @@ func (s *searcher) enumerate(fuq float64) {
 		}
 		s.sub.Restore()
 	}
-	s.cands = s.cands[:base]
 }
 
 // BruteForce enumerates every subset of g's nodes that contains q and forms a

@@ -8,8 +8,10 @@ package sea
 // estimation of influence-vector elements).
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/kcore"
@@ -47,36 +49,39 @@ func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []flo
 		return nil, ErrNoCommunity
 	}
 	members := sub.Universe()
-	best := append([]graph.NodeID(nil), members...)
-	bestMin := minInfluence(influence, best)
-	buf := make([]graph.NodeID, 0, len(members))
-	for {
-		buf = sub.Members(buf[:0])
-		// Peel the alive node with minimum influence (never q).
-		var worst graph.NodeID = -1
-		worstI := 0.0
-		for _, v := range buf {
-			if v == q {
-				continue
-			}
-			if worst < 0 || influence[v] < worstI {
-				worst = v
-				worstI = influence[v]
-			}
+	// The peel order, sorted once: the alive nodes other than q by ascending
+	// influence, ties in universe order, so the next node to peel and the
+	// community's least influence are both at the cursor.
+	order := slices.DeleteFunc(append(w.Nodes[:0], members...), func(v graph.NodeID) bool { return v == q })
+	slices.SortStableFunc(order, func(a, b graph.NodeID) int { return cmp.Compare(influence[a], influence[b]) })
+	defer func() { w.Nodes = order[:0] }()
+	// steps counts the removals still open; the best community is the alive
+	// set after the first bestSteps of them.
+	var bestMin float64
+	steps, bestSteps := 0, 0
+	for next := 0; ; steps++ {
+		for next < len(order) && !sub.Alive(order[next]) {
+			next++
 		}
-		if worst < 0 {
+		mi := influence[q]
+		if next < len(order) && influence[order[next]] < mi {
+			mi = influence[order[next]]
+		}
+		if steps == 0 || mi > bestMin {
+			bestMin, bestSteps = mi, steps
+		}
+		if next == len(order) {
 			break
 		}
-		if _, qAlive := sub.RemoveCascade(worst); !qAlive || sub.Size() < k+1 {
+		if _, qAlive := sub.RemoveCascade(order[next]); !qAlive || sub.Size() < k+1 {
 			sub.Restore()
 			break
 		}
-		cur := sub.Members(nil)
-		if mi := minInfluence(influence, cur); mi > bestMin {
-			bestMin = mi
-			best = cur
-		}
 	}
+	for ; steps > bestSteps; steps-- {
+		sub.Restore()
+	}
+	best := sub.Members(make([]graph.NodeID, 0, sub.Size()))
 
 	res := &InfluentialResult{Community: best, MinInfluence: bestMin}
 	// EVT max estimation over the influence values of the search region.
@@ -90,16 +95,6 @@ func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []flo
 		res.MaxEstimate = stats.MaxEstimate{Max: maxOf(values), SampleMax: maxOf(values)}
 	}
 	return res, nil
-}
-
-func minInfluence(influence []float64, members []graph.NodeID) float64 {
-	min := influence[members[0]]
-	for _, v := range members[1:] {
-		if influence[v] < min {
-			min = influence[v]
-		}
-	}
-	return min
 }
 
 func maxOf(values []float64) float64 {

@@ -129,8 +129,13 @@ func connectedThrough(g *graph.Graph, members []graph.NodeID, q graph.NodeID) bo
 	return len(seen) == len(members)
 }
 
+// TestPropertyInfluentialMatchesBruteForce holds the peel to the brute-force
+// max-min objective, with influence in twenty levels and in at most four,
+// where ties are common and the peel order breaks them. The community it
+// returns must be a connected k-core with q whose least influence is the
+// one reported.
 func TestPropertyInfluentialMatchesBruteForce(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, tieHeavy bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 5 + rng.Intn(6)
 		b := graph.NewBuilder(n, 0)
@@ -143,20 +148,53 @@ func TestPropertyInfluentialMatchesBruteForce(t *testing.T) {
 		g := b.MustBuild()
 		q := graph.NodeID(rng.Intn(n))
 		k := 1 + rng.Intn(2)
+		levels := 20
+		if tieHeavy {
+			levels = 1 + rng.Intn(4)
+		}
 		influence := make([]float64, n)
 		for i := range influence {
-			influence[i] = float64(rng.Intn(20))
+			influence[i] = float64(rng.Intn(levels))
 		}
 		res, err := InfluentialSearch(g, q, k, influence)
 		if errors.Is(err, ErrNoCommunity) {
 			return math.IsInf(bruteMaxMin(g, q, k, influence), -1)
 		}
-		if err != nil {
+		if err != nil || res.MinInfluence != bruteMaxMin(g, q, k, influence) {
 			return false
 		}
-		return res.MinInfluence == bruteMaxMin(g, q, k, influence)
+		least := math.Inf(1)
+		for _, v := range res.Community {
+			least = min(least, influence[v])
+		}
+		return least == res.MinInfluence && containsNode(res.Community, q) &&
+			kcore.InKCoreSet(g, res.Community, k) && connectedThrough(g, res.Community, q)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestInfluentialAllocsIndependentOfSize runs the peel over two ring
+// lattices whose maximal 4-core is the whole graph, 1 000 and 4 000 nodes:
+// a search allocates its answer, the EVT estimate's inputs and the result,
+// a count that must not grow with the core it peels.
+func TestInfluentialAllocsIndependentOfSize(t *testing.T) {
+	allocs := func(n int) float64 {
+		g := ringLattice(t, n, 6)
+		rng := rand.New(rand.NewSource(int64(n)))
+		influence := make([]float64, n)
+		for i := range influence {
+			influence[i] = float64(rng.Intn(50))
+		}
+		return testing.AllocsPerRun(3, func() {
+			res, err := InfluentialSearch(g, 0, 4, influence)
+			if err != nil || len(res.Community) < 5 {
+				t.Fatalf("n=%d: %v", n, err)
+			}
+		})
+	}
+	if small, large := allocs(1000), allocs(4000); large > small {
+		t.Fatalf("a search allocates %v times on a 1 000-node core, %v on a 4 000-node one", small, large)
 	}
 }

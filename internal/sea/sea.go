@@ -15,7 +15,10 @@
 //     margin the paper's Bag of Little Bootstraps approximates by Monte
 //     Carlo); terminate early once the Theorem-11 stopping rule
 //     ε ≤ δ*·e/(1+e) holds; otherwise greedily peel the most dissimilar node
-//     and re-estimate. This step draws nothing from the search's generator.
+//     and re-estimate. f(·,q) is fixed, so the peel order is sorted once per
+//     estimation: the members by descending f, ties in universe order, walked
+//     by a cursor that skips what the cascades removed. This step draws
+//     nothing from the search's generator.
 //  3. Incremental sampling (S3): if no candidate satisfies the rule, enlarge
 //     the sample by the error-driven |ΔS| of Eq. 12 and repeat. Every round
 //     draws from the one Gq of step 1, which Theorem 10 sizes to hold q's
@@ -31,6 +34,7 @@
 package sea
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -529,7 +533,10 @@ func (s *seaRun) minCommunitySize() int {
 
 // estimate runs the greedy candidate search of §V-B on maint: estimate δ of
 // the current candidate with stats.MeanCI over its members' f values (q's
-// own is 0 and left out), peel the most dissimilar member, repeat.
+// own is 0 and left out), peel the most dissimilar member, repeat. The
+// members are sorted once, by descending f(·,q) with ties in universe order,
+// so the most dissimilar member is the first alive node of that order, and
+// a step reads maint.Size(); the members are listed only for an estimate.
 //
 // In the default mode the search walks the full greedy trajectory —
 // estimating candidates at log-spaced sizes plus the final one — and keeps
@@ -557,34 +564,41 @@ func (s *seaRun) minCommunitySize() int {
 // On failure the best candidate's interval and its number of values n feed
 // Eq. 12; n is 0 when no candidate was estimated.
 func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, n int) {
+	// The peel order, sorted once: f(·,q) is fixed for the whole search, so
+	// the most dissimilar member is always the first alive node of the
+	// members by descending f, ties in universe order. q is never peeled.
+	order := slices.DeleteFunc(maint.Members(s.w.Nodes[:0]), func(v graph.NodeID) bool { return v == s.q })
+	slices.SortStableFunc(order, func(a, b graph.NodeID) int { return cmp.Compare(s.f.At(b), s.f.At(a)) })
 	members := s.w.Members[:0]
 	values := s.w.Vals[:0]
 	bestSet := s.w.Best[:0]
 	haveBest := false
 	defer func() {
 		// Return the (possibly regrown) buffers to the workspace.
-		s.w.Members, s.w.Vals, s.w.Best = members[:0], values[:0], bestSet[:0]
+		s.w.Nodes, s.w.Members, s.w.Vals, s.w.Best = order[:0], members[:0], values[:0], bestSet[:0]
 	}()
 	minSize := s.minCommunitySize()
 	nextEstimate := maint.Size() // estimate at log-spaced candidate sizes
-	for {
+	for next := 0; ; {
 		// Cancellation check once per peel iteration: each iteration already
-		// scans the membership, so the ctx.Err() load is noise by comparison,
-		// and it bounds the response to a cancelled context by one iteration.
+		// walks q's component in RemoveCascade, so the ctx.Err() load is
+		// noise by comparison, and it bounds the response to a cancelled
+		// context by one iteration.
 		if s.ctx.Err() != nil {
 			break
 		}
-		members = maint.Members(members[:0])
-		if len(members) < minSize {
+		size := maint.Size()
+		if size < minSize {
 			break
 		}
-		withinSize := s.opts.SizeHi == 0 || len(members) <= s.opts.SizeHi
-		atFloor := len(members) == minSize
-		if withinSize && (len(members) <= nextEstimate || atFloor) {
-			nextEstimate = len(members) * 49 / 50
-			if nextEstimate >= len(members) {
-				nextEstimate = len(members) - 1
+		withinSize := s.opts.SizeHi == 0 || size <= s.opts.SizeHi
+		atFloor := size == minSize
+		if withinSize && (size <= nextEstimate || atFloor) {
+			nextEstimate = size * 49 / 50
+			if nextEstimate >= size {
+				nextEstimate = size - 1
 			}
+			members = maint.Members(members[:0])
 			values = values[:0]
 			for _, v := range members {
 				if v != s.q {
@@ -604,12 +618,15 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 				}
 			}
 		}
-		// Peel the most dissimilar member (never q).
-		worst := s.mostDissimilar(members)
-		if worst < 0 {
+		// Peel the most dissimilar member: nodes only leave, so the cursor
+		// never moves back.
+		for next < len(order) && !maint.Alive(order[next]) {
+			next++
+		}
+		if next == len(order) {
 			break
 		}
-		if _, qAlive := maint.RemoveCascade(worst); !qAlive || maint.Size() < minSize {
+		if _, qAlive := maint.RemoveCascade(order[next]); !qAlive || maint.Size() < minSize {
 			maint.Restore()
 			break
 		}
@@ -619,21 +636,4 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 		s.res.Delta = s.f.Delta(s.res.Community, s.q)
 	}
 	return done, best, n
-}
-
-// mostDissimilar returns the first member with the maximal f(·,q), never q
-// itself, or -1 when only q remains.
-func (s *seaRun) mostDissimilar(members []graph.NodeID) graph.NodeID {
-	var worst graph.NodeID = -1
-	worstD := -1.0
-	for _, v := range members {
-		if v == s.q {
-			continue
-		}
-		if d := s.f.At(v); d > worstD {
-			worstD = d
-			worst = v
-		}
-	}
-	return worst
 }

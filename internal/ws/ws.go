@@ -62,7 +62,7 @@ type Workspace struct {
 	Keys     []NodeDist
 
 	// Nodes and Floats are general node/float scratch (enlarge's rest pool,
-	// component output, ...).
+	// a greedy peel's order, component output, ...).
 	Nodes  []graph.NodeID
 	Floats []float64
 
