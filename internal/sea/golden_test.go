@@ -138,6 +138,7 @@ func TestGoldenAnswers(t *testing.T) {
 	}{
 		{"golden-twitch-truss-k5.json", "twitch", 0.25, twitchNodes, 1000, KTruss, 5},
 		{"golden-twitch-core-k6.json", "twitch", 0.25, twitchNodes, 1000, KCore, 6},
+		{"golden-twitch-core-k4.json", "twitch", 1.0, coldNodes(16), 1_000_004, KCore, 4},
 		{"golden-twitter-core-k6.json", "twitter", 1.0, coldNodes(32), 1_000_004, KCore, 6},
 		{"golden-twitter-core-k4.json", "twitter", 1.0, coldNodes(32), 1_000_004, KCore, 4},
 		{"golden-twitter-core-k3.json", "twitter", 1.0, coldNodes(16), 1_000_004, KCore, 3},
