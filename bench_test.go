@@ -602,8 +602,7 @@ func BenchmarkSubstrateBLB(b *testing.B) {
 // workspace. The guard also covers a q/k with no core — one above q's
 // coreness, so the walk reaches and peels before it answers none — in the
 // node-set form and in MaximalSubIn, which allocates its maintainer's header
-// only for a core it found, and the maintainer's certificate
-// (Sub.ProvesMaximal) over the core it found.
+// only for a core it found.
 func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 	benchSetup(b)
 	w := ws.Get()
@@ -624,8 +623,6 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
 		}
 	})
-	sub := kcore.MaximalSubIn(context.Background(), benchData.Graph, benchQ, 6, nil, w)
-	guardAllocs(b, 0, func() { sub.ProvesMaximal() })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

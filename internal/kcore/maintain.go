@@ -94,58 +94,6 @@ func (s *Sub) Members(dst []graph.NodeID) []graph.NodeID {
 // The returned slice must not be modified.
 func (s *Sub) Universe() []graph.NodeID { return s.universe }
 
-// ProvesMaximal reports whether a local certificate proves the alive set to
-// be M, q's maximal connected k-core in all of g, whatever node set the
-// structure was extracted from. The certificate: every neighbour u of a
-// member that is not alive itself has degree below k in g, or fewer than k
-// neighbours of degree k or more. It is exact. The alive set is a connected
-// k-core of g that holds q, so it lies in M. Were it smaller, some u of M
-// outside it would neighbour a member, because M is connected; and u has k
-// neighbours in M, each of degree k or more in g. It reads each member's
-// list and, once, the list of each non-alive neighbour of degree k or more,
-// stopping at the first that breaks it, and allocates nothing once the
-// scratch has grown.
-func (s *Sub) ProvesMaximal() bool {
-	sc := s.sc
-	checked := sc.Comp[:0] // the non-alive neighbours read, marked
-	proved := true
-members:
-	for _, x := range s.universe {
-		if !s.alive[x] {
-			continue
-		}
-		for _, u := range s.g.NeighborsInto(&sc.Nbr, x) {
-			if s.alive[u] || s.mark[u] || s.g.Degree(u) < s.k {
-				continue
-			}
-			s.mark[u] = true
-			checked = append(checked, u)
-			if s.strong(u) >= s.k {
-				proved = false
-				break members
-			}
-		}
-	}
-	for _, u := range checked {
-		s.mark[u] = false
-	}
-	sc.Comp = checked[:0]
-	return proved
-}
-
-// strong counts u's neighbours of degree k or more in g, up to k.
-func (s *Sub) strong(u graph.NodeID) int {
-	n := 0
-	for _, y := range s.g.NeighborsInto(&s.sc.Hop, u) {
-		if s.g.Degree(y) >= s.k {
-			if n++; n == s.k {
-				break
-			}
-		}
-	}
-	return n
-}
-
 // kill removes v from the alive set and logs it, decrements neighbor
 // degrees, and pushes neighbors that fell below k onto the cascade stack.
 func (s *Sub) kill(v graph.NodeID) {

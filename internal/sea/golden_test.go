@@ -94,6 +94,12 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 			for _, r := range res.Rounds {
 				a.Rounds = append(a.Rounds, goldenRound{r.Delta, r.MoE, r.DeltaS})
 			}
+			// The loop's exit rule, the same for both models: an unsatisfied
+			// search ran every round or drew all of Gq.
+			if !res.Satisfied && len(res.Rounds) != opts.MaxRounds && res.SampleSize != res.GqSize {
+				t.Errorf("line %d (q=%d seed=%d): unsatisfied after %d of %d rounds with |S| %d of |Gq| %d",
+					i+1, q, opts.Seed, len(res.Rounds), opts.MaxRounds, res.SampleSize, res.GqSize)
+			}
 		}
 		line, err := json.Marshal(a)
 		if err != nil {
@@ -122,8 +128,14 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // twitter k-core k = 3 and k-truss k = 5 files were recorded before Gq
 // stopped doubling once the sample had used it up, and the four twitter
 // files re-recorded after, under the same rule: no answer changed, and the
-// twitch files kept their bytes (Gq is q's whole component there). A
-// deliberate change of the algorithm's trajectory re-records them:
+// twitch files kept their bytes (Gq is q's whole component there). The
+// twitch k-core k = 4 file was recorded while that proof still stopped the
+// loop, and kept its bytes when the proof was deleted; the twitch k-core
+// k = 6 file was re-recorded then. Ten of its searches run the rounds the
+// proof had skipped: Rounds grows by rounds that repeat the last δ and
+// margin, SampleSize grows to |Gq| on nine of them, and every other field
+// kept its bytes. A deliberate change of the algorithm's trajectory
+// re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {

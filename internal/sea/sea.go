@@ -23,14 +23,11 @@
 //     the sample by the error-driven |ΔS| of Eq. 12 and repeat. Every round
 //     draws from the one Gq of step 1, which Theorem 10 sizes to hold q's
 //     community with probability ≥ 1−β; Gq is built once per search and
-//     never grows. The loop stops when the sample holds all of Gq, and
-//     after a k-core round whose structure is provably q's maximal connected
-//     k-core in all of G (kcore.Sub.ProvesMaximal): every larger sample
-//     holds that same core in the same order, and S2 draws nothing, so
-//     every later round would return this round's answer. Only the trace
-//     (Rounds, GqSize, SampleSize) is shorter for it. A search whose rounds
-//     found no structure in Gq ends in the last resort, q's maximal
-//     structure in all of G.
+//     never grows. Both models leave the loop by the same three rules:
+//     Theorem 11 holds, MaxRounds rounds have run, or S3 drew nothing
+//     because the sample holds all of Gq. A search whose rounds found no
+//     structure in Gq ends in the last resort, q's maximal structure in all
+//     of G.
 package sea
 
 import (
@@ -208,9 +205,7 @@ type Round struct {
 	// DeltaS is how many nodes S3 added to the sample before this round: what
 	// was drawn from the rest of Gq, not what Eq. 12 asked for. It is 0 for
 	// round 1 and positive for every later round — a round with nothing new
-	// to draw (the sample is all of Gq) is not run, and neither is any round
-	// after a k-core round whose structure was proved to be q's maximal
-	// k-core in G, since it would repeat that round's Delta and MoE.
+	// to draw (the sample is all of Gq) is not run.
 	DeltaS int
 	Time   time.Duration // wall time of the round
 }
@@ -376,8 +371,6 @@ func (s *seaRun) run() (*Result, error) {
 			if deltaS == 0 {
 				// S3 drew nothing, so the sample is all of Gq and this round
 				// would extract and estimate exactly what the last one did.
-				// (The other stop besides Theorem 11 and MaxRounds is a
-				// proved whole k-core, below.)
 				break
 			}
 		}
@@ -385,7 +378,7 @@ func (s *seaRun) run() (*Result, error) {
 		s.res.SampleSize = len(sample)
 
 		// S1: maximal connected structure within the induced sample.
-		maint, whole := s.extract(added)
+		maint := s.extract(added)
 		if s.ctx.Err() != nil {
 			return s.interrupted()
 		}
@@ -413,11 +406,6 @@ func (s *seaRun) run() (*Result, error) {
 		}
 		s.res.CI = ci
 		last, lastN = ci, n
-		if whole {
-			// q's whole maximal k-core in G: every later round would
-			// return this round's answer (package comment, step 3).
-			break
-		}
 	}
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
@@ -483,23 +471,13 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 // closing k−2 triangles in it. When the sample around q joins a component of
 // thousands of nodes, that is still the few dozen around q, and neither the
 // component nor a core of it is ever walked.
-//
-// whole reports that a k-core structure is provably q's maximal connected
-// k-core in all of g (kcore.Sub.ProvesMaximal, which reads the structure's
-// lists and one hop more). A k-truss structure is never reported whole: its
-// loop already ends by exhausting Gq, and an exact check saved 0.2% of
-// cold-truss rounds.
-func (s *seaRun) extract(added []graph.NodeID) (maint cohesive.Maintainer, whole bool) {
+func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	t1 := time.Now()
 	defer func() { s.res.Steps.Sampling += time.Since(t1) }()
 	for _, v := range added {
 		s.w.Sampled.Add(v)
 	}
-	maint = Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
-	if sub, ok := maint.(*kcore.Sub); ok {
-		whole = sub.ProvesMaximal()
-	}
-	return maint, whole
+	return Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
 }
 
 // Maximal returns the maintenance structure over q's maximal connected

@@ -505,13 +505,12 @@ func (c *countingCSR) NeighborsInto(buf *[]graph.NodeID, v graph.NodeID) []graph
 // read the clock. On this search the sample doubles twice and then five
 // rounds add 74 nodes each to ~5 700. Gq's expansion reads one list per node
 // it pops; a k-core round reads what q reaches through sampled nodes of
-// sample-degree ≥ k, and their sampled neighbours: tens of nodes; the
-// certificate that q's core is whole (kcore.Sub.ProvesMaximal) reads 12
-// more. So |Gq| + |S|/4 holds it (7 368 reads, limit 8 099; the test logs
-// the count). A per-round pass over
-// the sample does not: on a search of this shape, keeping the whole sample's
-// core by insertion read 17 946, within only the older limit of
-// 2·(|Gq| + |S|); inducing the sample every round, 43 423.
+// sample-degree ≥ k, and their sampled neighbours: tens of nodes. So
+// |Gq| + |S|/4 holds it (7 356 reads, limit 8 099; the test logs the
+// count). A per-round pass over the sample does not: on a search of this
+// shape, keeping the whole sample's core by insertion read 17 946, within
+// only the older limit of 2·(|Gq| + |S|); inducing the sample every round,
+// 43 423.
 func TestLateRoundsReadWhatTheyDrew(t *testing.T) {
 	d, err := dataset.Homogeneous("twitch", 1.0)
 	if err != nil {

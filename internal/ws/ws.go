@@ -148,9 +148,8 @@ type KCoreScratch struct {
 	Universe    []graph.NodeID // the maintainer's member order
 	Alive, Mark []bool         // per node; Mark is all false between calls
 	Deg         []int32        // per node: alive neighbours; valid for alive nodes
-	Stack, Comp []graph.NodeID // cascade stack, component BFS queue; MaximalSubIn's peel stack, reach queue; ProvesMaximal's marked nodes
+	Stack, Comp []graph.NodeID // cascade stack, component BFS queue; MaximalSubIn's peel stack, reach queue
 	Nbr         []graph.NodeID // neighbor-decode scratch for non-aliasing backings
-	Hop         []graph.NodeID // the same for the second list ProvesMaximal holds
 	Removed     []graph.NodeID // removed nodes of every open RemoveCascade, flat
 	Open        []int32        // per open RemoveCascade: where it starts in Removed
 }
