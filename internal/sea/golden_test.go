@@ -170,14 +170,35 @@ func TestGoldenAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if !bytes.Equal(gl[i], wl[i]) {
-						t.Fatalf("line %d: got %s, recorded %s", i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("got %d lines, recorded %d", len(gl), len(wl))
+				reportGoldenDiff(t, got, want)
 			}
 		})
 	}
+}
+
+// goldenDiffShown is how many differing lines reportGoldenDiff prints in
+// full; the rest are listed by number.
+const goldenDiffShown = 5
+
+// reportGoldenDiff fails t with the whole difference between got and want:
+// every differing line by number, the first few in full, and the line
+// counts when they differ, so a trajectory change shows its extent before a
+// re-record.
+func reportGoldenDiff(t *testing.T, got, want []byte) {
+	t.Helper()
+	split := func(b []byte) [][]byte { return bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n")) }
+	gl, wl := split(got), split(want)
+	var lines []int
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			lines = append(lines, i+1)
+			if len(lines) <= goldenDiffShown {
+				t.Errorf("line %d: got %s, recorded %s", i+1, gl[i], wl[i])
+			}
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Errorf("got %d lines, recorded %d", len(gl), len(wl))
+	}
+	t.Fatalf("%d of %d recorded lines differ: %v", len(lines), len(wl), lines)
 }
