@@ -102,13 +102,13 @@ func Methods() []Method { return query.Methods() }
 // Request is the graph-independent community-search query spec shared by
 // every method, the Engine, cmd/seacli and the HTTP server: which node,
 // which solver, which structural model, and the accuracy/size/budget
-// parameters. Zero-valued fields select the paper's defaults (Seed
-// excepted — 0 is itself a valid seed); start from DefaultRequest or fill
-// the fields you need.
+// parameters. Zero-valued fields select the defaults — the paper's, except
+// λ = 1 (see the package documentation) — Seed excepted, as 0 is itself a
+// valid seed; start from DefaultRequest or fill the fields you need.
 type Request = query.Request
 
-// DefaultRequest returns a Request for query node q with the paper's
-// default parameters (§VII-A) fully spelled out.
+// DefaultRequest returns a Request for query node q with the default
+// parameters fully spelled out: the paper's (§VII-A), except λ = 1.
 func DefaultRequest(q NodeID) Request { return query.DefaultRequest(q) }
 
 // Outcome is the method-agnostic result of one Request: the community, its

@@ -653,10 +653,11 @@ func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 }
 
 // BenchmarkSubstrateSEASearch is one warm search at the default options,
-// under each model: what is left once the sample, its extraction, the
-// maintainers and their rollback logs are pooled is the generator, a
-// maintainer header per round, the round trace and the answer (11
-// allocations for the k-core search, 13 for the k-truss one).
+// under each model: one round on all of Gq, with no draw, so no generator
+// and no sampling probabilities. What is left once Gq, its extraction, the
+// maintainers and their rollback logs are pooled is the round's maintainer
+// header, the one-round trace, the Result and its community (4 allocations
+// under either model). A generator made per search adds 3.
 func BenchmarkSubstrateSEASearch(b *testing.B) {
 	benchSetup(b)
 	opts := internalsea.DefaultOptions()
@@ -668,12 +669,12 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 	}
 	trussOpts := opts
 	trussOpts.K, trussOpts.Model = 5, internalsea.KTruss // benchQ hosts a 5-truss, no 6-truss
-	guardAllocs(b, 13, func() {
+	guardAllocs(b, 4, func() {
 		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, trussOpts); err != nil {
 			b.Fatal(err)
 		}
 	})
-	guardAllocs(b, 11, search)
+	guardAllocs(b, 4, search)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -685,13 +686,12 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 // analog for q = 31770, the first query node of internal/sea's twitter
 // k = 4 and k = 3 goldens, at each k with the golden's seed. q's maximal
 // core holds over 1 000 nodes (29 262 at k = 4, 37 903 at k = 3): the
-// regime the paper's sampling is for, where every round draws from a Gq of
-// Theorem 10's size. The legs differ in where the time goes. At k4 the
-// sampled structures are small and S1 dominates. At k3 S2's greedy peel
-// does: the last of its 4 rounds peels a sampled structure of 9 857 nodes
-// in the order sorted once for it. Each guard is exactly what the warm
-// search allocates over its 4 rounds (9 allocations in each leg), as
-// BenchmarkSubstrateSEASearch's are.
+// regime the paper's sampling is for, where the one round extracts from a
+// Gq of Theorem 10's size. The legs differ in where the time goes. At k4
+// the structure in Gq is small and S1 dominates. At k3 S2's greedy peel
+// does: it peels a structure of thousands of nodes in the order sorted once
+// for it. Each guard is exactly what the warm search allocates (4
+// allocations in each leg), as BenchmarkSubstrateSEASearch's are.
 func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 	d, m := benchTwitter(b)
 	const q = 31770
@@ -700,8 +700,8 @@ func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 		k      int
 		allocs float64
 	}{
-		{"k4", 4, 9},
-		{"k3", 3, 9},
+		{"k4", 4, 4},
+		{"k3", 3, 4},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			if core := kcore.MaximalConnectedKCore(d.Graph, q, leg.k); len(core) <= 1000 {
@@ -731,10 +731,12 @@ func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 // first query node of internal/sea's twitter k = 4 golden, whose maximal
 // core holds over 1 000 nodes (29 262), the regime the paper's sampling is
 // for. Its guard is on bytes, not allocations: a search evaluates f at the
-// nodes it touches, and its per-node arrays come from pooled workspaces, so
-// it allocates ~8 KB, under the 4·n = 192 KB ceiling, where one f(·,q)
-// vector is 8·n. An O(|V|) allocation per search coming back — a vector
-// filled up front, a per-search set sized to the graph — fails it.
+// nodes it touches, its per-node arrays come from pooled workspaces, and at
+// the default λ = 1 it makes no generator, so it allocates ~550 B (the
+// Outcome, its community and the one-round trace), under a 1 KB ceiling.
+// A generator made per search (5 KB of source state) fails it, and so does
+// any O(|V|) allocation per search — a vector filled up front (one f(·,q)
+// vector is 8·n = 384 KB), a per-search set sized to the graph.
 func BenchmarkSubstrateSEAMiss(b *testing.B) {
 	d, m := benchTwitter(b)
 	for _, leg := range []struct {
@@ -764,8 +766,7 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 			for range 2*runtime.GOMAXPROCS(0) + 1 {
 				search()
 			}
-			n := int64(d.Graph.NumNodes())
-			guardBytes(b, 4*n, search)
+			guardBytes(b, 1<<10, search)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

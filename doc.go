@@ -17,7 +17,7 @@
 // parameters, seed — and every solver answers it through the same Searcher
 // interface with the same Outcome shape:
 //
-//	req := sea.DefaultRequest(q)          // method SEA, the paper's defaults
+//	req := sea.DefaultRequest(q)          // method SEA, the defaults
 //	req.K, req.ErrorBound = 6, 0.01
 //	out, err := sea.Execute(ctx, g, req)  // or NewSearcher(m).Search(ctx, g, req)
 //	fmt.Println(out.Community, out.Delta, out.SEA.CI)
@@ -59,6 +59,20 @@
 // whose surviving state becomes the round's maintenance structure — and
 // never computes trussness levels; the full truss decomposition is run
 // only to build the engine's admission index.
+//
+// # Defaults
+//
+// DefaultRequest, and every zero-valued Request field, takes the paper's
+// defaults (§VII-A) with one deviation: the initial sampling fraction λ is
+// 1, not 0.2. Theorem 10 sizes the neighbourhood Gq to hold q's community
+// with probability ≥ 1−β; a search that draws a λ·|Gq| weighted sample
+// inside it and grows the sample round by round ends with most of Gq
+// sampled anyway, and one round on all of Gq gives a lower mean δ on every
+// population measured (README, "Why λ = 1"; Fig. 8's λ sweep shows λ = 1
+// beside the paper's values). At λ = 1 a search is one round on Gq, with no
+// weighted draw and no generator, and its answer does not depend on the
+// seed. Smaller λ stays valid; internal/experiments pins the paper's
+// λ = 0.2 so that each reproduced figure uses the paper's setting.
 //
 // # Serving
 //

@@ -114,19 +114,38 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 }
 
+// TestEngineCacheEviction fills a capacity-2 cache, two shards of one slot,
+// with three requests chosen by the engine's own hash: the first and the
+// third share a shard, so the third evicts the first, and the second fills
+// the other.
 func TestEngineCacheEviction(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.ResultCacheSize = 2
 	e, d, _ := testEngine(t, cfg)
 	ctx := context.Background()
 
-	qs := d.QueryNodes(3, 2, 5)
-	reqs := make([]query.Request, len(qs))
-	for i, q := range qs {
-		reqs[i] = testReq(q)
-		reqs[i].K = 2 // low k so any query node hosts a community
-		if _, err := e.Query(ctx, reqs[i]); err != nil {
-			t.Fatalf("q=%d: %v", q, err)
+	if n := len(e.results.shards); n != 2 {
+		t.Fatalf("a capacity-2 cache has %d shards; the test places requests in 2", n)
+	}
+	var byShard [2][]query.Request
+	for _, q := range d.QueryNodes(16, 2, 5) {
+		r := testReq(q)
+		r.K = 2 // low k so any query node hosts a community
+		c := r.WithDefaults()
+		i := requestHash(&c) % 2
+		byShard[i] = append(byShard[i], r)
+	}
+	shared, other := byShard[0], byShard[1]
+	if len(shared) < 2 {
+		shared, other = other, shared
+	}
+	if len(shared) < 2 || len(other) < 1 {
+		t.Fatalf("16 query nodes put %d and %d requests in the two shards", len(byShard[0]), len(byShard[1]))
+	}
+	reqs := []query.Request{shared[0], other[0], shared[1]}
+	for _, r := range reqs {
+		if _, err := e.Query(ctx, r); err != nil {
+			t.Fatalf("q=%d: %v", r.Query, err)
 		}
 	}
 	s := e.Stats()

@@ -61,11 +61,16 @@ func Quick() Config {
 	return c
 }
 
+// paperLambda is the paper's initial sampling fraction (§VII-A). The
+// experiments pin it so that each figure stays a reproduction: the library's
+// default is λ = 1 (sea.DefaultOptions).
+const paperLambda = 0.2
+
 // request is the query every line-up row starts from: the experiment's k,
-// accuracy parameters and seed, the state budget of the exact reference and
-// E-VAC, and three sampling rounds — which keep the whole suite minutes-fast;
-// the paper observes convergence within two. query.Run neutralizes whatever
-// the row's method ignores.
+// accuracy parameters and seed, the paper's λ, the state budget of the exact
+// reference and E-VAC, and three sampling rounds — which keep the whole
+// suite minutes-fast; the paper observes convergence within two. query.Run
+// neutralizes whatever the row's method ignores.
 func (c Config) request(method query.Method, model sea.Model) query.Request {
 	return query.Request{
 		Method:     method,
@@ -74,6 +79,7 @@ func (c Config) request(method query.Method, model sea.Model) query.Request {
 		ErrorBound: c.ErrorBound,
 		Confidence: c.Confidence,
 		Seed:       c.Seed,
+		Lambda:     paperLambda,
 		MaxRounds:  3,
 		MaxStates:  c.ExactBudget,
 	}

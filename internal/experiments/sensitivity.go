@@ -60,7 +60,8 @@ func pair(cfg Config, het, hom string) ([]*population, error) {
 
 // Fig8 sweeps λ, ϵ, 1−β, e, 1−α and k as in Figure 8, reporting efficiency
 // (time) and effectiveness (δ, and relative error for the accuracy sweeps)
-// on the DBLP projection and the Twitter analog.
+// on the DBLP projection and the Twitter analog. The λ sweep adds 1, the
+// library's default, beside the paper's values.
 func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 	pops, err := pair(cfg, "dblp", "twitter")
 	if err != nil {
@@ -71,7 +72,7 @@ func Fig8(cfg Config, w io.Writer) ([]SweepPoint, error) {
 		values []float64
 		apply  func(*query.Request, float64)
 	}{
-		{"lambda", []float64{0.1, 0.2, 0.4, 0.6, 0.8}, func(r *query.Request, x float64) { r.Lambda = x }},
+		{"lambda", []float64{0.1, 0.2, 0.4, 0.6, 0.8, 1}, func(r *query.Request, x float64) { r.Lambda = x }},
 		{"eps", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(r *query.Request, x float64) { r.Eps = x }},
 		{"1-beta", []float64{0.86, 0.90, 0.94, 0.98}, func(r *query.Request, x float64) { r.Beta = 1 - x }},
 		{"e", []float64{0.01, 0.02, 0.03, 0.04, 0.05}, func(r *query.Request, x float64) { r.ErrorBound = x }},

@@ -119,8 +119,9 @@ func MethodNames() []string {
 // every method, the Engine, the CLI and the HTTP server: which node, which
 // solver, which structural model, and the accuracy/size/budget parameters.
 // All fields are value-typed, so a Request is comparable and serves directly
-// as a cache key; zero-valued fields mean "use the paper's default" and are
-// resolved by WithDefaults. The JSON form is the HTTP wire format.
+// as a cache key; zero-valued fields mean "use the default" — the paper's
+// (§VII-A), except λ (sea.DefaultOptions) — and are resolved by
+// WithDefaults. The JSON form is the HTTP wire format.
 type Request struct {
 	Query  graph.NodeID `json:"q"`
 	Method Method       `json:"method,omitempty"`
@@ -155,16 +156,19 @@ type Request struct {
 	// any non-trivial graph — 0 selects DefaultEVACStates.
 	MaxStates int64 `json:"max_states,omitempty"`
 
-	// Advanced SEA sampling knobs; zero values select the paper's defaults.
+	// Advanced SEA sampling knobs; zero values select sea.DefaultOptions:
+	// the paper's ϵ, β and round cap, and λ = 1, which samples all of Gq
+	// (the paper's λ is 0.2).
 	Lambda    float64 `json:"lambda,omitempty"`
 	Eps       float64 `json:"eps,omitempty"`
 	Beta      float64 `json:"beta,omitempty"`
 	MaxRounds int     `json:"max_rounds,omitempty"`
 }
 
-// DefaultRequest returns a Request for query node q with the paper's default
-// parameters (§VII-A) fully spelled out: method SEA, k=4, k-core model,
-// e=2%, 95% confidence, seed 1.
+// DefaultRequest returns a Request for query node q with the default
+// parameters fully spelled out: method SEA, k=4, k-core model, e=2%, 95%
+// confidence, seed 1 — the paper's (§VII-A) — and λ = 1
+// (sea.DefaultOptions says why).
 func DefaultRequest(q graph.NodeID) Request {
 	return Request{Query: q, Seed: 1}.WithDefaults()
 }
@@ -173,8 +177,8 @@ func DefaultRequest(q graph.NodeID) Request {
 // Options read it for every request.
 var defaults = sea.DefaultOptions()
 
-// WithDefaults resolves every zero-valued parameter to the paper's default
-// (Seed excepted — 0 is a valid seed) and neutralizes parameters the chosen
+// WithDefaults resolves every zero-valued parameter to its default (Seed
+// excepted — 0 is a valid seed) and neutralizes parameters the chosen
 // method ignores, returning the canonical Request. Engine caching and
 // coalescing key on the canonical form, so a sparse wire request, its
 // spelled-out equivalent, and variants differing only in ignored knobs all

@@ -134,8 +134,10 @@ func goldenAnswers(t *testing.T, name string, scale float64, nodes func(*dataset
 // k = 6 file was re-recorded then. Ten of its searches run the rounds the
 // proof had skipped: Rounds grows by rounds that repeat the last δ and
 // margin, SampleSize grows to |Gq| on nine of them, and every other field
-// kept its bytes. A deliberate change of the algorithm's trajectory
-// re-records them:
+// kept its bytes. All seven were re-recorded when the default λ became 1:
+// every search became one round on all of Gq, and the answers the draw had
+// chosen a subset of Gq for changed (CHANGES.md lists them per file). A
+// deliberate change of the algorithm's trajectory re-records them:
 //
 //	go test ./internal/sea -run TestGoldenAnswers -update-golden
 func TestGoldenAnswers(t *testing.T) {

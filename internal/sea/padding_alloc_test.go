@@ -21,7 +21,7 @@ func TestPaddingAddsNoBytes(t *testing.T) {
 	c := sea.PaddedTwitch(t)
 	ctx := context.Background()
 	request := func(pq sea.PaddingQuery) query.Request {
-		return query.Request{Query: pq.Q, Model: pq.Model, K: pq.K, Seed: pq.Seed, MaxRounds: pq.MaxRounds}
+		return query.Request{Query: pq.Q, Model: pq.Model, K: pq.K, Seed: pq.Seed, Lambda: pq.Lambda, MaxRounds: pq.MaxRounds}
 	}
 	run := func(g graph.Store, m *attr.Metric, req query.Request) {
 		if _, err := query.Run(ctx, g, m, req); err != nil {
@@ -45,10 +45,9 @@ func TestPaddingAddsNoBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return int64(after.TotalAlloc-before.TotalAlloc) / reps
 	}
-	// MaxRounds 1 ends the searches in the last resort (TestPaddingAddsNoWork).
-	for _, rounds := range []int{0, 1} {
+	for _, leg := range sea.PaddingLegs {
 		for _, pq := range c.Queries {
-			pq.MaxRounds = rounds
+			pq.Lambda, pq.MaxRounds = leg.Lambda, leg.MaxRounds
 			req := request(pq)
 			base := allocated(c.Base, c.MBase, req)
 			pad := allocated(c.Padded, c.MPadded, req)

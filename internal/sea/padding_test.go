@@ -81,14 +81,26 @@ type PaddingQuery struct {
 	Model Model
 	K     int
 	Seed  int64
-	// MaxRounds, when positive, replaces the default cap on rounds.
+	// Lambda and MaxRounds, when positive, replace the default λ and cap on
+	// rounds.
+	Lambda    float64
 	MaxRounds int
 }
+
+// PaddingLegs are the settings every PaddingQuery runs at, as its Lambda
+// and MaxRounds: the defaults (one round on all of Gq); the paper's λ = 0.2,
+// whose searches draw their sample and run S3's rounds; and λ = 0.2 with
+// one round, which ends searches in the last resort, q's structure in all of
+// g. A pass over V on any of the three paths fails the padding tests.
+var PaddingLegs = []PaddingQuery{{}, {Lambda: paperLambda}, {Lambda: paperLambda, MaxRounds: 1}}
 
 // Options returns the search's options.
 func (pq PaddingQuery) Options() Options {
 	opts := DefaultOptions()
 	opts.Model, opts.K, opts.Seed = pq.Model, pq.K, pq.Seed
+	if pq.Lambda > 0 {
+		opts.Lambda = pq.Lambda
+	}
 	if pq.MaxRounds > 0 {
 		opts.MaxRounds = pq.MaxRounds
 	}
@@ -169,16 +181,15 @@ func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWo
 
 // TestPaddingAddsNoWork: a million nodes no search reaches change neither a
 // search's answer nor its work — its f(·,q) evaluations, its neighbour
-// reads and the nodes it puts in its sample. Evaluating f over all of V, or
-// any other per-search pass over V, fails it. The MaxRounds = 1 leg ends
-// the searches in the last resort, which finds q's structure in all of g:
-// a pass over V there fails it too.
+// reads and the nodes it puts in its sample — on any of PaddingLegs.
+// Evaluating f over all of V, or any other per-search pass over V, fails
+// it.
 func TestPaddingAddsNoWork(t *testing.T) {
 	c := PaddedTwitch(t)
-	for _, rounds := range []int{0, 1} {
+	for _, leg := range PaddingLegs {
 		lastResorts := 0
 		for _, pq := range c.Queries {
-			pq.MaxRounds = rounds
+			pq.Lambda, pq.MaxRounds = leg.Lambda, leg.MaxRounds
 			base := work(t, c.Base, c.MBase, pq)
 			pad := work(t, c.Padded, c.MPadded, pq)
 			if string(base.answer) != string(pad.answer) {
@@ -195,8 +206,9 @@ func TestPaddingAddsNoWork(t *testing.T) {
 				lastResorts++
 			}
 		}
-		t.Logf("MaxRounds %d: %d of %d searches took the last resort", rounds, lastResorts, len(c.Queries))
-		if rounds == 1 && lastResorts == 0 {
+		opts := leg.Options()
+		t.Logf("λ %v, MaxRounds %d: %d of %d searches took the last resort", opts.Lambda, opts.MaxRounds, lastResorts, len(c.Queries))
+		if leg.MaxRounds == 1 && lastResorts == 0 {
 			t.Errorf("MaxRounds 1: no search took the last resort; the leg checks nothing")
 		}
 	}

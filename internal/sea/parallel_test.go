@@ -47,6 +47,7 @@ func TestResultIndependentOfGOMAXPROCS(t *testing.T) {
 		for _, seed := range []int64{1, 7, 23} {
 			opts := DefaultOptions()
 			opts.K = 5
+			opts.Lambda = paperLambda
 			opts.MaxRounds = 3
 			opts.Model = model
 			opts.Seed = seed
@@ -88,6 +89,7 @@ func TestSearchDeterministicAcrossRepeats(t *testing.T) {
 	q := d.QueryNodes(1, 4, 8)[0]
 	opts := DefaultOptions()
 	opts.K = 4
+	opts.Lambda = paperLambda
 	opts.Seed = 17
 
 	first, err := search(d.Graph, m, q, opts)

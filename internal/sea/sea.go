@@ -7,9 +7,11 @@
 // The pipeline follows Figure 4 of the paper:
 //
 //  1. Sampling (S1): determine the minimum neighborhood size |Gq| from the
-//     Hoeffding bound (Theorem 10), build Gq best-first around q, draw an
-//     attribute-aware weighted sample S, and extract the maximal connected
-//     k-core (or k-truss) of the induced subgraph Gq[S].
+//     Hoeffding bound (Theorem 10), build Gq best-first around q, take a
+//     sample S of λ·|Gq| nodes, and extract the maximal connected k-core
+//     (or k-truss) of the induced subgraph Gq[S]. At the default λ = 1, S
+//     is Gq itself; below it, S is an attribute-aware weighted sample drawn
+//     by the sampling probabilities of Eq. 5 from the search's generator.
 //  2. Estimation (S2): estimate δ of the candidate with the interval of the
 //     mean of its members' f values, in closed form (stats.MeanCI: the
 //     margin the paper's Bag of Little Bootstraps approximates by Monte
@@ -24,10 +26,11 @@
 //     draws from the one Gq of step 1, which Theorem 10 sizes to hold q's
 //     community with probability ≥ 1−β; Gq is built once per search and
 //     never grows. Both models leave the loop by the same three rules:
-//     Theorem 11 holds, MaxRounds rounds have run, or S3 drew nothing
-//     because the sample holds all of Gq. A search whose rounds found no
-//     structure in Gq ends in the last resort, q's maximal structure in all
-//     of G.
+//     Theorem 11 holds, MaxRounds rounds have run, or the sample holds all
+//     of Gq, so S3 has nothing to draw. At λ = 1 the last holds from the
+//     start, and a search is one round with no S3. A search whose rounds
+//     found no structure in Gq ends in the last resort, q's maximal
+//     structure in all of G.
 package sea
 
 import (
@@ -112,7 +115,7 @@ type Options struct {
 	K          int     // structural parameter of the community model
 	ErrorBound float64 // e: user-desired relative error bound
 	Confidence float64 // 1−α for the confidence interval
-	Lambda     float64 // initial sampling fraction of |Gq|
+	Lambda     float64 // initial sampling fraction of |Gq|; 1 samples all of Gq
 	Eps        float64 // ϵ for the Hoeffding bound (Theorem 10)
 	Beta       float64 // β: 1−β is the containment probability (Theorem 10)
 	Model      Model
@@ -134,14 +137,20 @@ type Options struct {
 	Seed     int64
 }
 
-// DefaultOptions mirrors the paper's defaults (§VII-A): k=4, e=2%,
-// 1−α = 95%, λ=0.2, ϵ=0.05, 1−β=95%.
+// DefaultOptions are the paper's defaults (§VII-A) — k=4, e=2%,
+// 1−α = 95%, ϵ=0.05, 1−β=95% — with one deviation: λ=1, not the paper's
+// 0.2. Theorem 10 sizes Gq to hold q's community with probability ≥ 1−β,
+// and a search that draws a λ·|Gq| sample inside it ends with most of Gq
+// sampled anyway, after rounds that cost time and give a higher δ (README,
+// "Why λ = 1"). At λ=1 the sample is Gq itself: one round, no draw, and an
+// answer that does not depend on Seed. The experiments that reproduce the
+// paper's figures pin λ=0.2.
 func DefaultOptions() Options {
 	return Options{
 		K:          4,
 		ErrorBound: 0.02,
 		Confidence: 0.95,
-		Lambda:     0.2,
+		Lambda:     1,
 		Eps:        0.05,
 		Beta:       0.05,
 		Model:      KCore,
@@ -260,10 +269,10 @@ func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q g
 	return s.run()
 }
 
-// newRun is the one constructor of a search: its generator, from
-// Options.Seed, and a workspace the caller releases. The caller sets f.
+// newRun is the one constructor of a search, with a workspace the caller
+// releases. The caller sets f.
 func newRun(ctx context.Context, g graph.CSR, q graph.NodeID, opts Options) *seaRun {
-	return &seaRun{ctx: ctx, g: g, q: q, opts: opts, rng: rand.New(rand.NewSource(opts.Seed)), w: ws.Get()}
+	return &seaRun{ctx: ctx, g: g, q: q, opts: opts, w: ws.Get()}
 }
 
 type seaRun struct {
@@ -271,7 +280,10 @@ type seaRun struct {
 	g    graph.CSR
 	q    graph.NodeID
 	opts Options
-	rng  *rand.Rand
+	// rng is the search's generator, from Options.Seed, made by the first
+	// draw (rand): a search whose sample is all of Gq draws nothing and
+	// makes none.
+	rng *rand.Rand
 	// f is f(·,q): a lazy view on w.Dist, or a caller's whole vector.
 	f attr.View
 
@@ -280,8 +292,8 @@ type seaRun struct {
 	// and visited set of Gq's expansion, sampling keys, the sample's
 	// membership and the round's maintainer, and the round loop's own
 	// population/sample/candidate buffers. What a warm search still
-	// allocates is the generator, each round's maintainer header, the
-	// round trace and the returned community.
+	// allocates is each round's maintainer header, the round trace, the
+	// returned community and, when it draws, the generator.
 	w *ws.Workspace
 
 	res Result
@@ -325,11 +337,9 @@ func (s *seaRun) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Gq and its sampling probabilities (Eq. 5), the population of every
-	// round, live in the workspace.
+	// Gq, the population of every round, lives in the workspace.
 	gq := sampling.BuildGqView(s.w.Gq[:0], s.g, s.q, &s.f, minGq, s.w)
-	probs := sampling.ProbabilitiesView(s.w.Probs[:0], gq, &s.f)
-	s.w.Gq, s.w.Probs = gq, probs
+	s.w.Gq = gq
 	s.res.GqSize = len(gq)
 	if s.ctx.Err() != nil {
 		return s.interrupted()
@@ -339,8 +349,17 @@ func (s *seaRun) run() (*Result, error) {
 	if sampleSize < s.opts.K+1 {
 		sampleSize = s.opts.K + 1
 	}
-	sample := sampling.WeightedSampleInto(s.w.Sample[:0], gq, probs, sampleSize, s.q, s.rng, s.w)
-	s.w.Sample = sample // keep the backing array pooled even on round-1 exits
+	// A first sample of all of Gq (λ = 1, or a Gq of at most K+1 nodes) is
+	// Gq itself: no weights, no draw, and the loop below ends after one
+	// round. Otherwise draw it by the sampling probabilities of Eq. 5,
+	// which S3's draws read too.
+	sample, probs := gq, []float64(nil)
+	if sampleSize < len(gq) {
+		probs = sampling.ProbabilitiesView(s.w.Probs[:0], gq, &s.f)
+		s.w.Probs = probs
+		sample = sampling.WeightedSampleInto(s.w.Sample[:0], gq, probs, sampleSize, s.q, s.rand(), s.w)
+		s.w.Sample = sample // keep the backing array pooled even on round-1 exits
+	}
 	s.w.Sampled.Reset(s.g.NumNodes())
 	s.res.Steps.Sampling += time.Since(t0)
 
@@ -355,6 +374,11 @@ func (s *seaRun) run() (*Result, error) {
 		roundStart := time.Now()
 		deltaS := 0
 		if round > 1 {
+			if len(sample) == len(gq) {
+				// The sample is all of Gq, so a round would extract and
+				// estimate exactly what the last one did.
+				break
+			}
 			// S3: error-based incremental sampling (Eq. 12).
 			t3 := time.Now()
 			ask := stats.IncrementalSampleSize(last.MoE, stats.MoETarget(last.Center, s.opts.ErrorBound), lastN)
@@ -368,11 +392,6 @@ func (s *seaRun) run() (*Result, error) {
 			s.w.Sample = sample // keep the grown backing array pooled
 			deltaS = len(sample) - s.res.SampleSize
 			s.res.Steps.Incremental += time.Since(t3)
-			if deltaS == 0 {
-				// S3 drew nothing, so the sample is all of Gq and this round
-				// would extract and estimate exactly what the last one did.
-				break
-			}
 		}
 		added := sample[s.res.SampleSize:] // round 1: the whole first sample
 		s.res.SampleSize = len(sample)
@@ -440,9 +459,9 @@ func (s *seaRun) run() (*Result, error) {
 	return s.result(), nil
 }
 
-// enlarge adds up to deltaS fresh weighted samples from gq to sample. The
-// rest pool lives in workspace scratch, so the incremental step is
-// allocation-free in the steady state.
+// enlarge adds up to deltaS fresh weighted samples from gq to sample, all
+// of the rest when deltaS reaches it. The rest pool lives in workspace
+// scratch, so the incremental step is allocation-free in the steady state.
 func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.NodeID, deltaS int) []graph.NodeID {
 	restNodes := s.w.Nodes[:0]
 	restProbs := s.w.Floats[:0]
@@ -453,13 +472,15 @@ func (s *seaRun) enlarge(gq []graph.NodeID, probs []float64, sample []graph.Node
 		}
 	}
 	s.w.Nodes, s.w.Floats = restNodes[:0], restProbs[:0]
-	if len(restNodes) == 0 {
-		return sample
+	return sampling.WeightedSampleInto(sample, restNodes, restProbs, deltaS, -1, s.rand(), s.w)
+}
+
+// rand returns the search's generator, making it at the first draw.
+func (s *seaRun) rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.opts.Seed))
 	}
-	if deltaS > len(restNodes) {
-		deltaS = len(restNodes)
-	}
-	return sampling.WeightedSampleInto(sample, restNodes, restProbs, deltaS, -1, s.rng, s.w)
+	return s.rng
 }
 
 // extract adds added to the sample's membership (w.Sampled) and returns the

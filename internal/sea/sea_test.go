@@ -36,6 +36,11 @@ func testDataset(t testing.TB) *dataset.Generated {
 	return d
 }
 
+// paperLambda is the paper's λ (§VII-A). The default λ = 1 samples all of
+// Gq and draws nothing, so the tests whose subject is S1's weighted draw or
+// S3's rounds pin it.
+const paperLambda = 0.2
+
 // search runs SEA with f(·,q) evaluated from m on demand, the engine's path.
 func search(g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
 	return SearchContext(context.Background(), g, m, q, opts)
@@ -155,7 +160,7 @@ func TestLoopStopsWhenSampleCannotGrow(t *testing.T) {
 	valid := map[Model]func(graph.Adjacency, []graph.NodeID, int) bool{KCore: kcore.InKCoreSet, KTruss: truss.InKTrussSet}
 	for _, model := range []Model{KCore, KTruss} {
 		opts := DefaultOptions()
-		opts.Model, opts.K = model, 3
+		opts.Model, opts.K, opts.Lambda = model, 3, paperLambda
 		opts.ErrorBound = 1e-4
 		opts.MaxRounds = 40
 		res, err := SearchWithDistContext(context.Background(), g, dist, 0, opts)
@@ -214,6 +219,7 @@ func TestSearchDeterministicWithSeed(t *testing.T) {
 	d := testDataset(t)
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	opts := DefaultOptions()
+	opts.Lambda = paperLambda
 	q := d.QueryNodes(1, opts.K, 3)[0]
 	r1, err := search(d.Graph, m, q, opts)
 	if err != nil {
@@ -522,7 +528,7 @@ func TestLateRoundsReadWhatTheyDrew(t *testing.T) {
 	}
 	const q = 7079
 	opts := DefaultOptions()
-	opts.K = 6
+	opts.K, opts.Lambda = 6, paperLambda
 	opts.Seed = 6
 	g := &countingCSR{CSR: d.Graph}
 	res, err := SearchWithDistContext(context.Background(), g, m.QueryDist(q), q, opts)
@@ -570,7 +576,7 @@ func TestTrussRoundReadsWhatQReaches(t *testing.T) {
 	const q = 4414
 	ctx := context.Background()
 	opts := DefaultOptions()
-	opts.K, opts.Model, opts.Seed = 5, KTruss, 1_000_007
+	opts.K, opts.Model, opts.Seed, opts.Lambda = 5, KTruss, 1_000_007, paperLambda
 	g := &countingCSR{CSR: d.Graph}
 	s := newRun(ctx, g, q, opts)
 	defer s.w.Release()
@@ -615,7 +621,7 @@ func TestGqIsTheorem10Population(t *testing.T) {
 	}
 	for _, k := range []int{6, 4} {
 		opts := DefaultOptions()
-		opts.K = k
+		opts.K, opts.Lambda = k, paperLambda
 		minGq, err := stats.MinGqSizeCore(opts.Eps, opts.Beta, k, d.Graph.NumNodes())
 		if err != nil {
 			t.Fatal(err)
@@ -643,6 +649,48 @@ func TestGqIsTheorem10Population(t *testing.T) {
 		}
 		if k == 6 {
 			t.Logf("k %d: reads reach %.2f of the limit", k, worst)
+		}
+	}
+}
+
+// TestDefaultSearchIsOneRoundOnGq: at the default options (λ = 1) the sample
+// is Gq itself. Over the twitter k-core k = 6 golden queries every search
+// runs one round — S3 has nothing to draw — computes no sampling
+// probabilities, makes no generator, and so returns the same answer at any
+// seed.
+func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
+	d, err := dataset.Homogeneous("twitter", 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.K = 6
+	for i, q := range coldNodes(32)(d, opts.K) {
+		var answers [2]*Result
+		for j, seed := range []int64{1_000_004 + int64(i), int64(i)} {
+			opts.Seed = seed
+			s := newRun(context.Background(), d.Graph, q, opts)
+			s.f = m.View(q, &s.w.Dist)
+			s.w.Probs = s.w.Probs[:0]
+			res, err := s.run()
+			probs, made := len(s.w.Probs), s.rng != nil
+			s.w.Release()
+			if err != nil {
+				t.Fatalf("q %d seed %d: %v", q, seed, err)
+			}
+			if len(res.Rounds) != 1 || res.SampleSize != res.GqSize || res.Steps.Incremental != 0 || probs != 0 || made {
+				t.Errorf("q %d seed %d: %d rounds, |S| %d of |Gq| %d, S3 took %v, %d probabilities, generator made: %v",
+					q, seed, len(res.Rounds), res.SampleSize, res.GqSize, res.Steps.Incremental, probs, made)
+			}
+			answers[j] = res
+		}
+		if a, b := answers[0], answers[1]; !slices.Equal(a.Community, b.Community) || a.Delta != b.Delta || a.CI != b.CI {
+			t.Errorf("q %d: the answer depends on the seed: %v δ %v %+v, then %v δ %v %+v",
+				q, a.Community, a.Delta, a.CI, b.Community, b.Delta, b.CI)
 		}
 	}
 }

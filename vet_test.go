@@ -150,8 +150,8 @@ func TestNoFanOutInsideARequest(t *testing.T) {
 
 // TestOneGeneratorPerSearch keeps a search's randomness in one place: the
 // non-test files of the solver packages build exactly one generator,
-// newRun's from Options.Seed, and every sampler and estimator draws from the
-// *rand.Rand it is handed.
+// seaRun.rand's from Options.Seed at a search's first draw, and every
+// sampler and estimator draws from the *rand.Rand it is handed.
 func TestOneGeneratorPerSearch(t *testing.T) {
 	var sites []string
 	for _, pkg := range []string{"sea", "stats", "sampling", "kcore", "truss", "attr"} {
