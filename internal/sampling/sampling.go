@@ -11,19 +11,18 @@
 // working size. They read f(·,q) through an attr.View, so a lazy view
 // evaluates f only at the nodes Gq's frontier reaches.
 //
-// The sample's order, ties included, is part of every answer: it decides
-// which nodes the first rounds hold. So WeightedSampleInto does not call
-// slices.SortFunc, whose order among equal keys is the toolchain's to
-// change, but a pinned copy of Go 1.24's pattern-defeating quicksort
-// (sort.go) that also skips every sub-range past the sample's prefix: the
-// same sample in the same order whatever Go builds it, for a sort of the
-// prefix instead of all of Gq.
+// The sample's order, ties included, is part of every answer at λ < 1: it
+// decides which nodes the first rounds hold. WeightedSampleInto sorts with
+// slices.SortFunc, so that order is the one the module's Go version gives
+// equal keys, and TestDrawGolden pins it. No search at the default λ = 1
+// draws: its sample is all of Gq.
 package sampling
 
 import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/attr"
 	"repro/internal/graph"
@@ -272,10 +271,12 @@ func ProbabilitiesView(dst []float64, population []graph.NodeID, f *attr.View) [
 // WeightedSampleInto appends to dst size distinct nodes drawn from
 // population with probability proportional to weights, using the
 // exponential-keys method (Efraimidis & Spirakis A-ES): key_i = U_i^(1/w_i);
-// take the size largest keys, in the order a full descending sort gives
-// (sortKeys sorts only that prefix). Nodes with zero weight are drawn only
-// if the positive-weight pool is exhausted. The query node, if present in
-// population, is always included. The key array is drawn from w.
+// take the size largest keys, in the order slices.SortFunc by byKeyDesc
+// gives on the module's Go version, equal keys included (TestDrawGolden
+// pins it). Nodes with zero weight are drawn only if the positive-weight
+// pool is exhausted. The query node, if present in population, is always
+// included. The key array is drawn from w. A search at the default λ = 1
+// never calls it.
 //
 // With weights near 1/|population| the exponent p = 1/w is in the thousands
 // and most keys underflow to exactly 0. Those are not computed: ln U ≤ U−1,
@@ -304,10 +305,22 @@ func WeightedSampleInto(dst []graph.NodeID, population []graph.NodeID, weights [
 		}
 		keys = append(keys, ws.NodeDist{V: v, D: key})
 	}
-	sortKeys(keys, size)
+	slices.SortFunc(keys, byKeyDesc)
 	for i := 0; i < size; i++ {
 		dst = append(dst, keys[i].V)
 	}
 	w.Keys = keys[:0]
 	return dst
+}
+
+// byKeyDesc orders sampling keys by descending key; equal keys compare 0.
+func byKeyDesc(a, b ws.NodeDist) int {
+	switch {
+	case a.D > b.D:
+		return -1
+	case a.D < b.D:
+		return 1
+	default:
+		return 0
+	}
 }

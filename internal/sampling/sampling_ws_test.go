@@ -87,16 +87,7 @@ func samplePowKeys(population []graph.NodeID, weights []float64, size int, q gra
 		}
 		keys = append(keys, ws.NodeDist{V: v, D: key})
 	}
-	slices.SortFunc(keys, func(a, b ws.NodeDist) int {
-		switch {
-		case a.D > b.D:
-			return -1
-		case a.D < b.D:
-			return 1
-		default:
-			return 0
-		}
-	})
+	slices.SortFunc(keys, byKeyDesc)
 	var out []graph.NodeID
 	for i := 0; i < size; i++ {
 		out = append(out, keys[i].V)

@@ -124,7 +124,7 @@ type Options struct {
 	SizeLo, SizeHi int
 	// BLB is validated but not read: S2's interval is stats.MeanCI's closed
 	// form. The field stays while benchmark/trace.go times stats.BLB with it,
-	// and goes with that timing (ROADMAP item 9(c)).
+	// and goes with that timing (ROADMAP item 26).
 	BLB stats.BLBConfig
 	// MaxRounds caps the sampling→estimation→incremental-sampling loop.
 	// The paper observes convergence within 2 rounds, 5 in the worst case.

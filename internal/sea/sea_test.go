@@ -654,43 +654,52 @@ func TestGqIsTheorem10Population(t *testing.T) {
 }
 
 // TestDefaultSearchIsOneRoundOnGq: at the default options (λ = 1) the sample
-// is Gq itself. Over the twitter k-core k = 6 golden queries every search
-// runs one round — S3 has nothing to draw — computes no sampling
-// probabilities, makes no generator, and so returns the same answer at any
-// seed.
+// is Gq itself. On both cold workloads' populations (the first 32 queries
+// of twitter k-core k = 6 and of twitch k-truss k = 5) every search runs
+// one round — S3 has nothing to draw — computes no sampling probabilities,
+// makes no generator, and so returns the same answer at any seed.
 func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
-	d, err := dataset.Homogeneous("twitter", 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := attr.NewMetric(d.Graph, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.K = 6
-	for i, q := range coldNodes(32)(d, opts.K) {
-		var answers [2]*Result
-		for j, seed := range []int64{1_000_004 + int64(i), int64(i)} {
-			opts.Seed = seed
-			s := newRun(context.Background(), d.Graph, q, opts)
-			s.f = m.View(q, &s.w.Dist)
-			s.w.Probs = s.w.Probs[:0]
-			res, err := s.run()
-			probs, made := len(s.w.Probs), s.rng != nil
-			s.w.Release()
-			if err != nil {
-				t.Fatalf("q %d seed %d: %v", q, seed, err)
-			}
-			if len(res.Rounds) != 1 || res.SampleSize != res.GqSize || res.Steps.Incremental != 0 || probs != 0 || made {
-				t.Errorf("q %d seed %d: %d rounds, |S| %d of |Gq| %d, S3 took %v, %d probabilities, generator made: %v",
-					q, seed, len(res.Rounds), res.SampleSize, res.GqSize, res.Steps.Incremental, probs, made)
-			}
-			answers[j] = res
+	for _, leg := range []struct {
+		dataset string
+		model   Model
+		k       int
+	}{
+		{"twitter", KCore, 6},
+		{"twitch", KTruss, 5},
+	} {
+		d, err := dataset.Homogeneous(leg.dataset, 1.0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a, b := answers[0], answers[1]; !slices.Equal(a.Community, b.Community) || a.Delta != b.Delta || a.CI != b.CI {
-			t.Errorf("q %d: the answer depends on the seed: %v δ %v %+v, then %v δ %v %+v",
-				q, a.Community, a.Delta, a.CI, b.Community, b.Delta, b.CI)
+		m, err := attr.NewMetric(d.Graph, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Model, opts.K = leg.model, leg.k
+		for i, q := range coldNodes(32)(d, opts.K) {
+			var answers [2]*Result
+			for j, seed := range []int64{1_000_004 + int64(i), int64(i)} {
+				opts.Seed = seed
+				s := newRun(context.Background(), d.Graph, q, opts)
+				s.f = m.View(q, &s.w.Dist)
+				s.w.Probs = s.w.Probs[:0]
+				res, err := s.run()
+				probs, made := len(s.w.Probs), s.rng != nil
+				s.w.Release()
+				if err != nil {
+					t.Fatalf("%s q %d seed %d: %v", leg.dataset, q, seed, err)
+				}
+				if len(res.Rounds) != 1 || res.SampleSize != res.GqSize || res.Steps.Incremental != 0 || probs != 0 || made {
+					t.Errorf("%s q %d seed %d: %d rounds, |S| %d of |Gq| %d, S3 took %v, %d probabilities, generator made: %v",
+						leg.dataset, q, seed, len(res.Rounds), res.SampleSize, res.GqSize, res.Steps.Incremental, probs, made)
+				}
+				answers[j] = res
+			}
+			if a, b := answers[0], answers[1]; !slices.Equal(a.Community, b.Community) || a.Delta != b.Delta || a.CI != b.CI || a.Satisfied != b.Satisfied {
+				t.Errorf("%s q %d: the answer depends on the seed: %v δ %v %+v, then %v δ %v %+v",
+					leg.dataset, q, a.Community, a.Delta, a.CI, b.Community, b.Delta, b.CI)
+			}
 		}
 	}
 }
