@@ -114,9 +114,6 @@ func TestDrawGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "draws.golden")
 	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
