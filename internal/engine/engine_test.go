@@ -492,17 +492,22 @@ func TestEngineCachedSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Both sides are the best of 3, so one descheduled block cannot fail
+	// the ratio: the cached side a mean over a block of 50 hits.
 	const iters = 50
-	tc := time.Now()
-	for i := 0; i < iters; i++ {
-		if _, err := e.Query(ctx, req); err != nil {
-			t.Fatal(err)
+	cached := time.Duration(1<<63 - 1)
+	for range 3 {
+		tc := time.Now()
+		for i := 0; i < iters; i++ {
+			if _, err := e.Query(ctx, req); err != nil {
+				t.Fatal(err)
+			}
 		}
+		cached = min(cached, time.Since(tc)/iters)
 	}
-	cached := time.Since(tc) / iters
 
 	cold := time.Duration(1<<63 - 1)
-	for i := 0; i < 3; i++ { // best of 3 favors the cold side
+	for i := 0; i < 3; i++ {
 		t0 := time.Now()
 		if _, err := query.Execute(ctx, d.Graph, req); err != nil {
 			t.Fatal(err)

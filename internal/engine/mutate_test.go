@@ -219,13 +219,20 @@ func TestApplyAttrInvalidation(t *testing.T) {
 	requireSameAsRebuilt(t, e, reqA, reqB)
 }
 
-// TestApplyAllOrNothing proves a failing delta aborts the whole batch.
+// TestApplyAllOrNothing proves a failing delta aborts the whole batch: the
+// graph, the version and the per-edge trussness table are as before it, and
+// the next valid batch lands on them exactly as on a rebuilt engine.
 func TestApplyAllOrNothing(t *testing.T) {
 	e, err := New(twoClusterGraph(t, 4), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	edges, version := e.Graph().NumEdges(), e.Version()
+	// A first batch makes the per-edge table the engine maintains, not the
+	// construction column, what ExportIndex reads.
+	if _, err := e.Apply([]mutate.Delta{mutate.RemoveEdge(1, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	edges, version, etruss := e.Graph().NumEdges(), e.Version(), e.ExportIndex().EdgeTruss
 	_, err = e.Apply([]mutate.Delta{
 		mutate.AddEdge(0, 5),
 		mutate.AddEdge(0, 0), // invalid
@@ -236,9 +243,33 @@ func TestApplyAllOrNothing(t *testing.T) {
 	if e.Graph().NumEdges() != edges || e.Version() != version {
 		t.Fatal("failed batch mutated the engine")
 	}
+	if got := e.ExportIndex().EdgeTruss; !reflect.DeepEqual(got, etruss) {
+		t.Fatalf("failed batch changed the edge trussness: %v, want %v", got, etruss)
+	}
 	if _, err := e.Apply(nil); !errors.Is(err, cserr.ErrInvalidRequest) {
 		t.Fatalf("empty batch: %v", err)
 	}
+
+	if _, err := e.Apply([]mutate.Delta{mutate.AddEdge(0, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	rebuilt, err := New(e.Graph(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := e.ExportIndex(), rebuilt.ExportIndex(); !reflect.DeepEqual(got.Coreness, want.Coreness) ||
+		!reflect.DeepEqual(got.NodeTruss, want.NodeTruss) || !reflect.DeepEqual(got.EdgeTruss, want.EdgeTruss) {
+		t.Fatalf("index after the next batch:\nlive    %+v\nrebuilt %+v", got, want)
+	}
+	var reqs []query.Request
+	for _, r := range []struct {
+		q     graph.NodeID
+		model sea.Model
+		k     int
+	}{{0, sea.KCore, 2}, {5, sea.KCore, 3}, {0, sea.KTruss, 3}, {5, sea.KTruss, 4}} {
+		reqs = append(reqs, query.Request{Query: r.q, Method: query.MethodStructural, Model: r.model, K: r.k}.WithDefaults())
+	}
+	requireSameAsRebuilt(t, e, reqs...)
 }
 
 // TestApplyEquivalentToRebuild is the overlay-vs-compacted property: after
