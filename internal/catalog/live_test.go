@@ -106,6 +106,37 @@ func TestMutateJournalReplay(t *testing.T) {
 	}
 }
 
+// TestClearingSetAttrSurvivesReboot journals the documented way to clear a
+// node's tokens, set_attr with an empty non-nil Text, and remounts: the
+// record must replay as the clear it applied live, not as a set_attr that
+// changes nothing.
+func TestClearingSetAttrSurvivesReboot(t *testing.T) {
+	snapPath, journalPath := liveFixture(t)
+	c := New()
+	if _, _, err := c.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Mutate("g", []mutate.Delta{mutate.SetAttr(4, []string{}, nil)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := New()
+	d, replayed, err := c2.MountPathJournaled("g", snapPath, journalPath, engine.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if replayed != 1 {
+		t.Fatalf("replayed %d batches, want 1", replayed)
+	}
+	if text := d.Engine().Graph().TextAttrs(4); len(text) != 0 {
+		t.Fatalf("node 4's text after reboot = %v, want none", text)
+	}
+}
+
 func TestCompactFoldsJournal(t *testing.T) {
 	snapPath, journalPath := liveFixture(t)
 	ctx := context.Background()

@@ -93,11 +93,12 @@ type Delta struct {
 	U  graph.NodeID `json:"u,omitempty"`
 	V  graph.NodeID `json:"v,omitempty"`
 	// Text carries textual attributes for AddNode/SetAttr. For SetAttr, nil
-	// keeps the current set and an empty non-nil slice clears it.
-	Text []string `json:"text,omitempty"`
+	// keeps the current set and an empty non-nil slice clears it, so the
+	// JSON form omits only nil: a clear is written as "text":[].
+	Text []string `json:"text,omitzero"`
 	// Num carries the numerical attribute vector (graph NumDim wide) for
 	// AddNode/SetAttr; nil keeps the current vector (all-zero for AddNode).
-	Num []float64 `json:"num,omitempty"`
+	Num []float64 `json:"num,omitzero"`
 }
 
 // AddEdge returns the delta inserting the undirected edge (u,v).
