@@ -13,7 +13,7 @@
 // request's sea.Model) through the shared cohesive.Maintainer interface, and
 // runs under a context: its loop checks ctx before every trial and, when
 // cancelled, returns the best community found so far with ctx's error
-// wrapped, like sea.SearchWithDistContext and exact.SearchContext.
+// wrapped, like sea.SearchContext and exact.SearchContext.
 package baselines
 
 import (

@@ -135,28 +135,20 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	old := e.st.Load()
 	outs := make([]GroupOutcome, len(groups))
 
-	// Prepare: validate every group against a throwaway overlay. A
-	// single-group batch skips the preflight — the session's own rollback
-	// gives the same all-or-nothing contract without validating twice.
-	admitted := groups
-	if len(groups) > 1 {
-		pf := mutate.NewPreflight(old.g)
-		for gi, g := range groups {
-			if len(g) == 0 {
-				outs[gi].Err = cserr.Invalidf("engine: empty mutation batch")
-				continue
-			}
-			if err := pf.Group(g); err != nil {
-				outs[gi].Err = err
-			}
+	// Prepare: validate every group against a throwaway overlay.
+	pf := mutate.NewPreflight(old.g)
+	for gi, g := range groups {
+		if len(g) == 0 {
+			outs[gi].Err = cserr.Invalidf("engine: empty mutation batch")
+			continue
 		}
-		admitted = pf.Admitted()
-	} else if len(groups[0]) == 0 {
-		outs[0].Err = cserr.Invalidf("engine: empty mutation batch")
-		return nil, outs, outs[0].Err
+		if err := pf.Group(g); err != nil {
+			outs[gi].Err = err
+		}
 	}
+	admitted := pf.Admitted()
 	if len(admitted) == 0 {
-		return nil, outs, firstGroupErr(outs, nil)
+		return nil, outs, firstGroupErr(outs)
 	}
 
 	// The first mutation fills the per-edge trussness table from the
@@ -167,10 +159,11 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	}
 
 	// Maintain: one session folds every admitted group; the admission
-	// indexes update incrementally across the whole batch. An admitted
-	// group cannot fail here — preflight applied the identical overlay
-	// edits — except on the unpreflighted single-group path, where the
-	// session rollback keeps the all-or-nothing contract.
+	// indexes update incrementally across the whole batch, in e.etruss
+	// itself. Nothing from here on can fail: the session's overlay edits are
+	// the ones preflight made over the same base, and the metric rebinds
+	// with the γ and normalizer width it was built with. A failure is a
+	// broken invariant with the table half written, so it panics.
 	sess := mutate.NewSession(old.g, old.core, e.etruss)
 	gi := 0
 	for _, g := range admitted {
@@ -178,11 +171,9 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 			gi++ // skip rejected groups: admitted is the accepted subsequence
 		}
 		nn := len(sess.NewNodes())
-		for i, d := range g {
+		for _, d := range g {
 			if err := sess.Apply(d); err != nil {
-				sess.Rollback()
-				outs[gi].Err = fmt.Errorf("delta %d: %w", i, err)
-				return nil, outs, outs[gi].Err
+				panic(fmt.Sprintf("engine: admitted delta %+v failed: %v", d, err))
 			}
 		}
 		outs[gi].Applied = true
@@ -193,8 +184,7 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	newG := sess.Materialize()
 	m, err := attr.NewMetricWithNormalizer(newG, old.metric.Gamma(), old.metric.Normalizer())
 	if err != nil {
-		sess.Rollback()
-		return nil, outs, err
+		panic(fmt.Sprintf("engine: metric rebind after an admitted batch failed: %v", err))
 	}
 	st := &engState{g: newG, metric: m, core: sess.Core(), truss: sess.NodeTruss(old.truss), version: old.version + 1}
 	applyNS := time.Since(tApply).Nanoseconds()
@@ -230,16 +220,13 @@ func (e *Engine) ApplyGroups(groups [][]mutate.Delta) (*ApplyResult, []GroupOutc
 	return res, outs, nil
 }
 
-// firstGroupErr returns the first rejected group's error (fallback when none
-// is recorded) — the batch-level error when no group applied.
-func firstGroupErr(outs []GroupOutcome, fallback error) error {
+// firstGroupErr returns the first rejected group's error — the batch-level
+// error when no group applied.
+func firstGroupErr(outs []GroupOutcome) error {
 	for _, o := range outs {
 		if o.Err != nil {
 			return o.Err
 		}
-	}
-	if fallback != nil {
-		return fallback
 	}
 	return cserr.Invalidf("engine: no group in the commit batch applied")
 }

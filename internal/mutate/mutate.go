@@ -17,8 +17,15 @@
 //     deletion, edges of trussness > truss(e) are fixed).
 //
 // Both updates therefore traverse only the affected scope and re-peel it
-// against a pinned boundary; TestIncrementalMatchesScratch proves the result
+// against a pinned boundary: coreness by one cascading eviction shared by
+// insertion and deletion, trussness by truss.Peel, the peel truss.Decompose
+// runs over the whole graph. TestIncrementalMatchesScratch proves the result
 // equal to a from-scratch decomposition on randomized mutation sequences.
+//
+// A batch is validated whole before any maintenance runs: a Preflight
+// applies every delta group to a throwaway overlay, and a Session then
+// applies only admitted groups, so it cannot fail part way and keeps no
+// undo log.
 package mutate
 
 import (

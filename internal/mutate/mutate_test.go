@@ -189,37 +189,6 @@ func nodeTrussOf(g *graph.Graph, n int) []int32 {
 	return nt
 }
 
-// TestSessionRollback proves a failed batch leaves the adopted truss table
-// untouched.
-func TestSessionRollback(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomGraph(t, rng, 30, 0.15)
-	core := kcore.Decompose(g)
-	etruss := edgeTrussOf(g)
-	want := make(map[Edge]int32, len(etruss))
-	for k, v := range etruss {
-		want[k] = v
-	}
-
-	sess := NewSession(g, core, etruss)
-	edges := edgesOf(g)
-	if err := sess.Apply(RemoveEdge(edges[0].U, edges[0].V)); err != nil {
-		t.Fatal(err)
-	}
-	if err := sess.Apply(AddEdge(5, 5)); err == nil {
-		t.Fatal("self-loop accepted")
-	}
-	sess.Rollback()
-	if len(etruss) != len(want) {
-		t.Fatalf("%d entries after rollback, want %d", len(etruss), len(want))
-	}
-	for k, v := range want {
-		if etruss[k] != v {
-			t.Fatalf("truss[%v] = %d after rollback, want %d", k, etruss[k], v)
-		}
-	}
-}
-
 // TestApplyErrors exercises the validation paths.
 func TestApplyErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -12,9 +12,11 @@ import (
 // re-computes only the affected scope of the touched endpoints (see the
 // package comment for the locality results).
 //
-// On an Apply error the session rolls the failed delta back, so a batch is
-// all-or-nothing from the caller's perspective: apply every delta, then
-// Materialize; or abandon the session on the first error.
+// The session writes the adopted trussness table in place and keeps no undo
+// log, so a batch is all-or-nothing only when a Preflight has admitted it
+// first: applyOverlay is then the one step of Apply that can fail, and it
+// already succeeded on the same base. A rejected delta leaves the session as
+// it was, but not the deltas before it.
 //
 // A Session is not safe for concurrent use; the Engine serializes mutation
 // batches under its own lock.
@@ -23,10 +25,8 @@ type Session struct {
 	core []int32 // working coreness copy, post-mutation
 
 	// etruss is the per-edge trussness table, adopted (not copied) from the
-	// caller and mutated in place with an undo log. undo holds the pre-batch
-	// value of every touched edge (nil pointer = the edge did not exist).
+	// caller and mutated in place.
 	etruss map[Edge]int32
-	undo   map[Edge]*int32
 
 	structural map[graph.NodeID]struct{} // endpoints + index-changed nodes
 	attr       map[graph.NodeID]struct{} // nodes whose attributes changed
@@ -51,7 +51,6 @@ func NewSession(base graph.Store, core []int32, etruss map[Edge]int32) *Session 
 		ov:         graph.NewOverlay(base),
 		core:       append(make([]int32, 0, base.NumNodes()+8), core...),
 		etruss:     etruss,
-		undo:       make(map[Edge]*int32),
 		structural: make(map[graph.NodeID]struct{}),
 		attr:       make(map[graph.NodeID]struct{}),
 		trussDirty: make(map[graph.NodeID]struct{}),
@@ -103,20 +102,6 @@ func (s *Session) NodeTruss(old []int32) []int32 {
 		nt[v] = max
 	}
 	return nt
-}
-
-// Rollback undoes every per-edge trussness change of the session, restoring
-// the adopted table to its pre-batch state. The coreness copy and overlay
-// are simply discarded with the session.
-func (s *Session) Rollback() {
-	for e, old := range s.undo {
-		if old == nil {
-			delete(s.etruss, e)
-		} else {
-			s.etruss[e] = *old
-		}
-	}
-	s.undo = make(map[Edge]*int32)
 }
 
 // applyOverlay validates and applies one delta's overlay edit — the part of

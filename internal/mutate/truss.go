@@ -1,6 +1,9 @@
 package mutate
 
-import "repro/internal/graph"
+import (
+	"repro/internal/graph"
+	"repro/internal/truss"
+)
 
 // Incremental trussness maintenance. Influence of one edge mutation spreads
 // only through shared triangles, and only below a level bound:
@@ -14,18 +17,16 @@ import "repro/internal/graph"
 // The affected scope is therefore the set of below-bound edges reachable
 // from the mutated edge (insertion) or from the edges of its triangles
 // (deletion) via triangle adjacency, stopping at — but counting — boundary
-// edges at or above the bound. The scope is re-peeled locally with the same
-// bucket peeling as truss.Decompose, with every boundary edge pinned at its
-// known trussness: it enters the buckets at support t−2, is never
-// decremented, and still decrements its in-scope triangle partners when the
-// peel passes its level — exactly how the global peel treats it.
+// edges at or above the bound. The scope is re-peeled by truss.Peel, the
+// peel of truss.Decompose, with every boundary edge pinned at its known
+// trussness.
 
 // trussInsert maintains the per-edge trussness table for the already-applied
 // edge (u,v).
 func (s *Session) trussInsert(u, v graph.NodeID) {
 	e := EdgeOf(u, v)
 	ub := int32(len(s.commonNeighbors(u, v))) + 2
-	s.setTruss(e, 2) // placeholder so scope lookups see the edge; peel fixes it
+	s.etruss[e] = 2 // placeholder so scope lookups see the edge; the peel fixes it
 	s.localPeel(s.trussScope([]Edge{e}, func(t int32) bool { return t < ub }))
 }
 
@@ -38,7 +39,7 @@ func (s *Session) trussRemove(u, v graph.NodeID, seeds []Edge) {
 	if !ok {
 		r = 2
 	}
-	s.deleteTruss(e)
+	delete(s.etruss, e)
 	if len(seeds) == 0 {
 		return
 	}
@@ -94,7 +95,7 @@ func (s *Session) trussScope(seeds []Edge, inScope func(int32) bool) *edgeScope 
 	return sc
 }
 
-// localPeel recomputes the trussness of every scope edge by support peeling
+// localPeel recomputes the trussness of every scope edge by truss.Peel
 // restricted to the scope, with boundary edges pinned at their known level.
 // Triangle enumeration runs on the overlay, and every edge of a triangle
 // containing a scope edge is itself scope or boundary (the BFS closure), so
@@ -108,7 +109,7 @@ func (s *Session) localPeel(sc *edgeScope) {
 	edges := make([]Edge, total)
 	pinned := make([]bool, total)
 	cur := make([]int32, total)
-	// id indexes every edge of the peel: scope edges keep their BFS index
+	// id numbers every edge of the peel: scope edges keep their BFS index
 	// and support, boundary edges follow at their pinned level.
 	id := sc.scope
 	for f, i := range id {
@@ -119,59 +120,12 @@ func (s *Session) localPeel(sc *edgeScope) {
 	for f, t := range sc.boundary {
 		edges[i] = f
 		pinned[i] = true
-		if t >= 2 {
-			cur[i] = t - 2
-		}
+		cur[i] = max(t-2, 0)
 		id[f] = i
 		i++
 	}
-	maxSup := int32(0)
-	for _, c := range cur {
-		maxSup = max(maxSup, c)
-	}
-
-	// Bucket peel, the same lazy-invalidation scheme as truss.Decompose.
-	buckets := make([][]int32, maxSup+1)
-	for i := 0; i < total; i++ {
-		buckets[cur[i]] = append(buckets[cur[i]], int32(i))
-	}
-	removed := make([]bool, total)
-	k := int32(0)
-	for processed := 0; processed < total; processed++ {
-		// No live entry sits below the current level k: k only rises to a
-		// popped support, taken from the lowest non-empty bucket, and after
-		// that unpinned supports are clamped at k while pinned ones, never
-		// decremented, stay where they entered — so the scan starts at k.
-		var e int32 = -1
-		for sup := k; sup <= maxSup && e < 0; sup++ {
-			for len(buckets[sup]) > 0 {
-				cand := buckets[sup][len(buckets[sup])-1]
-				buckets[sup] = buckets[sup][:len(buckets[sup])-1]
-				if removed[cand] || cur[cand] != sup {
-					continue
-				}
-				e = cand
-				break
-			}
-		}
-		if e < 0 {
-			break
-		}
-		if cur[e] > k {
-			k = cur[e]
-		}
-		removed[e] = true
+	triangles := func(dst []int32, e int32, alive []bool) []int32 {
 		f := edges[e]
-		if !pinned[e] {
-			if s.setTruss(f, k+2) {
-				// The edge's trussness moved: its endpoints' node-level
-				// index changes, so they join the affected region.
-				s.structural[f.U] = struct{}{}
-				s.structural[f.V] = struct{}{}
-				s.trussDirty[f.U] = struct{}{}
-				s.trussDirty[f.V] = struct{}{}
-			}
-		}
 		var apexes []graph.NodeID
 		if int(e) < nScope {
 			apexes = sc.tri[sc.triOff[e]:sc.triOff[e+1]]
@@ -181,49 +135,23 @@ func (s *Session) localPeel(sc *edgeScope) {
 		for _, z := range apexes {
 			e1, ok1 := id[EdgeOf(f.U, z)]
 			e2, ok2 := id[EdgeOf(f.V, z)]
-			if !ok1 || !ok2 || removed[e1] || removed[e2] {
-				continue
-			}
-			for _, t := range [2]int{e1, e2} {
-				if !pinned[t] && cur[t] > k {
-					cur[t]--
-					buckets[cur[t]] = append(buckets[cur[t]], int32(t))
-				}
+			if ok1 && ok2 && alive[e1] && alive[e2] {
+				dst = append(dst, int32(e1), int32(e2))
 			}
 		}
+		return dst
 	}
-}
-
-// setTruss writes t for edge f, recording the pre-batch value once, and
-// reports whether the stored value changed.
-func (s *Session) setTruss(f Edge, t int32) bool {
-	old, existed := s.etruss[f]
-	if _, logged := s.undo[f]; !logged {
-		if existed {
-			v := old
-			s.undo[f] = &v
-		} else {
-			s.undo[f] = nil
+	truss.Peel(cur, pinned, triangles, func(e, t int32) {
+		f := edges[e]
+		if old, ok := s.etruss[f]; ok && old == t {
+			return
 		}
-	}
-	if existed && old == t {
-		return false
-	}
-	s.etruss[f] = t
-	return true
-}
-
-// deleteTruss removes edge f's entry, recording the pre-batch value once.
-func (s *Session) deleteTruss(f Edge) {
-	if _, logged := s.undo[f]; !logged {
-		if old, ok := s.etruss[f]; ok {
-			v := old
-			s.undo[f] = &v
-		} else {
-			s.undo[f] = nil
-		}
-	}
-	delete(s.etruss, f)
-	s.trussDirty[f.U] = struct{}{}
-	s.trussDirty[f.V] = struct{}{}
+		// The edge's trussness moved: its endpoints' node-level index
+		// changes, so they join the affected region.
+		s.etruss[f] = t
+		s.structural[f.U] = struct{}{}
+		s.structural[f.V] = struct{}{}
+		s.trussDirty[f.U] = struct{}{}
+		s.trussDirty[f.V] = struct{}{}
+	})
 }

@@ -16,7 +16,8 @@
 // set, or all of g (reach): q's truss lies among them, so an extraction
 // costs the neighbourhood of that truss, not the component around it, and
 // clears only the previous index's per-node entries. Decompose, the
-// level-by-level peel, is for callers that index all of g.
+// level-by-level peel, is for callers that index all of g; its peel, Peel,
+// also re-peels the incremental maintenance's scopes (internal/mutate).
 package truss
 
 import (
@@ -196,10 +197,23 @@ func b2i(b bool) int32 {
 // trussness of e is the largest k such that e belongs to a k-truss.
 func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 	ix := NewEdgeIndex(g)
-	m := ix.NumEdges()
-	cur := ix.Supports()
-	truss := make([]int32, m)
+	truss := make([]int32, ix.NumEdges())
+	Peel(ix.Supports(), nil, ix.triangles, func(e, t int32) { truss[e] = t })
+	return ix, truss
+}
 
+// Peel computes trussness by support peeling over the edges 0..len(cur)-1,
+// cur holding each edge's support, and calls set(e, t) with the trussness t
+// of every edge that is not pinned. triangles appends, for every triangle
+// through e whose other two edges are both alive, the pair of those edges.
+// A pinned edge (pinned may be nil: none is) has a known trussness t and
+// enters at cur = t−2: it is never decremented, and still decrements its
+// triangle partners when the peel passes its level — how the global peel
+// treats an edge of that trussness, so a peel of a closed scope of edges,
+// pinned at its boundary, computes the scope's trussness as a peel of the
+// whole graph would. cur is consumed.
+func Peel(cur []int32, pinned []bool, triangles func(dst []int32, e int32, alive []bool) []int32, set func(e, t int32)) {
+	m := len(cur)
 	// Bucket queue on support, lazily invalidated: an entry counts only
 	// while its edge is alive and still has that support.
 	maxSup := int32(0)
@@ -217,8 +231,10 @@ func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 	var tri []int32
 	k := int32(0)
 	for processed := 0; processed < m; processed++ {
-		// Pop the lowest live entry. Supports are clamped at the current
-		// level k, so none sits below it.
+		// Pop the lowest live entry. No live entry sits below the current
+		// level k: k only rises to a popped support, taken from the lowest
+		// non-empty bucket, and after that supports are clamped at k while
+		// pinned ones, never decremented, stay where they entered.
 		e := int32(-1)
 		for s := k; s <= maxSup && e < 0; s++ {
 			b := buckets[s]
@@ -234,17 +250,18 @@ func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
 			break
 		}
 		k = max(k, cur[e])
-		truss[e] = k + 2
 		alive[e] = false
-		tri = ix.triangles(tri[:0], e, alive)
+		if pinned == nil || !pinned[e] {
+			set(e, k+2)
+		}
+		tri = triangles(tri[:0], e, alive)
 		for _, t := range tri {
-			if cur[t] > k {
+			if (pinned == nil || !pinned[t]) && cur[t] > k {
 				cur[t]--
 				buckets[cur[t]] = append(buckets[cur[t]], t)
 			}
 		}
 	}
-	return ix, truss
 }
 
 // MaximalSubIn returns the maintenance structure over the maximal connected
