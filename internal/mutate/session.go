@@ -15,8 +15,8 @@ import (
 // The session writes the adopted trussness table in place and keeps no undo
 // log, so a batch is all-or-nothing only when a Preflight has admitted it
 // first: applyOverlay is then the one step of Apply that can fail, and it
-// already succeeded on the same base. A rejected delta leaves the session as
-// it was, but not the deltas before it.
+// already succeeded on the same base. Apply rejects an invalid delta before
+// it touches anything, but the deltas applied before it stay applied.
 //
 // A Session is not safe for concurrent use; the Engine serializes mutation
 // batches under its own lock.

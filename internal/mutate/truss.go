@@ -109,7 +109,7 @@ func (s *Session) localPeel(sc *edgeScope) {
 	edges := make([]Edge, total)
 	pinned := make([]bool, total)
 	cur := make([]int32, total)
-	// id numbers every edge of the peel: scope edges keep their BFS index
+	// id indexes every edge of the peel: scope edges keep their BFS index
 	// and support, boundary edges follow at their pinned level.
 	id := sc.scope
 	for f, i := range id {
