@@ -189,6 +189,66 @@ func nodeTrussOf(g *graph.Graph, n int) []int32 {
 	return nt
 }
 
+// TestSessionRollback proves a failed batch leaves the adopted truss table
+// untouched. The preflight rejects the batch whole, so the session applies
+// none of it; and a delta the session itself rejects leaves the table as the
+// deltas before it left it.
+func TestSessionRollback(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := randomGraph(t, rng, 30, 0.15)
+	core := kcore.Decompose(g)
+	etruss := edgeTrussOf(g)
+	want := copyTruss(etruss)
+	edges := edgesOf(g)
+	batch := []Delta{RemoveEdge(edges[0].U, edges[0].V), AddEdge(5, 5)}
+
+	pf := NewPreflight(g)
+	if err := pf.Group(batch); err == nil {
+		t.Fatal("preflight admitted a batch with a self-loop")
+	}
+	sess := NewSession(g, core, etruss)
+	for _, grp := range pf.Admitted() {
+		for _, d := range grp {
+			if err := sess.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	sameTruss(t, "after a rejected batch", etruss, want)
+
+	if err := sess.Apply(batch[0]); err != nil {
+		t.Fatal(err)
+	}
+	after := copyTruss(etruss)
+	if err := sess.Apply(batch[1]); err == nil {
+		t.Fatal("self-loop accepted")
+	}
+	sameTruss(t, "after a rejected delta", etruss, after)
+	if sess.Applied() != 1 {
+		t.Fatalf("applied = %d, want 1", sess.Applied())
+	}
+}
+
+func copyTruss(m map[Edge]int32) map[Edge]int32 {
+	out := make(map[Edge]int32, len(m))
+	for k, v := range m {
+		out[k] = v
+	}
+	return out
+}
+
+func sameTruss(t *testing.T, when string, got, want map[Edge]int32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d entries %s, want %d", len(got), when, len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("truss[%v] = %d %s, want %d", k, got[k], when, v)
+		}
+	}
+}
+
 // TestApplyErrors exercises the validation paths.
 func TestApplyErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
