@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -619,7 +620,7 @@ func BenchmarkSubstrateKCoreExtract(b *testing.B) {
 		if kcore.MaximalConnectedKCoreInto(dst[:0], benchData.Graph, benchQ, noCore, w) != nil {
 			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
 		}
-		if kcore.MaximalSubIn(context.Background(), benchData.Graph, benchQ, noCore, nil, w) != nil {
+		if s, _ := kcore.MaximalSubIn(context.Background(), benchData.Graph, benchQ, noCore, nil, math.MaxInt, w); s != nil {
 			b.Fatalf("a %d-core around a node of coreness %d", noCore, noCore-1)
 		}
 	})
@@ -653,26 +654,31 @@ func BenchmarkSubstrateKTrussExtract(b *testing.B) {
 }
 
 // BenchmarkSubstrateSEASearch is one warm search at the default options,
-// under each model: one round on all of Gq, with no draw, so no generator
-// and no sampling probabilities. What is left once Gq, its extraction, the
-// maintainers and their rollback logs are pooled is the round's maintainer
-// header, the one-round trace, the Result and its community (4 allocations
-// under either model). A generator made per search adds 3.
+// under each model. q's maximal structure closes within the search's walk
+// out from q, so the search answers from it and builds no Gq (asserted):
+// one round, no draw, so no generator and no sampling probabilities. What
+// is left once the walk's extraction and the maintainers are pooled is the
+// maintainer header, the one-round trace, the Result and its community (4
+// allocations under either model). A generator made per search adds 3.
 func BenchmarkSubstrateSEASearch(b *testing.B) {
 	benchSetup(b)
 	opts := internalsea.DefaultOptions()
 	opts.K = 6
-	search := func() {
-		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts); err != nil {
+	walked := func(res *internalsea.Result, err error) {
+		if err != nil {
 			b.Fatal(err)
 		}
+		if res.GqSize != 0 {
+			b.Fatalf("|Gq| = %d: the search built Gq where its walk should have closed", res.GqSize)
+		}
+	}
+	search := func() {
+		walked(internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, opts))
 	}
 	trussOpts := opts
 	trussOpts.K, trussOpts.Model = 5, internalsea.KTruss // benchQ hosts a 5-truss, no 6-truss
 	guardAllocs(b, 4, func() {
-		if _, err := internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, trussOpts); err != nil {
-			b.Fatal(err)
-		}
+		walked(internalsea.SearchWithDistContext(context.Background(), benchData.Graph, benchDist, benchQ, trussOpts))
 	})
 	guardAllocs(b, 4, search)
 	b.ReportAllocs()
@@ -686,12 +692,13 @@ func BenchmarkSubstrateSEASearch(b *testing.B) {
 // analog for q = 31770, the first query node of internal/sea's twitter
 // k = 4 and k = 3 goldens, at each k with the golden's seed. q's maximal
 // core holds over 1 000 nodes (29 262 at k = 4, 37 903 at k = 3): the
-// regime the paper's sampling is for, where the one round extracts from a
-// Gq of Theorem 10's size. The legs differ in where the time goes. At k4
-// the structure in Gq is small and S1 dominates. At k3 S2's greedy peel
-// does: it peels a structure of thousands of nodes in the order sorted once
-// for it. Each guard is exactly what the warm search allocates (4
-// allocations in each leg), as BenchmarkSubstrateSEASearch's are.
+// regime the paper's sampling is for, where the walk out from q gives up at
+// its cap and the one round extracts from a Gq of Theorem 10's size
+// (asserted: |Gq| > 0). The legs differ in where the time goes. At k4 the
+// structure in Gq is small and S1 dominates. At k3 S2's greedy peel does:
+// it peels a structure of thousands of nodes in the order sorted once for
+// it. Each guard is exactly what the warm search allocates (4 allocations
+// in each leg), as BenchmarkSubstrateSEASearch's are.
 func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 	d, m := benchTwitter(b)
 	const q = 31770
@@ -710,8 +717,12 @@ func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 			opts := internalsea.DefaultOptions()
 			opts.K, opts.Seed = leg.k, 1_000_004 // the golden's seed for q
 			search := func() {
-				if _, err := internalsea.SearchContext(context.Background(), d.Graph, m, q, opts); err != nil {
+				res, err := internalsea.SearchContext(context.Background(), d.Graph, m, q, opts)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if res.GqSize == 0 {
+					b.Fatal("no Gq built: the walk should have given up on the giant core")
 				}
 			}
 			guardAllocs(b, leg.allocs, search)
@@ -727,10 +738,11 @@ func BenchmarkSubstrateSEASearchGiant(b *testing.B) {
 // BenchmarkSubstrateSEAMiss is the engine's result-cache miss on the
 // twitter analog (48 000 nodes): query.Run, a fresh seed per search, in two
 // legs. k6 is a k-core search at k = 6, where q's maximal core is its
-// planted community of a few dozen nodes. giant is one at k = 4 for the
-// first query node of internal/sea's twitter k = 4 golden, whose maximal
-// core holds over 1 000 nodes (29 262), the regime the paper's sampling is
-// for. Its guard is on bytes, not allocations: a search evaluates f at the
+// planted community of a few dozen nodes, so the search answers from the
+// walk out from q and builds no Gq (asserted). giant is one at k = 4 for
+// the first query node of internal/sea's twitter k = 4 golden, whose
+// maximal core holds over 1 000 nodes (29 262), the regime the paper's
+// sampling is for: the walk gives up and the search builds Gq (asserted). Its guard is on bytes, not allocations: a search evaluates f at the
 // nodes it touches, its per-node arrays come from pooled workspaces, and at
 // the default λ = 1 it makes no generator, so it allocates ~550 B (the
 // Outcome, its community and the one-round trace), under a 1 KB ceiling.
@@ -743,9 +755,10 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 		name string
 		q    graph.NodeID
 		k    int
+		gq   bool // the search builds Gq
 	}{
-		{"k6", d.QueryNodes(1, 6, 3)[0], 6},
-		{"giant", 31770, 4},
+		{"k6", d.QueryNodes(1, 6, 3)[0], 6, false},
+		{"giant", 31770, 4, true},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			if leg.name == "giant" {
@@ -757,8 +770,12 @@ func BenchmarkSubstrateSEAMiss(b *testing.B) {
 			ctx := context.Background()
 			search := func() {
 				req.Seed++ // a distinct request each time, as on a miss
-				if _, err := query.Run(ctx, d.Graph, m, req); err != nil {
+				out, err := query.Run(ctx, d.Graph, m, req)
+				if err != nil {
 					b.Fatal(err)
+				}
+				if (out.SEA.GqSize > 0) != leg.gq {
+					b.Fatalf("|Gq| = %d: the search took the wrong path", out.SEA.GqSize)
 				}
 			}
 			// Serial searches take the free list's workspaces in turn; each

@@ -175,9 +175,12 @@ func main() {
 	fmt.Printf("δ = %.4f\n", out.Delta)
 	if res := out.SEA; res != nil {
 		fmt.Printf("CI = %v, satisfied = %v, rounds = %d\n", res.CI, res.Satisfied, len(res.Rounds))
-		fmt.Printf("steps: S1 %v, S2 %v, S3 %v; |Gq| = %d, |S| = %d\n",
-			res.Steps.Sampling, res.Steps.Estimation, res.Steps.Incremental,
-			res.GqSize, res.SampleSize)
+		fmt.Printf("steps: S1 %v, S2 %v, S3 %v; ", res.Steps.Sampling, res.Steps.Estimation, res.Steps.Incremental)
+		if res.GqSize == 0 {
+			fmt.Printf("Gq not built: q's structure closed within the walk, |S| = %d\n", res.SampleSize)
+		} else {
+			fmt.Printf("|Gq| = %d, |S| = %d\n", res.GqSize, res.SampleSize)
+		}
 	}
 	if out.States > 0 {
 		fmt.Printf("states explored = %d\n", out.States)

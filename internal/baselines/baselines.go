@@ -105,7 +105,7 @@ func communityWithAttrs(g graph.Store, q graph.NodeID, k int, model sea.Model, a
 			}
 		}
 	}
-	if maint := sea.Maximal(context.Background(), g, q, k, model, in, w); maint != nil {
+	if maint, _ := sea.Maximal(context.Background(), g, q, k, model, in, math.MaxInt, w); maint != nil {
 		return maint.Members(nil)
 	}
 	return nil
@@ -158,7 +158,7 @@ func CoverageScore(g graph.Store, q graph.NodeID, members []graph.NodeID) float6
 func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
 	w := ws.Get()
 	defer w.Release() // the maintainer lives in w
-	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
+	maint, _ := sea.Maximal(context.Background(), g, q, k, model, nil, math.MaxInt, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
@@ -225,7 +225,7 @@ func LocATC(ctx context.Context, g graph.Store, q graph.NodeID, k int, model sea
 func VAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model) ([]graph.NodeID, error) {
 	w := ws.Get()
 	defer w.Release() // the maintainer lives in w
-	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
+	maint, _ := sea.Maximal(context.Background(), g, q, k, model, nil, math.MaxInt, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}
@@ -293,7 +293,7 @@ func worstPair(m *attr.Metric, members []graph.NodeID) (graph.NodeID, graph.Node
 func EVAC(ctx context.Context, g graph.Store, m *attr.Metric, q graph.NodeID, k int, model sea.Model, maxStates int) ([]graph.NodeID, error) {
 	w := ws.Get()
 	defer w.Release() // the maintainer lives in w
-	maint := sea.Maximal(context.Background(), g, q, k, model, nil, w)
+	maint, _ := sea.Maximal(context.Background(), g, q, k, model, nil, math.MaxInt, w)
 	if maint == nil {
 		return nil, ErrNoCommunity
 	}

@@ -5,6 +5,7 @@ package cohesive_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -51,11 +52,11 @@ func factories() []factory {
 			w := new(ws.Workspace)
 			other := randomDense(int64(q)+100, g.NumNodes())
 			for oq := graph.NodeID(0); int(oq) < other.NumNodes(); oq++ {
-				if kcore.MaximalSubIn(context.Background(), other, oq, 3, nil, w) != nil {
+				if s, _ := kcore.MaximalSubIn(context.Background(), other, oq, 3, nil, math.MaxInt, w); s != nil {
 					break
 				}
 			}
-			m := kcore.MaximalSubIn(context.Background(), g, q, 3, nil, w)
+			m, _ := kcore.MaximalSubIn(context.Background(), g, q, 3, nil, math.MaxInt, w)
 			return m, m != nil
 		}},
 		{"truss", 3, func(g *graph.Graph, q graph.NodeID) (cohesive.Maintainer, bool) {

@@ -110,7 +110,7 @@ func SearchContext(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int
 	defer w.Release() // the maintainer lives in w
 	// Not ctx: a cancelled extraction returns nil, which would read as
 	// ErrNoCommunity. The enumeration below reports the cancellation.
-	sub := kcore.MaximalSubIn(context.Background(), g, q, k, nil, w)
+	sub, _ := kcore.MaximalSubIn(context.Background(), g, q, k, nil, math.MaxInt, w)
 	if sub == nil {
 		return Result{}, ErrNoCommunity
 	}

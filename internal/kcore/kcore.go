@@ -8,6 +8,7 @@ package kcore
 
 import (
 	"context"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/ws"
@@ -100,7 +101,7 @@ func MaximalConnectedKCore(g graph.Adjacency, q graph.NodeID, k int) []graph.Nod
 // built there does not survive it. It returns nil (not dst) when q is in no
 // k-core, preserving the nil-means-absent contract.
 func MaximalConnectedKCoreInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
-	comp := extract(context.Background(), g, q, k, nil, w)
+	comp, _ := extract(context.Background(), g, q, k, nil, math.MaxInt, w)
 	if comp == nil {
 		return nil
 	}
@@ -116,29 +117,36 @@ func MaximalConnectedKCoreInto(dst []graph.NodeID, g graph.Adjacency, q graph.No
 // node below k in G[in] is in no k-core of it, and a k-core is the union of
 // its components' cores. The Sub is the one NewSub builds over that
 // component, on w.KCore and valid until the next one built there; w.Visited
-// and w.DegS are scratch. A cancelled ctx ends the reach with a nil result.
-func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
-	comp := extract(ctx, g, q, k, in, w)
+// and w.DegS are scratch.
+//
+// The BFS gives up once it has reached more than limit nodes (math.MaxInt:
+// never), having read at most limit lists, and so does a cancelled ctx;
+// either way the result is nil and closed is false. closed is true when the
+// walk read all q reaches, so a nil Sub then proves q in no k-core of G[in].
+func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace) (sub *Sub, closed bool) {
+	comp, closed := extract(ctx, g, q, k, in, limit, w)
 	if comp == nil {
-		return nil
+		return nil, closed
 	}
 	sc := &w.KCore
-	return &Sub{g: g, k: k, q: q, universe: comp, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, size: len(comp), sc: sc}
+	return &Sub{g: g, k: k, q: q, universe: comp, alive: sc.Alive, deg: sc.Deg, mark: sc.Mark, size: len(comp), sc: sc}, true
 }
 
 // extract is MaximalSubIn without the maintainer's header: it leaves q's
 // component in w.KCore — the member order in Universe, flagged in Alive,
-// each member's degree in it in Deg — and returns the order, or nil.
-func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) []graph.NodeID {
+// each member's degree in it in Deg — and returns the order, or nil, and
+// whether the walk closed within limit.
+func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace) ([]graph.NodeID, bool) {
 	n, sc := g.NumNodes(), &w.KCore
 	resize(sc, n)
 	member := func(u graph.NodeID) bool { return in == nil || in.Has(u) }
 	if !member(q) {
-		return nil
+		return nil, true
 	}
 	// Reach: popping a member reads its list once, counts its degree in
 	// G[in] into cnt and, at k or more, queues its unseen members and joins
-	// R; below k it is out.
+	// R; below k it is out. Every queued node is popped, so a queue of at
+	// most limit nodes is at most limit lists read.
 	const out = -1
 	seen, cnt := &w.Visited, ws.I32(w.DegS, n)
 	w.DegS = cnt
@@ -149,7 +157,7 @@ func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *
 	for i := 0; i < len(queue); i++ {
 		if i&255 == 255 && ctx.Err() != nil {
 			sc.Comp = queue[:0]
-			return nil
+			return nil, false
 		}
 		x := queue[i]
 		nbrs := g.NeighborsInto(&w.NbrA, x)
@@ -168,6 +176,10 @@ func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *
 			if member(u) && seen.Add(u) {
 				queue = append(queue, u)
 			}
+		}
+		if len(queue) > limit {
+			sc.Comp = queue[:0]
+			return nil, false
 		}
 		queue[r] = x
 		r++
@@ -204,7 +216,7 @@ func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *
 	}
 	sc.Stack = stack
 	if cnt[q] == out {
-		return nil
+		return nil, true
 	}
 
 	// Order: q's component; a node's degree in the core is its degree in
@@ -222,7 +234,7 @@ func extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *
 		}
 	}
 	sc.Universe = comp
-	return comp
+	return comp, true
 }
 
 // InKCoreSet reports whether every node of members has at least k neighbors

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -104,7 +105,10 @@ func mayRead(h *graph.Graph, q graph.NodeID, k int, orig []graph.NodeID) map[gra
 func checkExtraction(t *testing.T, at string, g *graph.Graph, q graph.NodeID, k int, in *graph.NodeSet, want []graph.NodeID, may map[graph.NodeID]bool, w *ws.Workspace) {
 	t.Helper()
 	lists := readLog{g, map[graph.NodeID]bool{}}
-	s := MaximalSubIn(context.Background(), lists, q, k, in, w)
+	s, closed := MaximalSubIn(context.Background(), lists, q, k, in, math.MaxInt, w)
+	if !closed {
+		t.Fatalf("%s: an unlimited walk did not close", at)
+	}
 	if !maps.Equal(lists.read, may) {
 		t.Fatalf("%s: read the lists of %d nodes, q reaches %d", at, len(lists.read), len(may))
 	}
@@ -210,7 +214,7 @@ func TestMaximalSubInOverAllOfG(t *testing.T) {
 	for k := 1; k <= 5; k++ {
 		for q := range graph.NodeID(g.NumNodes()) {
 			want := oracleMaximal(g, q, k)
-			sub := MaximalSubIn(context.Background(), g, q, k, nil, w)
+			sub, _ := MaximalSubIn(context.Background(), g, q, k, nil, math.MaxInt, w)
 			if sub == nil {
 				if want != nil {
 					t.Fatalf("q %d k %d: nil, the oracle's %v", q, k, want)
@@ -252,10 +256,10 @@ func TestReachStopsOnCancel(t *testing.T) {
 	defer w.Release()
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if s := MaximalSubIn(ctx, g, 0, 6, &in, w); s != nil {
-		t.Fatalf("cancelled extraction returned %d nodes", s.Size())
+	if s, closed := MaximalSubIn(ctx, g, 0, 6, &in, math.MaxInt, w); s != nil || closed {
+		t.Fatalf("cancelled extraction returned %v (closed %v)", s, closed)
 	}
-	if s := MaximalSubIn(t.Context(), g, 0, 6, &in, w); s == nil || s.Size() != n {
+	if s, _ := MaximalSubIn(t.Context(), g, 0, 6, &in, math.MaxInt, w); s == nil || s.Size() != n {
 		t.Fatal("the ring is one 8-core")
 	}
 }

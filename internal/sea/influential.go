@@ -11,6 +11,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -44,7 +45,7 @@ func InfluentialSearch(g graph.Adjacency, q graph.NodeID, k int, influence []flo
 	}
 	w := ws.Get()
 	defer w.Release() // the maintainer lives in w
-	sub := kcore.MaximalSubIn(context.Background(), g, q, k, nil, w)
+	sub, _ := kcore.MaximalSubIn(context.Background(), g, q, k, nil, math.MaxInt, w)
 	if sub == nil {
 		return nil, ErrNoCommunity
 	}

@@ -176,7 +176,13 @@ func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWo
 	if err != nil {
 		t.Fatal(err)
 	}
-	return searchWork{answer: answer, evals: s.w.Dist.Done.Len(), reads: cg.reads, sampled: s.w.Sampled.Len(), lastResort: lastResort}
+	// A search that walked first built no sample membership: its sample is
+	// the structure.
+	sampled := res.SampleSize
+	if res.GqSize > 0 {
+		sampled = s.w.Sampled.Len()
+	}
+	return searchWork{answer: answer, evals: s.w.Dist.Done.Len(), reads: cg.reads, sampled: sampled, lastResort: lastResort}
 }
 
 // TestPaddingAddsNoWork: a million nodes no search reaches change neither a

@@ -3,6 +3,7 @@ package sea
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -47,7 +48,7 @@ func (s *seaRun) estimateByScan(maint cohesive.Maintainer) (done bool, best stat
 			if err == nil && (s.opts.NoRefine || !haveBest || ci.Center < best.Center) {
 				best, haveBest, n = ci, true, len(values)
 				bestSet = append(bestSet[:0], members...)
-				done = ci.SatisfiesErrorBound(s.opts.ErrorBound)
+				done = n >= 2 && ci.SatisfiesErrorBound(s.opts.ErrorBound)
 				if done && s.opts.NoRefine {
 					break
 				}
@@ -169,7 +170,7 @@ func TestEstimateMatchesScanPeel(t *testing.T) {
 
 				s := newRun(context.Background(), g, q, opts)
 				s.f = attr.VectorView(dist)
-				maint := Maximal(context.Background(), g, q, opts.K, opts.Model, in, s.w)
+				maint, _ := Maximal(context.Background(), g, q, opts.K, opts.Model, in, math.MaxInt, s.w)
 				if maint == nil {
 					s.w.Release()
 					continue
@@ -177,7 +178,7 @@ func TestEstimateMatchesScanPeel(t *testing.T) {
 				done, ci, cnt := s.estimate(maint)
 				got := s.res
 				s.res = Result{}
-				maint = Maximal(context.Background(), g, q, opts.K, opts.Model, in, s.w)
+				maint, _ = Maximal(context.Background(), g, q, opts.K, opts.Model, in, math.MaxInt, s.w)
 				wantDone, wantCI, wantCnt := s.estimateByScan(maint)
 				want := s.res
 				s.w.Release()

@@ -37,6 +37,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -331,12 +332,41 @@ func (s *seaRun) minGqSize() (int, error) {
 	}
 }
 
+// walkCap is how many nodes the walk-first step of a λ = 1 search reaches
+// before it gives up on q's maximal structure in G and builds Gq. On the
+// analogs' cold populations (twitter k-core k = 6, twitch k-truss k = 5,
+// facebook and twitch k-core k = 6) q's walk closes within 355 nodes, where
+// Theorem 10 sizes Gq at about 12 000 on twitter; the giant structures
+// (twitter k-core k = 4: 33 203 reached, twitch k = 4: 6 191) pass it. The
+// cap keeps the walk that gives up cheap beside Gq: a cap of |Gq| cost the
+// giant twitter k = 4 search 27%, this one nothing measurable.
+const walkCap = 1024
+
 func (s *seaRun) run() (*Result, error) {
-	t0 := time.Now()
 	minGq, err := s.minGqSize()
 	if err != nil {
 		return nil, err
 	}
+	if s.opts.Lambda == 1 {
+		// Walk first: at λ = 1 the one round runs S2 on q's maximal
+		// structure in G[Gq], and Gq is built to hold q's community. When
+		// q's maximal structure in G closes within walkCap nodes, S2 runs
+		// on it and no Gq is built: it holds q's community with
+		// certainty, and when Gq holds all of it, which it does on every
+		// cold query measured, it is exactly the structure in G[Gq], so
+		// the answer is the same.
+		if res, answered, err := s.whole(walkCap); answered {
+			return res, err
+		}
+	}
+	return s.rounds(minGq)
+}
+
+// rounds is the search on Gq: build it to minGq nodes, run the
+// sampling-estimation rounds on it, and end in the last resort when they
+// found no structure.
+func (s *seaRun) rounds(minGq int) (*Result, error) {
+	t0 := time.Now()
 	// Gq, the population of every round, lives in the workspace.
 	gq := sampling.BuildGqView(s.w.Gq[:0], s.g, s.q, &s.f, minGq, s.w)
 	s.w.Gq = gq
@@ -429,34 +459,57 @@ func (s *seaRun) run() (*Result, error) {
 	if s.res.Community == nil {
 		// Last resort: sampling never preserved a qualifying structure
 		// (typical when community cores are small relative to λ·|Gq|), so
-		// run the greedy estimation on q's maximal structure in all of g,
-		// found by walking out from q, as if the sample were all of V.
-		// SampleSize stays what the rounds drew.
-		t1 := time.Now()
-		maint := Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, nil, s.w)
-		s.res.Steps.Sampling += time.Since(t1)
-		if s.ctx.Err() != nil {
-			return s.interrupted()
-		}
-		if maint == nil {
-			return nil, ErrNoCommunity
-		}
-		t2 := time.Now()
-		done, ci, _ := s.estimate(maint)
-		s.res.Steps.Estimation += time.Since(t2)
-		s.res.Satisfied = done
-		s.res.CI = ci
-		if s.ctx.Err() != nil {
-			return s.interrupted()
-		}
-		if s.res.Community == nil {
-			return nil, ErrNoCommunity
-		}
+		// run the greedy estimation on q's maximal structure in all of g
+		// as if the sample were all of V. SampleSize stays what the rounds
+		// drew.
+		res, _, err := s.whole(math.MaxInt)
+		return res, err
 	}
 	if s.ctx.Err() != nil {
 		return s.interrupted()
 	}
 	return s.result(), nil
+}
+
+// whole runs S2 on q's maximal structure in all of g, found by a walk out
+// from q that gives up past limit nodes: the walk-first answer of a λ = 1
+// search (limit walkCap) and the last resort of rounds that found no
+// structure in Gq (no limit). answered is false only when the walk passed
+// limit, and then nothing else was done; otherwise res and err are the
+// search's return. A walk that closes with no structure proves that q has
+// none in all of g: ErrNoCommunity. A search that built no Gq reports the
+// structure as its sample and the estimate as its one round.
+func (s *seaRun) whole(limit int) (res *Result, answered bool, err error) {
+	t1 := time.Now()
+	maint, closed := Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, nil, limit, s.w)
+	s.res.Steps.Sampling += time.Since(t1)
+	if s.ctx.Err() != nil {
+		res, err = s.interrupted()
+		return res, true, err
+	}
+	if !closed {
+		return nil, false, nil
+	}
+	if maint == nil {
+		return nil, true, ErrNoCommunity
+	}
+	size := maint.Size()
+	t2 := time.Now()
+	done, ci, _ := s.estimate(maint)
+	s.res.Steps.Estimation += time.Since(t2)
+	s.res.Satisfied, s.res.CI = done, ci
+	if s.res.GqSize == 0 {
+		s.res.SampleSize = size
+		s.res.Rounds = append(s.res.Rounds, Round{Round: 1, Delta: ci.Center, MoE: ci.MoE, Time: time.Since(t1)})
+	}
+	if s.ctx.Err() != nil {
+		res, err = s.interrupted()
+		return res, true, err
+	}
+	if s.res.Community == nil {
+		return nil, true, ErrNoCommunity
+	}
+	return s.result(), true, nil
 }
 
 // enlarge adds up to deltaS fresh weighted samples from gq to sample, all
@@ -498,26 +551,32 @@ func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 	for _, v := range added {
 		s.w.Sampled.Add(v)
 	}
-	return Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, s.w)
+	maint, _ := Maximal(s.ctx, s.g, s.q, s.opts.K, s.opts.Model, &s.w.Sampled, math.MaxInt, s.w)
+	return maint
 }
 
 // Maximal returns the maintenance structure over q's maximal connected
 // k-core or k-truss (per model) in G[in] — in all of g when in is nil — or
-// nil when q has none or ctx was cancelled: the start of SEA's every round
-// and of every peeling baseline. The maintainer lives in w (w.KCore,
-// w.Truss) until the next extraction of its model there or w's release. A
-// caller that answers ErrNoCommunity on nil passes context.Background():
-// a nil from a cancelled ctx is no proof that q has no community.
-func Maximal(ctx context.Context, g graph.CSR, q graph.NodeID, k int, model Model, in *graph.NodeSet, w *ws.Workspace) cohesive.Maintainer {
+// nil when q has none or the walk out from q gave up: the start of SEA's
+// every round and of every peeling baseline. The walk gives up when ctx is
+// cancelled or it has reached more than limit nodes (math.MaxInt: never);
+// closed reports that it did not, so a nil maintainer with closed set proves
+// that q has no community in G[in]. The maintainer lives in w (w.KCore,
+// w.Truss) until the next extraction of its model there or w's release.
+func Maximal(ctx context.Context, g graph.CSR, q graph.NodeID, k int, model Model, in *graph.NodeSet, limit int, w *ws.Workspace) (maint cohesive.Maintainer, closed bool) {
 	// A nil *Sub must come back as a nil interface.
 	if model == KTruss {
-		if maint := truss.MaximalSubIn(ctx, g, q, k, in, w); maint != nil {
-			return maint
+		sub, closed := truss.MaximalSubIn(ctx, g, q, k, in, limit, w)
+		if sub == nil {
+			return nil, closed
 		}
-	} else if maint := kcore.MaximalSubIn(ctx, g, q, k, in, w); maint != nil {
-		return maint
+		return sub, true
 	}
-	return nil
+	sub, closed := kcore.MaximalSubIn(ctx, g, q, k, in, limit, w)
+	if sub == nil {
+		return nil, closed
+	}
+	return sub, true
 }
 
 // minCommunitySize is the smallest admissible community (including q): the
@@ -611,7 +670,9 @@ func (s *seaRun) estimate(maint cohesive.Maintainer) (done bool, best stats.CI, 
 			if err == nil && (s.opts.NoRefine || !haveBest || ci.Center < best.Center) {
 				best, haveBest, n = ci, true, len(values)
 				bestSet = append(bestSet[:0], members...)
-				done = ci.SatisfiesErrorBound(s.opts.ErrorBound)
+				// One value has no spread to estimate: MeanCI's margin of
+				// 0 is no evidence that Theorem 11 holds.
+				done = n >= 2 && ci.SatisfiesErrorBound(s.opts.ErrorBound)
 				if done && s.opts.NoRefine {
 					break
 				}

@@ -2,7 +2,9 @@ package sea
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -292,20 +294,26 @@ func TestRelativeErrorBound(t *testing.T) {
 	}
 }
 
+// TestStepTimesAndSampleSizes: a search reports its sample and S1's time.
+// At λ = 1 q's structure here closes within the walk, so no Gq is built
+// and |Gq| reads 0; at the paper's λ the search samples from a Gq it built.
 func TestStepTimesAndSampleSizes(t *testing.T) {
 	d := testDataset(t)
 	m, _ := attr.NewMetric(d.Graph, 0.5)
 	opts := DefaultOptions()
 	q := d.QueryNodes(1, opts.K, 5)[0]
-	res, err := search(d.Graph, m, q, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.GqSize <= 0 || res.SampleSize <= 0 {
-		t.Errorf("sizes not populated: Gq=%d S=%d", res.GqSize, res.SampleSize)
-	}
-	if res.Steps.Sampling <= 0 {
-		t.Error("sampling time not recorded")
+	for _, lambda := range []float64{1, paperLambda} {
+		opts.Lambda = lambda
+		res, err := search(d.Graph, m, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (res.GqSize > 0) != (lambda < 1) || res.SampleSize <= 0 {
+			t.Errorf("λ %v: sizes Gq=%d S=%d", lambda, res.GqSize, res.SampleSize)
+		}
+		if res.Steps.Sampling <= 0 {
+			t.Errorf("λ %v: sampling time not recorded", lambda)
+		}
 	}
 }
 
@@ -653,12 +661,49 @@ func TestGqIsTheorem10Population(t *testing.T) {
 	}
 }
 
-// TestDefaultSearchIsOneRoundOnGq: at the default options (λ = 1) the sample
-// is Gq itself. On both cold workloads' populations (the first 32 queries
-// of twitter k-core k = 6 and of twitch k-truss k = 5) every search runs
-// one round — S3 has nothing to draw — computes no sampling probabilities,
-// makes no generator, and so returns the same answer at any seed.
-func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
+// runDirect runs one search in-package with f(·,q) from m and returns it
+// with the run, whose workspace the caller releases. gqPath skips the walk
+// first and runs the rounds on Gq, as a search whose walk passed walkCap
+// does.
+func runDirect(t *testing.T, g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options, gqPath bool) (*seaRun, *Result, error) {
+	t.Helper()
+	s := newRun(context.Background(), g, q, opts)
+	s.f = m.View(q, &s.w.Dist)
+	s.w.Gq, s.w.Probs = s.w.Gq[:0], s.w.Probs[:0]
+	if !gqPath {
+		res, err := s.run()
+		return s, res, err
+	}
+	minGq, err := s.minGqSize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.rounds(minGq)
+	return s, res, err
+}
+
+// homogeneous is a generated dataset analog at scale 1.0 with the metric
+// the goldens use (γ = 0.5).
+func homogeneous(t *testing.T, name string) (*dataset.Generated, *attr.Metric) {
+	t.Helper()
+	d, err := dataset.Homogeneous(name, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, m
+}
+
+// TestDefaultSearchWalksFirst: at the default options (λ = 1), on both cold
+// workloads' populations (the first 32 queries of twitter k-core k = 6 and
+// of twitch k-truss k = 5), q's maximal structure closes within walkCap
+// nodes, so every search answers from it: one round, no Gq built, the
+// structure as its sample, no sampling probabilities, no generator — and so
+// the same answer at any seed.
+func TestDefaultSearchWalksFirst(t *testing.T) {
 	for _, leg := range []struct {
 		dataset string
 		model   Model
@@ -667,32 +712,23 @@ func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
 		{"twitter", KCore, 6},
 		{"twitch", KTruss, 5},
 	} {
-		d, err := dataset.Homogeneous(leg.dataset, 1.0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := attr.NewMetric(d.Graph, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
+		d, m := homogeneous(t, leg.dataset)
 		opts := DefaultOptions()
 		opts.Model, opts.K = leg.model, leg.k
 		for i, q := range coldNodes(32)(d, opts.K) {
 			var answers [2]*Result
 			for j, seed := range []int64{1_000_004 + int64(i), int64(i)} {
 				opts.Seed = seed
-				s := newRun(context.Background(), d.Graph, q, opts)
-				s.f = m.View(q, &s.w.Dist)
-				s.w.Probs = s.w.Probs[:0]
-				res, err := s.run()
-				probs, made := len(s.w.Probs), s.rng != nil
+				s, res, err := runDirect(t, d.Graph, m, q, opts, false)
+				gq, probs, made := len(s.w.Gq), len(s.w.Probs), s.rng != nil
 				s.w.Release()
 				if err != nil {
 					t.Fatalf("%s q %d seed %d: %v", leg.dataset, q, seed, err)
 				}
-				if len(res.Rounds) != 1 || res.SampleSize != res.GqSize || res.Steps.Incremental != 0 || probs != 0 || made {
-					t.Errorf("%s q %d seed %d: %d rounds, |S| %d of |Gq| %d, S3 took %v, %d probabilities, generator made: %v",
-						leg.dataset, q, seed, len(res.Rounds), res.SampleSize, res.GqSize, res.Steps.Incremental, probs, made)
+				if len(res.Rounds) != 1 || res.GqSize != 0 || gq != 0 || res.SampleSize < opts.Model.MinSize(opts.K) ||
+					res.Steps.Incremental != 0 || probs != 0 || made {
+					t.Errorf("%s q %d seed %d: %d rounds, |Gq| %d (%d built), |S| %d, S3 took %v, %d probabilities, generator made: %v",
+						leg.dataset, q, seed, len(res.Rounds), res.GqSize, gq, res.SampleSize, res.Steps.Incremental, probs, made)
 				}
 				answers[j] = res
 			}
@@ -700,6 +736,179 @@ func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
 				t.Errorf("%s q %d: the answer depends on the seed: %v δ %v %+v, then %v δ %v %+v",
 					leg.dataset, q, a.Community, a.Delta, a.CI, b.Community, b.Delta, b.CI)
 			}
+		}
+	}
+}
+
+// TestDefaultSearchIsOneRoundOnGq: at the default options, a query whose
+// maximal structure passes walkCap — q = 31770 on twitter at k-core k = 4,
+// the first query of the twitter k = 4 golden, in a core of 29 262 nodes —
+// builds Gq, and the sample is Gq itself: one round, S3 has nothing to
+// draw, no sampling probabilities, no generator, the same answer at any
+// seed.
+func TestDefaultSearchIsOneRoundOnGq(t *testing.T) {
+	d, m := homogeneous(t, "twitter")
+	const q = 31770
+	opts := DefaultOptions()
+	opts.K = 4
+	var answers [2]*Result
+	for j, seed := range []int64{1_000_004, 1} {
+		opts.Seed = seed
+		s, res, err := runDirect(t, d.Graph, m, q, opts, false)
+		probs, made := len(s.w.Probs), s.rng != nil
+		s.w.Release()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if len(res.Rounds) != 1 || res.GqSize == 0 || res.SampleSize != res.GqSize || res.Steps.Incremental != 0 || probs != 0 || made {
+			t.Errorf("seed %d: %d rounds, |S| %d of |Gq| %d, S3 took %v, %d probabilities, generator made: %v",
+				seed, len(res.Rounds), res.SampleSize, res.GqSize, res.Steps.Incremental, probs, made)
+		}
+		answers[j] = res
+	}
+	if a, b := answers[0], answers[1]; !slices.Equal(a.Community, b.Community) || a.Delta != b.Delta || a.CI != b.CI || a.Satisfied != b.Satisfied {
+		t.Errorf("the answer depends on the seed: %v δ %v %+v, then %v δ %v %+v",
+			a.Community, a.Delta, a.CI, b.Community, b.Delta, b.CI)
+	}
+}
+
+// TestWalkFirstMatchesGqPath: on the first 200 queries of the cold
+// populations (twitter k-core k = 6, twitch k-truss k = 5) and of facebook
+// and twitch k-core k = 6, the walk-first answer — community, δ, interval and
+// Satisfied — is the one the rounds on Gq give for the same search. Gq
+// holds q's maximal structure on all of them, so the round's structure in
+// G[Gq] is the walk's.
+func TestWalkFirstMatchesGqPath(t *testing.T) {
+	for _, leg := range []struct {
+		dataset string
+		model   Model
+		k       int
+	}{
+		{"twitter", KCore, 6},
+		{"twitch", KTruss, 5},
+		{"facebook", KCore, 6},
+		{"twitch", KCore, 6},
+	} {
+		d, m := homogeneous(t, leg.dataset)
+		opts := DefaultOptions()
+		opts.Model, opts.K = leg.model, leg.k
+		for i, q := range coldNodes(200)(d, opts.K) {
+			opts.Seed = 1_000_004 + int64(i)
+			var answers [2]*Result
+			var errs [2]error
+			for j, gqPath := range []bool{false, true} {
+				s, res, err := runDirect(t, d.Graph, m, q, opts, gqPath)
+				s.w.Release()
+				if err != nil && !errors.Is(err, ErrNoCommunity) {
+					t.Fatalf("%s %v k %d q %d: %v", leg.dataset, leg.model, leg.k, q, err)
+				}
+				answers[j], errs[j] = res, err
+			}
+			if errs[0] != nil || errs[1] != nil {
+				if !errors.Is(errs[0], ErrNoCommunity) || !errors.Is(errs[1], ErrNoCommunity) {
+					t.Errorf("%s %v k %d q %d: walk first %v, rounds on Gq %v", leg.dataset, leg.model, leg.k, q, errs[0], errs[1])
+				}
+				continue
+			}
+			if a, b := answers[0], answers[1]; a.GqSize != 0 || !slices.Equal(a.Community, b.Community) || a.Delta != b.Delta || a.CI != b.CI || a.Satisfied != b.Satisfied {
+				t.Errorf("%s %v k %d q %d: walk first (|Gq| %d) %v δ %v %+v %v, rounds on Gq %v δ %v %+v %v",
+					leg.dataset, leg.model, leg.k, q, a.GqSize, a.Community, a.Delta, a.CI, a.Satisfied, b.Community, b.Delta, b.CI, b.Satisfied)
+			}
+		}
+	}
+}
+
+// TestWalkFirstReadsWhatItWalks counts neighbour-list reads on the twitter
+// analog, where Theorem 10 sizes Gq at about 12 000 nodes and building it
+// reads one list per node. A cold search (the first 32 queries of k-core
+// k = 6) walks out from q, peels what it reached and runs S2 on the
+// structure: up to 1 405 reads, under the limit of 2·walkCap, where the
+// rounds on Gq read at least |Gq|. A giant search (q = 31770 at k = 4 and
+// k = 3, in cores of 29 262 and 37 903 nodes) gives up on its walk after at
+// most walkCap reads and builds Gq. A walk without the cap reads the whole
+// giant core first.
+func TestWalkFirstReadsWhatItWalks(t *testing.T) {
+	d, m := homogeneous(t, "twitter")
+	opts := DefaultOptions()
+	opts.K = 6
+	for i, q := range coldNodes(32)(d, opts.K) {
+		opts.Seed = 1_000_004 + int64(i)
+		g := &countingCSR{CSR: d.Graph}
+		s, res, err := runDirect(t, g, m, q, opts, false)
+		s.w.Release()
+		if err != nil {
+			t.Fatalf("q %d: %v", q, err)
+		}
+		if res.GqSize != 0 || g.reads > 2*walkCap {
+			t.Errorf("q %d: %d neighbour lists read for |Gq| %d, |S| %d; limit %d", q, g.reads, res.GqSize, res.SampleSize, 2*walkCap)
+		}
+	}
+	const q = 31770
+	for _, k := range []int{4, 3} {
+		opts.K = k
+		g := &countingCSR{CSR: d.Graph}
+		s := newRun(context.Background(), g, q, opts)
+		s.f = m.View(q, &s.w.Dist)
+		_, answered, err := s.whole(walkCap)
+		walked := g.reads
+		res, rerr := s.run()
+		s.w.Release()
+		if answered || err != nil || walked > walkCap {
+			t.Errorf("k %d: the walk answered %v (%v) after %d neighbour lists read; limit %d", k, answered, err, walked, walkCap)
+		}
+		if rerr != nil || res.GqSize == 0 {
+			t.Errorf("k %d: the search built no Gq (%v)", k, rerr)
+		}
+	}
+}
+
+// TestOneValueIsNeverSatisfied: at k-core k = 1 (k-truss k = 2) a candidate
+// can be q and one neighbour, whose interval rests on one value, and
+// stats.MeanCI gives one value a margin of 0. On twitch at scale 0.25, 50
+// searches per model (twitch goldens' query draw), 41 of them were reported
+// satisfied on such a candidate. Theorem 11 needs a margin estimated from
+// at least two values: now the only satisfied answers are q = 201's (drawn
+// twice), a four-member community whose three values give ε 0.0056 at
+// δ 0.4189. The answers are otherwise unchanged: digest is the FNV-64a of
+// every community's members (int32, little-endian) and δ's bits, recorded
+// before the rule changed.
+func TestOneValueIsNeverSatisfied(t *testing.T) {
+	const digest = 0xb7edb7dbf0bbc5ce
+	d, err := dataset.Homogeneous("twitch", 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := attr.NewMetric(d.Graph, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, leg := range []struct {
+		model Model
+		k     int
+	}{{KCore, 1}, {KTruss, 2}} {
+		opts := DefaultOptions()
+		opts.Model, opts.K = leg.model, leg.k
+		h := fnv.New64a()
+		satisfied := 0
+		for i, q := range twitchNodes(d, leg.k)[:50] {
+			opts.Seed = 1000 + int64(i)
+			res, err := search(d.Graph, m, q, opts)
+			if err != nil {
+				t.Fatalf("%v q %d: %v", leg.model, q, err)
+			}
+			if res.Satisfied {
+				satisfied++
+				if len(res.Community) < 3 {
+					t.Errorf("%v q %d: satisfied on %v, %d value(s) of f", leg.model, q, res.Community, len(res.Community)-1)
+				}
+			}
+			for _, v := range res.Community {
+				binary.Write(h, binary.LittleEndian, int32(v))
+			}
+			binary.Write(h, binary.LittleEndian, math.Float64bits(res.Delta))
+		}
+		if satisfied != 2 || h.Sum64() != digest {
+			t.Errorf("%v k %d: %d of 50 satisfied (want 2), answers' digest %#x (want %#x)", leg.model, leg.k, satisfied, h.Sum64(), uint64(digest))
 		}
 	}
 }

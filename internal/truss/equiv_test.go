@@ -2,6 +2,7 @@ package truss
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -93,7 +94,7 @@ func TestExtractionMatchesOracle(t *testing.T) {
 		for k := 3; k <= 6; k++ {
 			q := graph.NodeID(rng.Intn(n))
 			members := oracleMaximal(nil, g, q, k, w)
-			pooled := MaximalSubIn(context.Background(), g, q, k, nil, w)
+			pooled, _ := MaximalSubIn(context.Background(), g, q, k, nil, math.MaxInt, w)
 			if (members == nil) != (pooled == nil) {
 				t.Fatalf("seed %d k %d q %d: oracle members %v, MaximalSubIn nil=%v", seed, k, q, members, pooled == nil)
 			}

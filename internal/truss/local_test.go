@@ -3,6 +3,7 @@ package truss
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -154,7 +155,7 @@ func TestLocalExtractionMatchesFull(t *testing.T) {
 				return fmt.Sprintf("seed %d k %d q %d %s", seed, k, q, step)
 			}
 			want := wholeIn(g, q, k, &in)
-			got := MaximalSubIn(t.Context(), g, q, k, &in, w)
+			got, _ := MaximalSubIn(t.Context(), g, q, k, &in, math.MaxInt, w)
 			if (got == nil) != (want == nil) {
 				t.Fatalf("%s: local nil=%v, whole-in nil=%v", at("built"), got == nil, want == nil)
 			}
@@ -219,10 +220,10 @@ func TestReachStopsOnCancel(t *testing.T) {
 	defer w.Release()
 	ctx, cancel := context.WithCancel(t.Context())
 	cancel()
-	if s := MaximalSubIn(ctx, g, 0, 5, &in, w); s != nil {
-		t.Fatalf("cancelled extraction returned %d nodes", s.Size())
+	if s, closed := MaximalSubIn(ctx, g, 0, 5, &in, math.MaxInt, w); s != nil || closed {
+		t.Fatalf("cancelled extraction returned %v (closed %v)", s, closed)
 	}
-	if s := MaximalSubIn(t.Context(), g, 0, 5, &in, w); s == nil || s.Size() != n {
+	if s, _ := MaximalSubIn(t.Context(), g, 0, 5, &in, math.MaxInt, w); s == nil || s.Size() != n {
 		t.Fatal("the ring is one 5-truss")
 	}
 }

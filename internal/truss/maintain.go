@@ -3,6 +3,7 @@ package truss
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/cohesive"
 	"repro/internal/graph"
@@ -53,7 +54,7 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 	}
 	// The scratch is the structure's own: it outlives this call.
 	s := new(Sub)
-	if !s.extract(context.Background(), g, q, k, in, w, new(ws.TrussScratch)) {
+	if found, _ := s.extract(context.Background(), g, q, k, in, math.MaxInt, w, new(ws.TrussScratch)); !found {
 		return nil, fmt.Errorf("truss: query node %d has no k-truss edge within the member set", q)
 	}
 	s.universe = append([]graph.NodeID(nil), members...)

@@ -22,6 +22,7 @@ package truss
 
 import (
 	"context"
+	"math"
 	"slices"
 	"sort"
 
@@ -277,28 +278,36 @@ func Peel(cur []int32, pinned []bool, triangles func(dst []int32, e int32, alive
 // the member order, the supports and every removal sequence of the
 // maintainer are the same too. All storage is w's (w.Truss): the returned
 // Sub is valid until the next k-truss extraction on w or w's release;
-// w.Visited holds R afterwards. A cancelled ctx ends the reach between
-// blocks of nodes with a nil result.
-func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace) *Sub {
-	if s := new(Sub); s.extract(ctx, g, q, k, in, w, &w.Truss) {
-		return s
+// w.Visited holds R afterwards.
+//
+// The reach gives up once it has reached more than limit nodes
+// (math.MaxInt: never), and so does a cancelled ctx, between blocks of
+// nodes; either way the result is nil and closed is false. closed is true
+// when the reach took all q reaches, so a nil Sub then proves q has no
+// k-truss in G[in].
+func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace) (sub *Sub, closed bool) {
+	s := new(Sub)
+	found, closed := s.extract(ctx, g, q, k, in, limit, w, &w.Truss)
+	if !found {
+		return nil, closed
 	}
-	return nil
+	return s, true
 }
 
 // extract is MaximalSubIn into s on the scratch sc, with w's sets and
-// neighbour buffers as temporaries only. Reports whether q has a truss.
-func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) bool {
+// neighbour buffers as temporaries only. Reports whether q has a truss and
+// whether the reach closed within limit.
+func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) (found, closed bool) {
 	clean(sc, g.NumNodes())
 	if in != nil && !in.Has(q) {
-		return false
+		return false, true
 	}
-	nodes := reach(ctx, g, q, k, in, w, sc)
+	nodes := reach(ctx, g, q, k, in, limit, w, sc)
 	if nodes == nil {
-		return false
+		return false, false
 	}
 	slices.Sort(nodes)
-	return s.build(g, q, k, nodes, &w.Visited, &w.NbrA, sc)
+	return s.build(g, q, k, nodes, &w.Visited, &w.NbrA, sc), true
 }
 
 // reach returns in sc.Nodes, and marks in w.Visited, the nodes of q's
@@ -307,8 +316,9 @@ func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, i
 // in, and takes an edge (x,y) to a node y not reached yet when k−2 of y's
 // neighbours are marked. Every edge of q's truss closes k−2 triangles inside the truss,
 // hence in G[in], and the truss is connected, so every one of its nodes is
-// reached. Returns nil when ctx is cancelled.
-func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
+// reached. Returns nil when ctx is cancelled or more than limit nodes are
+// reached.
+func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
 	need, mark, seen := int32(k-2), sc.Mark, &w.Visited
 	seen.Reset(g.NumNodes())
 	seen.Add(q)
@@ -342,6 +352,10 @@ func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.No
 		for _, y := range nx {
 			mark[y] = false
 		}
+		if len(nodes) > limit {
+			sc.Nodes = nodes[:0]
+			return nil
+		}
 	}
 	sc.Nodes = nodes
 	return nodes
@@ -362,7 +376,7 @@ func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
 // no qualifying edge.
 func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
 	var s Sub
-	if !s.extract(context.Background(), g, q, k, nil, w, &w.Truss) {
+	if found, _ := s.extract(context.Background(), g, q, k, nil, math.MaxInt, w, &w.Truss); !found {
 		return nil
 	}
 	return append(dst, s.universe...)
