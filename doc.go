@@ -69,9 +69,11 @@
 // inside it and grows the sample round by round ends with most of Gq
 // sampled anyway, and one round on all of Gq gives a lower mean δ on every
 // population measured (README, "Why λ = 1"; Fig. 8's λ sweep shows λ = 1
-// beside the paper's values). At λ = 1 a search is one round on Gq, with no
+// beside the paper's values). At λ = 1 a search is one round, with no
 // weighted draw and no generator, and its answer does not depend on the
-// seed. Smaller λ stays valid; internal/experiments pins the paper's
+// seed. It walks out from q first: when q's maximal k-core or k-truss in G
+// closes within 1 024 nodes, the round runs on it and no Gq is built; only
+// a q inside a giant structure builds Gq. Smaller λ stays valid; internal/experiments pins the paper's
 // λ = 0.2 so that each reproduced figure uses the paper's setting.
 //
 // # Serving
