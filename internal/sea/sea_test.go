@@ -826,7 +826,8 @@ func TestWalkFirstMatchesGqPath(t *testing.T) {
 // rounds on Gq read at least |Gq|. A giant search (q = 31770 at k = 4 and
 // k = 3, in cores of 29 262 and 37 903 nodes) gives up on its walk after at
 // most walkCap reads and builds Gq. A walk without the cap reads the whole
-// giant core first.
+// giant core first. A walk that closes on nothing answers ErrNoCommunity
+// without building Gq.
 func TestWalkFirstReadsWhatItWalks(t *testing.T) {
 	d, m := homogeneous(t, "twitter")
 	opts := DefaultOptions()
@@ -842,6 +843,17 @@ func TestWalkFirstReadsWhatItWalks(t *testing.T) {
 		if res.GqSize != 0 || g.reads > 2*walkCap {
 			t.Errorf("q %d: %d neighbour lists read for |Gq| %d, |S| %d; limit %d", q, g.reads, res.GqSize, res.SampleSize, 2*walkCap)
 		}
+	}
+	// A walk that closes on no structure proves q has none in G: the search
+	// answers ErrNoCommunity at once, with no Gq.
+	q0 := coldNodes(1)(d, 6)[0]
+	opts.K = int(kcore.Decompose(d.Graph)[q0]) + 1
+	g := &countingCSR{CSR: d.Graph}
+	s, _, err := runDirect(t, g, m, q0, opts, false)
+	built := len(s.w.Gq)
+	s.w.Release()
+	if !errors.Is(err, ErrNoCommunity) || built != 0 || g.reads > 2*walkCap {
+		t.Errorf("q %d at k %d, above its coreness: %v after %d neighbour lists read, %d Gq nodes built", q0, opts.K, err, g.reads, built)
 	}
 	const q = 31770
 	for _, k := range []int{4, 3} {
