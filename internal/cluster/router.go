@@ -9,23 +9,25 @@ package cluster
 //     set still replicate everything (replication is whole-catalog); the
 //     ring only decides who serves reads, so it stays stable when members
 //     come and go.
-//   - Scatter-gather: /batch splits its queries and /compare its methods
-//     across the in-sync replica set, each shard under its own deadline. A
-//     failed shard degrades its own items to per-item errors instead of
-//     failing the request; every item is annotated with the member that
-//     served it.
+//   - Reads: /search and /compare go whole to one in-sync replica,
+//     round-robin; the node decides a /compare's best method. /batch splits
+//     its queries across the in-sync replica set, each shard under its own
+//     deadline. A failed shard degrades its own items to per-item errors
+//     instead of failing the request; every item is annotated with the
+//     member that served it.
 //   - Health: a prober polls every member's /admin/replication. A member
 //     that misses FailAfter consecutive probes is dead; followers lagging
 //     more than MaxLag batches leave the read set until they catch up.
 //   - Failover: when the primary dies the router promotes the alive
 //     follower with the highest summed cursor and re-points the rest at it.
 //     Writes (/admin/*) always forward to the current primary.
-//   - Fault tolerance: reads (/search and scatter shards — idempotent by
-//     construction) get a bounded retry budget with jittered exponential
-//     backoff, each retry preferring a different in-sync replica. Every
-//     member has a circuit breaker (consecutive failures open it; after a
-//     cooldown one half-open probe decides whether it closes again) so a
-//     struggling member stops absorbing traffic before the prober notices.
+//   - Fault tolerance: reads (/search, /compare and /batch shards —
+//     idempotent by construction) get a bounded retry budget with jittered
+//     exponential backoff, each retry preferring a different in-sync
+//     replica. Every member has a circuit breaker (consecutive failures
+//     open it; after a cooldown one half-open probe decides whether it
+//     closes again) so a struggling member stops absorbing traffic before
+//     the prober notices.
 //     Writes and admin forwards are never retried — the router cannot know
 //     whether a failed write landed.
 
@@ -69,7 +71,8 @@ type RouterConfig struct {
 	// ReplicationFactor is the read-set size per dataset (default 2,
 	// clamped to len(Members)).
 	ReplicationFactor int
-	// ShardTimeout bounds each scatter shard and health probe (default 2s).
+	// ShardTimeout bounds each read attempt, /batch shard and health probe
+	// (default 2s).
 	ShardTimeout time.Duration
 	// ProbeEvery is the health-probe interval (default 1s).
 	ProbeEvery time.Duration
@@ -80,7 +83,7 @@ type RouterConfig struct {
 	// serve reads (default 8).
 	MaxLag uint64
 	// Retries is the per-read retry budget: how many additional attempts a
-	// failed /search or scatter shard gets, each against a different in-sync
+	// failed /search, /compare or /batch shard gets, each against a different in-sync
 	// replica when one is available, with jittered exponential backoff
 	// between attempts. 0 selects the default (2); negative disables
 	// retries. Writes and admin forwards are never retried — the router
@@ -171,11 +174,11 @@ type Router struct {
 	shardErrs  atomic.Uint64
 	retries    atomic.Uint64 // read attempts beyond the first
 
-	// shardLat records the latency of each upstream call by path ("/batch",
-	// "/compare" per shard; "/search" and "forward" per proxied request).
-	// fanWidth records the per-request scatter width (shards per fan-out).
+	// shardLat records the latency of each upstream call by path ("/batch"
+	// per shard; "/search", "/compare" and "forward" per proxied request).
+	// fanWidth records each /batch's scatter width (shards per fan-out).
 	shardLat map[string]*obs.Histogram
-	fanWidth map[string]*obs.Histogram
+	fanWidth obs.Histogram
 	// trace keeps the most recent router spans for GET /debug/trace.
 	trace *obs.Ring[RouterSpan]
 
@@ -184,7 +187,7 @@ type Router struct {
 	done     chan struct{}
 }
 
-// routerPaths are the shardLat/fanWidth histogram keys. "forward" covers
+// routerPaths are the shardLat histogram keys. "forward" covers
 // every primary-forwarded request (writes, admin, stats), whatever its path.
 var routerPaths = []string{"/search", "/batch", "/compare", "forward"}
 
@@ -230,7 +233,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		primary:  cfg.Primary,
 		members:  make(map[string]*memberState, len(members)),
 		shardLat: make(map[string]*obs.Histogram, len(routerPaths)),
-		fanWidth: make(map[string]*obs.Histogram, 2),
 		trace:    obs.NewStripedRing(256, func(s *RouterSpan) int64 { return s.StartNS + s.TotalNS }),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -241,8 +243,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	for _, p := range routerPaths {
 		r.shardLat[p] = &obs.Histogram{}
 	}
-	r.fanWidth["/batch"] = &obs.Histogram{}
-	r.fanWidth["/compare"] = &obs.Histogram{}
 	for _, m := range members {
 		// Members start alive: death is an observation (FailAfter missed
 		// probes), not a default — a router booted moments before its
@@ -429,9 +429,9 @@ func (r *Router) inSyncLocked(url, graph string) bool {
 	return graph == "" && m.status != nil && len(m.status.Datasets) > 0
 }
 
-// ServeHTTP routes: scatter-gather for /batch and POST /compare, single
-// in-sync replica for /search and GET /compare, the primary for everything
-// else (writes, admin, stats). Every response carries an X-Request-ID,
+// ServeHTTP routes: scatter-gather for /batch, one in-sync replica for
+// /search and /compare in every verb, the primary for everything else
+// (writes, admin, stats). Every response carries an X-Request-ID,
 // generated here when the client did not send one.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	id := req.Header.Get(httpapi.RequestIDHeader)
@@ -450,14 +450,8 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 			httpapi.WriteError(w, http.StatusBadRequest, err)
 		}
 	case "/batch":
-		r.serveScatter(w, req, id, scatterBatch)
-	case "/compare":
-		if req.Method == http.MethodGet || req.Method == http.MethodHead {
-			r.serveRead(w, req, id)
-		} else {
-			r.serveScatter(w, req, id, scatterCompare)
-		}
-	case "/search":
+		r.serveBatch(w, req, id)
+	case "/search", "/compare":
 		r.serveRead(w, req, id)
 	default:
 		start := time.Now()
@@ -699,8 +693,8 @@ func readBody(w http.ResponseWriter, req *http.Request, id string) ([]byte, bool
 	return body, true
 }
 
-// serveRead proxies a single read (/search, or a GET /compare) to one
-// in-sync replica, round-robin across the dataset's read set. The body is
+// serveRead proxies a single read (/search or /compare) to one in-sync
+// replica, round-robin across the dataset's read set. The body is
 // buffered so a failed attempt can be retried verbatim against a different
 // replica — the request is a pure read, replaying it is always safe.
 func (r *Router) serveRead(w http.ResponseWriter, req *http.Request, id string) {
@@ -759,82 +753,14 @@ func (r *Router) serveRead(w http.ResponseWriter, req *http.Request, id string) 
 		StartNS: start.UnixNano(), TotalNS: ns, ServedBy: target})
 }
 
-// scatterPlan describes how one endpoint splits and reassembles: which
-// field fans out and how shard responses merge back together.
-type scatterPlan struct {
-	field string // the wire field that splits across shards
-	path  string
-	allow string // the Allow header of a 405
-	// merge builds the client response from the per-item results (in
-	// original order) and the shard responses keyed by member.
-	merge func(req map[string]any, items []map[string]any, degraded bool) map[string]any
-}
-
-var scatterBatch = scatterPlan{
-	field: "queries",
-	path:  "/batch",
-	allow: http.MethodPost,
-	merge: func(req map[string]any, items []map[string]any, degraded bool) map[string]any {
-		out := map[string]any{"items": items}
-		if degraded {
-			out["degraded"] = true
-		}
-		return out
-	},
-}
-
-var scatterCompare = scatterPlan{
-	field: "methods",
-	path:  "/compare",
-	allow: "GET, HEAD, POST",
-	merge: func(req map[string]any, items []map[string]any, degraded bool) map[string]any {
-		out := map[string]any{"items": items}
-		if q, ok := req["q"]; ok {
-			out["query"] = q
-		}
-		// Recompute Best across the merged set exactly as the engine does
-		// per shard: among items that succeeded (or exhausted their budget
-		// with a best-so-far community), smallest δ wins.
-		best := -1
-		for i, it := range items {
-			errStr, _ := it["err"].(string)
-			trunc, _ := it["truncated"].(bool)
-			if errStr != "" && !trunc {
-				continue
-			}
-			delta, ok := it["delta"].(float64)
-			if !ok {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			prev, _ := items[best]["delta"].(float64)
-			if delta < prev {
-				best = i
-			}
-		}
-		if best >= 0 {
-			if m, ok := items[best]["method"].(string); ok {
-				out["best"] = m
-			}
-		}
-		if degraded {
-			out["degraded"] = true
-		}
-		return out
-	},
-}
-
-// serveScatter splits the request's fan-out field across the dataset's read
-// set, runs the shards concurrently under per-shard deadlines, and
-// reassembles the items in their original order. A failed shard degrades to
-// per-item errors; only a total wipeout fails the request.
-func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id string, plan scatterPlan) {
+// serveBatch splits a /batch's queries across the dataset's read set, runs
+// the shards concurrently under per-shard deadlines, and reassembles the
+// items in their original order. A failed shard degrades to per-item
+// errors; only a total wipeout fails the request.
+func (r *Router) serveBatch(w http.ResponseWriter, req *http.Request, id string) {
 	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", plan.allow)
-		routerError(w, id, http.StatusMethodNotAllowed, "method %s not allowed on %s", req.Method, plan.path)
+		w.Header().Set("Allow", http.MethodPost)
+		routerError(w, id, http.StatusMethodNotAllowed, "method %s not allowed on /batch", req.Method)
 		return
 	}
 	body, ok := readBody(w, req, id)
@@ -846,26 +772,26 @@ func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id strin
 		routerError(w, id, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	fan, _ := wire[plan.field].([]any)
-	if len(fan) == 0 {
-		routerError(w, id, http.StatusBadRequest, "missing %q", plan.field)
+	queries, _ := wire["queries"].([]any)
+	if len(queries) == 0 {
+		routerError(w, id, http.StatusBadRequest, "missing %q", "queries")
 		return
 	}
 	graph, _ := wire["graph"].(string)
 	set := r.readSet(graph)
 
-	// Shard i takes the fan-out entries at positions i, i+len(set),
-	// i+2len(set)… — round-robin keeps the shards within one item of even.
+	// Shard i takes the queries at positions i, i+len(set), i+2len(set)… —
+	// round-robin keeps the shards within one item of even.
 	assign := make(map[string][]int, len(set))
-	for i := range fan {
+	for i := range queries {
 		url := set[i%len(set)]
 		assign[url] = append(assign[url], i)
 	}
 	start := time.Now()
-	r.fanWidth[plan.path].Observe(int64(len(assign)))
+	r.fanWidth.Observe(int64(len(assign)))
 	w.Header().Set(FanoutHeader, strconv.Itoa(len(assign)))
 
-	items := make([]map[string]any, len(fan))
+	items := make([]map[string]any, len(queries))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -875,14 +801,14 @@ func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id strin
 		wg.Add(1)
 		go func(url string, idxs []int) {
 			defer wg.Done()
-			got, served, err := r.runShard(req.Context(), url, set, id, plan, wire, fan, idxs)
+			got, served, err := r.runShard(req.Context(), url, set, id, wire, queries, idxs)
 			mu.Lock()
 			defer mu.Unlock()
 			if err != nil {
 				r.shardErrs.Add(1)
 				failures++
 				for _, i := range idxs {
-					items[i] = shardErrorItem(plan, fan[i], url, id, err)
+					items[i] = shardErrorItem(queries[i], url, id, err)
 				}
 				return
 			}
@@ -893,36 +819,39 @@ func (r *Router) serveScatter(w http.ResponseWriter, req *http.Request, id strin
 		}(url, idxs)
 	}
 	wg.Wait()
-	r.trace.Add(RouterSpan{RequestID: id, Path: plan.path, Graph: graph,
+	r.trace.Add(RouterSpan{RequestID: id, Path: "/batch", Graph: graph,
 		StartNS: start.UnixNano(), TotalNS: time.Since(start).Nanoseconds(),
 		Fanout: len(assign), Failures: failures})
 	if failures == len(assign) {
 		routerError(w, id, http.StatusBadGateway, "all %d shards failed; first target %s", len(assign), set[0])
 		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, plan.merge(wire, items, failures > 0))
+	out := map[string]any{"items": items}
+	if failures > 0 {
+		out["degraded"] = true
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
-// ServedByKey annotates each scatter-gather item with the member that
-// served it.
+// ServedByKey annotates each /batch item with the member that served it.
 const ServedByKey = "served_by"
 
-// runShard sends one shard's slice of the fan-out field to url — retrying
-// against the rest of the read set on transport errors, 5xx and 429 (shard
+// runShard sends one shard's slice of the queries to url — retrying against
+// the rest of the read set on transport errors, 5xx and 429 (shard
 // sub-requests are reads, replaying one is safe) — and returns its items,
 // which must match the slice one-to-one, plus the member that actually
 // served them.
-func (r *Router) runShard(ctx context.Context, url string, set []string, id string, plan scatterPlan,
-	wire map[string]any, fan []any, idxs []int) ([]map[string]any, string, error) {
+func (r *Router) runShard(ctx context.Context, url string, set []string, id string,
+	wire map[string]any, queries []any, idxs []int) ([]map[string]any, string, error) {
 	sub := make(map[string]any, len(wire))
 	for k, v := range wire {
 		sub[k] = v
 	}
 	slice := make([]any, len(idxs))
 	for k, i := range idxs {
-		slice[k] = fan[i]
+		slice[k] = queries[i]
 	}
-	sub[plan.field] = slice
+	sub["queries"] = slice
 	payload, err := json.Marshal(sub)
 	if err != nil {
 		return nil, url, err
@@ -940,9 +869,9 @@ func (r *Router) runShard(ctx context.Context, url string, set []string, id stri
 	// tail the histogram exists to expose. Retries fold into their shard's
 	// observation — the client experienced the whole sequence.
 	start := time.Now()
-	defer r.shardLat[plan.path].ObserveSince(start)
+	defer r.shardLat["/batch"].ObserveSince(start)
 	resp, served, err := r.tryRead(ctx, candidates, func(cctx context.Context, target string) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(cctx, http.MethodPost, target+plan.path, bytes.NewReader(payload))
+		req, err := http.NewRequestWithContext(cctx, http.MethodPost, target+"/batch", bytes.NewReader(payload))
 		if err != nil {
 			return nil, err
 		}
@@ -972,22 +901,16 @@ func (r *Router) runShard(ctx context.Context, url string, set []string, id stri
 	return out.Items, served, nil
 }
 
-// shardErrorItem is the degraded placeholder for one item of a failed
+// shardErrorItem is the degraded placeholder for one query of a failed
 // shard, shaped like the engine's own per-item error responses and carrying
 // the request id so a degraded item can be traced end to end.
-func shardErrorItem(plan scatterPlan, entry any, url, id string, err error) map[string]any {
-	item := map[string]any{
+func shardErrorItem(query any, url, id string, err error) map[string]any {
+	return map[string]any{
+		"query":      query,
 		"err":        fmt.Sprintf("shard %s: %v", url, err),
 		ServedByKey:  url,
 		"request_id": id,
 	}
-	switch plan.field {
-	case "queries":
-		item["query"] = entry
-	case "methods":
-		item["method"] = entry
-	}
-	return item
 }
 
 // healthMember is one member's row in the router's /healthz body.
@@ -1060,15 +983,13 @@ func (r *Router) serveMetrics(w http.ResponseWriter) {
 	fw.Sample(float64(r.promotions.Load()))
 	fw.Family("searouter_shard_errors_total", "counter", "Scatter shards that failed and degraded to per-item errors.")
 	fw.Sample(float64(r.shardErrs.Load()))
-	fw.Family("searouter_read_retries_total", "counter", "Read attempts beyond the first (/search and scatter shards).")
+	fw.Family("searouter_read_retries_total", "counter", "Read attempts beyond the first (/search and /compare requests, /batch shards).")
 	fw.Sample(float64(r.retries.Load()))
 	fw.Family("searouter_shard_latency_seconds", "histogram",
-		"Upstream call latency by route: per shard for /batch and /compare, per proxied request for /search, and every primary-forwarded request under \"forward\".")
+		"Upstream call latency by route: per shard for /batch, per proxied request for /search and /compare, and every primary-forwarded request under \"forward\".")
 	for _, p := range routerPaths {
 		fw.Histogram(r.shardLat[p].Snapshot(), 1e-9, obs.Label{Name: "path", Value: p})
 	}
 	fw.Family("searouter_fanout_width", "histogram", "Shards per scatter-gather request (unitless width, not seconds).")
-	for _, p := range []string{"/batch", "/compare"} {
-		fw.Histogram(r.fanWidth[p].Snapshot(), 1, obs.Label{Name: "path", Value: p})
-	}
+	fw.Histogram(r.fanWidth.Snapshot(), 1, obs.Label{Name: "path", Value: "/batch"})
 }

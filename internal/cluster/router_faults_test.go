@@ -85,11 +85,11 @@ func TestRouterRetryHealsShard(t *testing.T) {
 	}
 }
 
-// TestRouterSearchRetriesAndBreaker: /search keeps answering while one
-// member fails everything; after enough consecutive failures the member's
-// breaker opens (visible in /healthz and /metrics) so it stops absorbing
-// first attempts, and once the member heals the half-open probe closes the
-// breaker again.
+// TestRouterSearchRetriesAndBreaker: /search and POST /compare keep
+// answering while one member fails everything; after enough consecutive
+// failures the member's breaker opens (visible in /healthz and /metrics) so
+// it stops absorbing first attempts, and once the member heals the
+// half-open probe closes the breaker again.
 func TestRouterSearchRetriesAndBreaker(t *testing.T) {
 	_, pts := newPrimary(t)
 	var status atomic.Int32
@@ -121,9 +121,38 @@ func TestRouterSearchRetriesAndBreaker(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode, resp.Header.Get(ServedByHeader)
 	}
+	// A POST /compare is the same kind of read: one replica answers it
+	// whole, and a failed attempt is retried on the next.
+	compare := func(i int) {
+		t.Helper()
+		st, body, hdr := postJSON(t, rts.URL+"/compare",
+			`{"graph":"g","q":0,"methods":["structural","sea"],"k":2}`)
+		if st != http.StatusOK {
+			t.Fatalf("/compare %d: status %d %v", i, st, body)
+		}
+		if served := hdr.Get(ServedByHeader); served != pts.URL {
+			t.Fatalf("/compare %d served by %q, want the healthy primary", i, served)
+		}
+		items, _ := body["items"].([]any)
+		if len(items) != 2 {
+			t.Fatalf("/compare %d: %d items, want 2: %v", i, len(items), body)
+		}
+		for j, want := range []string{"structural", "sea"} {
+			if m, _ := items[j].(map[string]any)["method"].(string); m != want {
+				t.Fatalf("/compare %d item %d is %q, want %q", i, j, m, want)
+			}
+		}
+		if best, _ := body["best"].(string); best == "" {
+			t.Fatalf("/compare %d has no best: %v", i, body)
+		}
+	}
 	// Every request must succeed: round-robin lands half of them on the
 	// flaky member first, and those retry onto the primary.
 	for i := 0; i < 6; i++ {
+		if i%2 == 1 {
+			compare(i)
+			continue
+		}
 		st, served := search()
 		if st != http.StatusOK {
 			t.Fatalf("/search %d: status %d", i, st)

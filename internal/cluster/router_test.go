@@ -84,9 +84,9 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any, http.Header)
 	return resp.StatusCode, decoded, resp.Header
 }
 
-// TestRouterScatterGather fans a /batch across the read set and a /compare
-// across methods, checking order preservation, per-item attribution, and
-// the recomputed best.
+// TestRouterScatterGather fans a /batch across the read set, checking order
+// preservation and per-item attribution, and sends a /compare through,
+// checking its items keep method order and carry the node's best.
 func TestRouterScatterGather(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
 		ReplicationFactor: 3,
@@ -496,7 +496,7 @@ func TestRouterRejectsOverlongBodies(t *testing.T) {
 }
 
 // TestRouterGetCompare: a GET /compare is a single read, served by one
-// replica like a GET /search, not refused by the POST-only scatter path.
+// replica like a GET /search, through the same path as a POST /compare.
 func TestRouterGetCompare(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
 		ReplicationFactor: 3,
