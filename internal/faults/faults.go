@@ -189,7 +189,7 @@ func Parse(s string) ([]Spec, error) {
 			switch key {
 			case "prob":
 				p, err := strconv.ParseFloat(val, 64)
-				if err != nil || p < 0 || p > 1 {
+				if err != nil || !(p >= 0 && p <= 1) { // NaN fails both
 					return nil, fmt.Errorf("faults: %s: bad prob %q", name, val)
 				}
 				sp.Prob = p

@@ -32,11 +32,36 @@ func TestParse(t *testing.T) {
 	if specs, err := Parse(""); err != nil || len(specs) != 0 {
 		t.Errorf("empty spec: %v, %v", specs, err)
 	}
-	for _, bad := range []string{"nosite", "x=prob:2", "x=count:-1", "x=delay:zzz", "x=bogus:1", "x=err:"} {
+	for _, bad := range []string{"nosite", "x=prob:2", "x=count:-1", "x=delay:zzz", "x=bogus:1", "x=err:", "x=prob:NaN"} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) should fail", bad)
 		}
 	}
+}
+
+// FuzzParseFaultSpec asserts Parse's contract on arbitrary spec strings:
+// every spec it accepts names a site and carries a probability in [0,1] and
+// non-negative count, after and delay — the values fire assumes.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, seed := range []string{
+		"journal.fsync=count:1,err:eio",
+		"replicate.stream=count:1,partial;journal.append=prob:0.1,err:enospc",
+		"engine.search=delay:50ms",
+		"a=prob:NaN",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := Parse(s)
+		if err != nil {
+			return
+		}
+		for _, sp := range specs {
+			if sp.Site == "" || !(sp.Prob >= 0 && sp.Prob <= 1) || sp.Count < 0 || sp.After < 0 || sp.Delay < 0 {
+				t.Fatalf("Parse(%q) accepted %+v", s, sp)
+			}
+		}
+	})
 }
 
 func TestCheckDisarmedIsNil(t *testing.T) {
