@@ -36,8 +36,8 @@ type Graph = graph.Graph
 type Adjacency = graph.Adjacency
 
 // GraphStore is the full serving surface of an immutable graph backing:
-// positional CSR structure plus attribute columns. *Graph, on the heap or
-// over a mapped snapshot, satisfies it.
+// structure plus attribute columns. *Graph, on the heap or over a mapped
+// snapshot, satisfies it.
 type GraphStore = graph.Store
 
 // CopyGraph materializes any GraphStore into a heap *Graph (a *Graph passes

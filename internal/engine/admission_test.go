@@ -19,7 +19,7 @@ import (
 
 // scratchNodeTruss is the reference node-truss index: each node's maximum
 // trussness over its incident edges, from one full decomposition of g.
-func scratchNodeTruss(g graph.CSR) []int32 {
+func scratchNodeTruss(g graph.Adjacency) []int32 {
 	ix, tr := truss.Decompose(g)
 	nt := make([]int32, g.NumNodes())
 	for eid, t := range tr {

@@ -93,7 +93,7 @@ func randomGroup(rng *rand.Rand, g *graph.Graph, seen map[mutate.Edge]bool) []mu
 }
 
 // decomposedTable is truss.Decompose of g keyed by endpoint pair.
-func decomposedTable(g graph.CSR) map[mutate.Edge]int32 {
+func decomposedTable(g graph.Adjacency) map[mutate.Edge]int32 {
 	ix, tr := truss.Decompose(g)
 	out := make(map[mutate.Edge]int32, len(tr))
 	for e, t := range tr {

@@ -233,7 +233,7 @@ func firstGroupErr(outs []GroupOutcome) error {
 
 // edgeTrussMap keys g's per-edge trussness column by endpoint pair, the
 // form the incremental maintenance works on.
-func edgeTrussMap(g graph.CSR, col []int32) map[mutate.Edge]int32 {
+func edgeTrussMap(g graph.Adjacency, col []int32) map[mutate.Edge]int32 {
 	out := make(map[mutate.Edge]int32, len(col))
 	for i, e := range edges(g) {
 		out[e] = col[i]
@@ -244,7 +244,7 @@ func edgeTrussMap(g graph.CSR, col []int32) map[mutate.Edge]int32 {
 // edges yields every undirected edge of g once, as (i, (u,v)) with u < v,
 // in ascending (u,v) order: i is the edge's place in a per-edge column,
 // and its ID in truss.EdgeIndex.
-func edges(g graph.CSR) iter.Seq2[int, mutate.Edge] {
+func edges(g graph.Adjacency) iter.Seq2[int, mutate.Edge] {
 	return func(yield func(int, mutate.Edge) bool) {
 		var nbr []graph.NodeID
 		i := 0

@@ -185,7 +185,7 @@ func adoptIndex(st *engState, cfg Config, idx *store.Index) error {
 
 // nodeTruss projects g's per-edge trussness column onto nodes: each node's
 // maximum trussness over its incident edges, 0 for an isolated node.
-func nodeTruss(g graph.CSR, etruss []int32) []int32 {
+func nodeTruss(g graph.Adjacency, etruss []int32) []int32 {
 	nt := make([]int32, g.NumNodes())
 	for i, e := range edges(g) {
 		t := etruss[i]

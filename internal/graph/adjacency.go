@@ -36,19 +36,6 @@ type Adjacency interface {
 	HasEdge(u, v NodeID) bool
 }
 
-// CSR extends Adjacency with the positional contract of a compressed sparse
-// row layout: every directed arc (v,u) has a dense position
-// ListOffset(v)+i where i is u's rank in v's neighbor list, and positions
-// cover [0, 2·NumEdges) exactly. The truss edge index relies on it to map
-// adjacency positions to edge IDs. An Overlay has no stable positions and
-// deliberately does not implement CSR.
-type CSR interface {
-	Adjacency
-	// ListOffset returns the CSR element offset of v's neighbor list, i.e.
-	// the position of its first directed arc.
-	ListOffset(v NodeID) int32
-}
-
 // AttrSource is read-only access to node attribute columns and the token
 // dictionary resolving textual attribute IDs.
 type AttrSource interface {
@@ -65,11 +52,11 @@ type AttrSource interface {
 }
 
 // Store is the full serving surface of an immutable graph backing:
-// positional CSR structure plus attribute columns. The engine, catalog and
+// structure plus attribute columns. The engine, catalog and
 // query layers hold a Store; *Graph, on the heap or over a mapped snapshot,
 // implements it.
 type Store interface {
-	CSR
+	Adjacency
 	AttrSource
 }
 
@@ -85,9 +72,6 @@ var (
 func (g *Graph) NeighborsInto(buf *[]NodeID, v NodeID) []NodeID {
 	return g.adj[g.offsets[v]:g.offsets[v+1]]
 }
-
-// ListOffset implements CSR: the element offset of v's neighbor list.
-func (g *Graph) ListOffset(v NodeID) int32 { return g.offsets[v] }
 
 // NeighborsInto implements Adjacency for the overlay by merging the base
 // list with the pending deltas into *buf. Untouched base-node lists are

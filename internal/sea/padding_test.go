@@ -41,13 +41,6 @@ func (p padded) HasEdge(u, v graph.NodeID) bool {
 	return p.own(u) && p.own(v) && p.Graph.HasEdge(u, v)
 }
 
-func (p padded) ListOffset(v graph.NodeID) int32 {
-	if !p.own(v) {
-		return int32(2 * p.NumEdges())
-	}
-	return p.Graph.ListOffset(v)
-}
-
 func (p padded) TextAttrs(v graph.NodeID) []int32 {
 	if !p.own(v) {
 		return nil
@@ -149,7 +142,7 @@ type searchWork struct {
 // work runs pq on g with f from m, checking that Gq is q's whole component.
 func work(t *testing.T, g graph.Store, m *attr.Metric, pq PaddingQuery) searchWork {
 	t.Helper()
-	cg := &countingCSR{CSR: g}
+	cg := &countingCSR{Adjacency: g}
 	s := newRun(context.Background(), cg, pq.Q, pq.Options())
 	defer s.w.Release()
 	s.f = m.View(pq.Q, &s.w.Dist)

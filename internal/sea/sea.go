@@ -255,7 +255,7 @@ var ErrNoCommunity = cserr.ErrNoCommunity
 // stop promptly when it is cancelled: an interrupted search returns the best
 // candidate found so far (nil when none exists yet) together with an error
 // wrapping ctx's error.
-func SearchContext(ctx context.Context, g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
+func SearchContext(ctx context.Context, g graph.Adjacency, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -271,7 +271,7 @@ func SearchContext(ctx context.Context, g graph.CSR, m *attr.Metric, q graph.Nod
 // it; it is kept for benchmark/trace.go, which times the search apart from
 // f, and for the tests that hold the two paths equal
 // (TestVectorPathMatchesLazy).
-func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
+func SearchWithDistContext(ctx context.Context, g graph.Adjacency, dist []float64, q graph.NodeID, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -283,13 +283,13 @@ func SearchWithDistContext(ctx context.Context, g graph.CSR, dist []float64, q g
 
 // newRun is the one constructor of a search, with a workspace the caller
 // releases. The caller sets f.
-func newRun(ctx context.Context, g graph.CSR, q graph.NodeID, opts Options) *seaRun {
+func newRun(ctx context.Context, g graph.Adjacency, q graph.NodeID, opts Options) *seaRun {
 	return &seaRun{ctx: ctx, g: g, q: q, opts: opts, w: ws.Get()}
 }
 
 type seaRun struct {
 	ctx  context.Context
-	g    graph.CSR
+	g    graph.Adjacency
 	q    graph.NodeID
 	opts Options
 	// rng is the search's generator, from Options.Seed, made by the first
@@ -576,7 +576,7 @@ func (s *seaRun) extract(added []graph.NodeID) cohesive.Maintainer {
 // closed reports that it did not, so a nil maintainer with closed set proves
 // that q has no community in G[in]. The maintainer lives in w (w.KCore,
 // w.Truss) until the next extraction of its model there or w's release.
-func Maximal(ctx context.Context, g graph.CSR, q graph.NodeID, k int, model Model, in *graph.NodeSet, limit int, w *ws.Workspace) (maint cohesive.Maintainer, closed bool) {
+func Maximal(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, model Model, in *graph.NodeSet, limit int, w *ws.Workspace) (maint cohesive.Maintainer, closed bool) {
 	// A nil *Sub must come back as a nil interface.
 	if model == KTruss {
 		sub, closed := truss.MaximalSubIn(ctx, g, q, k, in, limit, w)

@@ -44,7 +44,7 @@ func testDataset(t testing.TB) *dataset.Generated {
 const paperLambda = 0.2
 
 // search runs SEA with f(·,q) evaluated from m on demand, the engine's path.
-func search(g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
+func search(g graph.Adjacency, m *attr.Metric, q graph.NodeID, opts Options) (*Result, error) {
 	return SearchContext(context.Background(), g, m, q, opts)
 }
 
@@ -506,13 +506,13 @@ func TestResultDoesNotPinTheSearch(t *testing.T) {
 
 // countingCSR counts the neighbour lists a search reads.
 type countingCSR struct {
-	graph.CSR
+	graph.Adjacency
 	reads int
 }
 
 func (c *countingCSR) NeighborsInto(buf *[]graph.NodeID, v graph.NodeID) []graph.NodeID {
 	c.reads++
-	return c.CSR.NeighborsInto(buf, v)
+	return c.Adjacency.NeighborsInto(buf, v)
 }
 
 // TestLateRoundsReadWhatTheyDrew is the gate on per-round cost that does not
@@ -538,7 +538,7 @@ func TestLateRoundsReadWhatTheyDrew(t *testing.T) {
 	opts := DefaultOptions()
 	opts.K, opts.Lambda = 6, paperLambda
 	opts.Seed = 6
-	g := &countingCSR{CSR: d.Graph}
+	g := &countingCSR{Adjacency: d.Graph}
 	res, err := SearchWithDistContext(context.Background(), g, m.QueryDist(q), q, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -585,7 +585,7 @@ func TestTrussRoundReadsWhatQReaches(t *testing.T) {
 	ctx := context.Background()
 	opts := DefaultOptions()
 	opts.K, opts.Model, opts.Seed, opts.Lambda = 5, KTruss, 1_000_007, paperLambda
-	g := &countingCSR{CSR: d.Graph}
+	g := &countingCSR{Adjacency: d.Graph}
 	s := newRun(ctx, g, q, opts)
 	defer s.w.Release()
 	s.f = m.View(q, &s.w.Dist)
@@ -637,7 +637,7 @@ func TestGqIsTheorem10Population(t *testing.T) {
 		worst := 0.0
 		for i, q := range coldNodes(32)(d, k) {
 			opts.Seed = 1_000_004 + int64(i)
-			g := &countingCSR{CSR: d.Graph}
+			g := &countingCSR{Adjacency: d.Graph}
 			res, err := search(g, m, q, opts)
 			if err != nil {
 				t.Fatalf("k %d q %d: %v", k, q, err)
@@ -665,7 +665,7 @@ func TestGqIsTheorem10Population(t *testing.T) {
 // with the run, whose workspace the caller releases. gqPath skips the walk
 // first and runs the rounds on Gq, as a search whose walk passed walkCap
 // does.
-func runDirect(t *testing.T, g graph.CSR, m *attr.Metric, q graph.NodeID, opts Options, gqPath bool) (*seaRun, *Result, error) {
+func runDirect(t *testing.T, g graph.Adjacency, m *attr.Metric, q graph.NodeID, opts Options, gqPath bool) (*seaRun, *Result, error) {
 	t.Helper()
 	s := newRun(context.Background(), g, q, opts)
 	s.f = m.View(q, &s.w.Dist)
@@ -834,7 +834,7 @@ func TestWalkFirstReadsWhatItWalks(t *testing.T) {
 	opts.K = 6
 	for i, q := range coldNodes(32)(d, opts.K) {
 		opts.Seed = 1_000_004 + int64(i)
-		g := &countingCSR{CSR: d.Graph}
+		g := &countingCSR{Adjacency: d.Graph}
 		s, res, err := runDirect(t, g, m, q, opts, false)
 		s.w.Release()
 		if err != nil {
@@ -848,7 +848,7 @@ func TestWalkFirstReadsWhatItWalks(t *testing.T) {
 	// answers ErrNoCommunity at once, with no Gq.
 	q0 := coldNodes(1)(d, 6)[0]
 	opts.K = int(kcore.Decompose(d.Graph)[q0]) + 1
-	g := &countingCSR{CSR: d.Graph}
+	g := &countingCSR{Adjacency: d.Graph}
 	s, _, err := runDirect(t, g, m, q0, opts, false)
 	built := len(s.w.Gq)
 	s.w.Release()
@@ -858,7 +858,7 @@ func TestWalkFirstReadsWhatItWalks(t *testing.T) {
 	const q = 31770
 	for _, k := range []int{4, 3} {
 		opts.K = k
-		g := &countingCSR{CSR: d.Graph}
+		g := &countingCSR{Adjacency: d.Graph}
 		s := newRun(context.Background(), g, q, opts)
 		s.f = m.View(q, &s.w.Dist)
 		_, answered, err := s.whole(walkCap)

@@ -15,7 +15,7 @@ import (
 // wholeIn is MaximalSubIn as it was before the reach step, the reference the
 // local extraction is held to: it indexes all of G[in], counts every
 // triangle there, peels and keeps q's component, on a scratch of its own.
-func wholeIn(g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet) *Sub {
+func wholeIn(g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet) *Sub {
 	sc := new(ws.TrussScratch)
 	clean(sc, g.NumNodes())
 	for v := range g.NumNodes() {

@@ -41,7 +41,7 @@ type Sub struct {
 // NewSub builds a maintenance structure over the maximal k-truss inside
 // members that contains q, restricted to q's component; members in, e.g.,
 // MaximalConnectedKTruss's order keep that order.
-func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
+func NewSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*Sub, error) {
 	w := ws.Get()
 	defer w.Release()
 	in := &w.Member
@@ -67,7 +67,7 @@ func NewSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*Sub, e
 // surviving alive/support/degree state are the maintainer, written into s.
 // Reports whether an edge of q survives. The universe is q's component in
 // BFS order.
-func (s *Sub) build(g graph.CSR, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) bool {
+func (s *Sub) build(g graph.Adjacency, q graph.NodeID, k int, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) bool {
 	*s = Sub{k: k, q: q, sc: sc}
 	s.ix.build(g, nodes, in, nbr, sc)
 	sc.Sup = s.ix.supportsInto(sc.Sup)

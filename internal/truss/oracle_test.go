@@ -17,8 +17,11 @@ import (
 // oracleIndex assigns a dense ID to every undirected edge of a graph and maps
 // adjacency positions to edge IDs so supports can be stored per edge.
 type oracleIndex struct {
-	g graph.CSR
-	// eid[p] is the edge ID of the directed adjacency entry at CSR position p.
+	g graph.Adjacency
+	// off[v] is the position of v's first directed adjacency entry: v's list
+	// occupies positions off[v] … off[v]+Degree(v)-1, in neighbor order.
+	off []int
+	// eid[p] is the edge ID of the directed adjacency entry at position p.
 	eid []int32
 	// U, V are the endpoints of each edge, U[i] < V[i].
 	U, V []graph.NodeID
@@ -28,15 +31,14 @@ type oracleIndex struct {
 }
 
 // newOracleIndex builds the edge index for g.
-func newOracleIndex(g graph.CSR) *oracleIndex {
+func newOracleIndex(g graph.Adjacency) *oracleIndex {
 	n := g.NumNodes()
-	idx := &oracleIndex{g: g, eid: make([]int32, 2*g.NumEdges())}
+	idx := &oracleIndex{g: g, off: make([]int, n), eid: make([]int32, 2*g.NumEdges())}
 	pos := 0
 	var next int32
-	// First pass: assign IDs to (u,v) with u < v in CSR order.
-	starts := make([]int, n)
+	// First pass: assign IDs to (u,v) with u < v in adjacency order.
 	for u := 0; u < n; u++ {
-		starts[u] = pos
+		idx.off[u] = pos
 		for _, v := range g.NeighborsInto(&idx.nbu, graph.NodeID(u)) {
 			if graph.NodeID(u) < v {
 				idx.eid[pos] = next
@@ -52,7 +54,7 @@ func newOracleIndex(g graph.CSR) *oracleIndex {
 	for u := 0; u < n; u++ {
 		for _, v := range g.NeighborsInto(&idx.nbu, graph.NodeID(u)) {
 			if graph.NodeID(u) > v {
-				idx.eid[pos] = idx.eid[starts[v]+idx.findPos(v, graph.NodeID(u))]
+				idx.eid[pos] = idx.eid[idx.off[v]+idx.findPos(v, graph.NodeID(u))]
 			}
 			pos++
 		}
@@ -77,7 +79,7 @@ func (ix *oracleIndex) EdgeID(u, v graph.NodeID) (int32, bool) {
 	if i >= len(ns) || ns[i] != v {
 		return 0, false
 	}
-	return ix.eid[int(ix.g.ListOffset(u))+i], true
+	return ix.eid[ix.off[u]+i], true
 }
 
 // Supports counts, for every edge, the number of triangles it closes.
@@ -107,7 +109,7 @@ func (ix *oracleIndex) Supports() []int32 {
 
 // oracleDecompose computes the trussness of every edge by support peeling: the
 // trussness of e is the largest k such that e belongs to a k-truss.
-func oracleDecompose(g graph.CSR) (*oracleIndex, []int32) {
+func oracleDecompose(g graph.Adjacency) (*oracleIndex, []int32) {
 	ix := newOracleIndex(g)
 	m := ix.NumEdges()
 	sup := ix.Supports()
@@ -174,7 +176,7 @@ func oracleForEachTriangle(ix *oracleIndex, removed []bool, u, v graph.NodeID, f
 	g := ix.g
 	nu := g.NeighborsInto(&ix.nbu, u)
 	nv := g.NeighborsInto(&ix.nbv, v)
-	baseU, baseV := int(g.ListOffset(u)), int(g.ListOffset(v))
+	baseU, baseV := ix.off[u], ix.off[v]
 	i, j := 0, 0
 	for i < len(nu) && j < len(nv) {
 		switch {
@@ -199,7 +201,7 @@ func oracleForEachTriangle(ix *oracleIndex, removed []bool, u, v graph.NodeID, f
 // peeling still allocate (trussness is an index-building computation); the
 // workspace removes the per-call visited array. Returns nil when q has no
 // qualifying edge.
-func oracleMaximal(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
+func oracleMaximal(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
 	ix, truss := oracleDecompose(g)
 	inTruss := func(u, v graph.NodeID) bool {
 		e, ok := ix.EdgeID(u, v)
@@ -240,7 +242,7 @@ func oracleMaximal(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws
 // alive incident edge. RemoveCascade(v) deletes v's edges, cascades support
 // violations, and restricts the alive edges to the query's component.
 type oracleSub struct {
-	g  graph.CSR
+	g  graph.Adjacency
 	ix *oracleIndex
 	k  int
 	q  graph.NodeID
@@ -270,7 +272,7 @@ type oracleLog struct {
 
 // newOracleSub builds a maintenance structure over members, which must form a
 // connected k-truss containing q.
-func newOracleSub(g graph.CSR, q graph.NodeID, k int, members []graph.NodeID) (*oracleSub, error) {
+func newOracleSub(g graph.Adjacency, q graph.NodeID, k int, members []graph.NodeID) (*oracleSub, error) {
 	ix := newOracleIndex(g)
 	s := &oracleSub{
 		g:         g,
@@ -338,7 +340,7 @@ func (s *oracleSub) restrictToQueryComponent(nodes *[]graph.NodeID, elog *[]int3
 	compSize := 1
 	for i := 0; i < len(comp); i++ {
 		x := comp[i]
-		baseX := int(s.g.ListOffset(x))
+		baseX := s.ix.off[x]
 		for j, u := range s.g.NeighborsInto(&s.nbr, x) {
 			e := s.ix.eid[baseX+j]
 			if s.edgeAlive[e] && !s.mark[u] {
@@ -367,7 +369,7 @@ func (s *oracleSub) forAliveTriangles(e int32, fn func(e1, e2 int32)) {
 	g := s.g
 	nu := g.NeighborsInto(&s.ix.nbu, u)
 	nv := g.NeighborsInto(&s.ix.nbv, v)
-	baseU, baseV := int(g.ListOffset(u)), int(g.ListOffset(v))
+	baseU, baseV := s.ix.off[u], s.ix.off[v]
 	i, j := 0, 0
 	for i < len(nu) && j < len(nv) {
 		switch {
@@ -445,7 +447,7 @@ func (s *oracleSub) RemoveCascade(v graph.NodeID) (removed []graph.NodeID, qAliv
 	}
 	var elog []int32
 	s.stack = s.stack[:0]
-	baseV := int(s.g.ListOffset(v))
+	baseV := s.ix.off[v]
 	for i, d := 0, s.g.Degree(v); i < d; i++ {
 		e := s.ix.eid[baseV+i]
 		s.killEdge(e, &removed, &elog)

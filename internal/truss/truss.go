@@ -48,7 +48,7 @@ type EdgeIndex struct {
 }
 
 // NewEdgeIndex builds the edge index of all of g.
-func NewEdgeIndex(g graph.CSR) *EdgeIndex {
+func NewEdgeIndex(g graph.Adjacency) *EdgeIndex {
 	sc := new(ws.TrussScratch)
 	clean(sc, g.NumNodes())
 	for v := range g.NumNodes() {
@@ -82,7 +82,7 @@ func clean(sc *ws.TrussScratch, n int) {
 // copies neighbours and numbers each edge at its lower endpoint u, writing
 // the ID into v's row at v's hi cursor — rows are visited in ascending u, so
 // v's lower neighbours arrive in row order.
-func (ix *EdgeIndex) build(g graph.CSR, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) {
+func (ix *EdgeIndex) build(g graph.Adjacency, nodes []graph.NodeID, in *graph.NodeSet, nbr *[]graph.NodeID, sc *ws.TrussScratch) {
 	lo, hi, end := sc.Lo, sc.Hi, sc.End
 	arcs := int32(0)
 	for _, v := range nodes {
@@ -196,7 +196,7 @@ func b2i(b bool) int32 {
 
 // Decompose computes the trussness of every edge by support peeling: the
 // trussness of e is the largest k such that e belongs to a k-truss.
-func Decompose(g graph.CSR) (*EdgeIndex, []int32) {
+func Decompose(g graph.Adjacency) (*EdgeIndex, []int32) {
 	ix := NewEdgeIndex(g)
 	truss := make([]int32, ix.NumEdges())
 	Peel(ix.Supports(), nil, ix.triangles, func(e, t int32) { truss[e] = t })
@@ -285,7 +285,7 @@ func Peel(cur []int32, pinned []bool, triangles func(dst []int32, e int32, alive
 // nodes; either way the result is nil and closed is false. closed is true
 // when the reach took all q reaches, so a nil Sub then proves q has no
 // k-truss in G[in].
-func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace) (sub *Sub, closed bool) {
+func MaximalSubIn(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace) (sub *Sub, closed bool) {
 	s := new(Sub)
 	found, closed := s.extract(ctx, g, q, k, in, limit, w, &w.Truss)
 	if !found {
@@ -297,7 +297,7 @@ func MaximalSubIn(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *g
 // extract is MaximalSubIn into s on the scratch sc, with w's sets and
 // neighbour buffers as temporaries only. Reports whether q has a truss and
 // whether the reach closed within limit.
-func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) (found, closed bool) {
+func (s *Sub) extract(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) (found, closed bool) {
 	clean(sc, g.NumNodes())
 	if in != nil && !in.Has(q) {
 		return false, true
@@ -318,7 +318,7 @@ func (s *Sub) extract(ctx context.Context, g graph.CSR, q graph.NodeID, k int, i
 // hence in G[in], and the truss is connected, so every one of its nodes is
 // reached. Returns nil when ctx is cancelled or more than limit nodes are
 // reached.
-func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
+func reach(ctx context.Context, g graph.Adjacency, q graph.NodeID, k int, in *graph.NodeSet, limit int, w *ws.Workspace, sc *ws.TrussScratch) []graph.NodeID {
 	need, mark, seen := int32(k-2), sc.Mark, &w.Visited
 	seen.Reset(g.NumNodes())
 	seen.Add(q)
@@ -364,7 +364,7 @@ func reach(ctx context.Context, g graph.CSR, q graph.NodeID, k int, in *graph.No
 // MaximalConnectedKTruss returns the node set of the maximal connected
 // k-truss containing q, or nil if none exists. Connectivity is over edges of
 // trussness ≥ k.
-func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
+func MaximalConnectedKTruss(g graph.Adjacency, q graph.NodeID, k int) []graph.NodeID {
 	w := ws.Get()
 	defer w.Release()
 	return MaximalConnectedKTrussInto(nil, g, q, k, w)
@@ -374,7 +374,7 @@ func MaximalConnectedKTruss(g graph.CSR, q graph.NodeID, k int) []graph.NodeID {
 // with all working storage drawn from w and the maintainer's header held
 // here: the members of MaximalSubIn over all of g. Returns nil when q has
 // no qualifying edge.
-func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.CSR, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
+func MaximalConnectedKTrussInto(dst []graph.NodeID, g graph.Adjacency, q graph.NodeID, k int, w *ws.Workspace) []graph.NodeID {
 	var s Sub
 	if found, _ := s.extract(context.Background(), g, q, k, nil, math.MaxInt, w, &w.Truss); !found {
 		return nil
