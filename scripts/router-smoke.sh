@@ -3,8 +3,8 @@
 # followers replicating from it, and a searouter fronting all three. Mutate
 # through the router (write forwarding), wait for the followers to catch up,
 # scatter a /batch across the read set and check followers serve their share,
-# then kill -9 the primary and verify the router promotes a follower and
-# keeps serving both reads and writes.
+# send a /compare whole to one member, then kill -9 the primary and verify
+# the router promotes a follower and keeps serving both reads and writes.
 #
 # Expects: $SMOKE_DIR containing datagen/seacli/seaserve/searouter binaries
 # plus fb.snap (packed snapshot). Base port: $SMOKE_PORT (default 8975);
@@ -98,6 +98,22 @@ for f in "$FOLLOWER1" "$FOLLOWER2"; do
     exit 1
   }
 done
+
+# A POST /compare is one read: a single member answers it whole, names
+# itself in X-Sea-Served-By, and picks the best method itself.
+curl -sf -D "$DIR/compare.hdr" -X POST "$ROUTER/compare" -d \
+  '{"graph":"fb","q":0,"methods":["structural","sea"],"k":2}' \
+  >"$DIR/compare.json"
+grep -q '"best":"' "$DIR/compare.json" || {
+  echo "router-smoke: /compare has no best" >&2
+  cat "$DIR/compare.json" >&2
+  exit 1
+}
+grep -qi "x-sea-served-by: http://" "$DIR/compare.hdr" || {
+  echo "router-smoke: /compare names no serving member" >&2
+  cat "$DIR/compare.hdr" >&2
+  exit 1
+}
 
 # Hard-kill the primary: the router must notice, promote the most-caught-up
 # follower, and report healthy again under the new primary.
