@@ -3,13 +3,13 @@
 // the work.
 //
 // Reads spread over the replica set chosen by consistent hashing on the
-// dataset name — /batch splits its queries and /compare its methods across
-// the in-sync members, each shard under its own deadline, and a failed
-// shard degrades to per-item errors instead of failing the request.
-// /search proxies to one in-sync replica round-robin. Writes (/admin/*)
-// and everything else forward to the primary. A health prober drops dead
-// and lagging members from the read set, and when the primary dies the
-// router promotes the most-caught-up follower and re-points the rest.
+// dataset name — /search and /compare proxy whole to one in-sync replica
+// round-robin, and /batch splits its queries across the in-sync members,
+// each shard under its own deadline, a failed shard degrading to per-item
+// errors instead of failing the request. Writes (/admin/*) and everything
+// else forward to the primary. A health prober drops dead and lagging
+// members from the read set, and when the primary dies the router promotes
+// the most-caught-up follower and re-points the rest.
 //
 // Failed reads retry against a different in-sync replica (bounded budget,
 // jittered exponential backoff); every member has a circuit breaker that
@@ -28,7 +28,8 @@
 //
 // Endpoints:
 //
-//	POST /search /batch /compare    scatter-gather reads over the replica set
+//	GET|POST /search /compare       one in-sync replica, round-robin
+//	POST /batch                     queries scattered over the replica set
 //	POST /admin/mutate ...          forwarded to the current primary
 //	GET  /healthz                   the router's member-health view
 //	GET  /metrics                   router counters, Prometheus text format

@@ -14,10 +14,11 @@
 // the primary restarted) answers 410 Gone and the follower re-bootstraps
 // from a fresh snapshot; replication is always convergent, never wedged.
 //
-// The Router spreads /batch queries and /compare methods across the
-// replica set chosen by consistent hashing on the dataset name, with
-// per-shard deadlines and partial-result degradation: a slow or dead shard
-// costs its own items, never the request. Writes forward to the primary;
+// The Router sends each /search and /compare whole to one member of the
+// replica set chosen by consistent hashing on the dataset name, and
+// spreads /batch queries across that set with per-shard deadlines and
+// partial-result degradation: a slow or dead shard costs its own items,
+// never the request. Writes forward to the primary;
 // reads go to in-sync replicas only (followers lagging more than MaxLag
 // batches drop out of the read set until they catch up). When the primary
 // dies the router promotes the most-caught-up follower and re-points the
