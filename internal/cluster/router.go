@@ -27,9 +27,8 @@ package cluster
 //     replica. Every member has a circuit breaker (consecutive failures
 //     open it; after a cooldown one half-open probe decides whether it
 //     closes again) so a struggling member stops absorbing traffic before
-//     the prober notices.
-//     Writes and admin forwards are never retried — the router cannot know
-//     whether a failed write landed.
+//     the prober notices. Writes and admin forwards are never retried —
+//     the router cannot know whether a failed write landed.
 
 import (
 	"bytes"
@@ -83,11 +82,11 @@ type RouterConfig struct {
 	// serve reads (default 8).
 	MaxLag uint64
 	// Retries is the per-read retry budget: how many additional attempts a
-	// failed /search, /compare or /batch shard gets, each against a different in-sync
-	// replica when one is available, with jittered exponential backoff
-	// between attempts. 0 selects the default (2); negative disables
-	// retries. Writes and admin forwards are never retried — the router
-	// cannot know whether a failed write landed.
+	// failed /search, /compare or /batch shard gets, each against a
+	// different in-sync replica when one is available, with jittered
+	// exponential backoff between attempts. 0 selects the default (2);
+	// negative disables retries. Writes and admin forwards are never
+	// retried — the router cannot know whether a failed write landed.
 	Retries int
 	// RetryBase is the first retry's backoff (default 50ms); attempt n waits
 	// roughly RetryBase·2ⁿ, jittered ±50%.
