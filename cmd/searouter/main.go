@@ -58,7 +58,7 @@ func main() {
 		members    = flag.String("members", "", "comma-separated base URLs of every cluster node (required)")
 		primary    = flag.String("primary", "", "member writes forward to (default: first member)")
 		rf         = flag.Int("rf", 2, "replication factor: read-set size per dataset")
-		shardTO    = flag.Duration("shard-timeout", 2*time.Second, "per-shard deadline for scatter-gather reads and probes")
+		shardTO    = flag.Duration("shard-timeout", 2*time.Second, "deadline for each read attempt (a /search or /compare try, a /batch shard) and health probe")
 		probeEvery = flag.Duration("probe-every", time.Second, "member health-probe interval")
 		failAfter  = flag.Int("fail-after", 3, "consecutive probe failures that mark a member dead")
 		maxLag     = flag.Uint64("max-lag", 8, "max batches a follower may lag and still serve reads")
