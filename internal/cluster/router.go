@@ -1,28 +1,26 @@
 package cluster
 
-// Router is the scatter-gather front tier (cmd/searouter): a stateless HTTP
-// proxy that spreads read load over a replicated seaserve cluster and
-// survives the primary's death.
+// Router is the front tier (cmd/searouter): a stateless HTTP proxy that
+// spreads read load over a replicated seaserve cluster and survives the
+// primary's death.
 //
 //   - Placement: each dataset maps onto a ReplicationFactor-sized replica
 //     set by consistent hashing on the dataset name. Followers outside the
 //     set still replicate everything (replication is whole-catalog); the
 //     ring only decides who serves reads, so it stays stable when members
 //     come and go.
-//   - Reads: /search and /compare go whole to one in-sync replica,
-//     round-robin; the node decides a /compare's best method. /batch splits
-//     its queries across the in-sync replica set, each shard under its own
-//     deadline. A failed shard degrades its own items to per-item errors
-//     instead of failing the request; every item is annotated with the
-//     member that served it.
+//   - Reads: /search, /batch and /compare each go whole to one in-sync
+//     replica, round-robin, and its answer comes back verbatim; the node
+//     spreads a batch over its own worker pool and decides a /compare's
+//     best method.
 //   - Health: a prober polls every member's /admin/replication. A member
 //     that misses FailAfter consecutive probes is dead; followers lagging
 //     more than MaxLag batches leave the read set until they catch up.
 //   - Failover: when the primary dies the router promotes the alive
 //     follower with the highest summed cursor and re-points the rest at it.
 //     Writes (/admin/*) always forward to the current primary.
-//   - Fault tolerance: reads (/search, /compare and /batch shards —
-//     idempotent by construction) get a bounded retry budget with jittered
+//   - Fault tolerance: reads (/search, /batch and /compare — idempotent by
+//     construction) get a bounded retry budget with jittered
 //     exponential backoff, each retry preferring a different in-sync
 //     replica. Every member has a circuit breaker (consecutive failures
 //     open it; after a cooldown one half-open probe decides whether it
@@ -40,7 +38,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,10 +52,6 @@ import (
 // request.
 const ServedByHeader = "X-Sea-Served-By"
 
-// FanoutHeader carries the number of shards a scatter-gather request fanned
-// out to.
-const FanoutHeader = "X-Sea-Fanout"
-
 // RouterConfig configures a Router. Members is required; everything else
 // has serviceable defaults.
 type RouterConfig struct {
@@ -70,8 +63,7 @@ type RouterConfig struct {
 	// ReplicationFactor is the read-set size per dataset (default 2,
 	// clamped to len(Members)).
 	ReplicationFactor int
-	// ShardTimeout bounds each read attempt, /batch shard and health probe
-	// (default 2s).
+	// ShardTimeout bounds each read attempt and health probe (default 2s).
 	ShardTimeout time.Duration
 	// ProbeEvery is the health-probe interval (default 1s).
 	ProbeEvery time.Duration
@@ -82,7 +74,7 @@ type RouterConfig struct {
 	// serve reads (default 8).
 	MaxLag uint64
 	// Retries is the per-read retry budget: how many additional attempts a
-	// failed /search, /compare or /batch shard gets, each against a
+	// failed /search, /batch or /compare gets, each against a
 	// different in-sync replica when one is available, with jittered
 	// exponential backoff between attempts. 0 selects the default (2);
 	// negative disables retries. Writes and admin forwards are never
@@ -97,8 +89,8 @@ type RouterConfig struct {
 	// BreakerCooldown is how long an open breaker refuses traffic before
 	// letting one half-open probe through (default 5s).
 	BreakerCooldown time.Duration
-	// HTTP optionally overrides the outbound client (nil builds one; shard
-	// deadlines come from per-request contexts, not a client timeout).
+	// HTTP optionally overrides the outbound client (nil builds one; read
+	// deadlines come from per-attempt contexts, not a client timeout).
 	HTTP *http.Client
 }
 
@@ -170,14 +162,11 @@ type Router struct {
 
 	rr         atomic.Uint64 // round-robin cursor for single-target reads
 	promotions atomic.Uint64
-	shardErrs  atomic.Uint64
 	retries    atomic.Uint64 // read attempts beyond the first
 
-	// shardLat records the latency of each upstream call by path ("/batch"
-	// per shard; "/search", "/compare" and "forward" per proxied request).
-	// fanWidth records each /batch's scatter width (shards per fan-out).
+	// shardLat records the latency of each proxied request by path:
+	// "/search", "/batch", "/compare", and "forward" for the rest.
 	shardLat map[string]*obs.Histogram
-	fanWidth obs.Histogram
 	// trace keeps the most recent router spans for GET /debug/trace.
 	trace *obs.Ring[RouterSpan]
 
@@ -191,15 +180,15 @@ type Router struct {
 var routerPaths = []string{"/search", "/batch", "/compare", "forward"}
 
 // RouterSpan is one request's trace record at the router: correlation id,
-// route, scatter width, failed shards and the member(s) that served it.
+// route, the status the router wrote and the member that answered (empty
+// when none did).
 type RouterSpan struct {
 	RequestID string `json:"request_id"`
 	Path      string `json:"path"`
 	Graph     string `json:"graph,omitempty"`
 	StartNS   int64  `json:"start_unix_ns"`
 	TotalNS   int64  `json:"total_ns"`
-	Fanout    int    `json:"fanout,omitempty"`
-	Failures  int    `json:"failures,omitempty"`
+	Status    int    `json:"status"`
 	ServedBy  string `json:"served_by,omitempty"`
 }
 
@@ -428,10 +417,10 @@ func (r *Router) inSyncLocked(url, graph string) bool {
 	return graph == "" && m.status != nil && len(m.status.Datasets) > 0
 }
 
-// ServeHTTP routes: scatter-gather for /batch, one in-sync replica for
-// /search and /compare in every verb, the primary for everything else
-// (writes, admin, stats). Every response carries an X-Request-ID,
-// generated here when the client did not send one.
+// ServeHTTP routes: one in-sync replica for /search, /batch and /compare in
+// every verb, the primary for everything else (writes, admin, stats). Every
+// response carries an X-Request-ID, generated here when the client did not
+// send one.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	id := req.Header.Get(httpapi.RequestIDHeader)
 	if id == "" {
@@ -448,18 +437,15 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		if err := httpapi.ServeTrace(w, req, r.Trace); err != nil {
 			httpapi.WriteError(w, http.StatusBadRequest, err)
 		}
-	case "/batch":
-		r.serveBatch(w, req, id)
-	case "/search", "/compare":
+	case "/search", "/batch", "/compare":
 		r.serveRead(w, req, id)
 	default:
 		start := time.Now()
-		target := r.Primary()
-		r.forward(w, req, target, id)
+		status, served := r.forward(w, req, r.Primary(), id)
 		ns := time.Since(start).Nanoseconds()
 		r.shardLat["forward"].Observe(ns)
 		r.trace.Add(RouterSpan{RequestID: id, Path: req.URL.Path,
-			StartNS: start.UnixNano(), TotalNS: ns, ServedBy: target})
+			StartNS: start.UnixNano(), TotalNS: ns, Status: status, ServedBy: served})
 	}
 }
 
@@ -552,13 +538,12 @@ func (r *Router) breakerAllows(url string) bool {
 // breaker and are retried; 429 is retried without a breaker penalty — a
 // shedding member is alive and protecting itself, tripping its breaker
 // would amplify the overload onto its peers; any other status returns as
-// the result. The returned response's Body must be closed by the caller
-// (closing it releases the attempt's deadline).
+// the result, with the member that answered. The returned response's Body
+// must be closed by the caller (closing it releases the attempt's deadline).
 func (r *Router) tryRead(ctx context.Context, candidates []string,
 	build func(ctx context.Context, url string) (*http.Request, error)) (*http.Response, string, error) {
 	tried := make(map[string]bool, len(candidates))
 	var lastErr error
-	lastURL := ""
 	for attempt := 0; attempt <= r.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			r.retries.Add(1)
@@ -568,18 +553,17 @@ func (r *Router) tryRead(ctx context.Context, candidates []string,
 				if lastErr == nil {
 					lastErr = ctx.Err()
 				}
-				return nil, lastURL, lastErr
+				return nil, "", lastErr
 			}
 		}
 		url := r.pickMember(candidates, tried)
 		if url == "" {
 			if lastErr != nil {
-				return nil, lastURL, fmt.Errorf("%w (last error: %v)", errBreakersOpen, lastErr)
+				return nil, "", fmt.Errorf("%w (last error: %v)", errBreakersOpen, lastErr)
 			}
-			return nil, lastURL, errBreakersOpen
+			return nil, "", errBreakersOpen
 		}
 		tried[url] = true
-		lastURL = url
 		resp, err := r.attempt(ctx, url, build)
 		if err != nil {
 			lastErr = fmt.Errorf("member %s: %w", url, err)
@@ -587,7 +571,7 @@ func (r *Router) tryRead(ctx context.Context, candidates []string,
 		}
 		return resp, url, nil
 	}
-	return nil, lastURL, lastErr
+	return nil, "", lastErr
 }
 
 // attempt runs one upstream call under its own ShardTimeout deadline and
@@ -642,29 +626,37 @@ func (r *Router) attempt(ctx context.Context, url string,
 	}
 }
 
-// forward proxies req verbatim to target, tagging the response with the
-// member that served it.
-func (r *Router) forward(w http.ResponseWriter, req *http.Request, target, id string) {
+// forward proxies req verbatim to target and returns the status it wrote
+// and, when target answered, target.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, target, id string) (int, string) {
 	out, err := http.NewRequestWithContext(req.Context(), req.Method,
 		target+req.URL.Path+queryString(req), req.Body)
 	if err != nil {
 		routerError(w, id, http.StatusInternalServerError, "building upstream request: %v", err)
-		return
+		return http.StatusInternalServerError, ""
 	}
 	out.Header = req.Header.Clone()
 	resp, err := r.hc.Do(out)
 	if err != nil {
 		routerError(w, id, http.StatusBadGateway, "member %s: %v", target, err)
-		return
+		return http.StatusBadGateway, ""
 	}
+	relay(w, resp, id, target)
+	return resp.StatusCode, target
+}
+
+// relay writes a member's response to w verbatim, tagged with the request
+// id and the member that served it, and closes its body.
+func relay(w http.ResponseWriter, resp *http.Response, id, served string) {
 	defer resp.Body.Close()
+	h := w.Header()
 	for k, vs := range resp.Header {
 		for _, v := range vs {
-			w.Header().Add(k, v)
+			h.Add(k, v)
 		}
 	}
-	w.Header().Set(httpapi.RequestIDHeader, id)
-	w.Header().Set(ServedByHeader, target)
+	h.Set(httpapi.RequestIDHeader, id)
+	h.Set(ServedByHeader, served)
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 }
@@ -692,8 +684,8 @@ func readBody(w http.ResponseWriter, req *http.Request, id string) ([]byte, bool
 	return body, true
 }
 
-// serveRead proxies a single read (/search or /compare) to one in-sync
-// replica, round-robin across the dataset's read set. The body is
+// serveRead proxies a read (/search, /batch or /compare) whole to one
+// in-sync replica, round-robin across the dataset's read set. The body is
 // buffered so a failed attempt can be retried verbatim against a different
 // replica — the request is a pure read, replaying it is always safe.
 func (r *Router) serveRead(w http.ResponseWriter, req *http.Request, id string) {
@@ -732,184 +724,18 @@ func (r *Router) serveRead(w http.ResponseWriter, req *http.Request, id string) 
 		out.Header = header.Clone()
 		return out, nil
 	})
+	var status int
 	if err != nil {
-		routerError(w, id, retryFailureStatus(err), "read failed: %v", err)
+		status = retryFailureStatus(err)
+		routerError(w, id, status, "read failed: %v", err)
 	} else {
-		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.Header().Set(httpapi.RequestIDHeader, id)
-		w.Header().Set(ServedByHeader, target)
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
+		status = resp.StatusCode
+		relay(w, resp, id, target)
 	}
 	ns := time.Since(start).Nanoseconds()
 	r.shardLat[req.URL.Path].Observe(ns)
 	r.trace.Add(RouterSpan{RequestID: id, Path: req.URL.Path, Graph: graph,
-		StartNS: start.UnixNano(), TotalNS: ns, ServedBy: target})
-}
-
-// serveBatch splits a /batch's queries across the dataset's read set, runs
-// the shards concurrently under per-shard deadlines, and reassembles the
-// items in their original order. A failed shard degrades to per-item
-// errors; only a total wipeout fails the request.
-func (r *Router) serveBatch(w http.ResponseWriter, req *http.Request, id string) {
-	if req.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		routerError(w, id, http.StatusMethodNotAllowed, "method %s not allowed on /batch", req.Method)
-		return
-	}
-	body, ok := readBody(w, req, id)
-	if !ok {
-		return
-	}
-	var wire map[string]any
-	if err := json.Unmarshal(body, &wire); err != nil {
-		routerError(w, id, http.StatusBadRequest, "decoding request: %v", err)
-		return
-	}
-	queries, _ := wire["queries"].([]any)
-	if len(queries) == 0 {
-		routerError(w, id, http.StatusBadRequest, "missing %q", "queries")
-		return
-	}
-	graph, _ := wire["graph"].(string)
-	set := r.readSet(graph)
-
-	// Shard i takes the queries at positions i, i+len(set), i+2len(set)… —
-	// round-robin keeps the shards within one item of even.
-	assign := make(map[string][]int, len(set))
-	for i := range queries {
-		url := set[i%len(set)]
-		assign[url] = append(assign[url], i)
-	}
-	start := time.Now()
-	r.fanWidth.Observe(int64(len(assign)))
-	w.Header().Set(FanoutHeader, strconv.Itoa(len(assign)))
-
-	items := make([]map[string]any, len(queries))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		failures int
-	)
-	for url, idxs := range assign {
-		wg.Add(1)
-		go func(url string, idxs []int) {
-			defer wg.Done()
-			got, served, err := r.runShard(req.Context(), url, set, id, wire, queries, idxs)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				r.shardErrs.Add(1)
-				failures++
-				for _, i := range idxs {
-					items[i] = shardErrorItem(queries[i], url, id, err)
-				}
-				return
-			}
-			for k, i := range idxs {
-				got[k][ServedByKey] = served
-				items[i] = got[k]
-			}
-		}(url, idxs)
-	}
-	wg.Wait()
-	r.trace.Add(RouterSpan{RequestID: id, Path: "/batch", Graph: graph,
-		StartNS: start.UnixNano(), TotalNS: time.Since(start).Nanoseconds(),
-		Fanout: len(assign), Failures: failures})
-	if failures == len(assign) {
-		routerError(w, id, http.StatusBadGateway, "all %d shards failed; first target %s", len(assign), set[0])
-		return
-	}
-	out := map[string]any{"items": items}
-	if failures > 0 {
-		out["degraded"] = true
-	}
-	httpapi.WriteJSON(w, http.StatusOK, out)
-}
-
-// ServedByKey annotates each /batch item with the member that served it.
-const ServedByKey = "served_by"
-
-// runShard sends one shard's slice of the queries to url — retrying against
-// the rest of the read set on transport errors, 5xx and 429 (shard
-// sub-requests are reads, replaying one is safe) — and returns its items,
-// which must match the slice one-to-one, plus the member that actually
-// served them.
-func (r *Router) runShard(ctx context.Context, url string, set []string, id string,
-	wire map[string]any, queries []any, idxs []int) ([]map[string]any, string, error) {
-	sub := make(map[string]any, len(wire))
-	for k, v := range wire {
-		sub[k] = v
-	}
-	slice := make([]any, len(idxs))
-	for k, i := range idxs {
-		slice[k] = queries[i]
-	}
-	sub["queries"] = slice
-	payload, err := json.Marshal(sub)
-	if err != nil {
-		return nil, url, err
-	}
-	// Retry candidates: the assigned member first, then the rest of the read
-	// set in order.
-	candidates := make([]string, 0, len(set))
-	candidates = append(candidates, url)
-	for _, m := range set {
-		if m != url {
-			candidates = append(candidates, m)
-		}
-	}
-	// Shard latency counts failures too: a timed-out shard is exactly the
-	// tail the histogram exists to expose. Retries fold into their shard's
-	// observation — the client experienced the whole sequence.
-	start := time.Now()
-	defer r.shardLat["/batch"].ObserveSince(start)
-	resp, served, err := r.tryRead(ctx, candidates, func(cctx context.Context, target string) (*http.Request, error) {
-		req, err := http.NewRequestWithContext(cctx, http.MethodPost, target+"/batch", bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set(httpapi.RequestIDHeader, id)
-		return req, nil
-	})
-	if err != nil {
-		if served == "" {
-			served = url
-		}
-		return nil, served, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, served, errorFrom(resp)
-	}
-	var out struct {
-		Items []map[string]any `json:"items"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, served, fmt.Errorf("decoding shard response: %w", err)
-	}
-	if len(out.Items) != len(idxs) {
-		return nil, served, fmt.Errorf("shard returned %d items for %d inputs", len(out.Items), len(idxs))
-	}
-	return out.Items, served, nil
-}
-
-// shardErrorItem is the degraded placeholder for one query of a failed
-// shard, shaped like the engine's own per-item error responses and carrying
-// the request id so a degraded item can be traced end to end.
-func shardErrorItem(query any, url, id string, err error) map[string]any {
-	return map[string]any{
-		"query":      query,
-		"err":        fmt.Sprintf("shard %s: %v", url, err),
-		ServedByKey:  url,
-		"request_id": id,
-	}
+		StartNS: start.UnixNano(), TotalNS: ns, Status: status, ServedBy: target})
 }
 
 // healthMember is one member's row in the router's /healthz body.
@@ -980,15 +806,11 @@ func (r *Router) serveMetrics(w http.ResponseWriter) {
 	}
 	fw.Family("searouter_promotions_total", "counter", "Follower promotions performed by this router.")
 	fw.Sample(float64(r.promotions.Load()))
-	fw.Family("searouter_shard_errors_total", "counter", "Scatter shards that failed and degraded to per-item errors.")
-	fw.Sample(float64(r.shardErrs.Load()))
-	fw.Family("searouter_read_retries_total", "counter", "Read attempts beyond the first (/search and /compare requests, /batch shards).")
+	fw.Family("searouter_read_retries_total", "counter", "Read attempts beyond the first (/search, /batch and /compare requests).")
 	fw.Sample(float64(r.retries.Load()))
 	fw.Family("searouter_shard_latency_seconds", "histogram",
-		"Upstream call latency by route: per shard for /batch, per proxied request for /search and /compare, and every primary-forwarded request under \"forward\".")
+		"Upstream call latency by route: per proxied request for /search, /batch and /compare, and every primary-forwarded request under \"forward\".")
 	for _, p := range routerPaths {
 		fw.Histogram(r.shardLat[p].Snapshot(), 1e-9, obs.Label{Name: "path", Value: p})
 	}
-	fw.Family("searouter_fanout_width", "histogram", "Shards per scatter-gather request (unitless width, not seconds).")
-	fw.Histogram(r.fanWidth.Snapshot(), 1, obs.Label{Name: "path", Value: "/batch"})
 }

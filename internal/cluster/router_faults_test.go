@@ -38,8 +38,8 @@ func flakyMember(t *testing.T, primaryURL string, status *atomic.Int32) *httptes
 }
 
 // TestRouterRetryHealsShard: a member that fails every serving request
-// costs nothing when retries are on — its shard replays against the
-// primary and the /batch comes back whole, not degraded.
+// costs nothing when retries are on — a /batch it fails replays whole
+// against the primary, which serves every item.
 func TestRouterRetryHealsShard(t *testing.T) {
 	_, pts := newPrimary(t)
 	var status atomic.Int32
@@ -59,29 +59,36 @@ func TestRouterRetryHealsShard(t *testing.T) {
 	rts := httptest.NewServer(router)
 	defer rts.Close()
 
-	st, body, _ := postJSON(t, rts.URL+"/batch",
-		`{"graph":"g","queries":[0,1,2,3],"method":"structural","k":2}`)
-	if st != http.StatusOK {
-		t.Fatalf("/batch: %d %v", st, body)
+	// Round-robin sends the first or the second /batch to the flaky member
+	// first; both must come back whole from the primary.
+	for i := range 2 {
+		st, body, hdr := postJSON(t, rts.URL+"/batch",
+			`{"graph":"g","queries":[0,1,2,3],"method":"structural","k":2}`)
+		if st != http.StatusOK {
+			t.Fatalf("/batch %d: %d %v", i, st, body)
+		}
+		if served := hdr.Get(ServedByHeader); served != pts.URL {
+			t.Fatalf("/batch %d served by %q, want the healthy primary %s", i, served, pts.URL)
+		}
+		checkBatchItems(t, body, 4)
 	}
-	if body["degraded"] != nil {
-		t.Fatalf("retries should have healed the shard: %v", body)
+	if router.retries.Load() == 0 {
+		t.Fatal("no retries recorded; the flaky member was never even tried")
 	}
+}
+
+// checkBatchItems requires a /batch answer of n items, none failed.
+func checkBatchItems(t *testing.T, body map[string]any, n int) {
+	t.Helper()
 	items, _ := body["items"].([]any)
-	if len(items) != 4 {
-		t.Fatalf("items: %d, want 4", len(items))
+	if len(items) != n {
+		t.Fatalf("items: %d, want %d", len(items), n)
 	}
 	for _, it := range items {
 		item := it.(map[string]any)
 		if errStr, _ := item["err"].(string); errStr != "" {
 			t.Fatalf("item failed despite a healthy replica to retry against: %v", item)
 		}
-		if item[ServedByKey] != pts.URL {
-			t.Fatalf("item served by %v, want the healthy primary %s", item[ServedByKey], pts.URL)
-		}
-	}
-	if router.retries.Load() == 0 {
-		t.Fatal("no retries recorded; the flaky member was never even tried")
 	}
 }
 
@@ -296,5 +303,56 @@ func TestRouterBreakersOpenAnswers503(t *testing.T) {
 		t.Fatalf("status with open breaker: %d, want 503", resp.StatusCode)
 	} else if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without a Retry-After hint")
+	}
+}
+
+// TestRouterFailedReadSpan: when every read-set member answers 500, the
+// router's 502 is recorded in its span with no member named as having
+// served it; a forward the primary answered names the primary and its
+// status.
+func TestRouterFailedReadSpan(t *testing.T) {
+	down := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == ReplicationPath {
+			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{Role: RolePrimary,
+				Datasets: []ReplicaStatus{{Graph: "g"}}})
+			return
+		}
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer down.Close()
+	var status atomic.Int32
+	status.Store(http.StatusInternalServerError)
+	flaky := flakyMember(t, down.URL, &status)
+	router, err := NewRouter(RouterConfig{
+		Members:           []string{down.URL, flaky.URL},
+		ReplicationFactor: 2,
+		ProbeEvery:        time.Hour,
+		ShardTimeout:      2 * time.Second,
+		RetryBase:         time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rts := httptest.NewServer(router)
+	defer rts.Close()
+
+	for _, path := range []string{"/search?graph=g&q=0&k=2", "/stats?graph=g"} {
+		resp, err := http.Get(rts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	spans := router.Trace(2)
+	if len(spans) != 2 {
+		t.Fatalf("router holds %d spans, want 2", len(spans))
+	}
+	if sp := spans[1]; sp.Path != "/search" || sp.Status != http.StatusBadGateway || sp.ServedBy != "" {
+		t.Fatalf("failed /search span %+v, want status 502 and no served_by", sp)
+	}
+	if sp := spans[0]; sp.Path != "/stats" || sp.Status != http.StatusInternalServerError || sp.ServedBy != down.URL {
+		t.Fatalf("forwarded /stats span %+v, want status 500 served by %s", sp, down.URL)
 	}
 }

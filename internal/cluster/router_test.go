@@ -84,53 +84,69 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any, http.Header)
 	return resp.StatusCode, decoded, resp.Header
 }
 
-// TestRouterScatterGather fans a /batch across the read set, checking order
-// preservation and per-item attribution, and sends a /compare through,
-// checking its items keep method order and carry the node's best.
-func TestRouterScatterGather(t *testing.T) {
+// TestRouterBatchAndCompareOneRead sends /batch and /compare through the
+// router: each is answered whole by one read-set member, named in
+// X-Sea-Served-By, with the batch's items in request order and the
+// compare's in method order with the node's best. Consecutive batches
+// rotate over the read set, and a GET /batch gets the member's 405.
+func TestRouterBatchAndCompareOneRead(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
 		ReplicationFactor: 3,
 		ProbeEvery:        20 * time.Millisecond,
 		ShardTimeout:      5 * time.Second,
 	})
+	members := map[string]bool{tc.pts.URL: true, tc.ftss[0].URL: true, tc.ftss[1].URL: true}
 
-	status, body, _ := postJSON(t, tc.rts.URL+"/batch",
-		`{"graph":"g","queries":[0,1,2,6,7,8],"method":"structural","k":2}`)
-	if status != http.StatusOK {
-		t.Fatalf("/batch: %d %v", status, body)
-	}
-	if body["degraded"] != nil {
-		t.Fatalf("/batch degraded with all members up: %v", body)
-	}
-	items, _ := body["items"].([]any)
-	if len(items) != 6 {
-		t.Fatalf("/batch items: %d, want 6", len(items))
-	}
-	servers := map[string]int{}
-	for i, it := range items {
-		item := it.(map[string]any)
-		if q, _ := item["query"].(float64); int(q) != []int{0, 1, 2, 6, 7, 8}[i] {
-			t.Fatalf("item %d out of order: %v", i, item)
+	queries := []int{0, 1, 2, 6, 7, 8}
+	var served []string
+	for range 2 {
+		status, body, hdr := postJSON(t, tc.rts.URL+"/batch",
+			`{"graph":"g","queries":[0,1,2,6,7,8],"method":"structural","k":2}`)
+		if status != http.StatusOK {
+			t.Fatalf("/batch: %d %v", status, body)
 		}
-		if errStr, _ := item["err"].(string); errStr != "" {
-			t.Fatalf("item %d errored: %v", i, item)
+		items, _ := body["items"].([]any)
+		if len(items) != len(queries) {
+			t.Fatalf("/batch items: %d, want %d", len(items), len(queries))
 		}
-		sb, _ := item[ServedByKey].(string)
-		if sb == "" {
-			t.Fatalf("item %d lacks %s: %v", i, ServedByKey, item)
+		for i, it := range items {
+			item := it.(map[string]any)
+			if q, _ := item["query"].(float64); int(q) != queries[i] {
+				t.Fatalf("item %d out of order: %v", i, item)
+			}
+			if errStr, _ := item["err"].(string); errStr != "" {
+				t.Fatalf("item %d errored: %v", i, item)
+			}
+			if _, ok := item["served_by"]; ok {
+				t.Fatalf("item %d carries served_by: %v", i, item)
+			}
 		}
-		servers[sb]++
+		sb := hdr.Get(ServedByHeader)
+		if !members[sb] {
+			t.Fatalf("/batch served by %q, not a read-set member", sb)
+		}
+		served = append(served, sb)
 	}
-	if len(servers) < 2 {
-		t.Fatalf("scatter used %d member(s), want several: %v", len(servers), servers)
+	if served[0] == served[1] {
+		t.Fatalf("two batches in a row both served by %s, want the read set rotated", served[0])
 	}
 
-	status, body, _ = postJSON(t, tc.rts.URL+"/compare",
+	resp, err := http.Get(tc.rts.URL + "/batch?graph=g&queries=0&k=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodPost {
+		t.Fatalf("GET /batch: %d, Allow %q; want 405, Allow POST", resp.StatusCode, resp.Header.Get("Allow"))
+	}
+
+	status, body, _ := postJSON(t, tc.rts.URL+"/compare",
 		`{"graph":"g","q":0,"methods":["structural","sea"],"k":2,"seed":42}`)
 	if status != http.StatusOK {
 		t.Fatalf("/compare: %d %v", status, body)
 	}
-	items, _ = body["items"].([]any)
+	items, _ := body["items"].([]any)
 	if len(items) != 2 {
 		t.Fatalf("/compare items: %d, want 2", len(items))
 	}
@@ -206,68 +222,6 @@ func TestRouterWriteForwardingAndCatchUp(t *testing.T) {
 	}
 	if !anyFollower {
 		t.Fatalf("no follower served /search; served_by = %v", served)
-	}
-}
-
-// TestRouterPartialDegradation pairs the primary with a member that answers
-// health probes as an in-sync follower but fails every serving request, so
-// its shard dies in-band: the /batch must come back 200 with that shard's
-// items degraded to errors while the primary's items succeed.
-func TestRouterPartialDegradation(t *testing.T) {
-	_, pts := newPrimary(t)
-	flaky := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == ReplicationPath {
-			httpapi.WriteJSON(w, http.StatusOK, NodeStatus{
-				Role:     RoleFollower,
-				Primary:  pts.URL,
-				Datasets: []ReplicaStatus{{Graph: "g"}},
-			})
-			return
-		}
-		http.Error(w, "shard on fire", http.StatusInternalServerError)
-	}))
-	defer flaky.Close()
-	deadURL := flaky.URL
-	router, err := NewRouter(RouterConfig{
-		Members:           []string{pts.URL, deadURL},
-		ReplicationFactor: 2,
-		ProbeEvery:        time.Hour, // the initial probe marks it in-sync; never re-probe
-		ShardTimeout:      2 * time.Second,
-		Retries:           -1, // no retries: this test pins the degradation contract itself
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
-	rts := httptest.NewServer(router)
-	defer rts.Close()
-
-	status, body, _ := postJSON(t, rts.URL+"/batch",
-		`{"graph":"g","queries":[0,1,2,3],"method":"structural","k":2}`)
-	if status != http.StatusOK {
-		t.Fatalf("degraded /batch: %d %v", status, body)
-	}
-	if body["degraded"] != true {
-		t.Fatalf("degraded flag missing: %v", body)
-	}
-	items, _ := body["items"].([]any)
-	if len(items) != 4 {
-		t.Fatalf("items: %d, want 4", len(items))
-	}
-	good, bad := 0, 0
-	for _, it := range items {
-		item := it.(map[string]any)
-		if errStr, _ := item["err"].(string); errStr != "" {
-			if !strings.Contains(errStr, "shard "+deadURL) {
-				t.Fatalf("degraded item names no shard: %v", item)
-			}
-			bad++
-		} else {
-			good++
-		}
-	}
-	if good == 0 || bad == 0 {
-		t.Fatalf("want a mix of served and degraded items, got %d/%d", good, bad)
 	}
 }
 
@@ -372,10 +326,13 @@ func TestRouterRequestID(t *testing.T) {
 		t.Fatalf("proxied request id %q, want corr-42", got)
 	}
 
-	// Included in router-origin error bodies.
-	status, body, hdr := postJSON(t, tc.rts.URL+"/batch", `{"graph":"g"}`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("empty /batch: %d", status)
+	// Included in router-origin error bodies: an overlong body is refused
+	// by the router before any member sees it.
+	head := `{"graph":"g","queries":[0],"pad":"`
+	long := head + strings.Repeat("x", httpapi.MaxBodyBytes-len(head)) + `"}`
+	status, body, hdr := postJSON(t, tc.rts.URL+"/batch", long)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("overlong /batch: %d", status)
 	}
 	id := hdr.Get(httpapi.RequestIDHeader)
 	if id == "" || body["request_id"] != id {
@@ -386,7 +343,7 @@ func TestRouterRequestID(t *testing.T) {
 // TestMetricsExpositionStrict runs the full /metrics output of the router
 // AND of a cluster node (primary, behind NewNodeHandler) through the
 // parser-strictness checker, with the latency histograms populated by real
-// scattered and forwarded traffic. PR 7's handlers emitted bare series
+// read and forwarded traffic. PR 7's handlers emitted bare series
 // without HELP/TYPE and %q-escaped labels; this pins the repaired output.
 func TestMetricsExpositionStrict(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
@@ -395,8 +352,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		ShardTimeout:      5 * time.Second,
 	})
 
-	// Populate: one scatter (/batch), one single-replica read (/search),
-	// one primary forward (/stats).
+	// Populate: two single-replica reads (/batch, /search).
 	if status, body, _ := postJSON(t, tc.rts.URL+"/batch",
 		`{"graph":"g","queries":[0,1,2],"method":"structural","k":2}`); status != http.StatusOK {
 		t.Fatalf("/batch: %d %v", status, body)
@@ -426,10 +382,8 @@ func TestMetricsExpositionStrict(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE searouter_member_up gauge",
 		"# TYPE searouter_shard_latency_seconds histogram",
-		"# TYPE searouter_fanout_width histogram",
-		`searouter_shard_latency_seconds_bucket{path="/batch",le="+Inf"}`,
+		`searouter_shard_latency_seconds_count{path="/batch"} 1`,
 		`searouter_shard_latency_seconds_count{path="/search"} 1`,
-		`searouter_fanout_width_sum{path="/batch"} 3`,
 	} {
 		if !strings.Contains(string(router), want) {
 			t.Fatalf("router /metrics lacks %q in:\n%s", want, router)
@@ -449,7 +403,7 @@ func TestMetricsExpositionStrict(t *testing.T) {
 		}
 	}
 
-	// The router's trace ring saw the scatter and the search.
+	// The router's trace ring saw the batch and the search.
 	resp, err := http.Get(tc.rts.URL + "/debug/trace?n=10")
 	if err != nil {
 		t.Fatal(err)
@@ -526,8 +480,8 @@ func TestRouterGetCompare(t *testing.T) {
 		t.Fatalf("GET /compare lacks %s", ServedByHeader)
 	}
 	spans := tc.router.Trace(1)
-	if len(spans) != 1 || spans[0].Path != "/compare" || spans[0].ServedBy != served {
-		t.Fatalf("router span %+v, want path /compare served by %s", spans, served)
+	if len(spans) != 1 || spans[0].Path != "/compare" || spans[0].Status != http.StatusOK || spans[0].ServedBy != served {
+		t.Fatalf("router span %+v, want path /compare, status 200, served by %s", spans, served)
 	}
 	if n := tc.router.shardLat["/compare"].Snapshot().Count; n != 1 {
 		t.Fatalf("shardLat[/compare] holds %d observations, want 1", n)
