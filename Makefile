@@ -51,6 +51,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzScanJournal$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadGraph$$' -fuzztime $(FUZZTIME) ./internal/dataset
 	$(GO) test -run '^$$' -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/httpapi
+	$(GO) test -run '^$$' -fuzz '^FuzzMutateBody$$' -fuzztime $(FUZZTIME) ./internal/httpapi
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultSpec$$' -fuzztime $(FUZZTIME) ./internal/faults
 
 # The canonical perf-trajectory record. Each performance-relevant PR runs
