@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end fault-tolerance smoke: boot a journaled primary, two followers,
 # and a searouter whose read path has deterministic fault injection armed
-# (~20% of upstream shard reads die at the transport). Drive the router with
+# (~20% of upstream read attempts die at the transport). Drive the router with
 # seaload while killing -9 the primary mid-run, and assert reads keep
 # flowing within an error budget: the router's retries and circuit breakers
 # must route around both the injected faults and the dead member. Then boot
@@ -72,7 +72,7 @@ grep -h 'bootstrap from .* failed' "$DIR/f1.log" "$DIR/f2.log" >/dev/null || {
 echo "chaos-smoke: a follower retried through the severed bootstrap stream"
 
 # The router's own read client has fault injection armed: each upstream
-# shard read has a 20% chance of dying with a connection reset, so every
+# read attempt has a 20% chance of dying with a connection reset, so every
 # successful client response under load proves the retry path works.
 "$DIR/searouter" -addr "127.0.0.1:$RP" \
   -members "$PRIMARY,$FOLLOWER1,$FOLLOWER2" -rf 3 \
