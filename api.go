@@ -430,10 +430,10 @@ func NewClusterNodeHandler(c *Catalog, base EngineConfig, fol *ClusterFollower) 
 // ClusterRouterConfig configures a ClusterRouter.
 type ClusterRouterConfig = cluster.RouterConfig
 
-// ClusterRouter is the scatter-gather front tier over a replicated
-// cluster — consistent-hash read placement, per-shard deadlines with
-// partial-result degradation, write forwarding, and follower promotion on
-// primary death. cmd/searouter wires it to flags and a listener. Create one
+// ClusterRouter is the front tier over a replicated cluster —
+// consistent-hash read placement, each read answered whole by one in-sync
+// replica and retried whole on the next, write forwarding, and follower
+// promotion on primary death. cmd/searouter wires it to flags and a listener. Create one
 // with NewClusterRouter and release it with Close.
 type ClusterRouter = cluster.Router
 
@@ -476,7 +476,7 @@ var LatencyStages = engine.Stages
 type EngineSpan = engine.Span
 
 // RouterSpan is one request's trace record at the cluster router: route,
-// scatter width, failed shards and served-by attribution.
+// the status the router wrote and the member that answered.
 type RouterSpan = cluster.RouterSpan
 
 // EngineBatchItem pairs one Request of Engine.Batch with its Outcome and

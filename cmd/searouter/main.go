@@ -1,13 +1,10 @@
-// Command searouter fronts a replicated seaserve cluster with a
-// scatter-gather router: one address clients talk to, many replicas doing
-// the work.
+// Command searouter fronts a replicated seaserve cluster with a router: one
+// address clients talk to, many replicas doing the work.
 //
 // Reads spread over the replica set chosen by consistent hashing on the
-// dataset name — /search and /compare proxy whole to one in-sync replica
-// round-robin, and /batch splits its queries across the in-sync members,
-// each shard under its own deadline, a failed shard degrading to per-item
-// errors instead of failing the request. Writes (/admin/*) and everything
-// else forward to the primary. A health prober drops dead and lagging
+// dataset name — /search, /batch and /compare each proxy whole to one
+// in-sync replica, round-robin, and its answer comes back verbatim. Writes
+// (/admin/*) and everything else forward to the primary. A health prober drops dead and lagging
 // members from the read set, and when the primary dies the router promotes
 // the most-caught-up follower and re-points the rest.
 //
@@ -17,7 +14,7 @@
 // traffic before the prober notices. Writes are never retried.
 //
 // Every response carries an X-Request-ID (generated when the client sends
-// none), propagated to every upstream request it fans out into.
+// none), propagated to every upstream request it makes.
 //
 // Usage:
 //
@@ -29,7 +26,7 @@
 // Endpoints:
 //
 //	GET|POST /search /compare       one in-sync replica, round-robin
-//	POST /batch                     queries scattered over the replica set
+//	POST /batch                     one in-sync replica, round-robin
 //	POST /admin/mutate ...          forwarded to the current primary
 //	GET  /healthz                   the router's member-health view
 //	GET  /metrics                   router counters, Prometheus text format
@@ -58,7 +55,7 @@ func main() {
 		members    = flag.String("members", "", "comma-separated base URLs of every cluster node (required)")
 		primary    = flag.String("primary", "", "member writes forward to (default: first member)")
 		rf         = flag.Int("rf", 2, "replication factor: read-set size per dataset")
-		shardTO    = flag.Duration("shard-timeout", 2*time.Second, "deadline for each read attempt (a /search or /compare try, a /batch shard) and health probe")
+		shardTO    = flag.Duration("shard-timeout", 2*time.Second, "deadline for each read attempt (a /search, /batch or /compare try) and health probe")
 		probeEvery = flag.Duration("probe-every", time.Second, "member health-probe interval")
 		failAfter  = flag.Int("fail-after", 3, "consecutive probe failures that mark a member dead")
 		maxLag     = flag.Uint64("max-lag", 8, "max batches a follower may lag and still serve reads")

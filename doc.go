@@ -223,9 +223,8 @@
 // (compaction passed them by, or a hot-swap started a new lineage) answer
 // 410 Gone and the follower re-bootstraps transparently. cmd/searouter
 // fronts a primary plus its followers: consistent-hash read placement,
-// /search and /compare each answered whole by one in-sync replica,
-// scatter-gather /batch with per-shard deadlines and partial-result
-// degradation, write forwarding to the primary, and
+// /search, /batch and /compare each answered whole by one in-sync replica
+// and retried whole on the next, write forwarding to the primary, and
 // automatic promotion of the most-caught-up follower when the primary
 // dies. Every response carries an X-Request-ID for end-to-end correlation,
 // and every node serves its counters in Prometheus text form on /metrics.
@@ -266,15 +265,14 @@
 // stage (apply, journal append, scoped invalidation) in one array indexed
 // by stage; one table (LatencyStages) gives each stage its /stats key and
 // its /metrics family and label, so a new stage is one constant and one
-// row. The router measures upstream latency per route and /batch fan-out
-// width.
+// row. The router measures upstream latency per route.
 // GET /metrics renders them as Prometheus histogram families (cumulative le
 // buckets, _sum, _count — every family of every endpoint through the one
 // obs.FamilyWriter, validated by the strict parser obs.CheckExposition),
 // GET /stats digests them to JSON
 // percentiles, and GET /debug/trace?n= returns the newest spans from a
 // fixed-size trace ring (request id, stage timings, cache provenance;
-// served-by and scatter width at the router). A slow-query log
+// status and served-by at the router). A slow-query log
 // (Config.SlowQuery, seaserve -slow-query) emits one structured line per
 // offender, and -pprof mounts net/http/pprof on a separate loopback
 // listener. cmd/seaload closes the loop: an open-loop generator (fixed

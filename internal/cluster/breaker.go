@@ -6,7 +6,7 @@ package cluster
 // decides between closing the breaker and re-opening it for another
 // cooldown. The breaker exists so a dead or drowning member costs the
 // router one failed call per cooldown instead of a timeout per request —
-// the difference between a latency blip and a fan-out-wide stall.
+// the difference between a latency blip and a router-wide stall.
 
 import (
 	"sync"

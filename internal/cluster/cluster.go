@@ -1,6 +1,6 @@
 // Package cluster turns single-process seaserve instances into a serving
 // cluster: journal-shipping replication between a primary and its
-// followers, and a scatter-gather router (cmd/searouter) in front of them.
+// followers, and a router (cmd/searouter) in front of them.
 //
 // Replication rides the catalog's primary-side hooks (catalog.ReplicateSnapshot,
 // catalog.JournalSince) over plain HTTP. A Follower bootstraps each dataset
@@ -14,11 +14,10 @@
 // the primary restarted) answers 410 Gone and the follower re-bootstraps
 // from a fresh snapshot; replication is always convergent, never wedged.
 //
-// The Router sends each /search and /compare whole to one member of the
-// replica set chosen by consistent hashing on the dataset name, and
-// spreads /batch queries across that set with per-shard deadlines and
-// partial-result degradation: a slow or dead shard costs its own items,
-// never the request. Writes forward to the primary;
+// The Router sends each /search, /batch and /compare whole to one member of
+// the replica set chosen by consistent hashing on the dataset name,
+// round-robin, and retries a failed attempt whole on the next member.
+// Writes forward to the primary;
 // reads go to in-sync replicas only (followers lagging more than MaxLag
 // batches drop out of the read set until they catch up). When the primary
 // dies the router promotes the most-caught-up follower and re-points the

@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seed-driven fault-injection layer for
 // exercising the serving stack's failure paths. Production code marks the
 // places where the outside world can fail — a journal fsync, a snapshot
-// write, a replication stream, a shard call — as named *sites*; a test (or a
+// write, a replication stream, a router read — as named *sites*; a test (or a
 // chaos run, via the SEAFAULTS environment variable) arms a subset of those
 // sites with a spec saying how and how often they should fail. Disarmed, a
 // site costs one atomic load, so the hooks stay compiled into release

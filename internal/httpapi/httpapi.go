@@ -127,9 +127,9 @@ func (m *mux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // RequestIDHeader is the correlation header propagated end-to-end through
 // the distributed serving stack: the router generates an ID when the client
-// sent none, stamps it on every scatter-gather shard request, and each
-// seaserve echoes it back — so one failing shard of one fan-out is traceable
-// across processes by a single ID.
+// sent none, stamps it on every request it proxies, and each seaserve echoes
+// it back — so one failing read attempt is traceable across processes by a
+// single ID.
 const RequestIDHeader = "X-Request-ID"
 
 // requestIDKey is RequestIDHeader as http.Header keys it; Header.Get would
