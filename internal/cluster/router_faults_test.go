@@ -70,25 +70,18 @@ func TestRouterRetryHealsShard(t *testing.T) {
 		if served := hdr.Get(ServedByHeader); served != pts.URL {
 			t.Fatalf("/batch %d served by %q, want the healthy primary %s", i, served, pts.URL)
 		}
-		checkBatchItems(t, body, 4)
+		items, _ := body["items"].([]any)
+		if len(items) != 4 {
+			t.Fatalf("/batch %d items: %d, want 4", i, len(items))
+		}
+		for _, it := range items {
+			if errStr, _ := it.(map[string]any)["err"].(string); errStr != "" {
+				t.Fatalf("item failed despite a healthy replica to retry against: %v", it)
+			}
+		}
 	}
 	if router.retries.Load() == 0 {
 		t.Fatal("no retries recorded; the flaky member was never even tried")
-	}
-}
-
-// checkBatchItems requires a /batch answer of n items, none failed.
-func checkBatchItems(t *testing.T, body map[string]any, n int) {
-	t.Helper()
-	items, _ := body["items"].([]any)
-	if len(items) != n {
-		t.Fatalf("items: %d, want %d", len(items), n)
-	}
-	for _, it := range items {
-		item := it.(map[string]any)
-		if errStr, _ := item["err"].(string); errStr != "" {
-			t.Fatalf("item failed despite a healthy replica to retry against: %v", item)
-		}
 	}
 }
 
