@@ -225,6 +225,97 @@ func TestRouterWriteForwardingAndCatchUp(t *testing.T) {
 	}
 }
 
+// TestRouterReadsSpreadOverInSyncReplicas: with a default config over a
+// primary and two caught-up followers, every member is in the read set, so
+// 60 reads of one dataset are served 20 by each.
+func TestRouterReadsSpreadOverInSyncReplicas(t *testing.T) {
+	tc := newTestCluster(t, RouterConfig{})
+	waitFor(t, 5*time.Second, "router to see every member in sync", func() bool {
+		tc.router.mu.Lock()
+		defer tc.router.mu.Unlock()
+		for _, url := range tc.router.cfg.Members {
+			if !tc.router.inSyncLocked(url, "g") {
+				return false
+			}
+		}
+		return true
+	})
+	served := map[string]int{}
+	for i := 0; i < 60; i++ {
+		resp, err := http.Get(tc.rts.URL + "/search?graph=g&q=0&method=structural&k=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/search %d: %d", i, resp.StatusCode)
+		}
+		served[resp.Header.Get(ServedByHeader)]++
+	}
+	for _, url := range tc.router.cfg.Members {
+		if served[url] != 20 {
+			t.Fatalf("60 reads served %v, want 20 by each of %v", served, tc.router.cfg.Members)
+		}
+	}
+}
+
+// statusMember is an httptest member whose health probe reports st and which
+// answers every other request 200 with an empty object.
+func statusMember(t *testing.T, st NodeStatus) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == ReplicationPath {
+			httpapi.WriteJSON(w, http.StatusOK, st)
+			return
+		}
+		httpapi.WriteJSON(w, http.StatusOK, map[string]any{})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// TestRouterSkipsOutOfSyncReplicas: a follower that lags beyond MaxLag or
+// reports a LastError for a dataset never serves its reads; the primary and
+// the in-sync follower share them.
+func TestRouterSkipsOutOfSyncReplicas(t *testing.T) {
+	primary := statusMember(t, NodeStatus{Role: RolePrimary, Datasets: []ReplicaStatus{{Graph: "g", Version: 20}}})
+	follower := func(ds ReplicaStatus) *httptest.Server {
+		return statusMember(t, NodeStatus{Role: RoleFollower, Primary: primary.URL, Datasets: []ReplicaStatus{ds}})
+	}
+	inSync := follower(ReplicaStatus{Graph: "g", Version: 20, PrimaryVersion: 20})
+	lagging := follower(ReplicaStatus{Graph: "g", Version: 11, PrimaryVersion: 20, Lag: 9})
+	failing := follower(ReplicaStatus{Graph: "g", Version: 20, PrimaryVersion: 20, LastError: "journal tail: connection refused"})
+	router, err := NewRouter(RouterConfig{
+		Members:    []string{primary.URL, inSync.URL, lagging.URL, failing.URL},
+		ProbeEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	rts := httptest.NewServer(router)
+	defer rts.Close()
+
+	served := map[string]int{}
+	for i := 0; i < 60; i++ {
+		resp, err := http.Get(rts.URL + "/search?graph=g&q=0&k=2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/search %d: %d", i, resp.StatusCode)
+		}
+		served[resp.Header.Get(ServedByHeader)]++
+	}
+	if served[primary.URL] != 30 || served[inSync.URL] != 30 || len(served) != 2 {
+		t.Fatalf("60 reads served %v, want 30 by the primary %s and 30 by the in-sync follower %s",
+			served, primary.URL, inSync.URL)
+	}
+}
+
 // TestRouterPromotesOnPrimaryDeath kills the primary and checks the router
 // promotes the most-caught-up follower, keeps serving reads, and accepts
 // writes again.
