@@ -430,10 +430,10 @@ func NewClusterNodeHandler(c *Catalog, base EngineConfig, fol *ClusterFollower) 
 // ClusterRouterConfig configures a ClusterRouter.
 type ClusterRouterConfig = cluster.RouterConfig
 
-// ClusterRouter is the front tier over a replicated cluster —
-// consistent-hash read placement, each read answered whole by one in-sync
-// replica and retried whole on the next, write forwarding, and follower
-// promotion on primary death. cmd/searouter wires it to flags and a listener. Create one
+// ClusterRouter is the front tier over a replicated cluster — each read
+// answered whole by one in-sync replica, round-robin over all of them, and
+// retried whole on the next, write forwarding, and follower promotion on
+// primary death. cmd/searouter wires it to flags and a listener. Create one
 // with NewClusterRouter and release it with Close.
 type ClusterRouter = cluster.Router
 

@@ -1,12 +1,12 @@
 // Command searouter fronts a replicated seaserve cluster with a router: one
 // address clients talk to, many replicas doing the work.
 //
-// Reads spread over the replica set chosen by consistent hashing on the
-// dataset name — /search, /batch and /compare each proxy whole to one
-// in-sync replica, round-robin, and its answer comes back verbatim. Writes
-// (/admin/*) and everything else forward to the primary. A health prober drops dead and lagging
-// members from the read set, and when the primary dies the router promotes
-// the most-caught-up follower and re-points the rest.
+// Reads spread over every member in sync for the dataset — /search, /batch
+// and /compare each proxy whole to one of them, round-robin, and its answer
+// comes back verbatim. Writes (/admin/*) and everything else forward to the
+// primary. A health prober drops dead and lagging members from the read set,
+// and when the primary dies the router promotes the most-caught-up follower
+// and re-points the rest.
 //
 // Failed reads retry against a different in-sync replica (bounded budget,
 // jittered exponential backoff); every member has a circuit breaker that
@@ -19,7 +19,7 @@
 // Usage:
 //
 //	searouter -members http://n1:8080,http://n2:8081,http://n3:8082
-//	searouter -members ... -primary http://n1:8080 -rf 2 -max-lag 8
+//	searouter -members ... -primary http://n1:8080 -max-lag 8
 //	searouter -members ... -pprof 127.0.0.1:6061
 //	  then: go tool pprof http://127.0.0.1:6061/debug/pprof/profile?seconds=10
 //
@@ -54,7 +54,6 @@ func main() {
 		addr       = flag.String("addr", ":8070", "listen address")
 		members    = flag.String("members", "", "comma-separated base URLs of every cluster node (required)")
 		primary    = flag.String("primary", "", "member writes forward to (default: first member)")
-		rf         = flag.Int("rf", 2, "replication factor: read-set size per dataset")
 		shardTO    = flag.Duration("shard-timeout", 2*time.Second, "deadline for each read attempt (a /search, /batch or /compare try) and health probe")
 		probeEvery = flag.Duration("probe-every", time.Second, "member health-probe interval")
 		failAfter  = flag.Int("fail-after", 3, "consecutive probe failures that mark a member dead")
@@ -92,17 +91,16 @@ func main() {
 		}
 	}
 	router, err := cluster.NewRouter(cluster.RouterConfig{
-		Members:           urls,
-		Primary:           *primary,
-		ReplicationFactor: *rf,
-		ShardTimeout:      *shardTO,
-		ProbeEvery:        *probeEvery,
-		FailAfter:         *failAfter,
-		MaxLag:            *maxLag,
-		Retries:           *retries,
-		RetryBase:         *retryBase,
-		BreakerThreshold:  *brkThresh,
-		BreakerCooldown:   *brkCool,
+		Members:          urls,
+		Primary:          *primary,
+		ShardTimeout:     *shardTO,
+		ProbeEvery:       *probeEvery,
+		FailAfter:        *failAfter,
+		MaxLag:           *maxLag,
+		Retries:          *retries,
+		RetryBase:        *retryBase,
+		BreakerThreshold: *brkThresh,
+		BreakerCooldown:  *brkCool,
 	})
 	if err != nil {
 		fail(err)

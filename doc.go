@@ -222,9 +222,9 @@
 // journaled, and promotable. Cursors the primary can no longer serve
 // (compaction passed them by, or a hot-swap started a new lineage) answer
 // 410 Gone and the follower re-bootstraps transparently. cmd/searouter
-// fronts a primary plus its followers: consistent-hash read placement,
-// /search, /batch and /compare each answered whole by one in-sync replica
-// and retried whole on the next, write forwarding to the primary, and
+// fronts a primary plus its followers: /search, /batch and /compare each
+// answered whole by one in-sync replica, round-robin over all of them, and
+// retried whole on the next, write forwarding to the primary, and
 // automatic promotion of the most-caught-up follower when the primary
 // dies. Every response carries an X-Request-ID for end-to-end correlation,
 // and every node serves its counters in Prometheus text form on /metrics.

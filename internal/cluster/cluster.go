@@ -14,14 +14,12 @@
 // the primary restarted) answers 410 Gone and the follower re-bootstraps
 // from a fresh snapshot; replication is always convergent, never wedged.
 //
-// The Router sends each /search, /batch and /compare whole to one member of
-// the replica set chosen by consistent hashing on the dataset name,
-// round-robin, and retries a failed attempt whole on the next member.
-// Writes forward to the primary;
-// reads go to in-sync replicas only (followers lagging more than MaxLag
-// batches drop out of the read set until they catch up). When the primary
-// dies the router promotes the most-caught-up follower and re-points the
-// rest at it.
+// The Router sends each /search, /batch and /compare whole to one member in
+// sync for the dataset, round-robin over all of them, and retries a failed
+// attempt whole on the next. Writes forward to the primary; followers lagging
+// more than MaxLag batches, or failing to sync, drop out of the read set
+// until they catch up. When the primary dies the router promotes the
+// most-caught-up follower and re-points the rest at it.
 package cluster
 
 // Cluster-control endpoints every node serves (NewNodeHandler); the router

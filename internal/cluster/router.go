@@ -4,15 +4,11 @@ package cluster
 // spreads read load over a replicated seaserve cluster and survives the
 // primary's death.
 //
-//   - Placement: each dataset maps onto a ReplicationFactor-sized replica
-//     set by consistent hashing on the dataset name. Followers outside the
-//     set still replicate everything (replication is whole-catalog); the
-//     ring only decides who serves reads, so it stays stable when members
-//     come and go.
-//   - Reads: /search, /batch and /compare each go whole to one in-sync
-//     replica, round-robin, and its answer comes back verbatim; the node
-//     spreads a batch over its own worker pool and decides a /compare's
-//     best method.
+//   - Reads: every follower replicates the whole catalog, so every member
+//     in sync for a dataset serves its reads. /search, /batch and /compare
+//     each go whole to one of them, round-robin, and its answer comes back
+//     verbatim; the node spreads a batch over its own worker pool and
+//     decides a /compare's best method.
 //   - Health: a prober polls every member's /admin/replication. A member
 //     that misses FailAfter consecutive probes is dead; followers lagging
 //     more than MaxLag batches leave the read set until they catch up.
@@ -60,9 +56,6 @@ type RouterConfig struct {
 	// Primary is the member writes forward to; defaults to Members[0]. The
 	// router moves it on failover.
 	Primary string
-	// ReplicationFactor is the read-set size per dataset (default 2,
-	// clamped to len(Members)).
-	ReplicationFactor int
 	// ShardTimeout bounds each read attempt and health probe (default 2s).
 	ShardTimeout time.Duration
 	// ProbeEvery is the health-probe interval (default 1s).
@@ -97,9 +90,6 @@ type RouterConfig struct {
 func (cfg RouterConfig) withDefaults() RouterConfig {
 	if cfg.Primary == "" && len(cfg.Members) > 0 {
 		cfg.Primary = cfg.Members[0]
-	}
-	if cfg.ReplicationFactor <= 0 {
-		cfg.ReplicationFactor = 2
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = 2 * time.Second
@@ -145,9 +135,8 @@ type memberState struct {
 // Router is an http.Handler implementing the front tier. Create with
 // NewRouter, release with Close.
 type Router struct {
-	cfg  RouterConfig
-	ring *ring
-	hc   *http.Client
+	cfg RouterConfig
+	hc  *http.Client
 	// readHC is hc with the "router.shard" fault-injection site on its
 	// transport: read traffic can be failed/delayed/severed by an armed
 	// faults spec without also poisoning health probes and failover calls.
@@ -214,7 +203,6 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	readHC.Transport = faults.Transport("router.shard", cfg.HTTP.Transport)
 	r := &Router{
 		cfg:      cfg,
-		ring:     newRing(members),
 		hc:       cfg.HTTP,
 		readHC:   &readHC,
 		breakers: make(map[string]*breaker, len(members)),
@@ -357,32 +345,22 @@ func (r *Router) Primary() string {
 }
 
 // readSet is the ordered list of members that may serve reads for graph
-// right now: the ring placement filtered down to alive, in-sync members,
-// falling back to any alive member (and last to the primary URL itself, so
-// the caller always has a target and surfaces a connection error rather
-// than an empty split).
+// right now: every alive, in-sync member in Members order, falling back to
+// the primary URL itself so the caller always has a target and surfaces a
+// connection error rather than an empty set.
 func (r *Router) readSet(graph string) []string {
-	placement := r.ring.lookup(graph, r.cfg.ReplicationFactor)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var out []string
-	for _, url := range placement {
-		if r.inSyncLocked(url, graph) {
-			out = append(out, url)
-		}
-	}
-	if len(out) > 0 {
-		return out
-	}
 	for _, url := range r.cfg.Members {
 		if r.inSyncLocked(url, graph) {
 			out = append(out, url)
 		}
 	}
-	if len(out) > 0 {
-		return out
+	if len(out) == 0 {
+		return []string{r.primary}
 	}
-	return []string{r.primary}
+	return out
 }
 
 // inSyncLocked reports whether url may serve reads for graph; r.mu held.

@@ -46,11 +46,10 @@ func TestRouterRetryHealsShard(t *testing.T) {
 	status.Store(http.StatusInternalServerError)
 	flaky := flakyMember(t, pts.URL, &status)
 	router, err := NewRouter(RouterConfig{
-		Members:           []string{pts.URL, flaky.URL},
-		ReplicationFactor: 2,
-		ProbeEvery:        time.Hour,
-		ShardTimeout:      2 * time.Second,
-		RetryBase:         time.Millisecond,
+		Members:      []string{pts.URL, flaky.URL},
+		ProbeEvery:   time.Hour,
+		ShardTimeout: 2 * time.Second,
+		RetryBase:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,13 +95,12 @@ func TestRouterSearchRetriesAndBreaker(t *testing.T) {
 	status.Store(http.StatusInternalServerError)
 	flaky := flakyMember(t, pts.URL, &status)
 	router, err := NewRouter(RouterConfig{
-		Members:           []string{pts.URL, flaky.URL},
-		ReplicationFactor: 2,
-		ProbeEvery:        time.Hour,
-		ShardTimeout:      2 * time.Second,
-		RetryBase:         time.Millisecond,
-		BreakerThreshold:  2,
-		BreakerCooldown:   50 * time.Millisecond,
+		Members:          []string{pts.URL, flaky.URL},
+		ProbeEvery:       time.Hour,
+		ShardTimeout:     2 * time.Second,
+		RetryBase:        time.Millisecond,
+		BreakerThreshold: 2,
+		BreakerCooldown:  50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,11 +315,10 @@ func TestRouterFailedReadSpan(t *testing.T) {
 	status.Store(http.StatusInternalServerError)
 	flaky := flakyMember(t, down.URL, &status)
 	router, err := NewRouter(RouterConfig{
-		Members:           []string{down.URL, flaky.URL},
-		ReplicationFactor: 2,
-		ProbeEvery:        time.Hour,
-		ShardTimeout:      2 * time.Second,
-		RetryBase:         time.Millisecond,
+		Members:      []string{down.URL, flaky.URL},
+		ProbeEvery:   time.Hour,
+		ShardTimeout: 2 * time.Second,
+		RetryBase:    time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

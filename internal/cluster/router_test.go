@@ -91,9 +91,8 @@ func postJSON(t *testing.T, url, body string) (int, map[string]any, http.Header)
 // rotate over the read set, and a GET /batch gets the member's 405.
 func TestRouterBatchAndCompareOneRead(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 3,
-		ProbeEvery:        20 * time.Millisecond,
-		ShardTimeout:      5 * time.Second,
+		ProbeEvery:   20 * time.Millisecond,
+		ShardTimeout: 5 * time.Second,
 	})
 	members := map[string]bool{tc.pts.URL: true, tc.ftss[0].URL: true, tc.ftss[1].URL: true}
 
@@ -169,9 +168,8 @@ func TestRouterBatchAndCompareOneRead(t *testing.T) {
 // which a /search is served by a follower too.
 func TestRouterWriteForwardingAndCatchUp(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 3,
-		ProbeEvery:        20 * time.Millisecond,
-		ShardTimeout:      5 * time.Second,
+		ProbeEvery:   20 * time.Millisecond,
+		ShardTimeout: 5 * time.Second,
 	})
 
 	status, body, hdr := postJSON(t, tc.rts.URL+"/admin/mutate",
@@ -321,10 +319,9 @@ func TestRouterSkipsOutOfSyncReplicas(t *testing.T) {
 // writes again.
 func TestRouterPromotesOnPrimaryDeath(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 3,
-		ProbeEvery:        20 * time.Millisecond,
-		FailAfter:         2,
-		ShardTimeout:      time.Second,
+		ProbeEvery:   20 * time.Millisecond,
+		FailAfter:    2,
+		ShardTimeout: time.Second,
 	})
 
 	// Put some replicated state in so the candidates have real cursors.
@@ -389,9 +386,8 @@ func TestRouterPromotesOnPrimaryDeath(t *testing.T) {
 // router-origin errors carry the ID in the body.
 func TestRouterRequestID(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 2,
-		ProbeEvery:        time.Hour,
-		ShardTimeout:      2 * time.Second,
+		ProbeEvery:   time.Hour,
+		ShardTimeout: 2 * time.Second,
 	})
 
 	// Generated when absent.
@@ -438,9 +434,8 @@ func TestRouterRequestID(t *testing.T) {
 // without HELP/TYPE and %q-escaped labels; this pins the repaired output.
 func TestMetricsExpositionStrict(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 3,
-		ProbeEvery:        20 * time.Millisecond,
-		ShardTimeout:      5 * time.Second,
+		ProbeEvery:   20 * time.Millisecond,
+		ShardTimeout: 5 * time.Second,
 	})
 
 	// Populate: two single-replica reads (/batch, /search).
@@ -544,9 +539,8 @@ func TestRouterRejectsOverlongBodies(t *testing.T) {
 // replica like a GET /search, through the same path as a POST /compare.
 func TestRouterGetCompare(t *testing.T) {
 	tc := newTestCluster(t, RouterConfig{
-		ReplicationFactor: 3,
-		ProbeEvery:        20 * time.Millisecond,
-		ShardTimeout:      5 * time.Second,
+		ProbeEvery:   20 * time.Millisecond,
+		ShardTimeout: 5 * time.Second,
 	})
 	resp, err := http.Get(tc.rts.URL + "/compare?graph=g&q=0&k=2&methods=structural,sea&seed=42")
 	if err != nil {

@@ -75,7 +75,7 @@ echo "chaos-smoke: a follower retried through the severed bootstrap stream"
 # read attempt has a 20% chance of dying with a connection reset, so every
 # successful client response under load proves the retry path works.
 "$DIR/searouter" -addr "127.0.0.1:$RP" \
-  -members "$PRIMARY,$FOLLOWER1,$FOLLOWER2" -rf 3 \
+  -members "$PRIMARY,$FOLLOWER1,$FOLLOWER2" \
   -probe-every 300ms -fail-after 3 -shard-timeout 5s \
   -retries 2 -retry-base 20ms -breaker-threshold 5 -breaker-cooldown 2s \
   -faults 'router.shard=prob:0.2,err:reset' -faults-seed 7 &

@@ -2,7 +2,8 @@
 # End-to-end distributed-serving smoke: boot a journaled primary, two
 # followers replicating from it, and a searouter fronting all three. Mutate
 # through the router (write forwarding), wait for the followers to catch up,
-# send a /batch and a /compare, each answered whole by one member, then
+# check /search reads spread over all three members, send a /batch and a
+# /compare, each answered whole by one member, then
 # kill -9 the primary and verify the router promotes a follower and keeps
 # serving both reads and writes.
 #
@@ -53,7 +54,7 @@ wait_up "$FOLLOWER1"
 wait_up "$FOLLOWER2"
 
 "$DIR/searouter" -addr "127.0.0.1:$RP" \
-  -members "$PRIMARY,$FOLLOWER1,$FOLLOWER2" -rf 3 \
+  -members "$PRIMARY,$FOLLOWER1,$FOLLOWER2" \
   -probe-every 300ms -fail-after 3 -shard-timeout 5s &
 ROUTER_PID=$!
 wait_up "$ROUTER"
@@ -80,6 +81,29 @@ for f in "$FOLLOWER1" "$FOLLOWER2"; do
   done
   [ "$ok" = 1 ] || { echo "router-smoke: follower $f never caught up" >&2; exit 1; }
 done
+
+# Every member holds the whole catalog, so every in-sync member serves reads:
+# nine /search reads round-robin over all three. A round that misses one is
+# repeated while the router's prober has yet to see a follower in sync.
+spread=0
+for _ in $(seq 1 10); do
+  : >"$DIR/served.txt"
+  for q in 0 1 2 3 4 5 6 7 8; do
+    curl -sf -D - -o /dev/null "$ROUTER/search?graph=fb&q=$q&k=2&method=structural" |
+      grep -i '^x-sea-served-by:' | tr -d '\r' | cut -d' ' -f2 >>"$DIR/served.txt"
+  done
+  if grep -qx "$PRIMARY" "$DIR/served.txt" && grep -qx "$FOLLOWER1" "$DIR/served.txt" &&
+    grep -qx "$FOLLOWER2" "$DIR/served.txt"; then
+    spread=1
+    break
+  fi
+  sleep 0.3
+done
+[ "$spread" = 1 ] || {
+  echo "router-smoke: nine /search reads did not reach all three members" >&2
+  sort "$DIR/served.txt" | uniq -c >&2
+  exit 1
+}
 
 # A /batch is one read: a single member answers all six queries, the new
 # node included, and names itself in X-Sea-Served-By.
