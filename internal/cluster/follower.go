@@ -403,14 +403,19 @@ func (f *Follower) Status() []ReplicaStatus {
 	return out
 }
 
-// sanitizeName maps a dataset name onto a filesystem-safe file stem.
+// sanitizeName maps a dataset name onto a filesystem-safe file stem, one
+// stem per name: letters, digits, '-' and '.' stay, and every other byte,
+// '_' included, becomes '_' and two hex digits. Two datasets whose stems
+// collided would share a replica snapshot and journal.
 func sanitizeName(name string) string {
-	out := []byte(name)
-	for i, c := range out {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '_', c == '.':
+	const hex = "0123456789abcdef"
+	out := make([]byte, 0, len(name))
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9', c == '-', c == '.':
+			out = append(out, c)
 		default:
-			out[i] = '_'
+			out = append(out, '_', hex[c>>4], hex[c&0xf])
 		}
 	}
 	return string(out)

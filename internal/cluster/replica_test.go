@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -80,11 +81,17 @@ func newFollowerNode(t *testing.T, primaryURL string) (*catalog.Catalog, *Follow
 // marshalled Outcomes.
 func outcomesMatch(t *testing.T, primary, follower *catalog.Catalog, req query.Request) {
 	t.Helper()
-	pe, err := primary.Resolve("g")
+	outcomesMatchOn(t, primary, follower, "g", req)
+}
+
+// outcomesMatch on the dataset called name.
+func outcomesMatchOn(t *testing.T, primary, follower *catalog.Catalog, name string, req query.Request) {
+	t.Helper()
+	pe, err := primary.Resolve(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe, err := follower.Resolve("g")
+	fe, err := follower.Resolve(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +206,61 @@ func TestFollowerResyncAfterSwap(t *testing.T) {
 	}
 	for _, req := range testRequests() {
 		outcomesMatch(t, pcat, fcat, req)
+	}
+}
+
+// TestFollowerReplicaFilesPerDataset: dataset names that differ only in
+// bytes a file name cannot hold keep their own replica snapshot and journal,
+// so neither bootstrap unlinks the other's live journal and both replicas
+// answer like the primary after a mutation each.
+func TestFollowerReplicaFilesPerDataset(t *testing.T) {
+	pcat := catalog.New()
+	t.Cleanup(func() { pcat.Close() })
+	names := []string{"a b", "a_b"}
+	for _, name := range names {
+		snap := testSnapshot(t, t.TempDir())
+		if _, _, err := pcat.MountPathJournaled(name, snap, filepath.Join(t.TempDir(), "g.journal"), engine.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pts := httptest.NewServer(NewNodeHandler(pcat, engine.DefaultConfig(), nil))
+	t.Cleanup(pts.Close)
+
+	fcat := catalog.New()
+	t.Cleanup(func() { fcat.Close() })
+	replicaDir := t.TempDir()
+	fol := NewFollower(fcat, pts.URL, replicaDir, engine.DefaultConfig(), 0)
+	if err := fol.Bootstrap(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i, name := range names {
+		if _, err := pcat.Mutate(name, []mutate.Delta{mutate.AddEdge(graph.NodeID(i), 10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !fol.syncOnce(context.Background()) {
+		t.Fatalf("sync failed: %+v", fol.Status())
+	}
+	for _, st := range fol.Status() {
+		if st.Version != 1 || st.Lag != 0 || st.LastError != "" {
+			t.Fatalf("follower status after sync: %+v", fol.Status())
+		}
+	}
+	for _, name := range names {
+		for _, req := range testRequests() {
+			outcomesMatchOn(t, pcat, fcat, name, req)
+		}
+	}
+	entries, err := os.ReadDir(replicaDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 4 {
+		var files []string
+		for _, e := range entries {
+			files = append(files, e.Name())
+		}
+		t.Fatalf("replica dir holds %q, want a snapshot and a journal per dataset", files)
 	}
 }
 
