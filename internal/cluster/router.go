@@ -357,10 +357,10 @@ func (r *Router) readSet(graph string) []string {
 			out = append(out, url)
 		}
 	}
-	if len(out) == 0 {
-		return []string{r.primary}
+	if len(out) > 0 {
+		return out
 	}
-	return out
+	return []string{r.primary}
 }
 
 // inSyncLocked reports whether url may serve reads for graph; r.mu held.
