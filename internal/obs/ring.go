@@ -36,15 +36,15 @@ type subRing[T any] struct {
 
 // NewRing returns a ring holding the most recent size entries (size < 1 is
 // clamped to 1), newest being the last added.
-func NewRing[T any](size int) *Ring[T] { return newRing[T](size, nil, 1) }
+func NewRing[T any](size int) *Ring[T] { return buildRing[T](size, nil, 1) }
 
 // NewStripedRing returns a ring holding the size entries with the latest
 // end, one sub-ring per Stripe.
 func NewStripedRing[T any](size int, end func(*T) int64) *Ring[T] {
-	return newRing(size, end, Stripes)
+	return buildRing(size, end, Stripes)
 }
 
-func newRing[T any](size int, end func(*T) int64, subs int) *Ring[T] {
+func buildRing[T any](size int, end func(*T) int64, subs int) *Ring[T] {
 	if size < 1 {
 		size = 1
 	}
